@@ -48,12 +48,13 @@ check-full: check
 	$(GO) test -race -timeout 20m -run Recovery ./internal/store -crashfull
 
 # Performance trajectory: the explanation worker-count sweep, the
-# GroupBy hot path, and the offline-mining fast path, plus the capebench
+# GroupBy hot path, the offline-mining fast path, and one maintained
+# append at the repository benchmark's table size, plus the capebench
 # runs that write BENCH_explain.json, BENCH_mine.json, BENCH_batch.json,
 # BENCH_engine.json, BENCH_incr.json, BENCH_scale.json,
 # BENCH_load.json and BENCH_serve.json.
 bench:
-	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkGroupBy$$|BenchmarkARPMine|BenchmarkFitShared' -benchmem -run XXX ./...
+	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkGroupBy$$|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp' -benchmem -run XXX ./...
 	$(GO) run ./cmd/capebench benchexplain
 	$(GO) run ./cmd/capebench benchmine
 	$(GO) run ./cmd/capebench benchbatch

@@ -110,9 +110,9 @@ type aggState struct {
 	count    int64
 	sumF     float64
 	sumI     int64
-	anyFloat bool
 	minV     value.V
 	maxV     value.V
+	anyFloat bool
 	seen     bool
 }
 
@@ -193,25 +193,29 @@ func (s *aggState) result(f AggFunc) value.V {
 // pattern maintenance extend retained group aggregates instead of
 // recomputing them (appended rows always land at the table tail, so the
 // fold order of old rows never changes).
+//
+// Callers retain one per group per aggregate, so it carries the two
+// facts of the AggSpec the fold reads, not the spec.
 type AggAccum struct {
-	spec AggSpec
 	st   aggState
+	fn   AggFunc
+	star bool
 }
 
 // NewAggAccum returns an empty accumulator for the given aggregate.
 func NewAggAccum(spec AggSpec) AggAccum {
-	return AggAccum{spec: spec}
+	return AggAccum{fn: spec.Func, star: spec.IsStar()}
 }
 
 // Add folds one row's argument value. For count(*) pass any value
 // (including NULL); it is counted regardless.
 func (a *AggAccum) Add(v value.V) {
-	a.st.add(v, a.spec.Func, a.spec.IsStar())
+	a.st.add(v, a.fn, a.star)
 }
 
 // Result returns the aggregate over everything folded so far.
 func (a *AggAccum) Result() value.V {
-	return a.st.result(a.spec.Func)
+	return a.st.result(a.fn)
 }
 
 // aggCol is one planned aggregate: the spec plus the resolved column

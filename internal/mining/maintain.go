@@ -10,13 +10,20 @@ import (
 	"cape/internal/value"
 )
 
-// Maintainer keeps a mined pattern set fresh under appends. It retains,
-// for every grouping attribute set the miner would consider, the group
-// aggregation state (engine.AggAccum per aggregate per group) and, for
-// every (F, V) split, the fragment membership of each group — so an
-// appended batch of rows costs O(batch × groupings) routing plus a
-// re-fit of only the fragments whose groups changed, instead of the
-// full group-sort-fit pipeline over the whole table.
+// Maintainer keeps a mined pattern set fresh under appends. Per grouping
+// attribute set it retains the grouped table in struct-of-arrays form —
+// one key slab, one engine.AggAccum slab, and a decoded float64 column
+// per aggregate (the observations) and per attribute (the predictors) —
+// and, for every (F, V) split, each fragment's groups in observation
+// order. An appended batch costs
+//
+//	O(batch × groupings)             fold rows, refresh touched groups' y
+//	+ O(Σ |fragment| over dirtied)   re-fit: stream the flat columns
+//
+// instead of the full group-sort-fit pipeline over the whole table. The
+// second term is the larger one: a split on a low-cardinality F (year,
+// type) has few, large fragments, so a 100-row batch dirties all of
+// them and the re-fit walks that split's whole grouped table.
 //
 // The maintained set is pinned byte-identical to a cold ARPMine run
 // (without FD pruning) over the same rows:
@@ -55,11 +62,14 @@ type Maintainer struct {
 	opt    Options
 	synced int    // rows folded so far
 	epoch  uint64 // table epoch at last CatchUp
-	cands  int    // ARPMine-parity candidate count
 	gsets  []*gSet
+	cands  []*mCand // every candidate, sorted by key
 }
 
-// gSet is the retained state of one grouping attribute set.
+// gSet is the retained state of one grouping attribute set: its grouped
+// table, column-wise. Group gi (first-appearance order == grouped-row
+// index) owns keys[gi*len(attrs):], accs[gi*len(aggs):] and entry gi of
+// every per-group column.
 type gSet struct {
 	attrs  []string
 	colIdx []int // table column per attr
@@ -67,7 +77,11 @@ type gSet struct {
 	aggIdx []int // table column per aggregate argument (-1 for star)
 	hasLin bool
 
-	groups  []*mGroup // first-appearance order == grouped-row index
+	keys    []value.V         // key values from each group's first row, as GroupBy emits
+	accs    []engine.AggAccum // resumable aggregate state
+	state   []uint8           // gTouched | gFresh
+	y       []numCol          // per aggregate: Result() as of the last CatchUp
+	x       []numCol          // per attr: the key value (kept only when a Lin candidate reads it)
 	lookup  map[string]int32
 	splits  []*mSplit
 	touched []int32 // groups touched by the current batch
@@ -82,13 +96,24 @@ type gSet struct {
 	lin    regress.LinScratch
 }
 
-// mGroup is one group: its key values (from the group's first row, the
-// same representative GroupBy emits) and resumable aggregate state.
-type mGroup struct {
-	key     value.Tuple
-	accs    []engine.AggAccum
-	touched bool
-	fresh   bool // created by the current batch
+const (
+	gTouched uint8 = 1 << iota // folded into by the current batch
+	gFresh                     // created by the current batch
+)
+
+// numCol is one decoded column over a grouping set's groups, mirroring
+// the engine's flat column decode: the float64 payload of each numeric
+// value, and whether the value was numeric at all.
+type numCol struct {
+	f  []float64
+	ok []bool
+}
+
+func (c *numCol) set(gi int32, v value.V) { c.f[gi], c.ok[gi] = v.AsFloat() }
+
+func (c *numCol) push(v value.V) {
+	f, ok := v.AsFloat()
+	c.f, c.ok = append(c.f, f), append(c.ok, ok)
 }
 
 // mSplit is one (F, V) split of a grouping set.
@@ -99,10 +124,13 @@ type mSplit struct {
 	// seqPos orders observations within a fragment: the predictor
 	// attributes in the order of the sort order that first tested this
 	// split, exactly as the miner's permutation sort left them.
-	seqPos []int
-	frags  map[string]*mFrag
-	dirty  []*mFrag
-	cands  []*mCand
+	seqPos  []int
+	frags   []*mFrag
+	fragIdx map[string]int32 // F-key → index into frags
+	fragOf  []int32          // per group: index of its fragment, so only fresh groups build a key
+	dirty   []*mFrag
+	cands   []*mCand
+	numSupp []int // per aggregate: fragments with supported[ai] set
 }
 
 // mFrag is one fragment of a split: the groups it contains, in
@@ -118,12 +146,12 @@ type mFrag struct {
 // mCand is one (aggregate, model) candidate of a split.
 type mCand struct {
 	p pattern.Pattern
-	// key caches p.Key() — the canonical identity every CandStats call
-	// and admission push matches on. Candidates are fixed for the
-	// maintainer's lifetime, so deriving the key (two sorts plus string
-	// joins per candidate) once at construction keeps the per-append
-	// candidate path allocation-free here.
+	// key caches p.Key() — the canonical identity Patterns and CandStats
+	// order by and admission pushes match on. Candidates are fixed for
+	// the maintainer's lifetime, so it is derived (two sorts plus string
+	// joins) and sorted on once, at construction.
 	key    string
+	sp     *mSplit
 	agg    int
 	model  regress.ModelType
 	locals map[string]*pattern.LocalModel
@@ -161,6 +189,8 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 				attrs:  g,
 				aggs:   aggs,
 				aggIdx: make([]int, len(aggs)),
+				y:      make([]numCol, len(aggs)),
+				x:      make([]numCol, len(g)),
 				lookup: make(map[string]int32),
 			}
 			gs.colIdx, err = tab.Schema().Indices(g)
@@ -185,11 +215,11 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 						continue
 					}
 					tested[pk] = true
-					m.cands += len(aggs) * len(opt.Models)
 					sp := &mSplit{
-						f:     pattern.SortedCopy(f),
-						v:     pattern.SortedCopy(v),
-						frags: make(map[string]*mFrag),
+						f:       pattern.SortedCopy(f),
+						v:       pattern.SortedCopy(v),
+						fragIdx: make(map[string]int32),
+						numSupp: make([]int, len(aggs)),
 					}
 					for _, a := range sp.f {
 						sp.fPos = append(sp.fPos, attrPos(g, a))
@@ -210,17 +240,19 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 								gs.hasLin = true
 							}
 							sp.cands = append(sp.cands, &mCand{
-								p: p, key: p.Key(), agg: ai, model: mt,
+								p: p, key: p.Key(), sp: sp, agg: ai, model: mt,
 								locals: make(map[string]*pattern.LocalModel),
 							})
 						}
 					}
+					m.cands = append(m.cands, sp.cands...)
 					gs.splits = append(gs.splits, sp)
 				}
 			}
 			m.gsets = append(m.gsets, gs)
 		}
 	}
+	sort.Slice(m.cands, func(i, j int) bool { return m.cands[i].key < m.cands[j].key })
 	if err := m.CatchUp(); err != nil {
 		return nil, err
 	}
@@ -236,7 +268,7 @@ func (m *Maintainer) Synced() (rows int, epoch uint64) { return m.synced, m.epoc
 
 // Candidates reports the ARPMine-equivalent candidate count: every
 // (F, V, aggregate, model) combination the enumeration examines.
-func (m *Maintainer) Candidates() int { return m.cands }
+func (m *Maintainer) Candidates() int { return len(m.cands) }
 
 // Options returns the normalized mining options the maintainer runs
 // with.
@@ -275,8 +307,9 @@ func (m *Maintainer) CatchUp() error {
 	// Chunking keeps the initial full catch-up memory-bounded (the table
 	// is never buffered whole).
 	width := len(m.tab.Schema())
-	chunk := make([]value.Tuple, 0, maintainChunkRows)
-	slab := make([]value.V, 0, maintainChunkRows*width)
+	chunkRows := min(n-m.synced, maintainChunkRows)
+	chunk := make([]value.Tuple, 0, chunkRows)
+	slab := make([]value.V, 0, chunkRows*width)
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
@@ -294,7 +327,7 @@ func (m *Maintainer) CatchUp() error {
 	err := m.tab.ScanRows(m.synced, n, func(row value.Tuple) error {
 		slab = append(slab, row...)
 		chunk = append(chunk, slab[len(slab)-width:len(slab):len(slab)])
-		if len(chunk) == maintainChunkRows {
+		if len(chunk) == chunkRows {
 			return flush()
 		}
 		return nil
@@ -308,6 +341,14 @@ func (m *Maintainer) CatchUp() error {
 
 	err = pool.ForEach("mine:maintain-refit", len(m.gsets), func(i int) error {
 		gs := m.gsets[i]
+		// Decode each touched group's aggregates once per batch; every
+		// split's re-fit below reads only the flat columns.
+		na := len(gs.aggs)
+		for _, gi := range gs.touched {
+			for ai := range gs.y {
+				gs.y[ai].set(gi, gs.accs[int(gi)*na+ai].Result())
+			}
+		}
 		for _, sp := range gs.splits {
 			gs.routeTouched(sp)
 			for _, fr := range sp.dirty {
@@ -317,8 +358,7 @@ func (m *Maintainer) CatchUp() error {
 			sp.dirty = sp.dirty[:0]
 		}
 		for _, gi := range gs.touched {
-			gs.groups[gi].touched = false
-			gs.groups[gi].fresh = false
+			gs.state[gi] = 0
 		}
 		gs.touched = gs.touched[:0]
 		return nil
@@ -337,8 +377,8 @@ var maintainChunkRows = 4096
 
 // foldRow routes one appended row to its group in gs (creating new
 // groups in first-appearance order) and folds it into the aggregate
-// accumulators. Only value.V structs are retained (copied into the
-// group key), so the row may live in a reused chunk slab.
+// accumulators. Only value.V structs are retained (copied into the key
+// slab), so the row may live in a reused chunk slab.
 func (gs *gSet) foldRow(row value.Tuple) {
 	gs.keyBuf = gs.keyBuf[:0]
 	for _, ci := range gs.colIdx {
@@ -346,29 +386,31 @@ func (gs *gSet) foldRow(row value.Tuple) {
 	}
 	gi, ok := gs.lookup[string(gs.keyBuf)]
 	if !ok {
-		gi = int32(len(gs.groups))
-		key := make(value.Tuple, len(gs.colIdx))
+		gi = int32(len(gs.state))
 		for i, ci := range gs.colIdx {
-			key[i] = row[ci]
+			gs.keys = append(gs.keys, row[ci])
+			if gs.hasLin {
+				gs.x[i].push(row[ci])
+			}
 		}
-		grp := &mGroup{key: key, accs: make([]engine.AggAccum, len(gs.aggs)), fresh: true}
 		for ai, a := range gs.aggs {
-			grp.accs[ai] = engine.NewAggAccum(a)
+			gs.accs = append(gs.accs, engine.NewAggAccum(a))
+			gs.y[ai].push(value.NewNull()) // decoded once the batch is folded
 		}
-		gs.groups = append(gs.groups, grp)
+		gs.state = append(gs.state, gFresh)
 		gs.lookup[string(gs.keyBuf)] = gi
 	}
-	grp := gs.groups[gi]
-	if !grp.touched {
-		grp.touched = true
+	if gs.state[gi]&gTouched == 0 {
+		gs.state[gi] |= gTouched
 		gs.touched = append(gs.touched, gi)
 	}
-	for ai := range gs.aggs {
+	accs := gs.accs[int(gi)*len(gs.aggs):]
+	for ai, ci := range gs.aggIdx {
 		var arg value.V
-		if ci := gs.aggIdx[ai]; ci >= 0 {
+		if ci >= 0 {
 			arg = row[ci]
 		}
-		grp.accs[ai].Add(arg)
+		accs[ai].Add(arg)
 	}
 }
 
@@ -376,29 +418,34 @@ func (gs *gSet) foldRow(row value.Tuple) {
 // fresh groups at their observation-order position, and collects the
 // dirty fragments.
 func (gs *gSet) routeTouched(sp *mSplit) {
+	w := len(gs.attrs)
 	for _, gi := range gs.touched {
-		grp := gs.groups[gi]
-		gs.keyBuf = gs.keyBuf[:0]
-		for _, p := range sp.fPos {
-			gs.keyBuf = grp.key[p].AppendKey(gs.keyBuf)
-		}
-		fr, ok := sp.frags[string(gs.keyBuf)]
-		if !ok {
-			fr = &mFrag{key: string(gs.keyBuf), supported: make([]bool, len(gs.aggs))}
-			sp.frags[fr.key] = fr
-		}
-		if grp.fresh {
+		// Fresh groups sit in touched in creation order, so the append
+		// below lands at fragOf[gi].
+		if gs.state[gi]&gFresh != 0 {
+			gs.keyBuf = gs.keyBuf[:0]
+			for _, p := range sp.fPos {
+				gs.keyBuf = gs.keys[int(gi)*w+p].AppendKey(gs.keyBuf)
+			}
+			fi, ok := sp.fragIdx[string(gs.keyBuf)]
+			if !ok {
+				fi = int32(len(sp.frags))
+				sp.frags = append(sp.frags, &mFrag{key: string(gs.keyBuf), supported: make([]bool, len(gs.aggs))})
+				sp.fragIdx[sp.frags[fi].key] = fi
+			}
+			sp.fragOf = append(sp.fragOf, fi)
+			fr := sp.frags[fi]
 			// Insert at the observation-order position: predictor-sequence
 			// values under value.Compare, ties after (the fresh group's
 			// grouped-row index is larger than every existing one's).
 			pos := sort.Search(len(fr.groups), func(i int) bool {
-				return obsLess(gs, sp, gi, fr.groups[i])
+				return gs.obsLess(sp, gi, fr.groups[i])
 			})
 			fr.groups = append(fr.groups, 0)
 			copy(fr.groups[pos+1:], fr.groups[pos:])
 			fr.groups[pos] = gi
 		}
-		if !fr.dirty {
+		if fr := sp.frags[sp.fragOf[gi]]; !fr.dirty {
 			fr.dirty = true
 			sp.dirty = append(sp.dirty, fr)
 		}
@@ -408,8 +455,9 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 // obsLess orders groups within a fragment: by the split's predictor
 // sequence under value.Compare, then by grouped-row index — the order
 // the miner's stable permutation sort visits them in.
-func obsLess(gs *gSet, sp *mSplit, a, b int32) bool {
-	ka, kb := gs.groups[a].key, gs.groups[b].key
+func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
+	w := len(gs.attrs)
+	ka, kb := gs.keys[int(a)*w:], gs.keys[int(b)*w:]
 	for _, p := range sp.seqPos {
 		if c := value.Compare(ka[p], kb[p]); c != 0 {
 			return c < 0
@@ -418,23 +466,12 @@ func obsLess(gs *gSet, sp *mSplit, a, b int32) bool {
 	return a < b
 }
 
-// numFloat mirrors the engine's flat column decode: the float64 payload
-// of a numeric value, declined otherwise.
-func numFloat(v value.V) (float64, bool) {
-	switch v.Kind() {
-	case value.Int:
-		return float64(v.Int()), true
-	case value.Float:
-		return v.Float(), true
-	}
-	return 0, false
-}
-
 // refit re-evaluates every candidate of sp on fragment fr, replicating
 // SharedFitter.flushFragment over the fragment's groups in observation
 // order: same gather order, same ConstStats / FitLinInto arithmetic,
 // same threshold gates — so the resulting local models are bitwise
-// those of a cold re-mine.
+// those of a cold re-mine. Observations and predictors are gathered
+// from the decoded columns, never from accumulators or key values.
 func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 	n := len(fr.groups)
 	d := len(sp.v)
@@ -444,14 +481,12 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 	if gs.hasLin {
 	gather:
 		for _, gi := range fr.groups {
-			key := gs.groups[gi].key
 			for _, p := range sp.vPos {
-				f, ok := numFloat(key[p])
-				if !ok {
+				if !gs.x[p].ok[gi] {
 					numericX = false
 					break gather
 				}
-				xs = append(xs, f)
+				xs = append(xs, gs.x[p].f[gi])
 			}
 		}
 		gs.xs = xs
@@ -463,17 +498,24 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 		numericY := true
 		gs.stats.Reset()
 		ys := gs.ys[:0]
+		yf, yok := gs.y[ai].f, gs.y[ai].ok
 		for _, gi := range fr.groups {
-			y, ok := numFloat(gs.groups[gi].accs[ai].Result())
-			if !ok {
+			if !yok[gi] {
 				numericY = false
 				break
 			}
-			gs.stats.Add(y)
-			ys = append(ys, y)
+			gs.stats.Add(yf[gi])
+			ys = append(ys, yf[gi])
 		}
 		gs.ys = ys
-		fr.supported[ai] = numericY && n >= opt.Thresholds.LocalSupport
+		if supp := numericY && n >= opt.Thresholds.LocalSupport; supp != fr.supported[ai] {
+			fr.supported[ai] = supp
+			if supp {
+				sp.numSupp[ai]++
+			} else {
+				sp.numSupp[ai]--
+			}
+		}
 
 		for mi := 0; mi < nModels; mi++ {
 			cs := sp.cands[ai*nModels+mi]
@@ -504,7 +546,7 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 				model = regress.NewConst(cmean, gof)
 			}
 			if frag == nil {
-				first := gs.groups[fr.groups[0]].key
+				first := gs.keys[int(fr.groups[0])*len(gs.attrs):]
 				frag = make(value.Tuple, len(sp.fPos))
 				for i, p := range sp.fPos {
 					frag[i] = first[p]
@@ -543,51 +585,33 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 func (m *Maintainer) Patterns() []*pattern.Mined {
 	th := m.opt.Thresholds
 	var out []*pattern.Mined
-	for _, gs := range m.gsets {
-		for _, sp := range gs.splits {
-			numSupp := make([]int, len(gs.aggs))
-			for _, fr := range sp.frags {
-				for ai, s := range fr.supported {
-					if s {
-						numSupp[ai]++
-					}
-				}
+	for _, cs := range m.cands {
+		good, supp := len(cs.locals), cs.sp.numSupp[cs.agg]
+		if good == 0 || supp == 0 || good < th.GlobalSupport {
+			continue
+		}
+		conf := float64(good) / float64(supp)
+		if conf < th.Lambda {
+			continue
+		}
+		mined := &pattern.Mined{
+			Pattern:      cs.p,
+			Locals:       make(map[string]*pattern.LocalModel, good),
+			NumFragments: len(cs.sp.frags),
+			NumSupported: supp,
+			Confidence:   conf,
+		}
+		for k, lm := range cs.locals {
+			mined.Locals[k] = lm
+			if lm.MaxPosDev > mined.MaxPosDev {
+				mined.MaxPosDev = lm.MaxPosDev
 			}
-			for _, cs := range sp.cands {
-				good := len(cs.locals)
-				if good == 0 || numSupp[cs.agg] == 0 {
-					continue
-				}
-				if good < th.GlobalSupport {
-					continue
-				}
-				conf := float64(good) / float64(numSupp[cs.agg])
-				if conf < th.Lambda {
-					continue
-				}
-				mined := &pattern.Mined{
-					Pattern:      cs.p,
-					Locals:       make(map[string]*pattern.LocalModel, good),
-					NumFragments: len(sp.frags),
-					NumSupported: numSupp[cs.agg],
-					Confidence:   conf,
-				}
-				for k, lm := range cs.locals {
-					mined.Locals[k] = lm
-					if lm.MaxPosDev > mined.MaxPosDev {
-						mined.MaxPosDev = lm.MaxPosDev
-					}
-					if lm.MaxNegDev < mined.MaxNegDev {
-						mined.MaxNegDev = lm.MaxNegDev
-					}
-				}
-				out = append(out, mined)
+			if lm.MaxNegDev < mined.MaxNegDev {
+				mined.MaxNegDev = lm.MaxNegDev
 			}
 		}
+		out = append(out, mined)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Pattern.Key() < out[j].Pattern.Key()
-	})
 	return out
 }
 
@@ -617,27 +641,14 @@ type CandStat struct {
 // enumerated — including candidates Patterns() would gate out — sorted
 // by pattern key.
 func (m *Maintainer) CandStats() []CandStat {
-	var out []CandStat
-	for _, gs := range m.gsets {
-		for _, sp := range gs.splits {
-			numSupp := make([]int, len(gs.aggs))
-			for _, fr := range sp.frags {
-				for ai, s := range fr.supported {
-					if s {
-						numSupp[ai]++
-					}
-				}
-			}
-			for _, cs := range sp.cands {
-				out = append(out, CandStat{
-					Key:       cs.key,
-					Good:      len(cs.locals),
-					Supported: numSupp[cs.agg],
-					Fragments: len(sp.frags),
-				})
-			}
+	out := make([]CandStat, len(m.cands))
+	for i, cs := range m.cands {
+		out[i] = CandStat{
+			Key:       cs.key,
+			Good:      len(cs.locals),
+			Supported: cs.sp.numSupp[cs.agg],
+			Fragments: len(cs.sp.frags),
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -759,16 +759,14 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(sets, func(i, j int) bool { return sets[i].id < sets[j].id })
 	setStatuses := make([]map[string]interface{}, 0, len(sets))
 	for _, cs := range sets {
-		byShardPS := make(map[string]int, len(cs.shardPS))
-		for i, id := range cs.shardPS {
-			byShardPS[id] = i
-		}
+		// Set ids are per shard (every shard calls its first set "ps-1"),
+		// so shard i's status is matched against shard i's own id.
 		for i, re := range results {
 			if !re.sent {
 				continue
 			}
 			for _, st := range re.resp.PatternSets {
-				if j, ok := byShardPS[st.ID]; ok && j == i && st.CandStats != nil {
+				if st.ID == cs.shardPS[i] && st.CandStats != nil {
 					cs.stats[i] = st.CandStats
 				}
 			}

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cape/internal/dataset"
+	"cape/internal/engine"
 	"cape/internal/mining"
 	"cape/internal/pattern"
+	"cape/internal/value"
 )
 
 func TestCoordinatorConfigValidation(t *testing.T) {
@@ -246,6 +249,129 @@ func TestCoordinatorAppendRowsTotal(t *testing.T) {
 	}
 	if got := int(out["rows"].(float64)); got != want+1 {
 		t.Fatalf("second append reports rows = %d, want %d", got, want+1)
+	}
+}
+
+// TestCoordinatorAppendRefreshesNonLastShard: every shard names its
+// first pattern set "ps-1", so an append's refreshed evidence must be
+// matched to a set by shard position, not by set id alone. Appends that
+// land only on shard 0 of 3 add well-fit fragments until a candidate's
+// global confidence crosses λ; after every append the coordinator's
+// admitted keys must equal a cold single-node mine of all the rows.
+func TestCoordinatorAppendRefreshesNonLastShard(t *testing.T) {
+	const nShards = 3
+	part := engine.Partitioner{Key: []string{"author"}, N: nShards}
+	next := 0
+	authorOn := func(shard int) string { // a fresh author name the shard owns
+		for {
+			name := "a" + strconv.Itoa(next)
+			next++
+			if part.ShardOf(value.Tuple{value.NewString(name)}) == shard {
+				return name
+			}
+		}
+	}
+	// One author is one fragment of [author]: year -> count(*): a steady
+	// author publishes twice a year (a perfect constant fit), an erratic
+	// one 1, 9, 1, 9, 1 (no fit).
+	years := []int{2000, 2001, 2002, 2003, 2004}
+	authorRows := func(name string, steady bool) [][]json.RawMessage {
+		var rows [][]json.RawMessage
+		for i, y := range years {
+			n := 2
+			if !steady {
+				n = 1 + 8*(i%2)
+			}
+			for ; n > 0; n-- {
+				rows = append(rows, []json.RawMessage{
+					json.RawMessage(strconv.Quote(name)), json.RawMessage(strconv.Itoa(y)),
+				})
+			}
+		}
+		return rows
+	}
+	// Two erratic authors per shard and two steady ones on the last
+	// shard: confidence 2/8, and 6/12 ≥ λ after the fourth append.
+	var initial [][]json.RawMessage
+	for s := 0; s < nShards; s++ {
+		initial = append(initial, authorRows(authorOn(s), false)...)
+		initial = append(initial, authorRows(authorOn(s), false)...)
+	}
+	initial = append(initial, authorRows(authorOn(nShards-1), true)...)
+	initial = append(initial, authorRows(authorOn(nShards-1), true)...)
+	csv := []byte("author,year\n")
+	for _, r := range initial {
+		csv = append(csv, strings.Trim(string(r[0]), `"`)+","+string(r[1])+"\n"...)
+	}
+
+	urls := make([]string, nShards)
+	for i := range urls {
+		ts := httptest.NewServer(New())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	coord, err := NewCoordinator(CoordConfig{Shards: urls, Key: part.Key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	bts := httptest.NewServer(New())
+	t.Cleanup(bts.Close)
+	for _, url := range []string{cts.URL, bts.URL} {
+		resp, err := http.Post(url+"/v1/tables?name=pub", "text/csv", bytes.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("load table on %s: status %d", url, resp.StatusCode)
+		}
+	}
+	mine := MineRequest{
+		Table: "pub", MaxPatternSize: 2, Attributes: []string{"author", "year"},
+		Theta: 0.5, LocalSupport: 3, Lambda: 0.5, GlobalSupport: 2,
+		Aggregates: []string{"count"},
+	}
+	resp, out := doJSON(t, "POST", cts.URL+"/v1/mine", mine)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("coordinator mine: %d %v", resp.StatusCode, out)
+	}
+	f := &shardedFixture{coordURL: cts.URL, coordID: out["id"].(string)}
+
+	// coldKeys mines the single node from scratch with the real
+	// thresholds and keeps the key-local patterns.
+	coldKeys := func() []string {
+		resp, out := doJSON(t, "POST", bts.URL+"/v1/mine", mine)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("reference mine: %d %v", resp.StatusCode, out)
+		}
+		_, pout := doJSON(t, "GET", bts.URL+"/v1/patterns/"+out["id"].(string), nil)
+		var keys []string
+		for _, p := range pout["patterns"].([]interface{}) {
+			if k := p.(map[string]interface{})["key"].(string); keyInPatternF(k, part.Key) {
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	before := coldKeys()
+	if got := f.coordAdmittedKeys(t); !reflect.DeepEqual(got, before) {
+		t.Fatalf("admitted keys diverge before any append:\n sharded: %v\n single:  %v", got, before)
+	}
+	for i := 0; i < 5; i++ {
+		req := AppendRequest{Table: "pub", Rows: authorRows(authorOn(0), true)}
+		for _, url := range []string{bts.URL, cts.URL} {
+			if resp, out := doJSON(t, "POST", url+"/v1/append", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("append %d on %s: %d %v", i, url, resp.StatusCode, out)
+			}
+		}
+		if got, want := f.coordAdmittedKeys(t), coldKeys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("admitted keys diverge after append %d:\n sharded: %v\n single:  %v", i, got, want)
+		}
+	}
+	if after := coldKeys(); reflect.DeepEqual(after, before) {
+		t.Fatal("no candidate crossed λ during the append stream; the check is vacuous")
 	}
 }
 
