@@ -12,19 +12,12 @@ test:
 
 # The gate every PR must pass: vet, staticcheck (when installed — CI
 # always has it; locally it is skipped rather than failing on a missing
-# binary), build, the full suite under the race detector (the parallel
-# generator, sharded cache, batch worker pool, morsel executor, and
-# concurrent columnar builds are only meaningfully exercised with
-# -race), the fuzz seed corpora as a smoke pass (fuzzing off — seeds
-# only, so a corpus regression fails fast and deterministically), and
-# the benchscale identity pass under -race at 4 workers, which drives
-# the whole morsel-parallel mining stack and byte-compares it to the
-# sequential dense reference, the benchload identity pass, which
-# answers the same questions against 1-shard and 2-shard deployments of
-# the scatter-gather coordinator and byte-compares the explanations,
-# and the benchserve identity pass, which byte-compares indexed against
-# linear-scan generation and cache-on against cache-off serving,
-# including cached replays across appends.
+# binary), build, and the full suite under the race detector, once.
+# That one run holds every identity gate: the columnar, segment, mmap,
+# morsel-parallel, maintained-vs-remined, sharded and cache differentials,
+# the fuzz seed corpora, the WAL crash matrix at every syscall boundary
+# of its workload, and the repository benchmark's four lifecycles at
+# -tiny size with their oracle checks.
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -34,11 +27,6 @@ check:
 	fi
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run '^Fuzz' ./...
-	$(GO) test -run Recovery -race -short ./internal/store
-	$(GO) run -race ./cmd/capebench benchscale -smoke -parallel 4
-	$(GO) run -race ./cmd/capebench benchload -smoke
-	$(GO) run -race ./cmd/capebench benchserve -smoke
 
 # check plus the exhaustive crash matrix: every syscall boundary of the
 # WAL store crashed under every fsync policy and crash-image variant,
@@ -47,22 +35,14 @@ check:
 check-full: check
 	$(GO) test -race -timeout 20m -run Recovery ./internal/store -crashfull
 
-# Performance trajectory: the explanation worker-count sweep, the
-# GroupBy hot path, the offline-mining fast path, and one maintained
-# append at the repository benchmark's table size, plus the capebench
-# runs that write BENCH_explain.json, BENCH_mine.json, BENCH_batch.json,
-# BENCH_engine.json, BENCH_incr.json, BENCH_scale.json,
-# BENCH_load.json and BENCH_serve.json.
+# Performance: the micro-benchmarks for while you work (explanation
+# worker-count sweep, GroupBy hot path, offline-mining fast path, one
+# maintained append at the repository benchmark's table size), then the
+# repository benchmark — the one harness whose numbers count
+# (BENCHMARK.json, benchmark/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkGroupBy$$|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp' -benchmem -run XXX ./...
-	$(GO) run ./cmd/capebench benchexplain
-	$(GO) run ./cmd/capebench benchmine
-	$(GO) run ./cmd/capebench benchbatch
-	$(GO) run ./cmd/capebench benchengine
-	$(GO) run ./cmd/capebench benchincr
-	$(GO) run ./cmd/capebench benchscale
-	$(GO) run ./cmd/capebench benchload
-	$(GO) run ./cmd/capebench benchserve
+	$(GO) run ./benchmark
 
 clean:
 	$(GO) clean ./...

@@ -44,61 +44,15 @@ func TestSlowExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestBenchEngineSmoke runs benchengine's identity pass (the CI smoke
-// configuration): every columnar kernel and both pipelines must match
-// the forced row path, with no timing measured.
-func TestBenchEngineSmoke(t *testing.T) {
-	smokeMode = true
-	defer func() { smokeMode = false }()
-	if err := experiments["benchengine"].run(false); err != nil {
-		t.Fatalf("benchengine -smoke: %v", err)
+// TestFig7FullRuns: at the -full size Figure 7 must still mine the two
+// patterns its injection sites are found from; without them the
+// experiment errors out and `capebench all -full` stops there.
+func TestFig7FullRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing sweeps skipped in -short mode")
 	}
-}
-
-// TestBenchIncrSmoke runs benchincr's identity pass (the CI smoke
-// configuration): after every append batch the maintained pattern set
-// must serialize byte-identical to a cold re-mine of the grown table.
-func TestBenchIncrSmoke(t *testing.T) {
-	smokeMode = true
-	defer func() { smokeMode = false }()
-	if err := experiments["benchincr"].run(false); err != nil {
-		t.Fatalf("benchincr -smoke: %v", err)
-	}
-}
-
-// TestBenchScaleSmoke runs benchscale's identity pass (the CI smoke
-// configuration): all four miners over mmap'd segment files must
-// serialize byte-identical pattern sets to the same miners over the
-// dense in-memory table.
-func TestBenchScaleSmoke(t *testing.T) {
-	smokeMode = true
-	defer func() { smokeMode = false }()
-	if err := experiments["benchscale"].run(false); err != nil {
-		t.Fatalf("benchscale -smoke: %v", err)
-	}
-}
-
-// TestBenchLoadSmoke runs benchload's identity pass (the CI smoke
-// configuration): the same data, mine, and questions against 1-shard
-// and 2-shard coordinator deployments must produce byte-identical
-// explanations (work counters excluded), with no load generated.
-func TestBenchLoadSmoke(t *testing.T) {
-	smokeMode = true
-	defer func() { smokeMode = false }()
-	if err := experiments["benchload"].run(false); err != nil {
-		t.Fatalf("benchload -smoke: %v", err)
-	}
-}
-
-// TestBenchServeSmoke runs benchserve's identity pass (the CI smoke
-// configuration): indexed generation must match the linear scan
-// explanation-for-explanation, and cache-on HTTP serving must match
-// cache-off byte for byte, including cached replays across appends.
-func TestBenchServeSmoke(t *testing.T) {
-	smokeMode = true
-	defer func() { smokeMode = false }()
-	if err := experiments["benchserve"].run(false); err != nil {
-		t.Fatalf("benchserve -smoke: %v", err)
+	if err := experiments["fig7"].run(true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -107,8 +61,6 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig3a", "fig3b", "fig3c", "fig4", "fig5",
 		"fig6a", "fig6b", "fig6c", "fig7",
 		"table3", "table4", "table5", "table6", "table7", "userstudy",
-		"benchexplain", "benchmine", "benchbatch", "benchengine",
-		"benchincr", "benchscale", "benchload", "benchserve",
 	}
 	for _, name := range want {
 		e, ok := experiments[name]

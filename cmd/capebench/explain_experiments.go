@@ -193,14 +193,17 @@ func runFig6c(full bool) error {
 
 // runFig7: the full parameter-sensitivity grid of Figure 7.
 func runFig7(full bool) error {
-	rows := 10000
-	numQ := 10
+	rows, communities := 10000, 12
+	const numQ = 10
 	if full {
-		rows = 20000
-		numQ = 10
+		// Communities grow with the rows so per-group counts stay where
+		// the site-finding mine (θ=0.2, χ² fit) still admits the two
+		// patterns injection needs; 20000 rows over 12 communities mines
+		// neither and the experiment cannot start.
+		rows, communities = 20000, 24
 	}
 	tab := dataset.GenerateCrime(dataset.CrimeConfig{
-		Rows: rows, Seed: 7, NumAttrs: 5, NumTypes: 6, NumCommunities: 12,
+		Rows: rows, Seed: 7, NumAttrs: 5, NumTypes: 6, NumCommunities: communities,
 	})
 	metric := distance.NewMetric().
 		SetFunc("year", distance.Numeric{Scale: 3}).

@@ -8,22 +8,24 @@
 //
 // Usage:
 //
-//	capebench <experiment> [-full] [-smoke] [-parallel n] [-cpuprofile f] [-memprofile f]
+//	capebench <experiment> [-full]
 //
 // Experiments: fig3a fig3b fig3c fig4 fig5 fig6a fig6b fig6c fig7
-// table3 table4 table5 table6 table7 userstudy benchexplain benchmine
-// benchbatch benchengine benchincr benchscale benchload benchserve all
+// table3 table4 table5 table6 table7 userstudy all
 //
 // -full runs the larger input sizes (slower; closer to the paper's
 // ranges).
+//
+// Performance numbers for the system itself come from `go run
+// ./benchmark` (see benchmark/README.md); the figures here are also
+// testing.B targets in the root package's bench_test.go, which is where
+// `go test -bench … -cpuprofile` profiles them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 )
 
@@ -33,64 +35,42 @@ var experiments = map[string]struct {
 	run  func(full bool) error
 	desc string
 }{
-	"fig3a":        {runFig3a, "mining runtime vs attribute count (Crime): NAIVE / CUBE / SHARE-GRP / ARP-MINE"},
-	"fig3b":        {runFig3b, "mining runtime vs row count (Crime)"},
-	"fig3c":        {runFig3c, "mining runtime vs row count (DBLP)"},
-	"fig4":         {runFig4, "mining subtask breakdown: regression vs query vs other"},
-	"fig5":         {runFig5, "ARP-MINE with and without FD optimizations (Crime, 9 attrs)"},
-	"fig6a":        {runFig6a, "explanation runtime vs number of local patterns (DBLP), naive vs opt"},
-	"fig6b":        {runFig6b, "explanation runtime vs number of local patterns (Crime)"},
-	"fig6c":        {runFig6c, "explanation runtime vs question group-by size (Crime)"},
-	"fig7":         {runFig7, "precision vs (θ, λ, Δ) on injected ground-truth counterbalances"},
-	"table3":       {runTable3, "top-10 explanations for the running-example question (low)"},
-	"table4":       {runTable4, "top-5 CAPE explanations, DBLP high question"},
-	"table5":       {runTable5, "top-5 CAPE explanations, Crime low question"},
-	"table6":       {runTable6, "top-5 baseline explanations, DBLP high question"},
-	"table7":       {runTable7, "top-5 baseline explanations, Crime low question"},
-	"userstudy":    {runUserStudy, "machine-checkable part of the Appendix-B user study"},
-	"benchexplain": {runBenchExplain, "parallel explanation generation sweep; writes BENCH_explain.json"},
-	"benchmine":    {runBenchMine, "offline mining fast-path benchmark vs recorded baseline; writes BENCH_mine.json"},
-	"benchbatch":   {runBenchBatch, "batch-of-N vs N sequential explanation calls; writes BENCH_batch.json"},
-	"benchengine":  {runBenchEngine, "columnar engine kernels + end-to-end vs recorded baseline; writes BENCH_engine.json"},
-	"benchincr":    {runBenchIncr, "incremental pattern maintenance vs full re-mine on append; writes BENCH_incr.json"},
-	"benchscale":   {runBenchScale, "Figure-4 miner comparison at 250K-6.5M rows, mmap'd segments vs dense table; writes BENCH_scale.json"},
-	"benchload":    {runBenchLoad, "open-loop load on 1/2/4/8-shard deployments: goodput, latency percentiles, shed rate; writes BENCH_load.json"},
-	"benchserve":   {runBenchServe, "serve-path acceleration: relevance-index prepare scaling + answer-cache cold/warm latency; writes BENCH_serve.json"},
+	"fig3a":     {runFig3a, "mining runtime vs attribute count (Crime): NAIVE / CUBE / SHARE-GRP / ARP-MINE"},
+	"fig3b":     {runFig3b, "mining runtime vs row count (Crime)"},
+	"fig3c":     {runFig3c, "mining runtime vs row count (DBLP)"},
+	"fig4":      {runFig4, "mining subtask breakdown: regression vs query vs other"},
+	"fig5":      {runFig5, "ARP-MINE with and without FD optimizations (Crime, 9 attrs)"},
+	"fig6a":     {runFig6a, "explanation runtime vs number of local patterns (DBLP), naive vs opt"},
+	"fig6b":     {runFig6b, "explanation runtime vs number of local patterns (Crime)"},
+	"fig6c":     {runFig6c, "explanation runtime vs question group-by size (Crime)"},
+	"fig7":      {runFig7, "precision vs (θ, λ, Δ) on injected ground-truth counterbalances"},
+	"table3":    {runTable3, "top-10 explanations for the running-example question (low)"},
+	"table4":    {runTable4, "top-5 CAPE explanations, DBLP high question"},
+	"table5":    {runTable5, "top-5 CAPE explanations, Crime low question"},
+	"table6":    {runTable6, "top-5 baseline explanations, DBLP high question"},
+	"table7":    {runTable7, "top-5 baseline explanations, Crime low question"},
+	"userstudy": {runUserStudy, "machine-checkable part of the Appendix-B user study"},
 }
 
-// smokeMode (-smoke) restricts an experiment to its correctness
-// assertions: benchengine runs only its columnar-vs-row identity pass,
-// benchincr only its maintained-vs-remined identity pass, and
-// benchscale only its segment-vs-dense identity pass at a small size,
-// with no timing and no JSON output, so CI can gate on them cheaply.
-var smokeMode bool
-
-// zipfFlag (-zipf) switches benchload's open-loop question stream from
-// round-robin over the pool to a Zipf-skewed draw (s=1.2), the shape a
-// production question mix actually has: a few hot questions dominate,
-// which is the regime the coordinator answer cache serves. The run
-// reports per-shard-count cache hit rates from the coordinator.
-var zipfFlag bool
-
-// parallelFlag (-parallel) is the worker budget benchmarks hand to
-// mining.Options.Parallelism. benchmine and benchincr run at exactly
-// this width; benchscale sweeps the segment pass over {1, 2, 4, 8}
-// capped here, recording the scaling curve. 1 (the default) keeps
-// every benchmark sequential and the recorded baselines comparable.
-var parallelFlag int
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: capebench <experiment> [-full]")
-	fmt.Fprintln(os.Stderr, "\nexperiments:")
+// experimentNames returns the registry's keys in the order `all` runs
+// them and usage lists them.
+func experimentNames() []string {
 	names := make([]string, 0, len(experiments))
 	for n := range experiments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
+	return names
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: capebench <experiment> [-full]")
+	fmt.Fprintln(os.Stderr, "\nexperiments:")
+	for _, n := range experimentNames() {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", n, experiments[n].desc)
 	}
 	fmt.Fprintln(os.Stderr, "  all        run everything")
+	fmt.Fprintln(os.Stderr, "\n  -full      run larger (slower) input sizes, closer to the paper's ranges")
 }
 
 func main() {
@@ -100,46 +80,17 @@ func main() {
 	}
 	name := os.Args[1]
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.Usage = usage
 	full := fs.Bool("full", false, "run larger (slower) input sizes")
-	fs.BoolVar(&smokeMode, "smoke", false, "identity assertions only, no timing (benchengine, benchincr, benchscale, benchload, benchserve)")
-	fs.BoolVar(&zipfFlag, "zipf", false, "benchload: draw questions Zipf-skewed instead of round-robin and report cache hit rates")
-	fs.IntVar(&parallelFlag, "parallel", 1, "mining worker budget; benchscale sweeps worker counts up to this (benchmine, benchincr, benchscale)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capebench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "capebench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "capebench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // report live objects, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "capebench: %v\n", err)
-			}
-		}()
-	}
 
-	run := func(n string) {
+	names := []string{name}
+	if name == "all" {
+		names = experimentNames()
+	}
+	for _, n := range names {
 		e, ok := experiments[n]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "capebench: unknown experiment %q\n\n", n)
@@ -153,17 +104,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	if name == "all" {
-		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			run(n)
-		}
-		return
-	}
-	run(name)
 }

@@ -59,8 +59,8 @@ func TestStreamMatchesGenerate(t *testing.T) {
 }
 
 // TestStreamIntoSegment streams a generator straight into a
-// SegmentWriter — the million-row path used by cape convert and
-// benchscale — and checks the persisted segment holds the exact rows.
+// SegmentWriter — the million-row path used by cape convert — and
+// checks the persisted segment holds the exact rows.
 func TestStreamIntoSegment(t *testing.T) {
 	cfg := CrimeConfig{Rows: 3000, Seed: 4, NumAttrs: 6}
 	w := engine.NewSegmentWriter(CrimeSchema(cfg))

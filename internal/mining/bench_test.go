@@ -10,8 +10,8 @@ import (
 	"cape/internal/value"
 )
 
-// benchDBLP is the DBLP-style workload BENCH_mine.json measures: a
-// synthetic publication table mined over (author, year, venue) at ψ=3.
+// benchDBLP is the DBLP-style mining workload: a synthetic publication
+// table mined over (author, year, venue) at ψ=3.
 func benchDBLP(rows int) (*engine.Table, Options) {
 	tab := dataset.GenerateDBLP(dataset.DBLPConfig{Rows: rows, Seed: 1})
 	opt := Options{
@@ -26,7 +26,7 @@ func benchDBLP(rows int) (*engine.Table, Options) {
 
 // BenchmarkARPMine is the offline-mining hot path end to end: group-by
 // evaluation, sort-order exploration, and shared fitting on a DBLP-style
-// table at ψ=3 (the BENCH_mine.json configuration).
+// table (DBLP 5000 rows, ψ=3).
 func BenchmarkARPMine(b *testing.B) {
 	tab, opt := benchDBLP(5000)
 	b.ReportAllocs()

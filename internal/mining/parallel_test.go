@@ -1,7 +1,10 @@
 package mining
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,14 +90,54 @@ func TestPoolNestedForEach(t *testing.T) {
 	}
 }
 
-// TestParallelMiningEquivalence: every miner run with Parallelism > 1
-// must produce exactly the sequential pattern set and counters, over
-// both a plain Table and a SegTable (where the engine's morsel kernels
-// add a second level of fan-out).
+// mmapSegTableFrom is segTableFrom with the sealed segments written to
+// files under t.TempDir() and mapped back by engine.OpenSegTable, the
+// shape a durable store serves from.
+func mmapSegTableFrom(t *testing.T, tab *engine.Table, nSegs, tailRows int) *engine.SegTable {
+	t.Helper()
+	dir := t.TempDir()
+	n := tab.NumRows() - tailRows
+	per := n / nSegs
+	paths := make([]string, nSegs)
+	for s := range paths {
+		hi := (s + 1) * per
+		if s == nSegs-1 {
+			hi = n
+		}
+		w := engine.NewSegmentWriter(tab.Schema())
+		if err := w.AppendRows(tab.Rows()[s*per : hi]); err != nil {
+			t.Fatal(err)
+		}
+		paths[s] = filepath.Join(dir, fmt.Sprintf("%04d.seg", s))
+		if err := w.WriteFile(paths[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := engine.OpenSegTable(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendRows(tab.Rows()[n:]); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumSegments() != nSegs || st.NumRows() != tab.NumRows() {
+		t.Fatalf("mmap segtable has %d segments / %d rows, want %d / %d",
+			st.NumSegments(), st.NumRows(), nSegs, tab.NumRows())
+	}
+	return st
+}
+
+// TestParallelMiningEquivalence: every miner, at Parallelism 1 and 4,
+// over a plain Table, an in-memory SegTable and a SegTable of mmap'd
+// segment files (where the engine's morsel kernels add a second level
+// of fan-out), must serialize exactly the bytes and count exactly the
+// candidates of that miner's sequential run over the dense Table.
 func TestParallelMiningEquivalence(t *testing.T) {
 	tab := testTable(t, 400)
 	seg := segTableFrom(t, tab, 3, 40)
 	defer seg.Close()
+	mm := mmapSegTableFrom(t, tab, 3, 40)
+	defer mm.Close()
 
 	miners := []struct {
 		name string
@@ -111,26 +154,32 @@ func TestParallelMiningEquivalence(t *testing.T) {
 	}{
 		{"Table", tab},
 		{"SegTable", seg},
+		{"mmap SegTable", mm},
 	}
 	for _, m := range miners {
+		want, err := m.run(tab, lenientOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Patterns) == 0 {
+			t.Fatalf("%s: reference mined no patterns; the comparison would be vacuous", m.name)
+		}
+		wantJSON := patternsJSON(t, want.Patterns)
 		for _, rel := range rels {
-			opt := lenientOpts()
-			seq, err := m.run(rel.r, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.Parallelism = 4
-			par, err := m.run(rel.r, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seq.Patterns) != len(par.Patterns) || seq.Candidates != par.Candidates {
-				t.Fatalf("%s/%s: parallel differs: %d/%d vs %d/%d", m.name, rel.name,
-					len(seq.Patterns), seq.Candidates, len(par.Patterns), par.Candidates)
-			}
-			for i := range seq.Patterns {
-				if seq.Patterns[i].Pattern.Key() != par.Patterns[i].Pattern.Key() {
-					t.Fatalf("%s/%s: pattern order differs at %d", m.name, rel.name, i)
+			for _, workers := range []int{1, 4} {
+				opt := lenientOpts()
+				opt.Parallelism = workers
+				got, err := m.run(rel.r, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Candidates != want.Candidates {
+					t.Errorf("%s/%s/%d workers: %d candidates, sequential dense run has %d",
+						m.name, rel.name, workers, got.Candidates, want.Candidates)
+				}
+				if !bytes.Equal(patternsJSON(t, got.Patterns), wantJSON) {
+					t.Errorf("%s/%s/%d workers: pattern set is not byte-identical to the sequential dense run",
+						m.name, rel.name, workers)
 				}
 			}
 		}
