@@ -36,12 +36,12 @@ check-full: check
 	$(GO) test -race -timeout 20m -run Recovery ./internal/store -crashfull
 
 # Performance: the micro-benchmarks for while you work (explanation
-# worker-count sweep, GroupBy hot path, offline-mining fast path, one
-# maintained append at the repository benchmark's table size), then the
-# repository benchmark — the one harness whose numbers count
-# (BENCHMARK.json, benchmark/README.md).
+# worker-count sweep, GroupBy hot path, offline-mining fast path, and, at
+# the repository benchmark's table size, one question on a warm Explainer
+# and one maintained append), then the repository benchmark — the one
+# harness whose numbers count (BENCHMARK.json, benchmark/README.md).
 bench:
-	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkGroupBy$$|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp' -benchmem -run XXX ./...
+	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkExplainerWarm|BenchmarkGroupBy$$|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp' -benchmem -run XXX ./...
 	$(GO) run ./benchmark
 
 clean:

@@ -31,27 +31,22 @@ type BatchItem struct {
 //     (group-by set, aggregate) signature instead of once per question;
 //   - refinement lists are resolved once per pattern for the whole
 //     batch instead of once per (question, relevant pattern);
-//   - the γ_{F'∪V, agg}(R) aggregate results are held in one
-//     singleflight group-by cache shared by every question, so each
-//     distinct grouping is computed at most once per batch;
+//   - the γ_{F'∪V, agg}(R) aggregate results that drill-downs scan and
+//     NORM reads are held in one singleflight group-by cache shared by
+//     every question, so each distinct grouping is computed at most
+//     once per batch;
 //   - opt.Parallelism fans the questions across a worker pool, and
 //     byte-identical duplicate questions are answered once and copied.
 //
 // Questions that fail validation (or error during generation) yield a
 // per-item Err without affecting the other items.
 func GenerateBatch(qs []UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) []BatchItem {
-	cache := newGroupCache()
-	lookup := func(p pattern.Pattern) (*engine.Table, error) {
-		return cache.get(groupKey(p), r.Epoch(), func() (*engine.Table, error) {
-			return r.GroupBy(p.GroupAttrs(), []engine.AggSpec{p.Agg})
-		})
-	}
 	opt = opt.withDefaults()
 	var idx *Index
 	if !opt.LinearScan {
 		idx = NewIndex(patterns)
 	}
-	return runBatch(qs, r, patterns, opt, lookup, idx)
+	return runBatch(qs, r, patterns, opt, newGroupCache().lookup(r), idx)
 }
 
 // ExplainBatch answers a batch of questions under the explainer's
@@ -70,7 +65,7 @@ func (e *Explainer) ExplainBatchOpts(qs []UserQuestion, opt Options) []BatchItem
 	if merged.LinearScan {
 		idx = nil
 	}
-	return runBatch(qs, e.r, e.patterns, merged, e.cachedGrouped, idx)
+	return runBatch(qs, e.r, e.patterns, merged, e.cache.lookup(e.r), idx)
 }
 
 // batchPlan is the state one batch shares across its questions: the

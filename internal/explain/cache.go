@@ -116,6 +116,17 @@ func (c *groupCache) get(key string, epoch uint64, compute func() (*engine.Table
 	return e.tab, e.err
 }
 
+// lookup returns the generator's grouping resolver over r backed by this
+// cache: γ_{F∪V, agg}(r) for a pattern, computed at most once per
+// (grouping, epoch). Safe for concurrent calls.
+func (c *groupCache) lookup(r engine.Relation) func(pattern.Pattern) (*engine.Table, error) {
+	return func(p pattern.Pattern) (*engine.Table, error) {
+		return c.get(groupKey(p), r.Epoch(), func() (*engine.Table, error) {
+			return r.GroupBy(p.GroupAttrs(), []engine.AggSpec{p.Agg})
+		})
+	}
+}
+
 // len reports the number of cached (or in-flight) groupings.
 func (c *groupCache) len() int {
 	n := 0

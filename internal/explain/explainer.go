@@ -6,14 +6,17 @@ import (
 )
 
 // Explainer answers many questions over one relation and pattern set,
-// reusing the aggregate query results that candidate enumeration scans.
-// A fresh Generate call re-groups the relation for every refined pattern
-// it visits; in an interactive session asking several questions, those
-// group-bys are identical across questions, so the Explainer caches
-// them. The cache is sharded (concurrent questions needing different
-// groupings do not contend on one lock) with singleflight duplicate
-// suppression (N concurrent questions needing the same grouping compute
-// it once). It is safe for concurrent use.
+// reusing the aggregate query results that candidate enumeration scans
+// and NORM reads. A fresh Generate call re-groups the relation for every
+// pattern it visits; in an interactive session asking several questions,
+// those group-bys are identical across questions, so the Explainer
+// caches them. Results are stamped with the relation's epoch: after an
+// append, each grouping recomputes on its next use, while groupings the
+// questions never revisit cost nothing. The cache is sharded (concurrent
+// questions needing different groupings do not contend on one lock)
+// with singleflight duplicate suppression (N concurrent questions
+// needing the same grouping compute it once). It is safe for concurrent
+// use.
 type Explainer struct {
 	r        engine.Relation
 	patterns []*pattern.Mined
@@ -55,12 +58,10 @@ func (e *Explainer) ExplainOpts(q UserQuestion, opt Options) ([]Explanation, *St
 	if merged.LinearScan {
 		idx = nil
 	}
-	g, rel, stats, err := prepareIndexed(q, e.r, e.patterns, merged, idx)
+	g, rel, stats, err := prepareIndexed(q, e.r, e.patterns, merged, idx, e.cache.lookup(e.r))
 	if err != nil {
 		return nil, nil, err
 	}
-	// Swap in the shared sharded cache.
-	g.lookup = e.cachedGrouped
 	expls, err := g.run(rel, stats)
 	if err != nil {
 		return nil, nil, err
@@ -110,14 +111,4 @@ func (e *Explainer) SetPatterns(patterns []*pattern.Mined) {
 // IndexStats reports the shape of the explainer's relevance index.
 func (e *Explainer) IndexStats() IndexStats {
 	return e.idx.Stats()
-}
-
-// cachedGrouped is the shared, sharded variant of generator.grouped.
-// Results are stamped with the relation's epoch: after an append, each
-// grouping recomputes on its next use, while groupings the questions
-// never revisit cost nothing.
-func (e *Explainer) cachedGrouped(p pattern.Pattern) (*engine.Table, error) {
-	return e.cache.get(groupKey(p), e.r.Epoch(), func() (*engine.Table, error) {
-		return e.r.GroupBy(p.GroupAttrs(), []engine.AggSpec{p.Agg})
-	})
 }

@@ -3,6 +3,7 @@ package explain
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"strings"
 
 	"cape/internal/distance"
@@ -67,24 +68,30 @@ func (e Explanation) String() string {
 	return sb.String()
 }
 
+// held is an explanation the top-k keeps, with its key built once.
+type held struct {
+	Explanation
+	key string
+}
+
 // better imposes a total order on explanations — higher score first, ties
 // broken by key — so the kept top-k set is unique and the top-k list is
 // always a prefix of any larger-k list.
-func better(a, b Explanation) bool {
+func better(a, b held) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	return a.key() < b.key()
+	return a.key < b.key
 }
 
 // explHeap is a min-heap under the `better` order holding the best k
 // explanations seen so far (the heap root is the current k-th best).
-type explHeap []Explanation
+type explHeap []held
 
 func (h explHeap) Len() int            { return len(h) }
 func (h explHeap) Less(i, j int) bool  { return better(h[j], h[i]) }
 func (h explHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *explHeap) Push(x interface{}) { *h = append(*h, x.(Explanation)) }
+func (h *explHeap) Push(x interface{}) { *h = append(*h, x.(held)) }
 func (h *explHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -93,17 +100,14 @@ func (h *explHeap) Pop() interface{} {
 	return x
 }
 
-// topK maintains the best k explanations with per-(P', t') dedup.
+// topK maintains the best k explanations, at most one per (P', t') key.
 type topK struct {
 	k    int
 	heap explHeap
-	// best maps explanation key to its best score seen, so a later lower
-	// score for the same (P', t') never displaces the earlier one.
-	best map[string]float64
 }
 
 func newTopK(k int) *topK {
-	return &topK{k: k, best: make(map[string]float64)}
+	return &topK{k: k}
 }
 
 // minScore is the current k-th best score, or -inf semantics (ok=false)
@@ -116,59 +120,52 @@ func (t *topK) minScore() (float64, bool) {
 }
 
 // offer inserts an explanation, handling dedup and eviction.
+//
+// A candidate strictly below the k-th score of a full heap is dropped
+// before its key is built: the k-th score only rises, so it could never
+// be kept. Deduplication only looks at the ≤ k held entries: once a
+// key's entry is evicted, the k-th entry is better than it, so the same
+// key at the same or a lower score can never re-enter; at a higher score
+// it is a fresh candidate like any other.
 func (t *topK) offer(e Explanation) {
-	if prev, seen := t.best[e.key()]; seen {
-		if prev > e.Score {
-			return
-		}
-		if prev == e.Score {
-			// Equal-score duplicate of a held key: different relevant
-			// patterns can produce the same (P', t') at the same score.
-			// Tie-break on the relevant pattern's key, so the kept entry
-			// does not depend on arrival order — parallel runs must
-			// reproduce the sequential result byte for byte.
-			for i := range t.heap {
-				if t.heap[i].key() == e.key() {
-					if e.Relevant.Key() < t.heap[i].Relevant.Key() {
-						t.heap[i] = e
-					}
-					break
-				}
-			}
-			return
-		}
-	}
-	t.best[e.key()] = e.Score
-	// Remove a previous entry for the same key if it is in the heap.
-	for i := range t.heap {
-		if t.heap[i].key() == e.key() {
-			t.heap[i] = e
-			heap.Fix(&t.heap, i)
-			return
-		}
-	}
-	if len(t.heap) < t.k {
-		heap.Push(&t.heap, e)
+	if len(t.heap) == t.k && e.Score < t.heap[0].Score {
 		return
 	}
-	if better(e, t.heap[0]) {
-		t.heap[0] = e
+	c := held{Explanation: e, key: e.key()}
+	for i := range t.heap {
+		h := &t.heap[i]
+		if h.key != c.key {
+			continue
+		}
+		// The same (P', t') again. Different relevant patterns can
+		// produce it at the same score: tie-break on the relevant
+		// pattern's key, so the kept entry does not depend on arrival
+		// order — parallel runs must reproduce the sequential result
+		// byte for byte.
+		if c.Score > h.Score || (c.Score == h.Score && c.Relevant.Key() < h.Relevant.Key()) {
+			*h = c
+			heap.Fix(&t.heap, i)
+		}
+		return
+	}
+	if len(t.heap) < t.k {
+		heap.Push(&t.heap, c)
+		return
+	}
+	if better(c, t.heap[0]) {
+		t.heap[0] = c
 		heap.Fix(&t.heap, 0)
 	}
 }
 
-// sorted returns the held explanations ordered by descending score, ties
-// broken by tuple key for determinism.
+// sorted returns the held explanations best first under the total order
+// (descending score, ties broken by key).
 func (t *topK) sorted() []Explanation {
-	out := append([]Explanation(nil), t.heap...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Score > b.Score || (a.Score == b.Score && a.key() <= b.key()) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
+	hs := append(explHeap(nil), t.heap...)
+	sort.Slice(hs, func(i, j int) bool { return better(hs[i], hs[j]) })
+	out := make([]Explanation, len(hs))
+	for i := range hs {
+		out[i] = hs[i].Explanation
 	}
 	return out
 }

@@ -93,16 +93,15 @@ type relevantEntry struct {
 }
 
 // generator carries the shared state of one generation run. After
-// prepare returns, every field is read-only except the cache, which is
-// safe for concurrent use — a generator may be driven by many workers.
+// prepare returns, every field is read-only and the hooks are safe for
+// concurrent calls — a generator may be driven by many workers.
 type generator struct {
-	q     UserQuestion
-	r     engine.Relation
-	opt   Options
-	cache *groupCache // grouped result per refined pattern
-	// lookup resolves γ_{F'∪V, agg}(R) for a refined pattern; defaults to
-	// the per-run cache, overridden by Explainer's shared cache. Must be
-	// safe for concurrent calls.
+	q   UserQuestion
+	r   engine.Relation
+	opt Options
+	// lookup resolves γ_{F∪V, agg}(R) for a pattern — the grouping a
+	// drill-down enumerates and NORM reads: a per-run cache for
+	// GenOpt/GenNaive, the Explainer's shared cache, or the batch's.
 	lookup func(pattern.Pattern) (*engine.Table, error)
 	// refine lists the mined patterns refining a relevant pattern;
 	// defaults to a linear scan of the run's pattern set, overridden by
@@ -207,29 +206,31 @@ func (g *generator) run(rel []relevantEntry, stats *Stats) ([]Explanation, error
 }
 
 // prepare validates inputs and finds the relevant patterns with their
-// NORM factors. Unless opt.LinearScan asks for the reference path, a
-// per-call relevance index replaces both the full-set relevance scan
-// and the per-pattern refinement rescans (an Explainer passes its
-// prebuilt index through prepareIndexed instead).
+// NORM factors, over a per-run group-by cache. Unless opt.LinearScan
+// asks for the reference path, a per-call relevance index replaces both
+// the full-set relevance scan and the per-pattern refinement rescans (an
+// Explainer passes its prebuilt index and shared cache through
+// prepareIndexed instead).
 func prepare(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) (*generator, []relevantEntry, *Stats, error) {
 	var idx *Index
 	if !opt.LinearScan {
 		idx = NewIndex(patterns)
 	}
-	return prepareIndexed(q, r, patterns, opt, idx)
+	return prepareIndexed(q, r, patterns, opt, idx, newGroupCache().lookup(r))
 }
 
-// prepareIndexed is prepare with the relevance index supplied by the
-// caller; idx == nil selects the linear reference path. The index only
-// prefilters: every surviving pattern still runs the full per-question
-// relevance check, so both paths produce identical entries in identical
-// order.
-func prepareIndexed(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options, idx *Index) (*generator, []relevantEntry, *Stats, error) {
+// prepareIndexed is prepare with the relevance index and the grouping
+// lookup supplied by the caller; idx == nil selects the linear reference
+// path. The index only prefilters: every surviving pattern still runs
+// the full per-question relevance check, so both paths produce identical
+// entries in identical order. The lookup is in place before relevance
+// runs, because NORM reads it.
+func prepareIndexed(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options, idx *Index,
+	lookup func(pattern.Pattern) (*engine.Table, error)) (*generator, []relevantEntry, *Stats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	g := &generator{q: q, r: r, opt: opt.withDefaults(), cache: newGroupCache()}
-	g.lookup = g.grouped
+	g := &generator{q: q, r: r, opt: opt.withDefaults(), lookup: lookup}
 	stats := &Stats{}
 	var rel []relevantEntry
 	if idx != nil {
@@ -286,26 +287,108 @@ func (g *generator) relevant(m *pattern.Mined) (relevantEntry, bool, error) {
 
 // norm computes Definition 10's normalization factor: the aggregate value
 // of the question's own group under the relevant pattern's (coarser)
-// grouping, i.e. π_{agg}(σ_{F∪V = t[F∪V]}(R)) aggregated.
+// grouping, i.e. π_{agg}(σ_{F∪V = t[F∪V]}(R)) aggregated. That value is
+// the t[F∪V] row of γ_{F∪V, agg}(R) — the grouping the drill-down for
+// the pair (P, P) enumerates — so it is read from there through the same
+// lookup, matching dictionary codes as enumerateColumnar does; a value
+// absent from a column's dictionary means an empty selection and NORM 0.
+// Where code equality could diverge from value.Equal (EqCode: NaN,
+// integers past 2^53), one value.Equal selection can span several
+// groups, and a row-path-forced grouping asks for the reference path:
+// both compute the selection literally (normSelect).
 func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	attrs := p.GroupAttrs()
 	vals, ok := g.q.Project(attrs)
 	if !ok {
 		return 0, fmt.Errorf("explain: pattern attributes %v outside question group-by", attrs)
 	}
-	sel, err := g.r.SelectEq(attrs, vals)
+	grouped, err := g.lookup(p)
 	if err != nil {
 		return 0, err
 	}
-	agg, err := sel.GroupBy(nil, []engine.AggSpec{p.Agg})
+	if grouped.RowPathForced() {
+		return normSelect(g.r, p.Agg, attrs, vals)
+	}
+	sch := grouped.Schema()
+	keyIdx, err := sch.Indices(attrs)
 	if err != nil {
 		return 0, err
 	}
-	if agg.NumRows() == 0 {
+	aggIdx := sch.Index(p.Agg.String())
+	if aggIdx < 0 {
+		return 0, fmt.Errorf("explain: grouped result missing aggregate column %q", p.Agg)
+	}
+	probe, miss, divergent := newCodeProbe(grouped.Columns(), keyIdx, vals)
+	switch {
+	case divergent:
+		return normSelect(g.r, p.Agg, attrs, vals)
+	case miss:
 		return 0, nil
 	}
-	f, _ := agg.Row(0)[0].AsFloat()
+	for r, n := 0, grouped.NumRows(); r < n; r++ {
+		if probe.match(r) {
+			f, _ := grouped.Row(r)[aggIdx].AsFloat()
+			return math.Abs(f), nil
+		}
+	}
+	return 0, nil
+}
+
+// normSelect is NORM computed literally: select the rows agreeing with
+// the question on attrs under value.Equal, then aggregate them.
+func normSelect(r engine.Relation, agg engine.AggSpec, attrs []string, vals value.Tuple) (float64, error) {
+	sel, err := r.SelectEq(attrs, vals)
+	if err != nil {
+		return 0, err
+	}
+	out, err := sel.GroupBy(nil, []engine.AggSpec{agg})
+	if err != nil {
+		return 0, err
+	}
+	if out.NumRows() == 0 {
+		return 0, nil
+	}
+	f, _ := out.Row(0)[0].AsFloat()
 	return math.Abs(f), nil
+}
+
+// codeProbe is an equality test t'[cols] = vals over the rows of a
+// grouped table, resolved to dictionary codes.
+type codeProbe struct {
+	codes [][]int32
+	want  []int32
+}
+
+// newCodeProbe resolves vals against the columns idx of a columnar view.
+// divergent reports that code equality cannot answer value.Equal for
+// some value (Col.EqCode) and the caller must compare boxed values
+// instead; otherwise miss reports that some value occurs in no row, so
+// no row matches.
+func newCodeProbe(cols *engine.Columnar, idx []int, vals value.Tuple) (p codeProbe, miss, divergent bool) {
+	for i, ci := range idx {
+		col := cols.Col(ci)
+		code, ok, div := col.EqCode(vals[i])
+		if div {
+			return codeProbe{}, false, true
+		}
+		if !ok {
+			miss = true
+			continue
+		}
+		p.want = append(p.want, code)
+		p.codes = append(p.codes, col.Codes)
+	}
+	return p, miss, false
+}
+
+// match reports whether row r carries every probed code.
+func (p *codeProbe) match(r int) bool {
+	for j, codes := range p.codes {
+		if codes[r] != p.want[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // refinementsOf lists the mined patterns refining P w.r.t. the question
@@ -471,20 +554,9 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *candScan, stats *Stats) bool {
 	cols := grouped.Columns()
 	n := grouped.NumRows()
-	want := make([]int32, 0, len(fIdx))
-	codeCols := make([][]int32, 0, len(fIdx))
-	miss := false
-	for i, ci := range fIdx {
-		code, ok, divergent := cols.Col(ci).EqCode(sc.re.frag[i])
-		if divergent {
-			return false
-		}
-		if !ok {
-			miss = true
-			continue
-		}
-		want = append(want, code)
-		codeCols = append(codeCols, cols.Col(ci).Codes)
+	probe, miss, divergent := newCodeProbe(cols, fIdx, sc.re.frag)
+	if divergent {
+		return false
 	}
 	if miss {
 		stats.Candidates += n
@@ -501,14 +573,7 @@ func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *can
 	rows := grouped.Rows()
 	for r := 0; r < n; r++ {
 		stats.Candidates++
-		match := true
-		for j, codes := range codeCols {
-			if codes[r] != want[j] {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if !probe.match(r) {
 			continue
 		}
 		sc.offer(rows[r], r, agg.F64[r], agg.Num[r])
@@ -605,7 +670,7 @@ func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 		Relevant:  sc.p,
 		Refined:   sc.pRef,
 		Attrs:     sc.attrs,
-		Tuple:     tup.Clone(),
+		Tuple:     tup,
 		AggValue:  row[sc.aggIdx],
 		Predicted: pred,
 		Deviation: dev,
@@ -618,17 +683,6 @@ func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 	}
 	e.Score = dev * isLow / (e.Distance*sc.re.norm + g.opt.Epsilon)
 	sc.sink.offer(e)
-}
-
-// grouped returns (and caches) γ_{F'∪V, agg}(R) for a refined pattern.
-// The per-run cache has the same sharded singleflight structure as the
-// Explainer's shared one, so parallel workers needing different
-// groupings compute them concurrently while duplicates are computed
-// once.
-func (g *generator) grouped(p pattern.Pattern) (*engine.Table, error) {
-	return g.cache.get(groupKey(p), g.r.Epoch(), func() (*engine.Table, error) {
-		return g.r.GroupBy(p.GroupAttrs(), []engine.AggSpec{p.Agg})
-	})
 }
 
 func sameSet(a, b []string) bool {

@@ -1,6 +1,10 @@
 package explain
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"cape/internal/distance"
@@ -351,6 +355,105 @@ func TestTopKDedupKeepsBest(t *testing.T) {
 	}
 	if min, full := tk.minScore(); !full || min != 4 {
 		t.Errorf("minScore = %g, %v", min, full)
+	}
+
+	// Held: 6 (tuple 4), 5 (1), 4 (3); tuple 2 was evicted at score 3.
+	// An evicted key coming back lower, at its old score, or higher but
+	// still under the k-th score is dropped; above the k-th score it is a
+	// fresh candidate and evicts the k-th.
+	for _, score := range []float64{2, 3, 3.5} {
+		tk.offer(mk(score, 2))
+		if got := scoresOf(tk.sorted()); got != "6 5 4" {
+			t.Errorf("evicted key back at %g: held %s, want 6 5 4", score, got)
+		}
+	}
+	tk.offer(mk(4.5, 2))
+	if got := scoresOf(tk.sorted()); got != "6 5 4.5" {
+		t.Errorf("evicted key back at 4.5: held %s, want 6 5 4.5", got)
+	}
+	// At exactly the k-th score the key order decides: tuple 3 sorts
+	// after the held tuple 2 and is dropped, tuple 0 sorts before it and
+	// evicts it.
+	tk.offer(mk(4.5, 3))
+	tk.offer(mk(4.5, 0))
+	out = tk.sorted()
+	if got := scoresOf(out); got != "6 5 4.5" || out[2].Tuple[0].Int() != 0 {
+		t.Errorf("k-th score ties: held %s (last tuple %v), want 6 5 4.5 with tuple 0", got, out[2].Tuple)
+	}
+
+	// Equal-score duplicates from two relevant patterns keep the smaller
+	// relevant-pattern key, whichever arrives first.
+	pa := pattern.Pattern{F: []string{"a"}, V: []string{"v"}, Agg: p.Agg, Model: regress.Const}
+	pb := pattern.Pattern{F: []string{"b"}, V: []string{"v"}, Agg: p.Agg, Model: regress.Const}
+	for _, order := range [][]pattern.Pattern{{pa, pb}, {pb, pa}} {
+		tk := newTopK(2)
+		for _, rp := range order {
+			e := mk(7, 9)
+			e.Relevant = rp
+			tk.offer(e)
+		}
+		if out := tk.sorted(); len(out) != 1 || out[0].Relevant.Key() != pa.Key() {
+			t.Errorf("equal-score duplicate, order %s first: kept %v", order[0], out)
+		}
+	}
+	t.Run("arrival order", testTopKArrivalOrder)
+}
+
+func scoresOf(es []Explanation) string {
+	s := make([]string, len(es))
+	for i, e := range es {
+		s[i] = fmt.Sprint(e.Score)
+	}
+	return strings.Join(s, " ")
+}
+
+// testTopKArrivalOrder: the kept top-k is the best k of the best entry
+// per (P', t'), so any arrival order — sequential or through concurrent
+// sharedTopK offers — keeps the same explanations, field for field. The
+// offers repeat keys across relevant patterns at equal and different
+// scores, many below the final k-th score, so entries are evicted and
+// come back.
+func testTopKArrivalOrder(t *testing.T) {
+	p := pattern.Pattern{F: []string{"f"}, V: []string{"v"}, Agg: engine.AggSpec{Func: engine.Count}, Model: regress.Const}
+	rels := []pattern.Pattern{
+		{F: []string{"a"}, Agg: p.Agg, Model: regress.Const},
+		{F: []string{"b"}, Agg: p.Agg, Model: regress.Const},
+		{F: []string{"c"}, Agg: p.Agg, Model: regress.Const},
+	}
+	rng := rand.New(rand.NewSource(1))
+	var offers []Explanation
+	for i := 0; i < 400; i++ {
+		offers = append(offers, Explanation{
+			Relevant: rels[rng.Intn(len(rels))],
+			Refined:  p, Attrs: []string{"f", "v"},
+			Tuple: value.Tuple{value.NewInt(int64(rng.Intn(40))), value.NewInt(0)},
+			Score: float64(rng.Intn(12)),
+		})
+	}
+	want := newTopK(5)
+	for _, e := range offers {
+		want.offer(e)
+	}
+	for round := 0; round < 20; round++ {
+		perm := rng.Perm(len(offers))
+		seq := newTopK(5)
+		shared := newSharedTopK(5)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(perm); i += 4 {
+					shared.offer(offers[perm[i]])
+				}
+			}(w)
+		}
+		for _, i := range perm {
+			seq.offer(offers[i])
+		}
+		wg.Wait()
+		requireIdentical(t, fmt.Sprintf("round %d sequential", round), want.sorted(), seq.sorted())
+		requireIdentical(t, fmt.Sprintf("round %d shared", round), want.sorted(), shared.tk.sorted())
 	}
 }
 

@@ -41,7 +41,14 @@ func newSharedTopK(k int) *sharedTopK {
 	return &sharedTopK{tk: newTopK(k)}
 }
 
+// offer drops a candidate strictly below the published k-th score without
+// taking the lock — the published score trails the true one, so that
+// candidate would be dropped under the lock too — and otherwise hands it
+// to the guarded topK.
 func (s *sharedTopK) offer(e Explanation) {
+	if min, full := s.minScore(); full && e.Score < min {
+		return
+	}
 	s.mu.Lock()
 	s.tk.offer(e)
 	if min, full := s.tk.minScore(); full {
