@@ -105,15 +105,17 @@ func (a AggSpec) String() string {
 // IsStar reports whether the aggregate is count(*) style (no argument).
 func (a AggSpec) IsStar() bool { return a.Arg == "" || a.Arg == "*" }
 
-// aggState accumulates one aggregate over one group.
+// aggState accumulates one aggregate over one group. The fields a
+// count or sum touches lead, so those folds stay within one cache line;
+// ext holds the running minimum of a Min or maximum of a Max (a state
+// serves one aggregate, never both).
 type aggState struct {
 	count    int64
 	sumF     float64
 	sumI     int64
-	minV     value.V
-	maxV     value.V
 	anyFloat bool
 	seen     bool
+	ext      value.V
 }
 
 func (s *aggState) add(v value.V, f AggFunc, star bool) {
@@ -133,22 +135,22 @@ func (s *aggState) add(v value.V, f AggFunc, star bool) {
 			s.anyFloat = true
 			s.count++
 		}
-	case Min:
-		if v.IsNull() {
-			return
+	case Min, Max:
+		if !v.IsNull() {
+			s.extend(v, f)
 		}
-		if !s.seen || value.Compare(v, s.minV) < 0 {
-			s.minV = v
-		}
-		s.seen = true
-	case Max:
-		if v.IsNull() {
-			return
-		}
-		if !s.seen || value.Compare(v, s.maxV) > 0 {
-			s.maxV = v
-		}
-		s.seen = true
+	}
+}
+
+// extend folds one non-NULL Min/Max candidate: strict Compare, so the
+// first-encountered of Compare-equal values wins.
+func (s *aggState) extend(v value.V, f AggFunc) {
+	if !s.seen {
+		s.ext, s.seen = v, true
+		return
+	}
+	if c := value.Compare(v, s.ext); f == Min && c < 0 || f == Max && c > 0 {
+		s.ext = v
 	}
 }
 
@@ -169,16 +171,11 @@ func (s *aggState) result(f AggFunc) value.V {
 			return value.NewNull()
 		}
 		return value.NewFloat(s.sumF / float64(s.count))
-	case Min:
+	case Min, Max:
 		if !s.seen {
 			return value.NewNull()
 		}
-		return s.minV
-	case Max:
-		if !s.seen {
-			return value.NewNull()
-		}
-		return s.maxV
+		return s.ext
 	default:
 		return value.NewNull()
 	}
@@ -225,10 +222,10 @@ type aggCol struct {
 	idx  int
 }
 
-// groupPlan resolves group columns, aggregate arguments and the output
-// schema shared by both GroupBy implementations.
-func (t *Table) groupPlan(groupCols []string, aggs []AggSpec) (gIdx []int, aCols []aggCol, sch Schema, err error) {
-	gIdx, err = t.schema.Indices(groupCols)
+// groupPlan resolves, against schema s, the group columns, aggregate
+// arguments and output schema every GroupBy implementation shares.
+func groupPlan(s Schema, groupCols []string, aggs []AggSpec) (gIdx []int, aCols []aggCol, sch Schema, err error) {
+	gIdx, err = s.Indices(groupCols)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -236,7 +233,7 @@ func (t *Table) groupPlan(groupCols []string, aggs []AggSpec) (gIdx []int, aCols
 	for i, a := range aggs {
 		ac := aggCol{spec: a, idx: -1}
 		if !a.IsStar() {
-			ci := t.schema.Index(a.Arg)
+			ci := s.Index(a.Arg)
 			if ci < 0 {
 				return nil, nil, nil, fmt.Errorf("engine: unknown aggregate argument %q", a.Arg)
 			}
@@ -248,7 +245,7 @@ func (t *Table) groupPlan(groupCols []string, aggs []AggSpec) (gIdx []int, aCols
 	}
 	sch = make(Schema, 0, len(gIdx)+len(aggs))
 	for _, ci := range gIdx {
-		sch = append(sch, t.schema[ci])
+		sch = append(sch, s[ci])
 	}
 	for _, a := range aggs {
 		kind := value.Null // result kind varies (Int/Float/arg kind)
@@ -262,134 +259,24 @@ func (t *Table) groupPlan(groupCols []string, aggs []AggSpec) (gIdx []int, aCols
 // aggregate, named by AggSpec.String(). Groups appear in first-appearance
 // order. groupCols may be empty, producing a single global group.
 //
-// Grouped queries route through the columnar kernel (dictionary codes +
-// flat aggregation loops); the global group and ForceRowPath tables use
-// the row-oriented reference, which stays byte-identical — same group
-// order, key values, aggregate results and float summation order.
+// The table runs the parts kernels as one solo dense part (see
+// ckernels.go); ForceRowPath tables use the row-oriented reference,
+// which the kernels match byte for byte — same group order, key values,
+// aggregate results and float summation order.
 func (t *Table) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) {
-	gIdx, aCols, sch, err := t.groupPlan(groupCols, aggs)
+	gIdx, aCols, sch, err := groupPlan(t.schema, groupCols, aggs)
 	if err != nil {
 		return nil, err
 	}
-	if !t.rowOnly && len(gIdx) > 0 && len(t.rows) > 0 {
-		if out := t.groupByCompressed(gIdx, aCols, sch); out != nil {
-			return out, nil
-		}
-		return t.groupByColumnar(gIdx, aCols, sch), nil
+	if t.rowOnly {
+		return t.groupByRows(gIdx, aCols, sch), nil
 	}
-	return t.groupByRows(gIdx, aCols, sch), nil
+	return groupByPartsPool(t.queryPool(), t.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
 }
 
-// groupByColumnar is the vectorized GroupBy: rows get dense group ids
-// from their dictionary codes (groupCodes), then each aggregate runs as
-// one tight pass over a flat column buffer — no per-row key encoding,
-// hashing of byte strings, or boxed dispatch.
-func (t *Table) groupByColumnar(gIdx []int, aCols []aggCol, sch Schema) *Table {
-	c := t.Columns()
-	n := len(t.rows)
-	keyCols := make([]*Col, len(gIdx))
-	for i, ci := range gIdx {
-		keyCols[i] = c.Col(ci)
-	}
-	gidx, first := groupCodes(keyCols, n)
-	nG := len(first)
-	nK, nA := len(gIdx), len(aCols)
-
-	states := make([]aggState, nG*nA)
-	for ai, ac := range aCols {
-		st := states[ai*nG : (ai+1)*nG]
-		if ac.idx < 0 { // count(*)
-			for r := 0; r < n; r++ {
-				st[gidx[r]].count++
-			}
-			continue
-		}
-		col := c.FlatCol(ac.idx)
-		switch ac.spec.Func {
-		case Count:
-			if col.nullCount == 0 {
-				for r := 0; r < n; r++ {
-					st[gidx[r]].count++
-				}
-				break
-			}
-			kinds := col.Kinds
-			for r := 0; r < n; r++ {
-				if kinds[r] != value.Null {
-					st[gidx[r]].count++
-				}
-			}
-		case Sum, Avg:
-			kinds, f64, i64 := col.Kinds, col.F64, col.I64
-			for r := 0; r < n; r++ {
-				switch kinds[r] {
-				case value.Int:
-					s := &st[gidx[r]]
-					s.sumI += i64[r]
-					s.sumF += f64[r]
-					s.count++
-				case value.Float:
-					s := &st[gidx[r]]
-					s.sumF += f64[r]
-					s.anyFloat = true
-					s.count++
-				}
-			}
-		case Min:
-			// Boxed value.Compare keeps the reference tie semantics
-			// exactly (first-encountered minimum wins), including for
-			// NaN; nulls skip via the kind vector.
-			kinds, rows, ci := col.Kinds, t.rows, ac.idx
-			for r := 0; r < n; r++ {
-				if kinds[r] == value.Null {
-					continue
-				}
-				s := &st[gidx[r]]
-				v := rows[r][ci]
-				if !s.seen || value.Compare(v, s.minV) < 0 {
-					s.minV = v
-				}
-				s.seen = true
-			}
-		case Max:
-			kinds, rows, ci := col.Kinds, t.rows, ac.idx
-			for r := 0; r < n; r++ {
-				if kinds[r] == value.Null {
-					continue
-				}
-				s := &st[gidx[r]]
-				v := rows[r][ci]
-				if !s.seen || value.Compare(v, s.maxV) > 0 {
-					s.maxV = v
-				}
-				s.seen = true
-			}
-		}
-	}
-
-	out := NewTable(sch)
-	out.rowOnly = t.rowOnly
-	out.rows = make([]value.Tuple, nG)
-	width := len(sch)
-	slab := make([]value.V, nG*width)
-	rows := t.rows
-	for g := 0; g < nG; g++ {
-		row := slab[g*width : (g+1)*width : (g+1)*width]
-		src := rows[first[g]]
-		for i, ci := range gIdx {
-			row[i] = src[ci]
-		}
-		for ai := range aCols {
-			row[nK+ai] = states[ai*nG+g].result(aCols[ai].spec.Func)
-		}
-		out.rows[g] = row
-	}
-	return out
-}
-
-// groupByRows is the row-oriented reference GroupBy, retained for the
-// global group, ForceRowPath, and as the semantics oracle the columnar
-// kernel is pinned against by differential tests.
+// groupByRows is the row-oriented reference GroupBy behind ForceRowPath:
+// the semantics oracle the parts kernels are pinned against by
+// differential tests.
 func (t *Table) groupByRows(gIdx []int, aCols []aggCol, sch Schema) *Table {
 	// Hash aggregation. Groups live in one growing slice preserving
 	// first-appearance order; their keys, key bytes, and aggregate states

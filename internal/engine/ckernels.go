@@ -4,52 +4,128 @@ import (
 	"cape/internal/value"
 )
 
-// Compressed kernels: GroupBy, SelectEq, CountDistinct and
-// DistinctProject evaluated directly over CompressedCol run streams,
-// without decoding codes to dense slices or touching boxed rows except
-// to materialize results. The kernels are multi-part — a part is one
-// physically contiguous slab of rows (a sealed segment, or a Table's
-// row storage) — so one implementation serves both the in-memory
-// compressed dispatch (one part) and SegTable (segments + tail),
-// while group identity, group order, aggregate fold order and result
-// values stay byte-identical to the row/columnar reference paths:
+// The parts kernels: GroupBy, SelectEq, CountDistinct and
+// DistinctProject evaluated over a sequence of parts, where a part is
+// one physically contiguous slab of rows — a sealed segment (RLE or
+// bit-packed dictionary codes, possibly mmap'd) or a dense slab (a
+// Table's rows, or a SegTable's append tail). A Table is one solo dense
+// part; a SegTable is its segments plus the tail. Group identity, group
+// order, aggregate fold order and result values are byte-identical to
+// the row-oriented reference (ForceRowPath):
 //
 //   - Group ids are assigned in global first-appearance row order.
 //     Cross-part identity goes through the canonical AppendKey bytes of
 //     the dictionary values, the same equality classes the reference
-//     paths group by.
-//   - Aggregates fold runs in global row order. Run-level shortcuts are
-//     used only where bitwise exact: count += runLen, sumI += v·runLen
-//     (integer arithmetic), one dictionary Compare per run for Min/Max.
-//     The float sum is accumulated by repeated per-row adds so the
-//     summation order matches the reference fold exactly.
-//   - Min/Max store the value of the run's first row (via part.val), the
-//     same value the per-row reference keeps, with the same
-//     first-encountered-wins tie rule (strict Compare).
+//     groups by.
+//   - Aggregates fold rows in global row order. Over sealed runs the
+//     shortcuts are only those that are bitwise exact: count += runLen,
+//     sumI += v·runLen (integer arithmetic), one dictionary Compare per
+//     run for Min/Max; the float sum is accumulated by repeated per-row
+//     adds so the summation order matches the reference fold exactly.
+//     Dense parts fold per row from flat buffers, reading each row's own
+//     kind, so Int(1)/Float(1) rows of one dictionary class keep their
+//     kinds.
+//   - Min/Max keep the value of the first row that wins under strict
+//     Compare, like the reference.
 //
-// NaN dictionaries are rejected by the dispatchers before kernels run
-// (see EqCode/eqDivergent); 2^53 probes fall back in SelectEq exactly
-// like the columnar path.
+// Equality probes where code comparison diverges from value.Equal (NaN,
+// magnitudes past 2^53) are left to the caller's row scan; see EqCode.
 
-// compPart is one contiguous slab of rows presented to the compressed
-// kernels: per-key and per-aggregate compressed column views plus an
-// accessor for materializing individual values (group representatives,
-// Min/Max results). Slot s addresses key column s for s < nK and
-// aggregate s-nK otherwise.
+// compPart is one contiguous slab of rows presented to the kernels. Slot
+// s addresses key column s for s < len(keys) and aggregate s-len(keys)
+// otherwise.
 type compPart struct {
 	n    int
 	keys []*CompressedCol
-	aggs []*CompressedCol // nil entry ⇔ count(*)
-	val  func(row, slot int) value.V
+	// Aggregate arguments, one entry per aggregate (nil ⇔ count(*)): a
+	// sealed part folds the dictionary codes of aggs, a dense part the
+	// flat per-row buffers of flats — no dictionary is ever built on an
+	// aggregate column of a dense part.
+	aggs  []*CompressedCol
+	flats []*Col
+
+	// cols maps each slot to its schema column (-1 for count(*)); val
+	// reads values through rows (dense part, non-nil exactly then) or
+	// seg (sealed part).
+	cols []int
+	rows []value.Tuple
+	seg  *Segment
 
 	// xlat, when set, maps each key column's local dictionary codes to
 	// codes that are consistent across every part of the query (the
 	// SegTable caches this unification per column — see colUnify). solo
 	// marks a part that is the query's only part, whose local codes are
-	// trivially globally unique. Either way groupAssign skips per-query
+	// trivially globally unique. Either way beginPart skips per-query
 	// dictionary translation.
 	xlat [][]int32
 	solo bool
+}
+
+// val materializes the value of one slot at a part-local row.
+func (p *compPart) val(row, slot int) value.V {
+	ci := p.cols[slot]
+	if p.rows != nil {
+		return p.rows[row][ci]
+	}
+	cc := p.seg.Col(ci)
+	return cc.dict[cc.CodeAt(row)]
+}
+
+// keysAt materializes the key values of a part-local row into dst (one
+// per key column): a dense part fetches the row once for all of them.
+func (p *compPart) keysAt(row int, dst []value.V) {
+	if p.rows != nil {
+		src := p.rows[row]
+		for k, ci := range p.cols[:len(dst)] {
+			dst[k] = src[ci]
+		}
+		return
+	}
+	for k := range dst {
+		dst[k] = p.val(row, k)
+	}
+}
+
+// argFlags reports whether aggregate ai's argument holds any Float, and
+// any NaN, in this part (false for count(*)).
+func (p *compPart) argFlags(ai int) (hasFloat, hasNaN bool) {
+	if p.rows != nil {
+		if c := p.flats[ai]; c != nil {
+			return c.hasFloat, c.hasNaN
+		}
+	} else if cc := p.aggs[ai]; cc != nil {
+		return cc.hasFloat, cc.hasNaN
+	}
+	return false, false
+}
+
+// densePart presents t's rows as one uncompressed part: key columns as
+// O(1) dense views of the cached dictionary-coded columns, aggregate
+// arguments as flat buffers.
+func densePart(t *Table, gIdx []int, aCols []aggCol) *compPart {
+	c := t.Columns()
+	p := &compPart{n: len(t.rows), rows: t.rows, cols: partCols(gIdx, aCols)}
+	p.keys = make([]*CompressedCol, len(gIdx))
+	for i, ci := range gIdx {
+		p.keys[i] = denseView(c.Col(ci))
+	}
+	p.flats = make([]*Col, len(aCols))
+	for i, ac := range aCols {
+		if ac.idx >= 0 {
+			p.flats[i] = c.FlatCol(ac.idx)
+		}
+	}
+	return p
+}
+
+// partCols lays out a part's slot → schema column map.
+func partCols(gIdx []int, aCols []aggCol) []int {
+	cols := make([]int, 0, len(gIdx)+len(aCols))
+	cols = append(cols, gIdx...)
+	for _, ac := range aCols {
+		cols = append(cols, ac.idx)
+	}
+	return cols
 }
 
 // partRef addresses one row of one part.
@@ -58,22 +134,17 @@ type partRef struct {
 	row  int32
 }
 
-// groupAssign tracks the global group table across parts. Group identity
-// is the tuple of per-column *global* dictionary codes: each part's local
+// groupAssign is the global group table of one scan. Group identity is
+// the tuple of per-column *global* dictionary codes: each part's local
 // dictionary is translated to column-global codes once per part (dict-
-// sized work, via the canonical AppendKey bytes of the values — the same
-// equality classes the reference paths group by), so resolving a key
-// combination never serializes bytes; it probes an open-addressed table
-// of int32 tuples. Per part, combinations of local codes additionally
-// memoize their global id so even that probe runs once per
-// (part, combination), not per run.
+// sized work, via the canonical AppendKey bytes of the values), so
+// resolving a key combination never serializes bytes. When the global
+// code space is small (setFlat), a flat remap indexed by the
+// dims-flattened tuple is a perfect hash shared by every part;
+// otherwise tuples are probed in an open-addressed table.
 type groupAssign struct {
 	nK     int
 	gdict  []map[string]int32 // per key column: canonical value key bytes → global code
-	gslots []int32            // open table over global code tuples: gid or -1
-	gkeys  []int32            // group g's global codes at [g*nK, (g+1)*nK)
-	gcBuf  []int32
-	xlat   [][]int32 // current part: per key column, local code → global code
 	firsts []partRef
 	keyBuf []byte
 
@@ -83,43 +154,51 @@ type groupAssign struct {
 	keepKeys bool
 	keys     [][]byte
 
-	// Per-part memo, reset by beginPart. remap is a perfect hash over
-	// the (flattened) code space when one key column or a small cross
-	// product; otherwise slots/entryCodes/entryGid form an open-addressed
-	// table over code tuples — both probe without allocating, unlike a
-	// map keyed by serialized codes (which showed up as the hottest
-	// block of high-cardinality compressed group-bys).
-	part    *compPart
+	flatDims  []int32 // per key column global dictionary size; nil: hash mode
+	flatRemap []int32 // flattened global key → gid, or -1
+	gslots    []int32 // hash mode: open table over global code tuples, gid or -1
+	gkeys     []int32 // hash mode: group g's global codes at [g*nK, (g+1)*nK)
+
+	part    *compPart // current part (beginPart)
 	partIdx int32
-	remap   []int32
-	flat    bool    // remap is indexed by the dims-flattened multi-key code
-	dims    []int32 // per-key dict sizes when flat
-	zeroGid int32   // nK==0 memo: the part's single group, -1 until assigned
+	xlat    [][]int32 // current part: per key column, local → global code (nil: identity)
+	gcBuf   []int32
 }
 
 func newGroupAssign(nK int) *groupAssign {
 	return &groupAssign{nK: nK, gdict: make([]map[string]int32, nK)}
 }
 
-// flatRemapCap bounds the code space a perfect-hash remap may span
-// (256 KB of int32s — comfortably cache-resident). Above it the O(space)
-// clear per part per query and the cache misses of sparse probes cost
-// more than the global-table probes the memo would save, so larger code
-// spaces take the direct path.
-const flatRemapCap = 1 << 16
+// flatScanCap bounds the flattened global code space the flat remap may
+// span (16 MB of int32s); setFlat also requires the space to stay within
+// a small multiple of the rows scanned.
+const flatScanCap = 1 << 22
 
-func (ga *groupAssign) resetRemap(n int) {
-	if cap(ga.remap) < n {
-		ga.remap = make([]int32, n)
+// setFlat switches the table to the flat remap when the product of dims
+// fits flatScanCap and 4·rows+64; otherwise it stays in hash mode.
+func (ga *groupAssign) setFlat(dims []int32, rows int) {
+	prod := int64(1)
+	for _, d := range dims {
+		if d == 0 {
+			d = 1
+		}
+		prod *= int64(d)
+		if prod > flatScanCap {
+			return
+		}
 	}
-	ga.remap = ga.remap[:n]
-	for i := range ga.remap {
-		ga.remap[i] = -1
+	if prod > int64(4*rows+64) {
+		return
+	}
+	ga.flatDims = dims
+	ga.flatRemap = make([]int32, prod)
+	for i := range ga.flatRemap {
+		ga.flatRemap[i] = -1
 	}
 }
 
 // translate maps one part's local dictionary codes for key column k to
-// column-global codes, assigning fresh global codes to values this run
+// column-global codes, assigning fresh global codes to values this scan
 // has not seen in column k yet. Identity is the value's canonical
 // AppendKey bytes, so Int/Float representatives of the same class share
 // one code across parts.
@@ -143,123 +222,22 @@ func (ga *groupAssign) translate(k int, dict []value.V) []int32 {
 }
 
 func (ga *groupAssign) beginPart(p *compPart, idx int32) {
-	ga.part = p
-	ga.partIdx = idx
-	if cap(ga.xlat) < ga.nK {
-		ga.xlat = make([][]int32, ga.nK)
-	}
-	ga.xlat = ga.xlat[:ga.nK]
+	ga.part, ga.partIdx = p, idx
+	ga.xlat = ga.xlat[:0]
 	for k := 0; k < ga.nK; k++ {
+		var xl []int32
 		switch {
 		case p.xlat != nil:
-			ga.xlat[k] = p.xlat[k]
-		case p.solo:
-			ga.xlat[k] = nil // single-part query: local codes are the global codes
-		default:
-			ga.xlat[k] = ga.translate(k, p.keys[k].dict)
+			xl = p.xlat[k]
+		case !p.solo:
+			xl = ga.translate(k, p.keys[k].dict)
 		}
+		ga.xlat = append(ga.xlat, xl)
 	}
-	if ga.nK == 0 {
-		ga.zeroGid = -1
-		return
-	}
-	if ga.nK == 1 && len(p.keys[0].dict) <= flatRemapCap {
-		ga.flat = false
-		ga.resetRemap(len(p.keys[0].dict))
-		return
-	}
-	if ga.nK == 1 {
-		ga.flat = false
-		ga.remap = ga.remap[:0] // direct: dictionary too large to memo
-		return
-	}
-	prod := int64(1)
-	for _, kc := range p.keys {
-		d := int64(len(kc.dict))
-		if d == 0 {
-			d = 1
-		}
-		prod *= d
-		if prod > flatRemapCap {
-			prod = -1
-			break
-		}
-	}
-	if prod > 0 && prod <= int64(4*p.n+64) {
-		ga.resetRemap(int(prod))
-		ga.flat = true
-		ga.dims = ga.dims[:0]
-		for _, kc := range p.keys {
-			ga.dims = append(ga.dims, int32(len(kc.dict)))
-		}
-		return
-	}
-	// High-cardinality cross product: a per-part memo would approach the
-	// global table in size (an O(rows) clear per part per query) while
-	// saving only the xlat indexing — assign probes the global table
-	// directly instead (the no-memo fallthrough).
-	ga.flat = false
 }
 
-// assign resolves the global group id of a run starting at local row
-// with the given key codes.
+// assign resolves the group of part-local key codes first seen at row.
 func (ga *groupAssign) assign(codes []int32, row int32) int32 {
-	if ga.nK == 0 {
-		if ga.zeroGid < 0 {
-			ga.zeroGid = ga.assignSlow(codes, row)
-		}
-		return ga.zeroGid
-	}
-	if ga.nK == 1 {
-		if len(ga.remap) == 0 { // direct: dictionary exceeded flatRemapCap
-			return ga.assignSlow(codes, row)
-		}
-		if g := ga.remap[codes[0]]; g >= 0 {
-			return g
-		}
-		g := ga.assignSlow(codes, row)
-		ga.remap[codes[0]] = g
-		return g
-	}
-	if ga.flat {
-		key := codes[0]
-		for k := 1; k < ga.nK; k++ {
-			key = key*ga.dims[k] + codes[k]
-		}
-		if g := ga.remap[key]; g >= 0 {
-			return g
-		}
-		g := ga.assignSlow(codes, row)
-		ga.remap[key] = g
-		return g
-	}
-	return ga.assignSlow(codes, row)
-}
-
-func hashCodes(codes []int32) uint64 {
-	const fnvOffset, fnvPrime = uint64(14695981039346656037), uint64(1099511628211)
-	h := fnvOffset
-	for _, c := range codes {
-		h = (h ^ uint64(uint32(c))) * fnvPrime
-	}
-	return h
-}
-
-// assignSlow resolves a key combination against the run-global group
-// table: local codes are translated to global codes through the per-part
-// xlat built by beginPart, then the tuple is probed in an open-addressed
-// table. New groups record their first row and, when keepKeys is set,
-// their canonical key bytes (only the morsel merge reads those).
-func (ga *groupAssign) assignSlow(codes []int32, row int32) int32 {
-	if ga.nK == 0 {
-		if len(ga.firsts) == 0 {
-			ga.firsts = append(ga.firsts, partRef{part: ga.partIdx, row: row})
-			if ga.keepKeys {
-				ga.keys = append(ga.keys, []byte{})
-			}
-		}
-		return 0
-	}
 	gc := ga.gcBuf[:0]
 	for k, c := range codes {
 		if xl := ga.xlat[k]; xl != nil {
@@ -271,31 +249,37 @@ func (ga *groupAssign) assignSlow(codes []int32, row int32) int32 {
 	return ga.assignGlobal(gc, row)
 }
 
-// assignGlobal resolves (inserting if new) the group of already-global
-// codes gc, first seen at part-local row. New groups re-read their local
-// codes via CodeAt when canonical key bytes must be kept — once per
-// group, not per run.
-func (ga *groupAssign) assignGlobal(gc []int32, row int32) int32 {
-	if 2*(len(ga.firsts)+1) > len(ga.gslots) {
-		ga.growGlobal()
+func hashCodes(codes []int32) uint64 {
+	const fnvOffset, fnvPrime = uint64(14695981039346656037), uint64(1099511628211)
+	h := fnvOffset
+	for _, c := range codes {
+		h = (h ^ uint64(uint32(c))) * fnvPrime
 	}
+	return h
+}
+
+// assignGlobal resolves (inserting if new) the group of global codes gc,
+// first seen at part-local row.
+func (ga *groupAssign) assignGlobal(gc []int32, row int32) int32 {
+	if ga.flatDims != nil {
+		key := 0
+		for k, c := range gc {
+			key = key*int(ga.flatDims[k]) + int(c)
+		}
+		g := ga.flatRemap[key]
+		if g < 0 {
+			g = ga.newGroup(gc, row)
+			ga.flatRemap[key] = g
+		}
+		return g
+	}
+	ga.reserve(1)
 	mask := len(ga.gslots) - 1
 	for i := int(hashCodes(gc)) & mask; ; i = (i + 1) & mask {
 		s := ga.gslots[i]
 		if s < 0 {
-			g := int32(len(ga.firsts))
+			g := ga.newGroup(gc, row)
 			ga.gslots[i] = g
-			ga.gkeys = append(ga.gkeys, gc...)
-			ga.firsts = append(ga.firsts, partRef{part: ga.partIdx, row: row})
-			if ga.keepKeys {
-				key := ga.keyBuf[:0]
-				for k := range gc {
-					kc := ga.part.keys[k]
-					key = kc.dict[kc.CodeAt(int(row))].AppendKey(key)
-				}
-				ga.keyBuf = key
-				ga.keys = append(ga.keys, append([]byte(nil), key...))
-			}
 			return g
 		}
 		eg := ga.gkeys[int(s)*ga.nK : int(s)*ga.nK+ga.nK]
@@ -312,12 +296,37 @@ func (ga *groupAssign) assignGlobal(gc []int32, row int32) int32 {
 	}
 }
 
-// growGlobal doubles the global tuple table and re-probes every existing
-// group from the gkeys arena.
-func (ga *groupAssign) growGlobal() {
-	size := 2 * len(ga.gslots)
-	if size < 64 {
-		size = 64
+// newGroup appends a group first seen at part-local row with global
+// codes gc. Canonical key bytes, when kept, are re-read through the
+// local codes — once per group, not per row.
+func (ga *groupAssign) newGroup(gc []int32, row int32) int32 {
+	g := int32(len(ga.firsts))
+	ga.firsts = append(ga.firsts, partRef{part: ga.partIdx, row: row})
+	if ga.flatDims == nil {
+		ga.gkeys = append(ga.gkeys, gc...)
+	}
+	if ga.keepKeys {
+		key := ga.keyBuf[:0]
+		for k := range gc {
+			kc := ga.part.keys[k]
+			key = kc.dict[kc.CodeAt(int(row))].AppendKey(key)
+		}
+		ga.keyBuf = key
+		ga.keys = append(ga.keys, append([]byte(nil), key...))
+	}
+	return g
+}
+
+// reserve grows the hash table so n more groups fit under load factor
+// 1/2, re-probing every existing group from the gkeys arena.
+func (ga *groupAssign) reserve(n int) {
+	need := 2 * (len(ga.firsts) + n)
+	if need <= len(ga.gslots) {
+		return
+	}
+	size := 64
+	for size < need {
+		size <<= 1
 	}
 	slots := make([]int32, size)
 	for i := range slots {
@@ -336,12 +345,13 @@ func (ga *groupAssign) growGlobal() {
 	ga.gslots = slots
 }
 
-// sumNeedsFFor computes, per aggregate, whether Sum/Avg folds must
-// accumulate sumF for int runs. hasFloat is a per-part property, but
-// anyFloat (which makes result() read sumF) is global to the group: one
-// float row anywhere forces every part — including float-free ones — to
-// fold its int contributions into sumF, so the flag is OR'd across
-// parts before any run is folded.
+// sumNeedsFFor computes, per aggregate, whether Sum/Avg folds of sealed
+// runs must accumulate sumF for int runs. hasFloat is a per-part
+// property, but anyFloat (which makes result() read sumF) is global to
+// the group: one float row anywhere forces every part — including
+// float-free ones — to fold its int contributions into sumF, so the flag
+// is OR'd across parts before any run is folded. (Dense folds always
+// accumulate sumF.)
 func sumNeedsFFor(parts []*compPart, aCols []aggCol) []bool {
 	sumNeedsF := make([]bool, len(aCols))
 	for ai, ac := range aCols {
@@ -350,7 +360,7 @@ func sumNeedsFFor(parts []*compPart, aCols []aggCol) []bool {
 			sumNeedsF[ai] = true
 		case Sum:
 			for _, p := range parts {
-				if cc := p.aggs[ai]; cc != nil && cc.hasFloat {
+				if hasFloat, _ := p.argFlags(ai); hasFloat {
 					sumNeedsF[ai] = true
 					break
 				}
@@ -360,53 +370,108 @@ func sumNeedsFFor(parts []*compPart, aCols []aggCol) []bool {
 	return sumNeedsF
 }
 
-// gbScan is the reusable state of one grouping walk: the group table,
-// aggregate states, and the per-column cursors. The sequential kernel
-// runs one gbScan over every part in order; morsel workers each run a
-// private gbScan over their row range and merge afterwards.
-type gbScan struct {
-	ga     *groupAssign
-	states []aggState // laid out [gid*nA+ai]
-	kcur   []runCur
-	acur   []runCur
-	codes  []int32
-
-	// Decode-pass state (see scanFlat): flatDims are the global
-	// dictionary sizes per key column, flatBudget the scan's total row
-	// count — both set by the caller to enable the pass. flatRemap maps
-	// the dims-flattened global key to its group id and is shared across
-	// every part of the scan (global codes make entries part-independent),
-	// so it is cleared once per query, never per part.
-	flatDims   []int32
-	flatBudget int
-	flatRemap  []int32
-	keyScratch [][]int32
-	aggScratch [][]int32
-
-	// countOnly marks a query whose every aggregate is count(*): both
-	// scan paths then accumulate into counts — an 8-byte-stride array —
-	// instead of the much wider aggState records, and the caller expands
-	// counts into states once at the end (countStates). High-cardinality
-	// groupings touch these arrays randomly, so the stride is the
-	// difference between one cache line per group and several.
+// groupStates holds the aggregate states of a scan's groups: bare
+// int64 counts when every aggregate is count(*) — an 8-byte stride
+// where high-cardinality groupings touch one cache line per group, not
+// several — else one aggState slice per aggregate indexed by group id,
+// so each aggregate's fold loop walks one contiguous array.
+type groupStates struct {
 	countOnly bool
 	counts    []int64
+	aggs      [][]aggState
 }
 
-func newGbScan(nK, nA int, keepKeys bool) *gbScan {
+func newGroupStates(aCols []aggCol) *groupStates {
+	gs := &groupStates{countOnly: len(aCols) > 0}
+	for _, ac := range aCols {
+		if ac.spec.Func != Count || ac.idx >= 0 {
+			gs.countOnly = false
+		}
+	}
+	if !gs.countOnly {
+		gs.aggs = make([][]aggState, len(aCols))
+	}
+	return gs
+}
+
+// grow extends the states to cover nG groups (new entries zero).
+func (gs *groupStates) grow(nG int) {
+	if gs.countOnly {
+		gs.counts = growSlice(gs.counts, nG)
+		return
+	}
+	for ai := range gs.aggs {
+		gs.aggs[ai] = growSlice(gs.aggs[ai], nG)
+	}
+}
+
+// result returns aggregate ai of group g.
+func (gs *groupStates) result(g, ai int, f AggFunc) value.V {
+	if gs.countOnly {
+		return value.NewInt(gs.counts[g])
+	}
+	return gs.aggs[ai][g].result(f)
+}
+
+// growSlice extends s to n zero-valued elements (never shrinks): exactly
+// on a first jump, at least doubling afterwards so group-at-a-time
+// growth amortizes.
+func growSlice[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n <= cap(s) {
+		// The spare region was zeroed at allocation and never written
+		// (growth is the only way len advances).
+		return s[:n]
+	}
+	c := 2 * len(s)
+	if c < n {
+		c = n
+	}
+	grown := make([]T, n, c)
+	copy(grown, s)
+	return grown
+}
+
+// gbScan is the reusable state of one grouping walk: the group table,
+// aggregate states, and scratch. The sequential kernel runs one gbScan
+// over every part in order; morsel workers each run a private gbScan
+// over their row range and merge afterwards.
+type gbScan struct {
+	ga *groupAssign
+	gs *groupStates
+
+	// Run-walk cursors (scanRuns).
+	kcur  []runCur
+	acur  []runCur
+	codes []int32
+
+	// Two-pass scratch (scanFlat): per-row group ids, key code vectors,
+	// and one decoded aggregate code vector.
+	gids       []int32
+	keyVecs    [][]int32
+	keyScratch [][]int32
+	aggScratch []int32
+}
+
+func newGbScan(nK int, aCols []aggCol, keepKeys bool) *gbScan {
 	sc := &gbScan{
-		ga:    newGroupAssign(nK),
-		kcur:  make([]runCur, nK),
-		acur:  make([]runCur, nA),
-		codes: make([]int32, nK),
+		ga:         newGroupAssign(nK),
+		gs:         newGroupStates(aCols),
+		kcur:       make([]runCur, nK),
+		acur:       make([]runCur, len(aCols)),
+		codes:      make([]int32, nK),
+		keyVecs:    make([][]int32, nK),
+		keyScratch: make([][]int32, nK),
 	}
 	sc.ga.keepKeys = keepKeys
 	return sc
 }
 
 // globalKeyDims computes, per key column, the size of the global code
-// space across parts (the stride basis of the decode pass's flat keys).
-// Cost is one pass over each part's translation or dictionary.
+// space across parts (the stride basis of flattened keys). Cost is one
+// pass over each part's translation or dictionary.
 func globalKeyDims(parts []*compPart, nK int) []int32 {
 	dims := make([]int32, nK)
 	for _, p := range parts {
@@ -429,125 +494,208 @@ func globalKeyDims(parts []*compPart, nK int) []int32 {
 	return dims
 }
 
+// flatScanMinRows is the smallest sealed range worth the two-pass
+// kernel's decode into scratch.
+const flatScanMinRows = 4096
+
 // scanRange folds rows [lo, hi) of part pi into the scan's group table
-// and aggregate states, walking merged key runs exactly like the
-// whole-part kernel (runs straddling the range are clamped; clamping
-// only splits a fold the per-row reference performs row-wise anyway).
-// flatScanMinRows is the smallest range worth the decode pass's scratch
-// fill; flatScanCap bounds the flattened global code space (16 MB of
-// int32s for the shared remap).
-const (
-	flatScanMinRows = 4096
-	flatScanCap     = 1 << 22
-)
-
-// scanFlat is the decode-pass alternative to the run walk: materialize
-// the range's key codes into scratch (straight block unpack for PACK,
-// run expansion for RLE), translate them to global codes in place, and
-// resolve groups through one flat remap keyed by the combined global
-// code — the same single tight pass the dense columnar kernel runs, so
-// compressed group-bys over unsorted (run length ~1) payloads stop
-// paying per-run cursor arithmetic and hashing. Aggregates fold per row
-// with the exact reference semantics (foldCompressedRun with k=1).
-// Returns false — leaving the range to the run walk — when runs are
-// long enough that walking them is cheaper, or the flat key space is
-// too large to remap.
-func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) bool {
-	nK, nA := len(sc.kcur), len(aCols)
-	rows := int(hi - lo)
-	if nK == 0 || sc.flatDims == nil || rows < flatScanMinRows {
-		return false
-	}
-	prod := int64(1)
-	for _, d := range sc.flatDims {
-		dd := int64(d)
-		if dd == 0 {
-			dd = 1
+// and aggregate states. Dense parts always take the two-pass kernel
+// (scanFlat), reading their codes in place. Sealed parts take it when
+// the range is large, the key space flat, and runs short (unsorted
+// payloads decode to run length ~1); long runs are cheaper to walk
+// wholesale (scanRuns).
+func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
+	if p.rows == nil {
+		nK, rows := len(sc.kcur), int(hi-lo)
+		runs := 0
+		for k := 0; k < nK; k++ {
+			runs += p.keys[k].runsInRange(lo, hi)
 		}
-		prod *= dd
-		if prod > flatScanCap {
-			return false
+		if nK == 0 || sc.ga.flatDims == nil || rows < flatScanMinRows || runs*2 < nK*rows {
+			sc.scanRuns(p, pi, lo, hi, aCols, sumNeedsF)
+			return
 		}
 	}
-	if prod > int64(4*sc.flatBudget+64) {
-		return false
-	}
-	runs := 0
-	for k := 0; k < nK; k++ {
-		runs += p.keys[k].runsInRange(lo, hi)
-	}
-	if runs*2 < nK*rows {
-		return false // long runs: the run walk folds them wholesale
-	}
+	sc.scanFlat(p, pi, lo, hi, aCols, sumNeedsF)
+}
 
+// scanFlat is the two-pass kernel. Pass one assigns every row of the
+// range its group id in one tight loop over the key code vectors — a
+// flat remap lookup by the combined global code, or a hash probe when
+// the key space is too large to flatten. Pass two folds each aggregate
+// in its own loop over the group ids.
+func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
+	nK := len(sc.kcur)
 	ga := sc.ga
 	ga.beginPart(p, pi)
-	if sc.keyScratch == nil {
-		sc.keyScratch = make([][]int32, nK)
-	}
-	for k := 0; k < nK; k++ {
-		s := growI32(sc.keyScratch[k], rows)
-		sc.keyScratch[k] = s
-		p.keys[k].decodeRange(lo, hi, s)
-		if xl := ga.xlat[k]; xl != nil {
-			for i, c := range s {
-				s[i] = xl[c]
+	keys := sc.keyCodes(p, lo, hi)
+	gids := growI32(sc.gids, int(hi-lo))
+	sc.gids = gids
+	gc := sc.codes
+	switch {
+	case nK == 0:
+		g := ga.assignGlobal(nil, lo)
+		for r := range gids {
+			gids[r] = g
+		}
+	case ga.flatDims != nil && nK == 1:
+		remap := ga.flatRemap
+		for r, c := range keys[0] {
+			g := remap[c]
+			if g < 0 {
+				gc[0] = c
+				g = ga.newGroup(gc, lo+int32(r))
+				remap[c] = g
 			}
+			gids[r] = g
 		}
-	}
-	if sc.aggScratch == nil {
-		sc.aggScratch = make([][]int32, nA)
-	}
-	for ai := 0; ai < nA; ai++ {
-		if cc := p.aggs[ai]; cc != nil {
-			s := growI32(sc.aggScratch[ai], rows)
-			sc.aggScratch[ai] = s
-			cc.decodeRange(lo, hi, s)
+	case ga.flatDims != nil:
+		remap, dims := ga.flatRemap, ga.flatDims
+		k0 := keys[0]
+		for r := range gids {
+			key := int(k0[r])
+			for k := 1; k < nK; k++ {
+				key = key*int(dims[k]) + int(keys[k][r])
+			}
+			g := remap[key]
+			if g < 0 {
+				for k := range gc {
+					gc[k] = keys[k][r]
+				}
+				g = ga.newGroup(gc, lo+int32(r))
+				remap[key] = g
+			}
+			gids[r] = g
 		}
-	}
-	if sc.flatRemap == nil {
-		sc.flatRemap = make([]int32, prod)
-		for i := range sc.flatRemap {
-			sc.flatRemap[i] = -1
+	default:
+		ga.reserve(len(gids))
+		for r := range gids {
+			for k := range gc {
+				gc[k] = keys[k][r]
+			}
+			gids[r] = ga.assignGlobal(gc, lo+int32(r))
 		}
 	}
 
-	gc := make([]int32, nK)
-	for r := 0; r < rows; r++ {
-		key := int(sc.keyScratch[0][r])
-		for k := 1; k < nK; k++ {
-			key = key*int(sc.flatDims[k]) + int(sc.keyScratch[k][r])
+	sc.gs.grow(len(ga.firsts))
+	if sc.gs.countOnly {
+		counts := sc.gs.counts
+		for _, g := range gids {
+			counts[g]++
 		}
-		g := sc.flatRemap[key]
-		if g < 0 {
-			for k := 0; k < nK; k++ {
-				gc[k] = sc.keyScratch[k][r]
-			}
-			g = ga.assignGlobal(gc, lo+int32(r))
-			sc.flatRemap[key] = g
-		}
-		if sc.countOnly {
-			if need := int(g) + 1; need > len(sc.counts) {
-				sc.counts = growI64(sc.counts, need)
-			}
-			sc.counts[g]++
-			continue
-		}
-		if need := (int(g) + 1) * nA; need > len(sc.states) {
-			sc.states = growStates(sc.states, need)
-		}
-		base := int(g) * nA
-		for ai := 0; ai < nA; ai++ {
-			cc := p.aggs[ai]
-			if cc == nil { // count(*)
-				sc.states[base+ai].count++
-				continue
-			}
-			foldCompressedRun(&sc.states[base+ai], aCols[ai].spec.Func, cc,
-				sc.aggScratch[ai][r], 1, p, int(lo)+r, nK+ai, sumNeedsF[ai])
+		return
+	}
+	for ai, ac := range aCols {
+		st := sc.gs.aggs[ai]
+		if p.rows != nil {
+			sc.foldFlat(p, ai, st, ac.spec.Func, lo)
+		} else {
+			sc.foldCodes(p, ai, st, ac.spec.Func, lo, sumNeedsF[ai])
 		}
 	}
-	return true
+}
+
+// keyCodes returns, per key column, the global codes of rows [lo, hi):
+// a dense part's codes are read in place when they need no translation,
+// everything else is decoded (and translated) into scratch.
+func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
+	for k, kc := range p.keys {
+		xl := sc.ga.xlat[k]
+		if kc.dense != nil && xl == nil {
+			sc.keyVecs[k] = kc.dense[lo:hi]
+			continue
+		}
+		s := growI32(sc.keyScratch[k], int(hi-lo))
+		sc.keyScratch[k] = s
+		if kc.dense != nil {
+			for i, c := range kc.dense[lo:hi] {
+				s[i] = xl[c]
+			}
+		} else {
+			kc.decodeRange(lo, hi, s)
+			if xl != nil {
+				for i, c := range s {
+					s[i] = xl[c]
+				}
+			}
+		}
+		sc.keyVecs[k] = s
+	}
+	return sc.keyVecs
+}
+
+// foldFlat folds aggregate ai of a dense part into st over the range
+// starting at part-local row lo whose group ids are sc.gids, per row
+// from the flat buffers — the reference fold, row by row: each row's
+// own kind decides Int vs Float, and Min/Max compare the boxed row
+// values.
+func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int32) {
+	gids := sc.gids
+	col := p.flats[ai]
+	if col == nil { // count(*)
+		for _, g := range gids {
+			st[g].count++
+		}
+		return
+	}
+	hi := int(lo) + len(gids)
+	kinds := col.Kinds[lo:hi]
+	switch f {
+	case Count:
+		for r, g := range gids {
+			if kinds[r] != value.Null {
+				st[g].count++
+			}
+		}
+	case Sum, Avg:
+		f64 := col.F64[lo:hi]
+		var i64 []int64
+		if col.I64 != nil {
+			i64 = col.I64[lo:hi]
+		}
+		for r, g := range gids {
+			switch kinds[r] {
+			case value.Int:
+				s := &st[g]
+				s.sumI += i64[r]
+				s.sumF += f64[r]
+				s.count++
+			case value.Float:
+				s := &st[g]
+				s.sumF += f64[r]
+				s.anyFloat = true
+				s.count++
+			}
+		}
+	case Min, Max:
+		rows, ci := p.rows[lo:hi], p.cols[len(p.keys)+ai]
+		for r, g := range gids {
+			if kinds[r] != value.Null {
+				st[g].extend(rows[r][ci], f)
+			}
+		}
+	}
+}
+
+// foldCodes folds aggregate ai of a sealed part into st over the range
+// starting at part-local row lo whose group ids are sc.gids, decoding
+// the argument's codes once and folding each row as a run of one.
+func (sc *gbScan) foldCodes(p *compPart, ai int, st []aggState, f AggFunc, lo int32, needF bool) {
+	gids := sc.gids
+	cc := p.aggs[ai]
+	if cc == nil { // count(*)
+		for _, g := range gids {
+			st[g].count++
+		}
+		return
+	}
+	codes := growI32(sc.aggScratch, len(gids))
+	sc.aggScratch = codes
+	cc.decodeRange(lo, lo+int32(len(gids)), codes)
+	slot := len(p.keys) + ai
+	for r, g := range gids {
+		foldCompressedRun(&st[g], f, cc, codes[r], 1, p, int(lo)+r, slot, needF)
+	}
 }
 
 // growI32 returns a length-n int32 slice reusing buf's capacity.
@@ -558,45 +706,11 @@ func growI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// growI64 extends a zero-filled int64 slice to need elements, doubling
-// capacity (the spare region is zeroed at allocation, like growStates).
-func growI64(c []int64, need int) []int64 {
-	if need <= cap(c) {
-		return c[:need]
-	}
-	grown := make([]int64, need, 2*need)
-	copy(grown, c)
-	return grown
-}
-
-// countOnlyAggs reports whether every aggregate is count(*) — the case
-// the scans accumulate as bare int64 counts.
-func countOnlyAggs(aCols []aggCol) bool {
-	for _, ac := range aCols {
-		if ac.spec.Func != Count || ac.idx >= 0 {
-			return false
-		}
-	}
-	return len(aCols) > 0
-}
-
-// countStates expands per-group counts into aggState records for
-// materializeGroups (every count(*) column reports the group's row
-// count).
-func countStates(counts []int64, nG, nA int) []aggState {
-	states := make([]aggState, nG*nA)
-	for g := 0; g < nG && g < len(counts); g++ {
-		for ai := 0; ai < nA; ai++ {
-			states[g*nA+ai].count = counts[g]
-		}
-	}
-	return states
-}
-
-func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
-	if sc.scanFlat(p, pi, lo, hi, aCols, sumNeedsF) {
-		return
-	}
+// scanRuns walks the merged key runs of rows [lo, hi) of a sealed part
+// (runs straddling the range are clamped; clamping only splits a fold
+// the per-row reference performs row-wise anyway), resolving one group
+// and folding every aggregate once per merged run.
+func (sc *gbScan) scanRuns(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
 	nK, nA := len(sc.kcur), len(aCols)
 	sc.ga.beginPart(p, pi)
 	for k := 0; k < nK; k++ {
@@ -617,22 +731,18 @@ func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNe
 			sc.codes[k] = sc.kcur[k].code
 		}
 		gid := sc.ga.assign(sc.codes, pos)
-		if sc.countOnly {
-			if need := int(gid) + 1; need > len(sc.counts) {
-				sc.counts = growI64(sc.counts, need)
-			}
-			sc.counts[gid] += int64(segEnd - pos)
+		gs := sc.gs
+		gs.grow(int(gid) + 1)
+		if gs.countOnly {
+			gs.counts[gid] += int64(segEnd - pos)
 			pos = segEnd
 			continue
 		}
-		if need := (int(gid) + 1) * nA; need > len(sc.states) {
-			sc.states = growStates(sc.states, need)
-		}
-		base := int(gid) * nA
 		for ai := 0; ai < nA; ai++ {
+			st := &gs.aggs[ai][gid]
 			cc := p.aggs[ai]
 			if cc == nil { // count(*)
-				sc.states[base+ai].count += int64(segEnd - pos)
+				st.count += int64(segEnd - pos)
 				continue
 			}
 			cur := &sc.acur[ai]
@@ -642,7 +752,7 @@ func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNe
 				if e > segEnd {
 					e = segEnd
 				}
-				foldCompressedRun(&sc.states[base+ai], aCols[ai].spec.Func, cc,
+				foldCompressedRun(st, aCols[ai].spec.Func, cc,
 					cur.code, int(e-q), p, int(q), nK+ai, sumNeedsF[ai])
 				q = e
 			}
@@ -651,9 +761,27 @@ func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNe
 	}
 }
 
+// groupParts runs one sequential grouping scan over every part in
+// order: nK key columns resolved to groups, aCols folded into states.
+func groupParts(parts []*compPart, nK int, aCols []aggCol) *gbScan {
+	sumNeedsF := sumNeedsFFor(parts, aCols)
+	sc := newGbScan(nK, aCols, false)
+	rows := 0
+	for _, p := range parts {
+		rows += p.n
+	}
+	sc.ga.setFlat(globalKeyDims(parts, nK), rows)
+	for pi, p := range parts {
+		if p.n > 0 {
+			sc.scanRange(p, int32(pi), 0, int32(p.n), aCols, sumNeedsF)
+		}
+	}
+	return sc
+}
+
 // materializeGroups builds the grouped output table from the final
 // group table (first-appearance refs) and aggregate states.
-func materializeGroups(parts []*compPart, firsts []partRef, states []aggState,
+func materializeGroups(parts []*compPart, firsts []partRef, gs *groupStates,
 	nK int, aCols []aggCol, sch Schema) *Table {
 
 	nG, nA := len(firsts), len(aCols)
@@ -664,43 +792,21 @@ func materializeGroups(parts []*compPart, firsts []partRef, states []aggState,
 	for g := 0; g < nG; g++ {
 		row := slab[g*width : (g+1)*width : (g+1)*width]
 		fr := firsts[g]
-		p := parts[fr.part]
-		for k := 0; k < nK; k++ {
-			row[k] = p.val(int(fr.row), k)
-		}
+		parts[fr.part].keysAt(int(fr.row), row[:nK])
 		for ai := 0; ai < nA; ai++ {
-			row[nK+ai] = states[g*nA+ai].result(aCols[ai].spec.Func)
+			row[nK+ai] = gs.result(g, ai, aCols[ai].spec.Func)
 		}
 		out.rows[g] = row
 	}
 	return out
 }
 
-// groupByCompressedParts evaluates GroupBy over the concatenation of
-// parts. nK is the number of group columns; aCols carries the aggregate
-// specs (aggCol.idx is unused here — part.aggs already resolved the
-// argument columns). The output matches the reference GroupBy bitwise.
-func groupByCompressedParts(parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
-	sumNeedsF := sumNeedsFFor(parts, aCols)
-	sc := newGbScan(nK, len(aCols), false)
-	sc.countOnly = countOnlyAggs(aCols)
-	if nK > 0 {
-		sc.flatDims = globalKeyDims(parts, nK)
-		for _, p := range parts {
-			sc.flatBudget += p.n
-		}
-	}
-	for pi, p := range parts {
-		if p.n == 0 {
-			continue
-		}
-		sc.scanRange(p, int32(pi), 0, int32(p.n), aCols, sumNeedsF)
-	}
-	states := sc.states
-	if sc.countOnly {
-		states = countStates(sc.counts, len(sc.ga.firsts), len(aCols))
-	}
-	return materializeGroups(parts, sc.ga.firsts, states, nK, aCols, sch)
+// groupByParts evaluates GroupBy over the concatenation of parts. nK is
+// the number of group columns; aCols carries the aggregate specs. The
+// output matches the reference GroupBy bitwise.
+func groupByParts(parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
+	sc := groupParts(parts, nK, aCols)
+	return materializeGroups(parts, sc.ga.firsts, sc.gs, nK, aCols, sch)
 }
 
 // foldCompressedRun folds one equal-code run of an aggregate argument
@@ -741,85 +847,45 @@ func foldCompressedRun(st *aggState, f AggFunc, cc *CompressedCol,
 			st.anyFloat = true
 			st.count += int64(k)
 		}
-	case Min:
+	case Min, Max:
 		if kind == value.Null {
 			return
 		}
-		if !st.seen || value.Compare(cc.dict[code], st.minV) < 0 {
-			st.minV = p.val(firstRow, slot)
-		}
-		st.seen = true
-	case Max:
-		if kind == value.Null {
-			return
-		}
-		if !st.seen || value.Compare(cc.dict[code], st.maxV) > 0 {
-			st.maxV = p.val(firstRow, slot)
+		// One Compare per run against the dictionary value; a win stores
+		// the run's first row, the value the per-row fold would keep.
+		if c := value.Compare(cc.dict[code], st.ext); !st.seen || f == Min && c < 0 || f == Max && c > 0 {
+			st.ext = p.val(firstRow, slot)
 		}
 		st.seen = true
 	}
 }
 
-// countGroupsParts counts distinct key combinations across parts — the
-// grouping walk of groupByCompressedParts without aggregate state.
-func countGroupsParts(parts []*compPart, nK int) int {
-	ga := newGroupAssign(nK)
-	kcur := make([]runCur, nK)
-	codes := make([]int32, nK)
-	for pi, p := range parts {
-		if p.n == 0 {
-			continue
-		}
-		ga.beginPart(p, int32(pi))
-		for k := 0; k < nK; k++ {
-			kcur[k].init(p.keys[k])
-		}
-		n := int32(p.n)
-		for pos := int32(0); pos < n; {
-			segEnd := n
-			for k := 0; k < nK; k++ {
-				kcur[k].seek(pos)
-				if kcur[k].end < segEnd {
-					segEnd = kcur[k].end
-				}
-				codes[k] = kcur[k].code
-			}
-			ga.assign(codes, pos)
-			pos = segEnd
+// countDistinctParts counts distinct key combinations across parts. A
+// single column unions the part dictionaries (O(distinct values), no
+// row walk); multi-column sets run the grouping scan without aggregates.
+func countDistinctParts(parts []*compPart, nK int) int {
+	if nK != 1 {
+		return len(groupParts(parts, nK, nil).ga.firsts)
+	}
+	if len(parts) == 1 {
+		return len(parts[0].keys[0].dict)
+	}
+	seen := make(map[string]struct{})
+	var buf []byte
+	for _, p := range parts {
+		for _, v := range p.keys[0].dict {
+			buf = v.AppendKey(buf[:0])
+			seen[string(buf)] = struct{}{}
 		}
 	}
-	return len(ga.firsts)
+	return len(seen)
 }
 
-// distinctParts returns the first-appearance partRef of every distinct
-// key combination across parts, in first-appearance order.
-func distinctParts(parts []*compPart, nK int) []partRef {
-	ga := newGroupAssign(nK)
-	kcur := make([]runCur, nK)
-	codes := make([]int32, nK)
-	for pi, p := range parts {
-		if p.n == 0 {
-			continue
-		}
-		ga.beginPart(p, int32(pi))
-		for k := 0; k < nK; k++ {
-			kcur[k].init(p.keys[k])
-		}
-		n := int32(p.n)
-		for pos := int32(0); pos < n; {
-			segEnd := n
-			for k := 0; k < nK; k++ {
-				kcur[k].seek(pos)
-				if kcur[k].end < segEnd {
-					segEnd = kcur[k].end
-				}
-				codes[k] = kcur[k].code
-			}
-			ga.assign(codes, pos)
-			pos = segEnd
-		}
-	}
-	return ga.firsts
+// distinctParts returns the distinct key combinations across parts, in
+// first-appearance order, as a table of schema sch.
+func distinctParts(parts []*compPart, sch Schema) *Table {
+	firsts := groupParts(parts, len(sch), nil).ga.firsts
+	return materializeGroups(parts, firsts, nil, len(sch), nil, sch)
 }
 
 // selectEqPlanParts resolves an equality probe against every part's
@@ -850,151 +916,35 @@ func selectEqPlanParts(parts []*compPart, vals value.Tuple) (want [][]int32, div
 	return want, false
 }
 
-// compressedPart assembles the single compPart of an in-memory Table
-// for a query touching key columns gIdx and aggregate columns aCols.
-// ok is false unless every touched column has a current compressed view
-// covering exactly the live row count — the staleness check that keeps
-// a view built before an append from serving the longer table.
-func (t *Table) compressedPart(gIdx []int, aCols []aggCol) (*compPart, bool) {
-	c := t.cols.Load()
-	if c == nil {
-		return nil, false
+// selectEqPart emits, in row order, the part-local row ranges where
+// every probed column carries its wanted code: sealed parts answer from
+// their code-span indexes, dense parts scan their codes in place.
+func selectEqPart(p *compPart, want []int32, emit func(lo, hi int32)) {
+	if p.rows == nil {
+		selectEqSpans(p, want, emit)
+		return
 	}
-	n := len(t.rows)
-	p := &compPart{n: n, solo: true}
-	p.keys = make([]*CompressedCol, len(gIdx))
-	for i, ci := range gIdx {
-		cc := c.Compressed(ci)
-		if cc == nil || cc.n != n {
-			return nil, false
+	n := p.n
+	k0, w0, rest := p.keys[0].dense[:n], want[0], p.keys[1:]
+	matches := func(r int) bool {
+		if k0[r] != w0 {
+			return false
 		}
-		p.keys[i] = cc
+		for k, kc := range rest {
+			if kc.dense[r] != want[k+1] {
+				return false
+			}
+		}
+		return true
 	}
-	p.aggs = make([]*CompressedCol, len(aCols))
-	for i, ac := range aCols {
-		if ac.idx < 0 {
+	for r := 0; r < n; r++ {
+		// Most rows fail the first key: keep that compare inline.
+		if k0[r] != w0 || !matches(r) {
 			continue
 		}
-		cc := c.Compressed(ac.idx)
-		if cc == nil || cc.n != n {
-			return nil, false
+		lo := r
+		for r++; r < n && matches(r); r++ {
 		}
-		p.aggs[i] = cc
-	}
-	rows := t.rows
-	nK := len(gIdx)
-	p.val = func(row, slot int) value.V {
-		if slot < nK {
-			return rows[row][gIdx[slot]]
-		}
-		return rows[row][aCols[slot-nK].idx]
-	}
-	return p, true
-}
-
-// groupByCompressed runs GroupBy over the table's compressed views,
-// returning nil when any touched column lacks a current view (the
-// caller then uses the columnar kernel). Some aggregate/column pairs
-// also decline — see aggDeclinesCompressed.
-func (t *Table) groupByCompressed(gIdx []int, aCols []aggCol, sch Schema) *Table {
-	part, ok := t.compressedPart(gIdx, aCols)
-	if !ok {
-		return nil
-	}
-	for i, ac := range aCols {
-		if aggDeclinesCompressed(ac.spec.Func, part.aggs[i]) {
-			return nil
-		}
-	}
-	return groupByCompressedPartsPool(t.queryPool(), []*compPart{part}, len(gIdx), aCols, sch)
-}
-
-// aggDeclinesCompressed reports whether folding spec f over cc must be
-// left to the per-row reference: Min/Max over a NaN-containing column
-// (NaN compares equal to every numeric, so first-encounter tie-breaking
-// is load-bearing), and Sum/Avg over a mixed-kind column (the fold reads
-// kinds from the dictionary, but the result's Int-vs-Float kind depends
-// on the actual per-row kinds).
-func aggDeclinesCompressed(f AggFunc, cc *CompressedCol) bool {
-	if cc == nil {
-		return false
-	}
-	switch f {
-	case Min, Max:
-		return cc.hasNaN
-	case Sum, Avg:
-		return cc.mixedKind
-	}
-	return false
-}
-
-// selectEqCompressed answers SelectEq from the compressed views,
-// appending matching rows to out. It reports false when the query
-// cannot be served compressed — missing/stale views, or a probe where
-// code equality diverges from value.Equal — in which case out is
-// untouched and the caller falls through to the columnar/row paths.
-func (t *Table) selectEqCompressed(out *Table, idx []int, vals value.Tuple) bool {
-	part, ok := t.compressedPart(idx, nil)
-	if !ok {
-		return false
-	}
-	want, divergent := selectEqPlanParts([]*compPart{part}, vals)
-	if divergent {
-		return false
-	}
-	if want[0] == nil {
-		return true // some probed value absent from a dictionary: no rows
-	}
-	rows := t.rows
-	emit := func(lo, hi int32) {
-		out.rows = append(out.rows, rows[lo:hi]...)
-	}
-	// Sealed (non-dense) views answer from the code-span index; the
-	// emitted ranges are identical to the merged-run scan's.
-	if !selectEqSpans(part, want[0], emit) {
-		selectEqRuns(part, want[0], emit)
-	}
-	return true
-}
-
-// countDistinctCompressed answers CountDistinct from the compressed
-// views (ok=false when any view is missing or stale).
-func (t *Table) countDistinctCompressed(idx []int) (int, bool) {
-	part, ok := t.compressedPart(idx, nil)
-	if !ok {
-		return 0, false
-	}
-	if len(idx) == 1 {
-		return len(part.keys[0].dict), true
-	}
-	return countGroupsParts([]*compPart{part}, len(idx)), true
-}
-
-// selectEqRuns walks the merged key runs of one part and emits the
-// half-open local row ranges where every probed column carries its
-// wanted code.
-func selectEqRuns(p *compPart, want []int32, emit func(lo, hi int32)) {
-	nK := len(want)
-	kcur := make([]runCur, nK)
-	for k := 0; k < nK; k++ {
-		kcur[k].init(p.keys[k])
-	}
-	n := int32(p.n)
-	for pos := int32(0); pos < n; {
-		segEnd := n
-		match := true
-		for k := 0; k < nK; k++ {
-			kcur[k].seek(pos)
-			if kcur[k].end < segEnd {
-				segEnd = kcur[k].end
-			}
-			if kcur[k].code != want[k] {
-				match = false
-			}
-		}
-		if match {
-			emit(pos, segEnd)
-		}
-		pos = segEnd
+		emit(int32(lo), int32(r))
 	}
 }

@@ -109,42 +109,133 @@ func randomAggs(rng *rand.Rand, t *Table) []AggSpec {
 	return aggs
 }
 
+// kernelTarget is one relation the kernel differentials evaluate, next
+// to the ForceRowPath reference over the same logical rows.
+type kernelTarget struct {
+	label string
+	rel   Relation
+	ref   *Table
+}
+
+// kernelTargets presents tab to the differential suites four ways: as a
+// dense Table (one solo part) and as a SegTable of two sealed segments
+// plus a tail, each at pool width 1 and 4. Sealed segments canonicalize
+// AppendKey-equal values to one representative (Int(1) vs Float(1)),
+// so the SegTable's reference is built from the rows it reads back;
+// its tail keeps the mixed kinds as stored.
+func kernelTargets(t *testing.T, tab *Table) []kernelTarget {
+	t.Helper()
+	var out []kernelTarget
+	for _, width := range []int{1, 4} {
+		dense := tab.Clone()
+		dense.SetPool(NewPool(width))
+		st := segTableFromTable(t, tab, 2)
+		st.SetPool(NewPool(width))
+		out = append(out,
+			kernelTarget{fmt.Sprintf("table/w%d", width), dense, tab.Clone().ForceRowPath(true)},
+			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, readBack(t, st).ForceRowPath(true)})
+	}
+	return out
+}
+
+// readBack copies a SegTable's rows, as its scans return them, into a
+// Table.
+func readBack(t *testing.T, st *SegTable) *Table {
+	t.Helper()
+	out := NewTable(st.Schema())
+	if err := st.ScanRows(0, st.NumRows(), func(row value.Tuple) error {
+		return out.Append(row.Clone())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// kernelTable is randomTable plus a high-cardinality float column "hf"
+// (distinct values, an occasional Int or NULL), so Sum/Avg also fold
+// long float chains where every row is its own dictionary class.
+func kernelTable(rng *rand.Rand, n, width int) *Table {
+	src := randomTable(rng, n, width)
+	sch := append(src.Schema().Clone(), Column{Name: "hf", Kind: value.Null})
+	out := NewTable(sch)
+	for i, r := range src.Rows() {
+		var hf value.V
+		switch rng.Intn(10) {
+		case 0:
+			hf = value.NewNull()
+		case 1:
+			hf = value.NewInt(int64(i))
+		default:
+			hf = value.NewFloat(rng.Float64() * 1e6)
+		}
+		out.MustAppend(append(r.Clone(), hf))
+	}
+	return out
+}
+
+// TestGroupByColumnarDifferential pins GroupBy on every kernel target to
+// the row-path reference: random key sets and aggregates over mixed
+// Int/Float classes, NULL and NaN keys, plus the global group and
+// Min/Max/Sum/Avg over every column (NaN with Min/Max, high-cardinality
+// float sums) on each table.
 func TestGroupByColumnarDifferential(t *testing.T) {
+	setMorselTarget(t, 16)
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, rng.Intn(200), 2+rng.Intn(3))
-		ref := tab.Clone().ForceRowPath(true)
+		tab := kernelTable(rng, rng.Intn(400), 2+rng.Intn(3))
+		names := tab.Schema().Names()
+		every := []AggSpec{{Func: Count}}
+		for _, c := range names {
+			every = append(every, AggSpec{Func: Min, Arg: c}, AggSpec{Func: Max, Arg: c},
+				AggSpec{Func: Sum, Arg: c}, AggSpec{Func: Avg, Arg: c})
+		}
+		queries := []struct {
+			cols []string
+			aggs []AggSpec
+		}{
+			{nil, every},
+			{names[:1], every},
+		}
 		for trial := 0; trial < 4; trial++ {
-			cols := randomCols(rng, tab, 1+rng.Intn(3))
-			aggs := randomAggs(rng, tab)
-			got, err := tab.GroupBy(cols, aggs)
-			if err != nil {
-				t.Fatal(err)
+			queries = append(queries, struct {
+				cols []string
+				aggs []AggSpec
+			}{randomCols(rng, tab, 1+rng.Intn(3)), randomAggs(rng, tab)})
+		}
+		for _, kt := range kernelTargets(t, tab) {
+			for _, q := range queries {
+				got, err := kt.rel.GroupBy(q.cols, q.aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kt.ref.GroupBy(q.cols, q.aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, got, want,
+					fmt.Sprintf("seed %d %s GroupBy(%v, %v)", seed, kt.label, q.cols, q.aggs))
 			}
-			want, err := ref.GroupBy(cols, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesIdentical(t, got, want,
-				fmt.Sprintf("seed %d GroupBy(%v, %v)", seed, cols, aggs))
 		}
 	}
 }
 
+// eqProbes are SelectEq values where code equality and value.Equal can
+// diverge (NaN, magnitudes at and past 2^53) or that no row holds.
+var eqProbes = []value.V{
+	value.NewNull(),
+	value.NewFloat(math.NaN()),
+	value.NewInt(1 << 53),
+	value.NewInt(1<<53 + 1),
+	value.NewFloat(float64(int64(1) << 53)),
+	value.NewFloat(2.5),
+	value.NewString("absent"),
+}
+
 func TestSelectEqColumnarDifferential(t *testing.T) {
-	pathological := []value.V{
-		value.NewNull(),
-		value.NewFloat(math.NaN()),
-		value.NewInt(1 << 53),
-		value.NewInt(1<<53 + 1),
-		value.NewFloat(float64(int64(1) << 53)),
-		value.NewFloat(2.5),
-		value.NewString("absent"),
-	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(150), 2+rng.Intn(3))
-		ref := tab.Clone().ForceRowPath(true)
+		targets := kernelTargets(t, tab)
 		for trial := 0; trial < 8; trial++ {
 			cols := randomCols(rng, tab, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
@@ -154,19 +245,21 @@ func TestSelectEqColumnarDifferential(t *testing.T) {
 					ci := tab.Schema().Index(c)
 					vals[i] = tab.Row(rng.Intn(tab.NumRows()))[ci]
 				} else {
-					vals[i] = pathological[rng.Intn(len(pathological))]
+					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
 			}
-			got, err := tab.SelectEq(cols, vals)
-			if err != nil {
-				t.Fatal(err)
+			for _, kt := range targets {
+				got, err := kt.rel.SelectEq(cols, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kt.ref.SelectEq(cols, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, got, want,
+					fmt.Sprintf("seed %d %s SelectEq(%v, %s)", seed, kt.label, cols, vals))
 			}
-			want, err := ref.SelectEq(cols, vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesIdentical(t, got, want,
-				fmt.Sprintf("seed %d SelectEq(%v, %s)", seed, cols, vals))
 		}
 	}
 }
@@ -175,30 +268,82 @@ func TestCountDistinctColumnarDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(150), 2+rng.Intn(3))
-		ref := tab.Clone().ForceRowPath(true)
+		targets := kernelTargets(t, tab)
 		for trial := 0; trial < 4; trial++ {
 			cols := randomCols(rng, tab, 1+rng.Intn(3))
-			got, err := tab.CountDistinct(cols)
+			for _, kt := range targets {
+				label := fmt.Sprintf("seed %d %s", seed, kt.label)
+				got, err := kt.rel.CountDistinct(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kt.ref.CountDistinct(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s CountDistinct(%v): got %d, want %d", label, cols, got, want)
+				}
+				gotP, err := kt.rel.DistinctProject(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantP, err := kt.ref.DistinctProject(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, gotP, wantP, fmt.Sprintf("%s DistinctProject(%v)", label, cols))
+			}
+		}
+	}
+}
+
+// TestAppendMixedKindSum: a Float(1) appended after the column's view
+// was built joins the dictionary class whose representative is Int(1);
+// Sum over the column must still turn Float, on Table and SegTable.
+func TestAppendMixedKindSum(t *testing.T) {
+	sch := Schema{{Name: "g", Kind: value.Null}, {Name: "v", Kind: value.Null}}
+	ints := []value.Tuple{
+		{value.NewString("a"), value.NewInt(1)},
+		{value.NewString("a"), value.NewInt(1)},
+	}
+	tab := NewTable(sch)
+	if err := tab.AppendRows(ints); err != nil {
+		t.Fatal(err)
+	}
+	st := segTableFromTable(t, tab, 1)
+	aggs := []AggSpec{{Func: Sum, Arg: "v"}, {Func: Avg, Arg: "v"}}
+	for _, rel := range []MutableRelation{tab, st} {
+		// Build the views: v as a key (dictionary) and as an argument.
+		for _, cols := range [][]string{{"g"}, {"v"}} {
+			if _, err := rel.GroupBy(cols, aggs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rel.AppendRows([]value.Tuple{{value.NewString("a"), value.NewFloat(1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := NewTable(sch)
+	if err := ref.AppendRows(append(append([]value.Tuple{}, ints...), value.Tuple{value.NewString("a"), value.NewFloat(1)})); err != nil {
+		t.Fatal(err)
+	}
+	ref.ForceRowPath(true)
+	for _, rel := range []Relation{tab, st} {
+		for _, cols := range [][]string{{"g"}, {"v"}} {
+			got, err := rel.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.CountDistinct(cols)
+			want, err := ref.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("seed %d CountDistinct(%v): got %d, want %d", seed, cols, got, want)
+			label := fmt.Sprintf("%T GroupBy(%v)", rel, cols)
+			tablesIdentical(t, got, want, label)
+			if sum := got.Row(0)[1]; sum.Kind() != value.Float || sum.Float() != 3 {
+				t.Fatalf("%s: sum = %s (%s), want Float(3)", label, sum, sum.Kind())
 			}
-			gotP, err := tab.DistinctProject(cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantP, err := ref.DistinctProject(cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesIdentical(t, gotP, wantP,
-				fmt.Sprintf("seed %d DistinctProject(%v)", seed, cols))
 		}
 	}
 }
@@ -492,30 +637,6 @@ func benchTable(n int) *Table {
 		})
 	}
 	return t
-}
-
-func BenchmarkGroupByPaths(b *testing.B) {
-	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "m"}}
-	cols := []string{"a", "b"}
-	for _, mode := range []string{"columnar", "row"} {
-		b.Run(mode, func(b *testing.B) {
-			tab := benchTable(20000)
-			tab.ForceRowPath(mode == "row")
-			tab.Columns() // exclude the one-time encode from the row/columnar delta
-			if mode == "columnar" {
-				if _, err := tab.GroupBy(cols, aggs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tab.GroupBy(cols, aggs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSelectEqDrilldown measures repeated point lookups — the

@@ -27,11 +27,6 @@ type Columnar struct {
 	mu    sync.Mutex // serializes column builds (misses only)
 	cols  []atomic.Pointer[Col]
 	flats []atomic.Pointer[Col]
-	// comp caches opt-in compressed views (Table.CompressColumns).
-	// Appends drop them atomically (see extendColumnar) — a compressed
-	// view is immutable, so unlike cols/flats it cannot be extended in
-	// place — and kernels double-check NumRows before trusting one.
-	comp []atomic.Pointer[CompressedCol]
 }
 
 // NumRows reports the number of rows in the snapshot.
@@ -107,6 +102,7 @@ type Col struct {
 	nulls     []uint64         // null bitmap, bit i ↔ row i
 	nullCount int
 	hasNaN    bool
+	hasFloat  bool // any Float row: a Sum over the column may read sumF
 
 	// ranks maps each code to its dense value.Compare rank (NULL first,
 	// numerics by magnitude, strings last; Compare-equal codes — e.g.
@@ -147,6 +143,7 @@ func buildCol(rows []value.Tuple, ci int, withDict bool) *Col {
 			f := v.Float()
 			c.F64[i] = f
 			c.Num[i] = true
+			c.hasFloat = true
 			if math.IsNaN(f) {
 				c.hasNaN = true
 			}
@@ -252,43 +249,6 @@ func (c *Col) RankCodes() ([]int32, int32, bool) {
 	return out, c.numRanks, true
 }
 
-// Compressed returns the cached compressed view of column ci, or nil
-// when none has been built (CompressColumns) or an append dropped it.
-// Callers must additionally check NumRows against the live table before
-// use; the kernels' dispatchers do.
-func (c *Columnar) Compressed(ci int) *CompressedCol {
-	if c.comp == nil {
-		return nil
-	}
-	return c.comp[ci].Load()
-}
-
-// CompressColumns builds compressed views (run-length or bit-packed
-// dictionary codes, see CompressedCol) of the named columns — all
-// columns when none are named — and caches them on the columnar view.
-// Compressed views are strictly opt-in: operators use them only when
-// every column a query touches has a current view, so default Table
-// behaviour is unchanged. An append invalidates the views (they are
-// immutable, sealed encodings); re-calling CompressColumns rebuilds
-// them over the longer table.
-func (t *Table) CompressColumns(cols ...string) error {
-	if len(cols) == 0 {
-		cols = t.schema.Names()
-	}
-	idx, err := t.schema.Indices(cols)
-	if err != nil {
-		return err
-	}
-	c := t.Columns()
-	for _, ci := range idx {
-		col := c.Col(ci)
-		cc := compressCodes(col.Codes, col.Dict)
-		cc.markMixedKinds(col.Kinds, col.Codes)
-		c.comp[ci].Store(cc)
-	}
-	return nil
-}
-
 // maxExactFloat bounds the range in which AppendKey equality classes
 // and value.Compare equality classes coincide for numerics: at
 // magnitude ≥ 2^53, AppendKey-distinct integers can round to the same
@@ -325,7 +285,6 @@ func (t *Table) Columns() *Columnar {
 		rows:  t.rows,
 		cols:  make([]atomic.Pointer[Col], len(t.schema)),
 		flats: make([]atomic.Pointer[Col], len(t.schema)),
-		comp:  make([]atomic.Pointer[CompressedCol], len(t.schema)),
 	}
 	t.cols.Store(c)
 	return c
@@ -358,121 +317,3 @@ func (t *Table) ForceRowPath(on bool) *Table {
 // propagation), letting consumers outside the engine honour the
 // reference-path request in their own columnar fast paths.
 func (t *Table) RowPathForced() bool { return t.rowOnly }
-
-// groupCodes assigns every row a dense group id over the combined
-// dictionary codes of the key columns, in first-appearance order —
-// the same equality classes and ordering the row-oriented GroupBy
-// derives from encoded key bytes. It returns the per-row group ids and,
-// per group, the index of its first row.
-//
-// Three strategies, cheapest first: a single key column maps codes
-// through a direct array; a small cross-dictionary flattens multiple
-// codes into one combined index; otherwise the code vectors are hashed
-// into an open-addressed table sized so no rehash is ever needed.
-func groupCodes(keyCols []*Col, n int) (gidx []int32, first []int32) {
-	gidx = make([]int32, n)
-	if len(keyCols) == 1 {
-		codes := keyCols[0].Codes
-		remap := make([]int32, len(keyCols[0].Dict))
-		for i := range remap {
-			remap[i] = -1
-		}
-		for r := 0; r < n; r++ {
-			g := remap[codes[r]]
-			if g < 0 {
-				g = int32(len(first))
-				remap[codes[r]] = g
-				first = append(first, int32(r))
-			}
-			gidx[r] = g
-		}
-		return gidx, first
-	}
-
-	// Flatten multi-column keys into one combined code when the cross
-	// dictionary stays small relative to the table: the remap array is
-	// then a perfect hash.
-	const maxFlatProduct = 1 << 22
-	prod := 1
-	for _, kc := range keyCols {
-		d := len(kc.Dict)
-		if d == 0 {
-			d = 1
-		}
-		prod *= d
-		if prod > maxFlatProduct || prod > 4*n+64 {
-			prod = -1
-			break
-		}
-	}
-	if prod > 0 {
-		remap := make([]int32, prod)
-		for i := range remap {
-			remap[i] = -1
-		}
-		for r := 0; r < n; r++ {
-			key := 0
-			for _, kc := range keyCols {
-				key = key*len(kc.Dict) + int(kc.Codes[r])
-			}
-			g := remap[key]
-			if g < 0 {
-				g = int32(len(first))
-				remap[key] = g
-				first = append(first, int32(r))
-			}
-			gidx[r] = g
-		}
-		return gidx, first
-	}
-
-	// General case: open-addressed hash of the code vector. Sizing the
-	// table to ≥2n slots up front (group count ≤ n) keeps the load
-	// factor under 1/2 with no rehashing; collisions resolve by
-	// comparing codes against the group's first row.
-	tabSize := 64
-	for tabSize < 2*n {
-		tabSize <<= 1
-	}
-	slots := make([]int32, tabSize)
-	for i := range slots {
-		slots[i] = -1
-	}
-	mask := uint64(tabSize - 1)
-	const fnvOffset, fnvPrime = uint64(14695981039346656037), uint64(1099511628211)
-	for r := 0; r < n; r++ {
-		h := fnvOffset
-		for _, kc := range keyCols {
-			h ^= uint64(uint32(kc.Codes[r]))
-			h *= fnvPrime
-		}
-		slot := h & mask
-		g := int32(-1)
-		for {
-			j := slots[slot]
-			if j < 0 {
-				break
-			}
-			fr := first[j]
-			match := true
-			for _, kc := range keyCols {
-				if kc.Codes[r] != kc.Codes[fr] {
-					match = false
-					break
-				}
-			}
-			if match {
-				g = j
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if g < 0 {
-			g = int32(len(first))
-			first = append(first, int32(r))
-			slots[slot] = g
-		}
-		gidx[r] = g
-	}
-	return gidx, first
-}

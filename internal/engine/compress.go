@@ -19,37 +19,30 @@ import (
 // heap slices.
 //
 // Nulls need no separate bitmap here: NULL is a dictionary value like
-// any other, so nullCode marks the code kernels must treat as NULL
-// (compare Col, whose flat buffers carry an explicit bitmap). All fields
-// are immutable after construction; a CompressedCol is safe for
-// concurrent use.
+// any other (compare Col, whose flat buffers carry an explicit bitmap).
+// All fields are immutable after construction; a CompressedCol is safe
+// for concurrent use.
 type CompressedCol struct {
 	n    int
 	dict []value.V
 
 	// Dictionary metadata decoded once so aggregate folds never touch
 	// boxed values: kind, numeric payloads, and the flags the dispatch
-	// rules check.
+	// rules check. Sealed (RLE/PACK) columns only: a dense view serves
+	// as a key column alone, so it carries just hasNaN.
 	dictKind []value.Kind
 	dictF64  []float64
 	dictI64  []int64
-	nullCode int32 // dictionary code of NULL, -1 when the column has none
 	hasNaN   bool
 	hasFloat bool // any Float value in the dictionary (sumF shortcuts)
-	// mixedKind records that some row's kind differs from its dictionary
-	// representative's — possible because AppendKey folds Int(k) and the
-	// integral Float(k) into one class. Sum/Avg folds read kinds from the
-	// dictionary, so dispatchers decline mixed columns (segment columns
-	// are canonicalized and never mixed).
-	mixedKind bool
 
 	// Exactly one of the three encodings is populated:
 	//   RLE:   runEnds[i] is the exclusive end row of run i, whose code
 	//          is runCodes[i].
 	//   PACK:  codes bit-packed LSB-first into little-endian 64-bit
 	//          words (bitWidth bits each); packed may view mmap'd bytes.
-	//   DENSE: a zero-copy view over a Col's Codes slice (used for the
-	//          uncompressed tail of a SegTable).
+	//   DENSE: a zero-copy view over a Col's Codes slice (the key
+	//          columns of a dense part: a Table, or a SegTable's tail).
 	runEnds  []int32
 	runCodes []int32
 	packed   []byte
@@ -128,21 +121,11 @@ func (cc *CompressedCol) EncodingName() string {
 	}
 }
 
-// NumRows reports the number of rows the column covers. Kernels compare
-// it against the live table length before trusting a cached view — the
-// epoch check that keeps a stale compressed view from ever serving a
-// query after an append.
-func (cc *CompressedCol) NumRows() int { return cc.n }
-
 // NumRuns reports the stored run count (RLE only; 0 otherwise).
 func (cc *CompressedCol) NumRuns() int { return len(cc.runEnds) }
 
 // Dict returns the dictionary (callers must not mutate it).
 func (cc *CompressedCol) Dict() []value.V { return cc.dict }
-
-// HasNaN reports whether any dictionary value is NaN, in which case code
-// equality diverges from value.Equal and kernels must fall back.
-func (cc *CompressedCol) HasNaN() bool { return cc.hasNaN }
 
 // buildDictMeta decodes the dictionary into flat lookup arrays.
 func (cc *CompressedCol) buildDictMeta() {
@@ -150,7 +133,6 @@ func (cc *CompressedCol) buildDictMeta() {
 	cc.dictKind = make([]value.Kind, d)
 	cc.dictF64 = make([]float64, d)
 	cc.dictI64 = make([]int64, d)
-	cc.nullCode = -1
 	for i, v := range cc.dict {
 		k := v.Kind()
 		cc.dictKind[i] = k
@@ -166,8 +148,6 @@ func (cc *CompressedCol) buildDictMeta() {
 			if f != f {
 				cc.hasNaN = true
 			}
-		case value.Null:
-			cc.nullCode = int32(i)
 		}
 	}
 }
@@ -225,9 +205,6 @@ func (cc *CompressedCol) CodeAt(i int) int32 {
 		return cc.runCodes[lo]
 	}
 }
-
-// ValueAt returns the dictionary value of row i.
-func (cc *CompressedCol) ValueAt(i int) value.V { return cc.dict[cc.CodeAt(i)] }
 
 // unpack decodes one bit-packed code. Codes are packed LSB-first into
 // little-endian 64-bit words; a code may straddle two words.
@@ -291,7 +268,7 @@ func runIdx(runEnds []int32, i int32) int {
 }
 
 // runsInRange reports how many maximal equal-code runs cover rows
-// [lo, hi): exact for RLE, hi-lo for PACK and dense (the worst case —
+// [lo, hi): exact for RLE, hi-lo for PACK (the worst case —
 // unsorted payloads decode to run length ~1, which is when the decode
 // pass beats the run walk). Group-by uses it to pick between the two.
 func (cc *CompressedCol) runsInRange(lo, hi int32) int {
@@ -304,15 +281,12 @@ func (cc *CompressedCol) runsInRange(lo, hi int32) int {
 	return runIdx(cc.runEnds, hi-1) - runIdx(cc.runEnds, lo) + 1
 }
 
-// decodeRange materializes the codes of rows [lo, hi) into dst (length
-// hi-lo). PACK blocks fully inside the range unpack straight into dst
-// (no lock, no cache churn); edge blocks go through the decoded-block
-// cache.
+// decodeRange materializes the codes of rows [lo, hi) of a sealed
+// (RLE/PACK) column into dst (length hi-lo). PACK blocks fully inside
+// the range unpack straight into dst (no lock, no cache churn); edge
+// blocks go through the decoded-block cache.
 func (cc *CompressedCol) decodeRange(lo, hi int32, dst []int32) {
-	switch {
-	case cc.dense != nil:
-		copy(dst, cc.dense[lo:hi])
-	case cc.packed != nil:
+	if cc.packed != nil {
 		for pos := lo; pos < hi; {
 			b := int(pos) >> decodeBlockShift
 			bStart := int32(b << decodeBlockShift)
@@ -325,20 +299,20 @@ func (cc *CompressedCol) decodeRange(lo, hi int32, dst []int32) {
 			codes := cc.decodedBlockAt(b)
 			pos += int32(copy(dst[pos-lo:], codes[pos-bStart:]))
 		}
-	default: // RLE
-		i := runIdx(cc.runEnds, lo)
-		for pos := lo; pos < hi; i++ {
-			end := cc.runEnds[i]
-			if end > hi {
-				end = hi
-			}
-			c := cc.runCodes[i]
-			seg := dst[pos-lo : end-lo]
-			for j := range seg {
-				seg[j] = c
-			}
-			pos = end
+		return
+	}
+	i := runIdx(cc.runEnds, lo) // RLE
+	for pos := lo; pos < hi; i++ {
+		end := cc.runEnds[i]
+		if end > hi {
+			end = hi
 		}
+		c := cc.runCodes[i]
+		seg := dst[pos-lo : end-lo]
+		for j := range seg {
+			seg[j] = c
+		}
+		pos = end
 	}
 }
 
@@ -466,42 +440,16 @@ func compressCodes(codes []int32, dict []value.V) *CompressedCol {
 	return cc
 }
 
-// denseView wraps a Col's dense codes as a CompressedCol without copying
-// the code payload — the representation SegTable uses for its
-// uncompressed tail so every kernel consumes one cursor type.
+// denseView presents a Col's dense codes as a key column of the parts
+// kernels in O(1): codes, dictionary, lookup map and NaN flag are the
+// Col's own, nothing is copied or scanned. Only key columns take this
+// view — a dense part reads its aggregate arguments from flat buffers
+// (see compPart) — so the dictionary metadata of aggregate folds is
+// never built for it.
 func denseView(col *Col) *CompressedCol {
-	cc := &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes}
-	cc.buildDictMeta()
-	cc.markMixedKinds(col.Kinds, col.Codes)
+	cc := &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes, hasNaN: col.hasNaN}
+	cc.lookupOnce.Do(func() { cc.lookup = col.lookup })
 	return cc
-}
-
-// markMixedKinds sets mixedKind when any row's kind differs from its
-// dictionary representative's kind.
-func (cc *CompressedCol) markMixedKinds(kinds []value.Kind, codes []int32) {
-	for r, k := range kinds {
-		if k != cc.dictKind[codes[r]] {
-			cc.mixedKind = true
-			return
-		}
-	}
-}
-
-// RunCursor iterates the maximal equal-code runs of a CompressedCol in
-// row order — the exported face of the kernels' internal cursor, used by
-// consumers outside the engine (pattern.SharedFitter intersects
-// partition columns' runs to find fragment boundaries without touching
-// rows). Seek positions must be non-decreasing.
-type RunCursor struct{ c runCur }
-
-// Init binds the cursor to a column and resets it.
-func (rc *RunCursor) Init(cc *CompressedCol) { rc.c.init(cc) }
-
-// Seek advances to the run covering row pos and returns the run's
-// dictionary code and exclusive end row.
-func (rc *RunCursor) Seek(pos int32) (code, end int32) {
-	rc.c.seek(pos)
-	return rc.c.code, rc.c.end
 }
 
 // runCur is a cursor over the maximal equal-code runs of a CompressedCol
@@ -510,8 +458,7 @@ func (rc *RunCursor) Seek(pos int32) (code, end int32) {
 // encodings synthesize runs by coalescing adjacent equal codes during
 // the sequential decode; PACK decodes 1024-code blocks once (through
 // the column's block cache) instead of re-unpacking bits per row, and a
-// run continues across block boundaries so runs stay maximal — which
-// RunCursor consumers (fragment-boundary intersection) rely on.
+// run continues across block boundaries so runs stay maximal.
 type runCur struct {
 	cc   *CompressedCol
 	idx  int   // next RLE run to load
@@ -576,15 +523,6 @@ func (c *runCur) seek(pos int32) {
 		return
 	}
 	n := int32(cc.n)
-	if cc.dense != nil {
-		code := cc.dense[pos]
-		e := pos + 1
-		for e < n && cc.dense[e] == code {
-			e++
-		}
-		c.code, c.end = code, e
-		return
-	}
 	if pos < c.bufLo || pos >= c.bufLo+int32(len(c.buf)) {
 		c.loadBlock(pos)
 	}

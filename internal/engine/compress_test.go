@@ -2,28 +2,34 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"cape/internal/value"
 )
 
-// These tests pin the compressed kernels (CompressColumns dispatch) to
-// the row-oriented reference exactly like the columnar differential
-// suite: same tables, same queries, byte-identical results. The
-// compressed paths additionally cross-check against the plain columnar
-// path so a divergence is attributable.
+// These tests pin the kernels over sealed segments to the row-oriented
+// reference exactly like the columnar differential suite: same random
+// tables, same queries, byte-identical results. Each table is sealed
+// into a SegTable of segments plus a tail; half the tables are first
+// sorted on a column, so long runs make the segment writer choose RLE
+// next to bit-packed payloads. Results are additionally cross-checked
+// against a dense Table over the same rows, so a divergence is
+// attributable.
 
-// compressedClone returns a clone of tab with compressed views over all
-// columns.
-func compressedClone(t *testing.T, tab *Table) *Table {
+// sealedClone seals tab into a SegTable (two segments plus a tail) and
+// returns it with a dense Table over the rows it reads back — segments
+// canonicalize AppendKey-equal values to one representative.
+func sealedClone(t *testing.T, rng *rand.Rand, tab *Table) (*SegTable, *Table) {
 	t.Helper()
-	c := tab.Clone()
-	if err := c.CompressColumns(); err != nil {
-		t.Fatal(err)
+	if rng.Intn(2) == 0 {
+		tab = tab.Clone()
+		if err := tab.SortBy(randomCols(rng, tab, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return c
+	st := segTableFromTable(t, tab, 2)
+	return st, readBack(t, st)
 }
 
 func TestCompressedColRoundTrip(t *testing.T) {
@@ -60,8 +66,8 @@ func TestCompressedColRoundTrip(t *testing.T) {
 			dict[i] = value.NewInt(int64(i))
 		}
 		cc := compressCodes(codes, dict)
-		if cc.NumRows() != len(codes) {
-			t.Fatalf("case %d: NumRows %d != %d", ci, cc.NumRows(), len(codes))
+		if cc.n != len(codes) {
+			t.Fatalf("case %d: %d rows != %d", ci, cc.n, len(codes))
 		}
 		// Random access.
 		for i, want := range codes {
@@ -128,13 +134,12 @@ func TestPackRunsMatchesPackCodes(t *testing.T) {
 func TestGroupByCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, rng.Intn(200), 2+rng.Intn(3))
-		comp := compressedClone(t, tab)
-		ref := tab.Clone().ForceRowPath(true)
+		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(200), 2+rng.Intn(3)))
+		ref := dense.Clone().ForceRowPath(true)
 		for trial := 0; trial < 4; trial++ {
-			cols := randomCols(rng, tab, 1+rng.Intn(3))
-			aggs := randomAggs(rng, tab)
-			got, err := comp.GroupBy(cols, aggs)
+			cols := randomCols(rng, dense, 1+rng.Intn(3))
+			aggs := randomAggs(rng, dense)
+			got, err := st.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,44 +148,34 @@ func TestGroupByCompressedDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			tablesIdentical(t, got, want,
-				fmt.Sprintf("seed %d compressed GroupBy(%v, %v)", seed, cols, aggs))
-			col, err := tab.GroupBy(cols, aggs)
+				fmt.Sprintf("seed %d sealed GroupBy(%v, %v)", seed, cols, aggs))
+			col, err := dense.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tablesIdentical(t, got, col,
-				fmt.Sprintf("seed %d compressed-vs-columnar GroupBy(%v, %v)", seed, cols, aggs))
+				fmt.Sprintf("seed %d sealed-vs-dense GroupBy(%v, %v)", seed, cols, aggs))
 		}
 	}
 }
 
 func TestSelectEqCompressedDifferential(t *testing.T) {
-	pathological := []value.V{
-		value.NewNull(),
-		value.NewFloat(math.NaN()),
-		value.NewInt(1 << 53),
-		value.NewInt(1<<53 + 1),
-		value.NewFloat(float64(int64(1) << 53)),
-		value.NewFloat(2.5),
-		value.NewString("absent"),
-	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, rng.Intn(150), 2+rng.Intn(3))
-		comp := compressedClone(t, tab)
-		ref := tab.Clone().ForceRowPath(true)
+		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
+		ref := dense.Clone().ForceRowPath(true)
 		for trial := 0; trial < 8; trial++ {
-			cols := randomCols(rng, tab, 1+rng.Intn(2))
+			cols := randomCols(rng, dense, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
 			for i, c := range cols {
-				if tab.NumRows() > 0 && rng.Intn(3) > 0 {
-					ci := tab.Schema().Index(c)
-					vals[i] = tab.Row(rng.Intn(tab.NumRows()))[ci]
+				if dense.NumRows() > 0 && rng.Intn(3) > 0 {
+					ci := dense.Schema().Index(c)
+					vals[i] = dense.Row(rng.Intn(dense.NumRows()))[ci]
 				} else {
-					vals[i] = pathological[rng.Intn(len(pathological))]
+					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
 			}
-			got, err := comp.SelectEq(cols, vals)
+			got, err := st.SelectEq(cols, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +184,7 @@ func TestSelectEqCompressedDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			tablesIdentical(t, got, want,
-				fmt.Sprintf("seed %d compressed SelectEq(%v, %s)", seed, cols, vals))
+				fmt.Sprintf("seed %d sealed SelectEq(%v, %s)", seed, cols, vals))
 		}
 	}
 }
@@ -197,12 +192,11 @@ func TestSelectEqCompressedDifferential(t *testing.T) {
 func TestCountDistinctCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, rng.Intn(150), 2+rng.Intn(3))
-		comp := compressedClone(t, tab)
-		ref := tab.Clone().ForceRowPath(true)
+		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
+		ref := dense.Clone().ForceRowPath(true)
 		for trial := 0; trial < 4; trial++ {
-			cols := randomCols(rng, tab, 1+rng.Intn(3))
-			got, err := comp.CountDistinct(cols)
+			cols := randomCols(rng, dense, 1+rng.Intn(3))
+			got, err := st.CountDistinct(cols)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +205,7 @@ func TestCountDistinctCompressedDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("seed %d compressed CountDistinct(%v): got %d, want %d", seed, cols, got, want)
+				t.Fatalf("seed %d sealed CountDistinct(%v): got %d, want %d", seed, cols, got, want)
 			}
 		}
 	}
@@ -221,11 +215,10 @@ func TestCubeCompressedDifferential(t *testing.T) {
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c0"}, {Func: Avg, Arg: "c1"}}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, rng.Intn(80), 3)
-		comp := compressedClone(t, tab)
-		ref := tab.Clone().ForceRowPath(true)
+		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(80), 3))
+		ref := dense.Clone().ForceRowPath(true)
 		cols := []string{"c0", "c1", "c2"}
-		got, err := comp.Cube(cols, 0, 3, aggs)
+		got, err := st.Cube(cols, 0, 3, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,71 +226,59 @@ func TestCubeCompressedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tablesIdentical(t, got, want, fmt.Sprintf("seed %d compressed Cube", seed))
+		tablesIdentical(t, got, want, fmt.Sprintf("seed %d sealed Cube", seed))
 	}
 }
 
-// TestStaleCompressedViewInvalidation is the satellite-1 regression: a
-// compressed view built before an append must never serve the longer
-// table. Appends drop the views; queries issued in between fall back to
-// the (extended-in-place) columnar path and see every row.
+// TestStaleCompressedViewInvalidation: per-query state derived from the
+// table — the tail's dense views, the cached cross-segment dictionary
+// unification — must never serve a table that has since grown. Queries
+// between appends and compactions see every row.
 func TestStaleCompressedViewInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tab := randomTable(rng, 120, 3)
-	if err := tab.CompressColumns(); err != nil {
-		t.Fatal(err)
-	}
+	st := segTableFromTable(t, tab, 2)
 	cols := []string{"c0"}
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c1"}}
-	before, err := tab.GroupBy(cols, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.NumRows() == 0 {
-		t.Fatal("empty grouped result")
-	}
-
-	// Append a batch; the compressed views must be invalidated (not
-	// silently reused at their old length).
-	batch := make([]value.Tuple, 40)
-	for i := range batch {
-		row := make(value.Tuple, 3)
-		for c := range row {
-			row[c] = randomValue(rng)
+	check := func(label string) {
+		t.Helper()
+		got, err := st.GroupBy(cols, aggs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		batch[i] = row
-	}
-	if err := tab.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	c := tab.Columns()
-	for ci := range tab.Schema() {
-		if cc := c.Compressed(ci); cc != nil && cc.NumRows() != tab.NumRows() {
-			t.Fatalf("column %d: stale compressed view (%d rows) survived append to %d rows",
-				ci, cc.NumRows(), tab.NumRows())
+		want, err := readBack(t, st).ForceRowPath(true).GroupBy(cols, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesIdentical(t, got, want, label)
+		if got.NumRows() == 0 {
+			t.Fatalf("%s: empty grouped result", label)
 		}
 	}
-
-	ref := tab.Clone().ForceRowPath(true)
-	got, err := tab.GroupBy(cols, aggs)
-	if err != nil {
+	batch := func() []value.Tuple {
+		rows := make([]value.Tuple, 40)
+		for i := range rows {
+			row := make(value.Tuple, 3)
+			for c := range row {
+				row[c] = randomValue(rng)
+			}
+			rows[i] = row
+		}
+		return rows
+	}
+	check("initial")
+	if err := st.AppendRows(batch()); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.GroupBy(cols, aggs)
-	if err != nil {
+	check("post-append")
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	tablesIdentical(t, got, want, "post-append GroupBy")
-
-	// Rebuilding the views over the longer table works and agrees.
-	if err := tab.CompressColumns(); err != nil {
+	check("post-compact")
+	if err := st.AppendRows(batch()); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := tab.GroupBy(cols, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesIdentical(t, got2, want, "recompressed GroupBy")
+	check("post-compact append")
 }
 
 func FuzzCompressedKernels(f *testing.F) {
@@ -306,8 +287,7 @@ func FuzzCompressedKernels(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n, k uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		tab := randomTable(rng, int(n), 2+int(k%3))
-		comp := compressedClone(t, tab)
+		comp, tab := sealedClone(t, rng, randomTable(rng, int(n), 2+int(k%3)))
 		ref := tab.Clone().ForceRowPath(true)
 		cols := randomCols(rng, tab, 1+int(k%2))
 		aggs := randomAggs(rng, tab)

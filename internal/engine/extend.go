@@ -68,12 +68,6 @@ func (t *Table) extendColumnar(oldLen int) {
 		if col := c.flats[ci].Load(); col != nil {
 			col.extend(t.rows, ci, oldLen, false)
 		}
-		// Compressed views are sealed encodings; drop rather than extend.
-		// The atomic store means a concurrent reader sees either the old
-		// (shorter, row-count-checked) view or none, never a torn one.
-		if c.comp != nil {
-			c.comp[ci].Store(nil)
-		}
 	}
 }
 
@@ -101,6 +95,7 @@ func (c *Col) extend(rows []value.Tuple, ci, oldLen int, withDict bool) {
 		case value.Float:
 			f = v.Float()
 			num = true
+			c.hasFloat = true
 			if math.IsNaN(f) {
 				c.hasNaN = true
 			}

@@ -5,16 +5,14 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-
-	"cape/internal/value"
 )
 
-// Morsel-driven execution: the compressed kernels split their input
-// parts into independent row ranges ("morsels" — each sealed segment
-// plus the append tail, large segments further split on RLE-run
-// boundaries of the leading key column), scan each morsel into a
-// private partial state on a worker of a shared bounded pool, and fold
-// the partials back in fixed segment order. The fold-order discipline
+// Morsel-driven execution: the parts kernels split their input parts
+// into independent row ranges ("morsels" — each sealed segment or dense
+// slab, large ones further split, on RLE-run boundaries of the leading
+// key column where it has them), scan each morsel into a private
+// partial state on a worker of a shared bounded pool, and fold the
+// partials back in fixed part order. The fold-order discipline
 // keeps the output byte-identical to the sequential kernel at any
 // worker count:
 //
@@ -30,8 +28,9 @@ import (
 //     picks the same winner as the sequential fold (ties keep the
 //     earlier morsel's value, i.e. the earlier row's). Aggregates whose
 //     result depends on float summation order (Avg, and Sum over a
-//     column with float values) make the whole query fall back to the
-//     sequential kernel — see morselMergeable.
+//     column with float values) or on NaN tie-breaking (Min/Max over a
+//     column with NaN) make the whole query fall back to the sequential
+//     kernel — see morselMergeable.
 
 // Pool is a bounded worker pool shared by every layer of one mining or
 // explanation run: miners fan attribute sets across it and the engine's
@@ -195,24 +194,25 @@ func splitMorsels(parts []*compPart, target int32) []morsel {
 }
 
 // morselMergeable reports whether every aggregate's per-morsel partial
-// states merge bit-exactly: Count always (associative integer adds),
-// Min/Max always (the strict-Compare first-wins merge reproduces the
-// sequential winner; NaN columns were already declined upstream), and
-// Sum only when no part's argument column contains a float — the
-// result is then the associative integer sumI, and the order-sensitive
-// float mirror sum is never read. Avg, and Sum with float
-// contributions, depend on float summation order, so those queries stay
-// on the sequential kernel.
+// states merge bit-exactly: Count always (associative integer adds);
+// Min/Max unless a part's argument holds NaN (the strict-Compare
+// first-wins merge reproduces the sequential winner only under a total
+// preorder, which NaN — Compare-equal to every numeric — breaks); Sum
+// only when no part's argument holds a float — the result is then the
+// associative integer sumI, and the order-sensitive float mirror sum is
+// never read. Avg, and Sum with float contributions, depend on float
+// summation order. Queries with any declining aggregate stay on the
+// sequential kernel.
 func morselMergeable(parts []*compPart, aCols []aggCol) bool {
 	for ai, ac := range aCols {
-		switch ac.spec.Func {
-		case Avg:
+		f := ac.spec.Func
+		if f == Avg {
 			return false
-		case Sum:
-			for _, p := range parts {
-				if cc := p.aggs[ai]; cc != nil && cc.hasFloat {
-					return false
-				}
+		}
+		for _, p := range parts {
+			hasFloat, hasNaN := p.argFlags(ai)
+			if f == Sum && hasFloat || (f == Min || f == Max) && hasNaN {
+				return false
 			}
 		}
 	}
@@ -229,37 +229,11 @@ func mergeAggState(dst, src *aggState, f AggFunc) {
 	case Sum:
 		dst.count += src.count
 		dst.sumI += src.sumI
-	case Min:
-		if !src.seen {
-			return
+	case Min, Max:
+		if src.seen {
+			dst.extend(src.ext, f)
 		}
-		if !dst.seen || value.Compare(src.minV, dst.minV) < 0 {
-			dst.minV = src.minV
-		}
-		dst.seen = true
-	case Max:
-		if !src.seen {
-			return
-		}
-		if !dst.seen || value.Compare(src.maxV, dst.maxV) > 0 {
-			dst.maxV = src.maxV
-		}
-		dst.seen = true
 	}
-}
-
-// growStates extends an aggState slice to need elements (zero-valued),
-// doubling capacity so per-group growth amortizes instead of allocating
-// a fresh temp slice per new group.
-func growStates(states []aggState, need int) []aggState {
-	if need <= cap(states) {
-		// The region between len and cap was zeroed at allocation and
-		// never written (growth is the only way len advances).
-		return states[:need]
-	}
-	grown := make([]aggState, need, 2*need)
-	copy(grown, states)
-	return grown
 }
 
 // morselGroupBound is an upper bound on the number of distinct groups:
@@ -285,7 +259,7 @@ func morselGroupBound(parts []*compPart) int64 {
 	return bound
 }
 
-// groupByCompressedPartsPool evaluates GroupBy over parts, fanning
+// groupByPartsPool evaluates GroupBy over parts, fanning
 // morsels across the pool when the query's aggregates merge exactly
 // and the grouping is low-cardinality; otherwise (or for small inputs
 // and width-1 pools) it runs the sequential kernel. Output is
@@ -296,7 +270,7 @@ func morselGroupBound(parts []*compPart) int64 {
 // global one and the serial canonical-key merge costs more than the
 // parallel scans save — group-bys like that run *slower* morselized at
 // every worker count, so they stay sequential.
-func groupByCompressedPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
+func groupByPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
 	if pool.Workers() > 1 && nK > 0 && morselMergeable(parts, aCols) {
 		var rows int64
 		for _, p := range parts {
@@ -309,7 +283,7 @@ func groupByCompressedPartsPool(pool *Pool, parts []*compPart, nK int, aCols []a
 			}
 		}
 	}
-	return groupByCompressedParts(parts, nK, aCols, sch)
+	return groupByParts(parts, nK, aCols, sch)
 }
 
 // groupByMorsels scans every morsel into a private partial group table
@@ -318,17 +292,13 @@ func groupByMorsels(pool *Pool, morsels []morsel, parts []*compPart,
 	nK int, aCols []aggCol, sch Schema) *Table {
 
 	sumNeedsF := sumNeedsFFor(parts, aCols)
-	nA := len(aCols)
-	countOnly := countOnlyAggs(aCols)
 	dims := globalKeyDims(parts, nK)
 	partials := make([]*gbScan, len(morsels))
 	// fn never fails; the error return exists for ForEach's signature.
 	_ = pool.ForEach("engine:groupby", len(morsels), func(i int) error {
-		sc := newGbScan(nK, nA, true)
+		sc := newGbScan(nK, aCols, true)
 		m := morsels[i]
-		sc.countOnly = countOnly
-		sc.flatDims = dims
-		sc.flatBudget = int(m.hi - m.lo)
+		sc.ga.setFlat(dims, int(m.hi-m.lo))
 		sc.scanRange(parts[m.part], m.part, m.lo, m.hi, aCols, sumNeedsF)
 		partials[i] = sc
 		return nil
@@ -336,8 +306,7 @@ func groupByMorsels(pool *Pool, morsels []morsel, parts []*compPart,
 
 	global := make(map[string]int32)
 	var firsts []partRef
-	var states []aggState
-	var counts []int64
+	gs := newGroupStates(aCols)
 	for _, sc := range partials {
 		for li, key := range sc.ga.keys {
 			g, ok := global[string(key)]
@@ -345,25 +314,16 @@ func groupByMorsels(pool *Pool, morsels []morsel, parts []*compPart,
 				g = int32(len(firsts))
 				global[string(key)] = g
 				firsts = append(firsts, sc.ga.firsts[li])
-				if countOnly {
-					counts = growI64(counts, len(counts)+1)
-				} else {
-					states = growStates(states, len(states)+nA)
-				}
+				gs.grow(len(firsts))
 			}
-			if countOnly {
-				if li < len(sc.counts) {
-					counts[g] += sc.counts[li]
-				}
+			if gs.countOnly {
+				gs.counts[g] += sc.gs.counts[li]
 				continue
 			}
-			for ai := 0; ai < nA; ai++ {
-				mergeAggState(&states[int(g)*nA+ai], &sc.states[li*nA+ai], aCols[ai].spec.Func)
+			for ai := range aCols {
+				mergeAggState(&gs.aggs[ai][g], &sc.gs.aggs[ai][li], aCols[ai].spec.Func)
 			}
 		}
 	}
-	if countOnly {
-		states = countStates(counts, len(firsts), nA)
-	}
-	return materializeGroups(parts, firsts, states, nK, aCols, sch)
+	return materializeGroups(parts, firsts, gs, nK, aCols, sch)
 }

@@ -500,31 +500,49 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 	}
 }
 
-// TestSegTableMinMaxNaN exercises the materialize fallback: Min/Max over
-// a NaN-containing column declines the compressed path but still matches
-// the reference.
+// TestSegTableMinMaxNaN: Min/Max over a NaN-containing column, where
+// first-encounter tie-breaking is load-bearing (NaN compares equal to
+// every numeric), must match the reference sequentially and with a pool
+// attached — morsel merging declines such columns.
 func TestSegTableMinMaxNaN(t *testing.T) {
+	setMorselTarget(t, 2)
 	sch := Schema{{Name: "g", Kind: value.Null}, {Name: "v", Kind: value.Null}}
 	tab := NewTable(sch)
+	// In two-row morsels, [5.5 4.5] then [NaN 0.5]: the second morsel's
+	// partial minimum is NaN (0.5 ties it), which a merge would let tie
+	// the first morsel's 4.5 — while the row-order fold ends at 0.5.
 	rows := []value.Tuple{
-		{value.NewString("a"), value.NewFloat(2.5)},
+		{value.NewString("a"), value.NewFloat(5.5)},
+		{value.NewString("a"), value.NewFloat(4.5)},
 		{value.NewString("a"), value.NewFloat(math.NaN())},
+		{value.NewString("a"), value.NewFloat(0.5)},
 		{value.NewString("b"), value.NewFloat(1.5)},
 		{value.NewString("b"), value.NewFloat(3.5)},
+		{value.NewString("b"), value.NewFloat(math.NaN())},
+		{value.NewString("b"), value.NewFloat(9.5)},
 	}
-	if err := tab.AppendRows(rows); err != nil {
-		t.Fatal(err)
+	for rep := 0; rep < 4; rep++ { // enough rows per group for morsels
+		if err := tab.AppendRows(rows); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := segTableFromTable(t, tab, 1)
 	ref := tab.Clone().ForceRowPath(true)
 	aggs := []AggSpec{{Func: Min, Arg: "v"}, {Func: Max, Arg: "v"}}
-	got, err := st.GroupBy([]string{"g"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := ref.GroupBy([]string{"g"}, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tablesIdentical(t, got, want, "NaN Min/Max")
+	for _, width := range []int{1, 4} {
+		st := segTableFromTable(t, tab, 1)
+		st.SetPool(NewPool(width))
+		dense := tab.Clone()
+		dense.SetPool(NewPool(width))
+		for _, rel := range []Relation{st, dense} {
+			got, err := rel.GroupBy([]string{"g"}, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, fmt.Sprintf("NaN Min/Max %T width %d", rel, width))
+		}
+	}
 }

@@ -15,8 +15,8 @@ import (
 // the incremental-maintenance invariants (group fold order, fragment
 // observation order) carry over from Table unchanged.
 //
-// Queries run on the compressed kernels directly over segment runs plus
-// a zero-copy dense view of the tail; results are byte-identical to
+// Queries run on the parts kernels directly over segment runs plus the
+// tail as a dense part; results are byte-identical to
 // loading the same rows into a Table (for kind-pure columns; see the
 // dictionary-canonicalization note in segment.go). Sealed segments are
 // never mutated: Compact seals the current tail into a new in-memory
@@ -30,7 +30,7 @@ type SegTable struct {
 	tail   *Table
 	sealed int // rows across segs
 	epoch  uint64
-	// pool, when set, lets the compressed kernels fan morsels and parts
+	// pool, when set, lets the parts kernels fan morsels and parts
 	// across a shared worker pool (SetPool); see morsel.go.
 	pool atomic.Pointer[Pool]
 
@@ -314,10 +314,12 @@ func (st *SegTable) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
 	return nil
 }
 
-// parts assembles the compressed-kernel parts for a query over key
-// columns gIdx and aggregate columns aCols: one part per sealed segment
-// (columns served straight from the segment, bit-packed payloads
-// mmap'd) plus, when non-empty, a zero-copy dense view of the tail.
+// parts assembles the kernel parts for a query over key columns gIdx
+// and aggregate columns aCols: one part per sealed segment (columns
+// served straight from the segment, bit-packed payloads mmap'd) plus,
+// when non-empty, the tail as a dense part whose key codes translate
+// through the cached cross-segment unification (a table that is all
+// tail is one solo part, like a Table).
 func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 	nK := len(gIdx)
 	out := make([]*compPart, 0, len(st.segs)+1)
@@ -325,8 +327,9 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 	for i, ci := range gIdx {
 		unify[i] = st.colUnify(ci)
 	}
+	cols := partCols(gIdx, aCols)
 	for si, seg := range st.segs {
-		p := &compPart{n: seg.NumRows()}
+		p := &compPart{n: seg.NumRows(), seg: seg, cols: cols}
 		p.keys = make([]*CompressedCol, nK)
 		p.xlat = make([][]int32, nK)
 		for i, ci := range gIdx {
@@ -339,39 +342,15 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 				p.aggs[i] = seg.Col(ac.idx)
 			}
 		}
-		cols := seg.cols
-		p.val = func(row, slot int) value.V {
-			var cc *CompressedCol
-			if slot < nK {
-				cc = cols[gIdx[slot]]
-			} else {
-				cc = cols[aCols[slot-nK].idx]
-			}
-			return cc.dict[cc.CodeAt(row)]
-		}
 		out = append(out, p)
 	}
 	if st.tail.NumRows() > 0 {
-		c := st.tail.Columns()
-		p := &compPart{n: st.tail.NumRows()}
-		p.keys = make([]*CompressedCol, nK)
-		p.xlat = make([][]int32, nK)
-		for i, ci := range gIdx {
-			p.keys[i] = denseView(c.Col(ci))
-			p.xlat[i] = tailXlat(unify[i], p.keys[i].dict)
-		}
-		p.aggs = make([]*CompressedCol, len(aCols))
-		for i, ac := range aCols {
-			if ac.idx >= 0 {
-				p.aggs[i] = denseView(c.Col(ac.idx))
+		p := densePart(st.tail, gIdx, aCols)
+		if p.solo = len(st.segs) == 0; !p.solo {
+			p.xlat = make([][]int32, nK)
+			for i := range gIdx {
+				p.xlat[i] = tailXlat(unify[i], p.keys[i].dict)
 			}
-		}
-		rows := st.tail.Rows()
-		p.val = func(row, slot int) value.V {
-			if slot < nK {
-				return rows[row][gIdx[slot]]
-			}
-			return rows[row][aCols[slot-nK].idx]
 		}
 		out = append(out, p)
 	}
@@ -379,9 +358,9 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 }
 
 // materialize decodes the whole table into an in-memory Table — the
-// correctness fallback for queries the compressed kernels decline (NaN
-// Min/Max, divergent equality probes). It costs full decode + row
-// memory and is expected to be rare.
+// correctness fallback for equality probes where code comparison
+// diverges from value.Equal, and for the degenerate no-column and empty
+// queries. It costs full decode + row memory and is expected to be rare.
 func (st *SegTable) materialize() *Table {
 	out := NewTable(st.schema)
 	rows := make([]value.Tuple, 0, st.NumRows())
@@ -400,53 +379,15 @@ func (st *SegTable) materialize() *Table {
 }
 
 // GroupBy evaluates the grouped aggregation over all segments and the
-// tail via the compressed kernels; output is byte-identical to Table
-// GroupBy over the same rows (group order, key values, aggregate
-// results, float summation order).
+// tail via the parts kernels; output is byte-identical to Table GroupBy
+// over the same rows (group order, key values, aggregate results, float
+// summation order).
 func (st *SegTable) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) {
-	gIdx, aCols, sch, err := st.groupPlan(groupCols, aggs)
+	gIdx, aCols, sch, err := groupPlan(st.schema, groupCols, aggs)
 	if err != nil {
 		return nil, err
 	}
-	parts := st.parts(gIdx, aCols)
-	for _, p := range parts {
-		for i, ac := range aCols {
-			if aggDeclinesCompressed(ac.spec.Func, p.aggs[i]) {
-				return st.materialize().GroupBy(groupCols, aggs)
-			}
-		}
-	}
-	return groupByCompressedPartsPool(st.queryPool(), parts, len(gIdx), aCols, sch), nil
-}
-
-// groupPlan mirrors Table.groupPlan over the SegTable's schema.
-func (st *SegTable) groupPlan(groupCols []string, aggs []AggSpec) ([]int, []aggCol, Schema, error) {
-	gIdx, err := st.schema.Indices(groupCols)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	aCols := make([]aggCol, len(aggs))
-	for i, a := range aggs {
-		ac := aggCol{spec: a, idx: -1}
-		if !a.IsStar() {
-			ci := st.schema.Index(a.Arg)
-			if ci < 0 {
-				return nil, nil, nil, fmt.Errorf("engine: unknown aggregate argument %q", a.Arg)
-			}
-			ac.idx = ci
-		} else if a.Func != Count {
-			return nil, nil, nil, fmt.Errorf("engine: %s requires an argument", a.Func)
-		}
-		aCols[i] = ac
-	}
-	sch := make(Schema, 0, len(gIdx)+len(aggs))
-	for _, ci := range gIdx {
-		sch = append(sch, st.schema[ci])
-	}
-	for _, a := range aggs {
-		sch = append(sch, Column{Name: a.String(), Kind: value.Null})
-	}
-	return gIdx, aCols, sch, nil
+	return groupByPartsPool(st.queryPool(), st.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
 }
 
 // SelectEq returns the rows whose values in cols equal vals, in row
@@ -468,10 +409,10 @@ func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		return st.materialize().SelectEq(cols, vals)
 	}
 	// Each part's matches are independent: sealed segments answer from
-	// their code-span indexes (selectEqSpans) and materialize matching
-	// rows into private slabs; the mutable tail falls back to the merged
-	// run scan. Parts fan across the pool and concatenate in part order,
-	// so the output row order is the global row order either way.
+	// their code-span indexes and materialize matching rows into private
+	// slabs; the tail scans its codes in place. Parts fan across the pool
+	// and concatenate in part order, so the output row order is the
+	// global row order either way.
 	out := NewTable(st.schema)
 	width := len(st.schema)
 	partRows := make([][]value.Tuple, len(parts))
@@ -481,25 +422,19 @@ func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		}
 		p := parts[pi]
 		var matched []value.Tuple
-		var emit func(lo, hi int32)
-		if pi < len(st.segs) {
-			seg := st.segs[pi]
+		emit := func(lo, hi int32) {
+			matched = append(matched, p.rows[lo:hi]...)
+		}
+		if p.rows == nil {
 			emit = func(lo, hi int32) {
 				slab := make(value.Tuple, 0, int(hi-lo)*width)
 				for r := lo; r < hi; r++ {
-					slab = seg.AppendRowAt(int(r), slab)
+					slab = p.seg.AppendRowAt(int(r), slab)
 					matched = append(matched, slab[len(slab)-width:len(slab):len(slab)])
 				}
 			}
-		} else {
-			rows := st.tail.Rows()
-			emit = func(lo, hi int32) {
-				matched = append(matched, rows[lo:hi]...)
-			}
 		}
-		if !selectEqSpans(p, want[pi], emit) {
-			selectEqRuns(p, want[pi], emit)
-		}
+		selectEqPart(p, want[pi], emit)
 		partRows[pi] = matched
 		return nil
 	})
@@ -510,8 +445,7 @@ func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 }
 
 // CountDistinct counts distinct combinations of the named columns under
-// AppendKey equality. A single column unions the part dictionaries
-// (O(distinct values), no row walk); multi-column sets walk merged runs.
+// AppendKey equality (see countDistinctParts).
 func (st *SegTable) CountDistinct(cols []string) (int, error) {
 	idx, err := st.schema.Indices(cols)
 	if err != nil {
@@ -520,22 +454,7 @@ func (st *SegTable) CountDistinct(cols []string) (int, error) {
 	if len(idx) == 0 || st.NumRows() == 0 {
 		return st.materialize().CountDistinct(cols)
 	}
-	if len(idx) == 1 {
-		parts := st.parts(idx, nil)
-		if len(parts) == 1 {
-			return len(parts[0].keys[0].dict), nil
-		}
-		seen := make(map[string]struct{})
-		var buf []byte
-		for _, p := range parts {
-			for _, v := range p.keys[0].dict {
-				buf = v.AppendKey(buf[:0])
-				seen[string(buf)] = struct{}{}
-			}
-		}
-		return len(seen), nil
-	}
-	return countGroupsParts(st.parts(idx, nil), len(idx)), nil
+	return countDistinctParts(st.parts(idx, nil), len(idx)), nil
 }
 
 // DistinctProject returns the distinct combinations of the named
@@ -545,33 +464,19 @@ func (st *SegTable) DistinctProject(cols []string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(idx) == 0 || st.NumRows() == 0 {
+		return st.materialize().DistinctProject(cols)
+	}
 	sch := make(Schema, len(idx))
 	for i, ci := range idx {
 		sch[i] = st.schema[ci]
 	}
-	out := NewTable(sch)
-	if len(idx) == 0 || st.NumRows() == 0 {
-		return st.materialize().DistinctProject(cols)
-	}
-	parts := st.parts(idx, nil)
-	firsts := distinctParts(parts, len(idx))
-	out.rows = make([]value.Tuple, len(firsts))
-	width := len(idx)
-	slab := make([]value.V, len(firsts)*width)
-	for g, fr := range firsts {
-		row := slab[g*width : (g+1)*width : (g+1)*width]
-		p := parts[fr.part]
-		for k := 0; k < width; k++ {
-			row[k] = p.val(int(fr.row), k)
-		}
-		out.rows[g] = row
-	}
-	return out, nil
+	return distinctParts(st.parts(idx, nil), sch), nil
 }
 
 // Cube evaluates the aggregation for every subset of cols within the
 // size bounds, exactly like Table.Cube, with each grouping served by
-// the compressed GroupBy.
+// the parts kernels.
 func (st *SegTable) Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
 	return cubeOver(st, false, cols, minSize, maxSize, aggs)
 }

@@ -7,9 +7,9 @@ package engine
 // every segment per fragment — the walk that made NAIVE's per-candidate
 // selections O(fragments × rows) over segments while the dense baseline
 // answered them from hash indexes. The index is built lazily, once per
-// column, only for the immutable RLE/PACK encodings; the mutable dense
-// tail view keeps the plain run scan (an index built per query would
-// cost more than the scan it replaces).
+// column, for the immutable RLE/PACK encodings; dense parts scan their
+// codes in place instead (an index built per query would cost more than
+// the scan it replaces).
 
 // spanIndex builds (once) and returns the CSR span index.
 func (cc *CompressedCol) spanIndex() (off, spans []int32) {
@@ -52,7 +52,7 @@ func (cc *CompressedCol) forEachRun(fn func(code, lo, hi int32)) {
 			fn(cc.runCodes[i], lo, e)
 			lo = e
 		}
-	case cc.packed != nil:
+	default: // PACK
 		n := cc.n
 		buf := make([]int32, decodeBlockLen)
 		start, prev := int32(0), int32(-1)
@@ -75,38 +75,22 @@ func (cc *CompressedCol) forEachRun(fn func(code, lo, hi int32)) {
 		if !first {
 			fn(prev, start, int32(n))
 		}
-	default:
-		dense := cc.dense
-		for i := 0; i < len(dense); {
-			c := dense[i]
-			j := i + 1
-			for j < len(dense) && dense[j] == c {
-				j++
-			}
-			fn(c, int32(i), int32(j))
-			i = j
-		}
 	}
 }
 
-// selectEqSpans answers an equality probe over one part from the probed
-// columns' span indexes, emitting matching row ranges in row order —
-// the same rows (split at the same run boundaries) the merged-run scan
-// selectEqRuns emits. Returns false when any probed column is the
-// mutable dense tail view, where no index is kept.
-func selectEqSpans(p *compPart, want []int32, emit func(lo, hi int32)) bool {
+// selectEqSpans answers an equality probe over one sealed part from the
+// probed columns' span indexes, emitting matching row ranges in row
+// order — the same rows, split at the same run boundaries, a walk of
+// the merged runs emits.
+func selectEqSpans(p *compPart, want []int32, emit func(lo, hi int32)) {
 	lists := make([][]int32, len(want))
 	for k, cc := range p.keys {
-		if cc.dense != nil {
-			return false
-		}
 		lists[k] = cc.codeSpans(want[k])
 		if len(lists[k]) == 0 {
-			return true // code occurs in no row
+			return // code occurs in no row
 		}
 	}
 	intersectSpans(lists, emit)
-	return true
 }
 
 // intersectSpans emits, in row order, the row ranges covered by every

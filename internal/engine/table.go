@@ -152,9 +152,9 @@ func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 
 // SelectEq returns the rows whose values in cols equal vals positionally.
 // A hash index built via BuildIndex over exactly this column set answers
-// the query in O(result); otherwise the columnar kernel scans dictionary
+// the query in O(result); otherwise the parts kernel scans dictionary
 // codes, falling back to a row-at-a-time scan only in the rare cases
-// where code equality and value.Equal diverge.
+// where code equality and value.Equal diverge (see EqCode).
 func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -172,10 +172,14 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		return out, nil
 	}
 	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
-		if t.selectEqCompressed(out, idx, vals) {
-			return out, nil
-		}
-		if done := t.selectEqColumnar(out, idx, vals); done {
+		parts := t.parts(idx, nil)
+		if want, divergent := selectEqPlanParts(parts, vals); !divergent {
+			if want[0] != nil { // nil: some probed value is absent, no rows
+				rows := t.rows
+				selectEqPart(parts[0], want[0], func(lo, hi int32) {
+					out.rows = append(out.rows, rows[lo:hi]...)
+				})
+			}
 			return out, nil
 		}
 	}
@@ -194,61 +198,15 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	return out, nil
 }
 
-// selectEqColumnar appends matching rows to out by comparing dictionary
-// codes. It reports false when the query must use the row-scan
-// reference instead: dictionary codes are AppendKey equality classes,
-// which coincide with value.Equal's Compare classes except when NaN is
-// involved (NaN compares equal to every numeric) or a queried value sits
-// at magnitude ≥ 2^53, where float rounding can make AppendKey-distinct
-// integers Compare-equal.
-func (t *Table) selectEqColumnar(out *Table, idx []int, vals value.Tuple) bool {
-	c := t.Columns()
-	want := make([]int32, 0, len(idx))
-	codeCols := make([][]int32, 0, len(idx))
-	miss := false
-	for i, ci := range idx {
-		v := vals[i]
-		col := c.Col(ci)
-		if eqDivergent(v, col.hasNaN) {
-			return false
-		}
-		code, ok := col.CodeOf(v)
-		if !ok {
-			// Value absent from the dictionary: no row can match (the
-			// divergent cases were excluded above). Keep checking the
-			// remaining columns for fallback conditions before deciding.
-			miss = true
-			continue
-		}
-		want = append(want, code)
-		codeCols = append(codeCols, col.Codes)
+// parts presents the table to the parts kernels (ckernels.go) as one
+// solo dense part, or none when the table is empty.
+func (t *Table) parts(gIdx []int, aCols []aggCol) []*compPart {
+	if len(t.rows) == 0 {
+		return nil
 	}
-	if miss {
-		return true // empty result
-	}
-	n := len(t.rows)
-	if len(codeCols) == 1 {
-		codes, w := codeCols[0], want[0]
-		for r := 0; r < n; r++ {
-			if codes[r] == w {
-				out.rows = append(out.rows, t.rows[r])
-			}
-		}
-		return true
-	}
-	for r := 0; r < n; r++ {
-		match := true
-		for j, codes := range codeCols {
-			if codes[r] != want[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out.rows = append(out.rows, t.rows[r])
-		}
-	}
-	return true
+	p := densePart(t, gIdx, aCols)
+	p.solo = true
+	return []*compPart{p}
 }
 
 // Project returns a table with only the named columns, preserving
@@ -286,26 +244,11 @@ func (t *Table) DistinctProject(cols []string) (*Table, error) {
 	for i, ci := range idx {
 		sch[i] = t.schema[ci]
 	}
+	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
+		return distinctParts(t.parts(idx, nil), sch), nil
+	}
 	out := NewTable(sch)
 	out.rowOnly = t.rowOnly
-	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
-		c := t.Columns()
-		keyCols := make([]*Col, len(idx))
-		for i, ci := range idx {
-			keyCols[i] = c.Col(ci)
-		}
-		_, first := groupCodes(keyCols, len(t.rows))
-		out.rows = make([]value.Tuple, len(first))
-		for g, fr := range first {
-			r := t.rows[fr]
-			row := make(value.Tuple, len(idx))
-			for i, ci := range idx {
-				row[i] = r[ci]
-			}
-			out.rows[g] = row
-		}
-		return out, nil
-	}
 	seen := make(map[string]struct{})
 	var keyBuf []byte
 	for _, r := range t.rows {
@@ -328,7 +271,7 @@ func (t *Table) DistinctProject(cols []string) (*Table, error) {
 
 // CountDistinct counts the distinct combinations of the named columns.
 // Distinctness is AppendKey equality — the same classes the dictionary
-// codes identify — so the columnar path counts codes: O(1) per column
+// codes identify — so the parts kernel counts codes: O(1) per column
 // already encoded, one grouping pass for multi-column sets.
 func (t *Table) CountDistinct(cols []string) (int, error) {
 	idx, err := t.schema.Indices(cols)
@@ -336,19 +279,7 @@ func (t *Table) CountDistinct(cols []string) (int, error) {
 		return 0, err
 	}
 	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
-		if cnt, ok := t.countDistinctCompressed(idx); ok {
-			return cnt, nil
-		}
-		c := t.Columns()
-		if len(idx) == 1 {
-			return len(c.Col(idx[0]).Dict), nil
-		}
-		keyCols := make([]*Col, len(idx))
-		for i, ci := range idx {
-			keyCols[i] = c.Col(ci)
-		}
-		_, first := groupCodes(keyCols, len(t.rows))
-		return len(first), nil
+		return countDistinctParts(t.parts(idx, nil), len(idx)), nil
 	}
 	seen := make(map[string]struct{})
 	var keyBuf []byte

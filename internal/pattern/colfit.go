@@ -41,7 +41,6 @@ type SharedFitter struct {
 	lin      regress.LinScratch
 	cands    []candState
 	fragEnds []int32
-	runCurs  []engine.RunCursor
 }
 
 // candState tracks one (aggregate, model) candidate across the fragment
@@ -192,19 +191,15 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, codes *engine.SortCodes
 }
 
 // fragmentEnds computes the exclusive end row of every fragment of the
-// scan, in order, into a reusable buffer. Tiers, fastest first: when the
-// table is already in fragment order (perm == nil) and the partition
-// columns carry current compressed views, fragment boundaries come from
-// intersecting the columns' equal-code runs — O(runs), no per-row code
-// loads over RLE columns; otherwise a tight loop over the dense sort
-// codes; otherwise boxed value comparison (the reference).
+// scan, in order, into a reusable buffer: a tight loop over the dense
+// sort codes when available, otherwise boxed value comparison (the
+// reference).
 func (sf *SharedFitter) fragmentEnds(fIdx []int, fCodes [][]int32, perm []int32, n int) []int32 {
 	ends := sf.fragEnds[:0]
 	switch {
 	case n == 0:
 	case len(fIdx) == 0:
 		ends = append(ends, int32(n))
-	case perm == nil && sf.appendCompressedRuns(fIdx, n, &ends):
 	case fCodes != nil && perm != nil:
 		for r := 1; r < n; r++ {
 			pa, pb := perm[r-1], perm[r]
@@ -249,35 +244,6 @@ func (sf *SharedFitter) fragmentEnds(fIdx []int, fCodes [][]int32, perm []int32,
 	}
 	sf.fragEnds = ends
 	return ends
-}
-
-// appendCompressedRuns appends fragment ends by intersecting the
-// partition columns' compressed runs, reporting false when any column
-// lacks a current compressed view (built via Table.CompressColumns and
-// covering all n rows).
-func (sf *SharedFitter) appendCompressedRuns(fIdx []int, n int, ends *[]int32) bool {
-	if cap(sf.runCurs) < len(fIdx) {
-		sf.runCurs = make([]engine.RunCursor, len(fIdx))
-	}
-	curs := sf.runCurs[:len(fIdx)]
-	for i, ci := range fIdx {
-		cc := sf.cols.Compressed(ci)
-		if cc == nil || cc.NumRows() != n {
-			return false
-		}
-		curs[i].Init(cc)
-	}
-	for pos := int32(0); pos < int32(n); {
-		end := int32(n)
-		for i := range curs {
-			if _, e := curs[i].Seek(pos); e < end {
-				end = e
-			}
-		}
-		*ends = append(*ends, end)
-		pos = end
-	}
-	return true
 }
 
 // flushFragment evaluates all candidates on the fragment perm[lo:hi].

@@ -13,8 +13,8 @@ import (
 
 // sortedGroupedTable builds a small grouped-shaped table (partition
 // columns f0/f1, predictor v, aggregate column count(*)) whose rows are
-// already in fragment order — the layout the compressed-run boundary
-// tier requires.
+// already in fragment order, so the identity order (perm == nil) is a
+// valid scan order.
 func sortedGroupedTable(rng *rand.Rand, n int) *engine.Table {
 	tab := engine.NewTable(engine.Schema{
 		{Name: "f0", Kind: value.String},
@@ -40,9 +40,9 @@ func sortedGroupedTable(rng *rand.Rand, n int) *engine.Table {
 	return tab
 }
 
-// TestFragmentEndsTiers pins the three boundary tiers — compressed-run
-// intersection, dense sort codes, boxed comparison — to one another on
-// the same table.
+// TestFragmentEndsTiers pins the boundary tiers — dense sort codes in
+// identity and permuted order, boxed comparison — to one another on the
+// same table.
 func TestFragmentEndsTiers(t *testing.T) {
 	aggs := []engine.AggSpec{{Func: engine.Count}}
 	th := Thresholds{Theta: 0.1, LocalSupport: 1, Lambda: 0.1, GlobalSupport: 1}
@@ -84,83 +84,6 @@ func TestFragmentEndsTiers(t *testing.T) {
 				permEnds := sf.fragmentEnds(fIdx, fCodes, perm, n)
 				if !reflect.DeepEqual(boxed, permEnds) {
 					t.Fatalf("seed %d f=%v: perm tier %v != boxed tier %v", seed, f, permEnds, boxed)
-				}
-			}
-
-			// Compressed-run intersection.
-			comp := tab.Clone()
-			if err := comp.CompressColumns(); err != nil {
-				t.Fatal(err)
-			}
-			sfc, err := NewSharedFitter(comp, aggs, []regress.ModelType{regress.Const}, th)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ends []int32
-			if len(fIdx) > 0 && n > 0 {
-				if !sfc.appendCompressedRuns(fIdx, n, &ends) {
-					t.Fatalf("seed %d f=%v: compressed views missing", seed, f)
-				}
-			} else {
-				ends = sfc.fragmentEnds(fIdx, nil, nil, n)
-			}
-			if !reflect.DeepEqual(boxed, append([]int32(nil), ends...)) && !(len(boxed) == 0 && len(ends) == 0) {
-				t.Fatalf("seed %d f=%v: compressed tier %v != boxed tier %v", seed, f, ends, boxed)
-			}
-		}
-	}
-}
-
-// TestFitCompressedBoundaries runs the full Fit pipeline with and
-// without compressed views over a fragment-ordered table and requires
-// identical mining output.
-func TestFitCompressedBoundaries(t *testing.T) {
-	aggs := []engine.AggSpec{{Func: engine.Count}}
-	models := []regress.ModelType{regress.Const, regress.Lin}
-	th := Thresholds{Theta: 0.1, LocalSupport: 2, Lambda: 0.3, GlobalSupport: 1}
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tab := sortedGroupedTable(rng, 150)
-
-		plain, err := NewSharedFitter(tab, aggs, models, th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := plain.Fit([]string{"f0"}, []string{"v"}, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		comp := tab.Clone()
-		if err := comp.CompressColumns(); err != nil {
-			t.Fatal(err)
-		}
-		fitter, err := NewSharedFitter(comp, aggs, models, th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fitter.Fit([]string{"f0"}, []string{"v"}, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d mined patterns, want %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.Pattern.Key() != w.Pattern.Key() ||
-				g.NumFragments != w.NumFragments ||
-				g.NumSupported != w.NumSupported ||
-				g.Confidence != w.Confidence ||
-				len(g.Locals) != w.GlobalSupport() {
-				t.Fatalf("seed %d pattern %d: compressed fit diverges: %+v vs %+v", seed, i, g, w)
-			}
-			for k, lw := range w.Locals {
-				lg, ok := g.Locals[k]
-				if !ok || lg.Support != lw.Support ||
-					lg.MaxPosDev != lw.MaxPosDev || lg.MaxNegDev != lw.MaxNegDev {
-					t.Fatalf("seed %d pattern %d fragment %q: local model diverges", seed, i, k)
 				}
 			}
 		}
