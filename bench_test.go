@@ -484,29 +484,3 @@ func BenchmarkAblation_ExplainerCache(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblation_PointLookupIndex compares SelectEq as a full scan
-// against the hash-index path over the same column set.
-func BenchmarkAblation_PointLookupIndex(b *testing.B) {
-	tab := crimeTable(b, 20000, 5)
-	cols := []string{"type", "community", "year"}
-	key := tab.Row(0)[:3]
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tab.SelectEq(cols, Tuple(key)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		if err := tab.BuildIndex(cols); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tab.SelectEq(cols, Tuple(key)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -23,7 +23,7 @@ func TestCmdAppendMaintainsStore(t *testing.T) {
 		"-data", csv, "-out", dir,
 		"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2",
 	}
-	if _, err := captureStdout(t, func() error { return cmdMine(mineArgs) }); err != nil {
+	if _, err := captureStdout(t, func() error { return run("mine", mineArgs) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,8 +38,8 @@ func TestCmdAppendMaintainsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := filepath.Join(t.TempDir(), "grown.csv")
-	out, err := captureStdout(t, func() error {
-		return cmdAppend([]string{
+	out, status, err := captureOutput(t, func() error {
+		return run("append", []string{
 			"-data", csv, "-rows", rowsPath, "-patterns-dir", dir, "-o", grown,
 		})
 	})
@@ -49,8 +49,8 @@ func TestCmdAppendMaintainsStore(t *testing.T) {
 	if !strings.Contains(out, "appended 3 rows") {
 		t.Errorf("append output = %q", out)
 	}
-	if strings.Contains(out, "warning") {
-		t.Errorf("fresh store should not warn: %q", out)
+	if strings.Contains(out+status, "warning") {
+		t.Errorf("fresh store should not warn: %q", out+status)
 	}
 
 	// The updated store must equal a cold re-mine of the grown dataset
@@ -90,14 +90,14 @@ func TestCmdAppendMaintainsStore(t *testing.T) {
 
 	// A second append against the already-grown dataset must detect that
 	// the original CSV (unchanged) no longer matches the store's stamp.
-	out, err = captureStdout(t, func() error {
-		return cmdAppend([]string{"-data", csv, "-rows", rowsPath, "-patterns-dir", dir})
+	_, status, err = captureOutput(t, func() error {
+		return run("append", []string{"-data", csv, "-rows", rowsPath, "-patterns-dir", dir})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "stale") {
-		t.Errorf("second append against the un-grown CSV should warn stale: %q", out)
+	if !strings.Contains(status, "stale") {
+		t.Errorf("second append against the un-grown CSV should warn stale: %q", status)
 	}
 }
 
@@ -105,18 +105,18 @@ func TestCmdAppendMaintainsStore(t *testing.T) {
 // store, malformed JSONL.
 func TestCmdAppendErrors(t *testing.T) {
 	csv := writeExampleCSV(t)
-	if _, err := captureStdout(t, func() error { return cmdAppend(nil) }); err == nil {
+	if _, err := captureStdout(t, func() error { return run("append", nil) }); err == nil {
 		t.Error("missing flags should error")
 	}
 	if _, err := captureStdout(t, func() error {
-		return cmdAppend([]string{"-data", csv, "-rows", csv, "-patterns-dir", t.TempDir()})
+		return run("append", []string{"-data", csv, "-rows", csv, "-patterns-dir", t.TempDir()})
 	}); err == nil {
 		t.Error("missing store should error")
 	}
 
 	dir := t.TempDir()
 	if _, err := captureStdout(t, func() error {
-		return cmdMine([]string{"-data", csv, "-out", dir,
+		return run("mine", []string{"-data", csv, "-out", dir,
 			"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2"})
 	}); err != nil {
 		t.Fatal(err)
@@ -126,32 +126,38 @@ func TestCmdAppendErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := captureStdout(t, func() error {
-		return cmdAppend([]string{"-data", csv, "-rows", bad, "-patterns-dir", dir})
+		return run("append", []string{"-data", csv, "-rows", bad, "-patterns-dir", dir})
 	}); err == nil {
 		t.Error("malformed JSONL should error")
 	}
 }
 
-// TestReadJSONLRows pins the row decoding rules: raw scalars map to
-// String/Int/Float/NULL and kind-tagged objects pass through.
+// TestReadJSONLRows pins the row decoding rules: the CLI passes each
+// line's elements through as raw JSON, and the server's parser maps raw
+// scalars to String/Int/Float/NULL and passes kind-tagged objects
+// through.
 func TestReadJSONLRows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.jsonl")
 	content := `["s", 3, 2.5, null, {"k":"int","i":7}]`
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := readJSONLRows(path)
+	raws, err := readRawJSONLRows(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(raws) != 1 {
+		t.Fatalf("rows = %d", len(raws))
+	}
+	row, err := value.ParseJSONTuple(raws[0])
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := value.Tuple{
 		value.NewString("s"), value.NewInt(3), value.NewFloat(2.5),
 		value.NewNull(), value.NewInt(7),
 	}
-	if !rows[0].Equal(want) {
-		t.Errorf("row = %v, want %v", rows[0], want)
+	if !row.Equal(want) {
+		t.Errorf("row = %v, want %v", row, want)
 	}
 }

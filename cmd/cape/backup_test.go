@@ -24,11 +24,11 @@ func TestCmdExportImportRoundTrip(t *testing.T) {
 	}
 
 	backup := filepath.Join(tmp, "pub.jsonl")
-	if err := cmdExport([]string{"-store", src, "-o", backup}); err != nil {
+	if err := run("export", []string{"-store", src, "-o", backup}); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	dst := filepath.Join(tmp, "restored")
-	if err := cmdImport([]string{"-store", dst, "-i", backup}); err != nil {
+	if err := run("import", []string{"-store", dst, "-i", backup}); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 
@@ -52,7 +52,7 @@ func TestCmdExportImportRoundTrip(t *testing.T) {
 	}
 
 	// Importing over an existing store must refuse, not clobber.
-	if err := cmdImport([]string{"-store", dst, "-i", backup}); err == nil {
+	if err := run("import", []string{"-store", dst, "-i", backup}); err == nil {
 		t.Fatal("import over an existing store succeeded")
 	}
 }

@@ -6,30 +6,46 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cape/internal/dataset"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// what it printed.
+// what it printed; stderr is captured and dropped.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
+	out, _, err := captureOutput(t, fn)
+	return out, err
+}
 
-	runErr := fn()
-	w.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
+// captureOutput runs fn with os.Stdout and os.Stderr redirected and
+// returns what it printed to each.
+func captureOutput(t *testing.T, fn func() error) (stdout, stderr string, err error) {
+	t.Helper()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	outR, outW, perr := os.Pipe()
+	if perr != nil {
+		t.Fatal(perr)
 	}
-	return buf.String(), runErr
+	errR, errW, perr := os.Pipe()
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	os.Stdout, os.Stderr = outW, errW
+	defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+
+	var outBuf, errBuf bytes.Buffer
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); outBuf.ReadFrom(outR) }()
+	go func() { defer wg.Done(); errBuf.ReadFrom(errR) }()
+	err = fn()
+	outW.Close()
+	errW.Close()
+	wg.Wait()
+	return outBuf.String(), errBuf.String(), err
 }
 
 // writeExampleCSV materializes the running example for CLI tests.
@@ -45,7 +61,7 @@ func writeExampleCSV(t *testing.T) string {
 func TestCmdGenerate(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "dblp.csv")
 	msg, err := captureStdout(t, func() error {
-		return cmdGenerate([]string{"-dataset", "dblp", "-rows", "500", "-o", out})
+		return run("generate", []string{"-dataset", "dblp", "-rows", "500", "-o", out})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +74,7 @@ func TestCmdGenerate(t *testing.T) {
 	}
 
 	if _, err := captureStdout(t, func() error {
-		return cmdGenerate([]string{"-dataset", "bogus"})
+		return run("generate", []string{"-dataset", "bogus"})
 	}); err == nil {
 		t.Error("unknown dataset should error")
 	}
@@ -66,7 +82,7 @@ func TestCmdGenerate(t *testing.T) {
 
 func TestCmdGenerateCrimeToStdout(t *testing.T) {
 	msg, err := captureStdout(t, func() error {
-		return cmdGenerate([]string{"-dataset", "crime", "-rows", "50", "-attrs", "5"})
+		return run("generate", []string{"-dataset", "crime", "-rows", "50", "-attrs", "5"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +97,7 @@ func TestCmdMineAndExplainWithSavedPatterns(t *testing.T) {
 	patterns := filepath.Join(t.TempDir(), "patterns.json")
 
 	mineOut, err := captureStdout(t, func() error {
-		return cmdMine([]string{
+		return run("mine", []string{
 			"-data", csv, "-o", patterns,
 			"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2",
 		})
@@ -97,7 +113,7 @@ func TestCmdMineAndExplainWithSavedPatterns(t *testing.T) {
 	}
 
 	explainOut, err := captureStdout(t, func() error {
-		return cmdExplain([]string{
+		return run("explain", []string{
 			"-data", csv, "-patterns", patterns,
 			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007",
 			"-dir", "low", "-k", "5", "-numeric", "year=4",
@@ -113,8 +129,8 @@ func TestCmdMineAndExplainWithSavedPatterns(t *testing.T) {
 
 func TestCmdExplainOnTheFlyWithSQLQuestion(t *testing.T) {
 	csv := writeExampleCSV(t)
-	out, err := captureStdout(t, func() error {
-		return cmdExplain([]string{
+	out, status, err := captureOutput(t, func() error {
+		return run("explain", []string{
 			"-data", csv,
 			"-query", "SELECT author, venue, year, count(*) FROM pub GROUP BY author, venue, year",
 			"-tuple", "AX,SIGKDD,2007", "-dir", "low", "-k", "3",
@@ -125,8 +141,8 @@ func TestCmdExplainOnTheFlyWithSQLQuestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "mined") || !strings.Contains(out, "ICDE") {
-		t.Errorf("explain -query output:\n%s", out)
+	if !strings.Contains(status, "mined") || !strings.Contains(out, "ICDE") {
+		t.Errorf("explain -query output:\n%s\nstderr:\n%s", out, status)
 	}
 }
 
@@ -145,7 +161,7 @@ func TestCmdExplainErrors(t *testing.T) {
 		{"-data", csv, "-patterns", "/nonexistent.json", "-groupby", "author", "-tuple", "AX"},
 	}
 	for i, args := range cases {
-		if _, err := captureStdout(t, func() error { return cmdExplain(args) }); err == nil {
+		if _, err := captureStdout(t, func() error { return run("explain", args) }); err == nil {
 			t.Errorf("case %d (%v): expected error", i, args)
 		}
 	}
@@ -154,7 +170,7 @@ func TestCmdExplainErrors(t *testing.T) {
 func TestCmdBaseline(t *testing.T) {
 	csv := writeExampleCSV(t)
 	out, err := captureStdout(t, func() error {
-		return cmdBaseline([]string{
+		return run("baseline", []string{
 			"-data", csv, "-groupby", "author,venue,year",
 			"-tuple", "AX,SIGKDD,2007", "-dir", "low", "-k", "5",
 		})
@@ -170,7 +186,7 @@ func TestCmdBaseline(t *testing.T) {
 func TestCmdQuery(t *testing.T) {
 	csv := writeExampleCSV(t)
 	out, err := captureStdout(t, func() error {
-		return cmdQuery([]string{
+		return run("query", []string{
 			"-data", csv,
 			"-q", "SELECT venue, count(*) AS n FROM pub GROUP BY venue ORDER BY venue",
 		})
@@ -188,7 +204,7 @@ func TestCmdQuery(t *testing.T) {
 func TestCmdQueryCSVOutput(t *testing.T) {
 	csv := writeExampleCSV(t)
 	out, err := captureStdout(t, func() error {
-		return cmdQuery([]string{
+		return run("query", []string{
 			"-data", csv, "-csv",
 			"-q", "SELECT DISTINCT author FROM pub ORDER BY author",
 		})
@@ -211,7 +227,7 @@ func TestCmdQueryErrors(t *testing.T) {
 		{"-data", "/nonexistent.csv", "-q", "SELECT * FROM t"},
 	}
 	for i, args := range cases {
-		if _, err := captureStdout(t, func() error { return cmdQuery(args) }); err == nil {
+		if _, err := captureStdout(t, func() error { return run("query", args) }); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -221,35 +237,35 @@ func TestCmdMineVariantsAndErrors(t *testing.T) {
 	csv := writeExampleCSV(t)
 	for _, miner := range []string{"arpmine", "sharegrp", "cube", "naive"} {
 		if _, err := captureStdout(t, func() error {
-			return cmdMine([]string{"-data", csv, "-miner", miner,
+			return run("mine", []string{"-data", csv, "-miner", miner,
 				"-theta", "0.3", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2", "-psi", "2"})
 		}); err != nil {
 			t.Errorf("miner %s: %v", miner, err)
 		}
 	}
 	if _, err := captureStdout(t, func() error {
-		return cmdMine([]string{"-data", csv, "-miner", "quantum"})
+		return run("mine", []string{"-data", csv, "-miner", "quantum"})
 	}); err == nil {
 		t.Error("unknown miner should error")
 	}
-	if _, err := captureStdout(t, func() error { return cmdMine(nil) }); err == nil {
+	if _, err := captureStdout(t, func() error { return run("mine", nil) }); err == nil {
 		t.Error("missing -data should error")
 	}
 }
 
 func TestParseMetricHelper(t *testing.T) {
-	m, err := parseMetric("year=4,community=2")
-	if err != nil || m == nil {
-		t.Fatalf("parseMetric: %v", err)
+	m, err := parseNumeric("year=4,community=2")
+	if err != nil || m["year"] != 4 || m["community"] != 2 {
+		t.Fatalf("parseNumeric = %v, %v", m, err)
 	}
-	if _, err := parseMetric("year"); err == nil {
+	if _, err := parseNumeric("year"); err == nil {
 		t.Error("missing = should error")
 	}
-	if _, err := parseMetric("year=-3"); err == nil {
+	if _, err := parseNumeric("year=-3"); err == nil {
 		t.Error("negative scale should error")
 	}
-	if m, err := parseMetric(""); err != nil || m == nil {
-		t.Error("empty spec should yield default metric")
+	if m, err := parseNumeric(""); err != nil || len(m) != 0 {
+		t.Error("empty spec should yield no scales")
 	}
 }
 
@@ -266,7 +282,7 @@ func TestSplitList(t *testing.T) {
 func TestCmdExplainJSONOutput(t *testing.T) {
 	csv := writeExampleCSV(t)
 	out, err := captureStdout(t, func() error {
-		return cmdExplain([]string{
+		return run("explain", []string{
 			"-data", csv, "-json",
 			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007",
 			"-dir", "low", "-k", "2",
@@ -300,7 +316,7 @@ func TestCmdExplainJSONOutput(t *testing.T) {
 func TestCmdGeneralize(t *testing.T) {
 	csv := writeExampleCSV(t)
 	out, err := captureStdout(t, func() error {
-		return cmdGeneralize([]string{
+		return run("generalize", []string{
 			"-data", csv,
 			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007",
 			"-dir", "low", "-k", "3",
@@ -313,7 +329,7 @@ func TestCmdGeneralize(t *testing.T) {
 	if !strings.Contains(out, "question:") {
 		t.Errorf("generalize output:\n%s", out)
 	}
-	if _, err := captureStdout(t, func() error { return cmdGeneralize(nil) }); err == nil {
+	if _, err := captureStdout(t, func() error { return run("generalize", nil) }); err == nil {
 		t.Error("missing -data should error")
 	}
 }
@@ -322,7 +338,7 @@ func TestCmdIntervene(t *testing.T) {
 	csv := writeExampleCSV(t)
 	// Low question: prints the refusal, exits cleanly.
 	out, err := captureStdout(t, func() error {
-		return cmdIntervene([]string{
+		return run("intervene", []string{
 			"-data", csv,
 			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007", "-dir", "low",
 		})
@@ -335,7 +351,7 @@ func TestCmdIntervene(t *testing.T) {
 	}
 	// High question: produces predicates or the nothing-to-explain note.
 	out, err = captureStdout(t, func() error {
-		return cmdIntervene([]string{
+		return run("intervene", []string{
 			"-data", csv,
 			"-groupby", "author,venue,year", "-tuple", "AX,ICDE,2007", "-dir", "high",
 		})
@@ -346,7 +362,7 @@ func TestCmdIntervene(t *testing.T) {
 	if !strings.Contains(out, "question:") {
 		t.Errorf("intervene high output:\n%s", out)
 	}
-	if _, err := captureStdout(t, func() error { return cmdIntervene(nil) }); err == nil {
+	if _, err := captureStdout(t, func() error { return run("intervene", nil) }); err == nil {
 		t.Error("missing -data should error")
 	}
 }
@@ -372,7 +388,7 @@ func TestCmdExplainBatch(t *testing.T) {
 		`{not json`, // malformed line
 	})
 	out, err := captureStdout(t, func() error {
-		return cmdExplainBatch([]string{
+		return run("explain-batch", []string{
 			"-data", csv, "-questions", questions, "-k", "3",
 			"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2",
 			"-numeric", "year=4",
@@ -399,7 +415,7 @@ func TestCmdExplainBatchJSON(t *testing.T) {
 		`{"groupBy":["author","venue","year"],"tuple":["AX","SIGKDD","2007"],"dir":"sideways"}`,
 	})
 	out, err := captureStdout(t, func() error {
-		return cmdExplainBatch([]string{
+		return run("explain-batch", []string{
 			"-data", csv, "-questions", questions, "-k", "2", "-json",
 			"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2",
 			"-numeric", "year=4",
@@ -408,20 +424,24 @@ func TestCmdExplainBatchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parsed []struct {
-		Index        int      `json:"index"`
-		Question     string   `json:"question"`
-		Error        string   `json:"error"`
-		Explanations []string `json:"explanations"`
-		Narrations   []string `json:"narrations"`
+	var envelope struct {
+		Items []struct {
+			Index        int    `json:"index"`
+			Question     string `json:"question"`
+			Error        string `json:"error"`
+			Explanations []struct {
+				Narration string `json:"narration"`
+			} `json:"explanations"`
+		} `json:"items"`
 	}
-	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
+	if err := json.Unmarshal([]byte(out), &envelope); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
 	}
+	parsed := envelope.Items
 	if len(parsed) != 2 {
 		t.Fatalf("items = %d", len(parsed))
 	}
-	if len(parsed[0].Explanations) != 2 || parsed[0].Error != "" || parsed[0].Narrations[0] == "" {
+	if len(parsed[0].Explanations) != 2 || parsed[0].Error != "" || parsed[0].Explanations[0].Narration == "" {
 		t.Errorf("item 0 = %+v", parsed[0])
 	}
 	if parsed[1].Error == "" || len(parsed[1].Explanations) != 0 {
@@ -440,8 +460,18 @@ func TestCmdExplainBatchErrors(t *testing.T) {
 		{"-data", csv, "-questions", csv, "-patterns", "/nonexistent.json"},
 	}
 	for i, args := range cases {
-		if _, err := captureStdout(t, func() error { return cmdExplainBatch(args) }); err == nil {
+		if _, err := captureStdout(t, func() error { return run("explain-batch", args) }); err == nil {
 			t.Errorf("case %d (%v): expected error", i, args)
 		}
 	}
+}
+
+// run parses args into the named command's flags and runs it, as main
+// does.
+func run(name string, args []string) error {
+	exec, err := command(name, args)
+	if err != nil {
+		return err
+	}
+	return exec()
 }

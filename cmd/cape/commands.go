@@ -1,61 +1,54 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
+	"net/http"
+	"net/url"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
+	"text/tabwriter"
 
-	"cape/internal/baseline"
 	"cape/internal/dataset"
-	"cape/internal/distance"
 	"cape/internal/engine"
-	"cape/internal/explain"
-	"cape/internal/mining"
 	"cape/internal/pattern"
-	"cape/internal/sql"
-	"cape/internal/value"
+	"cape/internal/server"
 )
 
-// cmdGenerate writes a synthetic dataset as CSV.
-func cmdGenerate(args []string) error {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
+// generateVerb writes a synthetic dataset as CSV.
+func generateVerb(fs *flag.FlagSet) func() error {
 	ds := fs.String("dataset", "dblp", "dataset family: dblp or crime")
 	rows := fs.Int("rows", 10000, "number of rows")
 	attrs := fs.Int("attrs", 7, "number of attributes (crime only, 3-11)")
 	seed := fs.Int64("seed", 1, "generator seed")
 	out := fs.String("o", "", "output CSV path (default stdout)")
-	if err := fs.Parse(args); err != nil {
+	return func() error {
+		var tab *engine.Table
+		switch *ds {
+		case "dblp":
+			tab = dataset.GenerateDBLP(dataset.DBLPConfig{Rows: *rows, Seed: *seed})
+		case "crime":
+			tab = dataset.GenerateCrime(dataset.CrimeConfig{Rows: *rows, Seed: *seed, NumAttrs: *attrs})
+		default:
+			return fmt.Errorf("unknown dataset %q (want dblp or crime)", *ds)
+		}
+		if *out == "" {
+			return tab.WriteCSV(os.Stdout)
+		}
+		err := tab.WriteCSVFile(*out)
+		if err == nil {
+			fmt.Printf("wrote %d rows, %d attributes to %s\n", tab.NumRows(), len(tab.Schema()), *out)
+		}
 		return err
 	}
-
-	var tab *engine.Table
-	switch *ds {
-	case "dblp":
-		tab = dataset.GenerateDBLP(dataset.DBLPConfig{Rows: *rows, Seed: *seed})
-	case "crime":
-		tab = dataset.GenerateCrime(dataset.CrimeConfig{Rows: *rows, Seed: *seed, NumAttrs: *attrs})
-	default:
-		return fmt.Errorf("unknown dataset %q (want dblp or crime)", *ds)
-	}
-	if *out == "" {
-		return tab.WriteCSV(os.Stdout)
-	}
-	if err := tab.WriteCSVFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d rows, %d attributes to %s\n", tab.NumRows(), len(tab.Schema()), *out)
-	return nil
 }
 
-// miningFlags registers the shared mining flags and returns a builder
-// plus the -parallel value, which also drives explanation generation.
-func miningFlags(fs *flag.FlagSet) (func() mining.Options, *int) {
+// mineFlags registers the mining flags and returns a builder of their
+// /v1/mine request, plus -parallel, which every request carries.
+func mineFlags(fs *flag.FlagSet) (func() server.MineRequest, *int) {
 	psi := fs.Int("psi", 3, "maximum pattern size ψ (|F ∪ V|)")
 	theta := fs.Float64("theta", 0.5, "local model quality threshold θ")
 	localSupp := fs.Int("localsupp", 5, "local support threshold δ")
@@ -64,332 +57,196 @@ func miningFlags(fs *flag.FlagSet) (func() mining.Options, *int) {
 	attrs := fs.String("attrs", "", "comma-separated attributes to mine over (default: all)")
 	aggs := fs.String("aggs", "count", "comma-separated aggregate functions (count,sum,min,max,avg)")
 	useFDs := fs.Bool("fd", false, "enable functional-dependency pruning")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines for mining and explanation generation")
-	build := func() mining.Options {
-		opt := mining.Options{
-			MaxPatternSize: *psi,
-			Thresholds: pattern.Thresholds{
-				Theta: *theta, LocalSupport: *localSupp,
-				Lambda: *lambda, GlobalSupport: *globalSupp,
-			},
-			UseFDs:      *useFDs,
-			Parallelism: *parallel,
+	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines per request, for mining and explanation generation")
+	return func() server.MineRequest {
+		return server.MineRequest{
+			Attributes: splitList(*attrs), Aggregates: splitList(*aggs),
+			MaxPatternSize: *psi, UseFDs: *useFDs, Parallelism: *parallel,
+			Theta: *theta, LocalSupport: *localSupp, Lambda: *lambda, GlobalSupport: *globalSupp,
 		}
-		if *attrs != "" {
-			opt.Attributes = splitList(*attrs)
-		}
-		for _, a := range splitList(*aggs) {
-			f, err := engine.ParseAggFunc(a)
-			if err == nil {
-				opt.AggFuncs = append(opt.AggFuncs, f)
-			}
-		}
-		return opt
-	}
-	return build, parallel
+	}, parallel
 }
 
-// cmdMine mines patterns and prints or saves them.
-func cmdMine(args []string) error {
-	fs := flag.NewFlagSet("mine", flag.ExitOnError)
-	data := fs.String("data", "", "input CSV dataset (required)")
-	out := fs.String("o", "", "write mined patterns as JSON to this path")
+// mineVerb mines a pattern set and prints it; in-process, -o and -out
+// save it as a patterns file or a pattern store.
+func mineVerb(fs *flag.FlagSet) func() error {
+	t := targetFlags(fs)
+	out := fs.String("o", "", "write the mined patterns as JSON to this path")
 	outDir := fs.String("out", "", "write the pattern set into this pattern-store directory (one versioned JSON file per table; load with capeserver -patterns-dir)")
-	tableName := fs.String("table", "", "table name recorded in the pattern store (default: -data base name)")
 	miner := fs.String("miner", "arpmine", "miner variant: arpmine, sharegrp, cube, naive")
-	opts, _ := miningFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("-data is required")
-	}
-	tab, err := engine.ReadCSVFile(*data)
-	if err != nil {
-		return err
-	}
-
-	var run func(engine.Relation, mining.Options) (*mining.Result, error)
-	switch *miner {
-	case "arpmine":
-		run = mining.ARPMine
-	case "sharegrp":
-		run = mining.ShareGrp
-	case "cube":
-		run = mining.CubeMine
-	case "naive":
-		run = mining.Naive
-	default:
-		return fmt.Errorf("unknown miner %q", *miner)
-	}
-	opt := opts()
-	start := time.Now()
-	res, err := run(tab, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("mined %d patterns from %d rows in %v (%d candidates",
-		len(res.Patterns), tab.NumRows(), time.Since(start).Round(time.Millisecond), res.Candidates)
-	if res.SkippedByFD > 0 {
-		fmt.Printf(", %d FD-pruned", res.SkippedByFD)
-	}
-	fmt.Println(")")
-	for _, m := range res.Patterns {
-		fmt.Printf("  %-55s conf=%.2f local=%d supp=%d\n",
-			m.Pattern, m.Confidence, m.GlobalSupport(), m.NumSupported)
-	}
-	if *out != "" {
-		if err := pattern.WriteJSONFile(*out, res.Patterns); err != nil {
-			return err
-		}
-		fmt.Printf("wrote patterns to %s\n", *out)
-	}
-	if *outDir != "" {
-		name := *tableName
-		if name == "" {
-			base := filepath.Base(*data)
-			name = strings.TrimSuffix(base, filepath.Ext(base))
-		}
-		// Stamp the store with the source table's shape so loaders can
-		// detect staleness, and record the mining spec so `cape append`
-		// and /v1/append can rebuild a maintainer for the set. FD-pruned
-		// runs have no reconstructible spec and persist stamp-only.
-		stamp := &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
-		spec, specErr := mining.SpecFor(tab, opt)
-		if specErr != nil {
-			spec = nil
-			fmt.Printf("note: store will not be append-maintainable: %v\n", specErr)
-		}
-		path, err := pattern.SaveStoreStamped(*outDir, name, res.Patterns, stamp, spec)
+	mine, _ := mineFlags(fs)
+	return func() error {
+		c, err := t.open(fs, true, "o", "out")
 		if err != nil {
 			return err
 		}
-		fmt.Printf("saved pattern store for table %q to %s\n", name, path)
+		req := mine()
+		req.Table, req.Miner = *t.table, *miner
+		var set struct {
+			ID, Table string
+			Patterns  int
+		}
+		body, err := c.call("/v1/mine", req, &set)
+		if err := t.emit(body, err, func() error {
+			fmt.Printf("mined pattern set %s on table %q: %d patterns\n", set.ID, set.Table, set.Patterns)
+			var list struct {
+				Patterns []struct {
+					Pattern    string
+					Confidence float64
+				}
+			}
+			body, err := c.send(http.MethodGet, "/v1/patterns/"+url.PathEscape(set.ID), "", nil)
+			if err == nil {
+				err = json.Unmarshal(body, &list)
+			}
+			for _, p := range list.Patterns {
+				fmt.Printf("  %-55s conf=%.2f\n", p.Pattern, p.Confidence)
+			}
+			return err
+		}); err != nil || c.srv == nil {
+			return err
+		}
+		entry, _ := c.srv.PatternSetEntry(set.ID)
+		if *out != "" {
+			if err := pattern.WriteJSONFile(*out, entry.Patterns); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "wrote patterns to %s\n", *out)
+		}
+		if *outDir == "" {
+			return nil
+		}
+		// The store keeps the set's stamp, so loaders detect staleness, and
+		// its mining spec, so appends can rebuild a maintainer for it.
+		if entry.Spec == nil {
+			fmt.Fprintln(os.Stderr, "note: store will not be append-maintainable (FD-pruned runs record no mining spec)")
+		}
+		path, err := pattern.SaveStoreStamped(*outDir, req.Table, entry.Patterns, entry.Stamp, entry.Spec)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "saved pattern store for table %q to %s\n", req.Table, path)
+		}
+		return err
 	}
-	return nil
 }
 
-// questionFlags registers the shared question flags.
-func questionFlags(fs *flag.FlagSet) (groupBy, tuple, dir *string, k *int) {
-	groupBy = fs.String("groupby", "", "comma-separated group-by attributes (required)")
-	tuple = fs.String("tuple", "", "comma-separated group-by values of the question tuple (required)")
-	dir = fs.String("dir", "low", "direction: low or high")
-	k = fs.Int("k", 10, "number of explanations to return")
-	return
-}
-
-// buildQuestion parses the question flags against the dataset.
-func buildQuestion(tab *engine.Table, groupByFlag, tupleFlag, dirFlag string) (explain.UserQuestion, error) {
-	var q explain.UserQuestion
-	if groupByFlag == "" || tupleFlag == "" {
-		return q, fmt.Errorf("-groupby and -tuple are required")
-	}
-	groupBy := splitList(groupByFlag)
-	rawVals := splitList(tupleFlag)
-	if len(rawVals) != len(groupBy) {
-		return q, fmt.Errorf("-tuple has %d values for %d group-by attributes", len(rawVals), len(groupBy))
-	}
-	vals := make(value.Tuple, len(rawVals))
-	for i, rv := range rawVals {
-		vals[i] = value.Parse(rv)
-	}
-	dir, err := explain.ParseDirection(dirFlag)
-	if err != nil {
-		return q, err
-	}
-	agg := engine.AggSpec{Func: engine.Count}
-	grouped, err := tab.GroupBy(groupBy, []engine.AggSpec{agg})
-	if err != nil {
-		return q, err
-	}
-	for _, row := range grouped.Rows() {
-		if value.Tuple(row[:len(groupBy)]).Equal(vals) {
-			return explain.UserQuestion{
-				GroupBy: groupBy, Agg: agg, Values: vals,
-				AggValue: row[len(groupBy)], Dir: dir,
-			}, nil
-		}
-	}
-	return q, fmt.Errorf("tuple (%s) is not a result of grouping by %s", tupleFlag, groupByFlag)
-}
-
-// cmdExplain answers a question, either with previously saved patterns or
-// by mining on the fly.
-func cmdExplain(args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	data := fs.String("data", "", "input CSV dataset (required)")
-	patternsPath := fs.String("patterns", "", "patterns JSON from 'cape mine -o' (mines on the fly if empty)")
-	query := fs.String("query", "", "aggregate SQL query defining the question, e.g. \"SELECT a, b, count(*) FROM t GROUP BY a, b\" (alternative to -groupby)")
-	jsonOut := fs.Bool("json", false, "emit explanations as JSON")
-	groupBy, tuple, dir, k := questionFlags(fs)
-	numericAttrs := fs.String("numeric", "", "comma-separated attr=scale pairs for numeric distances, e.g. year=4")
-	opts, parallel := miningFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("-data is required")
-	}
-	tab, err := engine.ReadCSVFile(*data)
-	if err != nil {
-		return err
-	}
-	gb := *groupBy
-	if *query != "" {
-		stmt, err := sql.Parse(*query)
+// queryVerb runs a SQL query and prints the result.
+func queryVerb(fs *flag.FlagSet) func() error {
+	t := targetFlags(fs)
+	q := fs.String("q", "", "SQL query")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of the aligned text grid")
+	return func() error {
+		c, err := t.open(fs, false)
 		if err != nil {
 			return err
 		}
-		qGroupBy, _, err := sql.AggregateQuery(stmt)
-		if err != nil {
-			return err
+		var out struct {
+			Columns []string
+			Rows    [][]string
 		}
-		gb = strings.Join(qGroupBy, ",")
-	}
-	q, err := buildQuestion(tab, gb, *tuple, *dir)
-	if err != nil {
-		return err
-	}
-
-	var mined []*pattern.Mined
-	if *patternsPath != "" {
-		mined, err = pattern.ReadJSONFile(*patternsPath)
-		if err != nil {
-			return err
-		}
-	} else {
-		opt := opts()
-		if opt.Attributes == nil {
-			opt.Attributes = q.GroupBy
-		}
-		res, err := mining.ARPMine(tab, opt)
-		if err != nil {
-			return err
-		}
-		mined = res.Patterns
-		fmt.Printf("mined %d patterns on the fly\n", len(mined))
-	}
-
-	metric, err := parseMetric(*numericAttrs)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	expls, stats, err := explain.GenOpt(q, tab, mined, explain.Options{K: *k, Metric: metric, Parallelism: *parallel})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		return writeExplanationsJSON(os.Stdout, q, expls, stats)
-	}
-	fmt.Printf("question: %s\n", q)
-	fmt.Printf("%d explanations in %v (%d relevant patterns, %d candidates, %d refinements pruned)\n\n",
-		len(expls), time.Since(start).Round(time.Millisecond),
-		stats.RelevantPatterns, stats.Candidates, stats.PrunedRefinements)
-	for i, e := range expls {
-		fmt.Printf("%3d. %s\n", i+1, e)
-	}
-	return nil
-}
-
-// writeExplanationsJSON renders the result machine-readably, including
-// the Example-5 style narration per explanation.
-func writeExplanationsJSON(w io.Writer, q explain.UserQuestion, expls []explain.Explanation, stats *explain.Stats) error {
-	type entry struct {
-		Attrs     []string    `json:"attrs"`
-		Tuple     value.Tuple `json:"tuple"`
-		AggValue  value.V     `json:"aggValue"`
-		Predicted float64     `json:"predicted"`
-		Deviation float64     `json:"deviation"`
-		Distance  float64     `json:"distance"`
-		Score     float64     `json:"score"`
-		Relevant  string      `json:"relevantPattern"`
-		Refined   string      `json:"refinedPattern"`
-		Narration string      `json:"narration"`
-	}
-	out := struct {
-		Question     string         `json:"question"`
-		Stats        *explain.Stats `json:"stats"`
-		Explanations []entry        `json:"explanations"`
-	}{Question: q.String(), Stats: stats}
-	for _, e := range expls {
-		out.Explanations = append(out.Explanations, entry{
-			Attrs: e.Attrs, Tuple: e.Tuple, AggValue: e.AggValue,
-			Predicted: e.Predicted, Deviation: e.Deviation,
-			Distance: e.Distance, Score: e.Score,
-			Relevant: e.Relevant.String(), Refined: e.Refined.String(),
-			Narration: e.Narrate(q),
+		body, err := c.call("/v1/query", server.QueryRequest{SQL: *q}, &out)
+		return t.emit(body, err, func() error {
+			grid := append([][]string{out.Columns}, out.Rows...)
+			if *csvOut {
+				return csv.NewWriter(os.Stdout).WriteAll(grid)
+			}
+			w := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', tabwriter.Debug)
+			for _, cells := range grid {
+				fmt.Fprintln(w, strings.Join(cells, "\t"))
+			}
+			fmt.Fprintf(w, "(%d rows)\n", len(out.Rows))
+			return w.Flush()
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
 }
 
-// cmdBaseline runs the Appendix-A.2 baseline for comparison.
-func cmdBaseline(args []string) error {
-	fs := flag.NewFlagSet("baseline", flag.ExitOnError)
-	data := fs.String("data", "", "input CSV dataset (required)")
-	groupBy, tuple, dir, k := questionFlags(fs)
-	numericAttrs := fs.String("numeric", "", "comma-separated attr=scale pairs for numeric distances")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("-data is required")
-	}
-	tab, err := engine.ReadCSVFile(*data)
-	if err != nil {
-		return err
-	}
-	q, err := buildQuestion(tab, *groupBy, *tuple, *dir)
-	if err != nil {
-		return err
-	}
-	metric, err := parseMetric(*numericAttrs)
-	if err != nil {
-		return err
-	}
-	expls, err := baseline.Explain(q, tab, baseline.Options{K: *k, Metric: metric})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("question: %s\n\n", q)
-	for i, e := range expls {
-		fmt.Printf("%3d. %s\n", i+1, e)
-	}
-	return nil
-}
-
-// parseMetric builds a distance metric from "attr=scale" pairs.
-func parseMetric(spec string) (*distance.Metric, error) {
-	m := distance.NewMetric()
-	if spec == "" {
-		return m, nil
-	}
-	for _, part := range splitList(spec) {
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("bad -numeric entry %q (want attr=scale)", part)
+// appendVerb sends a JSONL batch of rows to /v1/append, which folds
+// them into every pattern set mined over the table. In-process,
+// -patterns-dir registers the table's pattern store first and re-writes
+// it with the maintained set (byte-identical to a re-mine), and -o saves
+// the grown dataset.
+func appendVerb(fs *flag.FlagSet) func() error {
+	t := targetFlags(fs)
+	rowsPath := fs.String("rows", "", "JSONL file of rows to append, one JSON array per line ('-' = stdin; required)")
+	patternsDir := fs.String("patterns-dir", "", "pattern-store directory holding this table's mined set, maintained in place")
+	out := fs.String("o", "", "write the grown dataset as CSV to this path (default: dataset file is left unchanged)")
+	return func() error {
+		if *rowsPath == "" {
+			return fmt.Errorf("-rows is required")
 		}
-		scale := value.Parse(part[eq+1:])
-		f, ok := scale.AsFloat()
-		if !ok || f <= 0 {
-			return nil, fmt.Errorf("bad scale in -numeric entry %q", part)
+		rows, err := readRawJSONLRows(*rowsPath)
+		if err != nil {
+			return err
 		}
-		m.SetFunc(part[:eq], distance.Numeric{Scale: f})
-	}
-	return m, nil
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
+		if len(rows) == 0 {
+			return fmt.Errorf("no rows to append in %s", *rowsPath)
 		}
+		c, err := t.open(fs, true, "patterns-dir", "o")
+		if err != nil {
+			return err
+		}
+		table := *t.table
+		var setID string
+		if *patternsDir != "" {
+			entries, err := pattern.LoadStoreEntries(*patternsDir)
+			if err != nil {
+				return err
+			}
+			for _, e := range entries {
+				if e.Table == table {
+					id, warning := c.srv.AddPatternSetEntry(e)
+					if warning != "" {
+						fmt.Fprintf(os.Stderr, "warning: stale %s\n", warning)
+					}
+					setID = id
+				}
+			}
+			if setID == "" {
+				return fmt.Errorf("no pattern store for table %q in %s", table, *patternsDir)
+			}
+		}
+		var resp struct {
+			Appended, Rows int
+			PatternSets    []struct {
+				ID, Status, Reason string
+				Patterns           int
+			}
+		}
+		body, err := c.call("/v1/append", server.AppendRequest{Table: table, Rows: rows}, &resp)
+		if err := t.emit(body, err, func() error {
+			fmt.Printf("appended %d rows to %q (%d rows total)\n", resp.Appended, table, resp.Rows)
+			for _, ps := range resp.PatternSets {
+				fmt.Printf("  pattern set %s: %s, %d patterns %s\n", ps.ID, ps.Status, ps.Patterns, ps.Reason)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		for _, ps := range resp.PatternSets {
+			if ps.ID != setID {
+				continue
+			}
+			if ps.Status != "maintained" {
+				return fmt.Errorf("store for %q was not maintained (%s); re-mine it with 'cape mine -out %s'",
+					table, ps.Reason, *patternsDir)
+			}
+			// Stamp with the epoch a reload of the grown CSV will carry
+			// (ReadCSV ticks once per row); the server's epoch ticked once
+			// for the whole batch and would read as stale after a reload.
+			entry, _ := c.srv.PatternSetEntry(setID)
+			stamp := &pattern.StoreStamp{Epoch: uint64(resp.Rows), Rows: resp.Rows}
+			path, err := pattern.SaveStoreStamped(*patternsDir, table, entry.Patterns, stamp, entry.Spec)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "updated pattern store %s (stamped rows=%d epoch=%d)\n", path, stamp.Rows, stamp.Epoch)
+		}
+		if *out == "" {
+			return nil
+		}
+		tab, _ := c.srv.Table(table)
+		if err = tab.WriteCSVFile(*out); err == nil {
+			fmt.Fprintf(os.Stderr, "wrote grown dataset to %s\n", *out)
+		}
+		return err
 	}
-	return out
 }

@@ -13,7 +13,7 @@ func TestCmdConvert(t *testing.T) {
 	csvPath := writeExampleCSV(t)
 	segPath := filepath.Join(t.TempDir(), "pub.seg")
 	msg, err := captureStdout(t, func() error {
-		return cmdConvert([]string{"-data", csvPath, "-o", segPath})
+		return run("convert", []string{"-data", csvPath, "-o", segPath})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestCmdConvert(t *testing.T) {
 
 	// Missing flags error out.
 	if _, err := captureStdout(t, func() error {
-		return cmdConvert([]string{"-data", csvPath})
+		return run("convert", []string{"-data", csvPath})
 	}); err == nil {
 		t.Error("missing -o should error")
 	}

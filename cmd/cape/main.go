@@ -1,116 +1,97 @@
 // Command cape is the command-line interface to the CAPE explanation
-// system: generate synthetic data, mine aggregate regression patterns
-// offline, and explain surprising aggregate query results online.
+// system. Its serving commands — query, mine, explain, explain-batch,
+// generalize, intervene, baseline and append — are clients of the /v1
+// HTTP API of internal/server: without -server they run against an
+// in-process server loaded with -data as table -table; with -server URL,
+// against a running capeserver or capeshard coordinator, whose state
+// they name with -table and -set. Under -json they print the response
+// body verbatim, the same bytes in both modes. Examples:
 //
-// Usage:
-//
-//	cape generate -dataset dblp|crime -rows N [-attrs A] [-seed S] -o data.csv
-//	cape convert  -data data.csv -o data.seg
-//	cape mine     -data data.csv [mining flags] [-o patterns.json]
-//	cape append   -data data.csv -rows rows.jsonl -patterns-dir dir [-o grown.csv]
-//	cape query    -data data.csv -q "SELECT venue, count(*) FROM data GROUP BY venue"
-//	cape explain  -data data.csv -groupby a,b,c -tuple v1,v2,v3 -dir low
-//	              [-patterns patterns.json | mining flags] [-k 10]
-//	cape explain-batch -data data.csv -questions questions.jsonl
-//	              [-patterns patterns.json | mining flags] [-k 10] [-json]
-//	cape baseline -data data.csv -groupby a,b,c -tuple v1,v2,v3 -dir low [-k 10]
-//	cape export   -store data-dir/table [-o backup.jsonl]
-//	cape import   -store data-dir/table [-i backup.jsonl] [-fsync always|never]
-//
-// The mine/explain split mirrors the paper's architecture: pattern mining
-// runs offline and its output (patterns.json) serves any number of online
-// questions.
+//	cape generate -dataset dblp -rows 10000 -seed 1 -o pubs.csv
+//	cape query -data pubs.csv -q "SELECT venue, count(*) AS n FROM pubs GROUP BY venue"
+//	cape mine -data pubs.csv -attrs author,venue,year -theta 0.1 -localsupp 3 -lambda 0.1 -globalsupp 2 -o patterns.json
+//	cape explain -data pubs.csv -patterns patterns.json -groupby author,venue,year -tuple A0095,VLDB,2015 -dir low -k 10
+//	cape explain-batch -data pubs.csv -patterns patterns.json -questions questions.jsonl -json
+//	cape append -data pubs.csv -rows rows.jsonl -patterns-dir stores -o grown.csv
+//	cape load -server http://localhost:8080 -table pubs -data pubs.csv
+//	cape mine -server http://localhost:8080 -table pubs -theta 0.1
+//	cape explain -server http://localhost:8080 -set ps-1 -groupby author,venue,year -tuple A0095,VLDB,2015 -dir low
+//	cape export -store data-dir/pubs -o backup.jsonl
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 )
 
+// verbs is the command table that dispatch and usage read. A verb
+// registers its flags and returns the function that runs the command
+// once they have parsed.
+var verbs = []struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func() error
+}{
+	{"generate", "produce a synthetic DBLP or Crime CSV dataset", generateVerb},
+	{"convert", "stream a CSV dataset into a compressed columnar segment file", convertVerb},
+	{"query", "run a SQL query", queryVerb},
+	{"mine", "mine a pattern set of aggregate regression patterns", mineVerb},
+	{"explain", "explain a surprising aggregate result with counterbalances", explainVerb},
+	{"explain-batch", "answer a JSONL file of questions in one batch", explainBatchVerb},
+	{"generalize", "explanations by drill-up (same-direction coarser deviations)", generalizeVerb},
+	{"intervene", "squash a high outlier with provenance predicates (Scorpion-style)", interveneVerb},
+	{"baseline", "run the pattern-blind baseline explainer for comparison", baselineVerb},
+	{"append", "append JSONL rows to a table and maintain its pattern sets", appendVerb},
+	{"load", "upload a CSV as a table of a running server (-server)", loadVerb},
+	{"status", "print a running server's status (-server)", statusVerb},
+	{"export", "stream a durable table store (capeserver -data-dir) as JSONL backup", exportVerb},
+	{"import", "rebuild a durable table store from a JSONL backup", importVerb},
+}
+
 func main() {
-	if len(os.Args) < 2 {
+	if len(os.Args) < 2 || os.Args[1] == "help" || os.Args[1] == "-h" || os.Args[1] == "--help" {
 		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "generate":
-		err = cmdGenerate(os.Args[2:])
-	case "convert":
-		err = cmdConvert(os.Args[2:])
-	case "mine":
-		err = cmdMine(os.Args[2:])
-	case "append":
-		err = cmdAppend(os.Args[2:])
-	case "explain":
-		err = cmdExplain(os.Args[2:])
-	case "explain-batch":
-		err = cmdExplainBatch(os.Args[2:])
-	case "query":
-		err = cmdQuery(os.Args[2:])
-	case "generalize":
-		err = cmdGeneralize(os.Args[2:])
-	case "intervene":
-		err = cmdIntervene(os.Args[2:])
-	case "baseline":
-		err = cmdBaseline(os.Args[2:])
-	case "export":
-		err = cmdExport(os.Args[2:])
-	case "import":
-		err = cmdImport(os.Args[2:])
-	case "remote-status":
-		err = cmdRemoteStatus(os.Args[2:])
-	case "remote-load":
-		err = cmdRemoteLoad(os.Args[2:])
-	case "remote-mine":
-		err = cmdRemoteMine(os.Args[2:])
-	case "remote-explain":
-		err = cmdRemoteExplain(os.Args[2:])
-	case "remote-explain-batch":
-		err = cmdRemoteExplainBatch(os.Args[2:])
-	case "remote-append":
-		err = cmdRemoteAppend(os.Args[2:])
-	case "help", "-h", "--help":
-		usage()
+		if len(os.Args) < 2 {
+			os.Exit(2)
+		}
 		return
-	default:
-		fmt.Fprintf(os.Stderr, "cape: unknown command %q\n\n", os.Args[1])
-		usage()
-		os.Exit(2)
 	}
-	if err != nil {
+	exec, err := command(os.Args[1], os.Args[2:])
+	if err == nil {
+		err = exec()
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "cape %s: %v\n", os.Args[1], err)
 		os.Exit(1)
 	}
 }
 
+// command parses args into the named verb's flags, rejecting stray
+// positional arguments, and returns the function that runs it.
+func command(name string, args []string) (func() error, error) {
+	for _, v := range verbs {
+		if v.name != name {
+			continue
+		}
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		exec := v.setup(fs)
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() > 0 {
+			return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		}
+		return exec, nil
+	}
+	return nil, fmt.Errorf("unknown command %q (run \"cape help\" for the list)", name)
+}
+
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: cape <command> [flags]
-
-commands:
-  generate  produce a synthetic DBLP or Crime CSV dataset
-  convert   stream a CSV dataset into a compressed columnar segment file
-  mine      mine aggregate regression patterns from a CSV dataset
-  append    fold JSONL rows into a dataset and its mined pattern store
-  query     run a SQL query against a CSV dataset
-  explain   explain a surprising aggregate result with counterbalances
-  explain-batch  answer a JSONL file of questions in one shared-cache batch
-  generalize  explanations by drill-up (same-direction coarser deviations)
-  intervene squash a high outlier with provenance predicates (Scorpion-style)
-  baseline  run the pattern-blind baseline explainer for comparison
-  export    stream a durable table store (capeserver -data-dir) as JSONL backup
-  import    rebuild a durable table store from a JSONL backup
-
-remote mode (against a running capeserver or capeshard coordinator,
-over one shared keep-alive transport):
-  remote-status         print GET /v1 (per-shard health on a coordinator)
-  remote-load           upload a CSV as a server-side table
-  remote-mine           mine a pattern set server-side, print its id
-  remote-explain        ask one question against a server-side pattern set
-  remote-explain-batch  send a JSONL question file as one batch
-  remote-append         stream JSONL rows into the table (keyed routing
-                        and aggregate durability on a coordinator)
-
-run "cape <command> -h" for the command's flags
-`)
+	fmt.Fprint(os.Stderr, "usage: cape <command> [flags]\n\ncommands:\n")
+	for _, v := range verbs {
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", v.name, v.summary)
+	}
+	fmt.Fprint(os.Stderr, "\nquery … append run in-process on -data, or against a running server with -server URL.\n"+
+		"run \"cape <command> -h\" for the command's flags\n")
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // startSharded brings up a 2-shard deployment behind a coordinator; the
-// remote commands must work identically against it and a single node.
+// commands must work against it through -server exactly as against a
+// single node.
 func startSharded(t *testing.T) string {
 	t.Helper()
 	s0 := httptest.NewServer(server.New())
@@ -38,32 +39,32 @@ func TestRemoteCommandsAgainstCoordinator(t *testing.T) {
 	csv := writeExampleCSV(t)
 
 	msg, err := captureStdout(t, func() error {
-		return cmdRemoteLoad([]string{"-server", url, "-table", "pub", "-data", csv})
+		return run("load", []string{"-server", url, "-table", "pub", "-data", csv})
 	})
 	if err != nil {
-		t.Fatalf("remote-load: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if !strings.Contains(msg, `"pub"`) {
 		t.Errorf("load output = %q", msg)
 	}
 
 	msg, err = captureStdout(t, func() error {
-		return cmdRemoteMine([]string{"-server", url, "-table", "pub",
+		return run("mine", []string{"-server", url, "-table", "pub",
 			"-psi", "3", "-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2"})
 	})
 	if err != nil {
-		t.Fatalf("remote-mine: %v", err)
+		t.Fatalf("mine: %v", err)
 	}
 	if !strings.Contains(msg, "mined pattern set ps-1") {
 		t.Errorf("mine output = %q", msg)
 	}
 
 	msg, err = captureStdout(t, func() error {
-		return cmdRemoteExplain([]string{"-server", url, "-patterns", "ps-1",
+		return run("explain", []string{"-server", url, "-set", "ps-1",
 			"-groupby", "author,venue", "-tuple", "AX,ICDE", "-dir", "low"})
 	})
 	if err != nil {
-		t.Fatalf("remote-explain: %v", err)
+		t.Fatalf("explain: %v", err)
 	}
 	if !strings.Contains(msg, "question:") {
 		t.Errorf("explain output = %q", msg)
@@ -78,10 +79,10 @@ func TestRemoteCommandsAgainstCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, err = captureStdout(t, func() error {
-		return cmdRemoteExplainBatch([]string{"-server", url, "-patterns", "ps-1", "-questions", qfile})
+		return run("explain-batch", []string{"-server", url, "-set", "ps-1", "-questions", qfile})
 	})
 	if err != nil {
-		t.Fatalf("remote-explain-batch: %v", err)
+		t.Fatalf("explain-batch: %v", err)
 	}
 	if !strings.Contains(msg, "1/2 questions answered") {
 		t.Errorf("batch output = %q", msg)
@@ -96,10 +97,10 @@ func TestRemoteCommandsAgainstCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, err = captureStdout(t, func() error {
-		return cmdRemoteAppend([]string{"-server", url, "-table", "pub", "-rows", rfile})
+		return run("append", []string{"-server", url, "-table", "pub", "-rows", rfile, "-json"})
 	})
 	if err != nil {
-		t.Fatalf("remote-append: %v", err)
+		t.Fatalf("append: %v", err)
 	}
 	var aresp struct {
 		Appended int  `json:"appended"`
@@ -113,10 +114,10 @@ func TestRemoteCommandsAgainstCoordinator(t *testing.T) {
 	}
 
 	msg, err = captureStdout(t, func() error {
-		return cmdRemoteStatus([]string{"-server", url})
+		return run("status", []string{"-server", url})
 	})
 	if err != nil {
-		t.Fatalf("remote-status: %v", err)
+		t.Fatalf("status: %v", err)
 	}
 	if !strings.Contains(msg, `"coordinator"`) {
 		t.Errorf("status output = %q", msg)
@@ -124,21 +125,21 @@ func TestRemoteCommandsAgainstCoordinator(t *testing.T) {
 }
 
 func TestRemoteFlagValidation(t *testing.T) {
-	if err := cmdRemoteStatus(nil); err == nil {
-		t.Error("remote-status without -server should error")
+	if err := run("status", nil); err == nil {
+		t.Error("status without -server should error")
 	}
-	if err := cmdRemoteExplain([]string{"-server", "http://x"}); err == nil {
-		t.Error("remote-explain without question flags should error")
+	if err := run("explain", []string{"-server", "http://x"}); err == nil {
+		t.Error("explain -server without question flags should error")
 	}
-	if err := cmdRemoteAppend([]string{"-server", "http://x"}); err == nil {
-		t.Error("remote-append without -table/-rows should error")
+	if err := run("append", []string{"-server", "http://x"}); err == nil {
+		t.Error("append -server without -table/-rows should error")
 	}
 }
 
-// TestRemoteRetryOn429 pins the shed-retry contract: remoteJSON honors
-// Retry-After with bounded jittered backoff, succeeding once the server
-// stops shedding and giving up with a descriptive error when it never
-// does.
+// TestRemoteRetryOn429 pins the shed-retry contract of every command
+// run with -server (here status): it honors Retry-After with bounded
+// jittered backoff, succeeding once the server stops shedding and giving
+// up with a descriptive error when it never does.
 func TestRemoteRetryOn429(t *testing.T) {
 	var slept []time.Duration
 	origSleep := remoteSleep
@@ -162,8 +163,12 @@ func TestRemoteRetryOn429(t *testing.T) {
 	var out struct {
 		OK bool `json:"ok"`
 	}
-	if err := remoteJSON(http.MethodGet, ts.URL, nil, &out); err != nil {
-		t.Fatalf("remoteJSON after two sheds: %v", err)
+	msg, err := captureStdout(t, func() error { return run("status", []string{"-server", ts.URL}) })
+	if err != nil {
+		t.Fatalf("status after two sheds: %v", err)
+	}
+	if err := json.Unmarshal([]byte(msg), &out); err != nil {
+		t.Fatalf("status output not JSON: %q", msg)
 	}
 	if !out.OK || calls != 3 {
 		t.Fatalf("ok=%v calls=%d, want success on the third attempt", out.OK, calls)
@@ -191,7 +196,7 @@ func TestRemoteRetryOn429(t *testing.T) {
 		fmt.Fprint(w, `{"error":"queue full"}`)
 	}))
 	t.Cleanup(always.Close)
-	err := remoteJSON(http.MethodGet, always.URL, nil, nil)
+	err = run("status", []string{"-server", always.URL})
 	if err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("exhausted retries should surface a 429 error, got %v", err)
 	}

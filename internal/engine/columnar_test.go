@@ -261,7 +261,84 @@ func TestSelectEqColumnarDifferential(t *testing.T) {
 					fmt.Sprintf("seed %d %s SelectEq(%v, %s)", seed, kt.label, cols, vals))
 			}
 		}
+		selectEqAfterMutation(t, rng, tab, fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// selectEqAfterMutation probes a dense Table whose columnar view was
+// built before an append (the view is extended in place) and again after
+// a SortBy (the view is dropped and rebuilt), each time in the given and
+// in reversed column order, against the row path over the same rows.
+func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src *Table, label string) {
+	t.Helper()
+	tab, ref := src.Clone(), src.Clone().ForceRowPath(true)
+	cols := randomCols(rng, tab, 1+rng.Intn(2))
+	probe := func(stage string) {
+		var vals []value.Tuple
+		for i := 0; i < 6 && tab.NumRows() > 0; i++ {
+			row := tab.Row(rng.Intn(tab.NumRows()))
+			vals = append(vals, tupleOf(tab, row, cols))
+		}
+		for _, p := range eqProbes {
+			v := make(value.Tuple, len(cols))
+			for i := range v {
+				v[i] = p
+			}
+			vals = append(vals, v)
+		}
+		rcols := append([]string(nil), cols...)
+		for i, j := 0, len(rcols)-1; i < j; i, j = i+1, j-1 {
+			rcols[i], rcols[j] = rcols[j], rcols[i]
+		}
+		for _, v := range vals {
+			want, err := ref.SelectEq(cols, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tab.SelectEq(cols, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, fmt.Sprintf("%s %s SelectEq(%v, %s)", label, stage, cols, v))
+			rv := make(value.Tuple, len(v))
+			for i := range v {
+				rv[len(v)-1-i] = v[i]
+			}
+			got, err = tab.SelectEq(rcols, rv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, fmt.Sprintf("%s %s SelectEq(%v, %s)", label, stage, rcols, rv))
+		}
+	}
+	probe("before append")
+	grow := randomTable(rng, 1+rng.Intn(20), len(tab.Schema()))
+	if tab.NumRows() > 0 {
+		// A row repeating an existing key lands in an existing class.
+		grow.MustAppend(tab.Row(rng.Intn(tab.NumRows())).Clone())
+	}
+	for _, rel := range []*Table{tab, ref} {
+		if err := rel.AppendRows(grow.Rows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe("after append")
+	sortCols := randomCols(rng, tab, 1)
+	for _, rel := range []*Table{tab, ref} {
+		if err := rel.SortBy(sortCols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe("after SortBy")
+}
+
+// tupleOf projects row onto cols.
+func tupleOf(tab *Table, row value.Tuple, cols []string) value.Tuple {
+	out := make(value.Tuple, len(cols))
+	for i, c := range cols {
+		out[i] = row[tab.Schema().Index(c)]
+	}
+	return out
 }
 
 func TestCountDistinctColumnarDifferential(t *testing.T) {
@@ -527,48 +604,6 @@ func TestColumnarConcurrent(t *testing.T) {
 	}
 }
 
-// TestSelectEqUsesIndex proves a hash index built over the queried
-// column set answers SelectEq with output identical to the scan paths,
-// including column order permutations (indexes are canonical over the
-// sorted column set) and absent keys.
-func TestSelectEqUsesIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tab := randomTable(rng, 200, 3)
-	scan := tab.Clone().ForceRowPath(true)
-	if err := tab.BuildIndex([]string{"c0", "c1"}); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.HasIndex([]string{"c1", "c0"}) {
-		t.Fatal("index should be canonical over column order")
-	}
-	queries := make([]value.Tuple, 0, 24)
-	for i := 0; i < 20; i++ {
-		r := tab.Row(rng.Intn(tab.NumRows()))
-		queries = append(queries, value.Tuple{r[0], r[1]})
-	}
-	queries = append(queries,
-		value.Tuple{value.NewString("absent"), value.NewString("absent")},
-		value.Tuple{value.NewNull(), value.NewInt(2)},
-	)
-	for _, q := range queries {
-		got, err := tab.SelectEq([]string{"c0", "c1"}, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := scan.SelectEq([]string{"c0", "c1"}, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesIdentical(t, got, want, fmt.Sprintf("indexed SelectEq(%s)", q))
-		// Swapped column order must hit the same index and agree too.
-		swapped, err := tab.SelectEq([]string{"c1", "c0"}, value.Tuple{q[1], q[0]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesIdentical(t, swapped, want, fmt.Sprintf("swapped indexed SelectEq(%s)", q))
-	}
-}
-
 // FuzzColumnarKernels drives GroupBy, SelectEq and CountDistinct on a
 // fuzz-shaped table through both paths and requires identical output.
 func FuzzColumnarKernels(f *testing.F) {
@@ -640,11 +675,11 @@ func benchTable(n int) *Table {
 }
 
 // BenchmarkSelectEqDrilldown measures repeated point lookups — the
-// explain drill-down access pattern — through the three paths.
+// explain drill-down access pattern — through the columnar kernel and
+// the row-scan reference.
 func BenchmarkSelectEqDrilldown(b *testing.B) {
 	keys := make([]value.Tuple, 64)
 	for mode, setup := range map[string]func(*Table){
-		"indexed":  func(t *Table) { _ = t.BuildIndex([]string{"a"}) },
 		"columnar": func(t *Table) { t.Columns() },
 		"rowscan":  func(t *Table) { t.ForceRowPath(true) },
 	} {

@@ -16,12 +16,12 @@ import (
 // consumers (pattern fitting, explanation scoring) run tight loops over
 // machine types instead of boxed value.V dispatch.
 //
-// The view is cached on the Table and invalidated by mutation (Append,
-// SortBy), like hash indexes. Columns materialize on first use, one at a
-// time, so a query touching two of ten columns never pays for the other
-// eight. All methods are safe for concurrent use; the underlying rows
-// must not be mutated while a Columnar is live (the usual Table
-// contract).
+// The view is cached on the Table, extended in place by appends and
+// invalidated by reordering mutations (SortBy). Columns materialize on
+// first use, one at a time, so a query touching two of ten columns never
+// pays for the other eight. All methods are safe for concurrent use; the
+// underlying rows must not be mutated while a Columnar is live (the usual
+// Table contract).
 type Columnar struct {
 	rows  []value.Tuple
 	mu    sync.Mutex // serializes column builds (misses only)
@@ -290,13 +290,12 @@ func (t *Table) Columns() *Columnar {
 	return c
 }
 
-// invalidateDerived drops caches derived from row storage (hash indexes
-// and the columnar view) and advances the epoch; every reordering
-// mutation of t.rows must call it. Appends instead go through
-// extendDerived, which grows the caches in place.
+// invalidateDerived drops the columnar view derived from row storage and
+// advances the epoch; every reordering mutation of t.rows must call it.
+// Appends instead go through extendDerived, which grows the view in
+// place.
 func (t *Table) invalidateDerived() {
 	t.epoch++
-	t.indexes = nil
 	t.cols.Store(nil)
 }
 

@@ -6,47 +6,20 @@ import (
 	"cape/internal/value"
 )
 
-// Appends extend derived structures in place instead of dropping them:
-// hash indexes gain bucket entries for the tail rows, and every column of
-// the columnar view that has already been built grows its flat buffers,
-// null bitmap, and dictionary codes. The results are identical to a
-// from-scratch rebuild over the longer table — new dictionary codes are
-// assigned in first-appearance order just as buildCol would, index
-// buckets keep ascending row order — so consumers cannot observe whether
-// a view was built before or after an append. Reordering mutations
-// (SortBy) still invalidate, since both structures store row positions.
+// Appends extend the columnar view in place instead of dropping it:
+// every column that has already been built grows its flat buffers, null
+// bitmap, and dictionary codes. The result is identical to a from-scratch
+// rebuild over the longer table — new dictionary codes are assigned in
+// first-appearance order just as buildCol would — so consumers cannot
+// observe whether a view was built before or after an append. Reordering
+// mutations (SortBy) still invalidate, since the view stores row
+// positions.
 
-// extendDerived advances the epoch and extends indexes and the columnar
-// view for rows[oldLen:]; every append to t.rows must call it.
+// extendDerived advances the epoch and extends the columnar view for
+// rows[oldLen:]; every append to t.rows must call it.
 func (t *Table) extendDerived(oldLen int) {
 	t.epoch++
-	if len(t.indexes) > 0 {
-		t.extendIndexes(oldLen)
-	}
 	t.extendColumnar(oldLen)
-}
-
-// extendIndexes adds the tail rows to every hash index's buckets.
-func (t *Table) extendIndexes(oldLen int) {
-	var keyBuf []byte
-	for _, idx := range t.indexes {
-		sortedIdx, err := t.schema.Indices(idx.cols)
-		if err != nil {
-			continue // unreachable: the index was built against this schema
-		}
-		for ri := oldLen; ri < len(t.rows); ri++ {
-			row := t.rows[ri]
-			keyBuf = keyBuf[:0]
-			for i, ci := range sortedIdx {
-				v := row[ci]
-				if v.Kind() == value.Float && math.IsNaN(v.Float()) {
-					idx.hasNaN[i] = true
-				}
-				keyBuf = v.AppendKey(keyBuf)
-			}
-			idx.buckets[string(keyBuf)] = append(idx.buckets[string(keyBuf)], ri)
-		}
-	}
 }
 
 // extendColumnar extends every already-built column of the cached

@@ -5,11 +5,10 @@ package engine
 // CSR-style (spanOff[c] .. spanOff[c+1] index (lo, hi) pairs in spans).
 // SegTable.SelectEq probes it instead of walking every merged run of
 // every segment per fragment — the walk that made NAIVE's per-candidate
-// selections O(fragments × rows) over segments while the dense baseline
-// answered them from hash indexes. The index is built lazily, once per
-// column, for the immutable RLE/PACK encodings; dense parts scan their
-// codes in place instead (an index built per query would cost more than
-// the scan it replaces).
+// selections O(fragments × rows) over segments. The index is built
+// lazily, once per column, for the immutable RLE/PACK encodings; dense
+// parts scan their codes in place instead (an index built per query would
+// cost more than the scan it replaces).
 
 // spanIndex builds (once) and returns the CSR span index.
 func (cc *CompressedCol) spanIndex() (off, spans []int32) {

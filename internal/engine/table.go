@@ -23,9 +23,6 @@ type Table struct {
 	// pattern sets, persisted stores — record the epoch they saw and
 	// compare it later to detect staleness instead of guessing.
 	epoch uint64
-	// indexes holds hash indexes built with BuildIndex; extended in place
-	// by appends, invalidated by reordering mutations.
-	indexes map[string]*tableIndex
 	// cols caches the columnar view; extended in place by appends,
 	// invalidated by reordering mutations. colsMu serializes its creation.
 	cols   atomic.Pointer[Columnar]
@@ -83,9 +80,8 @@ func (t *Table) validateRow(row value.Tuple) error {
 
 // Append adds a row. The arity must match the schema, and each value must
 // match the column kind unless the column is untyped or the value is NULL.
-// Hash indexes and the columnar view are extended in place for the new
-// row, so an append costs O(indexed columns + encoded columns), not a
-// rebuild.
+// The columnar view is extended in place for the new row, so an append
+// costs O(encoded columns), not a rebuild.
 func (t *Table) Append(row value.Tuple) error {
 	if err := t.validateRow(row); err != nil {
 		return err
@@ -98,9 +94,8 @@ func (t *Table) Append(row value.Tuple) error {
 
 // AppendRows appends a batch of rows atomically: every row is validated
 // before any is appended, so a bad row in the middle of a batch leaves
-// the table untouched. Derived structures (hash indexes, the columnar
-// view) are extended in place once for the whole batch, and the epoch
-// advances by exactly one.
+// the table untouched. The columnar view is extended in place once for
+// the whole batch, and the epoch advances by exactly one.
 func (t *Table) AppendRows(rows []value.Tuple) error {
 	for i, row := range rows {
 		if err := t.validateRow(row); err != nil {
@@ -151,10 +146,9 @@ func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 }
 
 // SelectEq returns the rows whose values in cols equal vals positionally.
-// A hash index built via BuildIndex over exactly this column set answers
-// the query in O(result); otherwise the parts kernel scans dictionary
-// codes, falling back to a row-at-a-time scan only in the rare cases
-// where code equality and value.Equal diverge (see EqCode).
+// The parts kernel scans dictionary codes, falling back to a row-at-a-time
+// scan only in the rare cases where code equality and value.Equal diverge
+// (see EqCode).
 func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -165,12 +159,6 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	}
 	out := NewTable(t.schema)
 	out.rowOnly = t.rowOnly
-	if rows, ok := t.lookupIndex(cols, vals); ok {
-		for _, ri := range rows {
-			out.rows = append(out.rows, t.rows[ri])
-		}
-		return out, nil
-	}
 	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
 		parts := t.parts(idx, nil)
 		if want, divergent := selectEqPlanParts(parts, vals); !divergent {
@@ -295,8 +283,7 @@ func (t *Table) CountDistinct(cols []string) (int, error) {
 
 // SortBy sorts the table in place by the given columns ascending (using
 // value.Compare ordering). The sort is stable. Reordering rows
-// invalidates derived caches (indexes and the columnar view), which
-// store row positions.
+// invalidates the columnar view, which stores row positions.
 func (t *Table) SortBy(cols []string) error {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {

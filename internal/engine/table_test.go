@@ -230,110 +230,3 @@ func TestMustAppendPanics(t *testing.T) {
 	}()
 	NewTable(pubSchema()).MustAppend(value.Tuple{})
 }
-
-func TestIndexedSelectEqMatchesScan(t *testing.T) {
-	tab := pubTable(t)
-	cols := []string{"author", "year"}
-	key := value.Tuple{value.NewString("AY"), value.NewInt(2004)}
-	scan, err := tab.SelectEq(cols, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.BuildIndex(cols); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.HasIndex([]string{"year", "author"}) {
-		t.Error("index lookup should be order-insensitive on the column set")
-	}
-	indexed, err := tab.SelectEq(cols, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if indexed.NumRows() != scan.NumRows() {
-		t.Fatalf("indexed %d rows vs scan %d", indexed.NumRows(), scan.NumRows())
-	}
-	for i := range scan.Rows() {
-		if !indexed.Row(i).Equal(scan.Row(i)) {
-			t.Errorf("row %d differs: %v vs %v", i, indexed.Row(i), scan.Row(i))
-		}
-	}
-	// Reversed column order with correspondingly reversed values.
-	rev, err := tab.SelectEq([]string{"year", "author"}, value.Tuple{value.NewInt(2004), value.NewString("AY")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rev.NumRows() != scan.NumRows() {
-		t.Errorf("reversed-order indexed lookup = %d rows", rev.NumRows())
-	}
-}
-
-func TestIndexExtendedByAppend(t *testing.T) {
-	tab := pubTable(t)
-	cols := []string{"author"}
-	if err := tab.BuildIndex(cols); err != nil {
-		t.Fatal(err)
-	}
-	tab.MustAppend(value.Tuple{
-		value.NewString("AX"), value.NewString("P99"),
-		value.NewInt(2006), value.NewString("VLDB"),
-	})
-	if !tab.HasIndex(cols) {
-		t.Fatal("index must survive Append (extended in place)")
-	}
-	// Post-append lookups go through the extended index and see both the
-	// old rows and the new one.
-	got, err := tab.SelectEq(cols, value.Tuple{value.NewString("AX")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 6 {
-		t.Errorf("AX rows after append = %d, want 6", got.NumRows())
-	}
-	// A brand-new key lands in a fresh bucket.
-	tab.MustAppend(value.Tuple{
-		value.NewString("NEW"), value.NewString("P100"),
-		value.NewInt(2007), value.NewString("KDD"),
-	})
-	got, err = tab.SelectEq(cols, value.Tuple{value.NewString("NEW")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 1 {
-		t.Errorf("NEW rows after append = %d, want 1", got.NumRows())
-	}
-}
-
-func TestIndexInvalidatedBySortBy(t *testing.T) {
-	tab := pubTable(t)
-	cols := []string{"author"}
-	if err := tab.BuildIndex(cols); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.SortBy([]string{"year"}); err != nil {
-		t.Fatal(err)
-	}
-	if tab.HasIndex(cols) {
-		t.Fatal("index must be invalidated by SortBy")
-	}
-}
-
-func TestBuildIndexUnknownColumn(t *testing.T) {
-	tab := pubTable(t)
-	if err := tab.BuildIndex([]string{"ghost"}); err == nil {
-		t.Error("unknown column should error")
-	}
-}
-
-func TestIndexMissLookup(t *testing.T) {
-	tab := pubTable(t)
-	if err := tab.BuildIndex([]string{"author"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.SelectEq([]string{"author"}, value.Tuple{value.NewString("NOBODY")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 0 {
-		t.Errorf("missing key returned %d rows", got.NumRows())
-	}
-}

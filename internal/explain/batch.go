@@ -27,10 +27,9 @@ type BatchItem struct {
 // order, same deterministic stats — but the batch amortizes the work
 // the questions share:
 //
-//   - the structural relevance scan runs once per distinct
-//     (group-by set, aggregate) signature instead of once per question;
-//   - refinement lists are resolved once per pattern for the whole
-//     batch instead of once per (question, relevant pattern);
+//   - one relevance index serves every question: its structural
+//     prefilter and precomputed refinement lists replace the full
+//     pattern scans (opt.LinearScan selects the reference scans);
 //   - the γ_{F'∪V, agg}(R) aggregate results that drill-downs scan and
 //     NORM reads are held in one singleflight group-by cache shared by
 //     every question, so each distinct grouping is computed at most
@@ -68,112 +67,6 @@ func (e *Explainer) ExplainBatchOpts(qs []UserQuestion, opt Options) []BatchItem
 	return runBatch(qs, e.r, e.patterns, merged, e.cache.lookup(e.r), idx)
 }
 
-// batchPlan is the state one batch shares across its questions: the
-// structurally relevant pattern subset per question signature and the
-// memoized refinement lists.
-type batchPlan struct {
-	patterns []*pattern.Mined
-	// structRel maps a question signature — the group-by attribute set
-	// plus aggregate, which is all the attribute-containment checks of
-	// Definition 5 depend on — to the indices of patterns passing them.
-	// Questions sharing a signature share this scan; the per-question
-	// parts of relevance (fragment projection, local hold, NORM) still
-	// run per question.
-	structRel map[string][]int
-	// refs memoizes refinementsOf for every structurally relevant
-	// pattern on the linear reference path; when the plan is built over
-	// an index, the index's precomputed adjacency serves instead.
-	refs map[*pattern.Mined][]*pattern.Mined
-	idx  *Index
-}
-
-func newBatchPlan(qs []UserQuestion, patterns []*pattern.Mined, idx *Index) *batchPlan {
-	bp := &batchPlan{
-		patterns:  patterns,
-		structRel: make(map[string][]int),
-		refs:      make(map[*pattern.Mined][]*pattern.Mined),
-		idx:       idx,
-	}
-	for _, q := range qs {
-		key := signatureKey(q)
-		if _, done := bp.structRel[key]; done {
-			continue
-		}
-		if idx != nil {
-			rel := idx.Relevant(q.GroupBy, q.Agg)
-			idxs := make([]int, len(rel))
-			for i, pi := range rel {
-				idxs[i] = int(pi)
-			}
-			bp.structRel[key] = idxs
-			continue
-		}
-		gset := make(map[string]bool, len(q.GroupBy))
-		for _, a := range q.GroupBy {
-			gset[a] = true
-		}
-		idxs := []int{}
-		for i, m := range patterns {
-			if !structuralMatch(m, gset, q.Agg) {
-				continue
-			}
-			idxs = append(idxs, i)
-			if _, ok := bp.refs[m]; !ok {
-				bp.refs[m] = refinementsOf(m, patterns)
-			}
-		}
-		bp.structRel[key] = idxs
-	}
-	return bp
-}
-
-// refine serves the generator's refinement hook from the index's
-// adjacency or the memoized lists. Both are read-only after
-// newBatchPlan, so concurrent reads from the question workers are safe.
-func (bp *batchPlan) refine(m *pattern.Mined) []*pattern.Mined {
-	if bp.idx != nil {
-		return bp.idx.Refinements(m)
-	}
-	if refs, ok := bp.refs[m]; ok {
-		return refs
-	}
-	return refinementsOf(m, bp.patterns)
-}
-
-// structuralMatch is the question-value-independent part of
-// Definition 5: the pattern shares the aggregate and uses only
-// attributes of the question's group-by. Patterns failing it are
-// irrelevant to every question with this signature.
-func structuralMatch(m *pattern.Mined, gset map[string]bool, agg engine.AggSpec) bool {
-	if m.Pattern.Agg != agg {
-		return false
-	}
-	for _, a := range m.Pattern.F {
-		if !gset[a] {
-			return false
-		}
-	}
-	for _, a := range m.Pattern.V {
-		if !gset[a] {
-			return false
-		}
-	}
-	return true
-}
-
-// signatureKey identifies the (group-by set, aggregate) signature of a
-// question. The attribute order is canonicalized so questions that
-// group by the same set in different orders share one scan.
-func signatureKey(q UserQuestion) string {
-	attrs := append([]string(nil), q.GroupBy...)
-	for i := 1; i < len(attrs); i++ {
-		for j := i; j > 0 && attrs[j-1] > attrs[j]; j-- {
-			attrs[j-1], attrs[j] = attrs[j], attrs[j-1]
-		}
-	}
-	return strings.Join(attrs, "\x1f") + "\x1e" + q.Agg.String()
-}
-
 // questionKey identifies a question completely (attributes, aggregate,
 // values, aggregate value, direction) for duplicate suppression. Tuple
 // keys are type-tagged, so e.g. Int(1) and String("1") do not collide.
@@ -191,7 +84,7 @@ func questionKey(q UserQuestion) string {
 	return sb.String()
 }
 
-// runBatch executes the planner + worker pool over validated options.
+// runBatch executes the worker pool over validated options.
 // opt must already have defaults applied.
 func runBatch(qs []UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options,
 	lookup func(pattern.Pattern) (*engine.Table, error), idx *Index) []BatchItem {
@@ -200,7 +93,6 @@ func runBatch(qs []UserQuestion, r engine.Relation, patterns []*pattern.Mined, o
 	if len(qs) == 0 {
 		return items
 	}
-	plan := newBatchPlan(qs, patterns, idx)
 
 	// Duplicate questions are answered once: canon[i] is the index of
 	// the first occurrence of qs[i]'s key, and only those first
@@ -234,7 +126,7 @@ func runBatch(qs []UserQuestion, r engine.Relation, patterns []*pattern.Mined, o
 	}
 
 	answer := func(i int) {
-		items[i].Explanations, items[i].Stats, items[i].Err = plan.explainOne(qs[i], r, perQ, lookup)
+		items[i].Explanations, items[i].Stats, items[i].Err = explainOne(qs[i], r, patterns, perQ, idx, lookup)
 	}
 	if batchWorkers <= 1 {
 		for _, i := range distinct {
@@ -279,28 +171,13 @@ func runBatch(qs []UserQuestion, r engine.Relation, patterns []*pattern.Mined, o
 }
 
 // explainOne runs the standard bound-pruned generation for one question
-// of the batch, with the shared lookup and refinement hooks swapped in.
-// Semantics are exactly prepare+run: the structural prefilter only
-// skips patterns Definition 5 would reject anyway, and g.relevant
-// re-derives the per-question parts unchanged.
-func (bp *batchPlan) explainOne(q UserQuestion, r engine.Relation, opt Options,
+// of the batch over the batch's shared index and grouping lookup.
+func explainOne(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options, idx *Index,
 	lookup func(pattern.Pattern) (*engine.Table, error)) ([]Explanation, *Stats, error) {
 
-	if err := q.Validate(); err != nil {
+	g, rel, stats, err := prepareIndexed(q, r, patterns, opt, idx, lookup)
+	if err != nil {
 		return nil, nil, err
-	}
-	g := &generator{q: q, r: r, opt: opt, lookup: lookup, refine: bp.refine}
-	stats := &Stats{}
-	var rel []relevantEntry
-	for _, pi := range bp.structRel[signatureKey(q)] {
-		re, ok, err := g.relevant(bp.patterns[pi])
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			rel = append(rel, re)
-			stats.RelevantPatterns++
-		}
 	}
 	expls, err := g.run(rel, stats)
 	if err != nil {

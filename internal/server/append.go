@@ -59,6 +59,19 @@ func (s *Server) AddPatternSetEntry(entry *pattern.StoreEntry) (id, warning stri
 	return ps.ID, warning
 }
 
+// PatternSetEntry returns a pattern set as a store entry — its table,
+// served patterns, stamp and mining spec — the inverse of
+// AddPatternSetEntry, for callers that persist a set to a pattern store.
+func (s *Server) PatternSetEntry(id string) (*pattern.StoreEntry, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ps, ok := s.patterns[id]
+	if !ok {
+		return nil, false
+	}
+	return &pattern.StoreEntry{Table: ps.Table, Patterns: ps.patterns, Stamp: ps.stamp, Spec: ps.spec}, true
+}
+
 // AppendRequest is the body of POST /v1/append. Each row is a JSON array
 // with one element per table column; elements are raw scalars (string,
 // number, null) or the kind-tagged object form the engine marshals.

@@ -33,6 +33,9 @@ type ExplainRequest struct {
 	Numeric map[string]float64 `json:"numeric,omitempty"`
 	// Weights maps attribute names to metric weights.
 	Weights map[string]float64 `json:"weights,omitempty"`
+	// Expected is the target aggregate value for /v1/intervene (ignored
+	// elsewhere); 0 keeps the default, the average of the other groups.
+	Expected float64 `json:"expected,omitempty"`
 }
 
 // build validates the request against the table and produces the

@@ -203,29 +203,6 @@ func (s *Server) AddTable(name string, t *engine.Table) {
 	s.tableGen[name]++
 }
 
-// AddPatternSet registers a pattern set programmatically — e.g. one
-// loaded from a pattern store directory at startup — and returns its
-// assigned ID, usable in explain/generalize requests exactly like a set
-// mined via /v1/mine.
-func (s *Server) AddPatternSet(table string, patterns []*pattern.Mined) string {
-	locals := 0
-	for _, m := range patterns {
-		locals += len(m.Locals)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	ps := &patternSet{
-		ID:       "ps-" + strconv.Itoa(s.nextID),
-		Table:    table,
-		Count:    len(patterns),
-		Locals:   locals,
-		patterns: patterns,
-	}
-	s.patterns[ps.ID] = ps
-	return ps.ID
-}
-
 // ---- handlers ----
 
 func (s *Server) handleListTables(w http.ResponseWriter, _ *http.Request) {
@@ -590,7 +567,7 @@ func (s *Server) handleIntervene(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	expls, err := intervention.Explain(q, tab, intervention.Options{K: opt.K})
+	expls, err := intervention.Explain(q, tab, intervention.Options{K: opt.K, Expected: req.Expected})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, intervention.ErrLowQuestion) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cape/internal/dataset"
+	"cape/internal/intervention"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -319,5 +320,67 @@ func TestGeneralizeAndInterveneEndpoints(t *testing.T) {
 	}
 	if _, ok := out["interventions"]; !ok {
 		t.Error("interventions field missing")
+	}
+}
+
+// TestInterveneExpected: the request's "expected" target reaches the
+// intervention explainer — the answer equals intervention.Explain with
+// that Expected, and differs from the default (the other groups'
+// average) on this question — while omitting it keeps the default and a
+// low question is still refused with 422.
+func TestInterveneExpected(t *testing.T) {
+	s, ts := newTestServer(t)
+	loadRunningExample(t, ts)
+	tab, _ := s.Table("pub")
+	spec := QuestionSpec{GroupBy: []string{"author", "venue"}, Tuple: []string{"AX", "ICDE"}, Dir: "high"}
+	q, err := newQuestionBuilder(tab).build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interventions := func(expected float64) string {
+		t.Helper()
+		body, _ := json.Marshal(ExplainRequest{
+			Table: "pub", GroupBy: spec.GroupBy, Tuple: spec.Tuple, Dir: spec.Dir, Expected: expected,
+		})
+		resp, err := http.Post(ts.URL+"/v1/intervene", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Interventions json.RawMessage }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("expected=%v: status %d, %v", expected, resp.StatusCode, err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, out.Interventions); err != nil {
+			t.Fatal(err)
+		}
+		return compact.String()
+	}
+	library := func(expected float64) string {
+		t.Helper()
+		expls, err := intervention.Explain(q, tab, intervention.Options{Expected: expected})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(expls)
+		return string(b)
+	}
+	if got, want := interventions(17), library(17); got != want {
+		t.Errorf("expected=17: server %s, library %s", got, want)
+	}
+	if got, want := interventions(0), library(0); got != want {
+		t.Errorf("default target: server %s, library %s", got, want)
+	}
+	if interventions(17) == interventions(0) {
+		t.Error("expected=17 should change the answer on this question")
+	}
+
+	resp, out := doJSON(t, "POST", ts.URL+"/v1/intervene", ExplainRequest{
+		Table: "pub", GroupBy: []string{"author", "venue", "year"},
+		Tuple: []string{"AX", "SIGKDD", "2007"}, Dir: "low", Expected: 3,
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("low question with expected: status %d: %v", resp.StatusCode, out)
 	}
 }

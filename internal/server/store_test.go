@@ -32,9 +32,9 @@ func TestPatternStoreSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadedID := sB.AddPatternSet("pub", stores["pub"])
+	loadedID, _ := sB.AddPatternSetEntry(&pattern.StoreEntry{Table: "pub", Patterns: stores["pub"]})
 	if loadedID == "" {
-		t.Fatal("AddPatternSet returned empty id")
+		t.Fatal("AddPatternSetEntry returned empty id")
 	}
 
 	req := ExplainRequest{
