@@ -239,7 +239,12 @@ type BatchItem = explain.BatchItem
 // questions still get answers. Use ExplainBatchItems for structured
 // per-item errors.
 func ExplainBatch(qs []Question, t *Table, patterns []*MinedPattern, opt ExplainOptions) ([][]Explanation, []*ExplainStats, error) {
-	items := explain.GenerateBatch(qs, t, patterns, opt)
+	return batchResults(explain.GenerateBatch(qs, t, patterns, opt))
+}
+
+// batchResults splits batch items into ExplainBatch's aligned results
+// and joined, indexed error.
+func batchResults(items []BatchItem) ([][]Explanation, []*ExplainStats, error) {
 	expls := make([][]Explanation, len(items))
 	stats := make([]*ExplainStats, len(items))
 	var errs []error

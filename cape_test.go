@@ -1,6 +1,7 @@
 package cape
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,45 @@ func TestSessionSetPatterns(t *testing.T) {
 	}
 	if _, _, err := s2.Explain(q, ExplainOptions{K: 5}); err != nil {
 		t.Errorf("Explain with installed patterns failed: %v", err)
+	}
+}
+
+// TestSessionExplainsThroughWarmExplainer: a session's answers equal
+// the one-shot Explain, ExplainBatch's equal Explain's, and asking the
+// same question again reads only groupings the first ask cached.
+func TestSessionExplainsThroughWarmExplainer(t *testing.T) {
+	s := exampleSession(t)
+	q, err := QuestionFromRow([]string{"author", "venue", "year"}, Count(),
+		Tuple{String("AX"), String("SIGKDD"), Int(2007), Int(1)}, Low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ExplainOptions{K: 10}
+	want, wantStats, err := Explain(q, s.Table(), s.Patterns(),
+		ExplainOptions{K: 10, Metric: NewMetric().SetFunc("year", NumericDistance{Scale: 4})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := s.Explain(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || *stats != *wantStats {
+		t.Fatalf("session answer differs from Explain:\n got %v %+v\nwant %v %+v", got, *stats, want, *wantStats)
+	}
+	cached := s.explainer.CachedGroupings()
+	if cached == 0 {
+		t.Fatal("the first question cached no grouping")
+	}
+	batch, _, err := s.ExplainBatch([]Question{q}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(batch[0], want) {
+		t.Errorf("session batch answer differs from Explain:\n got %v\nwant %v", batch[0], want)
+	}
+	if n := s.explainer.CachedGroupings(); n != cached {
+		t.Errorf("asking again grew the grouping cache from %d to %d", cached, n)
 	}
 }
 

@@ -16,58 +16,26 @@
 // -full runs the larger input sizes (slower; closer to the paper's
 // ranges).
 //
-// Performance numbers for the system itself come from `go run
-// ./benchmark` (see benchmark/README.md); the figures here are also
-// testing.B targets in the root package's bench_test.go, which is where
-// `go test -bench … -cpuprofile` profiles them.
+// The experiments are defined once, in internal/exp: capebench times
+// each case once, and the root package's benchmarks run the same cases
+// under testing.B (`go test -bench Fig3b .`), which is where `-cpuprofile`
+// profiles them. Performance numbers for the system itself come from
+// `go run ./benchmark` (see benchmark/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+
+	"cape/internal/exp"
 )
-
-// experiments maps subcommand names to runners. Each runner prints its
-// own header and rows.
-var experiments = map[string]struct {
-	run  func(full bool) error
-	desc string
-}{
-	"fig3a":     {runFig3a, "mining runtime vs attribute count (Crime): NAIVE / CUBE / SHARE-GRP / ARP-MINE"},
-	"fig3b":     {runFig3b, "mining runtime vs row count (Crime)"},
-	"fig3c":     {runFig3c, "mining runtime vs row count (DBLP)"},
-	"fig4":      {runFig4, "mining subtask breakdown: regression vs query vs other"},
-	"fig5":      {runFig5, "ARP-MINE with and without FD optimizations (Crime, 9 attrs)"},
-	"fig6a":     {runFig6a, "explanation runtime vs number of local patterns (DBLP), naive vs opt"},
-	"fig6b":     {runFig6b, "explanation runtime vs number of local patterns (Crime)"},
-	"fig6c":     {runFig6c, "explanation runtime vs question group-by size (Crime)"},
-	"fig7":      {runFig7, "precision vs (θ, λ, Δ) on injected ground-truth counterbalances"},
-	"table3":    {runTable3, "top-10 explanations for the running-example question (low)"},
-	"table4":    {runTable4, "top-5 CAPE explanations, DBLP high question"},
-	"table5":    {runTable5, "top-5 CAPE explanations, Crime low question"},
-	"table6":    {runTable6, "top-5 baseline explanations, DBLP high question"},
-	"table7":    {runTable7, "top-5 baseline explanations, Crime low question"},
-	"userstudy": {runUserStudy, "machine-checkable part of the Appendix-B user study"},
-}
-
-// experimentNames returns the registry's keys in the order `all` runs
-// them and usage lists them.
-func experimentNames() []string {
-	names := make([]string, 0, len(experiments))
-	for n := range experiments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: capebench <experiment> [-full]")
 	fmt.Fprintln(os.Stderr, "\nexperiments:")
-	for _, n := range experimentNames() {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", n, experiments[n].desc)
+	for _, e := range exp.Experiments {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.Name, e.Desc)
 	}
 	fmt.Fprintln(os.Stderr, "  all        run everything")
 	fmt.Fprintln(os.Stderr, "\n  -full      run larger (slower) input sizes, closer to the paper's ranges")
@@ -86,20 +54,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	names := []string{name}
-	if name == "all" {
-		names = experimentNames()
-	}
-	for _, n := range names {
-		e, ok := experiments[n]
+	run := exp.Experiments
+	if name != "all" {
+		e, ok := exp.Find(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "capebench: unknown experiment %q\n\n", n)
+			fmt.Fprintf(os.Stderr, "capebench: unknown experiment %q\n\n", name)
 			usage()
 			os.Exit(2)
 		}
-		fmt.Printf("==> %s: %s\n\n", n, e.desc)
-		if err := e.run(*full); err != nil {
-			fmt.Fprintf(os.Stderr, "capebench %s: %v\n", n, err)
+		run = []exp.Experiment{e}
+	}
+	for _, e := range run {
+		fmt.Printf("==> %s: %s\n\n", e.Name, e.Desc)
+		if err := e.Run(os.Stdout, exp.Once, *full); err != nil {
+			fmt.Fprintf(os.Stderr, "capebench %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		fmt.Println()

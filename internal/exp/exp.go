@@ -1,6 +1,7 @@
-// Package exp contains the shared experiment machinery behind the
-// paper-reproduction harness (cmd/capebench), the benchmarks, and the
-// sensitivity example: ground-truth outlier injection with site
+// Package exp defines the paper's experiments (Section 5 and
+// Appendices A–B) once, as named cases that cmd/capebench times once and
+// the root package's benchmarks run under testing.B, together with the
+// machinery behind them: ground-truth outlier injection with site
 // selection, the precision measurement of Section 5.3, and random
 // user-question generation for the explanation-performance experiments.
 package exp
@@ -265,25 +266,12 @@ func RunPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 		return res, err
 	}
 	qAttrs := cfg.Spec.QuestionAttrs()
-	agg := engine.AggSpec{Func: engine.Count}
 	for _, site := range sites {
-		injected, gt, err := dataset.InjectCounterbalance(cfg.Table, qAttrs, site.Outlier, site.Counter, cfg.Delta, "low")
+		s, gt, err := plant(cfg.Table, qAttrs, site, cfg.Delta, cfg.Mining, cfg.Metric)
 		if err != nil {
 			return res, err
 		}
-		mined, err := mining.ARPMine(injected, cfg.Mining)
-		if err != nil {
-			return res, err
-		}
-		aggValue, err := groupCount(injected, qAttrs, site.Outlier)
-		if err != nil {
-			return res, err
-		}
-		q := explain.UserQuestion{
-			GroupBy: qAttrs, Agg: agg,
-			Values: site.Outlier, AggValue: aggValue, Dir: explain.Low,
-		}
-		expls, _, err := explain.Generate(q, injected, mined.Patterns, explain.Options{K: cfg.K, Metric: cfg.Metric})
+		expls, _, err := explain.Generate(s.q, s.tab, s.patterns, explain.Options{K: cfg.K, Metric: s.metric})
 		if err != nil {
 			return res, err
 		}
@@ -298,10 +286,25 @@ func RunPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 	return res, nil
 }
 
-func groupCount(tab *engine.Table, groupBy []string, key value.Tuple) (value.V, error) {
-	sel, err := tab.SelectEq(groupBy, key)
+// plant moves delta rows from site's outlier group to its
+// counterbalance, re-mines the injected table with opt and asks why the
+// outlier's count over qAttrs is low.
+func plant(tab *engine.Table, qAttrs []string, site Site, delta int, opt mining.Options, metric *distance.Metric) (scenario, dataset.GroundTruth, error) {
+	injected, gt, err := dataset.InjectCounterbalance(tab, qAttrs, site.Outlier, site.Counter, delta, "low")
 	if err != nil {
-		return value.V{}, err
+		return scenario{}, gt, err
 	}
-	return value.NewInt(int64(sel.NumRows())), nil
+	mined, err := mining.ARPMine(injected, opt)
+	if err != nil {
+		return scenario{}, gt, err
+	}
+	sel, err := injected.SelectEq(qAttrs, site.Outlier)
+	if err != nil {
+		return scenario{}, gt, err
+	}
+	q := explain.UserQuestion{
+		GroupBy: qAttrs, Agg: countStar,
+		Values: site.Outlier, AggValue: value.NewInt(int64(sel.NumRows())), Dir: explain.Low,
+	}
+	return scenario{tab: injected, patterns: mined.Patterns, q: q, metric: metric}, gt, nil
 }

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"io"
+	"path"
+	"slices"
 	"testing"
+	"time"
 
 	"cape/internal/dataset"
-	"cape/internal/distance"
 	"cape/internal/engine"
 	"cape/internal/explain"
 	"cape/internal/mining"
@@ -13,26 +16,13 @@ import (
 	"cape/internal/value"
 )
 
-func crimeSpec() SiteSpec {
-	return SiteSpec{TypeAttr: "type", FragAttr: "community", PredAttr: "year", MinOutlierCount: 10}
-}
-
-func crimeMiningOpts() mining.Options {
-	return mining.Options{
-		MaxPatternSize: 3,
-		Attributes:     []string{"type", "community", "year"},
-		Thresholds:     pattern.Thresholds{Theta: 0.2, LocalSupport: 3, Lambda: 0.2, GlobalSupport: 5},
-		AggFuncs:       []engine.AggFunc{engine.Count},
-	}
-}
-
 func TestFindSites(t *testing.T) {
-	tab := dataset.GenerateCrime(dataset.CrimeConfig{Rows: 10000, Seed: 7, NumAttrs: 5, NumTypes: 6, NumCommunities: 12})
-	mined, err := mining.ARPMine(tab, crimeMiningOpts())
+	tab := studyCrime(10000, 12)
+	mined, err := mining.ARPMine(tab, studyMining(studyThresholds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, err := FindSites(tab, crimeSpec(), mined.Patterns, 5)
+	sites, err := FindSites(tab, studySpec, mined.Patterns, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +42,7 @@ func TestFindSites(t *testing.T) {
 
 func TestFindSitesMissingPatterns(t *testing.T) {
 	tab := dataset.GenerateCrime(dataset.CrimeConfig{Rows: 1000, Seed: 7, NumAttrs: 5})
-	if _, err := FindSites(tab, crimeSpec(), nil, 5); err == nil {
+	if _, err := FindSites(tab, studySpec, nil, 5); err == nil {
 		t.Error("missing required patterns should error")
 	}
 }
@@ -119,18 +109,14 @@ func TestRandomQuestionsEmptyResult(t *testing.T) {
 }
 
 func TestRunPrecision(t *testing.T) {
-	tab := dataset.GenerateCrime(dataset.CrimeConfig{Rows: 10000, Seed: 7, NumAttrs: 5, NumTypes: 6, NumCommunities: 12})
-	metric := distance.NewMetric().
-		SetFunc("year", distance.Numeric{Scale: 3}).
-		SetFunc("community", distance.Numeric{Scale: 2})
 	res, err := RunPrecision(PrecisionConfig{
-		Table:        tab,
-		Spec:         crimeSpec(),
-		Mining:       crimeMiningOpts(),
+		Table:        studyCrime(10000, 12),
+		Spec:         studySpec,
+		Mining:       studyMining(studyThresholds),
 		NumQuestions: 4,
 		K:            100,
 		Delta:        5,
-		Metric:       metric,
+		Metric:       crimeMetric(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,5 +140,142 @@ func TestRunPrecision(t *testing.T) {
 func TestPrecisionResultZero(t *testing.T) {
 	if (PrecisionResult{}).Precision() != 0 {
 		t.Error("zero questions should give precision 0")
+	}
+}
+
+// record is a Timer that runs each case once and keeps its outcome by
+// case name.
+type record map[string]Outcome
+
+func (r record) time(c Case) (Outcome, time.Duration, error) {
+	o, err := c.Run()
+	r[c.Name] = o
+	return o, 0, err
+}
+
+// pairs calls check with the outcomes of variants a and b at every point
+// where a ran, and fails if a never ran.
+func (r record) pairs(t *testing.T, a, b string, check func(point string, a, b Outcome)) {
+	t.Helper()
+	n := 0
+	for name, o := range r {
+		if point, variant := path.Split(name); variant == a {
+			check(point, o, r[point+b])
+			n++
+		}
+	}
+	if n == 0 {
+		t.Errorf("no %s case ran", a)
+	}
+}
+
+// TestFig3ShareGrpAndARPMineExamineSameCandidates: ARP-MINE differs from
+// SHARE-GRP only in reusing sort orders across splits, so on every
+// Figure-3 point both examine exactly the same candidates and the
+// runtime margin between them is sort cost alone.
+func TestFig3ShareGrpAndARPMineExamineSameCandidates(t *testing.T) {
+	for name, run := range map[string]func(Timer) error{
+		"fig3a": func(tm Timer) error { return fig3a(io.Discard, tm, 1000, []int{4, 5}, 0) },
+		"fig3b": func(tm Timer) error { return fig3b(io.Discard, tm, []int{1000}) },
+		"fig3c": func(tm Timer) error { return fig3c(io.Discard, tm, []int{1000, 2000}) },
+	} {
+		rec := record{}
+		if err := run(rec.time); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rec.pairs(t, "ARP-MINE", "SHARE-GRP", func(point string, arp, share Outcome) {
+			if arp.Mined.Candidates != share.Mined.Candidates {
+				t.Errorf("%s %s: ARP-MINE examined %d candidates, SHARE-GRP %d",
+					name, point, arp.Mined.Candidates, share.Mined.Candidates)
+			}
+		})
+	}
+}
+
+// TestFig5FDsPruneWithoutAddingPatterns: on Figure 5's FD-rich schema
+// the FD optimizations skip (F, V) pairs, and every pattern they keep
+// is one the unpruned run finds too.
+func TestFig5FDsPruneWithoutAddingPatterns(t *testing.T) {
+	rec := record{}
+	if err := fig5(io.Discard, rec.time, []int{1000}); err != nil {
+		t.Fatal(err)
+	}
+	rec.pairs(t, "FDs=on", "FDs=off", func(point string, on, off Outcome) {
+		if on.Mined.SkippedByFD == 0 {
+			t.Errorf("%s: FDs=on skipped no (F, V) pairs", point)
+		}
+		offKeys := map[string]bool{}
+		for _, p := range off.Mined.Patterns {
+			offKeys[p.Pattern.Key()] = true
+		}
+		for _, p := range on.Mined.Patterns {
+			if !offKeys[p.Pattern.Key()] {
+				t.Errorf("%s: FDs=on found %s, which FDs=off did not", point, p.Pattern.Key())
+			}
+		}
+	})
+}
+
+// TestFig6OptScoresNoMoreCandidates: the bound-pruned generator scores
+// at most as many candidates as the naive one at every N_P of Figures
+// 6a and 6b.
+func TestFig6OptScoresNoMoreCandidates(t *testing.T) {
+	eighths := []int{1, 2, 4, 8}
+	for name, run := range map[string]func(Timer) error{
+		"fig6a": func(tm Timer) error { return fig6a(io.Discard, tm, 4000, eighths) },
+		"fig6b": func(tm Timer) error { return fig6b(io.Discard, tm, 4000, eighths) },
+	} {
+		rec := record{}
+		if err := run(rec.time); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rec.pairs(t, "EXPLGEN-OPT", "EXPLGEN-NAIVE", func(point string, opt, naive Outcome) {
+			if opt.Candidates > naive.Candidates {
+				t.Errorf("%s %s: EXPLGEN-OPT scored %d candidates, EXPLGEN-NAIVE %d",
+					name, point, opt.Candidates, naive.Candidates)
+			}
+		})
+	}
+}
+
+// TestExperimentsRun runs every experiment at its default sizes as
+// capebench does; the timing sweeps only without -short.
+func TestExperimentsRun(t *testing.T) {
+	fast := map[string]bool{"fig3c": true, "table3": true, "table4": true, "table5": true,
+		"table6": true, "table7": true, "userstudy": true}
+	slow := map[string]bool{"fig6a": true, "fig6b": true, "fig7": true}
+	var names []string
+	for _, e := range Experiments {
+		names = append(names, e.Name)
+		if e.Desc == "" || e.Run == nil {
+			t.Errorf("%s has no description or no Run", e.Name)
+			continue
+		}
+		if !fast[e.Name] && (testing.Short() || !slow[e.Name]) {
+			continue
+		}
+		if err := e.Run(io.Discard, Once, false); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+	}
+	// The names are the capebench commands and the Benchmark* lookups;
+	// their order is the order of `capebench all`.
+	want := []string{"fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig7",
+		"table3", "table4", "table5", "table6", "table7", "userstudy"}
+	if !slices.Equal(names, want) {
+		t.Errorf("experiments %v, want the paper's %v", names, want)
+	}
+}
+
+// TestFig7FullRuns: at the -full size Figure 7 must still mine the two
+// patterns its injection sites are found from; without them the
+// experiment errors out and `capebench all -full` stops there.
+func TestFig7FullRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing sweeps skipped in -short mode")
+	}
+	e, _ := Find("fig7")
+	if err := e.Run(io.Discard, Once, true); err != nil {
+		t.Fatal(err)
 	}
 }

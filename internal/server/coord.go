@@ -494,7 +494,7 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 		cs.stats[i] = re.resp.CandStats
 	}
 	cs.admitted = admittedKeys(cs.stats, cs.th, c.cfg.Key)
-	if !c.pushAdmission(w, r.Context(), cs) {
+	if !c.pushAdmission(w, r.Context(), cs, cs.admitted) {
 		return
 	}
 	c.mu.Lock()
@@ -582,9 +582,9 @@ func keyInPatternF(patternKey string, key []string) bool {
 	return true
 }
 
-// pushAdmission sends the set's current admitted keys to every shard.
+// pushAdmission sends admitted keys for the set to every shard.
 // Returns false after writing an error response.
-func (c *Coordinator) pushAdmission(w http.ResponseWriter, ctx context.Context, cs *coordSet) bool {
+func (c *Coordinator) pushAdmission(w http.ResponseWriter, ctx context.Context, cs *coordSet, admitted []string) bool {
 	type res struct {
 		status int
 		body   []byte
@@ -597,7 +597,7 @@ func (c *Coordinator) pushAdmission(w http.ResponseWriter, ctx context.Context, 
 		go func(i int) {
 			defer wg.Done()
 			status, body, err := c.shardJSON(ctx, i, http.MethodPost,
-				"/v1/patterns/"+cs.shardPS[i]+"/admit", AdmitRequest{Keys: cs.admitted}, nil)
+				"/v1/patterns/"+cs.shardPS[i]+"/admit", AdmitRequest{Keys: admitted}, nil)
 			results[i] = res{status: status, body: body, err: err}
 		}(i)
 	}
@@ -771,16 +771,17 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		admitted := admittedKeys(cs.stats, cs.th, c.cfg.Key)
-		// The version bump is what invalidates cached answers on shards
-		// this append did not touch, so it happens only when admission
-		// actually changed; epoch-keyed invalidation covers the rest.
-		if !equalSortedKeys(admitted, cs.admitted) {
+		// Only a changed admitted set is pushed: each shard's own
+		// maintenance already filters to the keys it was last sent. The
+		// set is recorded, and the version that invalidates cached
+		// answers on untouched shards bumped, only once every shard has
+		// acknowledged it, so the next append retries a failed push.
+		if admitted := admittedKeys(cs.stats, cs.th, c.cfg.Key); !equalSortedKeys(admitted, cs.admitted) {
+			if !c.pushAdmission(w, r.Context(), cs, admitted) {
+				return
+			}
+			cs.admitted = admitted
 			cs.version++
-		}
-		cs.admitted = admitted
-		if !c.pushAdmission(w, r.Context(), cs) {
-			return
 		}
 		setStatuses = append(setStatuses, map[string]interface{}{
 			"id": cs.id, "status": "maintained", "patterns": len(cs.admitted),

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cape/internal/dataset"
@@ -257,7 +258,9 @@ func TestCoordinatorAppendRowsTotal(t *testing.T) {
 // matched to a set by shard position, not by set id alone. Appends that
 // land only on shard 0 of 3 add well-fit fragments until a candidate's
 // global confidence crosses λ; after every append the coordinator's
-// admitted keys must equal a cold single-node mine of all the rows.
+// admitted keys must equal a cold single-node mine of all the rows. An
+// append pushes /admit to every shard exactly once when it changes the
+// admitted keys, and not at all when it leaves them unchanged.
 func TestCoordinatorAppendRefreshesNonLastShard(t *testing.T) {
 	const nShards = 3
 	part := engine.Partitioner{Key: []string{"author"}, N: nShards}
@@ -305,8 +308,15 @@ func TestCoordinatorAppendRefreshesNonLastShard(t *testing.T) {
 	}
 
 	urls := make([]string, nShards)
+	admits := make([]atomic.Int64, nShards)
 	for i := range urls {
-		ts := httptest.NewServer(New())
+		shard := New()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/admit") {
+				admits[i].Add(1)
+			}
+			shard.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
@@ -359,19 +369,39 @@ func TestCoordinatorAppendRefreshesNonLastShard(t *testing.T) {
 	if got := f.coordAdmittedKeys(t); !reflect.DeepEqual(got, before) {
 		t.Fatalf("admitted keys diverge before any append:\n sharded: %v\n single:  %v", got, before)
 	}
+	prev, unchanged := before, 0
 	for i := 0; i < 5; i++ {
+		pushed := make([]int64, nShards)
+		for s := range admits {
+			pushed[s] = admits[s].Load()
+		}
 		req := AppendRequest{Table: "pub", Rows: authorRows(authorOn(0), true)}
 		for _, url := range []string{bts.URL, cts.URL} {
 			if resp, out := doJSON(t, "POST", url+"/v1/append", req); resp.StatusCode != http.StatusOK {
 				t.Fatalf("append %d on %s: %d %v", i, url, resp.StatusCode, out)
 			}
 		}
-		if got, want := f.coordAdmittedKeys(t), coldKeys(); !reflect.DeepEqual(got, want) {
+		got, want := f.coordAdmittedKeys(t), coldKeys()
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("admitted keys diverge after append %d:\n sharded: %v\n single:  %v", i, got, want)
 		}
+		wantPushes := int64(1)
+		if reflect.DeepEqual(got, prev) {
+			wantPushes = 0
+			unchanged++
+		}
+		for s := range admits {
+			if n := admits[s].Load() - pushed[s]; n != wantPushes {
+				t.Errorf("append %d: shard %d got %d /admit pushes, want %d", i, s, n, wantPushes)
+			}
+		}
+		prev = got
 	}
 	if after := coldKeys(); reflect.DeepEqual(after, before) {
 		t.Fatal("no candidate crossed λ during the append stream; the check is vacuous")
+	}
+	if unchanged == 0 {
+		t.Fatal("every append changed admission; the no-push check is vacuous")
 	}
 }
 

@@ -179,10 +179,9 @@ func newPatternDTO(m *pattern.Mined) patternDTO {
 
 // explanationDTO is the wire form of one ranked counterbalance. SortKey
 // carries the engine's deterministic tie-break identity (refined
-// pattern key + candidate tuple key), so a shard coordinator can merge
-// per-shard top-k lists into exactly the ordering a single node would
-// have produced: scores are compared first, ties broken by SortKey
-// ascending — the same total order explain's own heap uses.
+// pattern key + candidate tuple key): the list is ordered by score
+// descending, ties broken by SortKey ascending — the total order
+// explain's own heap uses.
 type explanationDTO struct {
 	Attrs     []string `json:"attrs"`
 	Tuple     []string `json:"tuple"`

@@ -9,12 +9,14 @@ import (
 
 // Session is the high-level entry point: it holds a relation, the
 // patterns mined over it, and a distance metric, and answers user
-// questions. A Session is safe for concurrent reads after Mine has
-// completed.
+// questions through one warm Explainer, so questions share the
+// groupings they read. A Session is safe for concurrent reads after
+// Mine has completed.
 type Session struct {
 	table     *Table
 	patterns  []*MinedPattern
 	metric    *Metric
+	explainer *Explainer
 	mining    *MiningResult
 	mineOpt   MiningOptions
 	mined     bool
@@ -32,6 +34,7 @@ func (s *Session) Table() *Table { return s.table }
 // SetMetric installs the distance metric used for scoring explanations.
 func (s *Session) SetMetric(m *Metric) *Session {
 	s.metric = m
+	s.SetPatterns(s.patterns)
 	return s
 }
 
@@ -53,7 +56,7 @@ func (s *Session) Mine(opt MiningOptions) error {
 		return err
 	}
 	s.mining = res
-	s.patterns = res.Patterns
+	s.SetPatterns(res.Patterns)
 	s.mineOpt = opt
 	if s.mineOpt.MaxPatternSize == 0 {
 		s.mineOpt.MaxPatternSize = 4 // the miner's default ψ
@@ -70,19 +73,23 @@ func (s *Session) Patterns() []*MinedPattern { return s.patterns }
 func (s *Session) MiningResult() *MiningResult { return s.mining }
 
 // SetPatterns installs externally mined or filtered patterns, e.g. to
-// replay explanation generation over a pattern subset.
-func (s *Session) SetPatterns(ps []*MinedPattern) { s.patterns = ps }
+// replay explanation generation over a pattern subset, and rebuilds the
+// Explainer that answers every question over them.
+func (s *Session) SetPatterns(ps []*MinedPattern) {
+	s.patterns = ps
+	s.explainer = nil
+	if ps != nil {
+		s.explainer = NewExplainer(s.table, ps, ExplainOptions{Metric: s.metric})
+	}
+}
 
 // Explain answers a user question with the top-k counterbalancing
-// explanations.
+// explanations; set fields of opt override the session's defaults.
 func (s *Session) Explain(q Question, opt ExplainOptions) ([]Explanation, *ExplainStats, error) {
-	if s.patterns == nil {
+	if s.explainer == nil {
 		return nil, nil, errors.New("cape: Mine must run before Explain (or install patterns with SetPatterns)")
 	}
-	if opt.Metric == nil {
-		opt.Metric = s.metric
-	}
-	return Explain(q, s.table, s.patterns, opt)
+	return s.explainer.ExplainOpts(q, opt)
 }
 
 // ExplainBatch answers a batch of questions in one pass, sharing the
@@ -91,13 +98,10 @@ func (s *Session) Explain(q Question, opt ExplainOptions) ([]Explanation, *Expla
 // results align positionally with qs and per-question failures are
 // wrapped with their index in the joined error.
 func (s *Session) ExplainBatch(qs []Question, opt ExplainOptions) ([][]Explanation, []*ExplainStats, error) {
-	if s.patterns == nil {
+	if s.explainer == nil {
 		return nil, nil, errors.New("cape: Mine must run before ExplainBatch (or install patterns with SetPatterns)")
 	}
-	if opt.Metric == nil {
-		opt.Metric = s.metric
-	}
-	return ExplainBatch(qs, s.table, s.patterns, opt)
+	return batchResults(s.explainer.ExplainBatchOpts(qs, opt))
 }
 
 // Ask is a convenience wrapper that builds the question from its parts,
@@ -152,6 +156,6 @@ func (s *Session) LoadPatterns(path string) error {
 	if err != nil {
 		return err
 	}
-	s.patterns = ps
+	s.SetPatterns(ps)
 	return nil
 }
