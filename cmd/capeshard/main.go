@@ -1,10 +1,10 @@
 // Command capeshard fronts a sharded CAPE deployment: N shard
 // capeservers each hold one hash partition of every table (by the
 // shard-key attribute set), and this coordinator presents them as one
-// /v1 API — scatter-gather explains merged with the engine's
-// deterministic tie-break, keyed append routing with aggregate
-// durability, global pattern admission, and load shedding under
-// overload. See DESIGN.md §15 and the README "sharded deployment"
+// /v1 API — each explain routed to the shard that owns the question's
+// group and answered with that shard's response verbatim, keyed append
+// routing with aggregate durability, global pattern admission, and load
+// shedding under overload. See DESIGN.md §15 and the README "sharded deployment"
 // quickstart.
 //
 // Usage:

@@ -53,7 +53,7 @@ func (n Numeric) Distance(a, b value.V) float64 {
 		scale = 1
 	}
 	d := math.Abs(af-bf) / scale
-	if d > 1 {
+	if !(d <= 1) { // also NaN: a NaN operand is maximally distant
 		return 1
 	}
 	return d

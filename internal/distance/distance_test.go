@@ -37,6 +37,13 @@ func TestNumeric(t *testing.T) {
 	if got := n.Distance(value.NewString("x"), value.NewInt(5)); got != 1 {
 		t.Errorf("non-numeric mismatch = %g, want 1", got)
 	}
+	nan := value.NewFloat(math.NaN())
+	if got := n.Distance(nan, value.NewInt(5)); got != 1 {
+		t.Errorf("NaN vs number = %g, want 1", got)
+	}
+	if got := n.Distance(nan, nan); got != 0 {
+		t.Errorf("NaN vs NaN = %g, want 0", got)
+	}
 	zero := Numeric{} // Scale 0 treated as 1
 	if got := zero.Distance(value.NewInt(0), value.NewFloat(0.5)); got != 0.5 {
 		t.Errorf("default scale distance = %g, want 0.5", got)

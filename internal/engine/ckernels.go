@@ -28,8 +28,8 @@ import (
 //   - Min/Max keep the value of the first row that wins under strict
 //     Compare, like the reference.
 //
-// Equality probes where code comparison diverges from value.Equal (NaN,
-// magnitudes past 2^53) are left to the caller's row scan; see EqCode.
+// Equality probes compare codes: dictionary codes are AppendKey classes,
+// which are exactly value.Equal classes.
 
 // compPart is one contiguous slab of rows presented to the kernels. Slot
 // s addresses key column s for s < len(keys) and aggregate s-len(keys)
@@ -86,17 +86,17 @@ func (p *compPart) keysAt(row int, dst []value.V) {
 	}
 }
 
-// argFlags reports whether aggregate ai's argument holds any Float, and
-// any NaN, in this part (false for count(*)).
-func (p *compPart) argFlags(ai int) (hasFloat, hasNaN bool) {
+// argHasFloat reports whether aggregate ai's argument holds any Float
+// in this part (false for count(*)).
+func (p *compPart) argHasFloat(ai int) bool {
 	if p.rows != nil {
 		if c := p.flats[ai]; c != nil {
-			return c.hasFloat, c.hasNaN
+			return c.hasFloat
 		}
 	} else if cc := p.aggs[ai]; cc != nil {
-		return cc.hasFloat, cc.hasNaN
+		return cc.hasFloat
 	}
-	return false, false
+	return false
 }
 
 // densePart presents t's rows as one uncompressed part: key columns as
@@ -360,7 +360,7 @@ func sumNeedsFFor(parts []*compPart, aCols []aggCol) []bool {
 			sumNeedsF[ai] = true
 		case Sum:
 			for _, p := range parts {
-				if hasFloat, _ := p.argFlags(ai); hasFloat {
+				if p.argHasFloat(ai) {
 					sumNeedsF[ai] = true
 					break
 				}
@@ -890,22 +890,17 @@ func distinctParts(parts []*compPart, sch Schema) *Table {
 
 // selectEqPlanParts resolves an equality probe against every part's
 // dictionaries. It returns, per part, the wanted code of each probed
-// column. divergent reports that code comparison cannot answer
-// value.Equal for this probe (the caller must use a boxed scan);
-// otherwise parts whose entry is nil cannot contain a match.
-func selectEqPlanParts(parts []*compPart, vals value.Tuple) (want [][]int32, divergent bool) {
-	want = make([][]int32, len(parts))
+// column; parts whose entry is nil cannot contain a match.
+func selectEqPlanParts(parts []*compPart, vals value.Tuple) [][]int32 {
+	want := make([][]int32, len(parts))
 	for pi, p := range parts {
 		w := make([]int32, len(vals))
 		miss := false
 		for i, v := range vals {
-			code, ok, div := p.keys[i].EqCode(v)
-			if div {
-				return nil, true
-			}
+			code, ok := p.keys[i].CodeOf(v)
 			if !ok {
 				miss = true
-				continue
+				break
 			}
 			w[i] = code
 		}
@@ -913,7 +908,7 @@ func selectEqPlanParts(parts []*compPart, vals value.Tuple) (want [][]int32, div
 			want[pi] = w
 		}
 	}
-	return want, false
+	return want
 }
 
 // selectEqPart emits, in row order, the part-local row ranges where

@@ -65,7 +65,7 @@ func randomValue(rng *rand.Rand) value.V {
 	case 6:
 		return value.NewFloat(math.NaN())
 	case 7:
-		return value.NewInt(int64(1)<<53 + int64(rng.Intn(3))) // float-rounding collisions
+		return value.NewInt(int64(1)<<53 + int64(rng.Intn(3))) // one float64, distinct ints
 	default:
 		return value.NewString(fmt.Sprintf("s%d", rng.Intn(5)))
 	}
@@ -219,8 +219,9 @@ func TestGroupByColumnarDifferential(t *testing.T) {
 	}
 }
 
-// eqProbes are SelectEq values where code equality and value.Equal can
-// diverge (NaN, magnitudes at and past 2^53) or that no row holds.
+// eqProbes are SelectEq values where a float64 comparison would
+// disagree with the dictionary codes (NaN, magnitudes at and past 2^53)
+// or that no row holds.
 var eqProbes = []value.V{
 	value.NewNull(),
 	value.NewFloat(math.NaN()),
@@ -262,6 +263,69 @@ func TestSelectEqColumnarDifferential(t *testing.T) {
 			}
 		}
 		selectEqAfterMutation(t, rng, tab, fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// edgeKeys are group keys where a float64 comparison would disagree
+// with AppendKey: two NaN payloads, the integers 2^53 and 2^53+1 (one
+// float64), ±0.0, and the floats ±2^63 around the int64 bounds. They
+// form edgeKeyClasses value.Equal classes.
+var edgeKeys = []value.V{
+	value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7ff8000000000000)),
+	value.NewInt(1 << 53), value.NewFloat(1 << 53), value.NewInt(1<<53 + 1),
+	value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewInt(0),
+	value.NewFloat(math.Ldexp(1, 63)), value.NewFloat(-math.Ldexp(1, 63)),
+	value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64), value.NewFloat(1.5),
+}
+
+const edgeKeyClasses = 8
+
+// TestSelectEqSelectsEachGroup pins the one equality of grouping and
+// selection: for every group of GroupBy(cols), SelectEq(cols, key)
+// returns exactly that group's rows — on a dense Table and on a SegTable
+// of sealed segments plus a tail, at pool widths 1 and 4.
+func TestSelectEqSelectsEachGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tab := NewTable(Schema{{Name: "k", Kind: value.Null}, {Name: "s", Kind: value.String}, {Name: "v", Kind: value.Int}})
+	for i := 0; i < 3000; i++ {
+		tab.MustAppend(value.Tuple{
+			edgeKeys[rng.Intn(len(edgeKeys))],
+			value.NewString(fmt.Sprintf("s%d", rng.Intn(3))),
+			value.NewInt(int64(rng.Intn(100))),
+		})
+	}
+	for _, width := range []int{1, 4} {
+		dense := tab.Clone()
+		dense.SetPool(NewPool(width))
+		st := segTableFromTable(t, tab, 3)
+		st.SetPool(NewPool(width))
+		for _, rel := range []Relation{dense, st} {
+			for _, cols := range [][]string{{"k"}, {"k", "s"}, {"s", "k"}} {
+				label := fmt.Sprintf("%T width %d %v", rel, width, cols)
+				groups, err := rel.GroupBy(cols, []AggSpec{{Func: Count}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cols) == 1 && groups.NumRows() != edgeKeyClasses {
+					t.Fatalf("%s: %d groups, want %d:\n%s", label, groups.NumRows(), edgeKeyClasses, groups)
+				}
+				total := 0
+				for _, g := range groups.Rows() {
+					key, count := g[:len(cols)], g[len(cols)].Int()
+					sel, err := rel.SelectEq(cols, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int64(sel.NumRows()) != count {
+						t.Errorf("%s: SelectEq(%v) = %d rows, group count %d", label, key, sel.NumRows(), count)
+					}
+					total += sel.NumRows()
+				}
+				if total != tab.NumRows() {
+					t.Errorf("%s: selections cover %d rows, want %d", label, total, tab.NumRows())
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,15 +100,13 @@ type Col struct {
 	lookup    map[string]int32 // AppendKey bytes → code
 	nulls     []uint64         // null bitmap, bit i ↔ row i
 	nullCount int
-	hasNaN    bool
 	hasFloat  bool // any Float row: a Sum over the column may read sumF
 
-	// ranks maps each code to its dense value.Compare rank (NULL first,
-	// numerics by magnitude, strings last; Compare-equal codes — e.g.
-	// Int(1) vs Float(1) — share a rank). nil when the column contains
-	// NaN, whose reflexively-unequal comparisons break the ordering.
-	ranks    []int32
-	numRanks int32
+	// ranks maps each code to its value.Compare rank (NULL first,
+	// numerics by value with NaN last, strings last). Codes are exactly
+	// the Compare equality classes, so the ranks are a permutation of
+	// the codes.
+	ranks []int32
 }
 
 func buildCol(rows []value.Tuple, ci int, withDict bool) *Col {
@@ -144,9 +141,6 @@ func buildCol(rows []value.Tuple, ci int, withDict bool) *Col {
 			c.F64[i] = f
 			c.Num[i] = true
 			c.hasFloat = true
-			if math.IsNaN(f) {
-				c.hasNaN = true
-			}
 		case value.Null:
 			c.nulls[i>>6] |= 1 << uint(i&63)
 			c.nullCount++
@@ -162,42 +156,33 @@ func buildCol(rows []value.Tuple, ci int, withDict bool) *Col {
 			c.Codes[i] = code
 		}
 	}
-	if withDict && !c.hasNaN {
+	if withDict {
 		c.buildRanks()
 	}
 	return c
 }
 
 // buildRanks sorts the dictionary under value.Compare and assigns each
-// code a dense rank. Distinct codes may share a rank: Int(1)/Float(1)
-// are AppendKey-distinct yet Compare-equal, as are integers past 2^53
-// that collide after float rounding. Compare over non-NaN values orders
-// by (kind class, float value | string), a total preorder, so the sort
-// is well-defined.
+// code its position in that order. Dictionary values are pairwise
+// AppendKey-distinct, hence pairwise Compare-distinct, so no two codes
+// share a rank.
 func (c *Col) buildRanks() {
-	d := len(c.Dict)
-	order := make([]int32, d)
+	order := make([]int32, len(c.Dict))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sort.Slice(order, func(a, b int) bool {
 		return value.Compare(c.Dict[order[a]], c.Dict[order[b]]) < 0
 	})
-	c.ranks = make([]int32, d)
-	rank := int32(0)
-	for i, code := range order {
-		if i > 0 && value.Compare(c.Dict[order[i-1]], c.Dict[code]) != 0 {
-			rank++
-		}
-		c.ranks[code] = rank
-	}
-	if d > 0 {
-		c.numRanks = rank + 1
+	c.ranks = make([]int32, len(order))
+	for rank, code := range order {
+		c.ranks[code] = int32(rank)
 	}
 }
 
 // CodeOf returns the dictionary code of v, or ok=false when v does not
-// occur in the column (under AppendKey equality). Only meaningful on
+// occur in the column. AppendKey equality is value.Equal, so the rows
+// equal to v are exactly the rows carrying the code. Only meaningful on
 // full views obtained via Col; flat views (FlatCol) have no dictionary
 // and report every value absent.
 func (c *Col) CodeOf(v value.V) (int32, bool) {
@@ -207,65 +192,21 @@ func (c *Col) CodeOf(v value.V) (int32, bool) {
 	return code, ok
 }
 
-// EqCode resolves an equality probe against the dictionary for use in
-// value.Equal-semantics scans. When divergent is true, code comparison
-// cannot answer value.Equal for this probe (v is NaN or past the
-// float-exact integer range, or the column contains NaN) and the caller
-// must fall back to a boxed row scan. Otherwise ok reports whether any
-// row equals v, and on ok the rows matching v under value.Equal are
-// exactly the rows whose Codes entry equals code.
-func (c *Col) EqCode(v value.V) (code int32, ok, divergent bool) {
-	if eqDivergent(v, c.hasNaN) {
-		return 0, false, true
-	}
-	code, ok = c.CodeOf(v)
-	return code, ok, false
-}
-
 // Null reports whether row i is NULL, via the null bitmap.
 func (c *Col) Null(i int) bool { return c.nulls[i>>6]>>uint(i&63)&1 != 0 }
 
 // NullCount reports how many rows are NULL.
 func (c *Col) NullCount() int { return c.nullCount }
 
-// HasNaN reports whether any Float row is NaN. NaN breaks the
-// correspondence between code equality and value.Equal (NaN compares
-// equal to every numeric), so kernels that must reproduce row-path
-// Compare semantics fall back when it is set.
-func (c *Col) HasNaN() bool { return c.hasNaN }
-
 // RankCodes returns a fresh per-row vector of dense value.Compare ranks
 // (the SortCodes encoding) derived from the dictionary, plus the rank
-// count. ok is false when the column contains NaN and no total order
-// exists; callers then fall back to the row-at-a-time encoder.
-func (c *Col) RankCodes() ([]int32, int32, bool) {
-	if c.ranks == nil {
-		return nil, 0, false
-	}
+// count.
+func (c *Col) RankCodes() ([]int32, int32) {
 	out := make([]int32, len(c.Codes))
 	for i, code := range c.Codes {
 		out[i] = c.ranks[code]
 	}
-	return out, c.numRanks, true
-}
-
-// maxExactFloat bounds the range in which AppendKey equality classes
-// and value.Compare equality classes coincide for numerics: at
-// magnitude ≥ 2^53, AppendKey-distinct integers can round to the same
-// float and become Compare-equal.
-const maxExactFloat = float64(1 << 53)
-
-// eqDivergent reports whether an equality probe for v against a column
-// can distinguish AppendKey matching (dictionary codes, index buckets)
-// from value.Equal matching (the row-scan reference): v is NaN, v sits
-// past the float-exact integer range, or the column itself contains NaN
-// (which value.Equal matches against every numeric probe).
-func eqDivergent(v value.V, colHasNaN bool) bool {
-	f, numeric := v.AsFloat()
-	if !numeric {
-		return false
-	}
-	return math.IsNaN(f) || f >= maxExactFloat || f <= -maxExactFloat || colHasNaN
+	return out, int32(len(c.ranks))
 }
 
 // Columns returns the table's columnar view, building the (empty) shell

@@ -27,13 +27,12 @@ type CompressedCol struct {
 	dict []value.V
 
 	// Dictionary metadata decoded once so aggregate folds never touch
-	// boxed values: kind, numeric payloads, and the flags the dispatch
+	// boxed values: kind, numeric payloads, and the flag the dispatch
 	// rules check. Sealed (RLE/PACK) columns only: a dense view serves
-	// as a key column alone, so it carries just hasNaN.
+	// as a key column alone.
 	dictKind []value.Kind
 	dictF64  []float64
 	dictI64  []int64
-	hasNaN   bool
 	hasFloat bool // any Float value in the dictionary (sumF shortcuts)
 
 	// Exactly one of the three encodings is populated:
@@ -145,15 +144,12 @@ func (cc *CompressedCol) buildDictMeta() {
 			f := v.Float()
 			cc.dictF64[i] = f
 			cc.hasFloat = true
-			if f != f {
-				cc.hasNaN = true
-			}
 		}
 	}
 }
 
-// CodeOf returns the dictionary code of v under AppendKey equality, or
-// ok=false when v does not occur in the column.
+// CodeOf returns the dictionary code of v under AppendKey equality —
+// value.Equal — or ok=false when v does not occur in the column.
 func (cc *CompressedCol) CodeOf(v value.V) (int32, bool) {
 	cc.lookupOnce.Do(func() {
 		m := make(map[string]int32, len(cc.dict))
@@ -169,17 +165,6 @@ func (cc *CompressedCol) CodeOf(v value.V) (int32, bool) {
 	var buf [24]byte
 	code, ok := cc.lookup[string(v.AppendKey(buf[:0]))]
 	return code, ok
-}
-
-// EqCode resolves an equality probe like Col.EqCode: divergent means
-// code comparison cannot answer value.Equal for this probe and the
-// caller must fall back to a boxed scan.
-func (cc *CompressedCol) EqCode(v value.V) (code int32, ok, divergent bool) {
-	if eqDivergent(v, cc.hasNaN) {
-		return 0, false, true
-	}
-	code, ok = cc.CodeOf(v)
-	return code, ok, false
 }
 
 // CodeAt returns the code of row i: direct for DENSE and PACK, a binary
@@ -441,13 +426,13 @@ func compressCodes(codes []int32, dict []value.V) *CompressedCol {
 }
 
 // denseView presents a Col's dense codes as a key column of the parts
-// kernels in O(1): codes, dictionary, lookup map and NaN flag are the
+// kernels in O(1): codes, dictionary and lookup map are the
 // Col's own, nothing is copied or scanned. Only key columns take this
 // view — a dense part reads its aggregate arguments from flat buffers
 // (see compPart) — so the dictionary metadata of aggregate folds is
 // never built for it.
 func denseView(col *Col) *CompressedCol {
-	cc := &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes, hasNaN: col.hasNaN}
+	cc := &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes}
 	cc.lookupOnce.Do(func() { cc.lookup = col.lookup })
 	return cc
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"cape/internal/value"
-)
+import "cape/internal/value"
 
 // Appends extend the columnar view in place instead of dropping it:
 // every column that has already been built grows its flat buffers, null
@@ -49,7 +45,6 @@ func (t *Table) extendColumnar(oldLen int) {
 func (c *Col) extend(rows []value.Tuple, ci, oldLen int, withDict bool) {
 	var keyBuf []byte
 	dictGrew := false
-	hadNaN := c.hasNaN
 	for i := oldLen; i < len(rows); i++ {
 		v := rows[i][ci]
 		k := v.Kind()
@@ -69,9 +64,6 @@ func (c *Col) extend(rows []value.Tuple, ci, oldLen int, withDict bool) {
 			f = v.Float()
 			num = true
 			c.hasFloat = true
-			if math.IsNaN(f) {
-				c.hasNaN = true
-			}
 		case value.Null:
 			for len(c.nulls) < (i+64)/64 {
 				c.nulls = append(c.nulls, 0)
@@ -101,13 +93,7 @@ func (c *Col) extend(rows []value.Tuple, ci, oldLen int, withDict bool) {
 	for len(c.nulls) < (len(rows)+63)/64 {
 		c.nulls = append(c.nulls, 0)
 	}
-	if withDict {
-		switch {
-		case c.hasNaN:
-			// NaN breaks the Compare total order; rebuild would skip ranks.
-			c.ranks, c.numRanks = nil, 0
-		case dictGrew || (!hadNaN && c.ranks == nil):
-			c.buildRanks()
-		}
+	if dictGrew {
+		c.buildRanks()
 	}
 }

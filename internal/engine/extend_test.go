@@ -31,7 +31,7 @@ func extendTable(t *testing.T) *Table {
 
 // requireColIdentical compares every field of an extended column against
 // a from-scratch rebuild, including the unexported null bitmap, lookup
-// map, NaN flag, and rank table.
+// map, float flag, and rank table.
 func requireColIdentical(t *testing.T, label string, got, want *Col) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Kinds, want.Kinds) {
@@ -76,11 +76,11 @@ func requireColIdentical(t *testing.T, label string, got, want *Col) {
 	if got.nullCount != want.nullCount {
 		t.Errorf("%s: nullCount %d vs %d", label, got.nullCount, want.nullCount)
 	}
-	if got.hasNaN != want.hasNaN {
-		t.Errorf("%s: hasNaN %v vs %v", label, got.hasNaN, want.hasNaN)
+	if got.hasFloat != want.hasFloat {
+		t.Errorf("%s: hasFloat %v vs %v", label, got.hasFloat, want.hasFloat)
 	}
-	if !reflect.DeepEqual(got.ranks, want.ranks) || got.numRanks != want.numRanks {
-		t.Errorf("%s: ranks %v/%d vs %v/%d", label, got.ranks, got.numRanks, want.ranks, want.numRanks)
+	if !reflect.DeepEqual(got.ranks, want.ranks) {
+		t.Errorf("%s: ranks %v vs %v", label, got.ranks, want.ranks)
 	}
 }
 
@@ -137,26 +137,34 @@ func TestColumnarExtendIdenticalToRebuild(t *testing.T) {
 	}
 }
 
-// TestColumnarExtendNaN pins the rank teardown: a NaN arriving in the
-// tail of a previously rank-ordered column must nil the ranks, exactly
-// like a rebuild that sees the NaN.
+// TestColumnarExtendNaN pins NaN in the rank order: a NaN arriving in
+// the tail of a rank-ordered column keeps the ranks, exactly like a
+// rebuild, ranked above every number and below every string; a second
+// NaN with another payload joins the first one's code.
 func TestColumnarExtendNaN(t *testing.T) {
 	tab := extendTable(t)
 	cols := tab.Columns()
-	b := cols.Col(1)
-	if b.ranks == nil {
+	if cols.Col(1).ranks == nil {
 		t.Fatal("precondition: column b should have ranks before NaN")
 	}
-	if err := tab.Append(value.Tuple{
-		value.NewString("x"), value.NewFloat(math.NaN()), value.NewInt(80),
-	}); err != nil {
-		t.Fatal(err)
+	for _, bits := range []uint64{math.Float64bits(math.NaN()), 0x7ff8000000000000} {
+		if err := tab.Append(value.Tuple{
+			value.NewString("x"), value.NewFloat(math.Float64frombits(bits)), value.NewInt(80),
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := cols.Col(1)
 	want := buildCol(tab.Rows(), 1, true)
 	requireColIdentical(t, "b after NaN", got, want)
-	if got.ranks != nil || !got.hasNaN {
-		t.Errorf("NaN tail must clear ranks and set hasNaN: ranks=%v hasNaN=%v", got.ranks, got.hasNaN)
+	n := len(got.Codes)
+	nan := got.Codes[n-1]
+	if got.Codes[n-2] != nan {
+		t.Fatalf("NaN payloads got codes %d and %d, want one", got.Codes[n-2], nan)
+	}
+	// b holds 1.5, 2.5, NULL, "s", NaN: NaN ranks fourth.
+	if got.ranks == nil || got.ranks[nan] != 3 || len(got.ranks) != 5 {
+		t.Errorf("NaN tail must keep ranks with NaN between numbers and strings: ranks=%v, NaN code %d", got.ranks, nan)
 	}
 }
 

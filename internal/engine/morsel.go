@@ -28,9 +28,8 @@ import (
 //     picks the same winner as the sequential fold (ties keep the
 //     earlier morsel's value, i.e. the earlier row's). Aggregates whose
 //     result depends on float summation order (Avg, and Sum over a
-//     column with float values) or on NaN tie-breaking (Min/Max over a
-//     column with NaN) make the whole query fall back to the sequential
-//     kernel — see morselMergeable.
+//     column with float values) make the whole query fall back to the
+//     sequential kernel — see morselMergeable.
 
 // Pool is a bounded worker pool shared by every layer of one mining or
 // explanation run: miners fan attribute sets across it and the engine's
@@ -195,10 +194,9 @@ func splitMorsels(parts []*compPart, target int32) []morsel {
 
 // morselMergeable reports whether every aggregate's per-morsel partial
 // states merge bit-exactly: Count always (associative integer adds);
-// Min/Max unless a part's argument holds NaN (the strict-Compare
-// first-wins merge reproduces the sequential winner only under a total
-// preorder, which NaN — Compare-equal to every numeric — breaks); Sum
-// only when no part's argument holds a float — the result is then the
+// Min/Max always (value.Compare is a total order, so the strict-Compare
+// first-wins merge reproduces the sequential winner); Sum only when no
+// part's argument holds a float — the result is then the
 // associative integer sumI, and the order-sensitive float mirror sum is
 // never read. Avg, and Sum with float contributions, depend on float
 // summation order. Queries with any declining aggregate stay on the
@@ -210,8 +208,7 @@ func morselMergeable(parts []*compPart, aCols []aggCol) bool {
 			return false
 		}
 		for _, p := range parts {
-			hasFloat, hasNaN := p.argFlags(ai)
-			if f == Sum && hasFloat || (f == Min || f == Max) && hasNaN {
+			if f == Sum && p.argHasFloat(ai) {
 				return false
 			}
 		}

@@ -500,17 +500,16 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 	}
 }
 
-// TestSegTableMinMaxNaN: Min/Max over a NaN-containing column, where
-// first-encounter tie-breaking is load-bearing (NaN compares equal to
-// every numeric), must match the reference sequentially and with a pool
-// attached — morsel merging declines such columns.
+// TestSegTableMinMaxNaN: Min/Max over a NaN-containing column must match
+// the reference sequentially and with a pool attached, where the morsel
+// partial states merge: NaN is the largest number, so every group's Max
+// is NaN and its Min the smallest non-NaN value.
 func TestSegTableMinMaxNaN(t *testing.T) {
 	setMorselTarget(t, 2)
 	sch := Schema{{Name: "g", Kind: value.Null}, {Name: "v", Kind: value.Null}}
 	tab := NewTable(sch)
-	// In two-row morsels, [5.5 4.5] then [NaN 0.5]: the second morsel's
-	// partial minimum is NaN (0.5 ties it), which a merge would let tie
-	// the first morsel's 4.5 — while the row-order fold ends at 0.5.
+	// In two-row morsels, [5.5 4.5] then [NaN 0.5]: the merged minimum
+	// must be 0.5 and the merged maximum NaN, as in the row-order fold.
 	rows := []value.Tuple{
 		{value.NewString("a"), value.NewFloat(5.5)},
 		{value.NewString("a"), value.NewFloat(4.5)},
@@ -531,6 +530,12 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 	want, err := ref.GroupBy([]string{"g"}, aggs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for ri, wantMin := range []float64{0.5, 1.5} {
+		row := want.Row(ri)
+		if row[1].Float() != wantMin || !math.IsNaN(row[2].Float()) {
+			t.Fatalf("reference group %v: Min %v Max %v, want %v and NaN", row[0], row[1], row[2], wantMin)
+		}
 	}
 	for _, width := range []int{1, 4} {
 		st := segTableFromTable(t, tab, 1)

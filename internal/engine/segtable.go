@@ -357,10 +357,9 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 	return out
 }
 
-// materialize decodes the whole table into an in-memory Table — the
-// correctness fallback for equality probes where code comparison
-// diverges from value.Equal, and for the degenerate no-column and empty
-// queries. It costs full decode + row memory and is expected to be rare.
+// materialize decodes the whole table into an in-memory Table, for the
+// degenerate no-column and empty queries the parts kernels do not take.
+// It costs full decode + row memory.
 func (st *SegTable) materialize() *Table {
 	out := NewTable(st.schema)
 	rows := make([]value.Tuple, 0, st.NumRows())
@@ -404,10 +403,7 @@ func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		return st.materialize().SelectEq(cols, vals)
 	}
 	parts := st.parts(idx, nil)
-	want, divergent := selectEqPlanParts(parts, vals)
-	if divergent {
-		return st.materialize().SelectEq(cols, vals)
-	}
+	want := selectEqPlanParts(parts, vals)
 	// Each part's matches are independent: sealed segments answer from
 	// their code-span indexes and materialize matching rows into private
 	// slabs; the tail scans its codes in place. Parts fan across the pool

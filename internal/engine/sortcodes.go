@@ -1,17 +1,12 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-
-	"cape/internal/value"
-)
+import "fmt"
 
 // SortCodes are dense per-column sort keys for a table: each encoded
 // column is dictionary-encoded once into int32 ranks that order exactly
-// like value.Compare (equal values share a rank), so multi-key sorts
-// compare machine integers instead of boxed values, and a sort of the
-// table becomes a sort of a row-index permutation. ARP mining builds one
+// like value.Compare (equal values share a code, hence a rank), so
+// multi-key sorts compare machine integers instead of boxed values, and
+// a sort of the table becomes a sort of a row-index permutation. ARP mining builds one
 // SortCodes per grouped result and reuses it across every sort order it
 // explores.
 type SortCodes struct {
@@ -22,118 +17,25 @@ type SortCodes struct {
 	counts  []int32          // counting-sort histogram
 }
 
-// BuildSortCodes dictionary-encodes the given columns of t. The fast
-// path derives each column's ranks from the table's columnar dictionary
-// — sorting d distinct values instead of n rows, and sharing the
-// dictionary with every other operator on the table. Columns containing
-// NaN (no total order) and ForceRowPath tables use the row-at-a-time
-// encoder, after which every SortPerm call is pure integer work either
-// way.
+// BuildSortCodes dictionary-encodes the given columns of t: each
+// column's ranks come from the table's columnar dictionary — sorting d
+// distinct values instead of n rows, and sharing the dictionary with
+// every other operator on the table — after which every SortPerm call
+// is pure integer work.
 func BuildSortCodes(t *Table, cols []string) (*SortCodes, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
 		return nil, err
 	}
-	n := t.NumRows()
 	sc := &SortCodes{
-		numRows: n,
+		numRows: t.NumRows(),
 		codes:   make(map[string][]int32, len(cols)),
 		ranks:   make(map[string]int32, len(cols)),
 	}
-	var colr *Columnar
-	if !t.rowOnly && n > 0 {
-		colr = t.Columns()
-	}
-	rows := t.rows
-	var order []int32
-	var fKeys []float64
-	var sKeys []string
+	colr := t.Columns()
 	for k, col := range cols {
-		if _, dup := sc.codes[col]; dup {
-			continue
-		}
-		ci := idx[k]
-		if colr != nil {
-			if codes, nRanks, ok := colr.Col(ci).RankCodes(); ok {
-				sc.codes[col] = codes
-				sc.ranks[col] = nRanks
-				continue
-			}
-		}
-		if order == nil {
-			order = make([]int32, n)
-		}
-		for i := range order {
-			order[i] = int32(i)
-		}
-		codes := make([]int32, n)
-		rank := int32(0)
-
-		// Classify the column so homogeneous columns (the common case)
-		// sort on unboxed keys instead of through value.Compare.
-		numeric, str := true, true
-		for _, row := range rows {
-			switch row[ci].Kind() {
-			case value.Int, value.Float:
-				str = false
-			case value.String:
-				numeric = false
-			default: // NULL
-				numeric, str = false, false
-			}
-			if !numeric && !str {
-				break
-			}
-		}
-		switch {
-		case n == 0:
-			// nothing to encode
-		case numeric:
-			if fKeys == nil {
-				fKeys = make([]float64, n)
-			}
-			for i, row := range rows {
-				fKeys[i], _ = row[ci].AsFloat()
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return fKeys[order[a]] < fKeys[order[b]]
-			})
-			for i, ri := range order {
-				if i > 0 && fKeys[order[i-1]] != fKeys[ri] {
-					rank++
-				}
-				codes[ri] = rank
-			}
-		case str:
-			if sKeys == nil {
-				sKeys = make([]string, n)
-			}
-			for i, row := range rows {
-				sKeys[i] = row[ci].Str()
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return sKeys[order[a]] < sKeys[order[b]]
-			})
-			for i, ri := range order {
-				if i > 0 && sKeys[order[i-1]] != sKeys[ri] {
-					rank++
-				}
-				codes[ri] = rank
-			}
-		default:
-			sort.Slice(order, func(a, b int) bool {
-				return value.Compare(rows[order[a]][ci], rows[order[b]][ci]) < 0
-			})
-			for i, ri := range order {
-				if i > 0 && value.Compare(rows[order[i-1]][ci], rows[ri][ci]) != 0 {
-					rank++
-				}
-				codes[ri] = rank
-			}
-		}
-		sc.codes[col] = codes
-		if n > 0 {
-			sc.ranks[col] = rank + 1
+		if _, dup := sc.codes[col]; !dup {
+			sc.codes[col], sc.ranks[col] = colr.Col(idx[k]).RankCodes()
 		}
 	}
 	return sc, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // randomDistinctTable builds a table whose rows are distinct on the
 // full column set (like a group-by output), mixing string and numeric
-// columns. Distinctness is what lets the non-stable SortPerm agree with
+// columns, NaN among the floats. Distinctness is what lets the non-stable SortPerm agree with
 // the stable Table.Sorted exactly.
 func randomDistinctTable(rng *rand.Rand, rows int) (*Table, []string) {
 	cols := []string{"a", "b", "c"}
@@ -24,6 +25,9 @@ func randomDistinctTable(rng *rand.Rand, rows int) (*Table, []string) {
 			value.NewString(string(rune('p' + rng.Intn(6)))),
 			value.NewInt(int64(rng.Intn(8))),
 			value.NewFloat(float64(rng.Intn(10)) / 2),
+		}
+		if rng.Intn(10) == 0 {
+			row[2] = value.NewFloat(math.NaN())
 		}
 		k := row.Key()
 		if seen[k] {
@@ -161,33 +165,39 @@ func TestSortPermUnknownColumn(t *testing.T) {
 }
 
 // TestBuildSortCodesOrdersLikeCompare: codes must rank values exactly
-// like value.Compare, including on columns mixing ints, floats, strings,
-// and nulls (the generic fallback path).
+// like value.Compare, including on columns mixing ints, floats, strings
+// and nulls, NaN and integers past 2^53 — on a ForceRowPath table too,
+// which takes its ranks from the same dictionary.
 func TestBuildSortCodesOrdersLikeCompare(t *testing.T) {
 	tab := NewTable(Schema{{Name: "m", Kind: value.Null}})
 	vals := []value.V{
 		value.NewInt(3), value.NewFloat(3), value.NewFloat(2.5),
 		value.NewString("x"), value.NewNull(), value.NewInt(-1),
 		value.NewString("a"), value.NewNull(), value.NewFloat(3.5),
+		value.NewFloat(math.NaN()), value.NewInt(1 << 53), value.NewInt(1<<53 + 1),
+		value.NewFloat(1 << 53), value.NewFloat(math.Copysign(0, -1)), value.NewInt(0),
+		value.NewFloat(math.Inf(1)), value.NewFloat(math.Ldexp(1, 63)), value.NewInt(math.MaxInt64),
 	}
 	for _, v := range vals {
 		tab.MustAppend(value.Tuple{v})
 	}
-	codes, err := BuildSortCodes(tab, []string{"m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := codes.Codes("m")
-	for i, a := range vals {
-		for j, b := range vals {
-			cmp := value.Compare(a, b)
-			switch {
-			case cmp < 0 && !(c[i] < c[j]):
-				t.Errorf("%v < %v but codes %d ≥ %d", a, b, c[i], c[j])
-			case cmp == 0 && c[i] != c[j]:
-				t.Errorf("%v = %v but codes %d ≠ %d", a, b, c[i], c[j])
-			case cmp > 0 && !(c[i] > c[j]):
-				t.Errorf("%v > %v but codes %d ≤ %d", a, b, c[i], c[j])
+	for _, rel := range []*Table{tab, tab.Clone().ForceRowPath(true)} {
+		codes, err := BuildSortCodes(rel, []string{"m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := codes.Codes("m")
+		for i, a := range vals {
+			for j, b := range vals {
+				cmp := value.Compare(a, b)
+				switch {
+				case cmp < 0 && !(c[i] < c[j]):
+					t.Errorf("%v < %v but codes %d ≥ %d", a, b, c[i], c[j])
+				case cmp == 0 && c[i] != c[j]:
+					t.Errorf("%v = %v but codes %d ≠ %d", a, b, c[i], c[j])
+				case cmp > 0 && !(c[i] > c[j]):
+					t.Errorf("%v > %v but codes %d ≤ %d", a, b, c[i], c[j])
+				}
 			}
 		}
 	}

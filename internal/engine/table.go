@@ -145,10 +145,9 @@ func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 	return out
 }
 
-// SelectEq returns the rows whose values in cols equal vals positionally.
-// The parts kernel scans dictionary codes, falling back to a row-at-a-time
-// scan only in the rare cases where code equality and value.Equal diverge
-// (see EqCode).
+// SelectEq returns the rows whose values in cols equal vals positionally
+// under value.Equal. The parts kernel scans dictionary codes; the row
+// scan is the ForceRowPath reference.
 func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -161,15 +160,13 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	out.rowOnly = t.rowOnly
 	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
 		parts := t.parts(idx, nil)
-		if want, divergent := selectEqPlanParts(parts, vals); !divergent {
-			if want[0] != nil { // nil: some probed value is absent, no rows
-				rows := t.rows
-				selectEqPart(parts[0], want[0], func(lo, hi int32) {
-					out.rows = append(out.rows, rows[lo:hi]...)
-				})
-			}
-			return out, nil
+		if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
+			rows := t.rows
+			selectEqPart(parts[0], want, func(lo, hi int32) {
+				out.rows = append(out.rows, rows[lo:hi]...)
+			})
 		}
+		return out, nil
 	}
 	for _, r := range t.rows {
 		match := true

@@ -292,10 +292,9 @@ func (g *generator) relevant(m *pattern.Mined) (relevantEntry, bool, error) {
 // the pair (P, P) enumerates — so it is read from there through the same
 // lookup, matching dictionary codes as enumerateColumnar does; a value
 // absent from a column's dictionary means an empty selection and NORM 0.
-// Where code equality could diverge from value.Equal (EqCode: NaN,
-// integers past 2^53), one value.Equal selection can span several
-// groups, and a row-path-forced grouping asks for the reference path:
-// both compute the selection literally (normSelect).
+// Dictionary codes are value.Equal classes, so the selection is exactly
+// one group. A row-path-forced grouping asks for the reference path,
+// which computes the selection literally (normSelect).
 func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	attrs := p.GroupAttrs()
 	vals, ok := g.q.Project(attrs)
@@ -318,11 +317,8 @@ func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	if aggIdx < 0 {
 		return 0, fmt.Errorf("explain: grouped result missing aggregate column %q", p.Agg)
 	}
-	probe, miss, divergent := newCodeProbe(grouped.Columns(), keyIdx, vals)
-	switch {
-	case divergent:
-		return normSelect(g.r, p.Agg, attrs, vals)
-	case miss:
+	probe, miss := newCodeProbe(grouped.Columns(), keyIdx, vals)
+	if miss {
 		return 0, nil
 	}
 	for r, n := 0, grouped.NumRows(); r < n; r++ {
@@ -360,25 +356,18 @@ type codeProbe struct {
 }
 
 // newCodeProbe resolves vals against the columns idx of a columnar view.
-// divergent reports that code equality cannot answer value.Equal for
-// some value (Col.EqCode) and the caller must compare boxed values
-// instead; otherwise miss reports that some value occurs in no row, so
-// no row matches.
-func newCodeProbe(cols *engine.Columnar, idx []int, vals value.Tuple) (p codeProbe, miss, divergent bool) {
+// miss reports that some value occurs in no row, so no row matches.
+func newCodeProbe(cols *engine.Columnar, idx []int, vals value.Tuple) (p codeProbe, miss bool) {
 	for i, ci := range idx {
 		col := cols.Col(ci)
-		code, ok, div := col.EqCode(vals[i])
-		if div {
-			return codeProbe{}, false, true
-		}
+		code, ok := col.CodeOf(vals[i])
 		if !ok {
-			miss = true
-			continue
+			return codeProbe{}, true
 		}
 		p.want = append(p.want, code)
 		p.codes = append(p.codes, col.Codes)
 	}
-	return p, miss, false
+	return p, false
 }
 
 // match reports whether row r carries every probed code.
@@ -515,17 +504,13 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 		sink:    sink,
 	}
 
-	rows := grouped.Rows()
-	if !grouped.RowPathForced() && len(rows) > 0 {
-		if g.enumerateColumnar(grouped, fIdx, &sc, stats) {
-			return nil
-		}
+	if !grouped.RowPathForced() {
+		g.enumerateColumnar(grouped, fIdx, &sc, stats)
+		return nil
 	}
 
-	// Boxed reference scan: also the fallback when dictionary-code
-	// equality would diverge from value.Equal on a fragment value (NaN,
-	// magnitudes past the float-exact integer range).
-	for _, row := range rows {
+	// Boxed reference scan, for row-path-forced groupings.
+	for _, row := range grouped.Rows() {
 		stats.Candidates++
 		// Condition 4: t'[F] = t[F].
 		match := true
@@ -546,21 +531,16 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 
 // enumerateColumnar is enumerate's vectorized scan: the t'[F] = t[F]
 // match compares dictionary codes, and the aggregate and predictor
-// values come from the columnar view's flat buffers. It reports false
-// when any fragment value is code-divergent (EqCode) and the boxed
-// reference loop must run instead. Candidate counting matches the
-// reference exactly: every row of the grouped result is one candidate,
-// even when a dictionary miss proves no row can match.
-func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *candScan, stats *Stats) bool {
+// values come from the columnar view's flat buffers. Candidate counting
+// matches the boxed reference exactly: every row of the grouped result
+// is one candidate, even when a dictionary miss proves no row can match.
+func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *candScan, stats *Stats) {
 	cols := grouped.Columns()
 	n := grouped.NumRows()
-	probe, miss, divergent := newCodeProbe(cols, fIdx, sc.re.frag)
-	if divergent {
-		return false
-	}
+	probe, miss := newCodeProbe(cols, fIdx, sc.re.frag)
 	if miss {
 		stats.Candidates += n
-		return true
+		return
 	}
 	agg := cols.FlatCol(sc.aggIdx)
 	sc.vF64 = make([][]float64, len(sc.vIdx))
@@ -578,7 +558,6 @@ func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *can
 		}
 		sc.offer(rows[r], r, agg.F64[r], agg.Num[r])
 	}
-	return true
 }
 
 // candScan carries the per-enumerate state shared by the boxed and

@@ -44,10 +44,9 @@ import (
 // stat-merged; the mergeable regress.ConstStats.Merge / LinStats exist
 // for callers that can accept reassociated sums. See DESIGN.md §11.
 //
-// Precondition (shared with the engine's sort and index kernels): the
-// grouping attributes contain no NaN, no −0.0-vs-+0.0 mixes, and no
-// integers ≥ 2⁵³, where canonical-key equality diverges from
-// value.Compare equality. Aggregate observations are unrestricted.
+// Grouping keys carry no precondition: value.Compare equality is
+// canonical-key equality for every value, NaN, ±0.0 and integers past
+// 2⁵³ included, so routing by Compare and grouping by key agree.
 //
 // With Options.Parallelism > 1 the per-grouping-set work — folding
 // appended rows into the retained accumulators, routing touched groups,

@@ -2,8 +2,10 @@ package mining
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -368,5 +370,66 @@ func TestMaintainerCachedColumnHazards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaintainerEdgeKeys: grouping keys where a float64 comparison would
+// disagree with the canonical key — NaN (two payloads), 2^53 and 2^53+1,
+// ±0.0, the float 2^63 and MinInt64 — as fragment values and as
+// predictors. The maintained set stays byte-identical to a cold ARPMine
+// (patterns, local-model parameters, candidate count) after every
+// append, sequentially and at Parallelism 4.
+func TestMaintainerEdgeKeys(t *testing.T) {
+	keys := []value.V{
+		value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7ff8000000000000)),
+		value.NewInt(1 << 53), value.NewInt(1<<53 + 1),
+		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(math.Ldexp(1, 63)), value.NewInt(math.MinInt64),
+	}
+	for _, par := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(par)))
+		tab := engine.NewTable(engine.Schema{
+			{Name: "author", Kind: value.String},
+			{Name: "key", Kind: value.Null}, // untyped: Int and Float keys
+			{Name: "year", Kind: value.Int},
+			{Name: "cites", Kind: value.Int},
+		})
+		genRow := func() value.Tuple {
+			return value.Tuple{
+				value.NewString([]string{"a1", "a2", "a3"}[rng.Intn(3)]),
+				keys[rng.Intn(len(keys))],
+				value.NewInt(int64(2000 + rng.Intn(4))),
+				value.NewInt(int64(rng.Intn(30))),
+			}
+		}
+		for i := 0; i < 300; i++ {
+			tab.MustAppend(genRow())
+		}
+		opt := lenientOpts()
+		opt.Parallelism = par
+		m, err := NewMaintainer(tab, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameAsRemine(t, "init", m, opt)
+		for batch := 0; batch < 6; batch++ {
+			rows := make([]value.Tuple, 1+rng.Intn(25))
+			for i := range rows {
+				rows[i] = genRow()
+			}
+			if err := m.Apply(rows); err != nil {
+				t.Fatal(err)
+			}
+			requireSameAsRemine(t, fmt.Sprintf("par %d batch %d", par, batch), m, opt)
+		}
+		keyed := 0
+		for _, p := range m.Patterns() {
+			if slices.Contains(p.Pattern.F, "key") {
+				keyed++
+			}
+		}
+		if keyed == 0 {
+			t.Fatalf("par %d: no pattern partitions on the edge keys; the identity check is vacuous", par)
+		}
 	}
 }

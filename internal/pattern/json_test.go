@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,6 +23,43 @@ func minedForJSON(t *testing.T) []*Mined {
 		t.Fatalf("fit: %v %v", m, err)
 	}
 	return []*Mined{m}
+}
+
+// TestJSONRoundTripNonFiniteFragment: a pattern set with NaN and ±Inf
+// fragment values writes and reads back with the same local models.
+func TestJSONRoundTripNonFiniteFragment(t *testing.T) {
+	tab := engine.NewTable(engine.Schema{{Name: "k", Kind: value.Float}, {Name: "year", Kind: value.Int}})
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2.5} {
+		for year := int64(2000); year < 2004; year++ {
+			tab.MustAppend(value.Tuple{value.NewFloat(k), value.NewInt(year)})
+		}
+	}
+	p := Pattern{F: []string{"k"}, V: []string{"year"}, Agg: engine.AggSpec{Func: engine.Count}, Model: regress.Const}
+	m, err := Fit(p, tab, Thresholds{Theta: 0.2, LocalSupport: 2, Lambda: 0.5, GlobalSupport: 2}, nil)
+	if err != nil || m == nil || len(m.Locals) != 4 {
+		t.Fatalf("fit: %v %v", m, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []*Mined{m}); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.String()
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, lm := range m.Locals {
+		if gl, ok := back[0].Locals[k]; !ok || gl.Support != lm.Support {
+			t.Errorf("fragment %v lost in the round trip", lm.Frag)
+		}
+	}
+	buf.Reset()
+	if err := WriteJSON(&buf, back); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != first {
+		t.Errorf("re-encoding differs:\n%s\nvs\n%s", buf.String(), first)
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {

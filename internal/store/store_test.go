@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"cape/internal/engine"
@@ -473,4 +474,54 @@ func TestManifestCorruptionFailsLoudly(t *testing.T) {
 			t.Fatalf("manifest with byte %d flipped loaded without error", i)
 		}
 	}
+}
+
+// TestStoreNonFiniteFloats: a batch holding NaN and ±Inf is a valid
+// batch — it frames into the WAL and scans back, replays after a hard
+// stop, and survives sealing into a segment.
+func TestStoreNonFiniteFloats(t *testing.T) {
+	sch := engine.Schema{{Name: "region", Kind: value.String}, {Name: "x", Kind: value.Float}}
+	batch := []value.Tuple{
+		{value.NewString("east"), value.NewFloat(math.NaN())},
+		{value.NewString("west"), value.NewFloat(math.Inf(1))},
+		{value.NewString("east"), value.NewFloat(math.Inf(-1))},
+		{value.NewString("west"), value.NewFloat(2.5)},
+	}
+	frame, err := EncodeFrame(Record{Seq: 1, Rows: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ScanWAL(frame)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("ScanWAL: %d records, %v", len(recs), err)
+	}
+	requireRowsEqual(t, "scanned", recs[0].Rows, batch)
+	for r, row := range recs[0].Rows {
+		if row[1].Kind() != value.Float {
+			t.Fatalf("row %d scans back as %s", r, row[1].Kind())
+		}
+	}
+
+	fs := NewMemFS()
+	st, err := Create("data", "t", sch, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(batch); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	// No Close: the batch comes back from the WAL.
+	re, err := Open("data", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRowsEqual(t, "replayed", tableRows(t, re.Table()), batch)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := Open("data", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRowsEqual(t, "sealed", tableRows(t, sealed.Table()), batch)
 }

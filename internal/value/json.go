@@ -3,10 +3,13 @@ package value
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // jsonValue is the wire representation of a V: the kind tag keeps
 // int64(3) and float64(3) and "3" distinguishable across a round trip.
+// JSON numbers cannot carry NaN or ±Inf, so a non-finite float travels
+// as a string payload ("NaN", "+Inf", "-Inf") in S.
 type jsonValue struct {
 	Kind string  `json:"k"`
 	Int  int64   `json:"i,omitempty"`
@@ -21,7 +24,16 @@ func (v V) MarshalJSON() ([]byte, error) {
 	case Int:
 		jv.Int = v.i
 	case Float:
-		jv.F = v.f
+		switch {
+		case math.IsNaN(v.f):
+			jv.S = "NaN"
+		case math.IsInf(v.f, 1):
+			jv.S = "+Inf"
+		case math.IsInf(v.f, -1):
+			jv.S = "-Inf"
+		default:
+			jv.F = v.f
+		}
 	case String:
 		jv.S = v.s
 	}
@@ -40,7 +52,18 @@ func (v *V) UnmarshalJSON(data []byte) error {
 	case "int":
 		*v = NewInt(jv.Int)
 	case "float":
-		*v = NewFloat(jv.F)
+		switch jv.S {
+		case "":
+			*v = NewFloat(jv.F)
+		case "NaN":
+			*v = NewFloat(math.NaN())
+		case "+Inf":
+			*v = NewFloat(math.Inf(1))
+		case "-Inf":
+			*v = NewFloat(math.Inf(-1))
+		default:
+			return fmt.Errorf("value: bad non-finite float payload %q in JSON", jv.S)
+		}
 	case "string":
 		*v = NewString(jv.S)
 	default:

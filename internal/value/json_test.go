@@ -2,11 +2,13 @@ package value
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
 func TestValueJSONRoundTrip(t *testing.T) {
-	vals := []V{NewNull(), NewInt(-7), NewInt(0), NewFloat(2.5), NewString(""), NewString("SIGKDD")}
+	vals := []V{NewNull(), NewInt(-7), NewInt(0), NewFloat(2.5), NewString(""), NewString("SIGKDD"),
+		NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1))}
 	for _, v := range vals {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -42,6 +44,9 @@ func TestValueJSONErrors(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"k":"complex"}`), &v); err == nil {
 		t.Error("unknown kind should error")
 	}
+	if err := json.Unmarshal([]byte(`{"k":"float","s":"2.5"}`), &v); err == nil {
+		t.Error("finite float in the string payload should error")
+	}
 	if err := json.Unmarshal([]byte(`42`), &v); err == nil {
 		t.Error("non-object should error")
 	}
@@ -52,5 +57,24 @@ func TestIntFloatDistinguishedInJSON(t *testing.T) {
 	f, _ := json.Marshal(NewFloat(3))
 	if string(i) == string(f) {
 		t.Error("Int(3) and Float(3) must serialize distinctly (kind tag)")
+	}
+}
+
+// TestNonFiniteFloatJSON pins the wire form of NaN and ±Inf: JSON
+// numbers cannot carry them, so they travel as a string payload.
+func TestNonFiniteFloatJSON(t *testing.T) {
+	cases := map[float64]string{
+		math.NaN():   `{"k":"float","s":"NaN"}`,
+		math.Inf(1):  `{"k":"float","s":"+Inf"}`,
+		math.Inf(-1): `{"k":"float","s":"-Inf"}`,
+	}
+	for f, want := range cases {
+		got, err := json.Marshal(NewFloat(f))
+		if err != nil {
+			t.Fatalf("marshal %v: %v", f, err)
+		}
+		if string(got) != want {
+			t.Errorf("marshal %v = %s, want %s", f, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -108,23 +109,25 @@ func (v V) AsFloat() (f float64, ok bool) {
 // IsNumeric reports whether v is an Int or a Float.
 func (v V) IsNumeric() bool { return v.kind == Int || v.kind == Float }
 
-// Compare orders two values. NULL < Int/Float < String across kinds,
-// except that Int and Float compare numerically with each other.
-// The result is -1, 0 or +1.
+// Compare orders two values as a total order whose equality is exactly
+// AppendKey equality: NULL < numbers < strings; Int and Float compare
+// exactly by numeric value (no float64 rounding, so distinct integers
+// past 2^53 stay distinct, and Int(1) equals Float(1)); NaN equals NaN
+// and sorts above every other number, as in PostgreSQL; -0.0 equals
+// +0.0. The result is -1, 0 or +1.
 func Compare(a, b V) int {
-	// Numeric cross-kind comparison.
+	if a.kind == Int && b.kind == Int {
+		return cmp.Compare(a.i, b.i)
+	}
 	if a.IsNumeric() && b.IsNumeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+		case a.kind == Float && b.kind == Float:
+			return cmpFloat(a.f, b.f)
+		case a.kind == Int:
+			return cmpIntFloat(a.i, b.f)
+		default:
+			return -cmpIntFloat(b.i, a.f)
 		}
-		// Equal as floats: break ties so Int(1) and Float(1) are stable
-		// but considered equal for grouping purposes.
-		return 0
 	}
 	if a.kind != b.kind {
 		if a.kind < b.kind {
@@ -132,17 +135,54 @@ func Compare(a, b V) int {
 		}
 		return 1
 	}
-	switch a.kind {
-	case Null:
-		return 0
-	case String:
+	if a.kind == String {
 		return strings.Compare(a.s, b.s)
-	default:
-		return 0
 	}
+	return 0 // NULL
 }
 
-// Equal reports whether two values are equal under Compare semantics.
+// cmpFloat orders floats with NaN equal to itself and above +Inf.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	// At least one operand is NaN.
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
+}
+
+// twoTo63 is 2^63, the first float past math.MaxInt64.
+const twoTo63 = float64(1 << 63)
+
+// cmpIntFloat compares an integer with a float exactly.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= twoTo63: // NaN, +Inf and floats past MaxInt64
+		return -1
+	case f < -twoTo63:
+		return 1
+	}
+	// f is in [-2^63, 2^63): its integral part converts exactly.
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f) // the fractional part decides
+}
+
+// Equal reports whether two values are equal under Compare semantics,
+// which is exactly equality of their AppendKey encodings.
 func Equal(a, b V) bool { return Compare(a, b) == 0 }
 
 // String renders the value for display. NULL renders as "∅".
@@ -162,9 +202,9 @@ func (v V) String() string {
 }
 
 // AppendKey appends a canonical, injective byte encoding of v to dst.
-// The encoding is used as a hash key for grouping: distinct values produce
-// distinct encodings and Equal values produce identical encodings
-// (Int(1) and Float(1) encode identically because they group together).
+// The encoding is used as a hash key for grouping: two values produce
+// identical encodings exactly when Compare reports them equal (Int(1)
+// and Float(1) encode identically, as do -0.0 and +0.0, and every NaN).
 func (v V) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case Null:
@@ -175,13 +215,16 @@ func (v V) AppendKey(dst []byte) []byte {
 	case Float:
 		// Encode integral floats exactly like the equivalent Int so that
 		// grouping treats them as equal, matching Compare.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) &&
-			v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		if v.f == math.Trunc(v.f) && v.f >= -twoTo63 && v.f < twoTo63 {
 			dst = append(dst, 0x01)
 			return appendUint64(dst, uint64(int64(v.f)))
 		}
+		bits := math.Float64bits(v.f)
+		if v.f != v.f {
+			bits = canonicalNaN
+		}
 		dst = append(dst, 0x02)
-		return appendUint64(dst, math.Float64bits(v.f))
+		return appendUint64(dst, bits)
 	case String:
 		dst = append(dst, 0x03)
 		dst = appendUint64(dst, uint64(len(v.s)))
@@ -190,6 +233,9 @@ func (v V) AppendKey(dst []byte) []byte {
 		panic("value: unknown kind")
 	}
 }
+
+// canonicalNaN is the one key payload every NaN encodes to.
+var canonicalNaN = math.Float64bits(math.NaN())
 
 func appendUint64(dst []byte, u uint64) []byte {
 	return append(dst,

@@ -100,12 +100,19 @@ func TestCompareAntisymmetric(t *testing.T) {
 }
 
 func TestEqualMatchesCompare(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
+	f := func(a, b float64, i int64, nan bool) bool {
+		if nan {
+			a = math.NaN()
 		}
-		va, vb := NewFloat(a), NewFloat(b)
-		return Equal(va, vb) == (Compare(va, vb) == 0)
+		vals := []V{NewFloat(a), NewFloat(b), NewInt(i), NewFloat(float64(i))}
+		for _, x := range vals {
+			for _, y := range vals {
+				if Equal(x, y) != (Compare(x, y) == 0) || Equal(x, y) != sameKey(x, y) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -233,14 +240,128 @@ func TestTupleString(t *testing.T) {
 }
 
 func TestCompareTotalOrderTransitivity(t *testing.T) {
-	vals := []V{NewNull(), NewInt(-5), NewInt(0), NewFloat(0.5), NewInt(3), NewString(""), NewString("z")}
+	vals := append([]V{NewFloat(0.5), NewString(""), NewString("z")}, edgeValues()...)
 	for _, a := range vals {
 		for _, b := range vals {
 			for _, c := range vals {
 				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
-					t.Fatalf("transitivity violated: %v <= %v <= %v but %v > %v", a, b, b, a, c)
+					t.Fatalf("transitivity violated: %v <= %v <= %v but %v > %v", a, b, c, a, c)
 				}
 			}
 		}
 	}
+}
+
+// edgeValues are the values where a float64-rounding or IEEE comparison
+// would disagree with AppendKey: NaN (two payloads), ±0.0, ±Inf, the
+// integers around ±2^53 and the int64 bounds, and the floats ±2^63.
+func edgeValues() []V {
+	const p53 = int64(1) << 53
+	return []V{
+		NewNull(), NewInt(-5), NewInt(0), NewInt(3), NewFloat(3), NewFloat(-2.5),
+		NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000000)),
+		NewFloat(math.Copysign(0, -1)), NewFloat(0),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewInt(p53), NewInt(p53 + 1), NewInt(p53 - 1), NewInt(-p53), NewInt(-p53 - 1),
+		NewFloat(float64(p53)), NewFloat(float64(p53) + 2), NewFloat(-float64(p53)),
+		NewInt(math.MaxInt64), NewInt(math.MinInt64), NewInt(math.MaxInt64 - 1),
+		NewFloat(math.Ldexp(1, 63)), NewFloat(-math.Ldexp(1, 63)), NewFloat(math.Ldexp(1, 62) + 1024),
+		NewString("a"),
+	}
+}
+
+func sameKey(a, b V) bool { return string(a.AppendKey(nil)) == string(b.AppendKey(nil)) }
+
+// checkCompareAgreesWithKey checks one triple: Equal ⟺ equal AppendKey,
+// Compare antisymmetric, and Compare transitive.
+func checkCompareAgreesWithKey(t *testing.T, a, b, c V) {
+	t.Helper()
+	for _, p := range [][2]V{{a, b}, {b, c}, {a, c}} {
+		x, y := p[0], p[1]
+		if Equal(x, y) != sameKey(x, y) {
+			t.Fatalf("Equal(%v, %v) = %v but AppendKey equality = %v", x, y, Equal(x, y), sameKey(x, y))
+		}
+		if Compare(x, y) != -Compare(y, x) {
+			t.Fatalf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", x, y, Compare(x, y), y, x, Compare(y, x))
+		}
+	}
+	ab, bc, ac := Compare(a, b), Compare(b, c), Compare(a, c)
+	if ab <= 0 && bc <= 0 && ac > 0 || ab >= 0 && bc >= 0 && ac < 0 ||
+		ab == 0 && bc == 0 && ac != 0 {
+		t.Fatalf("transitivity violated on %v, %v, %v: %d %d %d", a, b, c, ab, bc, ac)
+	}
+}
+
+func TestCompareAgreesWithKey(t *testing.T) {
+	vals := edgeValues()
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				checkCompareAgreesWithKey(t, a, b, c)
+			}
+		}
+	}
+}
+
+func TestCompareEdgeOrdering(t *testing.T) {
+	p53 := int64(1) << 53
+	nan := NewFloat(math.NaN())
+	cases := []struct {
+		a, b V
+		want int
+	}{
+		{NewInt(p53), NewInt(p53 + 1), -1},
+		{NewFloat(float64(p53)), NewInt(p53 + 1), -1},
+		{NewInt(p53 + 1), NewFloat(float64(p53) + 2), -1},
+		{nan, nan, 0},
+		{nan, NewFloat(math.Inf(1)), 1},
+		{nan, NewInt(math.MaxInt64), 1},
+		{nan, NewString(""), -1},
+		{NewNull(), nan, -1},
+		{NewFloat(math.Copysign(0, -1)), NewInt(0), 0},
+		{NewInt(math.MaxInt64), NewFloat(math.Ldexp(1, 63)), -1},
+		{NewInt(math.MinInt64), NewFloat(-math.Ldexp(1, 63)), 0},
+		{NewInt(-1), NewFloat(-0.5), -1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestAppendKeyFloatTwoTo63 pins the int64 range check: 2^63 is past
+// MaxInt64 and must not wrap to the key of MinInt64.
+func TestAppendKeyFloatTwoTo63(t *testing.T) {
+	if sameKey(NewFloat(math.Ldexp(1, 63)), NewInt(math.MinInt64)) {
+		t.Error("Float(2^63) shares the key of Int(MinInt64)")
+	}
+	if !sameKey(NewFloat(-math.Ldexp(1, 63)), NewInt(math.MinInt64)) {
+		t.Error("Float(-2^63) must share the key of Int(MinInt64)")
+	}
+}
+
+func FuzzCompareAgreesWithKey(f *testing.F) {
+	edges := edgeValues()
+	for i := range edges {
+		f.Add(uint8(i), uint8(i+1), uint8(i+2), int64(0), uint64(0))
+	}
+	f.Add(uint8(255), uint8(254), uint8(253), int64(1)<<53+1, math.Float64bits(math.Ldexp(1, 53)))
+	f.Fuzz(func(t *testing.T, sa, sb, sc uint8, i int64, fbits uint64) {
+		// A selector picks an edge value, the fuzzed int, the fuzzed
+		// float bits, or the fuzzed int as a float.
+		pick := func(sel uint8) V {
+			switch n := int(sel) % (len(edges) + 3); {
+			case n < len(edges):
+				return edges[n]
+			case n == len(edges):
+				return NewInt(i)
+			case n == len(edges)+1:
+				return NewFloat(math.Float64frombits(fbits))
+			default:
+				return NewFloat(float64(i))
+			}
+		}
+		checkCompareAgreesWithKey(t, pick(sa), pick(sb), pick(sc))
+	})
 }
