@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
 	"io"
+	"os"
 	"path"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,13 +242,26 @@ func TestFig6OptScoresNoMoreCandidates(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden")
+
+const experimentsGolden = "testdata/experiments.golden"
+
 // TestExperimentsRun runs every experiment at its default sizes as
-// capebench does; the timing sweeps only without -short.
+// capebench does, the timing sweeps only without -short, and compares
+// each one's output under the Untimed timer with its section of
+// testdata/experiments.golden. Any change to a count, a top-k list or
+// a precision cell fails here until -update regenerates the golden, so
+// it shows in the diff.
 func TestExperimentsRun(t *testing.T) {
 	fast := map[string]bool{"fig3c": true, "table3": true, "table4": true, "table5": true,
 		"table6": true, "table7": true, "userstudy": true}
 	slow := map[string]bool{"fig6a": true, "fig6b": true, "fig7": true}
+	if *update && testing.Short() {
+		t.Fatal("-update needs every experiment; run it without -short")
+	}
 	var names []string
+	got := map[string]string{}
+	var all strings.Builder
 	for _, e := range Experiments {
 		names = append(names, e.Name)
 		if e.Desc == "" || e.Run == nil {
@@ -254,8 +271,26 @@ func TestExperimentsRun(t *testing.T) {
 		if !fast[e.Name] && (testing.Short() || !slow[e.Name]) {
 			continue
 		}
-		if err := e.Run(io.Discard, Once, false); err != nil {
+		var out strings.Builder
+		if err := e.Run(&out, Untimed, false); err != nil {
 			t.Errorf("%s: %v", e.Name, err)
+		}
+		got[e.Name] = out.String()
+		fmt.Fprintf(&all, "== %s ==\n%s", e.Name, out.String())
+	}
+	if *update {
+		if err := os.WriteFile(experimentsGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		want := readExperimentsGolden(t)
+		for name, out := range got {
+			if w, ok := want[name]; !ok {
+				t.Errorf("%s: no section in %s; run with -update", name, experimentsGolden)
+			} else if out != w {
+				t.Errorf("%s output differs from %s (run with -update to accept):\n got:\n%s\nwant:\n%s",
+					name, experimentsGolden, out, w)
+			}
 		}
 	}
 	// The names are the capebench commands and the Benchmark* lookups;
@@ -278,4 +313,24 @@ func TestFig7FullRuns(t *testing.T) {
 	if err := e.Run(io.Discard, Once, true); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readExperimentsGolden splits the golden into its "== name ==" sections.
+func readExperimentsGolden(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(experimentsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	var name string
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if h, ok := strings.CutPrefix(line, "== "); ok && strings.HasSuffix(h, " ==\n") {
+			name = strings.TrimSuffix(h, " ==\n")
+			sections[name] = ""
+			continue
+		}
+		sections[name] += line
+	}
+	return sections
 }

@@ -52,6 +52,15 @@ func Once(c Case) (Outcome, time.Duration, error) {
 	return o, time.Since(start), err
 }
 
+// Untimed runs the case once and reports a fixed 1 ms, so an
+// experiment's output depends only on the tree: its counts, top-k
+// lists and precision cells, with every timing column constant.
+// internal/exp/testdata/experiments.golden is that output.
+func Untimed(c Case) (Outcome, time.Duration, error) {
+	o, err := c.Run()
+	return o, time.Millisecond, err
+}
+
 // Experiments lists every experiment in the order `capebench all` runs
 // them.
 var Experiments = []Experiment{
