@@ -12,10 +12,12 @@ test:
 
 # The gate every PR must pass: vet, staticcheck (when installed — CI
 # always has it; locally it is skipped rather than failing on a missing
-# binary), build, and the full suite under the race detector, once.
-# That one run holds every identity gate: the kernel differentials (each
-# operator on a dense Table and on a SegTable of sealed segments plus a
-# tail, at pool width 1 and 4, against the row path), the segment, mmap,
+# binary), build, a guard that no non-test code depends on the
+# test-support package internal/oracle, and the full suite under the
+# race detector, once. That one run holds every identity gate: the kernel
+# differentials (each operator on a dense Table and on a SegTable of
+# sealed segments plus a tail, at pool width 1 and 4, against the
+# literal definitions of internal/oracle), the segment, mmap,
 # morsel-parallel, maintained-vs-remined, sharded and cache differentials,
 # the fuzz seed corpora, the WAL crash matrix at every syscall boundary
 # of its workload, and the repository benchmark's four lifecycles at
@@ -28,6 +30,8 @@ check:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 	$(GO) build ./...
+	@leak=$$($(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./... | grep -v '^cape/internal/oracle ' | grep -w 'cape/internal/oracle' | cut -d' ' -f1); \
+	if [ -n "$$leak" ]; then echo "internal/oracle is test support, but non-test code imports it: $$leak" >&2; exit 1; fi
 	$(GO) test -race ./...
 
 # check plus the exhaustive crash matrix: every syscall boundary of the

@@ -1,17 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"strings"
 
 	"cape/internal/value"
 )
-
-// hashSeed keys the group-by hash chains; one process-wide seed keeps
-// hashes comparable across calls without exposing them anywhere.
-var hashSeed = maphash.MakeSeed()
 
 // AggFunc enumerates the aggregate functions the engine evaluates.
 type AggFunc uint8
@@ -260,148 +254,11 @@ func groupPlan(s Schema, groupCols []string, aggs []AggSpec) (gIdx []int, aCols 
 // order. groupCols may be empty, producing a single global group.
 //
 // The table runs the parts kernels as one solo dense part (see
-// ckernels.go); ForceRowPath tables use the row-oriented reference,
-// which the kernels match byte for byte — same group order, key values,
-// aggregate results and float summation order.
+// ckernels.go).
 func (t *Table) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) {
 	gIdx, aCols, sch, err := groupPlan(t.schema, groupCols, aggs)
 	if err != nil {
 		return nil, err
 	}
-	if t.rowOnly {
-		return t.groupByRows(gIdx, aCols, sch), nil
-	}
 	return groupByPartsPool(t.queryPool(), t.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
-}
-
-// groupByRows is the row-oriented reference GroupBy behind ForceRowPath:
-// the semantics oracle the parts kernels are pinned against by
-// differential tests.
-func (t *Table) groupByRows(gIdx []int, aCols []aggCol, sch Schema) *Table {
-	// Hash aggregation. Groups live in one growing slice preserving
-	// first-appearance order; their keys, key bytes, and aggregate states
-	// are carved out of chunked arenas. Group lookup goes through an
-	// open-addressed table of group indices keyed by a 64-bit hash of the
-	// encoded key, disambiguated by comparing the arena-stored key bytes
-	// — so a new group costs only amortized bump allocations (no
-	// per-group map-key string), and the per-row hot loop allocates
-	// nothing at all.
-	type group struct {
-		key      value.Tuple
-		keyBytes []byte
-		states   []aggState
-		hash     uint64
-	}
-	nK, nA := len(gIdx), len(aCols)
-	tabSize := 64
-	tab := make([]int32, tabSize)
-	for i := range tab {
-		tab[i] = -1
-	}
-	mask := uint64(tabSize - 1)
-	var groups []group
-	var stateArena []aggState // groups keep slices into retired chunks
-	var keyArena []value.V
-	var byteArena []byte
-	var keyBuf []byte
-	for _, r := range t.rows {
-		keyBuf = keyBuf[:0]
-		for _, ci := range gIdx {
-			keyBuf = r[ci].AppendKey(keyBuf)
-		}
-		h := maphash.Bytes(hashSeed, keyBuf)
-		gi := int32(-1)
-		slot := h & mask
-		for tab[slot] >= 0 {
-			j := tab[slot]
-			if groups[j].hash == h && bytes.Equal(groups[j].keyBytes, keyBuf) {
-				gi = j
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if gi < 0 {
-			if len(stateArena)+nA > cap(stateArena) {
-				stateArena = make([]aggState, 0, arenaChunk(nA))
-			}
-			states := stateArena[len(stateArena) : len(stateArena)+nA : len(stateArena)+nA]
-			stateArena = stateArena[:len(stateArena)+nA]
-			if len(keyArena)+nK > cap(keyArena) {
-				keyArena = make([]value.V, 0, arenaChunk(nK))
-			}
-			key := keyArena[len(keyArena) : len(keyArena)+nK : len(keyArena)+nK]
-			keyArena = keyArena[:len(keyArena)+nK]
-			for i, ci := range gIdx {
-				key[i] = r[ci]
-			}
-			if len(byteArena)+len(keyBuf) > cap(byteArena) {
-				n := 4096
-				if len(keyBuf) > n {
-					n = len(keyBuf)
-				}
-				byteArena = make([]byte, 0, n)
-			}
-			kb := byteArena[len(byteArena) : len(byteArena)+len(keyBuf) : len(byteArena)+len(keyBuf)]
-			byteArena = byteArena[:len(byteArena)+len(keyBuf)]
-			copy(kb, keyBuf)
-			gi = int32(len(groups))
-			groups = append(groups, group{key: key, keyBytes: kb, states: states, hash: h})
-			tab[slot] = gi
-			// Keep the load factor under 1/2: rebuild the index from the
-			// stored hashes when the group count reaches half the slots.
-			if len(groups)*2 >= tabSize {
-				tabSize *= 2
-				mask = uint64(tabSize - 1)
-				tab = make([]int32, tabSize)
-				for i := range tab {
-					tab[i] = -1
-				}
-				for j := range groups {
-					s := groups[j].hash & mask
-					for tab[s] >= 0 {
-						s = (s + 1) & mask
-					}
-					tab[s] = int32(j)
-				}
-			}
-		}
-		st := groups[gi].states
-		for i, ac := range aCols {
-			var arg value.V
-			if ac.idx >= 0 {
-				arg = r[ac.idx]
-			}
-			st[i].add(arg, ac.spec.Func, ac.idx < 0)
-		}
-	}
-
-	// Materialize all output rows into one slab; the capped subslices
-	// keep a later append on any row from clobbering its neighbor.
-	out := NewTable(sch)
-	out.rowOnly = t.rowOnly
-	out.rows = make([]value.Tuple, len(groups))
-	width := len(sch)
-	slab := make([]value.V, len(groups)*width)
-	for gi := range groups {
-		row := slab[gi*width : (gi+1)*width : (gi+1)*width]
-		copy(row, groups[gi].key)
-		for i, ac := range aCols {
-			row[nK+i] = groups[gi].states[i].result(ac.spec.Func)
-		}
-		out.rows[gi] = row
-	}
-	return out
-}
-
-// arenaChunk sizes an arena chunk to hold many groups' worth of entries
-// while never being smaller than one group's need.
-func arenaChunk(n int) int {
-	const target = 1024
-	if n > target {
-		return n
-	}
-	if n == 0 {
-		return 0
-	}
-	return target - target%n // whole groups per chunk
 }

@@ -11,7 +11,8 @@ import (
 // Table's rows, or a SegTable's append tail). A Table is one solo dense
 // part; a SegTable is its segments plus the tail. Group identity, group
 // order, aggregate fold order and result values are byte-identical to
-// the row-oriented reference (ForceRowPath):
+// the literal row-at-a-time definitions in internal/oracle, which the
+// differential tests hold every kernel to:
 //
 //   - Group ids are assigned in global first-appearance row order.
 //     Cross-part identity goes through the canonical AppendKey bytes of

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -12,10 +15,10 @@ import (
 )
 
 // The tests in this file pin every columnar kernel element-wise to the
-// row-oriented reference implementation: the same table is evaluated
-// twice, once through the default (columnar) path and once through a
-// ForceRowPath clone, and the results must be byte-identical — same row
-// order, same value kinds, same payload encodings.
+// literal definitions of internal/oracle (oracleRel): the same rows are
+// evaluated twice, once through the kernels and once through the
+// oracle, and the results must be byte-identical — same row order, same
+// value kinds, same payload encodings.
 
 // valueIdentical is stricter than value.Equal: the kinds and canonical
 // encodings must both match, so Int(1) vs Float(1) — Equal but
@@ -110,18 +113,18 @@ func randomAggs(rng *rand.Rand, t *Table) []AggSpec {
 }
 
 // kernelTarget is one relation the kernel differentials evaluate, next
-// to the ForceRowPath reference over the same logical rows.
+// to the oracle over the same logical rows.
 type kernelTarget struct {
 	label string
 	rel   Relation
-	ref   *Table
+	ref   Relation
 }
 
 // kernelTargets presents tab to the differential suites four ways: as a
 // dense Table (one solo part) and as a SegTable of two sealed segments
 // plus a tail, each at pool width 1 and 4. Sealed segments canonicalize
 // AppendKey-equal values to one representative (Int(1) vs Float(1)),
-// so the SegTable's reference is built from the rows it reads back;
+// so the SegTable's oracle reads the rows the SegTable reads back;
 // its tail keeps the mixed kinds as stored.
 func kernelTargets(t *testing.T, tab *Table) []kernelTarget {
 	t.Helper()
@@ -132,8 +135,8 @@ func kernelTargets(t *testing.T, tab *Table) []kernelTarget {
 		st := segTableFromTable(t, tab, 2)
 		st.SetPool(NewPool(width))
 		out = append(out,
-			kernelTarget{fmt.Sprintf("table/w%d", width), dense, tab.Clone().ForceRowPath(true)},
-			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, readBack(t, st).ForceRowPath(true)})
+			kernelTarget{fmt.Sprintf("table/w%d", width), dense, oracleOf(tab)},
+			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, oracleOf(readBack(t, st))})
 	}
 	return out
 }
@@ -174,7 +177,7 @@ func kernelTable(rng *rand.Rand, n, width int) *Table {
 }
 
 // TestGroupByColumnarDifferential pins GroupBy on every kernel target to
-// the row-path reference: random key sets and aggregates over mixed
+// the oracle: random key sets and aggregates over mixed
 // Int/Float classes, NULL and NaN keys, plus the global group and
 // Min/Max/Sum/Avg over every column (NaN with Min/Max, high-cardinality
 // float sums) on each table.
@@ -332,12 +335,13 @@ func TestSelectEqSelectsEachGroup(t *testing.T) {
 // selectEqAfterMutation probes a dense Table whose columnar view was
 // built before an append (the view is extended in place) and again after
 // a SortBy (the view is dropped and rebuilt), each time in the given and
-// in reversed column order, against the row path over the same rows.
+// in reversed column order, against the oracle over the same rows.
 func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src *Table, label string) {
 	t.Helper()
-	tab, ref := src.Clone(), src.Clone().ForceRowPath(true)
+	tab := src.Clone()
 	cols := randomCols(rng, tab, 1+rng.Intn(2))
 	probe := func(stage string) {
+		ref := oracleOf(tab)
 		var vals []value.Tuple
 		for i := 0; i < 6 && tab.NumRows() > 0; i++ {
 			row := tab.Row(rng.Intn(tab.NumRows()))
@@ -381,17 +385,12 @@ func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src *Table, label strin
 		// A row repeating an existing key lands in an existing class.
 		grow.MustAppend(tab.Row(rng.Intn(tab.NumRows())).Clone())
 	}
-	for _, rel := range []*Table{tab, ref} {
-		if err := rel.AppendRows(grow.Rows()); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.AppendRows(grow.Rows()); err != nil {
+		t.Fatal(err)
 	}
 	probe("after append")
-	sortCols := randomCols(rng, tab, 1)
-	for _, rel := range []*Table{tab, ref} {
-		if err := rel.SortBy(sortCols); err != nil {
-			t.Fatal(err)
-		}
+	if err := tab.SortBy(randomCols(rng, tab, 1)); err != nil {
+		t.Fatal(err)
 	}
 	probe("after SortBy")
 }
@@ -469,14 +468,13 @@ func TestAppendMixedKindSum(t *testing.T) {
 	if err := ref.AppendRows(append(append([]value.Tuple{}, ints...), value.Tuple{value.NewString("a"), value.NewFloat(1)})); err != nil {
 		t.Fatal(err)
 	}
-	ref.ForceRowPath(true)
 	for _, rel := range []Relation{tab, st} {
 		for _, cols := range [][]string{{"g"}, {"v"}} {
 			got, err := rel.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.GroupBy(cols, aggs)
+			want, err := oracleOf(ref).GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -494,7 +492,7 @@ func TestCubeColumnarDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(80), 3)
-		ref := tab.Clone().ForceRowPath(true)
+		ref := oracleOf(tab)
 		cols := []string{"c0", "c1", "c2"}
 		got, err := tab.Cube(cols, 0, 3, aggs)
 		if err != nil {
@@ -506,12 +504,13 @@ func TestCubeColumnarDifferential(t *testing.T) {
 		}
 		tablesIdentical(t, got, want, fmt.Sprintf("seed %d Cube", seed))
 
+		// A slice of the cube is the grouping over exactly that subset.
 		for _, subset := range [][]string{{}, {"c1"}, {"c0", "c2"}, {"c0", "c1", "c2"}} {
 			gs, err := CubeSlice(got, cols, subset, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, err := CubeSlice(want.Clone().ForceRowPath(true), cols, subset, aggs)
+			ws, err := ref.GroupBy(subset, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,48 +519,60 @@ func TestCubeColumnarDifferential(t *testing.T) {
 	}
 }
 
+// TestSortCodesColumnarDifferential: on tables mixing kinds, NULLs, NaN
+// and integers past 2^53, sort codes rank every column's values exactly
+// like value.Compare, and the counting sort they drive is the stable
+// sort of the rows under value.Compare. Sort codes are a kernel-internal
+// layout with no relational counterpart in the oracle, so the reference
+// is the ordering definition itself.
 func TestSortCodesColumnarDifferential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(150), 3)
-		ref := tab.Clone().ForceRowPath(true)
 		cols := tab.Schema().Names()
-		got, err := BuildSortCodes(tab, cols)
+		codes, err := BuildSortCodes(tab, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BuildSortCodes(ref, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cols {
-			gc, wc := got.Codes(c), want.Codes(c)
-			if len(gc) != len(wc) {
-				t.Fatalf("seed %d col %s: %d codes != %d", seed, c, len(gc), len(wc))
-			}
-			for i := range wc {
-				if gc[i] != wc[i] {
-					t.Fatalf("seed %d col %s row %d: code %d != %d (value %s)",
-						seed, c, i, gc[i], wc[i], tab.Row(i)[tab.Schema().Index(c)])
+		rows := tab.Rows()
+		for ci, c := range cols {
+			cc := codes.Codes(c)
+			for i := range rows {
+				for j := range rows {
+					if want, got := value.Compare(rows[i][ci], rows[j][ci]), cmp.Compare(cc[i], cc[j]); got != want {
+						t.Fatalf("seed %d col %s: Compare(%s, %s) = %d, codes %d vs %d",
+							seed, c, rows[i][ci], rows[j][ci], want, cc[i], cc[j])
+					}
 				}
 			}
 		}
-		// Same codes must drive the counting sort to the same permutation.
 		order := append([]string(nil), cols...)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		gp, wp := got.NewPerm(), want.NewPerm()
-		if err := got.SortPerm(gp, order, 0); err != nil {
+		perm := codes.NewPerm()
+		if err := codes.SortPerm(perm, order, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.SortPerm(wp, order, 0); err != nil {
-			t.Fatal(err)
+		want := make([]int32, len(rows))
+		for i := range want {
+			want[i] = int32(i)
 		}
-		for i := range wp {
-			if gp[i] != wp[i] {
-				t.Fatalf("seed %d SortPerm(%v) diverges at %d: %d != %d", seed, order, i, gp[i], wp[i])
-			}
+		oIdx, _ := tab.Schema().Indices(order)
+		sort.SliceStable(want, func(a, b int) bool {
+			return project(rows[want[a]], oIdx).Compare(project(rows[want[b]], oIdx)) < 0
+		})
+		if !slices.Equal(perm, want) {
+			t.Fatalf("seed %d SortPerm(%v) = %v, stable sort %v", seed, order, perm, want)
 		}
 	}
+}
+
+// project returns row's values at idx.
+func project(row value.Tuple, idx []int) value.Tuple {
+	out := make(value.Tuple, len(idx))
+	for i, ci := range idx {
+		out[i] = row[ci]
+	}
+	return out
 }
 
 // TestColumnarInvalidation pins the cache rules: Append extends the
@@ -596,7 +607,7 @@ func TestColumnarInvalidation(t *testing.T) {
 	if tab.Columns() == before {
 		t.Fatal("SortBy did not invalidate the columnar view")
 	}
-	ref := tab.Clone().ForceRowPath(true)
+	ref := oracleOf(tab)
 	g1, err := tab.GroupBy([]string{"c0"}, []AggSpec{{Func: Count}})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +625,7 @@ func TestColumnarInvalidation(t *testing.T) {
 func TestColumnarConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := randomTable(rng, 300, 4)
-	ref := tab.Clone().ForceRowPath(true)
+	ref := oracleOf(tab)
 	cols := []string{"c0", "c1"}
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c2"}}
 	wantG, err := ref.GroupBy(cols, aggs)
@@ -669,7 +680,8 @@ func TestColumnarConcurrent(t *testing.T) {
 }
 
 // FuzzColumnarKernels drives GroupBy, SelectEq and CountDistinct on a
-// fuzz-shaped table through both paths and requires identical output.
+// fuzz-shaped table through the kernels and the oracle and requires
+// identical output.
 func FuzzColumnarKernels(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2))
 	f.Add(int64(2), uint8(0), uint8(1))
@@ -678,7 +690,7 @@ func FuzzColumnarKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, width uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, int(n), 1+int(width%4))
-		ref := tab.Clone().ForceRowPath(true)
+		ref := oracleOf(tab)
 		cols := randomCols(rng, tab, 1+rng.Intn(2))
 		aggs := randomAggs(rng, tab)
 		got, err := tab.GroupBy(cols, aggs)
@@ -739,28 +751,81 @@ func benchTable(n int) *Table {
 }
 
 // BenchmarkSelectEqDrilldown measures repeated point lookups — the
-// explain drill-down access pattern — through the columnar kernel and
-// the row-scan reference.
+// explain drill-down access pattern — through the columnar kernel.
 func BenchmarkSelectEqDrilldown(b *testing.B) {
-	keys := make([]value.Tuple, 64)
-	for mode, setup := range map[string]func(*Table){
-		"columnar": func(t *Table) { t.Columns() },
-		"rowscan":  func(t *Table) { t.ForceRowPath(true) },
-	} {
-		b.Run(mode, func(b *testing.B) {
-			tab := benchTable(20000)
-			setup(tab)
-			rng := rand.New(rand.NewSource(9))
-			for i := range keys {
-				keys[i] = value.Tuple{tab.Row(rng.Intn(tab.NumRows()))[0]}
+	b.Run("columnar", func(b *testing.B) {
+		tab := benchTable(20000)
+		tab.Columns()
+		rng := rand.New(rand.NewSource(9))
+		keys := make([]value.Tuple, 64)
+		for i := range keys {
+			keys[i] = value.Tuple{tab.Row(rng.Intn(tab.NumRows()))[0]}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tab.SelectEq([]string{"a"}, keys[i%len(keys)]); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tab.SelectEq([]string{"a"}, keys[i%len(keys)]); err != nil {
-					b.Fatal(err)
+		}
+	})
+}
+
+// TestDegenerateQueriesMatchOracle: queries over no columns and over an
+// empty table, which the parts kernels do not take, still answer as the
+// definitions do — SelectEq on no columns selects every row, a non-empty
+// table has one distinct empty combination, and an empty table has no
+// groups at all.
+func TestDegenerateQueriesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	full := randomTable(rng, 30, 2)
+	for _, tab := range []*Table{full, NewTable(full.Schema())} {
+		for _, kt := range kernelTargets(t, tab) {
+			label := fmt.Sprintf("%d rows %s", tab.NumRows(), kt.label)
+			for _, cols := range [][]string{nil, {"c0"}} {
+				vals := make(value.Tuple, len(cols))
+				for i := range vals {
+					vals[i] = value.NewString("s1")
 				}
+				got, err := kt.rel.SelectEq(cols, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kt.ref.SelectEq(cols, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, got, want, fmt.Sprintf("%s SelectEq(%v)", label, cols))
+				gotP, err := kt.rel.DistinctProject(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantP, err := kt.ref.DistinctProject(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, gotP, wantP, fmt.Sprintf("%s DistinctProject(%v)", label, cols))
+				gotN, err := kt.rel.CountDistinct(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantN, err := kt.ref.CountDistinct(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotN != wantN {
+					t.Errorf("%s CountDistinct(%v) = %d, want %d", label, cols, gotN, wantN)
+				}
+				gotG, err := kt.rel.GroupBy(cols, []AggSpec{{Func: Count}, {Func: Sum, Arg: "c1"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantG, err := kt.ref.GroupBy(cols, []AggSpec{{Func: Count}, {Func: Sum, Arg: "c1"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, gotG, wantG, fmt.Sprintf("%s GroupBy(%v)", label, cols))
 			}
-		})
+		}
 	}
 }

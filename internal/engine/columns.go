@@ -77,7 +77,7 @@ func (c *Columnar) FlatCol(ci int) *Col {
 // Col is one dictionary-encoded column. Codes identify equality classes
 // under value.V's canonical AppendKey encoding — exactly the classes
 // GroupBy, CountDistinct and DistinctProject group by — so kernels
-// compare int32s where the row path compared encoded byte strings.
+// compare int32s instead of encoded byte strings.
 //
 // The exported buffers are views shared with the cache: callers must not
 // mutate them.
@@ -239,21 +239,3 @@ func (t *Table) invalidateDerived() {
 	t.epoch++
 	t.cols.Store(nil)
 }
-
-// ForceRowPath toggles the row-oriented reference implementations of
-// GroupBy, SelectEq, CountDistinct and DistinctProject, bypassing the
-// columnar kernels. The flag propagates to derived tables (Select,
-// Project, GroupBy results, clones, ...), so forcing it on a source
-// table keeps an entire query pipeline on the reference paths. It
-// exists so differential tests and benchmarks can pin the vectorized
-// paths to the reference behaviour; production code never sets it.
-// Returns t for chaining.
-func (t *Table) ForceRowPath(on bool) *Table {
-	t.rowOnly = on
-	return t
-}
-
-// RowPathForced reports whether ForceRowPath is set (directly or via
-// propagation), letting consumers outside the engine honour the
-// reference-path request in their own columnar fast paths.
-func (t *Table) RowPathForced() bool { return t.rowOnly }

@@ -8,8 +8,8 @@ import (
 	"cape/internal/value"
 )
 
-// These tests pin the kernels over sealed segments to the row-oriented
-// reference exactly like the columnar differential suite: same random
+// These tests pin the kernels over sealed segments to the oracle
+// exactly like the columnar differential suite: same random
 // tables, same queries, byte-identical results. Each table is sealed
 // into a SegTable of segments plus a tail; half the tables are first
 // sorted on a column, so long runs make the segment writer choose RLE
@@ -135,7 +135,7 @@ func TestGroupByCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(200), 2+rng.Intn(3)))
-		ref := dense.Clone().ForceRowPath(true)
+		ref := oracleOf(dense)
 		for trial := 0; trial < 4; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(3))
 			aggs := randomAggs(rng, dense)
@@ -163,7 +163,7 @@ func TestSelectEqCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
-		ref := dense.Clone().ForceRowPath(true)
+		ref := oracleOf(dense)
 		for trial := 0; trial < 8; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
@@ -193,7 +193,7 @@ func TestCountDistinctCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
-		ref := dense.Clone().ForceRowPath(true)
+		ref := oracleOf(dense)
 		for trial := 0; trial < 4; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(3))
 			got, err := st.CountDistinct(cols)
@@ -216,7 +216,7 @@ func TestCubeCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(80), 3))
-		ref := dense.Clone().ForceRowPath(true)
+		ref := oracleOf(dense)
 		cols := []string{"c0", "c1", "c2"}
 		got, err := st.Cube(cols, 0, 3, aggs)
 		if err != nil {
@@ -246,7 +246,7 @@ func TestStaleCompressedViewInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := readBack(t, st).ForceRowPath(true).GroupBy(cols, aggs)
+		want, err := oracleOf(readBack(t, st)).GroupBy(cols, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func FuzzCompressedKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, k uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		comp, tab := sealedClone(t, rng, randomTable(rng, int(n), 2+int(k%3)))
-		ref := tab.Clone().ForceRowPath(true)
+		ref := oracleOf(tab)
 		cols := randomCols(rng, tab, 1+int(k%2))
 		aggs := randomAggs(rng, tab)
 

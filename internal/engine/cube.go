@@ -20,14 +20,14 @@ const GroupingColumn = "grouping"
 // optimization: one (expensive) query whose materialized result serves
 // every pattern candidate.
 func (t *Table) Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
-	return cubeOver(t, t.rowOnly, cols, minSize, maxSize, aggs)
+	return cubeOver(t, cols, minSize, maxSize, aggs)
 }
 
 // cubeOver is the shared CUBE loop: one GroupBy per subset, results
 // unioned with rolled-up columns as NULL plus the grouping bitmask. Any
 // Relation serves; each grouping routes through the source's own
 // GroupBy dispatch (columnar, compressed, or segment-backed).
-func cubeOver(r Relation, rowOnly bool, cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
+func cubeOver(r Relation, cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
 	if minSize < 0 || maxSize > len(cols) || minSize > maxSize {
 		return nil, fmt.Errorf("engine: invalid cube size bounds [%d, %d] for %d columns", minSize, maxSize, len(cols))
 	}
@@ -47,7 +47,6 @@ func cubeOver(r Relation, rowOnly bool, cols []string, minSize, maxSize int, agg
 		sch = append(sch, Column{Name: a.String(), Kind: value.Null})
 	}
 	out := NewTable(sch)
-	out.rowOnly = rowOnly
 
 	total := uint64(1) << uint(len(cols))
 	var masks []uint64
@@ -154,18 +153,17 @@ func CubeSlice(cube *Table, cols, subset []string, aggs []AggSpec) (*Table, erro
 
 	// The grouping bitmask is an Int column Cube itself wrote; scan its
 	// flat int64 buffer instead of unboxing every row. Rows of any other
-	// kind (malformed input) still go through Int() so the row path's
-	// panic behaviour is preserved.
+	// kind (malformed input) still go through Int(), which panics on a
+	// non-Int bitmask.
 	var gKinds []value.Kind
 	var gI64 []int64
-	if !cube.rowOnly && cube.NumRows() > 0 {
+	if cube.NumRows() > 0 {
 		gcol := cube.Columns().FlatCol(gIdx)
 		if gcol.I64 != nil {
 			gKinds, gI64 = gcol.Kinds, gcol.I64
 		}
 	}
 	out := NewTable(sch)
-	out.rowOnly = cube.rowOnly
 	for ri, r := range cube.Rows() {
 		if gKinds != nil && gKinds[ri] == value.Int {
 			if gI64[ri] != wantGrouping {

@@ -38,7 +38,7 @@ func intDict(n int) []value.V {
 // TestMorselGroupByDeterminism is the merge-order property test: over
 // random segment splits, worker counts, and mixed int/float columns,
 // the morsel-parallel GroupBy must be byte-identical to the sequential
-// kernel and to the row-path reference — group order, key values,
+// kernel and to the oracle — group order, key values,
 // aggregate results, and float summation order included. Aggregates
 // whose partials do not merge exactly (Avg, float Sum) must transparently
 // take the sequential kernel and still agree.
@@ -47,7 +47,7 @@ func TestMorselGroupByDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := typedRandomTable(rng, 50+rng.Intn(250), 2+rng.Intn(3))
-		ref := tab.Clone().ForceRowPath(true)
+		ref := oracleOf(tab)
 		for _, nSegs := range []int{1, 3} {
 			st := segTableFromTable(t, tab, nSegs)
 			for trial := 0; trial < 3; trial++ {
@@ -82,7 +82,7 @@ func TestMorselGroupByDeterminism(t *testing.T) {
 
 // TestSegTablePoolDifferential runs the full operator surface (GroupBy,
 // SelectEq, CountDistinct, DistinctProject, Cube) of a pool-attached
-// SegTable against the row-path reference — the same oracle the
+// SegTable against the oracle — the same reference the
 // sequential differential test uses, now with morsel, per-part, and
 // per-cube-mask fan-out active.
 func TestSegTablePoolDifferential(t *testing.T) {

@@ -463,7 +463,7 @@ func (s *Segment) NumRows() int { return s.nrows }
 func (s *Segment) Col(ci int) *CompressedCol { return s.cols[ci] }
 
 // AppendRowAt appends row r's values to buf and returns it — the boxed
-// materialization used for result rows and reference fallbacks.
+// materialization used for result rows.
 func (s *Segment) AppendRowAt(r int, buf value.Tuple) value.Tuple {
 	for _, cc := range s.cols {
 		buf = append(buf, cc.dict[cc.CodeAt(r)])

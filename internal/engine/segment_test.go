@@ -102,10 +102,10 @@ func segTableFromTable(t *testing.T, tab *Table, nSegs int) *SegTable {
 }
 
 // checkSegTable runs the full operator surface of st against the
-// row-path reference table and requires byte-identical results.
+// oracle over tab's rows and requires byte-identical results.
 func checkSegTable(t *testing.T, rng *rand.Rand, st *SegTable, tab *Table, label string) {
 	t.Helper()
-	ref := tab.Clone().ForceRowPath(true)
+	ref := oracleOf(tab)
 
 	// Row materialization.
 	var i int
@@ -388,7 +388,7 @@ func TestSegmentDictCanonicalization(t *testing.T) {
 }
 
 // TestSegTableCrossPartMixedSum pins the cross-part Sum kind rule: a
-// float row in ANY part makes the reference Sum return Float(sumF), so
+// float row in ANY part makes the oracle's Sum return Float(sumF), so
 // int runs in float-free parts must still fold into sumF (hasFloat is a
 // per-part property, anyFloat a global one). Before the fix, the
 // all-int part's contribution was dropped: sum 1.5 instead of 31.5.
@@ -425,12 +425,11 @@ func TestSegTableCrossPartMixedSum(t *testing.T) {
 		if err := ref.AppendRows(append(append([]value.Tuple{}, l.seg...), l.tail...)); err != nil {
 			t.Fatal(err)
 		}
-		ref.ForceRowPath(true)
 		got, err := st.GroupBy([]string{"g"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.GroupBy([]string{"g"}, aggs)
+		want, err := oracleOf(ref).GroupBy([]string{"g"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +500,7 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 }
 
 // TestSegTableMinMaxNaN: Min/Max over a NaN-containing column must match
-// the reference sequentially and with a pool attached, where the morsel
+// the oracle sequentially and with a pool attached, where the morsel
 // partial states merge: NaN is the largest number, so every group's Max
 // is NaN and its Min the smallest non-NaN value.
 func TestSegTableMinMaxNaN(t *testing.T) {
@@ -525,7 +524,7 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref := tab.Clone().ForceRowPath(true)
+	ref := oracleOf(tab)
 	aggs := []AggSpec{{Func: Min, Arg: "v"}, {Func: Max, Arg: "v"}}
 	want, err := ref.GroupBy([]string{"g"}, aggs)
 	if err != nil {
@@ -534,7 +533,7 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 	for ri, wantMin := range []float64{0.5, 1.5} {
 		row := want.Row(ri)
 		if row[1].Float() != wantMin || !math.IsNaN(row[2].Float()) {
-			t.Fatalf("reference group %v: Min %v Max %v, want %v and NaN", row[0], row[1], row[2], wantMin)
+			t.Fatalf("oracle group %v: Min %v Max %v, want %v and NaN", row[0], row[1], row[2], wantMin)
 		}
 	}
 	for _, width := range []int{1, 4} {

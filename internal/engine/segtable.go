@@ -474,5 +474,5 @@ func (st *SegTable) DistinctProject(cols []string) (*Table, error) {
 // size bounds, exactly like Table.Cube, with each grouping served by
 // the parts kernels.
 func (st *SegTable) Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
-	return cubeOver(st, false, cols, minSize, maxSize, aggs)
+	return cubeOver(st, cols, minSize, maxSize, aggs)
 }

@@ -166,8 +166,7 @@ func TestSortPermUnknownColumn(t *testing.T) {
 
 // TestBuildSortCodesOrdersLikeCompare: codes must rank values exactly
 // like value.Compare, including on columns mixing ints, floats, strings
-// and nulls, NaN and integers past 2^53 — on a ForceRowPath table too,
-// which takes its ranks from the same dictionary.
+// and nulls, NaN and integers past 2^53.
 func TestBuildSortCodesOrdersLikeCompare(t *testing.T) {
 	tab := NewTable(Schema{{Name: "m", Kind: value.Null}})
 	vals := []value.V{
@@ -181,23 +180,21 @@ func TestBuildSortCodesOrdersLikeCompare(t *testing.T) {
 	for _, v := range vals {
 		tab.MustAppend(value.Tuple{v})
 	}
-	for _, rel := range []*Table{tab, tab.Clone().ForceRowPath(true)} {
-		codes, err := BuildSortCodes(rel, []string{"m"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := codes.Codes("m")
-		for i, a := range vals {
-			for j, b := range vals {
-				cmp := value.Compare(a, b)
-				switch {
-				case cmp < 0 && !(c[i] < c[j]):
-					t.Errorf("%v < %v but codes %d ≥ %d", a, b, c[i], c[j])
-				case cmp == 0 && c[i] != c[j]:
-					t.Errorf("%v = %v but codes %d ≠ %d", a, b, c[i], c[j])
-				case cmp > 0 && !(c[i] > c[j]):
-					t.Errorf("%v > %v but codes %d ≤ %d", a, b, c[i], c[j])
-				}
+	codes, err := BuildSortCodes(tab, []string{"m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := codes.Codes("m")
+	for i, a := range vals {
+		for j, b := range vals {
+			cmp := value.Compare(a, b)
+			switch {
+			case cmp < 0 && !(c[i] < c[j]):
+				t.Errorf("%v < %v but codes %d ≥ %d", a, b, c[i], c[j])
+			case cmp == 0 && c[i] != c[j]:
+				t.Errorf("%v = %v but codes %d ≠ %d", a, b, c[i], c[j])
+			case cmp > 0 && !(c[i] > c[j]):
+				t.Errorf("%v > %v but codes %d ≤ %d", a, b, c[i], c[j])
 			}
 		}
 	}

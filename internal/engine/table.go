@@ -27,8 +27,6 @@ type Table struct {
 	// invalidated by reordering mutations. colsMu serializes its creation.
 	cols   atomic.Pointer[Columnar]
 	colsMu sync.Mutex
-	// rowOnly forces the row-oriented reference paths (ForceRowPath).
-	rowOnly bool
 	// pool, when set, lets the compressed kernels fan morsels across a
 	// shared worker pool (SetPool). Stored atomically so queries running
 	// on pool workers can read it without racing a SetPool.
@@ -124,7 +122,6 @@ func (t *Table) MustAppend(row value.Tuple) {
 // taken before cloning still line up.
 func (t *Table) Clone() *Table {
 	out := NewTable(t.schema)
-	out.rowOnly = t.rowOnly
 	out.epoch = t.epoch
 	out.rows = make([]value.Tuple, len(t.rows))
 	for i, r := range t.rows {
@@ -136,7 +133,6 @@ func (t *Table) Clone() *Table {
 // Select returns the rows satisfying pred, sharing row storage with t.
 func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 	out := NewTable(t.schema)
-	out.rowOnly = t.rowOnly
 	for _, r := range t.rows {
 		if pred(r) {
 			out.rows = append(out.rows, r)
@@ -146,8 +142,8 @@ func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 }
 
 // SelectEq returns the rows whose values in cols equal vals positionally
-// under value.Equal. The parts kernel scans dictionary codes; the row
-// scan is the ForceRowPath reference.
+// under value.Equal. The parts kernel scans dictionary codes; no
+// columns select every row.
 func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -157,28 +153,16 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		return nil, fmt.Errorf("engine: SelectEq got %d values for %d columns", len(vals), len(cols))
 	}
 	out := NewTable(t.schema)
-	out.rowOnly = t.rowOnly
-	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
-		parts := t.parts(idx, nil)
-		if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
-			rows := t.rows
-			selectEqPart(parts[0], want, func(lo, hi int32) {
-				out.rows = append(out.rows, rows[lo:hi]...)
-			})
-		}
+	if len(idx) == 0 || len(t.rows) == 0 {
+		out.rows = append(out.rows, t.rows...)
 		return out, nil
 	}
-	for _, r := range t.rows {
-		match := true
-		for i, ci := range idx {
-			if !value.Equal(r[ci], vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out.rows = append(out.rows, r)
-		}
+	parts := t.parts(idx, nil)
+	if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
+		rows := t.rows
+		selectEqPart(parts[0], want, func(lo, hi int32) {
+			out.rows = append(out.rows, rows[lo:hi]...)
+		})
 	}
 	return out, nil
 }
@@ -206,7 +190,6 @@ func (t *Table) Project(cols []string) (*Table, error) {
 		sch[i] = t.schema[ci]
 	}
 	out := NewTable(sch)
-	out.rowOnly = t.rowOnly
 	out.rows = make([]value.Tuple, len(t.rows))
 	for ri, r := range t.rows {
 		row := make(value.Tuple, len(idx))
@@ -219,7 +202,8 @@ func (t *Table) Project(cols []string) (*Table, error) {
 }
 
 // DistinctProject returns the distinct combinations of the named columns,
-// in first-appearance order.
+// in first-appearance order. No columns give one empty tuple for a
+// non-empty table.
 func (t *Table) DistinctProject(cols []string) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -229,27 +213,12 @@ func (t *Table) DistinctProject(cols []string) (*Table, error) {
 	for i, ci := range idx {
 		sch[i] = t.schema[ci]
 	}
-	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
+	if len(idx) > 0 && len(t.rows) > 0 {
 		return distinctParts(t.parts(idx, nil), sch), nil
 	}
 	out := NewTable(sch)
-	out.rowOnly = t.rowOnly
-	seen := make(map[string]struct{})
-	var keyBuf []byte
-	for _, r := range t.rows {
-		keyBuf = keyBuf[:0]
-		for _, ci := range idx {
-			keyBuf = r[ci].AppendKey(keyBuf)
-		}
-		if _, dup := seen[string(keyBuf)]; dup {
-			continue
-		}
-		seen[string(keyBuf)] = struct{}{}
-		row := make(value.Tuple, len(idx))
-		for i, ci := range idx {
-			row[i] = r[ci]
-		}
-		out.rows = append(out.rows, row)
+	if len(t.rows) > 0 {
+		out.rows = []value.Tuple{{}}
 	}
 	return out, nil
 }
@@ -257,25 +226,17 @@ func (t *Table) DistinctProject(cols []string) (*Table, error) {
 // CountDistinct counts the distinct combinations of the named columns.
 // Distinctness is AppendKey equality — the same classes the dictionary
 // codes identify — so the parts kernel counts codes: O(1) per column
-// already encoded, one grouping pass for multi-column sets.
+// already encoded, one grouping pass for multi-column sets. No columns
+// count one combination in a non-empty table.
 func (t *Table) CountDistinct(cols []string) (int, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
 		return 0, err
 	}
-	if !t.rowOnly && len(idx) > 0 && len(t.rows) > 0 {
+	if len(idx) > 0 && len(t.rows) > 0 {
 		return countDistinctParts(t.parts(idx, nil), len(idx)), nil
 	}
-	seen := make(map[string]struct{})
-	var keyBuf []byte
-	for _, r := range t.rows {
-		keyBuf = keyBuf[:0]
-		for _, ci := range idx {
-			keyBuf = r[ci].AppendKey(keyBuf)
-		}
-		seen[string(keyBuf)] = struct{}{}
-	}
-	return len(seen), nil
+	return min(len(t.rows), 1), nil
 }
 
 // SortBy sorts the table in place by the given columns ascending (using
@@ -304,7 +265,6 @@ func (t *Table) SortBy(cols []string) error {
 // reordered).
 func (t *Table) Sorted(cols []string) (*Table, error) {
 	out := NewTable(t.schema)
-	out.rowOnly = t.rowOnly
 	out.rows = make([]value.Tuple, len(t.rows))
 	copy(out.rows, t.rows)
 	if err := out.SortBy(cols); err != nil {

@@ -44,10 +44,9 @@ type Options struct {
 	// may vary between runs (a stale bound lets a worker enumerate a
 	// pair a tighter schedule would have pruned); the explanations,
 	// RelevantPatterns, and RefinementPairs do not. At Parallelism 1
-	// every counter is exactly reproducible, and independent of whether
-	// enumerate scans dictionary codes or boxed rows: the columnar scan
-	// counts candidates row-for-row like the reference (a dictionary
-	// miss still counts the full grouped result).
+	// every counter is exactly reproducible: enumerate counts every row
+	// of a pair's grouped result as a candidate, as Algorithm 1 does (a
+	// dictionary miss still counts the full grouped result).
 	Parallelism int
 }
 
@@ -290,11 +289,10 @@ func (g *generator) relevant(m *pattern.Mined) (relevantEntry, bool, error) {
 // grouping, i.e. π_{agg}(σ_{F∪V = t[F∪V]}(R)) aggregated. That value is
 // the t[F∪V] row of γ_{F∪V, agg}(R) — the grouping the drill-down for
 // the pair (P, P) enumerates — so it is read from there through the same
-// lookup, matching dictionary codes as enumerateColumnar does; a value
-// absent from a column's dictionary means an empty selection and NORM 0.
+// lookup, matching dictionary codes as enumerate does; a value absent
+// from a column's dictionary means an empty selection and NORM 0.
 // Dictionary codes are value.Equal classes, so the selection is exactly
-// one group. A row-path-forced grouping asks for the reference path,
-// which computes the selection literally (normSelect).
+// one group.
 func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	attrs := p.GroupAttrs()
 	vals, ok := g.q.Project(attrs)
@@ -304,9 +302,6 @@ func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	grouped, err := g.lookup(p)
 	if err != nil {
 		return 0, err
-	}
-	if grouped.RowPathForced() {
-		return normSelect(g.r, p.Agg, attrs, vals)
 	}
 	sch := grouped.Schema()
 	keyIdx, err := sch.Indices(attrs)
@@ -328,24 +323,6 @@ func (g *generator) norm(p pattern.Pattern) (float64, error) {
 		}
 	}
 	return 0, nil
-}
-
-// normSelect is NORM computed literally: select the rows agreeing with
-// the question on attrs under value.Equal, then aggregate them.
-func normSelect(r engine.Relation, agg engine.AggSpec, attrs []string, vals value.Tuple) (float64, error) {
-	sel, err := r.SelectEq(attrs, vals)
-	if err != nil {
-		return 0, err
-	}
-	out, err := sel.GroupBy(nil, []engine.AggSpec{agg})
-	if err != nil {
-		return 0, err
-	}
-	if out.NumRows() == 0 {
-		return 0, nil
-	}
-	f, _ := out.Row(0)[0].AsFloat()
-	return math.Abs(f), nil
 }
 
 // codeProbe is an equality test t'[cols] = vals over the rows of a
@@ -504,43 +481,16 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 		sink:    sink,
 	}
 
-	if !grouped.RowPathForced() {
-		g.enumerateColumnar(grouped, fIdx, &sc, stats)
-		return nil
-	}
-
-	// Boxed reference scan, for row-path-forced groupings.
-	for _, row := range grouped.Rows() {
-		stats.Candidates++
-		// Condition 4: t'[F] = t[F].
-		match := true
-		for i, ci := range fIdx {
-			if !value.Equal(row[ci], re.frag[i]) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		y, numeric := row[aggIdx].AsFloat()
-		sc.offer(row, 0, y, numeric)
-	}
-	return nil
-}
-
-// enumerateColumnar is enumerate's vectorized scan: the t'[F] = t[F]
-// match compares dictionary codes, and the aggregate and predictor
-// values come from the columnar view's flat buffers. Candidate counting
-// matches the boxed reference exactly: every row of the grouped result
-// is one candidate, even when a dictionary miss proves no row can match.
-func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *candScan, stats *Stats) {
+	// The t'[F] = t[F] match compares dictionary codes, and the
+	// aggregate and predictor values come from the columnar view's flat
+	// buffers. Every row of the grouped result is one candidate, even
+	// when a dictionary miss proves no row can match.
 	cols := grouped.Columns()
 	n := grouped.NumRows()
-	probe, miss := newCodeProbe(cols, fIdx, sc.re.frag)
+	probe, miss := newCodeProbe(cols, fIdx, re.frag)
 	if miss {
 		stats.Candidates += n
-		return
+		return nil
 	}
 	agg := cols.FlatCol(sc.aggIdx)
 	sc.vF64 = make([][]float64, len(sc.vIdx))
@@ -558,11 +508,11 @@ func (g *generator) enumerateColumnar(grouped *engine.Table, fIdx []int, sc *can
 		}
 		sc.offer(rows[r], r, agg.F64[r], agg.Num[r])
 	}
+	return nil
 }
 
-// candScan carries the per-enumerate state shared by the boxed and
-// columnar scans, so both evaluate Definition 7 conditions 3–5
-// identically for each row that matches t'[F] = t[F].
+// candScan carries the per-enumerate state with which offer evaluates
+// Definition 7 conditions 3–5 for each row that matches t'[F] = t[F].
 type candScan struct {
 	g          *generator
 	re         relevantEntry
@@ -579,9 +529,7 @@ type candScan struct {
 	fragRef    value.Tuple // scratch, refilled per row
 	sink       explSink
 
-	// Flat predictor buffers; nil on the boxed path, where predictors
-	// are encoded from the row (identical values by the FlatCol
-	// contract: F64/Num agree with AsFloat everywhere).
+	// Flat predictor buffers of the grouped table's V columns.
 	vF64     [][]float64
 	vNum     [][]bool
 	vScratch []float64
@@ -589,8 +537,8 @@ type candScan struct {
 
 // offer evaluates conditions 3–5 for one candidate row already matching
 // t'[F] = t[F] and offers the resulting explanation to the sink. ri is
-// the row's position in the grouped table (used only by the flat
-// predictor reads); y/numeric is the row's aggregate value as AsFloat
+// the row's position in the grouped table (for the flat predictor
+// reads); y/numeric is the row's aggregate value as AsFloat
 // reports it.
 func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 	// Condition 3: P' holds locally on t'[F'].
@@ -605,31 +553,19 @@ func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 	if !numeric {
 		return
 	}
+	allNum := true
+	for i := range sc.vF64 {
+		if !sc.vNum[i][ri] {
+			allNum = false
+			break
+		}
+		sc.vScratch[i] = sc.vF64[i][ri]
+	}
 	var pred float64
-	if sc.vF64 != nil {
-		allNum := true
-		for i := range sc.vF64 {
-			if !sc.vNum[i][ri] {
-				allNum = false
-				break
-			}
-			sc.vScratch[i] = sc.vF64[i][ri]
-		}
-		if allNum {
-			pred = lm.Model.Predict(sc.vScratch)
-		} else {
-			pred = lm.Model.Predict(nil)
-		}
+	if allNum {
+		pred = lm.Model.Predict(sc.vScratch)
 	} else {
-		vVals := make(value.Tuple, len(sc.vIdx))
-		for i, ci := range sc.vIdx {
-			vVals[i] = row[ci]
-		}
-		if enc, ok := pattern.EncodePredictors(vVals); ok {
-			pred = lm.Model.Predict(enc)
-		} else {
-			pred = lm.Model.Predict(nil)
-		}
+		pred = lm.Model.Predict(nil)
 	}
 	dev := y - pred
 	g := sc.g

@@ -12,43 +12,6 @@ import (
 	"cape/internal/value"
 )
 
-// referenceNorm is Definition 10's NORM computed without the engine's
-// kernels: select every row agreeing with the question on F∪V under
-// value.Equal, then fold the aggregate over the selection in row order
-// (engine.AggAccum is GroupBy's per-group fold).
-func referenceNorm(tab *engine.Table, q UserQuestion, p pattern.Pattern) float64 {
-	attrs := p.GroupAttrs()
-	vals, _ := q.Project(attrs)
-	idx, err := tab.Schema().Indices(attrs)
-	if err != nil {
-		panic(err)
-	}
-	arg := -1
-	if !p.Agg.IsStar() {
-		arg = tab.Schema().Index(p.Agg.Arg)
-	}
-	acc := engine.NewAggAccum(p.Agg)
-	for _, row := range tab.Rows() {
-		match := true
-		for i, ci := range idx {
-			if !value.Equal(row[ci], vals[i]) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		var v value.V
-		if arg >= 0 {
-			v = row[arg]
-		}
-		acc.Add(v)
-	}
-	f, _ := acc.Result().AsFloat()
-	return math.Abs(f)
-}
-
 // normTable builds a relation for the NORM differential: string and int
 // group columns with NULLs, a float column holding NaN, an int column
 // straddling 2^53 (2^53 and 2^53+1 round to one float64 but are
@@ -136,13 +99,12 @@ func normEdge(q UserQuestion, p pattern.Pattern) bool {
 // TestNormFromGroupingMatchesSelection is the NORM differential: for
 // every pattern that can be relevant to every question, over randomized
 // tables, NORM read from the cached γ_{F∪V, agg}(R) must equal the
-// literal σ-then-aggregate reference to the bit — on a dense Table, an
-// in-memory SegTable at Parallelism 1 and 4, and a ForceRowPath clone;
-// under count, sum, avg, min and max over int and float columns; with
-// NULL group values, a question value absent from the data, a Float
-// probe of an Int column, and NaN and 2^53 probes. Off the row path no
-// probe takes the selection fallback: the dictionary codes answer them
-// all.
+// oracle's literal σ-then-aggregate to the bit — on a dense Table and
+// an in-memory SegTable at Parallelism 1 and 4; under count, sum, avg,
+// min and max over int and float columns; with NULL group values, a
+// question value absent from the data, a Float probe of an Int column,
+// and NaN and 2^53 probes. No probe runs a selection: the dictionary
+// codes answer them all.
 func TestNormFromGroupingMatchesSelection(t *testing.T) {
 	aggs := []engine.AggSpec{{Func: engine.Count}}
 	for _, arg := range []string{"x", "y"} {
@@ -178,7 +140,7 @@ func TestNormFromGroupingMatchesSelection(t *testing.T) {
 		edges := 0
 		for _, q := range qs {
 			for _, p := range normPatterns(q.GroupBy, aggs) {
-				probes = append(probes, probe{q: q, p: p, want: referenceNorm(tab, q, p)})
+				probes = append(probes, probe{q: q, p: p, want: oracleNorm(tab, q, p)})
 				if normEdge(q, p) {
 					edges++
 				}
@@ -189,18 +151,14 @@ func TestNormFromGroupingMatchesSelection(t *testing.T) {
 		}
 
 		type variant struct {
-			name    string
-			rel     engine.Relation
-			rowPath bool
+			name string
+			rel  engine.Relation
 		}
-		variants := []variant{
-			{"dense", tab, false},
-			{"rowpath", tab.Clone().ForceRowPath(true), true},
-		}
+		variants := []variant{{"dense", tab}}
 		for _, par := range []int{1, 4} {
 			st := segTableOf(t, tab, 3, 37)
 			st.SetPool(engine.NewPool(par))
-			variants = append(variants, variant{fmt.Sprintf("segtable/par=%d", par), st, false})
+			variants = append(variants, variant{fmt.Sprintf("segtable/par=%d", par), st})
 		}
 		for _, vt := range variants {
 			rel := newCountingRelation(vt.rel)
@@ -212,18 +170,13 @@ func TestNormFromGroupingMatchesSelection(t *testing.T) {
 					t.Fatal(err)
 				}
 				if math.Float64bits(got) != math.Float64bits(pr.want) {
-					t.Errorf("seed %d %s %v %s: NORM %v, reference %v",
+					t.Errorf("seed %d %s %v %s: NORM %v, oracle %v",
 						seed, vt.name, pr.q.Values, pr.p, got, pr.want)
 				}
 			}
-			selects, _ := rel.counts()
-			wantSelects := 0
-			if vt.rowPath {
-				wantSelects = len(probes)
-			}
-			if selects != wantSelects {
-				t.Errorf("seed %d %s: %d selection fallbacks over %d NORMs (%d NaN or 2^53), want %d",
-					seed, vt.name, selects, len(probes), edges, wantSelects)
+			if selects, _ := rel.counts(); selects != 0 {
+				t.Errorf("seed %d %s: %d selections over %d NORMs (%d NaN or 2^53), want none",
+					seed, vt.name, selects, len(probes), edges)
 			}
 		}
 	}

@@ -76,9 +76,9 @@ func (s *sharedTopK) minScore() (float64, bool) {
 // candidate scan — may vary run-to-run with scheduling (a worker may
 // enumerate a pair a faster schedule would have pruned) without
 // affecting the returned explanations. Scheduling is the only source of
-// that variance: for every pair that does get enumerated, the columnar
-// and boxed scans count candidates identically (see enumerate), so the
-// storage path never shows up in Stats.
+// that variance: every pair that does get enumerated counts each row of
+// its grouped result as one candidate (see enumerate), whatever the
+// relation's storage.
 func (g *generator) runParallel(items []workItem, stats *Stats, workers int) ([]Explanation, error) {
 	shared := newSharedTopK(g.opt.K)
 	var next atomic.Int64

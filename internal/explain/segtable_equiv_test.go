@@ -44,6 +44,16 @@ func segTableOf(t *testing.T, tab *engine.Table, nSegs, tailRows int) *engine.Se
 	return st
 }
 
+// requireStatsEqual asserts every Stats counter matches. Only valid for
+// sequential (parallelism-1) runs, where all four counters are
+// deterministic.
+func requireStatsEqual(t *testing.T, label string, want, got *Stats) {
+	t.Helper()
+	if *want != *got {
+		t.Errorf("%s: stats %+v vs %+v", label, *want, *got)
+	}
+}
+
 // TestExplainSegTableEquivalence is the end-to-end differential test of
 // the segment-backed path: mining and explanation generation over a
 // SegTable (compressed segments + uncompressed tail) must produce
