@@ -119,20 +119,23 @@ func fig3c(w io.Writer, timer Timer, sizes []int) error {
 	return minersByRows(w, timer, sizes, dblpMining)
 }
 
-// minersByRows times CUBE, SHARE-GRP and ARP-MINE at each size's point.
+// minersByRows times CUBE, SHARE-GRP and ARP-MINE at each size's point
+// and prints ARP-MINE's pattern and candidate counts beside the times.
 func minersByRows(w io.Writer, timer Timer, sizes []int, point func(rows int) (*engine.Table, mining.Options)) error {
-	fmt.Fprintf(w, "%8s  %12s %12s %12s\n", "D", "CUBE", "SHARE-GRP", "ARP-MINE")
+	fmt.Fprintf(w, "%8s  %12s %12s %12s  %9s %11s\n", "D", "CUBE", "SHARE-GRP", "ARP-MINE", "patterns", "candidates")
 	for _, d := range sizes {
 		tab, opt := point(d)
 		fmt.Fprintf(w, "%8d", d)
+		var res mining.Result
 		for _, m := range miners[1:] {
-			_, dur, err := timer(m.mine(fmt.Sprintf("D=%d", d), tab, opt))
+			o, dur, err := timer(m.mine(fmt.Sprintf("D=%d", d), tab, opt))
 			if err != nil {
 				return err
 			}
+			res = o.Mined
 			fmt.Fprintf(w, "  %12s", ms(dur))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  %9d %11d\n", len(res.Patterns), res.Candidates)
 	}
 	return nil
 }
