@@ -8,6 +8,7 @@ package distance
 
 import (
 	"math"
+	"slices"
 
 	"cape/internal/value"
 )
@@ -161,25 +162,33 @@ type Tuple map[string]value.V
 //
 // where d_A^exists is the attribute distance when A appears in both
 // tuples and the maximal distance 1 otherwise, and W = Σ_{A ∈ T1∪T2} w_A.
+//
+// The terms are summed in ascending attribute-name order, so the result
+// does not depend on map iteration order, bits included.
 func (m *Metric) Distance(t1, t2 Tuple) float64 {
+	var buf [16]string
+	attrs := buf[:0]
+	for attr := range t1 {
+		attrs = append(attrs, attr)
+	}
+	for attr := range t2 {
+		if _, ok := t1[attr]; !ok {
+			attrs = append(attrs, attr)
+		}
+	}
+	slices.Sort(attrs)
 	var sum, w float64
-	for attr, v1 := range t1 {
+	for _, attr := range attrs {
 		wa := m.WeightOf(attr)
 		w += wa
-		if v2, ok := t2[attr]; ok {
+		v1, ok1 := t1[attr]
+		v2, ok2 := t2[attr]
+		if ok1 && ok2 {
 			d := m.funcFor(attr).Distance(v1, v2)
 			sum += wa * d * d
 		} else {
 			sum += wa
 		}
-	}
-	for attr := range t2 {
-		if _, ok := t1[attr]; ok {
-			continue
-		}
-		wa := m.WeightOf(attr)
-		w += wa
-		sum += wa
 	}
 	if w == 0 {
 		return 0

@@ -188,3 +188,29 @@ func TestLowerBoundIsActuallyLower(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMetricDistanceDeterministic: the weighted sum must not depend on
+// map iteration order. With fractional weights and distances the float
+// additions do not commute bit for bit, so repeated calls over the same
+// tuples must agree in every bit — and stay free of allocations.
+func TestMetricDistanceDeterministic(t *testing.T) {
+	m := NewMetric()
+	m.Default = Numeric{Scale: 3}
+	attrs := []string{"a", "b", "c", "d", "e"}
+	weights := []float64{0.13, 0.23, 0.31, 0.47, 0.53}
+	t1, t2 := Tuple{}, Tuple{}
+	for i, a := range attrs {
+		m.SetWeight(a, weights[i])
+		t1[a] = value.NewFloat(float64(i) + 0.1)
+		t2[a] = value.NewFloat(float64(i)*1.37 + 0.55)
+	}
+	want := math.Float64bits(m.Distance(t1, t2))
+	for i := 0; i < 500; i++ {
+		if got := math.Float64bits(m.Distance(t1, t2)); got != want {
+			t.Fatalf("call %d: distance bits %x, first call %x", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Distance(t1, t2) }); allocs != 0 {
+		t.Errorf("Distance allocates %v times per call", allocs)
+	}
+}

@@ -8,7 +8,7 @@ import (
 // DistinctProject evaluated over a sequence of parts, where a part is
 // one physically contiguous slab of rows — a sealed segment (RLE or
 // bit-packed dictionary codes, possibly mmap'd) or a dense slab (a
-// Table's rows, or a SegTable's append tail). A Table is one solo dense
+// Table's columns, or a SegTable's append tail). A Table is one solo dense
 // part; a SegTable is its segments plus the tail. Group identity, group
 // order, aggregate fold order and result values are byte-identical to
 // the literal row-at-a-time definitions in internal/oracle, which the
@@ -23,33 +23,33 @@ import (
 //     sumI += v·runLen (integer arithmetic), one dictionary Compare per
 //     run for Min/Max; the float sum is accumulated by repeated per-row
 //     adds so the summation order matches the reference fold exactly.
-//     Dense parts fold per row from flat buffers, reading each row's own
-//     kind, so Int(1)/Float(1) rows of one dictionary class keep their
-//     kinds.
+//     Dense parts fold per row from the columns' flat buffers, reading
+//     each row's own kind, so Int(1)/Float(1) rows of one dictionary
+//     class keep their kinds.
 //   - Min/Max keep the value of the first row that wins under strict
 //     Compare, like the reference.
 //
 // Equality probes compare codes: dictionary codes are AppendKey classes,
 // which are exactly value.Equal classes.
 
-// compPart is one contiguous slab of rows presented to the kernels. Slot
-// s addresses key column s for s < len(keys) and aggregate s-len(keys)
-// otherwise.
+// compPart is one contiguous slab of rows presented to the kernels: a
+// sealed segment (seg non-nil) or a dense part, a Table's own columns.
+// Slot s addresses key column s for s < len(keys) and aggregate
+// s-len(keys) otherwise.
 type compPart struct {
 	n    int
 	keys []*CompressedCol
-	// Aggregate arguments, one entry per aggregate (nil ⇔ count(*)): a
-	// sealed part folds the dictionary codes of aggs, a dense part the
-	// flat per-row buffers of flats — no dictionary is ever built on an
-	// aggregate column of a dense part.
-	aggs  []*CompressedCol
-	flats []*Col
+	// aggs holds a sealed part's aggregate arguments, one entry per
+	// aggregate (nil ⇔ count(*)), whose dictionary codes the folds read.
+	aggs []*CompressedCol
+	// dense holds a dense part's table column per slot (nil for
+	// count(*)): aggregates fold its flat per-row buffers, and val reads
+	// its exact values.
+	dense []*Col
 
-	// cols maps each slot to its schema column (-1 for count(*)); val
-	// reads values through rows (dense part, non-nil exactly then) or
-	// seg (sealed part).
+	// cols maps each slot to its schema column (-1 for count(*)); a
+	// sealed part reads values through seg.
 	cols []int
-	rows []value.Tuple
 	seg  *Segment
 
 	// xlat, when set, maps each key column's local dictionary codes to
@@ -64,34 +64,18 @@ type compPart struct {
 
 // val materializes the value of one slot at a part-local row.
 func (p *compPart) val(row, slot int) value.V {
-	ci := p.cols[slot]
-	if p.rows != nil {
-		return p.rows[row][ci]
+	if p.seg == nil {
+		return p.dense[slot].Value(row)
 	}
-	cc := p.seg.Col(ci)
+	cc := p.seg.Col(p.cols[slot])
 	return cc.dict[cc.CodeAt(row)]
-}
-
-// keysAt materializes the key values of a part-local row into dst (one
-// per key column): a dense part fetches the row once for all of them.
-func (p *compPart) keysAt(row int, dst []value.V) {
-	if p.rows != nil {
-		src := p.rows[row]
-		for k, ci := range p.cols[:len(dst)] {
-			dst[k] = src[ci]
-		}
-		return
-	}
-	for k := range dst {
-		dst[k] = p.val(row, k)
-	}
 }
 
 // argHasFloat reports whether aggregate ai's argument holds any Float
 // in this part (false for count(*)).
 func (p *compPart) argHasFloat(ai int) bool {
-	if p.rows != nil {
-		if c := p.flats[ai]; c != nil {
+	if p.seg == nil {
+		if c := p.dense[len(p.keys)+ai]; c != nil {
 			return c.hasFloat
 		}
 	} else if cc := p.aggs[ai]; cc != nil {
@@ -100,20 +84,20 @@ func (p *compPart) argHasFloat(ai int) bool {
 	return false
 }
 
-// densePart presents t's rows as one uncompressed part: key columns as
-// O(1) dense views of the cached dictionary-coded columns, aggregate
-// arguments as flat buffers.
+// densePart presents t as one uncompressed part: key columns as O(1)
+// dense views of the table's dictionary-coded columns, aggregate
+// arguments as the columns' flat buffers.
 func densePart(t *Table, gIdx []int, aCols []aggCol) *compPart {
-	c := t.Columns()
-	p := &compPart{n: len(t.rows), rows: t.rows, cols: partCols(gIdx, aCols)}
+	p := &compPart{n: t.n, cols: partCols(gIdx, aCols)}
 	p.keys = make([]*CompressedCol, len(gIdx))
+	p.dense = make([]*Col, len(gIdx)+len(aCols))
 	for i, ci := range gIdx {
-		p.keys[i] = denseView(c.Col(ci))
+		p.dense[i] = t.cols[ci]
+		p.keys[i] = denseView(t.cols[ci])
 	}
-	p.flats = make([]*Col, len(aCols))
 	for i, ac := range aCols {
 		if ac.idx >= 0 {
-			p.flats[i] = c.FlatCol(ac.idx)
+			p.dense[len(gIdx)+i] = t.cols[ac.idx]
 		}
 	}
 	return p
@@ -506,7 +490,7 @@ const flatScanMinRows = 4096
 // payloads decode to run length ~1); long runs are cheaper to walk
 // wholesale (scanRuns).
 func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
-	if p.rows == nil {
+	if p.seg != nil {
 		nK, rows := len(sc.kcur), int(hi-lo)
 		runs := 0
 		for k := 0; k < nK; k++ {
@@ -588,7 +572,7 @@ func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 	}
 	for ai, ac := range aCols {
 		st := sc.gs.aggs[ai]
-		if p.rows != nil {
+		if p.seg == nil {
 			sc.foldFlat(p, ai, st, ac.spec.Func, lo)
 		} else {
 			sc.foldCodes(p, ai, st, ac.spec.Func, lo, sumNeedsF[ai])
@@ -628,11 +612,11 @@ func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
 // foldFlat folds aggregate ai of a dense part into st over the range
 // starting at part-local row lo whose group ids are sc.gids, per row
 // from the flat buffers — the reference fold, row by row: each row's
-// own kind decides Int vs Float, and Min/Max compare the boxed row
+// own kind decides Int vs Float, and Min/Max compare the rows' exact
 // values.
 func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int32) {
 	gids := sc.gids
-	col := p.flats[ai]
+	col := p.dense[len(p.keys)+ai]
 	if col == nil { // count(*)
 		for _, g := range gids {
 			st[g].count++
@@ -669,10 +653,9 @@ func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int
 			}
 		}
 	case Min, Max:
-		rows, ci := p.rows[lo:hi], p.cols[len(p.keys)+ai]
 		for r, g := range gids {
 			if kinds[r] != value.Null {
-				st[g].extend(rows[r][ci], f)
+				st[g].extend(col.Value(int(lo)+r), f)
 			}
 		}
 	}
@@ -785,19 +768,38 @@ func groupParts(parts []*compPart, nK int, aCols []aggCol) *gbScan {
 func materializeGroups(parts []*compPart, firsts []partRef, gs *groupStates,
 	nK int, aCols []aggCol, sch Schema) *Table {
 
-	nG, nA := len(firsts), len(aCols)
+	nG := len(firsts)
 	out := NewTable(sch)
-	out.rows = make([]value.Tuple, nG)
-	width := len(sch)
-	slab := make([]value.V, nG*width)
-	for g := 0; g < nG; g++ {
-		row := slab[g*width : (g+1)*width : (g+1)*width]
-		fr := firsts[g]
-		parts[fr.part].keysAt(int(fr.row), row[:nK])
-		for ai := 0; ai < nA; ai++ {
-			row[nK+ai] = gs.result(g, ai, aCols[ai].spec.Func)
+	out.n = nG
+	var key []byte
+	// A key column's classes are the parts' global codes (local codes
+	// through the part's translation, if any): each class is keyed once,
+	// when its first group is written.
+	for k, dim := range globalKeyDims(parts, nK) {
+		c := out.cols[k]
+		c.grow(nG)
+		codes := make([]int32, dim) // global code → output code + 1; 0: unseen
+		for _, fr := range firsts {
+			p, row := parts[fr.part], int(fr.row)
+			cls := p.keys[k].CodeAt(row)
+			if p.xlat != nil && p.xlat[k] != nil {
+				cls = p.xlat[k][cls]
+			}
+			v := p.val(row, k)
+			code := &codes[cls]
+			if *code == 0 {
+				key = v.AppendKey(key[:0])
+				*code = c.addClass(v, key) + 1
+			}
+			c.pushCode(v, *code-1)
 		}
-		out.rows[g] = row
+	}
+	for ai, ac := range aCols {
+		c := out.cols[nK+ai]
+		c.grow(nG)
+		for g := 0; g < nG; g++ {
+			key = c.push(gs.result(g, ai, ac.spec.Func), key)
+		}
 	}
 	return out
 }
@@ -916,7 +918,7 @@ func selectEqPlanParts(parts []*compPart, vals value.Tuple) [][]int32 {
 // every probed column carries its wanted code: sealed parts answer from
 // their code-span indexes, dense parts scan their codes in place.
 func selectEqPart(p *compPart, want []int32, emit func(lo, hi int32)) {
-	if p.rows == nil {
+	if p.seg != nil {
 		selectEqSpans(p, want, emit)
 		return
 	}

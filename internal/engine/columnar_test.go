@@ -15,10 +15,11 @@ import (
 )
 
 // The tests in this file pin every columnar kernel element-wise to the
-// literal definitions of internal/oracle (oracleRel): the same rows are
-// evaluated twice, once through the kernels and once through the
-// oracle, and the results must be byte-identical — same row order, same
-// value kinds, same payload encodings.
+// literal definitions of internal/oracle (oracleRel): the rows a test
+// generates are evaluated twice, once loaded into the table under test
+// and through its kernels, once as generated through the oracle, and
+// the results must be byte-identical — same row order, same value
+// kinds, same payload encodings.
 
 // valueIdentical is stricter than value.Equal: the kinds and canonical
 // encodings must both match, so Int(1) vs Float(1) — Equal but
@@ -27,7 +28,15 @@ func valueIdentical(a, b value.V) bool {
 	return a.Kind() == b.Kind() && bytes.Equal(a.AppendKey(nil), b.AppendKey(nil))
 }
 
-func tablesIdentical(t *testing.T, got, want *Table, label string) {
+// rowTable is what tablesIdentical compares: a Table, or an oracle
+// answer.
+type rowTable interface {
+	Schema() Schema
+	NumRows() int
+	Row(i int) value.Tuple
+}
+
+func tablesIdentical(t *testing.T, got, want rowTable, label string) {
 	t.Helper()
 	gs, ws := got.Schema().Names(), want.Schema().Names()
 	if len(gs) != len(ws) {
@@ -74,23 +83,26 @@ func randomValue(rng *rand.Rand) value.V {
 	}
 }
 
-func randomTable(rng *rand.Rand, n, width int) *Table {
+func randomTable(rng *rand.Rand, n, width int) genTable {
 	sch := make(Schema, width)
 	for i := range sch {
 		sch[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: value.Null}
 	}
-	t := NewTable(sch)
-	for r := 0; r < n; r++ {
-		row := make(value.Tuple, width)
-		for c := range row {
-			row[c] = randomValue(rng)
+	rows := make([]value.Tuple, n)
+	for r := range rows {
+		rows[r] = make(value.Tuple, width)
+		for c := range rows[r] {
+			rows[r][c] = randomValue(rng)
 		}
-		t.MustAppend(row)
 	}
-	return t
+	return newGenTable(sch, rows)
 }
 
-func randomCols(rng *rand.Rand, t *Table, k int) []string {
+// schemaHolder is anything with a schema: a Table, a genTable, a
+// SegTable.
+type schemaHolder interface{ Schema() Schema }
+
+func randomCols(rng *rand.Rand, t schemaHolder, k int) []string {
 	names := t.Schema().Names()
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	if k > len(names) {
@@ -99,7 +111,7 @@ func randomCols(rng *rand.Rand, t *Table, k int) []string {
 	return names[:k]
 }
 
-func randomAggs(rng *rand.Rand, t *Table) []AggSpec {
+func randomAggs(rng *rand.Rand, t schemaHolder) []AggSpec {
 	names := t.Schema().Names()
 	funcs := []AggFunc{Count, Sum, Avg, Min, Max}
 	aggs := []AggSpec{{Func: Count}} // count(*)
@@ -117,39 +129,26 @@ func randomAggs(rng *rand.Rand, t *Table) []AggSpec {
 type kernelTarget struct {
 	label string
 	rel   Relation
-	ref   Relation
+	ref   *oracleRel
 }
 
 // kernelTargets presents tab to the differential suites four ways: as a
 // dense Table (one solo part) and as a SegTable of two sealed segments
 // plus a tail, each at pool width 1 and 4. Sealed segments canonicalize
 // AppendKey-equal values to one representative (Int(1) vs Float(1)),
-// so the SegTable's oracle reads the rows the SegTable reads back;
-// its tail keeps the mixed kinds as stored.
-func kernelTargets(t *testing.T, tab *Table) []kernelTarget {
+// so the SegTable's oracle reads the generated rows canonicalized the
+// same way (segTableOf); its tail keeps the mixed kinds as generated.
+func kernelTargets(t *testing.T, tab genTable) []kernelTarget {
 	t.Helper()
 	var out []kernelTarget
 	for _, width := range []int{1, 4} {
 		dense := tab.Clone()
 		dense.SetPool(NewPool(width))
-		st := segTableFromTable(t, tab, 2)
+		st, logical := segTableOf(t, tab, 2)
 		st.SetPool(NewPool(width))
 		out = append(out,
-			kernelTarget{fmt.Sprintf("table/w%d", width), dense, oracleOf(tab)},
-			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, oracleOf(readBack(t, st))})
-	}
-	return out
-}
-
-// readBack copies a SegTable's rows, as its scans return them, into a
-// Table.
-func readBack(t *testing.T, st *SegTable) *Table {
-	t.Helper()
-	out := NewTable(st.Schema())
-	if err := st.ScanRows(0, st.NumRows(), func(row value.Tuple) error {
-		return out.Append(row.Clone())
-	}); err != nil {
-		t.Fatal(err)
+			kernelTarget{fmt.Sprintf("table/w%d", width), dense, tab.oracle()},
+			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, logical.oracle()})
 	}
 	return out
 }
@@ -157,11 +156,11 @@ func readBack(t *testing.T, st *SegTable) *Table {
 // kernelTable is randomTable plus a high-cardinality float column "hf"
 // (distinct values, an occasional Int or NULL), so Sum/Avg also fold
 // long float chains where every row is its own dictionary class.
-func kernelTable(rng *rand.Rand, n, width int) *Table {
+func kernelTable(rng *rand.Rand, n, width int) genTable {
 	src := randomTable(rng, n, width)
 	sch := append(src.Schema().Clone(), Column{Name: "hf", Kind: value.Null})
-	out := NewTable(sch)
-	for i, r := range src.Rows() {
+	rows := make([]value.Tuple, len(src.rows))
+	for i, r := range src.rows {
 		var hf value.V
 		switch rng.Intn(10) {
 		case 0:
@@ -171,9 +170,9 @@ func kernelTable(rng *rand.Rand, n, width int) *Table {
 		default:
 			hf = value.NewFloat(rng.Float64() * 1e6)
 		}
-		out.MustAppend(append(r.Clone(), hf))
+		rows[i] = append(r.Clone(), hf)
 	}
-	return out
+	return newGenTable(sch, rows)
 }
 
 // TestGroupByColumnarDifferential pins GroupBy on every kernel target to
@@ -247,7 +246,7 @@ func TestSelectEqColumnarDifferential(t *testing.T) {
 				if tab.NumRows() > 0 && rng.Intn(3) > 0 {
 					// Value present in the column (usually).
 					ci := tab.Schema().Index(c)
-					vals[i] = tab.Row(rng.Intn(tab.NumRows()))[ci]
+					vals[i] = tab.rows[rng.Intn(tab.NumRows())][ci]
 				} else {
 					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
@@ -289,18 +288,19 @@ const edgeKeyClasses = 8
 // of sealed segments plus a tail, at pool widths 1 and 4.
 func TestSelectEqSelectsEachGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tab := NewTable(Schema{{Name: "k", Kind: value.Null}, {Name: "s", Kind: value.String}, {Name: "v", Kind: value.Int}})
-	for i := 0; i < 3000; i++ {
-		tab.MustAppend(value.Tuple{
+	rows := make([]value.Tuple, 3000)
+	for i := range rows {
+		rows[i] = value.Tuple{
 			edgeKeys[rng.Intn(len(edgeKeys))],
 			value.NewString(fmt.Sprintf("s%d", rng.Intn(3))),
 			value.NewInt(int64(rng.Intn(100))),
-		})
+		}
 	}
+	tab := newGenTable(Schema{{Name: "k", Kind: value.Null}, {Name: "s", Kind: value.String}, {Name: "v", Kind: value.Int}}, rows)
 	for _, width := range []int{1, 4} {
 		dense := tab.Clone()
 		dense.SetPool(NewPool(width))
-		st := segTableFromTable(t, tab, 3)
+		st, _ := segTableOf(t, tab, 3)
 		st.SetPool(NewPool(width))
 		for _, rel := range []Relation{dense, st} {
 			for _, cols := range [][]string{{"k"}, {"k", "s"}, {"s", "k"}} {
@@ -332,19 +332,20 @@ func TestSelectEqSelectsEachGroup(t *testing.T) {
 	}
 }
 
-// selectEqAfterMutation probes a dense Table whose columnar view was
-// built before an append (the view is extended in place) and again after
-// a SortBy (the view is dropped and rebuilt), each time in the given and
-// in reversed column order, against the oracle over the same rows.
-func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src *Table, label string) {
+// selectEqAfterMutation probes a dense Table before and after an append
+// (which extends its columns in place) and after a SortBy (which
+// rebuilds them), each time in the given and in reversed column order,
+// against the oracle over the rows the test generated, appended and
+// sorted itself.
+func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src genTable, label string) {
 	t.Helper()
-	tab := src.Clone()
+	tab := genTable{src.Clone(), src.rows}
 	cols := randomCols(rng, tab, 1+rng.Intn(2))
 	probe := func(stage string) {
-		ref := oracleOf(tab)
+		ref := tab.oracle()
 		var vals []value.Tuple
 		for i := 0; i < 6 && tab.NumRows() > 0; i++ {
-			row := tab.Row(rng.Intn(tab.NumRows()))
+			row := tab.rows[rng.Intn(tab.NumRows())]
 			vals = append(vals, tupleOf(tab, row, cols))
 		}
 		for _, p := range eqProbes {
@@ -380,23 +381,27 @@ func selectEqAfterMutation(t *testing.T, rng *rand.Rand, src *Table, label strin
 		}
 	}
 	probe("before append")
-	grow := randomTable(rng, 1+rng.Intn(20), len(tab.Schema()))
+	grow := randomTable(rng, 1+rng.Intn(20), len(tab.Schema())).rows
 	if tab.NumRows() > 0 {
 		// A row repeating an existing key lands in an existing class.
-		grow.MustAppend(tab.Row(rng.Intn(tab.NumRows())).Clone())
+		grow = append(grow, tab.rows[rng.Intn(tab.NumRows())].Clone())
 	}
-	if err := tab.AppendRows(grow.Rows()); err != nil {
+	if err := tab.AppendRows(grow); err != nil {
 		t.Fatal(err)
 	}
+	tab.rows = append(slices.Clone(tab.rows), grow...)
 	probe("after append")
-	if err := tab.SortBy(randomCols(rng, tab, 1)); err != nil {
+	by := randomCols(rng, tab, 1)
+	if err := tab.SortBy(by); err != nil {
 		t.Fatal(err)
 	}
+	byIdx, _ := tab.Schema().Indices(by)
+	tab.rows = sortedRows(tab.rows, byIdx)
 	probe("after SortBy")
 }
 
 // tupleOf projects row onto cols.
-func tupleOf(tab *Table, row value.Tuple, cols []string) value.Tuple {
+func tupleOf(tab schemaHolder, row value.Tuple, cols []string) value.Tuple {
 	out := make(value.Tuple, len(cols))
 	for i, c := range cols {
 		out[i] = row[tab.Schema().Index(c)]
@@ -447,14 +452,12 @@ func TestAppendMixedKindSum(t *testing.T) {
 		{value.NewString("a"), value.NewInt(1)},
 		{value.NewString("a"), value.NewInt(1)},
 	}
-	tab := NewTable(sch)
-	if err := tab.AppendRows(ints); err != nil {
-		t.Fatal(err)
-	}
-	st := segTableFromTable(t, tab, 1)
+	gen := newGenTable(sch, ints)
+	tab := gen.Table
+	st, _ := segTableOf(t, gen, 1)
 	aggs := []AggSpec{{Func: Sum, Arg: "v"}, {Func: Avg, Arg: "v"}}
 	for _, rel := range []MutableRelation{tab, st} {
-		// Build the views: v as a key (dictionary) and as an argument.
+		// Query v as a key and as an argument before the append.
 		for _, cols := range [][]string{{"g"}, {"v"}} {
 			if _, err := rel.GroupBy(cols, aggs); err != nil {
 				t.Fatal(err)
@@ -464,17 +467,14 @@ func TestAppendMixedKindSum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref := NewTable(sch)
-	if err := ref.AppendRows(append(append([]value.Tuple{}, ints...), value.Tuple{value.NewString("a"), value.NewFloat(1)})); err != nil {
-		t.Fatal(err)
-	}
+	ref := oracleOf(sch, append(slices.Clone(ints), value.Tuple{value.NewString("a"), value.NewFloat(1)}))
 	for _, rel := range []Relation{tab, st} {
 		for _, cols := range [][]string{{"g"}, {"v"}} {
 			got, err := rel.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracleOf(ref).GroupBy(cols, aggs)
+			want, err := ref.GroupBy(cols, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,7 +492,7 @@ func TestCubeColumnarDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(80), 3)
-		ref := oracleOf(tab)
+		ref := tab.oracle()
 		cols := []string{"c0", "c1", "c2"}
 		got, err := tab.Cube(cols, 0, 3, aggs)
 		if err != nil {
@@ -530,13 +530,13 @@ func TestSortCodesColumnarDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(150), 3)
 		cols := tab.Schema().Names()
-		codes, err := BuildSortCodes(tab, cols)
+		codes, err := BuildSortCodes(tab.Table, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := tab.Rows()
+		rows := tab.rows
 		for ci, c := range cols {
-			cc := codes.Codes(c)
+			cc := codes.codes[c]
 			for i := range rows {
 				for j := range rows {
 					if want, got := value.Compare(rows[i][ci], rows[j][ci]), cmp.Compare(cc[i], cc[j]); got != want {
@@ -575,44 +575,36 @@ func project(row value.Tuple, idx []int) value.Tuple {
 	return out
 }
 
-// TestColumnarInvalidation pins the cache rules: Append extends the
-// columnar view in place (same Columnar, new rows visible), while SortBy
-// drops it (and indexes), so later queries always see current rows.
+// TestColumnarInvalidation pins that queries always see the current
+// rows: an Append extends the columns in place, so the appended row is
+// visible to the next SelectEq, and a SortBy rebuilds them, so the next
+// GroupBy groups in the sorted order.
 func TestColumnarInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := randomTable(rng, 50, 2)
 	if _, err := tab.GroupBy([]string{"c0"}, []AggSpec{{Func: Count}}); err != nil {
 		t.Fatal(err)
 	}
-	before := tab.Columns()
-	tab.MustAppend(value.Tuple{value.NewString("fresh"), value.NewInt(99)})
-	if tab.Columns() != before {
-		t.Fatal("Append must extend the columnar view in place, not drop it")
-	}
-	if tab.Columns().NumRows() != 51 {
-		t.Fatalf("extended columnar view has %d rows, want 51", tab.Columns().NumRows())
-	}
+	fresh := value.Tuple{value.NewString("fresh"), value.NewInt(99)}
+	tab.MustAppend(fresh)
+	tab.rows = append(slices.Clone(tab.rows), fresh)
 	got, err := tab.SelectEq([]string{"c0"}, value.Tuple{value.NewString("fresh")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumRows() != 1 {
-		t.Fatalf("appended row not visible through columnar SelectEq: got %d rows", got.NumRows())
+		t.Fatalf("appended row not visible through SelectEq: got %d rows", got.NumRows())
 	}
 
-	before = tab.Columns()
 	if err := tab.SortBy([]string{"c1"}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Columns() == before {
-		t.Fatal("SortBy did not invalidate the columnar view")
-	}
-	ref := oracleOf(tab)
+	tab.rows = sortedRows(tab.rows, []int{1})
 	g1, err := tab.GroupBy([]string{"c0"}, []AggSpec{{Func: Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ref.GroupBy([]string{"c0"}, []AggSpec{{Func: Count}})
+	g2, err := tab.oracle().GroupBy([]string{"c0"}, []AggSpec{{Func: Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,12 +612,13 @@ func TestColumnarInvalidation(t *testing.T) {
 }
 
 // TestColumnarConcurrent hammers one table from many goroutines (run
-// under -race by make check): the lazy column builds must be safe and
-// every result identical to the precomputed reference.
+// under -race by make check): concurrent readers — including the first
+// RankCodes, which sorts a column's dictionary — must be safe and every
+// result identical to the precomputed reference.
 func TestColumnarConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := randomTable(rng, 300, 4)
-	ref := oracleOf(tab)
+	ref := tab.oracle()
 	cols := []string{"c0", "c1"}
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c2"}}
 	wantG, err := ref.GroupBy(cols, aggs)
@@ -669,6 +662,10 @@ func TestColumnarConcurrent(t *testing.T) {
 					errs <- fmt.Sprintf("CountDistinct %d != %d", n, wantN)
 					return
 				}
+				if _, err := BuildSortCodes(tab.Table, []string{"c0", "c3"}); err != nil {
+					errs <- err.Error()
+					return
+				}
 			}
 		}()
 	}
@@ -690,7 +687,7 @@ func FuzzColumnarKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, width uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, int(n), 1+int(width%4))
-		ref := oracleOf(tab)
+		ref := tab.oracle()
 		cols := randomCols(rng, tab, 1+rng.Intn(2))
 		aggs := randomAggs(rng, tab)
 		got, err := tab.GroupBy(cols, aggs)
@@ -705,7 +702,7 @@ func FuzzColumnarKernels(f *testing.F) {
 		var q value.Tuple
 		ci := tab.Schema().Index(cols[0])
 		if tab.NumRows() > 0 {
-			q = value.Tuple{tab.Row(rng.Intn(tab.NumRows()))[ci]}
+			q = value.Tuple{tab.rows[rng.Intn(tab.NumRows())][ci]}
 		} else {
 			q = value.Tuple{value.NewInt(1)}
 		}
@@ -755,7 +752,6 @@ func benchTable(n int) *Table {
 func BenchmarkSelectEqDrilldown(b *testing.B) {
 	b.Run("columnar", func(b *testing.B) {
 		tab := benchTable(20000)
-		tab.Columns()
 		rng := rand.New(rand.NewSource(9))
 		keys := make([]value.Tuple, 64)
 		for i := range keys {
@@ -779,7 +775,7 @@ func BenchmarkSelectEqDrilldown(b *testing.B) {
 func TestDegenerateQueriesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	full := randomTable(rng, 30, 2)
-	for _, tab := range []*Table{full, NewTable(full.Schema())} {
+	for _, tab := range []genTable{full, newGenTable(full.Schema(), nil)} {
 		for _, kt := range kernelTargets(t, tab) {
 			label := fmt.Sprintf("%d rows %s", tab.NumRows(), kt.label)
 			for _, cols := range [][]string{nil, {"c0"}} {

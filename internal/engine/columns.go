@@ -1,100 +1,51 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cape/internal/value"
 )
 
-// Columnar is a lazily built column-oriented view of a Table. Each column
-// is dictionary-encoded once — int32 codes over a dictionary of distinct
-// values — alongside flat float64/int64 buffers and a null bitmap, so the
-// hot operators (GroupBy, SelectEq, CountDistinct, CUBE) and downstream
-// consumers (pattern fitting, explanation scoring) run tight loops over
-// machine types instead of boxed value.V dispatch.
+// Col is one column of a Table, and the table's only storage for it:
+// the exact value of every row as its kind plus flat float64/int64
+// buffers and a null bitmap, and a dictionary encoding — int32 codes
+// over a dictionary of distinct values. The operator kernels (GroupBy,
+// SelectEq, CountDistinct, CUBE) and downstream consumers (pattern
+// fitting, explanation scoring) run tight loops over these machine-typed
+// buffers instead of boxed value.V dispatch.
 //
-// The view is cached on the Table, extended in place by appends and
-// invalidated by reordering mutations (SortBy). Columns materialize on
-// first use, one at a time, so a query touching two of ten columns never
-// pays for the other eight. All methods are safe for concurrent use; the
-// underlying rows must not be mutated while a Columnar is live (the usual
-// Table contract).
-type Columnar struct {
-	rows  []value.Tuple
-	mu    sync.Mutex // serializes column builds (misses only)
-	cols  []atomic.Pointer[Col]
-	flats []atomic.Pointer[Col]
-}
-
-// NumRows reports the number of rows in the snapshot.
-func (c *Columnar) NumRows() int { return len(c.rows) }
-
-// Col returns the fully encoded view of column ci (schema position) —
-// flat buffers plus dictionary codes — building it on first use.
-// Concurrent callers block on one build; different columns build
-// independently.
-func (c *Columnar) Col(ci int) *Col {
-	if col := c.cols[ci].Load(); col != nil {
-		return col
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if col := c.cols[ci].Load(); col != nil {
-		return col
-	}
-	col := buildCol(c.rows, ci, true)
-	c.cols[ci].Store(col)
-	return col
-}
-
-// FlatCol returns at least the flat buffers (Kinds, Num, F64, I64, null
-// bitmap) of column ci, skipping the dictionary encode — the cheap tier
-// for consumers that only read values, like aggregation and regression
-// fitting. If the full view already exists it is returned instead; a
-// flat view never replaces a full one.
-func (c *Columnar) FlatCol(ci int) *Col {
-	if col := c.cols[ci].Load(); col != nil {
-		return col
-	}
-	if col := c.flats[ci].Load(); col != nil {
-		return col
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if col := c.cols[ci].Load(); col != nil {
-		return col
-	}
-	if col := c.flats[ci].Load(); col != nil {
-		return col
-	}
-	col := buildCol(c.rows, ci, false)
-	c.flats[ci].Store(col)
-	return col
-}
-
-// Col is one dictionary-encoded column. Codes identify equality classes
-// under value.V's canonical AppendKey encoding — exactly the classes
-// GroupBy, CountDistinct and DistinctProject group by — so kernels
-// compare int32s instead of encoded byte strings.
+// Codes identify equality classes under value.V's canonical AppendKey
+// encoding — exactly the classes GroupBy, CountDistinct and
+// DistinctProject group by — so kernels compare int32s instead of
+// encoded byte strings. A class can hold values of different kinds or
+// bits (Int(1) and Float(1), −0.0 and +0.0, NaNs with different
+// payloads), so a row's exact value comes from Kinds/I64/F64 (Value),
+// never from its dictionary representative; only strings, whose class
+// is their bytes, read the dictionary.
 //
-// The exported buffers are views shared with the cache: callers must not
-// mutate them.
+// The exported buffers are views into the table's storage: callers must
+// not mutate them. Appends extend them in place, so a column is not safe
+// for reads concurrent with a mutation of its table (the Table
+// contract); concurrent reads are fine.
 type Col struct {
 	// Kinds holds the value kind of every row (value.Null marks NULLs).
 	Kinds []value.Kind
 	// Num reports, per row, whether the value is numeric (Int or Float).
 	Num []bool
-	// F64 holds the numeric value per row as float64 (0 where !Num).
+	// F64 holds the numeric value per row as float64 (0 where !Num); for
+	// Float rows it is the exact value, bits included.
 	F64 []float64
 	// I64 holds the payload of Int rows (0 elsewhere). It is nil when the
 	// column contains no Int values.
 	I64 []int64
 	// Codes holds the per-row dictionary code. Codes are dense, assigned
-	// in first-appearance order: Dict[Codes[i]] is row i's value.
+	// in first-appearance order: Dict[Codes[i]] is value.Equal to row i's
+	// value.
 	Codes []int32
-	// Dict holds one representative value per code, in code order.
+	// Dict holds one representative value per code, in code order: the
+	// first row's value of each class.
 	Dict []value.V
 
 	lookup    map[string]int32 // AppendKey bytes → code
@@ -105,61 +56,114 @@ type Col struct {
 	// ranks maps each code to its value.Compare rank (NULL first,
 	// numerics by value with NaN last, strings last). Codes are exactly
 	// the Compare equality classes, so the ranks are a permutation of
-	// the codes.
-	ranks []int32
+	// the codes. They are built on the first RankCodes after the
+	// dictionary last grew (appends never re-sort it); ranksMu guards
+	// that build against concurrent readers.
+	ranksMu sync.Mutex
+	ranks   []int32
 }
 
-func buildCol(rows []value.Tuple, ci int, withDict bool) *Col {
-	n := len(rows)
-	c := &Col{
-		Kinds: make([]value.Kind, n),
-		Num:   make([]bool, n),
-		F64:   make([]float64, n),
-		nulls: make([]uint64, (n+63)/64),
+// grow reserves room for n more rows in every buffer, so a batch append
+// allocates once per buffer.
+func (c *Col) grow(n int) {
+	c.Kinds = slices.Grow(c.Kinds, n)
+	c.Num = slices.Grow(c.Num, n)
+	c.F64 = slices.Grow(c.F64, n)
+	c.Codes = slices.Grow(c.Codes, n)
+	if c.I64 != nil {
+		c.I64 = slices.Grow(c.I64, n)
 	}
-	if withDict {
-		c.Codes = make([]int32, n)
-		c.Dict = make([]value.V, 0, 16)
-		c.lookup = make(map[string]int32, 16)
+	c.nulls = slices.Grow(c.nulls, (len(c.Kinds)+n+63)/64-len(c.nulls))
+}
+
+// push appends one value, encoding it into the dictionary. key is
+// scratch for the value's AppendKey bytes, returned for reuse.
+func (c *Col) push(v value.V, key []byte) []byte {
+	key = v.AppendKey(key[:0])
+	code, ok := c.lookup[string(key)]
+	if !ok {
+		code = c.addClass(v, key)
 	}
-	var keyBuf []byte
-	for i, row := range rows {
-		v := row[ci]
-		k := v.Kind()
-		c.Kinds[i] = k
-		switch k {
-		case value.Int:
-			if c.I64 == nil {
-				c.I64 = make([]int64, n)
-			}
-			iv := v.Int()
-			c.I64[i] = iv
-			c.F64[i] = float64(iv)
-			c.Num[i] = true
-		case value.Float:
-			f := v.Float()
-			c.F64[i] = f
-			c.Num[i] = true
-			c.hasFloat = true
-		case value.Null:
-			c.nulls[i>>6] |= 1 << uint(i&63)
-			c.nullCount++
+	c.pushCode(v, code)
+	return key
+}
+
+// addClass adds v, whose AppendKey bytes are key, to the dictionary as
+// a new class and returns its code.
+func (c *Col) addClass(v value.V, key []byte) int32 {
+	if c.lookup == nil {
+		c.lookup = make(map[string]int32)
+	}
+	code := int32(len(c.Dict))
+	c.lookup[string(key)] = code
+	c.Dict = append(c.Dict, v)
+	return code
+}
+
+// pushCode appends one value whose dictionary code is already known.
+func (c *Col) pushCode(v value.V, code int32) {
+	i := len(c.Kinds)
+	k := v.Kind()
+	c.Kinds = append(c.Kinds, k)
+	var f float64
+	switch k {
+	case value.Int:
+		if c.I64 == nil {
+			c.I64 = make([]int64, i, cap(c.Kinds))
 		}
-		if withDict {
-			keyBuf = v.AppendKey(keyBuf[:0])
-			code, ok := c.lookup[string(keyBuf)]
-			if !ok {
-				code = int32(len(c.Dict))
-				c.lookup[string(keyBuf)] = code
-				c.Dict = append(c.Dict, v)
-			}
-			c.Codes[i] = code
+		iv := v.Int()
+		c.I64 = append(c.I64, iv)
+		f = float64(iv)
+	case value.Float:
+		f = v.Float()
+		c.hasFloat = true
+	}
+	if c.I64 != nil && k != value.Int {
+		c.I64 = append(c.I64, 0)
+	}
+	c.F64 = append(c.F64, f)
+	c.Num = append(c.Num, k == value.Int || k == value.Float)
+	if i&63 == 0 {
+		c.nulls = append(c.nulls, 0)
+	}
+	if k == value.Null {
+		c.nulls[i>>6] |= 1 << uint(i&63)
+		c.nullCount++
+	}
+	c.Codes = append(c.Codes, code)
+}
+
+// Value returns row i's exact value: kind and payload bits as appended.
+func (c *Col) Value(i int) value.V {
+	switch c.Kinds[i] {
+	case value.Int:
+		return value.NewInt(c.I64[i])
+	case value.Float:
+		return value.NewFloat(c.F64[i])
+	case value.String:
+		return c.Dict[c.Codes[i]]
+	}
+	return value.NewNull()
+}
+
+// gather returns a new column holding rows idx of c, in that order.
+// Classes are renumbered in first-appearance order through c's codes,
+// so each is keyed once, not once per row.
+func (c *Col) gather(idx []int32) *Col {
+	out := &Col{}
+	out.grow(len(idx))
+	codes := make([]int32, len(c.Dict)) // c's code → out's code + 1; 0: unseen
+	var key []byte
+	for _, r := range idx {
+		v := c.Value(int(r))
+		code := &codes[c.Codes[r]]
+		if *code == 0 {
+			key = v.AppendKey(key[:0])
+			*code = out.addClass(v, key) + 1
 		}
+		out.pushCode(v, *code-1)
 	}
-	if withDict {
-		c.buildRanks()
-	}
-	return c
+	return out
 }
 
 // buildRanks sorts the dictionary under value.Compare and assigns each
@@ -182,9 +186,7 @@ func (c *Col) buildRanks() {
 
 // CodeOf returns the dictionary code of v, or ok=false when v does not
 // occur in the column. AppendKey equality is value.Equal, so the rows
-// equal to v are exactly the rows carrying the code. Only meaningful on
-// full views obtained via Col; flat views (FlatCol) have no dictionary
-// and report every value absent.
+// equal to v are exactly the rows carrying the code.
 func (c *Col) CodeOf(v value.V) (int32, bool) {
 	var buf [24]byte
 	key := v.AppendKey(buf[:0])
@@ -200,42 +202,17 @@ func (c *Col) NullCount() int { return c.nullCount }
 
 // RankCodes returns a fresh per-row vector of dense value.Compare ranks
 // (the SortCodes encoding) derived from the dictionary, plus the rank
-// count.
+// count. The dictionary is sorted here, once per growth of it.
 func (c *Col) RankCodes() ([]int32, int32) {
+	c.ranksMu.Lock()
+	if len(c.ranks) != len(c.Dict) {
+		c.buildRanks()
+	}
+	ranks := c.ranks
+	c.ranksMu.Unlock()
 	out := make([]int32, len(c.Codes))
 	for i, code := range c.Codes {
-		out[i] = c.ranks[code]
+		out[i] = ranks[code]
 	}
-	return out, int32(len(c.ranks))
-}
-
-// Columns returns the table's columnar view, building the (empty) shell
-// on first use. The same Columnar is returned until the table is
-// mutated, so repeated operators — and concurrent readers — share one
-// encoding per column.
-func (t *Table) Columns() *Columnar {
-	if c := t.cols.Load(); c != nil {
-		return c
-	}
-	t.colsMu.Lock()
-	defer t.colsMu.Unlock()
-	if c := t.cols.Load(); c != nil {
-		return c
-	}
-	c := &Columnar{
-		rows:  t.rows,
-		cols:  make([]atomic.Pointer[Col], len(t.schema)),
-		flats: make([]atomic.Pointer[Col], len(t.schema)),
-	}
-	t.cols.Store(c)
-	return c
-}
-
-// invalidateDerived drops the columnar view derived from row storage and
-// advances the epoch; every reordering mutation of t.rows must call it.
-// Appends instead go through extendDerived, which grows the view in
-// place.
-func (t *Table) invalidateDerived() {
-	t.epoch++
-	t.cols.Store(nil)
+	return out, int32(len(ranks))
 }

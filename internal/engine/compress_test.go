@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cape/internal/value"
@@ -17,19 +18,17 @@ import (
 // against a dense Table over the same rows, so a divergence is
 // attributable.
 
-// sealedClone seals tab into a SegTable (two segments plus a tail) and
-// returns it with a dense Table over the rows it reads back — segments
-// canonicalize AppendKey-equal values to one representative.
-func sealedClone(t *testing.T, rng *rand.Rand, tab *Table) (*SegTable, *Table) {
+// sealedClone seals tab's rows, half the time sorted on one column, into
+// a SegTable (two segments plus a tail) and returns it with a dense
+// table over the rows it logically holds — segments canonicalize
+// AppendKey-equal values to one representative (segTableOf).
+func sealedClone(t *testing.T, rng *rand.Rand, tab genTable) (*SegTable, genTable) {
 	t.Helper()
 	if rng.Intn(2) == 0 {
-		tab = tab.Clone()
-		if err := tab.SortBy(randomCols(rng, tab, 1)); err != nil {
-			t.Fatal(err)
-		}
+		idx, _ := tab.Schema().Indices(randomCols(rng, tab, 1))
+		tab = newGenTable(tab.Schema(), sortedRows(tab.rows, idx))
 	}
-	st := segTableFromTable(t, tab, 2)
-	return st, readBack(t, st)
+	return segTableOf(t, tab, 2)
 }
 
 func TestCompressedColRoundTrip(t *testing.T) {
@@ -135,7 +134,7 @@ func TestGroupByCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(200), 2+rng.Intn(3)))
-		ref := oracleOf(dense)
+		ref := dense.oracle()
 		for trial := 0; trial < 4; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(3))
 			aggs := randomAggs(rng, dense)
@@ -163,14 +162,14 @@ func TestSelectEqCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
-		ref := oracleOf(dense)
+		ref := dense.oracle()
 		for trial := 0; trial < 8; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
 			for i, c := range cols {
 				if dense.NumRows() > 0 && rng.Intn(3) > 0 {
 					ci := dense.Schema().Index(c)
-					vals[i] = dense.Row(rng.Intn(dense.NumRows()))[ci]
+					vals[i] = dense.rows[rng.Intn(dense.NumRows())][ci]
 				} else {
 					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
@@ -193,7 +192,7 @@ func TestCountDistinctCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
-		ref := oracleOf(dense)
+		ref := dense.oracle()
 		for trial := 0; trial < 4; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(3))
 			got, err := st.CountDistinct(cols)
@@ -216,7 +215,7 @@ func TestCubeCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(80), 3))
-		ref := oracleOf(dense)
+		ref := dense.oracle()
 		cols := []string{"c0", "c1", "c2"}
 		got, err := st.Cube(cols, 0, 3, aggs)
 		if err != nil {
@@ -236,8 +235,11 @@ func TestCubeCompressedDifferential(t *testing.T) {
 // between appends and compactions see every row.
 func TestStaleCompressedViewInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	tab := randomTable(rng, 120, 3)
-	st := segTableFromTable(t, tab, 2)
+	st, logical := segTableOf(t, randomTable(rng, 120, 3), 2)
+	// The rows st logically holds: sealed, then its tail as appended.
+	tailLen := st.TailRows()
+	sealed := logical.rows[:len(logical.rows)-tailLen]
+	tail := logical.rows[len(logical.rows)-tailLen:]
 	cols := []string{"c0"}
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c1"}}
 	check := func(label string) {
@@ -246,7 +248,7 @@ func TestStaleCompressedViewInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracleOf(readBack(t, st)).GroupBy(cols, aggs)
+		want, err := oracleOf(st.Schema(), append(slices.Clone(sealed), tail...)).GroupBy(cols, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,18 +268,22 @@ func TestStaleCompressedViewInvalidation(t *testing.T) {
 		}
 		return rows
 	}
-	check("initial")
-	if err := st.AppendRows(batch()); err != nil {
-		t.Fatal(err)
+	appendBatch := func() {
+		b := batch()
+		if err := st.AppendRows(b); err != nil {
+			t.Fatal(err)
+		}
+		tail = append(slices.Clone(tail), b...)
 	}
+	check("initial")
+	appendBatch()
 	check("post-append")
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	sealed, tail = append(slices.Clone(sealed), canonicalRows(tail)...), nil
 	check("post-compact")
-	if err := st.AppendRows(batch()); err != nil {
-		t.Fatal(err)
-	}
+	appendBatch()
 	check("post-compact append")
 }
 
@@ -288,7 +294,7 @@ func FuzzCompressedKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, k uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		comp, tab := sealedClone(t, rng, randomTable(rng, int(n), 2+int(k%3)))
-		ref := oracleOf(tab)
+		ref := tab.oracle()
 		cols := randomCols(rng, tab, 1+int(k%2))
 		aggs := randomAggs(rng, tab)
 

@@ -83,23 +83,25 @@ func cubeOver(r Relation, cols []string, minSize, maxSize int, aggs []AggSpec) (
 		return nil, err
 	}
 
+	row := make(value.Tuple, len(sch))
 	for mi, mask := range masks {
 		// grouping bitmask: bit i set when cols[i] is rolled up.
-		grouping := int64(^mask) & int64(total-1)
-		for _, r := range grouped[mi].Rows() {
-			row := make(value.Tuple, 0, len(sch))
+		grouping := value.NewInt(int64(^mask) & int64(total-1))
+		g := grouped[mi]
+		for r := 0; r < g.NumRows(); r++ {
 			si := 0
 			for i := range cols {
+				row[i] = value.NewNull()
 				if mask&(1<<uint(i)) != 0 {
-					row = append(row, r[si])
+					row[i] = g.cols[si].Value(r)
 					si++
-				} else {
-					row = append(row, value.NewNull())
 				}
 			}
-			row = append(row, value.NewInt(grouping))
-			row = append(row, r[si:]...)
-			out.rows = append(out.rows, row)
+			row[len(cols)] = grouping
+			for ai := range aggs {
+				row[len(cols)+1+ai] = g.cols[si+ai].Value(r)
+			}
+			out.push(row)
 		}
 	}
 	return out, nil
@@ -151,35 +153,17 @@ func CubeSlice(cube *Table, cols, subset []string, aggs []AggSpec) (*Table, erro
 		sch = append(sch, Column{Name: a.String(), Kind: value.Null})
 	}
 
-	// The grouping bitmask is an Int column Cube itself wrote; scan its
-	// flat int64 buffer instead of unboxing every row. Rows of any other
-	// kind (malformed input) still go through Int(), which panics on a
-	// non-Int bitmask.
-	var gKinds []value.Kind
-	var gI64 []int64
-	if cube.NumRows() > 0 {
-		gcol := cube.Columns().FlatCol(gIdx)
-		if gcol.I64 != nil {
-			gKinds, gI64 = gcol.Kinds, gcol.I64
+	// The grouping bitmask is an Int column Cube itself wrote; Int()
+	// panics on a non-Int bitmask (malformed input).
+	var rows []int32
+	for r := 0; r < cube.n; r++ {
+		if cube.cols[gIdx].Value(r).Int() == wantGrouping {
+			rows = append(rows, int32(r))
 		}
 	}
-	out := NewTable(sch)
-	for ri, r := range cube.Rows() {
-		if gKinds != nil && gKinds[ri] == value.Int {
-			if gI64[ri] != wantGrouping {
-				continue
-			}
-		} else if r[gIdx].Int() != wantGrouping {
-			continue
-		}
-		row := make(value.Tuple, 0, len(sch))
-		for _, ci := range colIdx {
-			row = append(row, r[ci])
-		}
-		for _, ci := range aggIdx {
-			row = append(row, r[ci])
-		}
-		out.rows = append(out.rows, row)
+	out := &Table{schema: sch, n: len(rows)}
+	for _, ci := range append(colIdx, aggIdx...) {
+		out.cols = append(out.cols, cube.cols[ci].gather(rows))
 	}
 	return out, nil
 }

@@ -8,30 +8,37 @@ import (
 	"cape/internal/value"
 )
 
-// extendTable builds a table whose second column is untyped so append
-// batches can introduce new kinds (first Int, NULL, NaN) into the tail.
-func extendTable(t *testing.T) *Table {
-	t.Helper()
-	tab := NewTable(Schema{
-		{Name: "a", Kind: value.String},
-		{Name: "b", Kind: value.Null}, // untyped
-		{Name: "c", Kind: value.Int},
-	})
-	rows := []value.Tuple{
+// extendRows are the initial rows of extendTable, whose second column
+// is untyped so append batches can introduce new kinds (first Int,
+// NULL, NaN).
+func extendRows() []value.Tuple {
+	return []value.Tuple{
 		{value.NewString("x"), value.NewFloat(1.5), value.NewInt(10)},
 		{value.NewString("y"), value.NewFloat(2.5), value.NewInt(20)},
 		{value.NewString("x"), value.NewNull(), value.NewInt(30)},
 		{value.NewString("z"), value.NewString("s"), value.NewInt(40)},
 	}
-	if err := tab.AppendRows(rows); err != nil {
+}
+
+var extendSchema = Schema{
+	{Name: "a", Kind: value.String},
+	{Name: "b", Kind: value.Null}, // untyped
+	{Name: "c", Kind: value.Int},
+}
+
+// extendTable loads extendRows in one batch.
+func extendTable(t *testing.T) *Table {
+	t.Helper()
+	tab := NewTable(extendSchema)
+	if err := tab.AppendRows(extendRows()); err != nil {
 		t.Fatal(err)
 	}
 	return tab
 }
 
-// requireColIdentical compares every field of an extended column against
-// a from-scratch rebuild, including the unexported null bitmap, lookup
-// map, float flag, and rank table.
+// requireColIdentical compares every field of a column grown by appends
+// against the same column loaded in one batch, including the unexported
+// null bitmap, lookup map, float flag, and rank table.
 func requireColIdentical(t *testing.T, label string, got, want *Col) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Kinds, want.Kinds) {
@@ -79,16 +86,18 @@ func requireColIdentical(t *testing.T, label string, got, want *Col) {
 	if got.hasFloat != want.hasFloat {
 		t.Errorf("%s: hasFloat %v vs %v", label, got.hasFloat, want.hasFloat)
 	}
-	if !reflect.DeepEqual(got.ranks, want.ranks) {
-		t.Errorf("%s: ranks %v vs %v", label, got.ranks, want.ranks)
+	gotRanks, gn := got.RankCodes()
+	wantRanks, wn := want.RankCodes()
+	if !reflect.DeepEqual(gotRanks, wantRanks) || gn != wn {
+		t.Errorf("%s: ranks %v (%d) vs %v (%d)", label, gotRanks, gn, wantRanks, wn)
 	}
 }
 
 // TestColumnarExtendIdenticalToRebuild pins the core extension contract:
-// after an append, every built column (dictionary and flat tiers) is
-// field-for-field identical to building it from scratch over the longer
-// row slice — new dictionary codes in first-appearance order, lazily
-// allocated I64, grown null bitmaps, rebuilt ranks.
+// after an append — a batch, or one row at a time — every column is
+// field-for-field identical to loading all the rows in one batch: new
+// dictionary codes in first-appearance order, lazily allocated I64,
+// grown null bitmaps, ranks re-sorted after the dictionary grew.
 func TestColumnarExtendIdenticalToRebuild(t *testing.T) {
 	batches := [][]value.Tuple{
 		// New dictionary value in a, NULL in b.
@@ -97,7 +106,7 @@ func TestColumnarExtendIdenticalToRebuild(t *testing.T) {
 			{value.NewString("x"), value.NewFloat(3.5), value.NewInt(60)},
 		},
 		// First Int in b: the I64 buffer must materialize lazily with
-		// zero backfill, exactly as a rebuild would allocate it.
+		// zero backfill, exactly as a one-batch load allocates it.
 		{
 			{value.NewString("y"), value.NewInt(7), value.NewInt(70)},
 		},
@@ -107,64 +116,57 @@ func TestColumnarExtendIdenticalToRebuild(t *testing.T) {
 		},
 	}
 
-	tab := extendTable(t)
-	cols := tab.Columns()
-	for ci := range tab.Schema() {
-		cols.Col(ci) // materialize the dictionary tier
+	batched := extendTable(t)
+	single := extendTable(t)
+	for ci := range batched.Schema() {
+		batched.Col(ci).RankCodes() // ranks exist before the appends
 	}
-	flatTab := extendTable(t)
-	flats := flatTab.Columns()
-	for ci := range flatTab.Schema() {
-		flats.FlatCol(ci) // materialize only the flat tier
-	}
-
+	all := extendRows()
 	for bi, batch := range batches {
-		if err := tab.AppendRows(batch); err != nil {
+		if err := batched.AppendRows(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := flatTab.AppendRows(batch); err != nil {
-			t.Fatal(err)
+		for _, row := range batch {
+			single.MustAppend(row)
 		}
-		for ci, sc := range tab.Schema() {
-			got := cols.Col(ci)
-			want := buildCol(tab.Rows(), ci, true)
-			requireColIdentical(t, sc.Name+" dict batch "+string(rune('0'+bi)), got, want)
-
-			gotFlat := flats.FlatCol(ci)
-			wantFlat := buildCol(flatTab.Rows(), ci, false)
-			requireColIdentical(t, sc.Name+" flat batch "+string(rune('0'+bi)), gotFlat, wantFlat)
+		all = append(all, batch...)
+		want := newGenTable(extendSchema, all)
+		for ci, sc := range extendSchema {
+			label := sc.Name + " batch " + string(rune('0'+bi))
+			requireColIdentical(t, label+" batched", batched.Col(ci), want.Col(ci))
+			requireColIdentical(t, label+" row by row", single.Col(ci), want.Col(ci))
 		}
 	}
 }
 
-// TestColumnarExtendNaN pins NaN in the rank order: a NaN arriving in
-// the tail of a rank-ordered column keeps the ranks, exactly like a
-// rebuild, ranked above every number and below every string; a second
-// NaN with another payload joins the first one's code.
+// TestColumnarExtendNaN pins NaN in the rank order: a NaN appended to a
+// column whose ranks exist keeps the ranks exactly like a one-batch
+// load, ranked above every number and below every string; a second NaN
+// with another payload joins the first one's code.
 func TestColumnarExtendNaN(t *testing.T) {
 	tab := extendTable(t)
-	cols := tab.Columns()
-	if cols.Col(1).ranks == nil {
-		t.Fatal("precondition: column b should have ranks before NaN")
+	if _, n := tab.Col(1).RankCodes(); n != 4 {
+		t.Fatalf("precondition: column b should rank 4 values before NaN, got %d", n)
 	}
+	all := extendRows()
 	for _, bits := range []uint64{math.Float64bits(math.NaN()), 0x7ff8000000000000} {
-		if err := tab.Append(value.Tuple{
-			value.NewString("x"), value.NewFloat(math.Float64frombits(bits)), value.NewInt(80),
-		}); err != nil {
+		row := value.Tuple{value.NewString("x"), value.NewFloat(math.Float64frombits(bits)), value.NewInt(80)}
+		if err := tab.Append(row); err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, row)
 	}
-	got := cols.Col(1)
-	want := buildCol(tab.Rows(), 1, true)
-	requireColIdentical(t, "b after NaN", got, want)
+	got := tab.Col(1)
+	requireColIdentical(t, "b after NaN", got, newGenTable(extendSchema, all).Col(1))
 	n := len(got.Codes)
 	nan := got.Codes[n-1]
 	if got.Codes[n-2] != nan {
 		t.Fatalf("NaN payloads got codes %d and %d, want one", got.Codes[n-2], nan)
 	}
 	// b holds 1.5, 2.5, NULL, "s", NaN: NaN ranks fourth.
-	if got.ranks == nil || got.ranks[nan] != 3 || len(got.ranks) != 5 {
-		t.Errorf("NaN tail must keep ranks with NaN between numbers and strings: ranks=%v, NaN code %d", got.ranks, nan)
+	ranks, nRanks := got.RankCodes()
+	if nRanks != 5 || ranks[n-1] != 3 {
+		t.Errorf("NaN tail must keep ranks with NaN between numbers and strings: ranks=%v, NaN code %d", ranks, nan)
 	}
 }
 

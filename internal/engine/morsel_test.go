@@ -47,9 +47,9 @@ func TestMorselGroupByDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := typedRandomTable(rng, 50+rng.Intn(250), 2+rng.Intn(3))
-		ref := oracleOf(tab)
 		for _, nSegs := range []int{1, 3} {
-			st := segTableFromTable(t, tab, nSegs)
+			st, logical := segTableOf(t, tab, nSegs)
+			ref := logical.oracle()
 			for trial := 0; trial < 3; trial++ {
 				cols := randomCols(rng, tab, 1+rng.Intn(2))
 				aggs := randomAggs(rng, tab)
@@ -91,9 +91,9 @@ func TestSegTablePoolDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 100))
 		tab := typedRandomTable(rng, rng.Intn(250), 2+rng.Intn(3))
 		for _, workers := range []int{2, 8} {
-			st := segTableFromTable(t, tab, 3)
+			st, logical := segTableOf(t, tab, 3)
 			st.SetPool(NewPool(workers))
-			checkSegTable(t, rng, st, tab, fmt.Sprintf("seed %d workers %d", seed, workers))
+			checkSegTable(t, rng, st, logical, fmt.Sprintf("seed %d workers %d", seed, workers))
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestMorselMergeable(t *testing.T) {
 	intCol := compressCodes([]int32{0, 1, 0}, intDict(2))
 	fltCol := compressCodes([]int32{0, 1, 0}, []value.V{value.NewFloat(0.5), value.NewFloat(1.5)})
 	mk := func(f AggFunc, cc *CompressedCol) ([]*compPart, []aggCol) {
-		return []*compPart{{n: 3, aggs: []*CompressedCol{cc}}},
+		return []*compPart{{n: 3, seg: &Segment{}, aggs: []*CompressedCol{cc}}},
 			[]aggCol{{spec: AggSpec{Func: f, Arg: "a"}}}
 	}
 	cases := []struct {

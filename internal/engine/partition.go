@@ -100,15 +100,18 @@ func (p Partitioner) PartitionTable(t *Table) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*Table, p.N)
-	for i := range parts {
-		parts[i] = NewTable(t.Schema())
-	}
-	for _, row := range t.Rows() {
+	rows := make([][]int32, p.N)
+	r := int32(0)
+	// The callback never fails, so neither does the scan.
+	_ = t.ScanRows(0, t.NumRows(), func(row value.Tuple) error {
 		s := p.ShardOfRow(row, keyIdx)
-		if err := parts[s].Append(row); err != nil {
-			return nil, err
-		}
+		rows[s] = append(rows[s], r)
+		r++
+		return nil
+	})
+	parts := make([]*Table, p.N)
+	for s := range parts {
+		parts[s] = t.gather(rows[s])
 	}
 	return parts, nil
 }

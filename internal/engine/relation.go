@@ -47,11 +47,13 @@ var (
 	_ MutableRelation = (*SegTable)(nil)
 )
 
-// ScanRows implements RowScanner for Table: rows are passed as stored
-// (not copied; the usual Table sharing contract applies).
+// ScanRows implements RowScanner for Table: each row is materialized
+// from the columns into one tuple reused between calls.
 func (t *Table) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
-	for _, r := range t.rows[lo:hi] {
-		if err := fn(r); err != nil {
+	row := make(value.Tuple, 0, len(t.cols))
+	for r := lo; r < hi; r++ {
+		row = t.appendRow(row[:0], r)
+		if err := fn(row); err != nil {
 			return err
 		}
 	}

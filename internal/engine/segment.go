@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 
 	"cape/internal/value"
 )
@@ -129,15 +131,52 @@ func (w *SegmentWriter) Append(row value.Tuple) error {
 			cb.lookup[string(key)] = code
 			cb.dict = append(cb.dict, v)
 		}
-		if n := len(cb.runCodes); n > 0 && cb.runCodes[n-1] == code {
-			cb.runEnds[n-1] = end
-		} else {
-			cb.runEnds = append(cb.runEnds, end)
-			cb.runCodes = append(cb.runCodes, code)
-		}
+		cb.addRun(code, end)
 	}
 	w.nrows++
 	return nil
+}
+
+// AppendRange appends rows [lo, hi) of rel. A whole Table — a dense
+// table, or the append tail of a SegTable — sealed into an empty writer
+// hands over its dictionaries and codes without keying a value; other
+// ranges stream through ScanRows. The segment is the same either way.
+func (w *SegmentWriter) AppendRange(rel RowScanner, lo, hi int) error {
+	t, _ := rel.(*Table)
+	tlo, thi := lo, hi
+	if st, ok := rel.(*SegTable); ok && lo == st.sealed {
+		t, tlo, thi = st.tail, 0, hi-st.sealed
+	}
+	if t != nil && w.nrows == 0 && tlo == 0 && thi == t.n && thi > 0 && w.schema.Equal(t.schema) {
+		w.adopt(t)
+		return nil
+	}
+	return rel.ScanRows(lo, hi, w.Append)
+}
+
+// adopt seals the whole of t into the empty writer. Both assign codes
+// in first-appearance order and keep each class's first value, so the
+// table's dictionaries and codes are the writer's.
+func (w *SegmentWriter) adopt(t *Table) {
+	for ci, c := range t.cols {
+		cb := &w.cols[ci]
+		cb.dict, cb.lookup = slices.Clone(c.Dict), maps.Clone(c.lookup)
+		for r, code := range c.Codes {
+			cb.addRun(code, int32(r+1))
+		}
+	}
+	w.nrows = t.n
+}
+
+// addRun extends the column's last run when it carries code, and
+// starts a new run otherwise; end is the exclusive end row.
+func (cb *segColBuilder) addRun(code, end int32) {
+	if n := len(cb.runCodes); n > 0 && cb.runCodes[n-1] == code {
+		cb.runEnds[n-1] = end
+	} else {
+		cb.runEnds = append(cb.runEnds, end)
+		cb.runCodes = append(cb.runCodes, code)
+	}
 }
 
 // AppendRows appends a batch of rows, validating each.

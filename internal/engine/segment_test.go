@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -22,7 +23,7 @@ import (
 // typedRandomTable builds a table whose columns each stick to one kind
 // (with NULLs mixed in), exercising RLE-friendly low-cardinality columns
 // and pack-friendly high-cardinality ones.
-func typedRandomTable(rng *rand.Rand, n, width int) *Table {
+func typedRandomTable(rng *rand.Rand, n, width int) genTable {
 	sch := make(Schema, width)
 	gens := make([]func() value.V, width)
 	for i := range sch {
@@ -56,8 +57,8 @@ func typedRandomTable(rng *rand.Rand, n, width int) *Table {
 			gens[i] = func() value.V { return value.NewString(fmt.Sprintf("s%d", rng.Intn(5))) }
 		}
 	}
-	t := NewTable(sch)
-	for r := 0; r < n; r++ {
+	rows := make([]value.Tuple, n)
+	for r := range rows {
 		row := make(value.Tuple, width)
 		for c := range row {
 			if rng.Intn(8) == 0 {
@@ -66,20 +67,23 @@ func typedRandomTable(rng *rand.Rand, n, width int) *Table {
 				row[c] = gens[c]()
 			}
 		}
-		if err := t.Append(row); err != nil {
-			panic(err)
-		}
+		rows[r] = row
 	}
-	return t
+	return newGenTable(sch, rows)
 }
 
-// segTableFromTable splits tab's rows into nSegs sealed segments plus a
-// tail holding the remainder.
-func segTableFromTable(t *testing.T, tab *Table, nSegs int) *SegTable {
+// segTableOf splits tab's generated rows into nSegs sealed segments plus
+// a tail holding the remainder. It also returns the rows the SegTable
+// logically holds: a sealed segment keeps one representative per
+// AppendKey class — the class's first value in that segment — and the
+// tail keeps the rows as generated (see the dictionary-canonicalization
+// note in segment.go).
+func segTableOf(t *testing.T, tab genTable, nSegs int) (*SegTable, genTable) {
 	t.Helper()
 	st := NewSegTable(tab.Schema())
-	rows := tab.Rows()
+	rows := tab.rows
 	n := len(rows)
+	var logical []value.Tuple
 	cut := 0
 	for s := 0; s < nSegs; s++ {
 		next := (s + 1) * n / (nSegs + 1)
@@ -90,27 +94,53 @@ func segTableFromTable(t *testing.T, tab *Table, nSegs int) *SegTable {
 		if err := st.AddSegment(w.Segment()); err != nil {
 			t.Fatal(err)
 		}
+		logical = append(logical, canonicalRows(rows[cut:next])...)
 		cut = next
 	}
 	if err := st.AppendRows(rows[cut:]); err != nil {
 		t.Fatal(err)
 	}
 	if st.NumRows() != n {
-		t.Fatalf("segTableFromTable: %d rows, want %d", st.NumRows(), n)
+		t.Fatalf("segTableOf: %d rows, want %d", st.NumRows(), n)
 	}
-	return st
+	return st, newGenTable(tab.Schema(), append(logical, rows[cut:]...))
+}
+
+// canonicalRows replaces every value by the first value of its
+// AppendKey class in its column.
+func canonicalRows(rows []value.Tuple) []value.Tuple {
+	out := make([]value.Tuple, len(rows))
+	var first []map[string]value.V
+	for r, row := range rows {
+		if first == nil {
+			first = make([]map[string]value.V, len(row))
+			for c := range first {
+				first[c] = map[string]value.V{}
+			}
+		}
+		out[r] = make(value.Tuple, len(row))
+		for c, v := range row {
+			key := string(v.AppendKey(nil))
+			if _, ok := first[c][key]; !ok {
+				first[c][key] = v
+			}
+			out[r][c] = first[c][key]
+		}
+	}
+	return out
 }
 
 // checkSegTable runs the full operator surface of st against the
-// oracle over tab's rows and requires byte-identical results.
-func checkSegTable(t *testing.T, rng *rand.Rand, st *SegTable, tab *Table, label string) {
+// oracle over the rows tab was generated from (the rows st logically
+// holds) and requires byte-identical results.
+func checkSegTable(t *testing.T, rng *rand.Rand, st *SegTable, tab genTable, label string) {
 	t.Helper()
-	ref := oracleOf(tab)
+	ref := tab.oracle()
 
 	// Row materialization.
 	var i int
 	err := st.ScanRows(0, st.NumRows(), func(row value.Tuple) error {
-		want := tab.Row(i)
+		want := tab.rows[i]
 		for c := range row {
 			if !valueIdentical(row[c], want[c]) {
 				return fmt.Errorf("row %d col %d: %s != %s", i, c, row[c], want[c])
@@ -142,7 +172,7 @@ func checkSegTable(t *testing.T, rng *rand.Rand, st *SegTable, tab *Table, label
 		vals := make(value.Tuple, len(cols))
 		for vi, c := range cols {
 			if tab.NumRows() > 0 && rng.Intn(4) > 0 {
-				vals[vi] = tab.Row(rng.Intn(tab.NumRows()))[c2i(tab, c)]
+				vals[vi] = tab.rows[rng.Intn(tab.NumRows())][c2i(tab, c)]
 			} else {
 				vals[vi] = value.NewString("absent")
 			}
@@ -196,15 +226,15 @@ func checkSegTable(t *testing.T, rng *rand.Rand, st *SegTable, tab *Table, label
 	tablesIdentical(t, gotCube, wantCube, label+" Cube")
 }
 
-func c2i(t *Table, col string) int { return t.Schema().Index(col) }
+func c2i(t schemaHolder, col string) int { return t.Schema().Index(col) }
 
 func TestSegTableDifferential(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := typedRandomTable(rng, rng.Intn(250), 2+rng.Intn(3))
 		for _, nSegs := range []int{0, 1, 3} {
-			st := segTableFromTable(t, tab, nSegs)
-			checkSegTable(t, rng, st, tab,
+			st, logical := segTableOf(t, tab, nSegs)
+			checkSegTable(t, rng, st, logical,
 				fmt.Sprintf("seed %d segs %d", seed, nSegs))
 		}
 	}
@@ -213,7 +243,7 @@ func TestSegTableDifferential(t *testing.T) {
 func TestSegTableAppendCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := typedRandomTable(rng, 150, 3)
-	rows := tab.Rows()
+	rows := tab.rows
 
 	st := NewSegTable(tab.Schema())
 	w := NewSegmentWriter(tab.Schema())
@@ -253,11 +283,7 @@ func TestSegTableAppendCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := NewTable(tab.Schema())
-	if err := sub.AppendRows(rows); err != nil {
-		t.Fatal(err)
-	}
-	checkSegTable(t, rng, st, sub, "append+compact")
+	checkSegTable(t, rng, st, tab, "append+compact")
 
 	// Seal the remaining tail, then verify compacting an empty tail is
 	// a no-op.
@@ -282,7 +308,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := typedRandomTable(rng, rng.Intn(200), 2+rng.Intn(3))
 		w := NewSegmentWriter(tab.Schema())
-		if err := w.AppendRows(tab.Rows()); err != nil {
+		if err := w.AppendRows(tab.rows); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("seg%d.seg", seed))
@@ -307,7 +333,7 @@ func TestSegmentCorruptionRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tab := typedRandomTable(rng, 80, 3)
 	w := NewSegmentWriter(tab.Schema())
-	if err := w.AppendRows(tab.Rows()); err != nil {
+	if err := w.AppendRows(tab.rows); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "c.seg")
@@ -347,7 +373,7 @@ func TestSegmentVersionRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := typedRandomTable(rng, 20, 2)
 	w := NewSegmentWriter(tab.Schema())
-	if err := w.AppendRows(tab.Rows()); err != nil {
+	if err := w.AppendRows(tab.rows); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "v.seg")
@@ -421,15 +447,12 @@ func TestSegTableCrossPartMixedSum(t *testing.T) {
 		if err := st.AppendRows(l.tail); err != nil {
 			t.Fatal(err)
 		}
-		ref := NewTable(sch)
-		if err := ref.AppendRows(append(append([]value.Tuple{}, l.seg...), l.tail...)); err != nil {
-			t.Fatal(err)
-		}
+		ref := oracleOf(sch, append(canonicalRows(l.seg), l.tail...))
 		got, err := st.GroupBy([]string{"g"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracleOf(ref).GroupBy([]string{"g"}, aggs)
+		want, err := ref.GroupBy([]string{"g"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +499,7 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tab := typedRandomTable(rng, 40, 2)
 	w := NewSegmentWriter(tab.Schema())
-	if err := w.AppendRows(tab.Rows()); err != nil {
+	if err := w.AppendRows(tab.rows); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "o.seg")
@@ -506,7 +529,6 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 func TestSegTableMinMaxNaN(t *testing.T) {
 	setMorselTarget(t, 2)
 	sch := Schema{{Name: "g", Kind: value.Null}, {Name: "v", Kind: value.Null}}
-	tab := NewTable(sch)
 	// In two-row morsels, [5.5 4.5] then [NaN 0.5]: the merged minimum
 	// must be 0.5 and the merged maximum NaN, as in the row-order fold.
 	rows := []value.Tuple{
@@ -519,12 +541,12 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 		{value.NewString("b"), value.NewFloat(math.NaN())},
 		{value.NewString("b"), value.NewFloat(9.5)},
 	}
+	var all []value.Tuple
 	for rep := 0; rep < 4; rep++ { // enough rows per group for morsels
-		if err := tab.AppendRows(rows); err != nil {
-			t.Fatal(err)
-		}
+		all = append(all, rows...)
 	}
-	ref := oracleOf(tab)
+	tab := newGenTable(sch, all)
+	ref := tab.oracle()
 	aggs := []AggSpec{{Func: Min, Arg: "v"}, {Func: Max, Arg: "v"}}
 	want, err := ref.GroupBy([]string{"g"}, aggs)
 	if err != nil {
@@ -537,7 +559,7 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 		}
 	}
 	for _, width := range []int{1, 4} {
-		st := segTableFromTable(t, tab, 1)
+		st, _ := segTableOf(t, tab, 1)
 		st.SetPool(NewPool(width))
 		dense := tab.Clone()
 		dense.SetPool(NewPool(width))
@@ -547,6 +569,47 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 				t.Fatal(err)
 			}
 			tablesIdentical(t, got, want, fmt.Sprintf("NaN Min/Max %T width %d", rel, width))
+		}
+	}
+}
+
+// TestAppendRangeMatchesAppend: sealing rows straight from a table's
+// columns — the whole table into an empty writer, or a range — writes
+// the same segment bytes as appending the generated rows one by one.
+func TestAppendRangeMatchesAppend(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := randomTable(rng, rng.Intn(300), 3)
+		n := tab.NumRows()
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		for _, r := range [][2]int{{0, n}, {lo, hi}, {0, lo}} {
+			want := NewSegmentWriter(tab.Schema())
+			if err := want.AppendRows(tab.rows[r[0]:r[1]]); err != nil {
+				t.Fatal(err)
+			}
+			got := NewSegmentWriter(tab.Schema())
+			if err := got.AppendRange(tab.Table, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+			// A second range lands behind the first, as store flushes do.
+			if err := want.AppendRows(tab.rows[r[1]:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.AppendRange(tab.Table, r[1], n); err != nil {
+				t.Fatal(err)
+			}
+			wb, err := want.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := got.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("seed %d range %v: AppendRange segment differs from row appends", seed, r)
+			}
 		}
 	}
 }

@@ -247,9 +247,7 @@ func (st *SegTable) Compact() error {
 		return nil
 	}
 	w := NewSegmentWriter(st.schema)
-	if err := w.AppendRows(st.tail.Rows()); err != nil {
-		return err
-	}
+	w.adopt(st.tail)
 	st.segs = append(st.segs, w.Segment())
 	st.sealed += n
 	st.tail = NewTable(st.schema)
@@ -271,9 +269,8 @@ func (st *SegTable) Close() error {
 	return first
 }
 
-// ScanRows streams rows [lo, hi) in row order. Tuples materialized from
-// segments are reused between calls — fn must copy any value it
-// retains (tail rows are passed as stored, per the Table contract).
+// ScanRows streams rows [lo, hi) in row order. The tuple passed to fn
+// is reused between calls — fn must copy any value it retains.
 func (st *SegTable) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
 	if lo < 0 || hi > st.NumRows() || lo > hi {
 		return fmt.Errorf("engine: ScanRows range [%d, %d) out of bounds", lo, hi)
@@ -299,17 +296,8 @@ func (st *SegTable) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
 		}
 		base += n
 	}
-	s, e := lo-base, hi-base
-	rows := st.tail.Rows()
-	if s < len(rows) && e > 0 {
-		if s < 0 {
-			s = 0
-		}
-		for _, r := range rows[s:e] {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
+	if e := hi - base; e > 0 {
+		return st.tail.ScanRows(max(lo-base, 0), e, fn)
 	}
 	return nil
 }
@@ -362,18 +350,12 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 // It costs full decode + row memory.
 func (st *SegTable) materialize() *Table {
 	out := NewTable(st.schema)
-	rows := make([]value.Tuple, 0, st.NumRows())
-	width := len(st.schema)
-	for _, seg := range st.segs {
-		n := seg.NumRows()
-		slab := make(value.Tuple, 0, n*width)
-		for r := 0; r < n; r++ {
-			slab = seg.AppendRowAt(r, slab)
-			rows = append(rows, slab[len(slab)-width:len(slab):len(slab)])
-		}
-	}
-	rows = append(rows, st.tail.Rows()...)
-	out.rows = rows
+	// The range is the whole table and the callback never fails, so
+	// neither does the scan.
+	_ = st.ScanRows(0, st.NumRows(), func(row value.Tuple) error {
+		out.push(row)
+		return nil
+	})
 	return out
 }
 
@@ -405,37 +387,35 @@ func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	parts := st.parts(idx, nil)
 	want := selectEqPlanParts(parts, vals)
 	// Each part's matches are independent: sealed segments answer from
-	// their code-span indexes and materialize matching rows into private
-	// slabs; the tail scans its codes in place. Parts fan across the pool
-	// and concatenate in part order, so the output row order is the
-	// global row order either way.
-	out := NewTable(st.schema)
+	// their code-span indexes, the tail scans its codes in place, and
+	// each materializes its matching rows into a private slab. Parts fan
+	// across the pool and concatenate in part order, so the output row
+	// order is the global row order either way.
 	width := len(st.schema)
-	partRows := make([][]value.Tuple, len(parts))
+	slabs := make([]value.Tuple, len(parts))
 	_ = st.queryPool().ForEach("engine:selecteq", len(parts), func(pi int) error {
 		if want[pi] == nil {
 			return nil
 		}
 		p := parts[pi]
-		var matched []value.Tuple
-		emit := func(lo, hi int32) {
-			matched = append(matched, p.rows[lo:hi]...)
-		}
-		if p.rows == nil {
-			emit = func(lo, hi int32) {
-				slab := make(value.Tuple, 0, int(hi-lo)*width)
-				for r := lo; r < hi; r++ {
-					slab = p.seg.AppendRowAt(int(r), slab)
-					matched = append(matched, slab[len(slab)-width:len(slab):len(slab)])
+		var slab value.Tuple
+		selectEqPart(p, want[pi], func(lo, hi int32) {
+			for r := int(lo); r < int(hi); r++ {
+				if p.seg != nil {
+					slab = p.seg.AppendRowAt(r, slab)
+				} else {
+					slab = st.tail.appendRow(slab, r)
 				}
 			}
-		}
-		selectEqPart(p, want[pi], emit)
-		partRows[pi] = matched
+		})
+		slabs[pi] = slab
 		return nil
 	})
-	for _, rs := range partRows {
-		out.rows = append(out.rows, rs...)
+	out := NewTable(st.schema)
+	for _, slab := range slabs {
+		for i := 0; i < len(slab); i += width {
+			out.push(slab[i : i+width])
+		}
 	}
 	return out, nil
 }

@@ -18,7 +18,7 @@ type SortCodes struct {
 }
 
 // BuildSortCodes dictionary-encodes the given columns of t: each
-// column's ranks come from the table's columnar dictionary — sorting d
+// column's ranks come from the column's dictionary — sorting d
 // distinct values instead of n rows, and sharing the dictionary with
 // every other operator on the table — after which every SortPerm call
 // is pure integer work.
@@ -32,18 +32,13 @@ func BuildSortCodes(t *Table, cols []string) (*SortCodes, error) {
 		codes:   make(map[string][]int32, len(cols)),
 		ranks:   make(map[string]int32, len(cols)),
 	}
-	colr := t.Columns()
 	for k, col := range cols {
 		if _, dup := sc.codes[col]; !dup {
-			sc.codes[col], sc.ranks[col] = colr.Col(idx[k]).RankCodes()
+			sc.codes[col], sc.ranks[col] = t.cols[idx[k]].RankCodes()
 		}
 	}
 	return sc, nil
 }
-
-// Codes returns the rank column for an encoded column (aligned with the
-// table's rows), or nil when the column was not encoded.
-func (sc *SortCodes) Codes(col string) []int32 { return sc.codes[col] }
 
 // NewPerm returns the identity permutation over the table's rows, the
 // starting point for SortPerm.

@@ -184,7 +184,7 @@ func TestBuildSortCodesOrdersLikeCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := codes.Codes("m")
+	c := codes.codes["m"]
 	for i, a := range vals {
 		for j, b := range vals {
 			cmp := value.Compare(a, b)

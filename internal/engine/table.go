@@ -4,29 +4,27 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"cape/internal/value"
 )
 
-// Table is an in-memory relation. Rows are the primary storage and the
-// compatibility API (Row, Rows, value.Tuple); a columnar view with
-// dictionary-encoded columns materializes lazily on top of them (see
-// Columnar) and feeds the vectorized operator kernels. The table is not
-// safe for concurrent mutation; concurrent reads are fine.
+// Table is an in-memory relation stored as its columns: one Col per
+// schema column, each holding every row's exact value (kind plus flat
+// float64/int64 buffers and a null bitmap) and its dictionary code.
+// Appends extend the columns in place; the operator kernels read them
+// directly. Row and Rows materialize tuples from the columns for
+// results, tests and examples. The table is not safe for concurrent
+// mutation; concurrent reads are fine.
 type Table struct {
 	schema Schema
-	rows   []value.Tuple
+	cols   []*Col
+	n      int
 	// epoch counts mutations (Append, AppendRows, SortBy). Consumers that
 	// cache anything derived from the table — explanation caches, mined
 	// pattern sets, persisted stores — record the epoch they saw and
 	// compare it later to detect staleness instead of guessing.
 	epoch uint64
-	// cols caches the columnar view; extended in place by appends,
-	// invalidated by reordering mutations. colsMu serializes its creation.
-	cols   atomic.Pointer[Columnar]
-	colsMu sync.Mutex
 	// pool, when set, lets the compressed kernels fan morsels across a
 	// shared worker pool (SetPool). Stored atomically so queries running
 	// on pool workers can read it without racing a SetPool.
@@ -35,20 +33,48 @@ type Table struct {
 
 // NewTable creates an empty table with the given schema.
 func NewTable(schema Schema) *Table {
-	return &Table{schema: schema.Clone()}
+	t := &Table{schema: schema.Clone(), cols: make([]*Col, len(schema))}
+	for i := range t.cols {
+		t.cols[i] = &Col{}
+	}
+	return t
 }
 
 // Schema returns the table's schema (callers must not mutate it).
 func (t *Table) Schema() Schema { return t.schema }
 
 // NumRows reports the number of rows.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.n }
 
-// Row returns row i (callers must not mutate it).
-func (t *Table) Row(i int) value.Tuple { return t.rows[i] }
+// Col returns column ci (schema position). Its buffers are the table's
+// storage: callers must not mutate them.
+func (t *Table) Col(ci int) *Col { return t.cols[ci] }
 
-// Rows returns the backing row slice (callers must not mutate it).
-func (t *Table) Rows() []value.Tuple { return t.rows }
+// Row materializes row i into a freshly allocated tuple.
+func (t *Table) Row(i int) value.Tuple {
+	return t.appendRow(make(value.Tuple, 0, len(t.cols)), i)
+}
+
+// appendRow appends row i's values to dst.
+func (t *Table) appendRow(dst value.Tuple, i int) value.Tuple {
+	for _, c := range t.cols {
+		dst = append(dst, c.Value(i))
+	}
+	return dst
+}
+
+// Rows materializes every row, allocating one slab for all of them;
+// callers that only scan should prefer ScanRows or the columns.
+func (t *Table) Rows() []value.Tuple {
+	width := len(t.cols)
+	slab := make(value.Tuple, 0, t.n*width)
+	rows := make([]value.Tuple, t.n)
+	for i := range rows {
+		slab = t.appendRow(slab, i)
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
 
 // Epoch returns the table's mutation counter. It starts at 0 and
 // increments once per mutating call (Append, AppendRows, SortBy), so two
@@ -69,44 +95,52 @@ func (t *Table) SetPool(p *Pool) { t.pool.Store(p) }
 
 func (t *Table) queryPool() *Pool { return t.pool.Load() }
 
-// validateRow checks one row against the schema: matching arity, and each
-// value matching the column kind unless the column is untyped or the
-// value is NULL.
-func (t *Table) validateRow(row value.Tuple) error {
-	return t.schema.ValidateRow(row)
-}
-
-// Append adds a row. The arity must match the schema, and each value must
-// match the column kind unless the column is untyped or the value is NULL.
-// The columnar view is extended in place for the new row, so an append
-// costs O(encoded columns), not a rebuild.
+// Append adds a row, copying its values into the columns. The arity
+// must match the schema, and each value must match the column kind
+// unless the column is untyped or the value is NULL.
 func (t *Table) Append(row value.Tuple) error {
-	if err := t.validateRow(row); err != nil {
+	if err := t.schema.ValidateRow(row); err != nil {
 		return err
 	}
-	oldLen := len(t.rows)
-	t.rows = append(t.rows, row)
-	t.extendDerived(oldLen)
+	t.push(row)
+	t.epoch++
 	return nil
 }
 
 // AppendRows appends a batch of rows atomically: every row is validated
 // before any is appended, so a bad row in the middle of a batch leaves
-// the table untouched. The columnar view is extended in place once for
-// the whole batch, and the epoch advances by exactly one.
+// the table untouched. The values are copied into the columns, one
+// column at a time with its buffers sized once for the batch, and the
+// epoch advances by exactly one.
 func (t *Table) AppendRows(rows []value.Tuple) error {
 	for i, row := range rows {
-		if err := t.validateRow(row); err != nil {
+		if err := t.schema.ValidateRow(row); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	if len(rows) == 0 {
 		return nil
 	}
-	oldLen := len(t.rows)
-	t.rows = append(t.rows, rows...)
-	t.extendDerived(oldLen)
+	var key []byte
+	for ci, c := range t.cols {
+		c.grow(len(rows))
+		for _, row := range rows {
+			key = c.push(row[ci], key)
+		}
+	}
+	t.n += len(rows)
+	t.epoch++
 	return nil
+}
+
+// push appends one already validated row without touching the epoch.
+func (t *Table) push(row value.Tuple) {
+	var buf [24]byte
+	key := buf[:0]
+	for ci, c := range t.cols {
+		key = c.push(row[ci], key)
+	}
+	t.n++
 }
 
 // MustAppend is Append that panics on error; intended for tests and
@@ -117,25 +151,42 @@ func (t *Table) MustAppend(row value.Tuple) {
 	}
 }
 
-// Clone returns a deep copy of the table (rows are cloned). The clone
-// carries the source's epoch, so staleness checks against a snapshot
-// taken before cloning still line up.
+// Clone returns a deep copy of the table. The clone carries the
+// source's epoch, so staleness checks against a snapshot taken before
+// cloning still line up.
 func (t *Table) Clone() *Table {
-	out := NewTable(t.schema)
+	out := t.gather(t.allRows())
 	out.epoch = t.epoch
-	out.rows = make([]value.Tuple, len(t.rows))
-	for i, r := range t.rows {
-		out.rows[i] = r.Clone()
+	return out
+}
+
+// allRows lists every row index in order.
+func (t *Table) allRows() []int32 {
+	idx := make([]int32, t.n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// gather returns a new table holding t's rows idx, in that order.
+func (t *Table) gather(idx []int32) *Table {
+	out := &Table{schema: t.schema.Clone(), cols: make([]*Col, len(t.cols)), n: len(idx)}
+	for ci, c := range t.cols {
+		out.cols[ci] = c.gather(idx)
 	}
 	return out
 }
 
-// Select returns the rows satisfying pred, sharing row storage with t.
+// Select returns the rows satisfying pred. pred sees a scratch tuple
+// that is reused between calls.
 func (t *Table) Select(pred func(value.Tuple) bool) *Table {
 	out := NewTable(t.schema)
-	for _, r := range t.rows {
-		if pred(r) {
-			out.rows = append(out.rows, r)
+	row := make(value.Tuple, 0, len(t.cols))
+	for i := 0; i < t.n; i++ {
+		row = t.appendRow(row[:0], i)
+		if pred(row) {
+			out.push(row)
 		}
 	}
 	return out
@@ -152,25 +203,28 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	if len(vals) != len(cols) {
 		return nil, fmt.Errorf("engine: SelectEq got %d values for %d columns", len(vals), len(cols))
 	}
-	out := NewTable(t.schema)
-	if len(idx) == 0 || len(t.rows) == 0 {
-		out.rows = append(out.rows, t.rows...)
+	if len(idx) == 0 {
+		out := t.Clone()
+		out.epoch = 0
 		return out, nil
 	}
-	parts := t.parts(idx, nil)
-	if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
-		rows := t.rows
-		selectEqPart(parts[0], want, func(lo, hi int32) {
-			out.rows = append(out.rows, rows[lo:hi]...)
-		})
+	var rows []int32
+	if parts := t.parts(idx, nil); parts != nil {
+		if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
+			selectEqPart(parts[0], want, func(lo, hi int32) {
+				for r := lo; r < hi; r++ {
+					rows = append(rows, r)
+				}
+			})
+		}
 	}
-	return out, nil
+	return t.gather(rows), nil
 }
 
 // parts presents the table to the parts kernels (ckernels.go) as one
 // solo dense part, or none when the table is empty.
 func (t *Table) parts(gIdx []int, aCols []aggCol) []*compPart {
-	if len(t.rows) == 0 {
+	if t.n == 0 {
 		return nil
 	}
 	p := densePart(t, gIdx, aCols)
@@ -189,14 +243,10 @@ func (t *Table) Project(cols []string) (*Table, error) {
 	for i, ci := range idx {
 		sch[i] = t.schema[ci]
 	}
-	out := NewTable(sch)
-	out.rows = make([]value.Tuple, len(t.rows))
-	for ri, r := range t.rows {
-		row := make(value.Tuple, len(idx))
-		for i, ci := range idx {
-			row[i] = r[ci]
-		}
-		out.rows[ri] = row
+	out := &Table{schema: sch, cols: make([]*Col, len(idx)), n: t.n}
+	all := t.allRows()
+	for i, ci := range idx {
+		out.cols[i] = t.cols[ci].gather(all)
 	}
 	return out, nil
 }
@@ -213,14 +263,10 @@ func (t *Table) DistinctProject(cols []string) (*Table, error) {
 	for i, ci := range idx {
 		sch[i] = t.schema[ci]
 	}
-	if len(idx) > 0 && len(t.rows) > 0 {
+	if len(idx) > 0 && t.n > 0 {
 		return distinctParts(t.parts(idx, nil), sch), nil
 	}
-	out := NewTable(sch)
-	if len(t.rows) > 0 {
-		out.rows = []value.Tuple{{}}
-	}
-	return out, nil
+	return &Table{schema: sch, n: min(t.n, 1)}, nil
 }
 
 // CountDistinct counts the distinct combinations of the named columns.
@@ -233,44 +279,51 @@ func (t *Table) CountDistinct(cols []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(idx) > 0 && len(t.rows) > 0 {
+	if len(idx) > 0 && t.n > 0 {
 		return countDistinctParts(t.parts(idx, nil), len(idx)), nil
 	}
-	return min(len(t.rows), 1), nil
+	return min(t.n, 1), nil
 }
 
 // SortBy sorts the table in place by the given columns ascending (using
-// value.Compare ordering). The sort is stable. Reordering rows
-// invalidates the columnar view, which stores row positions.
+// value.Compare ordering). The sort is stable; the columns are rebuilt
+// in the sorted row order.
 func (t *Table) SortBy(cols []string) error {
-	idx, err := t.schema.Indices(cols)
+	perm, err := t.sortPerm(cols)
 	if err != nil {
 		return err
 	}
-	t.invalidateDerived()
-	sort.SliceStable(t.rows, func(a, b int) bool {
-		ra, rb := t.rows[a], t.rows[b]
-		for _, ci := range idx {
-			if c := value.Compare(ra[ci], rb[ci]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	t.cols = t.gather(perm).cols
+	t.epoch++
 	return nil
 }
 
-// Sorted returns a copy of the table sorted by the given columns. The
-// copy shares row storage (rows are not mutated by sorting, only
-// reordered).
+// Sorted returns a copy of the table sorted by the given columns.
 func (t *Table) Sorted(cols []string) (*Table, error) {
-	out := NewTable(t.schema)
-	out.rows = make([]value.Tuple, len(t.rows))
-	copy(out.rows, t.rows)
-	if err := out.SortBy(cols); err != nil {
+	perm, err := t.sortPerm(cols)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return t.gather(perm), nil
+}
+
+// sortPerm returns the row order that stably sorts t by cols. The
+// columns' Compare ranks order exactly like value.Compare, so the sort
+// compares integers.
+func (t *Table) sortPerm(cols []string) ([]int32, error) {
+	idx, err := t.schema.Indices(cols)
+	if err != nil {
+		return nil, err
+	}
+	ranks := make([][]int32, len(idx))
+	for k, ci := range idx {
+		ranks[k], _ = t.cols[ci].RankCodes()
+	}
+	perm := t.allRows()
+	sort.SliceStable(perm, func(a, b int) bool {
+		return lessOn(ranks, perm[a], perm[b])
+	})
+	return perm, nil
 }
 
 // String renders the table as a small ASCII grid, for debugging and
@@ -284,12 +337,12 @@ func (t *Table) String() string {
 		sb.WriteString(c.Name)
 	}
 	sb.WriteByte('\n')
-	for _, r := range t.rows {
-		for i, v := range r {
+	for r := 0; r < t.n; r++ {
+		for i, c := range t.cols {
 			if i > 0 {
 				sb.WriteString(" | ")
 			}
-			sb.WriteString(v.String())
+			sb.WriteString(c.Value(r).String())
 		}
 		sb.WriteByte('\n')
 	}

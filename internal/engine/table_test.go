@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"cape/internal/value"
@@ -206,10 +208,12 @@ func TestSortByAndSorted(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	tab := pubTable(t)
+	n := tab.NumRows()
 	c := tab.Clone()
-	c.Rows()[0][0] = value.NewString("MUTATED")
-	if tab.Row(0)[0].Str() != "AX" {
-		t.Error("Clone should deep-copy rows")
+	c.MustAppend(value.Tuple{value.NewString("MUTATED"), value.NewString("P9"), value.NewInt(2020), value.NewString("VLDB")})
+	tab.MustAppend(value.Tuple{value.NewString("AX"), value.NewString("P8"), value.NewInt(2019), value.NewString("KDD")})
+	if tab.NumRows() != n+1 || tab.Row(n)[0].Str() != "AX" || c.NumRows() != n+1 || c.Row(n)[0].Str() != "MUTATED" {
+		t.Error("Clone should share no storage with its source")
 	}
 }
 
@@ -229,4 +233,131 @@ func TestMustAppendPanics(t *testing.T) {
 		}
 	}()
 	NewTable(pubSchema()).MustAppend(value.Tuple{})
+}
+
+// TestAppendCopiesValues: a table stores copies of the values it is
+// given, so mutating a tuple after Append or AppendRows changes neither
+// Row, GroupBy nor SelectEq.
+func TestAppendCopiesValues(t *testing.T) {
+	sch := Schema{{Name: "a", Kind: value.String}, {Name: "n", Kind: value.Int}}
+	x, y := value.NewString("x"), value.NewString("y")
+	for _, batch := range []bool{false, true} {
+		rows := []value.Tuple{{x, value.NewInt(1)}, {x, value.NewInt(2)}}
+		tab := NewTable(sch)
+		if batch {
+			if err := tab.AppendRows(rows); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, r := range rows {
+				tab.MustAppend(r)
+			}
+		}
+		rows[1][0] = y
+		label := fmt.Sprintf("batch=%v", batch)
+		if got := tab.Row(1)[0]; !value.Equal(got, x) {
+			t.Errorf("%s: Row(1) key %v after mutating the appended tuple, want x", label, got)
+		}
+		g, err := tab.GroupBy([]string{"a"}, []AggSpec{{Func: Count}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumRows() != 1 || !value.Equal(g.Row(0)[0], x) || g.Row(0)[1].Int() != 2 {
+			t.Errorf("%s: GroupBy(a) = %v, want one group (x, 2)", label, g)
+		}
+		sel, err := tab.SelectEq([]string{"a"}, value.Tuple{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.NumRows() != 2 || !value.Equal(sel.Row(1)[0], x) {
+			t.Errorf("%s: SelectEq(a=x) = %v, want both rows keyed x", label, sel)
+		}
+	}
+}
+
+// identical reports whether a and b have the same kind and the same
+// payload bits: stricter than value.Equal, which merges Int(1) with
+// Float(1), −0.0 with +0.0 and every NaN.
+func identical(a, b value.V) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case value.Int:
+		return a.Int() == b.Int()
+	case value.Float:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case value.String:
+		return a.Str() == b.Str()
+	}
+	return true
+}
+
+// TestTableStoresExactValues: an untyped column whose dictionary
+// classes mix kinds and bit patterns returns every value exactly as
+// appended — one at a time or in batches, and after a SortBy — through
+// Row, ScanRows and Clone.
+func TestTableStoresExactValues(t *testing.T) {
+	vals := []value.V{
+		value.NewInt(1), value.NewFloat(1),
+		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+		value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewInt(1<<53 + 1), value.NewFloat(math.Ldexp(1, 63)),
+		value.NewString(""), value.NewNull(),
+		value.NewInt(0), value.NewFloat(1 << 53),
+	}
+	sch := Schema{{Name: "v", Kind: value.Null}, {Name: "id", Kind: value.Int}}
+	var rows []value.Tuple
+	for rep := 0; rep < 2; rep++ {
+		for i, v := range vals {
+			rows = append(rows, value.Tuple{v, value.NewInt(int64(rep*len(vals) + i))})
+		}
+	}
+	check := func(label string, tab *Table, want []value.Tuple) {
+		t.Helper()
+		if tab.NumRows() != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, tab.NumRows(), len(want))
+		}
+		same := func(how string, i int, got value.Tuple) {
+			for c := range got {
+				if !identical(got[c], want[i][c]) {
+					t.Errorf("%s %s: row %d col %d = %v (%s), want %v (%s)", label, how, i, c,
+						got[c], got[c].Kind(), want[i][c], want[i][c].Kind())
+				}
+			}
+		}
+		for i := range want {
+			same("Row", i, tab.Row(i))
+		}
+		i := 0
+		if err := tab.ScanRows(0, tab.NumRows(), func(row value.Tuple) error {
+			same("ScanRows", i, row)
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		clone := tab.Clone()
+		for i := range want {
+			same("Clone", i, clone.Row(i))
+		}
+	}
+
+	single := NewTable(sch)
+	for _, r := range rows {
+		single.MustAppend(r)
+	}
+	check("one at a time", single, rows)
+	batched := NewTable(sch)
+	for lo := 0; lo < len(rows); lo += 5 {
+		if err := batched.AppendRows(rows[lo:min(lo+5, len(rows))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("batches", batched, rows)
+	if err := batched.SortBy([]string{"v"}); err != nil {
+		t.Fatal(err)
+	}
+	check("SortBy", batched, sortedRows(rows, []int{0}))
 }

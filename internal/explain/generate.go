@@ -312,14 +312,14 @@ func (g *generator) norm(p pattern.Pattern) (float64, error) {
 	if aggIdx < 0 {
 		return 0, fmt.Errorf("explain: grouped result missing aggregate column %q", p.Agg)
 	}
-	probe, miss := newCodeProbe(grouped.Columns(), keyIdx, vals)
+	probe, miss := newCodeProbe(grouped, keyIdx, vals)
 	if miss {
 		return 0, nil
 	}
+	agg := grouped.Col(aggIdx)
 	for r, n := 0, grouped.NumRows(); r < n; r++ {
 		if probe.match(r) {
-			f, _ := grouped.Row(r)[aggIdx].AsFloat()
-			return math.Abs(f), nil
+			return math.Abs(agg.F64[r]), nil
 		}
 	}
 	return 0, nil
@@ -332,11 +332,11 @@ type codeProbe struct {
 	want  []int32
 }
 
-// newCodeProbe resolves vals against the columns idx of a columnar view.
-// miss reports that some value occurs in no row, so no row matches.
-func newCodeProbe(cols *engine.Columnar, idx []int, vals value.Tuple) (p codeProbe, miss bool) {
+// newCodeProbe resolves vals against the columns idx of a table. miss
+// reports that some value occurs in no row, so no row matches.
+func newCodeProbe(t *engine.Table, idx []int, vals value.Tuple) (p codeProbe, miss bool) {
 	for i, ci := range idx {
-		col := cols.Col(ci)
+		col := t.Col(ci)
 		code, ok := col.CodeOf(vals[i])
 		if !ok {
 			return codeProbe{}, true
@@ -473,7 +473,7 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 	}
 
 	sc := candScan{
-		g: g, re: re, ref: ref, p: p, pRef: pRef,
+		g: g, re: re, ref: ref, p: p, pRef: pRef, grouped: grouped,
 		attrs: attrs, attrIdx: attrIdx, fRefIdx: fRefIdx, vIdx: vIdx,
 		aggIdx: aggIdx, sameSchema: sameSchema, tOnAttrs: tOnAttrs,
 		qDist:   g.q.DistTuple(),
@@ -482,31 +482,29 @@ func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSin
 	}
 
 	// The t'[F] = t[F] match compares dictionary codes, and the
-	// aggregate and predictor values come from the columnar view's flat
+	// aggregate and predictor values come from the columns' flat
 	// buffers. Every row of the grouped result is one candidate, even
 	// when a dictionary miss proves no row can match.
-	cols := grouped.Columns()
 	n := grouped.NumRows()
-	probe, miss := newCodeProbe(cols, fIdx, re.frag)
+	probe, miss := newCodeProbe(grouped, fIdx, re.frag)
 	if miss {
 		stats.Candidates += n
 		return nil
 	}
-	agg := cols.FlatCol(sc.aggIdx)
+	agg := grouped.Col(sc.aggIdx)
 	sc.vF64 = make([][]float64, len(sc.vIdx))
 	sc.vNum = make([][]bool, len(sc.vIdx))
 	for i, ci := range sc.vIdx {
-		fc := cols.FlatCol(ci)
+		fc := grouped.Col(ci)
 		sc.vF64[i], sc.vNum[i] = fc.F64, fc.Num
 	}
 	sc.vScratch = make([]float64, len(sc.vIdx))
-	rows := grouped.Rows()
 	for r := 0; r < n; r++ {
 		stats.Candidates++
 		if !probe.match(r) {
 			continue
 		}
-		sc.offer(rows[r], r, agg.F64[r], agg.Num[r])
+		sc.offer(r, agg.F64[r], agg.Num[r])
 	}
 	return nil
 }
@@ -518,6 +516,7 @@ type candScan struct {
 	re         relevantEntry
 	ref        *pattern.Mined
 	p, pRef    pattern.Pattern
+	grouped    *engine.Table
 	attrs      []string
 	attrIdx    []int
 	fRefIdx    []int
@@ -537,13 +536,12 @@ type candScan struct {
 
 // offer evaluates conditions 3–5 for one candidate row already matching
 // t'[F] = t[F] and offers the resulting explanation to the sink. ri is
-// the row's position in the grouped table (for the flat predictor
-// reads); y/numeric is the row's aggregate value as AsFloat
-// reports it.
-func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
+// the row's position in the grouped table; y/numeric is the row's
+// aggregate value as AsFloat reports it.
+func (sc *candScan) offer(ri int, y float64, numeric bool) {
 	// Condition 3: P' holds locally on t'[F'].
 	for i, ci := range sc.fRefIdx {
-		sc.fragRef[i] = row[ci]
+		sc.fragRef[i] = sc.grouped.Col(ci).Value(ri)
 	}
 	lm, ok := sc.ref.Local(sc.fragRef)
 	if !ok {
@@ -575,7 +573,7 @@ func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 	// Condition 4 second half: t' ≠ t for same-schema tuples.
 	tup := make(value.Tuple, len(sc.attrs))
 	for i, ci := range sc.attrIdx {
-		tup[i] = row[ci]
+		tup[i] = sc.grouped.Col(ci).Value(ri)
 	}
 	if sc.sameSchema && tup.Equal(sc.tOnAttrs) {
 		return
@@ -586,7 +584,7 @@ func (sc *candScan) offer(row value.Tuple, ri int, y float64, numeric bool) {
 		Refined:   sc.pRef,
 		Attrs:     sc.attrs,
 		Tuple:     tup,
-		AggValue:  row[sc.aggIdx],
+		AggValue:  sc.grouped.Col(sc.aggIdx).Value(ri),
 		Predicted: pred,
 		Deviation: dev,
 		Norm:      sc.re.norm,

@@ -170,7 +170,7 @@ func exploreSortOrders(g []string, grouped *engine.Table, aggs []engine.AggSpec,
 				continue
 			}
 			res.Candidates += len(aggs) * len(opt.Models)
-			mined, err := fitter.Fit(f, v, perm, codes, &res.Timers)
+			mined, err := fitter.Fit(f, v, perm, &res.Timers)
 			if err != nil {
 				return err
 			}

@@ -56,7 +56,7 @@ func ShareGrp(r engine.Relation, opt Options) (*Result, error) {
 			}
 			out.Timers.Query += time.Since(t0)
 			out.Candidates += len(aggs) * len(opt.Models)
-			mined, err := fitter.Fit(f, v, perm, codes, &out.Timers)
+			mined, err := fitter.Fit(f, v, perm, &out.Timers)
 			if err != nil {
 				return err
 			}

@@ -11,8 +11,8 @@ import (
 
 // SharedFitter evaluates pattern candidates over one grouped table,
 // columnar: aggregate and predictor observations come straight from the
-// engine's columnar view (flat float64 buffers plus numeric masks, built
-// once per table and shared with every other operator), and each Fit
+// table's columns (flat float64 buffers plus numeric masks, shared with
+// every other operator), and each Fit
 // call scans fragment runs of a sorted row permutation as subslices with
 // reusable scratch buffers. Nothing is re-decoded or re-boxed into
 // value.Tuple rows, no per-fragment observation slices are allocated,
@@ -21,10 +21,9 @@ import (
 //
 // A SharedFitter is not safe for concurrent use; miners construct one
 // per grouped table inside their per-attribute-set workers. (The
-// underlying engine.Columnar is itself safe to share.)
+// grouped table itself is safe to share.)
 type SharedFitter struct {
 	grouped *engine.Table
-	cols    *engine.Columnar
 	aggs    []engine.AggSpec
 	models  []regress.ModelType
 	th      Thresholds
@@ -53,9 +52,9 @@ type candState struct {
 }
 
 // NewSharedFitter validates the thresholds once and binds the aggregate
-// columns of grouped to the engine's flat columnar buffers (built on
-// first use, cached on the table). grouped must contain one column per
-// aggregate in aggs, named engine.AggSpec.String().
+// columns of grouped to the table's flat column buffers. grouped must
+// contain one column per aggregate in aggs, named
+// engine.AggSpec.String().
 func NewSharedFitter(grouped *engine.Table, aggs []engine.AggSpec,
 	models []regress.ModelType, th Thresholds) (*SharedFitter, error) {
 
@@ -65,7 +64,6 @@ func NewSharedFitter(grouped *engine.Table, aggs []engine.AggSpec,
 	sch := grouped.Schema()
 	sf := &SharedFitter{
 		grouped: grouped,
-		cols:    grouped.Columns(),
 		aggs:    aggs,
 		models:  models,
 		th:      th,
@@ -82,18 +80,17 @@ func NewSharedFitter(grouped *engine.Table, aggs []engine.AggSpec,
 		if ci < 0 {
 			return nil, fmt.Errorf("pattern: sorted input missing aggregate column %q", a.String())
 		}
-		col := sf.cols.FlatCol(ci)
+		col := grouped.Col(ci)
 		sf.aggVal[i] = col.F64
 		sf.aggOK[i] = col.Num
 	}
 	return sf, nil
 }
 
-// predictorCol returns the engine's flat view of one predictor column
-// (F64 is 0 and Num false exactly where AsFloat would decline, so the
-// semantics match the previous per-fitter decode).
+// predictorCol returns the flat buffers of one predictor column (F64 is
+// 0 and Num false exactly where AsFloat would decline).
 func (sf *SharedFitter) predictorCol(ci int) ([]float64, []bool) {
-	col := sf.cols.FlatCol(ci)
+	col := sf.grouped.Col(ci)
 	return col.F64, col.Num
 }
 
@@ -101,12 +98,12 @@ func (sf *SharedFitter) predictorCol(ci int) ([]float64, []bool) {
 // sharing the partition attributes f and predictor attributes v. perm is
 // a permutation of the grouped table's rows sorted by f then v (any
 // attribute order within each set); nil means the table itself is
-// already sorted. codes, when non-nil, supplies dense sort codes for
-// fragment-boundary detection; otherwise boundaries fall back to boxed
-// value comparison. The returned slice holds one *Mined per candidate
+// already sorted. Fragment boundaries compare the grouped table's
+// dictionary codes, which are value.Equal classes. The returned slice
+// holds one *Mined per candidate
 // that holds globally. This implements the paper's "one query for all
 // patterns sharing F and V" optimization plus Algorithm 6's block scan.
-func (sf *SharedFitter) Fit(f, v []string, perm []int32, codes *engine.SortCodes, tm *Timers) ([]*Mined, error) {
+func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, error) {
 	// Canonicalize attribute order so the same (F, V) pair produces
 	// identical pattern keys and fragment keys regardless of which sort
 	// order or enumeration order discovered it. Fragment blocks stay
@@ -123,18 +120,9 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, codes *engine.SortCodes
 		return nil, err
 	}
 
-	// Fragment boundaries compare dense int codes when available.
-	var fCodes [][]int32
-	if codes != nil {
-		fCodes = make([][]int32, 0, len(f))
-		for _, a := range f {
-			c := codes.Codes(a)
-			if c == nil {
-				fCodes = nil
-				break
-			}
-			fCodes = append(fCodes, c)
-		}
+	fCodes := make([][]int32, len(fIdx))
+	for i, ci := range fIdx {
+		fCodes[i] = sf.grouped.Col(ci).Codes
 	}
 
 	// Predictor columns, decoded once per grouped table.
@@ -160,7 +148,7 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, codes *engine.SortCodes
 
 	n := sf.grouped.NumRows()
 	start := int32(0)
-	for _, end := range sf.fragmentEnds(fIdx, fCodes, perm, n) {
+	for _, end := range sf.fragmentEnds(fCodes, perm, n) {
 		if err := sf.flushFragment(cands, fIdx, vVal, vOK, perm, int(start), int(end), tm); err != nil {
 			return nil, err
 		}
@@ -191,16 +179,15 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, codes *engine.SortCodes
 }
 
 // fragmentEnds computes the exclusive end row of every fragment of the
-// scan, in order, into a reusable buffer: a tight loop over the dense
-// sort codes when available, otherwise boxed value comparison (the
-// reference).
-func (sf *SharedFitter) fragmentEnds(fIdx []int, fCodes [][]int32, perm []int32, n int) []int32 {
+// scan, in order, into a reusable buffer: a row starts a new fragment
+// where any F column's code differs from the previous row's.
+func (sf *SharedFitter) fragmentEnds(fCodes [][]int32, perm []int32, n int) []int32 {
 	ends := sf.fragEnds[:0]
 	switch {
 	case n == 0:
-	case len(fIdx) == 0:
+	case len(fCodes) == 0:
 		ends = append(ends, int32(n))
-	case fCodes != nil && perm != nil:
+	case perm != nil:
 		for r := 1; r < n; r++ {
 			pa, pb := perm[r-1], perm[r]
 			for _, c := range fCodes {
@@ -211,7 +198,7 @@ func (sf *SharedFitter) fragmentEnds(fIdx []int, fCodes [][]int32, perm []int32,
 			}
 		}
 		ends = append(ends, int32(n))
-	case fCodes != nil:
+	default:
 		for r := 1; r < n; r++ {
 			for _, c := range fCodes {
 				if c[r-1] != c[r] {
@@ -219,26 +206,6 @@ func (sf *SharedFitter) fragmentEnds(fIdx []int, fCodes [][]int32, perm []int32,
 					break
 				}
 			}
-		}
-		ends = append(ends, int32(n))
-	default:
-		rows := sf.grouped.Rows()
-		prev := rows[0]
-		if perm != nil {
-			prev = rows[perm[0]]
-		}
-		for r := 1; r < n; r++ {
-			cur := rows[r]
-			if perm != nil {
-				cur = rows[perm[r]]
-			}
-			for _, ci := range fIdx {
-				if !value.Equal(prev[ci], cur[ci]) {
-					ends = append(ends, int32(r))
-					break
-				}
-			}
-			prev = cur
 		}
 		ends = append(ends, int32(n))
 	}
@@ -341,11 +308,10 @@ func (sf *SharedFitter) flushFragment(cands []candState, fIdx []int,
 				model = regress.NewConst(cmean, gof)
 			}
 			if frag == nil {
-				rows := sf.grouped.Rows()
-				first := rows[rowAt(lo)]
+				first := int(rowAt(lo))
 				frag = make(value.Tuple, len(fIdx))
 				for i, ci := range fIdx {
-					frag[i] = first[ci]
+					frag[i] = sf.grouped.Col(ci).Value(first)
 				}
 				sf.keyBuf = frag.AppendKey(sf.keyBuf[:0])
 				fragKey = string(sf.keyBuf)

@@ -60,7 +60,7 @@ func FitShared(f, v []string, aggs []engine.AggSpec, models []regress.ModelType,
 	if err != nil {
 		return nil, err
 	}
-	return sf.Fit(f, v, nil, nil, tm)
+	return sf.Fit(f, v, nil, tm)
 }
 
 // SortedCopy returns the strings in ascending order without modifying

@@ -106,15 +106,17 @@ func (b *questionBuilder) build(spec QuestionSpec) (explain.UserQuestion, error)
 	for i, raw := range spec.Tuple {
 		vals[i] = value.Parse(raw)
 	}
-	for _, row := range grouped.Rows() {
-		if value.Tuple(row[:len(spec.GroupBy)]).Equal(vals) {
-			return explain.UserQuestion{
-				GroupBy: spec.GroupBy, Agg: agg, Values: vals,
-				AggValue: row[len(spec.GroupBy)], Dir: dir,
-			}, nil
-		}
+	sel, err := grouped.SelectEq(spec.GroupBy, vals)
+	if err != nil {
+		return q, err
 	}
-	return q, fmt.Errorf("tuple %v is not a result of the question query", spec.Tuple)
+	if sel.NumRows() == 0 {
+		return q, fmt.Errorf("tuple %v is not a result of the question query", spec.Tuple)
+	}
+	return explain.UserQuestion{
+		GroupBy: spec.GroupBy, Agg: agg, Values: vals,
+		AggValue: sel.Col(len(spec.GroupBy)).Value(0), Dir: dir,
+	}, nil
 }
 
 // buildMetric turns the request's numeric-scale and weight maps into a

@@ -64,17 +64,18 @@ func Exec(stmt *SelectStmt, cat Catalog) (*engine.Table, error) {
 		}
 		out = out.Select(pred)
 	}
-	if len(stmt.OrderBy) > 0 {
-		if err := orderBy(out, stmt.OrderBy); err != nil {
+	if len(stmt.OrderBy) > 0 || stmt.Limit >= 0 && out.NumRows() > stmt.Limit {
+		rows := out.Rows()
+		if err := orderBy(rows, out.Schema(), stmt.OrderBy); err != nil {
 			return nil, err
 		}
-	}
-	if stmt.Limit >= 0 && out.NumRows() > stmt.Limit {
-		limited := engine.NewTable(out.Schema())
-		for i := 0; i < stmt.Limit; i++ {
-			limited.MustAppend(out.Row(i))
+		if stmt.Limit >= 0 && len(rows) > stmt.Limit {
+			rows = rows[:stmt.Limit]
 		}
-		out = limited
+		out = engine.NewTable(out.Schema())
+		if err := out.AppendRows(rows); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -194,17 +195,16 @@ func rename(t *engine.Table, names []string) *engine.Table {
 	return out
 }
 
-// orderBy sorts in place honoring per-key direction.
-func orderBy(t *engine.Table, keys []OrderKey) error {
+// orderBy sorts rows of schema sch in place honoring per-key direction.
+func orderBy(rows []value.Tuple, sch engine.Schema, keys []OrderKey) error {
 	idx := make([]int, len(keys))
 	for i, k := range keys {
-		ci := t.Schema().Index(k.Column)
+		ci := sch.Index(k.Column)
 		if ci < 0 {
 			return fmt.Errorf("sql: ORDER BY references unknown column %q", k.Column)
 		}
 		idx[i] = ci
 	}
-	rows := t.Rows()
 	sort.SliceStable(rows, func(a, b int) bool {
 		for i, ci := range idx {
 			c := value.Compare(rows[a][ci], rows[b][ci])

@@ -541,7 +541,7 @@ func (s *Store) flushLocked() error {
 // s.segments (the manifest swap that makes it live is the caller's).
 func (s *Store) writeSegment(lo, hi int) error {
 	w := engine.NewSegmentWriter(s.schema)
-	if err := s.tab.ScanRows(lo, hi, w.Append); err != nil {
+	if err := w.AppendRange(s.tab, lo, hi); err != nil {
 		return err
 	}
 	blob, err := w.Encode()

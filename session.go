@@ -112,19 +112,14 @@ func (s *Session) Ask(groupBy []string, agg AggSpec, values Tuple, dir Direction
 	if err != nil {
 		return nil, nil, err
 	}
-	aggIdx := len(groupBy)
-	var aggValue Value
-	found := false
-	for _, row := range grouped.Rows() {
-		if Tuple(row[:aggIdx]).Equal(values) {
-			aggValue = row[aggIdx]
-			found = true
-			break
-		}
+	sel, err := grouped.SelectEq(groupBy, values)
+	if err != nil {
+		return nil, nil, err
 	}
-	if !found {
+	if sel.NumRows() == 0 {
 		return nil, nil, fmt.Errorf("cape: tuple %v is not a result of grouping by %v", values, groupBy)
 	}
+	aggValue := sel.Col(len(groupBy)).Value(0)
 	q := Question{GroupBy: groupBy, Agg: agg, Values: values, AggValue: aggValue, Dir: dir}
 
 	// The widest relevant pattern uses all of G; if mining stopped at a
