@@ -233,21 +233,7 @@ func TestCmdQueryErrors(t *testing.T) {
 	}
 }
 
-func TestCmdMineVariantsAndErrors(t *testing.T) {
-	csv := writeExampleCSV(t)
-	for _, miner := range []string{"arpmine", "sharegrp", "cube", "naive"} {
-		if _, err := captureStdout(t, func() error {
-			return run("mine", []string{"-data", csv, "-miner", miner,
-				"-theta", "0.3", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2", "-psi", "2"})
-		}); err != nil {
-			t.Errorf("miner %s: %v", miner, err)
-		}
-	}
-	if _, err := captureStdout(t, func() error {
-		return run("mine", []string{"-data", csv, "-miner", "quantum"})
-	}); err == nil {
-		t.Error("unknown miner should error")
-	}
+func TestCmdMineErrors(t *testing.T) {
 	if _, err := captureStdout(t, func() error { return run("mine", nil) }); err == nil {
 		t.Error("missing -data should error")
 	}

@@ -73,7 +73,6 @@ func mineVerb(fs *flag.FlagSet) func() error {
 	t := targetFlags(fs)
 	out := fs.String("o", "", "write the mined patterns as JSON to this path")
 	outDir := fs.String("out", "", "write the pattern set into this pattern-store directory (one versioned JSON file per table; load with capeserver -patterns-dir)")
-	miner := fs.String("miner", "arpmine", "miner variant: arpmine, sharegrp, cube, naive")
 	mine, _ := mineFlags(fs)
 	return func() error {
 		c, err := t.open(fs, true, "o", "out")
@@ -81,7 +80,7 @@ func mineVerb(fs *flag.FlagSet) func() error {
 			return err
 		}
 		req := mine()
-		req.Table, req.Miner = *t.table, *miner
+		req.Table = *t.table
 		var set struct {
 			ID, Table string
 			Patterns  int

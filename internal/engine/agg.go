@@ -209,6 +209,40 @@ func (a *AggAccum) Result() value.V {
 	return a.st.result(a.fn)
 }
 
+// GroupByAccums is GroupBy for callers that keep aggregating its groups
+// as rows arrive. It returns the grouped table's key columns — GroupBy's
+// output without the aggregate columns, groups in first-appearance
+// order — and each group's accumulators, group-major: accs[g*len(aggs)+i]
+// holds aggregate i of group g, and its Result is GroupBy's cell. Every
+// state equals a row-order AggAccum.Add fold of the group's rows bit for
+// bit, so appended rows fold on exactly: Sum mirrors its total in the
+// float sum even over Int-only columns (a later Float row makes the
+// result read it), and no morsel merge reassociates that sum. r must be
+// a Table or a SegTable.
+func GroupByAccums(r Relation, groupCols []string, aggs []AggSpec) (*Table, []AggAccum, error) {
+	pr, ok := r.(interface {
+		parts(gIdx []int, aCols []aggCol) []*compPart
+		queryPool() *Pool
+	})
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: GroupByAccums needs a Table or SegTable, not %T", r)
+	}
+	gIdx, aCols, sch, err := groupPlan(r.Schema(), groupCols, aggs)
+	if err != nil {
+		return nil, nil, err
+	}
+	nK := len(gIdx)
+	parts := pr.parts(gIdx, aCols)
+	firsts, gs := groupPartsPool(pr.queryPool(), parts, nK, aCols, true)
+	accs := make([]AggAccum, len(firsts)*len(aggs))
+	for g := range firsts {
+		for ai, a := range aggs {
+			accs[g*len(aggs)+ai] = AggAccum{st: gs.state(g, ai), fn: a.Func, star: a.IsStar()}
+		}
+	}
+	return materializeGroups(parts, firsts, nil, nK, nil, sch[:nK]), accs, nil
+}
+
 // aggCol is one planned aggregate: the spec plus the resolved column
 // index of its argument (-1 for count(*)).
 type aggCol struct {

@@ -336,14 +336,20 @@ func (ga *groupAssign) reserve(n int) {
 // the group: one float row anywhere forces every part — including
 // float-free ones — to fold its int contributions into sumF, so the flag
 // is OR'd across parts before any run is folded. (Dense folds always
-// accumulate sumF.)
-func sumNeedsFFor(parts []*compPart, aCols []aggCol) []bool {
+// accumulate sumF.) exact asks for the mirror on every Sum regardless:
+// states that outlive the scan (GroupByAccums) must read correctly once
+// a later float lands.
+func sumNeedsFFor(parts []*compPart, aCols []aggCol, exact bool) []bool {
 	sumNeedsF := make([]bool, len(aCols))
 	for ai, ac := range aCols {
 		switch ac.spec.Func {
 		case Avg:
 			sumNeedsF[ai] = true
 		case Sum:
+			if exact {
+				sumNeedsF[ai] = true
+				break
+			}
 			for _, p := range parts {
 				if p.argHasFloat(ai) {
 					sumNeedsF[ai] = true
@@ -390,12 +396,12 @@ func (gs *groupStates) grow(nG int) {
 	}
 }
 
-// result returns aggregate ai of group g.
-func (gs *groupStates) result(g, ai int, f AggFunc) value.V {
+// state returns aggregate ai's state of group g.
+func (gs *groupStates) state(g, ai int) aggState {
 	if gs.countOnly {
-		return value.NewInt(gs.counts[g])
+		return aggState{count: gs.counts[g]}
 	}
-	return gs.aggs[ai][g].result(f)
+	return gs.aggs[ai][g]
 }
 
 // growSlice extends s to n zero-valued elements (never shrinks): exactly
@@ -746,9 +752,9 @@ func (sc *gbScan) scanRuns(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 }
 
 // groupParts runs one sequential grouping scan over every part in
-// order: nK key columns resolved to groups, aCols folded into states.
-func groupParts(parts []*compPart, nK int, aCols []aggCol) *gbScan {
-	sumNeedsF := sumNeedsFFor(parts, aCols)
+// order: nK key columns resolved to groups, aCols folded into states
+// (sumNeedsF as sumNeedsFFor computes it; nil without aggregates).
+func groupParts(parts []*compPart, nK int, aCols []aggCol, sumNeedsF []bool) *gbScan {
 	sc := newGbScan(nK, aCols, false)
 	rows := 0
 	for _, p := range parts {
@@ -798,18 +804,11 @@ func materializeGroups(parts []*compPart, firsts []partRef, gs *groupStates,
 		c := out.cols[nK+ai]
 		c.grow(nG)
 		for g := 0; g < nG; g++ {
-			key = c.push(gs.result(g, ai, ac.spec.Func), key)
+			st := gs.state(g, ai)
+			key = c.push(st.result(ac.spec.Func), key)
 		}
 	}
 	return out
-}
-
-// groupByParts evaluates GroupBy over the concatenation of parts. nK is
-// the number of group columns; aCols carries the aggregate specs. The
-// output matches the reference GroupBy bitwise.
-func groupByParts(parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
-	sc := groupParts(parts, nK, aCols)
-	return materializeGroups(parts, sc.ga.firsts, sc.gs, nK, aCols, sch)
 }
 
 // foldCompressedRun folds one equal-code run of an aggregate argument
@@ -868,7 +867,7 @@ func foldCompressedRun(st *aggState, f AggFunc, cc *CompressedCol,
 // row walk); multi-column sets run the grouping scan without aggregates.
 func countDistinctParts(parts []*compPart, nK int) int {
 	if nK != 1 {
-		return len(groupParts(parts, nK, nil).ga.firsts)
+		return len(groupParts(parts, nK, nil, nil).ga.firsts)
 	}
 	if len(parts) == 1 {
 		return len(parts[0].keys[0].dict)
@@ -887,7 +886,7 @@ func countDistinctParts(parts []*compPart, nK int) int {
 // distinctParts returns the distinct key combinations across parts, in
 // first-appearance order, as a table of schema sch.
 func distinctParts(parts []*compPart, sch Schema) *Table {
-	firsts := groupParts(parts, len(sch), nil).ga.firsts
+	firsts := groupParts(parts, len(sch), nil, nil).ga.firsts
 	return materializeGroups(parts, firsts, nil, len(sch), nil, sch)
 }
 

@@ -29,7 +29,8 @@ import (
 //     earlier morsel's value, i.e. the earlier row's). Aggregates whose
 //     result depends on float summation order (Avg, and Sum over a
 //     column with float values) make the whole query fall back to the
-//     sequential kernel — see morselMergeable.
+//     sequential kernel — see morselMergeable. GroupByAccums, whose
+//     states must equal a row-order fold, keeps every Sum sequential.
 
 // Pool is a bounded worker pool shared by every layer of one mining or
 // explanation run: miners fan attribute sets across it and the engine's
@@ -193,24 +194,17 @@ func splitMorsels(parts []*compPart, target int32) []morsel {
 }
 
 // morselMergeable reports whether every aggregate's per-morsel partial
-// states merge bit-exactly: Count always (associative integer adds);
-// Min/Max always (value.Compare is a total order, so the strict-Compare
-// first-wins merge reproduces the sequential winner); Sum only when no
-// part's argument holds a float — the result is then the
-// associative integer sumI, and the order-sensitive float mirror sum is
-// never read. Avg, and Sum with float contributions, depend on float
-// summation order. Queries with any declining aggregate stay on the
-// sequential kernel.
-func morselMergeable(parts []*compPart, aCols []aggCol) bool {
-	for ai, ac := range aCols {
-		f := ac.spec.Func
-		if f == Avg {
+// states merge bit-exactly, given sumNeedsFFor's flags: Count always
+// (associative integer adds); Min/Max always (value.Compare is a total
+// order, so the strict-Compare first-wins merge reproduces the
+// sequential winner); Sum only when its float mirror sum is never
+// needed — the result is then the associative integer sumI. Avg, and a
+// Sum whose sumF must be filled, depend on float summation order.
+// Queries with any declining aggregate stay on the sequential kernel.
+func morselMergeable(sumNeedsF []bool) bool {
+	for _, needF := range sumNeedsF {
+		if needF {
 			return false
-		}
-		for _, p := range parts {
-			if f == Sum && p.argHasFloat(ai) {
-				return false
-			}
 		}
 	}
 	return true
@@ -256,19 +250,28 @@ func morselGroupBound(parts []*compPart) int64 {
 	return bound
 }
 
-// groupByPartsPool evaluates GroupBy over parts, fanning
-// morsels across the pool when the query's aggregates merge exactly
-// and the grouping is low-cardinality; otherwise (or for small inputs
-// and width-1 pools) it runs the sequential kernel. Output is
-// byte-identical either way.
+// groupByPartsPool evaluates GroupBy over parts; see groupPartsPool.
+func groupByPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
+	firsts, gs := groupPartsPool(pool, parts, nK, aCols, false)
+	return materializeGroups(parts, firsts, gs, nK, aCols, sch)
+}
+
+// groupPartsPool runs the grouping scan over parts and returns each
+// group's first-appearance row and the groups' aggregate states. It
+// fans morsels across the pool when the query's aggregates merge
+// exactly and the grouping is low-cardinality; otherwise (or for small
+// inputs and width-1 pools) it runs the sequential kernel. The result is
+// identical either way. exact fills every Sum's float mirror (see
+// sumNeedsFFor), which keeps Sum on the sequential kernel.
 //
 // The cardinality gate matters as much as the mergeability one: when
 // groups ≈ rows, each morsel's private group table approaches the
 // global one and the serial canonical-key merge costs more than the
 // parallel scans save — group-bys like that run *slower* morselized at
 // every worker count, so they stay sequential.
-func groupByPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
-	if pool.Workers() > 1 && nK > 0 && morselMergeable(parts, aCols) {
+func groupPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, exact bool) ([]partRef, *groupStates) {
+	sumNeedsF := sumNeedsFFor(parts, aCols, exact)
+	if pool.Workers() > 1 && nK > 0 && morselMergeable(sumNeedsF) {
 		var rows int64
 		for _, p := range parts {
 			rows += int64(p.n)
@@ -276,19 +279,19 @@ func groupByPartsPool(pool *Pool, parts []*compPart, nK int, aCols []aggCol, sch
 		if morselGroupBound(parts)*8 <= rows {
 			morsels := splitMorsels(parts, morselTargetRows)
 			if len(morsels) > 1 {
-				return groupByMorsels(pool, morsels, parts, nK, aCols, sch)
+				return groupMorsels(pool, morsels, parts, nK, aCols, sumNeedsF)
 			}
 		}
 	}
-	return groupByParts(parts, nK, aCols, sch)
+	sc := groupParts(parts, nK, aCols, sumNeedsF)
+	return sc.ga.firsts, sc.gs
 }
 
-// groupByMorsels scans every morsel into a private partial group table
+// groupMorsels scans every morsel into a private partial group table
 // on the pool, then folds the partials in morsel (= global row) order.
-func groupByMorsels(pool *Pool, morsels []morsel, parts []*compPart,
-	nK int, aCols []aggCol, sch Schema) *Table {
+func groupMorsels(pool *Pool, morsels []morsel, parts []*compPart,
+	nK int, aCols []aggCol, sumNeedsF []bool) ([]partRef, *groupStates) {
 
-	sumNeedsF := sumNeedsFFor(parts, aCols)
 	dims := globalKeyDims(parts, nK)
 	partials := make([]*gbScan, len(morsels))
 	// fn never fails; the error return exists for ForEach's signature.
@@ -322,5 +325,5 @@ func groupByMorsels(pool *Pool, morsels []morsel, parts []*compPart,
 			}
 		}
 	}
-	return materializeGroups(parts, firsts, gs, nK, aCols, sch)
+	return firsts, gs
 }

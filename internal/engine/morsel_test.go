@@ -181,7 +181,7 @@ func TestMorselMergeable(t *testing.T) {
 	}
 	for _, c := range cases {
 		parts, aCols := mk(c.f, c.cc)
-		if got := morselMergeable(parts, aCols); got != c.want {
+		if got := morselMergeable(sumNeedsFFor(parts, aCols, false)); got != c.want {
 			t.Errorf("%s: morselMergeable = %v, want %v", c.name, got, c.want)
 		}
 	}

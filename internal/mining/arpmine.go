@@ -90,13 +90,10 @@ func ARPMine(r engine.Relation, opt Options) (*Result, error) {
 			}
 		}
 
-		// Phase 3 (parallel): explore sort orders per G. The tested-pair
-		// set is per G because (F, V) pairs from different attribute sets
-		// never coincide.
+		// Phase 3 (parallel): explore sort orders per G.
 		err = pool.ForEach("mine:arpmine-sort", len(gs), func(i int) error {
 			st := &states[i]
-			tested := make(map[string]bool)
-			return exploreSortOrders(gs[i], st.grouped, st.aggs, opt, fds, tested, &st.out)
+			return exploreSortOrders(gs[i], st.grouped, st.aggs, opt, fds, &st.out)
 		})
 		if err != nil {
 			return nil, err
@@ -116,66 +113,29 @@ func ARPMine(r engine.Relation, opt Options) (*Result, error) {
 }
 
 // exploreSortOrders is Algorithm 5 on the fast path: instead of copying
-// and re-sorting the grouped rows per sort order, it dictionary-encodes
-// the grouping columns once (BuildSortCodes) and sorts a row-index
-// permutation, reusing the sorted prefix shared with the previous order.
-// The orders come from the minimal cover (C(n, ⌊n/2⌋) of the n!
-// permutations); each order evaluates every split whose F is a prefix,
-// through one SharedFitter that scans fragments columnar.
+// and re-sorting the grouped rows per sort order, eachSplit sorts one
+// row-index permutation over the grouped table's dictionary ranks,
+// reusing the sorted prefix shared with the previous order, and every
+// split it yields is fitted through one SharedFitter that scans
+// fragments columnar.
 func exploreSortOrders(g []string, grouped *engine.Table, aggs []engine.AggSpec,
-	opt Options, fds *fd.Set, tested map[string]bool, res *Result) error {
-
-	t0 := time.Now()
-	codes, err := engine.BuildSortCodes(grouped, g)
-	if err != nil {
-		return err
-	}
-	perm := codes.NewPerm()
-	res.Timers.Query += time.Since(t0)
+	opt Options, fds *fd.Set, res *Result) error {
 
 	fitter, err := pattern.NewSharedFitter(grouped, aggs, opt.Models, opt.Thresholds)
 	if err != nil {
 		return err
 	}
-
-	var prev []string
-	for _, s := range sortOrderCover(g) {
-		// Does this sort order cover anything new?
-		covers := false
-		for k := 1; k < len(s); k++ {
-			if !tested[pairKey(s[:k], s[k:])] {
-				covers = true
-				break
-			}
+	return eachSplit(grouped, g, &res.Timers, func(f, v []string, perm []int32) error {
+		if opt.UseFDs && (!fds.IsMinimal(f) || fds.DeterminesAll(f, v)) {
+			res.SkippedByFD++
+			return nil
 		}
-		if !covers {
-			continue
-		}
-		t0 := time.Now()
-		if err := codes.SortPerm(perm, s, sharedPrefix(prev, s)); err != nil {
+		res.Candidates += len(aggs) * len(opt.Models)
+		mined, err := fitter.Fit(f, v, perm, &res.Timers)
+		if err != nil {
 			return err
 		}
-		res.Timers.Query += time.Since(t0)
-		prev = s
-
-		for k := 1; k < len(s); k++ {
-			f, v := s[:k], s[k:]
-			pk := pairKey(f, v)
-			if tested[pk] {
-				continue
-			}
-			tested[pk] = true
-			if opt.UseFDs && (!fds.IsMinimal(f) || fds.DeterminesAll(f, v)) {
-				res.SkippedByFD++
-				continue
-			}
-			res.Candidates += len(aggs) * len(opt.Models)
-			mined, err := fitter.Fit(f, v, perm, &res.Timers)
-			if err != nil {
-				return err
-			}
-			res.Patterns = append(res.Patterns, mined...)
-		}
-	}
-	return nil
+		res.Patterns = append(res.Patterns, mined...)
+		return nil
+	})
 }

@@ -67,11 +67,11 @@ func BenchmarkFitShared(b *testing.B) {
 	}
 }
 
-// benchCrimeMaintainer is the repository benchmark's append workload at
-// the Maintainer's front door: Crime rows (6 attributes, 10
-// communities) mined at ψ=3 over count(*), plus the 100-row batches
-// that follow in the generator's stream.
-func benchCrimeMaintainer(tb testing.TB, rows int) (*Maintainer, [][]value.Tuple) {
+// benchCrime is the repository benchmark's append workload at the
+// miner's front door: Crime rows (6 attributes, 10 communities) mined
+// at ψ=3 over count(*), plus the 100-row batches that follow in the
+// generator's stream.
+func benchCrime(tb testing.TB, rows int) (*engine.Table, Options, [][]value.Tuple) {
 	const batchRows, nBatches = 100, 64
 	cfg := dataset.CrimeConfig{Rows: rows + batchRows*nBatches, Seed: 1, NumAttrs: 6, NumCommunities: 10}
 	all := dataset.GenerateCrime(cfg).Rows()
@@ -79,19 +79,54 @@ func benchCrimeMaintainer(tb testing.TB, rows int) (*Maintainer, [][]value.Tuple
 	if err := tab.AppendRows(all[:rows]); err != nil {
 		tb.Fatal(err)
 	}
-	m, err := NewMaintainer(tab, Options{
+	opt := Options{
 		MaxPatternSize: 3,
 		Thresholds:     pattern.Thresholds{Theta: 0.25, LocalSupport: 4, Lambda: 0.25, GlobalSupport: 3},
 		AggFuncs:       []engine.AggFunc{engine.Count},
-	})
-	if err != nil {
-		tb.Fatal(err)
 	}
 	batches := make([][]value.Tuple, nBatches)
 	for i := range batches {
 		batches[i] = all[rows+i*batchRows : rows+(i+1)*batchRows]
 	}
+	return tab, opt, batches
+}
+
+// benchCrimeMaintainer builds a Maintainer over benchCrime's table.
+func benchCrimeMaintainer(tb testing.TB, rows int) (*Maintainer, [][]value.Tuple) {
+	tab, opt, batches := benchCrime(tb, rows)
+	m, err := NewMaintainer(tab, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return m, batches
+}
+
+// BenchmarkMaintainerBuild times NewMaintainer over benchCrime's
+// 300K-row table: ARPMine's group-by, split enumeration and fits, plus
+// keeping their outputs. BenchmarkARPMineCrime is the same mine without
+// the retention, for the ratio.
+func BenchmarkMaintainerBuild(b *testing.B) {
+	tab, opt, _ := benchCrime(b, 300000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewMaintainer(tab, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkARPMineCrime is a cold ARPMine over the table and options
+// BenchmarkMaintainerBuild builds from.
+func BenchmarkARPMineCrime(b *testing.B) {
+	tab, opt, _ := benchCrime(b, 300000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ARPMine(tab, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // dirtiedBy calls fn for every fragment a CatchUp over batch re-fits:
@@ -168,7 +203,7 @@ func TestMaintainerCatchUpAllocs(t *testing.T) {
 		for _, cs := range sp.cands {
 			if _, ok := cs.locals[fr.key]; ok {
 				held += 2
-				if cs.model == regress.Lin {
+				if cs.p.Model == regress.Lin {
 					held++
 				}
 			}

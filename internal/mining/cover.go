@@ -1,6 +1,64 @@
 package mining
 
-import "sort"
+import (
+	"sort"
+	"time"
+
+	"cape/internal/engine"
+	"cape/internal/pattern"
+)
+
+// eachSplit is the (F, V) split enumeration of Algorithm 5, the one both
+// ARPMine and the Maintainer run over a grouped table: it walks the
+// sort-order cover of g, sorts a permutation of keys' rows by each order
+// that covers an untested split (keeping the prefix it shares with the
+// previous order sorted), and calls fn with every untested prefix split
+// (F, V) of that order and the sorted permutation. F and V come in the
+// order's attribute order; perm is valid only during the call. Building
+// the sort codes and sorting accrue to tm.Query.
+func eachSplit(keys *engine.Table, g []string, tm *pattern.Timers, fn func(f, v []string, perm []int32) error) error {
+	t0 := time.Now()
+	codes, err := engine.BuildSortCodes(keys, g)
+	if err != nil {
+		return err
+	}
+	perm := codes.NewPerm()
+	tm.Query += time.Since(t0)
+
+	tested := make(map[string]bool)
+	var prev []string
+	for _, s := range sortOrderCover(g) {
+		// Does this sort order cover anything new?
+		covers := false
+		for k := 1; k < len(s); k++ {
+			if !tested[pairKey(s[:k], s[k:])] {
+				covers = true
+				break
+			}
+		}
+		if !covers {
+			continue
+		}
+		t0 := time.Now()
+		if err := codes.SortPerm(perm, s, sharedPrefix(prev, s)); err != nil {
+			return err
+		}
+		tm.Query += time.Since(t0)
+		prev = s
+
+		for k := 1; k < len(s); k++ {
+			pk := pairKey(s[:k], s[k:])
+			if tested[pk] {
+				continue
+			}
+			tested[pk] = true
+			if err := fn(s[:k], s[k:], perm); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // sortOrderCover returns a minimal set of orderings of g such that every
 // (F, V) split of g — F a non-empty proper subset — is a prefix split of

@@ -6,16 +6,18 @@ import (
 
 	"cape/internal/engine"
 	"cape/internal/pattern"
-	"cape/internal/regress"
 	"cape/internal/value"
 )
 
-// Maintainer keeps a mined pattern set fresh under appends. Per grouping
-// attribute set it retains the grouped table in struct-of-arrays form —
-// one key slab, one engine.AggAccum slab, and a decoded float64 column
-// per aggregate (the observations) and per attribute (the predictors) —
-// and, for every (F, V) split, each fragment's groups in observation
-// order. An appended batch costs
+// Maintainer keeps a mined pattern set fresh under appends. It is built
+// from ARPMine's own stages and keeps their outputs: per grouping
+// attribute set, the grouped key table and each group's resumable
+// engine.AggAccum (engine.GroupByAccums, the same group-by kernels
+// ARPMine runs), a decoded observation column per aggregate, and, for
+// every (F, V) split the shared enumeration yields, each fragment's
+// groups in observation order — a slice of the sorted permutation the
+// split was fitted over, through the same pattern.FragFit. An appended
+// batch then costs
 //
 //	O(batch × groupings)             fold rows, refresh touched groups' y
 //	+ O(Σ |fragment| over dirtied)   re-fit: stream the flat columns
@@ -28,16 +30,18 @@ import (
 // The maintained set is pinned byte-identical to a cold ARPMine run
 // (without FD pruning) over the same rows:
 //
-//   - Appended rows land at the table tail, so folding them onto the
-//     retained accumulators reproduces GroupBy's per-group fold order
-//     bit for bit, and new groups enter in first-appearance order —
+//   - The retained accumulators equal a row-order fold of each group's
+//     rows, bit for bit (GroupByAccums' contract), and appended rows
+//     land at the table tail, so folding them on reproduces GroupBy's
+//     per-group fold order; new groups enter in first-appearance order —
 //     exactly where a re-run's grouped table would place them.
 //   - Each fragment keeps its groups in the miner's observation order:
 //     sorted by the predictor sequence of the sort order that first
-//     tested the split (value.Compare ranks, ties by grouped-row
-//     index — the engine's permutation sorts are stable). Re-fitting
-//     folds observations through the same ConstStats / FitLinInto
-//     kernels in the same order, so float arithmetic agrees exactly.
+//     tested the split. An appended group is inserted where
+//     value.Compare over that sequence puts it (the grouped rows are
+//     distinct, so no two groups of a fragment tie). Re-fitting runs
+//     the same FragFit over the same order, so float arithmetic agrees
+//     exactly.
 //
 // Float sums are order-sensitive, which is why touched fragments are
 // re-fit from their (retained, ordered) group aggregates rather than
@@ -48,12 +52,12 @@ import (
 // canonical-key equality for every value, NaN, ±0.0 and integers past
 // 2⁵³ included, so routing by Compare and grouping by key agree.
 //
-// With Options.Parallelism > 1 the per-grouping-set work — folding
-// appended rows into the retained accumulators, routing touched groups,
-// re-fitting dirty fragments — fans across a shared pool. Grouping sets
-// are fully independent retained states, and each one still folds the
-// appended rows in row order, so the maintained set is identical to the
-// sequential maintainer's at any width.
+// With Options.Parallelism > 1 the per-grouping-set work — the build,
+// folding appended rows into the retained accumulators, routing touched
+// groups, re-fitting dirty fragments — fans across a shared pool.
+// Grouping sets are fully independent retained states, and each one
+// still folds the appended rows in row order, so the maintained set is
+// identical to the sequential maintainer's at any width.
 //
 // A Maintainer is not safe for concurrent use.
 type Maintainer struct {
@@ -65,34 +69,29 @@ type Maintainer struct {
 	cands  []*mCand // every candidate, sorted by key
 }
 
-// gSet is the retained state of one grouping attribute set: its grouped
-// table, column-wise. Group gi (first-appearance order == grouped-row
-// index) owns keys[gi*len(attrs):], accs[gi*len(aggs):] and entry gi of
-// every per-group column.
+// gSet is the retained state of one grouping attribute set. Group gi
+// (first-appearance order == grouped-row index) is row gi of keys and
+// owns accs[gi*len(aggs):] and entry gi of every observation column.
 type gSet struct {
 	attrs  []string
 	colIdx []int // table column per attr
 	aggs   []engine.AggSpec
 	aggIdx []int // table column per aggregate argument (-1 for star)
-	hasLin bool
 
-	keys    []value.V         // key values from each group's first row, as GroupBy emits
+	keys    *engine.Table     // the grouped key columns, as GroupBy emits them
 	accs    []engine.AggAccum // resumable aggregate state
 	state   []uint8           // gTouched | gFresh
-	y       []numCol          // per aggregate: Result() as of the last CatchUp
-	x       []numCol          // per attr: the key value (kept only when a Lin candidate reads it)
-	lookup  map[string]int32
+	y       []pattern.Obs     // per aggregate: Result() as of the last CatchUp
+	lookup  map[string]int32  // canonical key bytes → group
 	splits  []*mSplit
 	touched []int32 // groups touched by the current batch
 
 	// Scratch reused across folds and fragment re-fits. Per grouping set
 	// (not per maintainer) so CatchUp can fan grouping sets across a
 	// pool.
-	ys     []float64
-	xs     []float64
+	fit    *pattern.FragFit
 	keyBuf []byte
-	stats  regress.ConstStats
-	lin    regress.LinScratch
+	row    value.Tuple
 }
 
 const (
@@ -100,26 +99,11 @@ const (
 	gFresh                     // created by the current batch
 )
 
-// numCol is one decoded column over a grouping set's groups, mirroring
-// the engine's flat column decode: the float64 payload of each numeric
-// value, and whether the value was numeric at all.
-type numCol struct {
-	f  []float64
-	ok []bool
-}
-
-func (c *numCol) set(gi int32, v value.V) { c.f[gi], c.ok[gi] = v.AsFloat() }
-
-func (c *numCol) push(v value.V) {
-	f, ok := v.AsFloat()
-	c.f, c.ok = append(c.f, f), append(c.ok, ok)
-}
-
 // mSplit is one (F, V) split of a grouping set.
 type mSplit struct {
 	f, v []string // sorted, as Pattern carries them
-	fPos []int    // positions into gSet.attrs, sorted-F order
-	vPos []int    // positions into gSet.attrs, sorted-V order
+	fPos []int    // key columns of F, sorted-F order
+	vPos []int    // key columns of V, sorted-V order
 	// seqPos orders observations within a fragment: the predictor
 	// attributes in the order of the sort order that first tested this
 	// split, exactly as the miner's permutation sort left them.
@@ -152,7 +136,6 @@ type mCand struct {
 	key    string
 	sp     *mSplit
 	agg    int
-	model  regress.ModelType
 	locals map[string]*pattern.LocalModel
 }
 
@@ -172,90 +155,162 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 	if opt.UseFDs {
 		return nil, fmt.Errorf("mining: FD pruning is not supported by the incremental maintainer")
 	}
-	m := &Maintainer{tab: tab, opt: opt}
-	attrPos := func(attrs []string, a string) int {
-		for i, b := range attrs {
-			if b == a {
-				return i
-			}
-		}
-		return -1
-	}
+	m := &Maintainer{tab: tab, opt: opt, synced: tab.NumRows(), epoch: tab.Epoch()}
+	var groupings [][]string
 	for size := 2; size <= opt.MaxPatternSize && size <= len(opt.Attributes); size++ {
-		for _, g := range combinations(opt.Attributes, size) {
-			aggs := aggSpecsFor(tab, opt.AggFuncs, g)
-			gs := &gSet{
-				attrs:  g,
-				aggs:   aggs,
-				aggIdx: make([]int, len(aggs)),
-				y:      make([]numCol, len(aggs)),
-				x:      make([]numCol, len(g)),
-				lookup: make(map[string]int32),
-			}
-			gs.colIdx, err = tab.Schema().Indices(g)
-			if err != nil {
-				return nil, err
-			}
-			for i, a := range aggs {
-				gs.aggIdx[i] = -1
-				if !a.IsStar() {
-					gs.aggIdx[i] = tab.Schema().Index(a.Arg)
-				}
-			}
-			// Replicate the miner's split enumeration: iterate the sort-
-			// order cover and keep, per (F, V) pair, the predictor sequence
-			// of the first order that tests it.
-			tested := make(map[string]bool)
-			for _, s := range sortOrderCover(g) {
-				for k := 1; k < len(s); k++ {
-					f, v := s[:k], s[k:]
-					pk := pairKey(f, v)
-					if tested[pk] {
-						continue
-					}
-					tested[pk] = true
-					sp := &mSplit{
-						f:       pattern.SortedCopy(f),
-						v:       pattern.SortedCopy(v),
-						fragIdx: make(map[string]int32),
-						numSupp: make([]int, len(aggs)),
-					}
-					for _, a := range sp.f {
-						sp.fPos = append(sp.fPos, attrPos(g, a))
-					}
-					for _, a := range sp.v {
-						sp.vPos = append(sp.vPos, attrPos(g, a))
-					}
-					for _, a := range v {
-						sp.seqPos = append(sp.seqPos, attrPos(g, a))
-					}
-					for ai, a := range aggs {
-						for _, mt := range opt.Models {
-							p := pattern.Pattern{F: sp.f, V: sp.v, Agg: a, Model: mt}
-							if err := p.Validate(); err != nil {
-								return nil, err
-							}
-							if mt == regress.Lin {
-								gs.hasLin = true
-							}
-							sp.cands = append(sp.cands, &mCand{
-								p: p, key: p.Key(), sp: sp, agg: ai, model: mt,
-								locals: make(map[string]*pattern.LocalModel),
-							})
-						}
-					}
-					m.cands = append(m.cands, sp.cands...)
-					gs.splits = append(gs.splits, sp)
-				}
-			}
-			m.gsets = append(m.gsets, gs)
+		groupings = append(groupings, combinations(opt.Attributes, size)...)
+	}
+	m.gsets = make([]*gSet, len(groupings))
+	pool, detach := runPool(tab, opt.Parallelism)
+	defer detach()
+	err = pool.ForEach("mine:maintain-build", len(groupings), func(i int) error {
+		gs, err := newGSet(tab, groupings[i], opt)
+		m.gsets[i] = gs
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, gs := range m.gsets {
+		for _, sp := range gs.splits {
+			m.cands = append(m.cands, sp.cands...)
 		}
 	}
 	sort.Slice(m.cands, func(i, j int) bool { return m.cands[i].key < m.cands[j].key })
-	if err := m.CatchUp(); err != nil {
+	return m, nil
+}
+
+// newGSet builds one grouping set's retained state: ARPMine's group-by
+// (with resumable accumulators), its split enumeration, and one fit of
+// every fragment.
+func newGSet(tab engine.Relation, g []string, opt Options) (*gSet, error) {
+	sch := tab.Schema()
+	aggs := aggSpecsFor(tab, opt.AggFuncs, g)
+	keys, accs, err := engine.GroupByAccums(tab, g, aggs)
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	nG, na := keys.NumRows(), len(aggs)
+	gs := &gSet{
+		attrs:  g,
+		aggs:   aggs,
+		aggIdx: make([]int, na),
+		keys:   keys,
+		accs:   accs,
+		state:  make([]uint8, nG),
+		y:      make([]pattern.Obs, na),
+		lookup: make(map[string]int32, nG),
+		fit:    pattern.NewFragFit(na, opt.Models, opt.Thresholds),
+	}
+	gs.colIdx, err = sch.Indices(g)
+	if err != nil {
+		return nil, err
+	}
+	for ai, a := range aggs {
+		gs.aggIdx[ai] = -1
+		if !a.IsStar() {
+			gs.aggIdx[ai] = sch.Index(a.Arg)
+		}
+		y := pattern.Obs{F: make([]float64, nG), OK: make([]bool, nG)}
+		for gi := range y.F {
+			y.F[gi], y.OK[gi] = accs[gi*na+ai].Result().AsFloat()
+		}
+		gs.y[ai] = y
+	}
+	all := make([]int, len(g))
+	for i := range all {
+		all[i] = i
+	}
+	for gi := 0; gi < nG; gi++ {
+		gs.keyBuf = gs.appendKey(gs.keyBuf[:0], all, int32(gi))
+		gs.lookup[string(gs.keyBuf)] = int32(gi)
+	}
+
+	var tm pattern.Timers // the build reports no timings
+	var ends []int32
+	err = eachSplit(keys, g, &tm, func(f, v []string, perm []int32) error {
+		sp, err := gs.newSplit(f, v, opt)
+		if err != nil {
+			return err
+		}
+		fCodes := make([][]int32, len(sp.fPos))
+		for i, p := range sp.fPos {
+			fCodes[i] = keys.Col(p).Codes
+		}
+		ends = pattern.FragmentEnds(ends, fCodes, perm)
+		// One backing array per split: each fragment's groups are its
+		// run of the sorted permutation, capped so an insertion copies
+		// the fragment out instead of overwriting its neighbour.
+		order := append([]int32(nil), perm...)
+		frags := make([]mFrag, len(ends))
+		supported := make([]bool, len(ends)*na)
+		sp.frags = make([]*mFrag, len(ends))
+		sp.fragOf = make([]int32, nG)
+		lo := int32(0)
+		for fi, hi := range ends {
+			fr := &frags[fi]
+			fr.groups = order[lo:hi:hi]
+			fr.supported = supported[fi*na : (fi+1)*na : (fi+1)*na]
+			gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, fr.groups[0])
+			fr.key = string(gs.keyBuf)
+			sp.frags[fi] = fr
+			sp.fragIdx[fr.key] = int32(fi)
+			for _, gi := range fr.groups {
+				sp.fragOf[gi] = int32(fi)
+			}
+			gs.refit(sp, fr)
+			lo = hi
+		}
+		gs.splits = append(gs.splits, sp)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return gs, nil
+}
+
+// newSplit sets up the split (F, V) of gs — f and v in the order of the
+// sort order that first tests it — with its candidates and no fragments.
+func (gs *gSet) newSplit(f, v []string, opt Options) (*mSplit, error) {
+	sp := &mSplit{
+		f:       pattern.SortedCopy(f),
+		v:       pattern.SortedCopy(v),
+		fragIdx: make(map[string]int32),
+		numSupp: make([]int, len(gs.aggs)),
+	}
+	sch := gs.keys.Schema()
+	for _, a := range sp.f {
+		sp.fPos = append(sp.fPos, sch.Index(a))
+	}
+	for _, a := range sp.v {
+		sp.vPos = append(sp.vPos, sch.Index(a))
+	}
+	for _, a := range v {
+		sp.seqPos = append(sp.seqPos, sch.Index(a))
+	}
+	for ai, a := range gs.aggs {
+		for _, mt := range opt.Models {
+			p := pattern.Pattern{F: sp.f, V: sp.v, Agg: a, Model: mt}
+			if err := p.Validate(); err != nil {
+				return nil, err
+			}
+			sp.cands = append(sp.cands, &mCand{
+				p: p, key: p.Key(), sp: sp, agg: ai,
+				locals: make(map[string]*pattern.LocalModel),
+			})
+		}
+	}
+	return sp, nil
+}
+
+// appendKey appends the canonical key bytes of group gi's values in the
+// key columns cols to dst.
+func (gs *gSet) appendKey(dst []byte, cols []int, gi int32) []byte {
+	for _, ci := range cols {
+		dst = gs.keys.Col(ci).Value(int(gi)).AppendKey(dst)
+	}
+	return dst
 }
 
 // Table returns the relation the maintainer tracks.
@@ -316,7 +371,9 @@ func (m *Maintainer) CatchUp() error {
 		err := pool.ForEach("mine:maintain-fold", len(m.gsets), func(i int) error {
 			gs := m.gsets[i]
 			for _, row := range chunk {
-				gs.foldRow(row)
+				if err := gs.foldRow(row); err != nil {
+					return err
+				}
 			}
 			return nil
 		})
@@ -345,13 +402,13 @@ func (m *Maintainer) CatchUp() error {
 		na := len(gs.aggs)
 		for _, gi := range gs.touched {
 			for ai := range gs.y {
-				gs.y[ai].set(gi, gs.accs[int(gi)*na+ai].Result())
+				gs.y[ai].F[gi], gs.y[ai].OK[gi] = gs.accs[int(gi)*na+ai].Result().AsFloat()
 			}
 		}
 		for _, sp := range gs.splits {
 			gs.routeTouched(sp)
 			for _, fr := range sp.dirty {
-				gs.refit(m.opt, sp, fr)
+				gs.refit(sp, fr)
 				fr.dirty = false
 			}
 			sp.dirty = sp.dirty[:0]
@@ -376,9 +433,9 @@ var maintainChunkRows = 4096
 
 // foldRow routes one appended row to its group in gs (creating new
 // groups in first-appearance order) and folds it into the aggregate
-// accumulators. Only value.V structs are retained (copied into the key
-// slab), so the row may live in a reused chunk slab.
-func (gs *gSet) foldRow(row value.Tuple) {
+// accumulators. Values are copied into the key table, so the row may
+// live in a reused chunk slab.
+func (gs *gSet) foldRow(row value.Tuple) error {
 	gs.keyBuf = gs.keyBuf[:0]
 	for _, ci := range gs.colIdx {
 		gs.keyBuf = row[ci].AppendKey(gs.keyBuf)
@@ -386,15 +443,17 @@ func (gs *gSet) foldRow(row value.Tuple) {
 	gi, ok := gs.lookup[string(gs.keyBuf)]
 	if !ok {
 		gi = int32(len(gs.state))
-		for i, ci := range gs.colIdx {
-			gs.keys = append(gs.keys, row[ci])
-			if gs.hasLin {
-				gs.x[i].push(row[ci])
-			}
+		gs.row = gs.row[:0]
+		for _, ci := range gs.colIdx {
+			gs.row = append(gs.row, row[ci])
+		}
+		if err := gs.keys.Append(gs.row); err != nil {
+			return err
 		}
 		for ai, a := range gs.aggs {
 			gs.accs = append(gs.accs, engine.NewAggAccum(a))
-			gs.y[ai].push(value.NewNull()) // decoded once the batch is folded
+			// Decoded once the batch is folded.
+			gs.y[ai].F, gs.y[ai].OK = append(gs.y[ai].F, 0), append(gs.y[ai].OK, false)
 		}
 		gs.state = append(gs.state, gFresh)
 		gs.lookup[string(gs.keyBuf)] = gi
@@ -411,21 +470,18 @@ func (gs *gSet) foldRow(row value.Tuple) {
 		}
 		accs[ai].Add(arg)
 	}
+	return nil
 }
 
 // routeTouched maps every touched group to its fragment in sp, inserting
 // fresh groups at their observation-order position, and collects the
 // dirty fragments.
 func (gs *gSet) routeTouched(sp *mSplit) {
-	w := len(gs.attrs)
 	for _, gi := range gs.touched {
 		// Fresh groups sit in touched in creation order, so the append
 		// below lands at fragOf[gi].
 		if gs.state[gi]&gFresh != 0 {
-			gs.keyBuf = gs.keyBuf[:0]
-			for _, p := range sp.fPos {
-				gs.keyBuf = gs.keys[int(gi)*w+p].AppendKey(gs.keyBuf)
-			}
+			gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, gi)
 			fi, ok := sp.fragIdx[string(gs.keyBuf)]
 			if !ok {
 				fi = int32(len(sp.frags))
@@ -453,61 +509,26 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 
 // obsLess orders groups within a fragment: by the split's predictor
 // sequence under value.Compare, then by grouped-row index — the order
-// the miner's stable permutation sort visits them in.
+// the miner's permutation sort visits them in.
 func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
-	w := len(gs.attrs)
-	ka, kb := gs.keys[int(a)*w:], gs.keys[int(b)*w:]
 	for _, p := range sp.seqPos {
-		if c := value.Compare(ka[p], kb[p]); c != 0 {
+		col := gs.keys.Col(p)
+		if c := value.Compare(col.Value(int(a)), col.Value(int(b))); c != 0 {
 			return c < 0
 		}
 	}
 	return a < b
 }
 
-// refit re-evaluates every candidate of sp on fragment fr, replicating
-// SharedFitter.flushFragment over the fragment's groups in observation
-// order: same gather order, same ConstStats / FitLinInto arithmetic,
-// same threshold gates — so the resulting local models are bitwise
-// those of a cold re-mine. Observations and predictors are gathered
-// from the decoded columns, never from accumulators or key values.
-func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
-	n := len(fr.groups)
-	d := len(sp.v)
-
-	numericX := true
-	xs := gs.xs[:0]
-	if gs.hasLin {
-	gather:
-		for _, gi := range fr.groups {
-			for _, p := range sp.vPos {
-				if !gs.x[p].ok[gi] {
-					numericX = false
-					break gather
-				}
-				xs = append(xs, gs.x[p].f[gi])
-			}
-		}
-		gs.xs = xs
-	}
-
-	var frag value.Tuple
-	nModels := len(opt.Models)
-	for ai := range gs.aggs {
-		numericY := true
-		gs.stats.Reset()
-		ys := gs.ys[:0]
-		yf, yok := gs.y[ai].f, gs.y[ai].ok
-		for _, gi := range fr.groups {
-			if !yok[gi] {
-				numericY = false
-				break
-			}
-			gs.stats.Add(yf[gi])
-			ys = append(ys, yf[gi])
-		}
-		gs.ys = ys
-		if supp := numericY && n >= opt.Thresholds.LocalSupport; supp != fr.supported[ai] {
+// refit re-evaluates every candidate of sp on fragment fr through the
+// miner's own FragFit, over the fragment's groups in observation order,
+// and records the outcome: the support flags feeding the λ denominator
+// and the local models — bitwise those of a cold re-mine.
+func (gs *gSet) refit(sp *mSplit, fr *mFrag) {
+	ff := gs.fit
+	ff.Fit(gs.keys, sp.fPos, sp.vPos, gs.y, fr.groups, nil)
+	for ai, supp := range ff.Supported {
+		if supp != fr.supported[ai] {
 			fr.supported[ai] = supp
 			if supp {
 				sp.numSupp[ai]++
@@ -515,63 +536,12 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 				sp.numSupp[ai]--
 			}
 		}
-
-		for mi := 0; mi < nModels; mi++ {
-			cs := sp.cands[ai*nModels+mi]
-			if !fr.supported[ai] {
-				delete(cs.locals, fr.key)
-				continue
-			}
-			isLin := cs.model == regress.Lin
-			if isLin && !numericX {
-				delete(cs.locals, fr.key)
-				continue
-			}
-			var gof, cmean float64
-			var ferr error
-			if isLin {
-				gof, ferr = regress.FitLinInto(xs[:n*d], d, ys, &gs.lin)
-			} else {
-				cmean, gof, ferr = gs.stats.FitParams()
-			}
-			if ferr != nil || gof < opt.Thresholds.Theta {
-				delete(cs.locals, fr.key)
-				continue
-			}
-			var model regress.Model
-			if isLin {
-				model = gs.lin.Model(gof)
-			} else {
-				model = regress.NewConst(cmean, gof)
-			}
-			if frag == nil {
-				first := gs.keys[int(fr.groups[0])*len(gs.attrs):]
-				frag = make(value.Tuple, len(sp.fPos))
-				for i, p := range sp.fPos {
-					frag[i] = first[p]
-				}
-			}
-			lm := &pattern.LocalModel{Frag: frag, Model: model, Support: n}
-			if isLin {
-				for i, y := range ys {
-					dev := y - model.Predict(xs[i*d:(i+1)*d])
-					if dev > lm.MaxPosDev {
-						lm.MaxPosDev = dev
-					}
-					if dev < lm.MaxNegDev {
-						lm.MaxNegDev = dev
-					}
-				}
-			} else {
-				mean := model.Predict(nil)
-				if dev := gs.stats.Max - mean; dev > 0 {
-					lm.MaxPosDev = dev
-				}
-				if dev := gs.stats.Min - mean; dev < 0 {
-					lm.MaxNegDev = dev
-				}
-			}
+	}
+	for i, cs := range sp.cands {
+		if lm := ff.Locals[i]; lm != nil {
 			cs.locals[fr.key] = lm
+		} else {
+			delete(cs.locals, fr.key)
 		}
 	}
 }
@@ -582,32 +552,22 @@ func (gs *gSet) refit(opt Options, sp *mSplit, fr *mFrag) {
 // Mined values are fresh (maps copied); the LocalModels are shared but
 // immutable — re-fits replace them, never mutate.
 func (m *Maintainer) Patterns() []*pattern.Mined {
-	th := m.opt.Thresholds
 	var out []*pattern.Mined
 	for _, cs := range m.cands {
-		good, supp := len(cs.locals), cs.sp.numSupp[cs.agg]
-		if good == 0 || supp == 0 || good < th.GlobalSupport {
-			continue
-		}
-		conf := float64(good) / float64(supp)
-		if conf < th.Lambda {
+		supp := cs.sp.numSupp[cs.agg]
+		conf, ok := m.opt.Thresholds.HoldsGlobally(len(cs.locals), supp)
+		if !ok {
 			continue
 		}
 		mined := &pattern.Mined{
 			Pattern:      cs.p,
-			Locals:       make(map[string]*pattern.LocalModel, good),
+			Locals:       make(map[string]*pattern.LocalModel, len(cs.locals)),
 			NumFragments: len(cs.sp.frags),
 			NumSupported: supp,
 			Confidence:   conf,
 		}
 		for k, lm := range cs.locals {
-			mined.Locals[k] = lm
-			if lm.MaxPosDev > mined.MaxPosDev {
-				mined.MaxPosDev = lm.MaxPosDev
-			}
-			if lm.MaxNegDev < mined.MaxNegDev {
-				mined.MaxNegDev = lm.MaxNegDev
-			}
+			mined.AddLocal(k, lm)
 		}
 		out = append(out, mined)
 	}

@@ -154,21 +154,11 @@ func naivePatternHolds(p pattern.Pattern, r engine.Relation, th pattern.Threshol
 				lm.MaxNegDev = dev
 			}
 		}
-		mined.Locals[frag.Key()] = lm
-		if lm.MaxPosDev > mined.MaxPosDev {
-			mined.MaxPosDev = lm.MaxPosDev
-		}
-		if lm.MaxNegDev < mined.MaxNegDev {
-			mined.MaxNegDev = lm.MaxNegDev
-		}
+		mined.AddLocal(frag.Key(), lm)
 	}
 
-	good := mined.GlobalSupport()
-	if good < th.GlobalSupport || numSupp == 0 {
-		return nil, nil
-	}
-	conf := float64(good) / float64(numSupp)
-	if conf < th.Lambda {
+	conf, ok := th.HoldsGlobally(mined.GlobalSupport(), numSupp)
+	if !ok {
 		return nil, nil
 	}
 	mined.NumSupported = numSupp

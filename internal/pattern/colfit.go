@@ -12,12 +12,12 @@ import (
 // SharedFitter evaluates pattern candidates over one grouped table,
 // columnar: aggregate and predictor observations come straight from the
 // table's columns (flat float64 buffers plus numeric masks, shared with
-// every other operator), and each Fit
-// call scans fragment runs of a sorted row permutation as subslices with
-// reusable scratch buffers. Nothing is re-decoded or re-boxed into
-// value.Tuple rows, no per-fragment observation slices are allocated,
-// and thresholds are validated once — this is the offline-mining hot
-// path behind ARPMine, ShareGrp, and CubeMine.
+// every other operator), and each Fit call scans fragment runs of a
+// sorted row permutation as subslices through one FragFit. Nothing is
+// re-decoded or re-boxed into value.Tuple rows, no per-fragment
+// observation slices are allocated, and thresholds are validated once —
+// this is the offline-mining hot path behind ARPMine, ShareGrp, and
+// CubeMine.
 //
 // A SharedFitter is not safe for concurrent use; miners construct one
 // per grouped table inside their per-attribute-set workers. (The
@@ -26,18 +26,11 @@ type SharedFitter struct {
 	grouped *engine.Table
 	aggs    []engine.AggSpec
 	models  []regress.ModelType
-	th      Thresholds
-	hasLin  bool
-
-	aggVal [][]float64 // [agg][row]: aggregate observation (engine buffer)
-	aggOK  [][]bool    // [agg][row]: observation numeric? (engine buffer)
+	ys      []Obs // per aggregate: the grouped table's aggregate column
 
 	// Scratch reused across fragments and Fit calls.
-	ys       []float64
-	xs       []float64
+	fit      *FragFit
 	keyBuf   []byte
-	stats    regress.ConstStats
-	lin      regress.LinScratch
 	cands    []candState
 	fragEnds []int32
 }
@@ -48,7 +41,6 @@ type candState struct {
 	p       Pattern
 	mined   *Mined // allocated on the first locally-holding fragment
 	numSupp int
-	numFrag int
 }
 
 // NewSharedFitter validates the thresholds once and binds the aggregate
@@ -66,14 +58,8 @@ func NewSharedFitter(grouped *engine.Table, aggs []engine.AggSpec,
 		grouped: grouped,
 		aggs:    aggs,
 		models:  models,
-		th:      th,
-		aggVal:  make([][]float64, len(aggs)),
-		aggOK:   make([][]bool, len(aggs)),
-	}
-	for _, m := range models {
-		if m == regress.Lin {
-			sf.hasLin = true
-		}
+		ys:      make([]Obs, len(aggs)),
+		fit:     NewFragFit(len(aggs), models, th),
 	}
 	for i, a := range aggs {
 		ci := sch.Index(a.String())
@@ -81,26 +67,16 @@ func NewSharedFitter(grouped *engine.Table, aggs []engine.AggSpec,
 			return nil, fmt.Errorf("pattern: sorted input missing aggregate column %q", a.String())
 		}
 		col := grouped.Col(ci)
-		sf.aggVal[i] = col.F64
-		sf.aggOK[i] = col.Num
+		sf.ys[i] = Obs{F: col.F64, OK: col.Num}
 	}
 	return sf, nil
-}
-
-// predictorCol returns the flat buffers of one predictor column (F64 is
-// 0 and Num false exactly where AsFloat would decline).
-func (sf *SharedFitter) predictorCol(ci int) ([]float64, []bool) {
-	col := sf.grouped.Col(ci)
-	return col.F64, col.Num
 }
 
 // Fit evaluates, in a single scan, every (aggregate, model) candidate
 // sharing the partition attributes f and predictor attributes v. perm is
 // a permutation of the grouped table's rows sorted by f then v (any
 // attribute order within each set); nil means the table itself is
-// already sorted. Fragment boundaries compare the grouped table's
-// dictionary codes, which are value.Equal classes. The returned slice
-// holds one *Mined per candidate
+// already sorted. The returned slice holds one *Mined per candidate
 // that holds globally. This implements the paper's "one query for all
 // patterns sharing F and V" optimization plus Algorithm 6's block scan.
 func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, error) {
@@ -119,23 +95,16 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, 
 	if err != nil {
 		return nil, err
 	}
-
 	fCodes := make([][]int32, len(fIdx))
 	for i, ci := range fIdx {
 		fCodes[i] = sf.grouped.Col(ci).Codes
 	}
 
-	// Predictor columns, decoded once per grouped table.
-	vVal := make([][]float64, len(vIdx))
-	vOK := make([][]bool, len(vIdx))
-	for i, ci := range vIdx {
-		vVal[i], vOK[i] = sf.predictorCol(ci)
+	nc := len(sf.aggs) * len(sf.models)
+	if cap(sf.cands) < nc {
+		sf.cands = make([]candState, nc)
 	}
-
-	if cap(sf.cands) < len(sf.aggs)*len(sf.models) {
-		sf.cands = make([]candState, len(sf.aggs)*len(sf.models))
-	}
-	cands := sf.cands[:len(sf.aggs)*len(sf.models)]
+	cands := sf.cands[:nc]
 	for ai, a := range sf.aggs {
 		for mi, m := range sf.models {
 			p := Pattern{F: f, V: v, Agg: a, Model: m}
@@ -146,31 +115,50 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, 
 		}
 	}
 
-	n := sf.grouped.NumRows()
-	start := int32(0)
-	for _, end := range sf.fragmentEnds(fCodes, perm, n) {
-		if err := sf.flushFragment(cands, fIdx, vVal, vOK, perm, int(start), int(end), tm); err != nil {
-			return nil, err
+	if perm == nil {
+		perm = make([]int32, sf.grouped.NumRows())
+		for i := range perm {
+			perm[i] = int32(i)
 		}
+	}
+	sf.fragEnds = FragmentEnds(sf.fragEnds, fCodes, perm)
+	ff := sf.fit
+	start := int32(0)
+	for _, end := range sf.fragEnds {
+		ff.Fit(sf.grouped, fIdx, vIdx, sf.ys, perm[start:end], tm)
 		start = end
+		var fragKey string
+		for i := range cands {
+			cs := &cands[i]
+			if ff.Supported[i/len(sf.models)] {
+				cs.numSupp++
+			}
+			lm := ff.Locals[i]
+			if lm == nil {
+				continue
+			}
+			if fragKey == "" {
+				sf.keyBuf = ff.Frag.AppendKey(sf.keyBuf[:0])
+				fragKey = string(sf.keyBuf)
+			}
+			if cs.mined == nil {
+				cs.mined = &Mined{Pattern: cs.p, Locals: make(map[string]*LocalModel)}
+			}
+			cs.mined.AddLocal(fragKey, lm)
+		}
 	}
 
-	// Decide global holding per candidate (Definition 4).
 	var out []*Mined
 	for i := range cands {
 		cs := &cands[i]
-		if cs.mined == nil || cs.numSupp == 0 {
+		if cs.mined == nil {
 			continue
 		}
-		good := len(cs.mined.Locals)
-		if good < sf.th.GlobalSupport {
+		conf, ok := ff.th.HoldsGlobally(len(cs.mined.Locals), cs.numSupp)
+		if !ok {
 			continue
 		}
-		conf := float64(good) / float64(cs.numSupp)
-		if conf < sf.th.Lambda {
-			continue
-		}
-		cs.mined.NumFragments = cs.numFrag
+		cs.mined.NumFragments = len(sf.fragEnds)
 		cs.mined.NumSupported = cs.numSupp
 		cs.mined.Confidence = conf
 		out = append(out, cs.mined)
@@ -178,181 +166,222 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, 
 	return out, nil
 }
 
-// fragmentEnds computes the exclusive end row of every fragment of the
-// scan, in order, into a reusable buffer: a row starts a new fragment
-// where any F column's code differs from the previous row's.
-func (sf *SharedFitter) fragmentEnds(fCodes [][]int32, perm []int32, n int) []int32 {
-	ends := sf.fragEnds[:0]
-	switch {
-	case n == 0:
-	case len(fCodes) == 0:
-		ends = append(ends, int32(n))
-	case perm != nil:
-		for r := 1; r < n; r++ {
-			pa, pb := perm[r-1], perm[r]
-			for _, c := range fCodes {
-				if c[pa] != c[pb] {
-					ends = append(ends, int32(r))
-					break
-				}
-			}
-		}
-		ends = append(ends, int32(n))
-	default:
-		for r := 1; r < n; r++ {
-			for _, c := range fCodes {
-				if c[r-1] != c[r] {
-					ends = append(ends, int32(r))
-					break
-				}
-			}
-		}
-		ends = append(ends, int32(n))
+// FragmentEnds computes, into ends[:0], the exclusive end of every
+// fragment of the scan order perm, in order: a row starts a new fragment
+// where any F column's dictionary code (fCodes, indexed by row) differs
+// from the previous row's. Codes are value.Equal classes, so fragments
+// are exactly the runs of equal F values.
+func FragmentEnds(ends []int32, fCodes [][]int32, perm []int32) []int32 {
+	ends = ends[:0]
+	n := len(perm)
+	if n == 0 {
+		return ends
 	}
-	sf.fragEnds = ends
-	return ends
+	for r := 1; r < n; r++ {
+		pa, pb := perm[r-1], perm[r]
+		for _, c := range fCodes {
+			if c[pa] != c[pb] {
+				ends = append(ends, int32(r))
+				break
+			}
+		}
+	}
+	return append(ends, int32(n))
 }
 
-// flushFragment evaluates all candidates on the fragment perm[lo:hi].
-func (sf *SharedFitter) flushFragment(cands []candState, fIdx []int,
-	vVal [][]float64, vOK [][]bool, perm []int32, lo, hi int, tm *Timers) error {
+// Obs is one flat observation column over a grouped table's rows: per
+// row, the value's float64 payload and whether it is numeric — the
+// engine.Col F64/Num pair, or a copy a caller keeps current itself.
+type Obs struct {
+	F  []float64
+	OK []bool
+}
 
-	n := hi - lo
-	d := len(vVal)
-	rowAt := func(r int) int32 {
-		if perm != nil {
-			return perm[r]
-		}
-		return int32(r)
+// FragFit is the one fragment fit of every miner: it evaluates each
+// (aggregate, model) candidate of an (F, V) split on one fragment,
+// applying the local gates of Definition 3 (local support δ over a
+// numeric aggregate, numeric predictors for Lin, goodness of fit θ).
+// Observations are folded in the order of the fragment's rows, through
+// ConstStats and FitLinInto, so any two callers that present a fragment
+// in the same order get bitwise the same local models. SharedFitter
+// calls it per fragment of a sorted permutation; mining.Maintainer calls
+// it on the fragments it builds and on those an append dirties.
+//
+// A FragFit is not safe for concurrent use.
+type FragFit struct {
+	models []regress.ModelType
+	th     Thresholds
+	hasLin bool
+
+	// Supported reports, per aggregate, whether the last fragment met
+	// the local support gate.
+	Supported []bool
+	// Locals holds, per candidate (aggregate ai, model mi at
+	// ai*len(models)+mi), the local model of the last fragment, or nil
+	// where the candidate does not hold locally.
+	Locals []*LocalModel
+	// Frag is the last fragment's F values (the order of fIdx), shared
+	// by its Locals; nil when none holds.
+	Frag value.Tuple
+
+	// Scratch reused across fragments.
+	ys    []float64
+	xs    []float64
+	xc    []*engine.Col
+	stats regress.ConstStats
+	lin   regress.LinScratch
+}
+
+// NewFragFit returns a fitter for nAggs aggregates under the given
+// models and thresholds (which the caller has validated).
+func NewFragFit(nAggs int, models []regress.ModelType, th Thresholds) *FragFit {
+	ff := &FragFit{
+		models:    models,
+		th:        th,
+		Supported: make([]bool, nAggs),
+		Locals:    make([]*LocalModel, nAggs*len(models)),
 	}
+	for _, m := range models {
+		if m == regress.Lin {
+			ff.hasLin = true
+		}
+	}
+	return ff
+}
+
+// Fit evaluates every candidate on the fragment whose groups are rows of
+// keys, in observation order: fIdx and vIdx are keys' partition and
+// predictor columns, ys[ai] is aggregate ai's observation column over
+// the same rows. Results land in Supported, Locals and Frag. tm, when
+// non-nil, accrues the model-fitting time.
+func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []int32, tm *Timers) {
+	n, d := len(rows), len(vIdx)
+	ff.Frag = nil
 
 	// Gather the fragment's predictor matrix once (flat, stride d) when
 	// any Lin candidate will need it.
 	numericX := true
-	xs := sf.xs[:0]
-	if sf.hasLin {
+	xs := ff.xs[:0]
+	if ff.hasLin {
+		xc := ff.xc[:0]
+		for _, ci := range vIdx {
+			xc = append(xc, keys.Col(ci))
+		}
+		ff.xc = xc
 	gather:
-		for r := lo; r < hi; r++ {
-			ri := rowAt(r)
-			for i := 0; i < d; i++ {
-				if !vOK[i][ri] {
+		for _, r := range rows {
+			for _, c := range xc {
+				if !c.Num[r] {
 					numericX = false
 					break gather
 				}
-				xs = append(xs, vVal[i][ri])
+				xs = append(xs, c.F64[r])
 			}
 		}
-		sf.xs = xs
+		ff.xs = xs
 	}
 
-	// Fragment identity, materialized lazily on the first local hold.
-	var frag value.Tuple
-	var fragKey string
-
-	for ai := range sf.aggs {
-		vals, oks := sf.aggVal[ai], sf.aggOK[ai]
+	nm := len(ff.models)
+	for ai, y := range ys {
 		// One pass per aggregate: numeric check, sufficient statistics
 		// for Const, and the observation vector for Lin.
 		numericY := true
-		sf.stats.Reset()
-		ys := sf.ys[:0]
-		for r := lo; r < hi; r++ {
-			ri := rowAt(r)
-			if !oks[ri] {
+		ff.stats.Reset()
+		obs := ff.ys[:0]
+		for _, r := range rows {
+			if !y.OK[r] {
 				numericY = false
 				break
 			}
-			y := vals[ri]
-			sf.stats.Add(y)
-			ys = append(ys, y)
+			ff.stats.Add(y.F[r])
+			obs = append(obs, y.F[r])
 		}
-		sf.ys = ys
-
-		for mi := range sf.models {
-			cs := &cands[ai*len(sf.models)+mi]
-			cs.numFrag++
-			if !numericY || n < sf.th.LocalSupport {
-				continue // insufficient local support
+		ff.ys = obs
+		supp := numericY && n >= ff.th.LocalSupport
+		ff.Supported[ai] = supp
+		for mi, m := range ff.models {
+			var lm *LocalModel
+			if supp && (m != regress.Lin || numericX) {
+				lm = ff.fitOne(m, keys, fIdx, xs, d, obs, rows[0], tm)
 			}
-			cs.numSupp++
-			isLin := cs.p.Model == regress.Lin
-			if isLin && !numericX {
-				continue // Lin needs numeric predictors
-			}
-			var t0 time.Time
-			if tm != nil {
-				t0 = time.Now()
-			}
-			// Fit without materializing a Model: most fragments fail the
-			// GoF threshold, and the rejects must not allocate.
-			var gof, cmean float64
-			var ferr error
-			if isLin {
-				gof, ferr = regress.FitLinInto(xs[:n*d], d, ys, &sf.lin)
-			} else {
-				cmean, gof, ferr = sf.stats.FitParams()
-			}
-			if tm != nil {
-				tm.Regression += time.Since(t0)
-			}
-			if ferr != nil {
-				continue // singular fit etc.: pattern does not hold here
-			}
-			if gof < sf.th.Theta {
-				continue
-			}
-			var model regress.Model
-			if isLin {
-				model = sf.lin.Model(gof)
-			} else {
-				model = regress.NewConst(cmean, gof)
-			}
-			if frag == nil {
-				first := int(rowAt(lo))
-				frag = make(value.Tuple, len(fIdx))
-				for i, ci := range fIdx {
-					frag[i] = sf.grouped.Col(ci).Value(first)
-				}
-				sf.keyBuf = frag.AppendKey(sf.keyBuf[:0])
-				fragKey = string(sf.keyBuf)
-			}
-			lm := &LocalModel{Frag: frag, Model: model, Support: n}
-			if isLin {
-				for i, y := range ys {
-					dev := y - model.Predict(xs[i*d:(i+1)*d])
-					if dev > lm.MaxPosDev {
-						lm.MaxPosDev = dev
-					}
-					if dev < lm.MaxNegDev {
-						lm.MaxNegDev = dev
-					}
-				}
-			} else {
-				// For a Const model, max(y − mean) = max(y) − mean and
-				// min(y − mean) = min(y) − mean exactly (subtraction is
-				// monotone), so the extremes come from the statistics.
-				mean := model.Predict(nil)
-				if dev := sf.stats.Max - mean; dev > 0 {
-					lm.MaxPosDev = dev
-				}
-				if dev := sf.stats.Min - mean; dev < 0 {
-					lm.MaxNegDev = dev
-				}
-			}
-			if cs.mined == nil {
-				cs.mined = &Mined{
-					Pattern: cs.p,
-					Locals:  make(map[string]*LocalModel),
-				}
-			}
-			cs.mined.Locals[fragKey] = lm
-			if lm.MaxPosDev > cs.mined.MaxPosDev {
-				cs.mined.MaxPosDev = lm.MaxPosDev
-			}
-			if lm.MaxNegDev < cs.mined.MaxNegDev {
-				cs.mined.MaxNegDev = lm.MaxNegDev
-			}
+			ff.Locals[ai*nm+mi] = lm
 		}
 	}
-	return nil
+}
+
+// fitOne fits one model on the gathered observations and returns its
+// local model, or nil when the fit fails or falls below θ. first is the
+// fragment's first row, whose F values become Frag.
+func (ff *FragFit) fitOne(m regress.ModelType, keys *engine.Table, fIdx []int,
+	xs []float64, d int, ys []float64, first int32, tm *Timers) *LocalModel {
+
+	var t0 time.Time
+	if tm != nil {
+		t0 = time.Now()
+	}
+	// Fit without materializing a Model: most fragments fail the GoF
+	// threshold, and the rejects must not allocate.
+	isLin := m == regress.Lin
+	var gof, cmean float64
+	var err error
+	if isLin {
+		gof, err = regress.FitLinInto(xs[:len(ys)*d], d, ys, &ff.lin)
+	} else {
+		cmean, gof, err = ff.stats.FitParams()
+	}
+	if tm != nil {
+		tm.Regression += time.Since(t0)
+	}
+	if err != nil || gof < ff.th.Theta {
+		return nil // singular fit etc., or a poor one: no local hold
+	}
+	var model regress.Model
+	if isLin {
+		model = ff.lin.Model(gof)
+	} else {
+		model = regress.NewConst(cmean, gof)
+	}
+	if ff.Frag == nil {
+		ff.Frag = make(value.Tuple, len(fIdx))
+		for i, ci := range fIdx {
+			ff.Frag[i] = keys.Col(ci).Value(int(first))
+		}
+	}
+	lm := &LocalModel{Frag: ff.Frag, Model: model, Support: len(ys)}
+	if isLin {
+		for i, y := range ys {
+			lm.widen(y - model.Predict(xs[i*d:(i+1)*d]))
+		}
+	} else {
+		// For a Const model, max(y − mean) = max(y) − mean and
+		// min(y − mean) = min(y) − mean exactly (subtraction is
+		// monotone), so the extremes come from the statistics.
+		mean := model.Predict(nil)
+		lm.widen(ff.stats.Max - mean)
+		lm.widen(ff.stats.Min - mean)
+	}
+	return lm
+}
+
+// widen folds one deviation (observed − predicted) into the local
+// model's extremes. Strict comparisons keep a NaN or −0 deviation out.
+func (lm *LocalModel) widen(dev float64) {
+	if dev > lm.MaxPosDev {
+		lm.MaxPosDev = dev
+	}
+	if dev < lm.MaxNegDev {
+		lm.MaxNegDev = dev
+	}
+}
+
+// AddLocal records the local model of the fragment keyed fragKey and
+// widens the pattern's deviation extremes by it.
+func (m *Mined) AddLocal(fragKey string, lm *LocalModel) {
+	m.Locals[fragKey] = lm
+	if lm.MaxPosDev > m.MaxPosDev {
+		m.MaxPosDev = lm.MaxPosDev
+	}
+	if lm.MaxNegDev < m.MaxNegDev {
+		m.MaxNegDev = lm.MaxNegDev
+	}
 }

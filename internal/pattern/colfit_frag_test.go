@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cape/internal/engine"
-	"cape/internal/regress"
 	"cape/internal/value"
 )
 
@@ -44,12 +43,10 @@ func sortedGroupedTable(rng *rand.Rand, n int) (*engine.Table, []value.Tuple) {
 	return tab, rows
 }
 
-// TestFragmentEndsTiers pins the dictionary-code boundary scan, in
-// identity and in permuted order, to the definition: a fragment ends
-// where some F value of the generated rows changes under value.Equal.
+// TestFragmentEndsTiers pins the dictionary-code boundary scan of a
+// scan order to the definition: a fragment ends where some F value of
+// the generated rows changes under value.Equal.
 func TestFragmentEndsTiers(t *testing.T) {
-	aggs := []engine.AggSpec{{Func: engine.Count}}
-	th := Thresholds{Theta: 0.1, LocalSupport: 1, Lambda: 0.1, GlobalSupport: 1}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab, rows := sortedGroupedTable(rng, rng.Intn(120))
@@ -72,24 +69,16 @@ func TestFragmentEndsTiers(t *testing.T) {
 				want = append(want, int32(n))
 			}
 
-			sf, err := NewSharedFitter(tab, aggs, []regress.ModelType{regress.Const}, th)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var fCodes [][]int32
 			for _, ci := range fIdx {
 				fCodes = append(fCodes, tab.Col(ci).Codes)
 			}
-			if got := sf.fragmentEnds(fCodes, nil, n); !reflect.DeepEqual(append([]int32(nil), got...), want) {
-				t.Fatalf("seed %d f=%v: code scan %v, want %v", seed, f, got, want)
-			}
-			// Identity permutation through the perm scan.
 			perm := make([]int32, n)
 			for i := range perm {
 				perm[i] = int32(i)
 			}
-			if got := sf.fragmentEnds(fCodes, perm, n); !reflect.DeepEqual(append([]int32(nil), got...), want) {
-				t.Fatalf("seed %d f=%v: perm scan %v, want %v", seed, f, got, want)
+			if got := FragmentEnds(nil, fCodes, perm); !reflect.DeepEqual(append([]int32(nil), got...), want) {
+				t.Fatalf("seed %d f=%v: code scan %v, want %v", seed, f, got, want)
 			}
 		}
 	}

@@ -122,6 +122,19 @@ func (t Thresholds) Validate() error {
 	return nil
 }
 
+// HoldsGlobally is Definition 4's global gate on a candidate's fragment
+// evidence: good fragments with a local fit, out of supported ones. It
+// holds when good ≥ Δ and the confidence good/supported ≥ λ, and it
+// returns that confidence. A candidate without a good fragment never
+// holds, whatever Δ says.
+func (t Thresholds) HoldsGlobally(good, supported int) (conf float64, ok bool) {
+	if good == 0 || supported == 0 || good < t.GlobalSupport {
+		return 0, false
+	}
+	conf = float64(good) / float64(supported)
+	return conf, conf >= t.Lambda
+}
+
 // LocalModel is the regression model under which a pattern holds locally
 // on one fragment, together with the statistics the explanation stage
 // needs.

@@ -101,3 +101,39 @@ func TestThresholdsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldsGloballyBoundaries pins Definition 4's gate at its edges:
+// good = Δ and confidence = λ exactly both hold; one less good
+// fragment, a confidence just under λ, or no supported fragment do not.
+func TestHoldsGloballyBoundaries(t *testing.T) {
+	th := Thresholds{Theta: 0.5, LocalSupport: 3, Lambda: 0.5, GlobalSupport: 2}
+	cases := []struct {
+		name            string
+		good, supported int
+		wantConf        float64
+		wantOK          bool
+	}{
+		{"good = Δ, conf = λ", 2, 4, 0.5, true},
+		{"good = Δ − 1", 1, 1, 0, false},
+		{"conf just under λ", 2, 5, 0.4, false},
+		{"conf = 1", 3, 3, 1, true},
+		{"supported = 0", 0, 0, 0, false},
+		{"good = 0", 0, 4, 0, false},
+	}
+	for _, c := range cases {
+		conf, ok := th.HoldsGlobally(c.good, c.supported)
+		if ok != c.wantOK || conf != c.wantConf {
+			t.Errorf("%s: HoldsGlobally(%d, %d) = (%g, %v), want (%g, %v)",
+				c.name, c.good, c.supported, conf, ok, c.wantConf, c.wantOK)
+		}
+	}
+	// λ = 0 and Δ = 1, the loosened gates shards mine under: every
+	// candidate with a good fragment holds, none without.
+	loose := Thresholds{Theta: 0.5, LocalSupport: 3, Lambda: 0, GlobalSupport: 1}
+	if conf, ok := loose.HoldsGlobally(1, 7); !ok || conf != 1.0/7 {
+		t.Errorf("loosened gate: (%g, %v), want (%g, true)", conf, ok, 1.0/7)
+	}
+	if _, ok := loose.HoldsGlobally(0, 7); ok {
+		t.Error("loosened gate admits a candidate without a good fragment")
+	}
+}

@@ -28,22 +28,16 @@ import (
 // store's stamp matches the loaded table (or when the store predates
 // stamping, where divergence is undetectable).
 func (s *Server) AddPatternSetEntry(entry *pattern.StoreEntry) (id, warning string) {
-	locals := 0
-	for _, m := range entry.Patterns {
-		locals += len(m.Locals)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
 	ps := &patternSet{
-		ID:       "ps-" + strconv.Itoa(s.nextID),
-		Table:    entry.Table,
-		Count:    len(entry.Patterns),
-		Locals:   locals,
-		patterns: entry.Patterns,
-		stamp:    entry.Stamp,
-		spec:     entry.Spec,
+		ID:    "ps-" + strconv.Itoa(s.nextID),
+		Table: entry.Table,
+		stamp: entry.Stamp,
+		spec:  entry.Spec,
 	}
+	ps.serve(entry.Patterns)
 	s.patterns[ps.ID] = ps
 
 	tab, ok := s.tables[entry.Table]
@@ -210,13 +204,7 @@ func (s *Server) maintainSet(ps *patternSet, tab *engine.Table) appendSetStatus 
 	// CandStats before any explanation can observe the new rows (its
 	// write lock spans append + admit).
 	maintained := filterAdmitted(ps.maintainer.Patterns(), ps.admitted)
-	locals := 0
-	for _, m := range maintained {
-		locals += len(m.Locals)
-	}
-	ps.patterns = maintained
-	ps.Count = len(maintained)
-	ps.Locals = locals
+	ps.serve(maintained)
 	// The version bump reopens the answer-cache keyspace: cached answers
 	// computed over the pre-maintenance pattern list stop matching even
 	// if this maintenance pass left the table epoch unchanged.

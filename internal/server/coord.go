@@ -429,10 +429,6 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
 		return
 	}
-	if m := strings.ToLower(req.Miner); m != "" && m != "arpmine" {
-		httpError(w, http.StatusBadRequest, "sharded mining supports only the arpmine miner, not %q", req.Miner)
-		return
-	}
 	if req.UseFDs {
 		httpError(w, http.StatusBadRequest, "sharded mining is incompatible with useFDs")
 		return
@@ -528,19 +524,9 @@ func admittedKeys(stats [][]mining.CandStat, th pattern.Thresholds, key []string
 	}
 	var out []string
 	for k, e := range sum {
-		if e.good == 0 || e.supp == 0 {
-			continue
+		if _, ok := th.HoldsGlobally(e.good, e.supp); ok && keyInPatternF(k, key) {
+			out = append(out, k)
 		}
-		if e.good < th.GlobalSupport {
-			continue
-		}
-		if float64(e.good)/float64(e.supp) < th.Lambda {
-			continue
-		}
-		if !keyInPatternF(k, key) {
-			continue
-		}
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -294,7 +294,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // MineRequest is the body of POST /v1/mine.
 type MineRequest struct {
 	Table          string   `json:"table"`
-	Miner          string   `json:"miner,omitempty"` // arpmine (default), sharegrp, cube, naive
 	Attributes     []string `json:"attributes,omitempty"`
 	MaxPatternSize int      `json:"maxPatternSize,omitempty"`
 	Theta          float64  `json:"theta,omitempty"`
@@ -310,8 +309,7 @@ type MineRequest struct {
 	// appends. This is the shard role of a sharded deployment: shards
 	// mine with loosened global thresholds, the coordinator sums the
 	// counters and applies the real λ/Δ gates via
-	// POST /v1/patterns/{id}/admit. Incompatible with useFDs and with
-	// miners other than arpmine (the maintainer is the arpmine fit).
+	// POST /v1/patterns/{id}/admit. Incompatible with useFDs.
 	WithStats bool `json:"withStats,omitempty"`
 }
 
@@ -330,53 +328,57 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The set is stamped with the table shape it was mined at, and keeps
+	// the mining spec when reconstructible (non-FD), so /v1/append can
+	// build a maintainer and fold future rows into it.
+	ps := &patternSet{Table: req.Table, Options: req}
 	if req.WithStats {
-		s.handleMineWithStats(w, req, tab, opt)
-		return
+		// The shard role (shardapi.go): mine through the maintainer so
+		// the retained state can report candidate evidence now and
+		// after every future append.
+		if req.UseFDs {
+			httpError(w, http.StatusBadRequest, "withStats mining is incompatible with useFDs")
+			return
+		}
+		ps.maintainer, err = mining.NewMaintainer(tab, opt)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ps.withStats = true
+		ps.serve(ps.maintainer.Patterns())
+	} else {
+		res, err := mining.ARPMine(tab, opt)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ps.serve(res.Patterns)
 	}
-	run := mining.ARPMine
-	switch strings.ToLower(req.Miner) {
-	case "", "arpmine":
-	case "sharegrp":
-		run = mining.ShareGrp
-	case "cube":
-		run = mining.CubeMine
-	case "naive":
-		run = mining.Naive
-	default:
-		httpError(w, http.StatusBadRequest, "unknown miner %q", req.Miner)
-		return
-	}
-	res, err := run(tab, opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	locals := 0
-	for _, m := range res.Patterns {
-		locals += len(m.Locals)
-	}
-	// Stamp the set with the table shape it was mined at, and keep the
-	// mining spec when reconstructible (non-FD), so /v1/append can build
-	// a maintainer and fold future rows into this set.
-	stamp := &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
-	spec, _ := mining.SpecFor(tab, opt)
+	ps.stamp = &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
+	ps.spec, _ = mining.SpecFor(tab, opt)
 	s.mu.Lock()
 	s.nextID++
-	ps := &patternSet{
-		ID:       "ps-" + strconv.Itoa(s.nextID),
-		Table:    req.Table,
-		Count:    len(res.Patterns),
-		Locals:   locals,
-		Options:  req,
-		patterns: res.Patterns,
-		stamp:    stamp,
-		spec:     spec,
-	}
+	ps.ID = "ps-" + strconv.Itoa(s.nextID)
 	s.patterns[ps.ID] = ps
 	s.mu.Unlock()
+	if req.WithStats {
+		writeJSON(w, http.StatusCreated, map[string]interface{}{
+			"id": ps.ID, "table": ps.Table, "patterns": ps.Count,
+			"localModels": ps.Locals, "options": req,
+			"candStats": ps.maintainer.CandStats(),
+		})
+		return
+	}
 	writeJSON(w, http.StatusCreated, ps)
+}
+
+// serve makes mined the set's served pattern list, with its counts.
+func (ps *patternSet) serve(mined []*pattern.Mined) {
+	ps.patterns, ps.Count, ps.Locals = mined, len(mined), 0
+	for _, m := range mined {
+		ps.Locals += len(m.Locals)
+	}
 }
 
 // options converts a MineRequest to mining.Options.

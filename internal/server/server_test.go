@@ -198,7 +198,6 @@ func TestErrorStatuses(t *testing.T) {
 		{"load without name", "POST", "/v1/tables", nil, http.StatusBadRequest},
 		{"bad sql", "POST", "/v1/query", QueryRequest{SQL: "SELECT nope FROM pub"}, http.StatusBadRequest},
 		{"mine unknown table", "POST", "/v1/mine", MineRequest{Table: "ghost"}, http.StatusNotFound},
-		{"mine unknown miner", "POST", "/v1/mine", MineRequest{Table: "pub", Miner: "quantum"}, http.StatusBadRequest},
 		{"mine bad aggregate", "POST", "/v1/mine", MineRequest{Table: "pub", Aggregates: []string{"median"}}, http.StatusBadRequest},
 		{"patterns unknown id", "GET", "/v1/patterns/ps-999", nil, http.StatusNotFound},
 		{"explain unknown set", "POST", "/v1/explain", ExplainRequest{Patterns: "ps-999", GroupBy: []string{"a"}, Tuple: []string{"x"}, Dir: "low"}, http.StatusNotFound},

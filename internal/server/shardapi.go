@@ -2,11 +2,7 @@ package server
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
 
-	"cape/internal/engine"
-	"cape/internal/mining"
 	"cape/internal/pattern"
 )
 
@@ -26,53 +22,6 @@ import (
 //     λ/Δ gates to the summed counters and pushes the surviving key
 //     set down; the shard serves only admitted patterns from then on,
 //     re-applying the filter after every maintenance pass.
-
-// handleMineWithStats is the WithStats branch of handleMine: mine via
-// mining.NewMaintainer so the retained state can report candidate
-// evidence now and after every future append.
-func (s *Server) handleMineWithStats(w http.ResponseWriter, req MineRequest, tab *engine.Table, opt mining.Options) {
-	if m := strings.ToLower(req.Miner); m != "" && m != "arpmine" {
-		httpError(w, http.StatusBadRequest, "withStats mining supports only the arpmine miner, not %q", req.Miner)
-		return
-	}
-	if req.UseFDs {
-		httpError(w, http.StatusBadRequest, "withStats mining is incompatible with useFDs")
-		return
-	}
-	m, err := mining.NewMaintainer(tab, opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mined := m.Patterns()
-	locals := 0
-	for _, p := range mined {
-		locals += len(p.Locals)
-	}
-	stamp := &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
-	spec, _ := mining.SpecFor(tab, opt)
-	s.mu.Lock()
-	s.nextID++
-	ps := &patternSet{
-		ID:         "ps-" + strconv.Itoa(s.nextID),
-		Table:      req.Table,
-		Count:      len(mined),
-		Locals:     locals,
-		Options:    req,
-		patterns:   mined,
-		stamp:      stamp,
-		spec:       spec,
-		maintainer: m,
-		withStats:  true,
-	}
-	s.patterns[ps.ID] = ps
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]interface{}{
-		"id": ps.ID, "table": ps.Table, "patterns": ps.Count,
-		"localModels": ps.Locals, "options": req,
-		"candStats": m.CandStats(),
-	})
-}
 
 // AdmitRequest is the body of POST /v1/patterns/{id}/admit: the set of
 // pattern keys (pattern.Key()) this shard may serve. Keys the shard
@@ -107,13 +56,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ps.admitted = admitted
 	served := filterAdmitted(ps.maintainer.Patterns(), admitted)
-	locals := 0
-	for _, p := range served {
-		locals += len(p.Locals)
-	}
-	ps.patterns = served
-	ps.Count = len(served)
-	ps.Locals = locals
+	ps.serve(served)
 	// Admission swaps the served list without touching the table, so the
 	// version bump is what invalidates this set's cached answers.
 	ps.version++
@@ -124,7 +67,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"id": id, "admitted": len(req.Keys), "patterns": len(served), "localModels": locals,
+		"id": id, "admitted": len(req.Keys), "patterns": len(served), "localModels": ps.Locals,
 	})
 }
 
