@@ -194,7 +194,7 @@ func BenchmarkAblation_ParallelMining(b *testing.B) {
 }
 
 // BenchmarkAblation_ExplainerCache compares cold per-question generation
-// (Generate re-groups the relation for every refined pattern) against the
+// (GenOpt re-groups the relation for every refined pattern) against the
 // warm-cache Explainer answering the same questions repeatedly.
 func BenchmarkAblation_ExplainerCache(b *testing.B) {
 	in, err := exp.DBLPExplainInput(10000)

@@ -216,7 +216,7 @@ func QuestionFromRow(groupBy []string, agg AggSpec, row Tuple, dir Direction) (Q
 // Explain generates the top-k counterbalancing explanations using the
 // bound-pruned generator.
 func Explain(q Question, t *Table, patterns []*MinedPattern, opt ExplainOptions) ([]Explanation, *ExplainStats, error) {
-	return explain.Generate(q, t, patterns, opt)
+	return explain.GenOpt(q, t, patterns, opt)
 }
 
 // ExplainNaive generates explanations with the brute-force Algorithm 1.
@@ -230,14 +230,14 @@ type BatchItem = explain.BatchItem
 
 // ExplainBatch answers many questions over one relation and pattern set
 // in a single pass. Each question's output is byte-identical to calling
-// Explain on it alone, but the batch shares the relevant-pattern scan
-// across questions with the same (group-by, aggregate) signature, holds
-// every γ aggregate result in one group-by cache, and fans the
-// questions across opt.Parallelism workers. Results and stats align
-// positionally with qs. Questions that fail individually contribute a
-// nil row plus a wrapped, indexed error in the joined error; the other
-// questions still get answers. Use ExplainBatchItems for structured
-// per-item errors.
+// Explain on it alone, but the batch shares one relevance index and one
+// group-by cache holding every γ aggregate result, and runs on one
+// worker pool of opt.Parallelism: the questions fan across it and each
+// question's (pattern, refinement) pairs nest in it. Results and stats
+// align positionally with qs. Questions that fail individually
+// contribute a nil row plus a wrapped, indexed error in the joined
+// error; the other questions still get answers. Use ExplainBatchItems
+// for structured per-item errors.
 func ExplainBatch(qs []Question, t *Table, patterns []*MinedPattern, opt ExplainOptions) ([][]Explanation, []*ExplainStats, error) {
 	return batchResults(explain.GenerateBatch(qs, t, patterns, opt))
 }

@@ -271,7 +271,7 @@ func RunPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 		if err != nil {
 			return res, err
 		}
-		expls, _, err := explain.Generate(s.q, s.tab, s.patterns, explain.Options{K: cfg.K, Metric: s.metric})
+		expls, _, err := explain.GenOpt(s.q, s.tab, s.patterns, explain.Options{K: cfg.K, Metric: s.metric})
 		if err != nil {
 			return res, err
 		}

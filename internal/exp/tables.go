@@ -69,7 +69,7 @@ func baselineTable(w io.Writer, timer Timer, build func() (scenario, error)) err
 
 func (s scenario) cape(w io.Writer, timer Timer, k int) error {
 	return printRanked(w, timer, "CAPE", s.q, func() ([]explain.Explanation, error) {
-		expls, _, err := explain.Generate(s.q, s.tab, s.patterns, explain.Options{K: k, Metric: s.metric})
+		expls, _, err := explain.GenOpt(s.q, s.tab, s.patterns, explain.Options{K: k, Metric: s.metric})
 		return expls, err
 	})
 }

@@ -77,7 +77,7 @@ func studyQuestion(tab *engine.Table, site Site, opt mining.Options) (hits [2]bo
 	if err != nil {
 		return hits, err
 	}
-	expls, _, err := explain.Generate(s.q, s.tab, s.patterns, explain.Options{K: 10, Metric: s.metric})
+	expls, _, err := explain.GenOpt(s.q, s.tab, s.patterns, explain.Options{K: 10, Metric: s.metric})
 	if err != nil {
 		return hits, err
 	}

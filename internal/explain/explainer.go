@@ -7,7 +7,7 @@ import (
 
 // Explainer answers many questions over one relation and pattern set,
 // reusing the aggregate query results that candidate enumeration scans
-// and NORM reads. A fresh Generate call re-groups the relation for every
+// and NORM reads. A fresh GenOpt call re-groups the relation for every
 // pattern it visits; in an interactive session asking several questions,
 // those group-bys are identical across questions, so the Explainer
 // caches them. Results are stamped with the relation's epoch: after an
@@ -25,6 +25,7 @@ type Explainer struct {
 	// idx is the structural relevance index over patterns, built at
 	// construction and rebuilt by SetPatterns — the serve path's
 	// load/admission-time index (questions never pay the build cost).
+	// It is nil when the default options ask for LinearScan.
 	idx *Index
 }
 
@@ -32,13 +33,9 @@ type Explainer struct {
 // The options supply defaults for every question; ExplainOpts' per-call
 // options override fields that are set.
 func NewExplainer(r engine.Relation, patterns []*pattern.Mined, opt Options) *Explainer {
-	return &Explainer{
-		r:        r,
-		patterns: patterns,
-		opt:      opt.withDefaults(),
-		cache:    newGroupCache(),
-		idx:      NewIndex(patterns),
-	}
+	e := &Explainer{r: r, opt: opt.withDefaults(), cache: newGroupCache()}
+	e.SetPatterns(patterns)
+	return e
 }
 
 // Explain answers one question with the bound-pruned generator under the
@@ -52,21 +49,62 @@ func (e *Explainer) Explain(q UserQuestion) ([]Explanation, *Stats, error) {
 // fields fall back to the explainer's defaults. This is the shape a
 // server needs — per-request K, metric, or parallelism while still
 // sharing one warm group-by cache across every request for the table.
+// The question's pairs run on a pool of the merged Parallelism's width.
 func (e *Explainer) ExplainOpts(q UserQuestion, opt Options) ([]Explanation, *Stats, error) {
-	merged := e.merged(opt)
-	idx := e.idx
-	if merged.LinearScan {
-		idx = nil
-	}
-	g, rel, stats, err := prepareIndexed(q, e.r, e.patterns, merged, idx, e.cache.lookup(e.r))
+	return e.answer(q, opt, engine.NewPool(e.merged(opt).workers()))
+}
+
+// answer runs the bound-pruned generation for one question on pool.
+func (e *Explainer) answer(q UserQuestion, opt Options, pool *engine.Pool) ([]Explanation, *Stats, error) {
+	g, rel, stats, err := e.prepare(q, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	expls, err := g.run(rel, stats)
+	expls, err := g.run(rel, stats, pool)
 	if err != nil {
 		return nil, nil, err
 	}
 	return expls, stats, nil
+}
+
+// prepare is every generator's setup: it validates q, overlays opt on
+// the explainer's defaults, and finds the relevant patterns with their
+// NORM factors over the shared group-by cache. The relevance index
+// supplies the candidate patterns and the refinement lists unless
+// LinearScan selects the reference scans of the whole pattern set. The
+// index only prefilters: every candidate still runs the full
+// per-question relevance check, so both paths produce identical entries
+// in identical order. The lookup is in place before relevance runs,
+// because NORM reads it.
+func (e *Explainer) prepare(q UserQuestion, opt Options) (*generator, []relevantEntry, *Stats, error) {
+	if err := q.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	g := &generator{q: q, r: e.r, opt: e.merged(opt), lookup: e.cache.lookup(e.r)}
+	patterns := e.patterns
+	cands := patterns
+	if g.opt.LinearScan {
+		g.refine = func(m *pattern.Mined) []*pattern.Mined { return refinementsOf(m, patterns) }
+	} else {
+		g.refine = e.idx.Refinements
+		cands = nil
+		for _, pi := range e.idx.Relevant(q.GroupBy, q.Agg) {
+			cands = append(cands, patterns[pi])
+		}
+	}
+	stats := &Stats{}
+	var rel []relevantEntry
+	for _, m := range cands {
+		re, ok, err := g.relevant(m)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if ok {
+			rel = append(rel, re)
+			stats.RelevantPatterns++
+		}
+	}
+	return g, rel, stats, nil
 }
 
 // merged overlays the set fields of opt onto the explainer defaults.
@@ -105,10 +143,17 @@ func (e *Explainer) CachedGroupings() int {
 // Explain calls while swapping, as the server's append path does.
 func (e *Explainer) SetPatterns(patterns []*pattern.Mined) {
 	e.patterns = patterns
-	e.idx = NewIndex(patterns)
+	e.idx = nil
+	if !e.opt.LinearScan {
+		e.idx = NewIndex(patterns)
+	}
 }
 
-// IndexStats reports the shape of the explainer's relevance index.
+// IndexStats reports the shape of the explainer's relevance index (zero
+// when LinearScan is a default and no index is built).
 func (e *Explainer) IndexStats() IndexStats {
+	if e.idx == nil {
+		return IndexStats{}
+	}
 	return e.idx.Stats()
 }

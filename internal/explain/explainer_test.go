@@ -13,7 +13,7 @@ import (
 )
 
 // TestExplainerMatchesGenerate: the warm-cache path must return exactly
-// what a cold Generate run returns.
+// what a cold GenOpt run returns.
 func TestExplainerMatchesGenerate(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)
@@ -31,7 +31,7 @@ func TestExplainerMatchesGenerate(t *testing.T) {
 		},
 	}
 	for qi, q := range questions {
-		cold, _, err := Generate(q, tab, pats, opt)
+		cold, _, err := GenOpt(q, tab, pats, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,11 @@ package explain
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cape/internal/distance"
 	"cape/internal/pattern"
@@ -168,4 +171,56 @@ func (t *topK) sorted() []Explanation {
 		out[i] = hs[i].Explanation
 	}
 	return out
+}
+
+// sharedTopK guards a topK for concurrent offers and republishes the
+// current k-th best score through an atomic, so workers read the pruning
+// bound of Section 3.5 without taking the heap lock. The published score
+// only ever increases, so a stale read under-prunes — it can never drop
+// an explanation that belongs in the final top-k. Combined with the
+// deterministic tie-breaks in topK, this makes the parallel result
+// identical to the sequential one; with one worker the published score
+// is always the current one.
+type sharedTopK struct {
+	mu   sync.Mutex
+	tk   *topK
+	full atomic.Bool
+	kth  atomic.Uint64 // math.Float64bits of the current k-th best score
+}
+
+func newSharedTopK(k int) *sharedTopK {
+	return &sharedTopK{tk: newTopK(k)}
+}
+
+// offer drops a candidate strictly below the published k-th score without
+// taking the lock — the published score trails the true one, so that
+// candidate would be dropped under the lock too — and otherwise hands it
+// to the guarded topK.
+func (s *sharedTopK) offer(e Explanation) {
+	if min, full := s.minScore(); full && e.Score < min {
+		return
+	}
+	s.mu.Lock()
+	s.tk.offer(e)
+	if min, full := s.tk.minScore(); full {
+		s.kth.Store(math.Float64bits(min))
+		s.full.Store(true)
+	}
+	s.mu.Unlock()
+}
+
+// minScore returns the last published k-th best score. It may lag the
+// true value, which is safe: pruning against a lower bound is
+// conservative.
+func (s *sharedTopK) minScore() (float64, bool) {
+	if !s.full.Load() {
+		return 0, false
+	}
+	return math.Float64frombits(s.kth.Load()), true
+}
+
+// sorted returns the held explanations best first. Call it only after
+// every offer has returned.
+func (s *sharedTopK) sorted() []Explanation {
+	return s.tk.sorted()
 }

@@ -34,19 +34,21 @@ type Options struct {
 	// byte-identical either way; the flag exists for the ablation
 	// benchmark and the differential suite that pins that equivalence.
 	LinearScan bool
-	// Parallelism is the number of worker goroutines GenOpt (and the
-	// Explainer) fan the (relevant pattern, refinement) pairs across.
-	// 0 or 1 runs sequentially. Parallel runs return exactly the
-	// sequential explanation list — same scores, tuples, and order —
-	// because the top-k order is total and the shared score bound only
-	// ever under-prunes. Stats.PrunedRefinements — and with it
-	// Candidates, since a skipped pair also skips its candidate scan —
-	// may vary between runs (a stale bound lets a worker enumerate a
-	// pair a tighter schedule would have pruned); the explanations,
-	// RelevantPatterns, and RefinementPairs do not. At Parallelism 1
-	// every counter is exactly reproducible: enumerate counts every row
-	// of a pair's grouped result as a candidate, as Algorithm 1 does (a
-	// dictionary miss still counts the full grouped result).
+	// Parallelism is the width of the per-call worker pool an Explainer
+	// (and so GenOpt) runs the (relevant pattern, refinement) pairs on;
+	// a batch fans its questions over the same pool, each question's
+	// pairs nested in it. 0 or 1 runs sequentially. Parallel runs
+	// return exactly the sequential explanation list — same scores,
+	// tuples, and order — because the top-k order is total and the
+	// shared score bound only ever under-prunes. Stats.PrunedRefinements
+	// — and with it Candidates, since a skipped pair also skips its
+	// candidate scan — may vary between runs (a stale bound lets a
+	// worker enumerate a pair a tighter schedule would have pruned); the
+	// explanations, RelevantPatterns, and RefinementPairs do not. At
+	// Parallelism 1 every counter is exactly reproducible: enumerate
+	// counts every row of a pair's grouped result as a candidate, as
+	// Algorithm 1 does (a dictionary miss still counts the full grouped
+	// result).
 	Parallelism int
 }
 
@@ -92,36 +94,30 @@ type relevantEntry struct {
 }
 
 // generator carries the shared state of one generation run. After
-// prepare returns, every field is read-only and the hooks are safe for
-// concurrent calls — a generator may be driven by many workers.
+// Explainer.prepare returns, every field is read-only and the hooks are
+// safe for concurrent calls — a generator may be driven by many workers.
 type generator struct {
 	q   UserQuestion
 	r   engine.Relation
 	opt Options
 	// lookup resolves γ_{F∪V, agg}(R) for a pattern — the grouping a
-	// drill-down enumerates and NORM reads: a per-run cache for
-	// GenOpt/GenNaive, the Explainer's shared cache, or the batch's.
+	// drill-down enumerates and NORM reads — through the Explainer's
+	// shared group-by cache.
 	lookup func(pattern.Pattern) (*engine.Table, error)
-	// refine lists the mined patterns refining a relevant pattern;
-	// defaults to a linear scan of the run's pattern set, overridden by
-	// the batch planner's precomputed lists. Must be safe for concurrent
-	// calls.
+	// refine lists the mined patterns refining a relevant pattern: the
+	// relevance index's precomputed lists, or a linear scan of the
+	// pattern set under LinearScan.
 	refine func(*pattern.Mined) []*pattern.Mined
-}
-
-// Generate runs the optimized generator — the default entry point.
-func Generate(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) ([]Explanation, *Stats, error) {
-	return GenOpt(q, r, patterns, opt)
 }
 
 // GenNaive is Algorithm 1: test every candidate tuple of every refinement
 // of every relevant pattern, maintaining a top-k heap.
 func GenNaive(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) ([]Explanation, *Stats, error) {
-	g, rel, stats, err := prepare(q, r, patterns, opt)
+	g, rel, stats, err := NewExplainer(r, patterns, opt).prepare(q, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	tk := newTopK(g.opt.K)
+	tk := newSharedTopK(g.opt.K)
 	for _, re := range rel {
 		for _, ref := range g.refine(re.mined) {
 			stats.RefinementPairs++
@@ -139,19 +135,11 @@ func GenNaive(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt 
 //
 //	score↑(φ, P, P') = dev↑(P') / (d↓(φ, P') · NORM + ε)
 //
-// cannot beat the current k-th best score. With opt.Parallelism > 1 the
-// (P, P') pairs are fanned across a worker pool; the result is identical
-// to the sequential run.
+// cannot beat the current k-th best score. It is one Explain call on a
+// fresh Explainer: with opt.Parallelism > 1 the (P, P') pairs fan across
+// a worker pool, and the result is identical to the sequential run.
 func GenOpt(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) ([]Explanation, *Stats, error) {
-	g, rel, stats, err := prepare(q, r, patterns, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	expls, err := g.run(rel, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	return expls, stats, nil
+	return NewExplainer(r, patterns, opt).Explain(q)
 }
 
 // sortRelevant orders relevant patterns by NORM. Ascending is the
@@ -166,14 +154,24 @@ func sortRelevant(rel []relevantEntry, descending bool) {
 	}
 }
 
-// run executes the bound-pruned search over the relevant patterns,
-// sequentially or — when opt.Parallelism asks for it — fanned across a
-// bounded worker pool.
-func (g *generator) run(rel []relevantEntry, stats *Stats) ([]Explanation, error) {
+// workItem is one (relevant pattern, refinement) pair of the search
+// space, with the work its visit did.
+type workItem struct {
+	re    relevantEntry
+	ref   *pattern.Mined
+	stats Stats
+}
+
+// run executes the bound-pruned search over the relevant patterns on
+// pool. The (P, P') pairs are flattened in visit order and claimed in
+// that order, so the shared bound tightens as early as in a sequential
+// loop; at width 1 the pool runs them inline in order, and every
+// counter is exactly the sequential loop's. Wider, PrunedRefinements —
+// and Candidates, since a pruned pair skips its candidate scan — vary
+// with scheduling (a stale bound lets a worker enumerate a pair a
+// faster schedule would have pruned); the explanations do not.
+func (g *generator) run(rel []relevantEntry, stats *Stats, pool *engine.Pool) ([]Explanation, error) {
 	sortRelevant(rel, g.opt.DescendingNorm)
-	// Flatten the (P, P') pairs in visit order. Workers claim items in
-	// this same order, so parallel runs tighten the bound as early as the
-	// sequential loop does.
 	var items []workItem
 	for _, re := range rel {
 		for _, ref := range g.refine(re.mined) {
@@ -181,83 +179,25 @@ func (g *generator) run(rel []relevantEntry, stats *Stats) ([]Explanation, error
 		}
 	}
 	stats.RefinementPairs = len(items)
-	if workers := g.opt.workers(); workers > 1 && len(items) > 1 {
-		if workers > len(items) {
-			workers = len(items)
+	tk := newSharedTopK(g.opt.K)
+	err := pool.ForEach("explain:refinements", len(items), func(i int) error {
+		it := &items[i]
+		// Strict comparison: a refinement whose bound ties the current
+		// k-th score could still win the key tiebreak.
+		if min, full := tk.minScore(); full && g.scoreBound(it.re, it.ref) < min {
+			it.stats.PrunedRefinements++
+			return nil
 		}
-		return g.runParallel(items, stats, workers)
+		return g.enumerate(it.re, it.ref, tk, &it.stats)
+	})
+	if err != nil {
+		return nil, err
 	}
-	tk := newTopK(g.opt.K)
-	for _, it := range items {
-		if min, full := tk.minScore(); full {
-			// Strict comparison: a refinement whose bound ties the
-			// current k-th score could still win the key tiebreak.
-			if g.scoreBound(it.re, it.ref) < min {
-				stats.PrunedRefinements++
-				continue
-			}
-		}
-		if err := g.enumerate(it.re, it.ref, tk, stats); err != nil {
-			return nil, err
-		}
+	for i := range items {
+		stats.Candidates += items[i].stats.Candidates
+		stats.PrunedRefinements += items[i].stats.PrunedRefinements
 	}
 	return tk.sorted(), nil
-}
-
-// prepare validates inputs and finds the relevant patterns with their
-// NORM factors, over a per-run group-by cache. Unless opt.LinearScan
-// asks for the reference path, a per-call relevance index replaces both
-// the full-set relevance scan and the per-pattern refinement rescans (an
-// Explainer passes its prebuilt index and shared cache through
-// prepareIndexed instead).
-func prepare(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) (*generator, []relevantEntry, *Stats, error) {
-	var idx *Index
-	if !opt.LinearScan {
-		idx = NewIndex(patterns)
-	}
-	return prepareIndexed(q, r, patterns, opt, idx, newGroupCache().lookup(r))
-}
-
-// prepareIndexed is prepare with the relevance index and the grouping
-// lookup supplied by the caller; idx == nil selects the linear reference
-// path. The index only prefilters: every surviving pattern still runs
-// the full per-question relevance check, so both paths produce identical
-// entries in identical order. The lookup is in place before relevance
-// runs, because NORM reads it.
-func prepareIndexed(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options, idx *Index,
-	lookup func(pattern.Pattern) (*engine.Table, error)) (*generator, []relevantEntry, *Stats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	g := &generator{q: q, r: r, opt: opt.withDefaults(), lookup: lookup}
-	stats := &Stats{}
-	var rel []relevantEntry
-	if idx != nil {
-		g.refine = idx.Refinements
-		for _, pi := range idx.Relevant(q.GroupBy, q.Agg) {
-			re, ok, err := g.relevant(patterns[pi])
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if ok {
-				rel = append(rel, re)
-				stats.RelevantPatterns++
-			}
-		}
-		return g, rel, stats, nil
-	}
-	g.refine = func(m *pattern.Mined) []*pattern.Mined { return refinementsOf(m, patterns) }
-	for _, m := range patterns {
-		re, ok, err := g.relevant(m)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ok {
-			rel = append(rel, re)
-			stats.RelevantPatterns++
-		}
-	}
-	return g, rel, stats, nil
 }
 
 // relevant implements Definition 5 plus the NORM computation: the pattern
@@ -434,8 +374,8 @@ func (g *generator) devBound(re relevantEntry, ref *pattern.Mined) float64 {
 // and offers every valid counterbalance to the top-k collector
 // (Definition 7 conditions 3–5). It only reads generator state and
 // writes through the sink and stats it is handed, so concurrent calls
-// with distinct sinks-and-stats (or a concurrency-safe sink) are safe.
-func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink explSink, stats *Stats) error {
+// with distinct stats are safe.
+func (g *generator) enumerate(re relevantEntry, ref *pattern.Mined, sink *sharedTopK, stats *Stats) error {
 	p, pRef := re.mined.Pattern, ref.Pattern
 	attrs := pRef.GroupAttrs()
 	grouped, err := g.lookup(pRef)
@@ -526,7 +466,7 @@ type candScan struct {
 	tOnAttrs   value.Tuple
 	qDist      distance.Tuple
 	fragRef    value.Tuple // scratch, refilled per row
-	sink       explSink
+	sink       *sharedTopK
 
 	// Flat predictor buffers of the grouped table's V columns.
 	vF64     [][]float64

@@ -87,7 +87,7 @@ func yearMetric() *distance.Metric {
 func TestRunningExampleTopExplanation(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)
-	expls, stats, err := Generate(sigkddQuestion(), tab, pats, Options{K: 10, Metric: yearMetric()})
+	expls, stats, err := GenOpt(sigkddQuestion(), tab, pats, Options{K: 10, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHighDirectionFindsNegativeDeviations(t *testing.T) {
 		AggValue: value.NewInt(7),
 		Dir:      High,
 	}
-	expls, _, err := Generate(q, tab, pats, Options{K: 5, Metric: yearMetric()})
+	expls, _, err := GenOpt(q, tab, pats, Options{K: 5, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestQuestionTupleExcluded(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)
 	q := sigkddQuestion()
-	expls, _, err := Generate(q, tab, pats, Options{K: 1000, Metric: yearMetric()})
+	expls, _, err := GenOpt(q, tab, pats, Options{K: 1000, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestQuestionTupleExcluded(t *testing.T) {
 func TestDeviationDirectionConsistency(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)
-	expls, _, err := Generate(sigkddQuestion(), tab, pats, Options{K: 1000, Metric: yearMetric()})
+	expls, _, err := GenOpt(sigkddQuestion(), tab, pats, Options{K: 1000, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestOptPrunesSomething(t *testing.T) {
 func TestGenerateInvalidQuestion(t *testing.T) {
 	tab := runningExample(t)
 	bad := UserQuestion{GroupBy: nil}
-	if _, _, err := Generate(bad, tab, nil, Options{}); err == nil {
+	if _, _, err := GenOpt(bad, tab, nil, Options{}); err == nil {
 		t.Error("invalid question should error")
 	}
 	dup := UserQuestion{
@@ -247,7 +247,7 @@ func TestGenerateInvalidQuestion(t *testing.T) {
 		Agg:      engine.AggSpec{Func: engine.Count},
 		AggValue: value.NewInt(1),
 	}
-	if _, _, err := Generate(dup, tab, nil, Options{}); err == nil {
+	if _, _, err := GenOpt(dup, tab, nil, Options{}); err == nil {
 		t.Error("duplicate group-by attribute should error")
 	}
 	mismatch := UserQuestion{
@@ -256,14 +256,14 @@ func TestGenerateInvalidQuestion(t *testing.T) {
 		Agg:      engine.AggSpec{Func: engine.Count},
 		AggValue: value.NewInt(1),
 	}
-	if _, _, err := Generate(mismatch, tab, nil, Options{}); err == nil {
+	if _, _, err := GenOpt(mismatch, tab, nil, Options{}); err == nil {
 		t.Error("arity mismatch should error")
 	}
 }
 
 func TestNoPatternsNoExplanations(t *testing.T) {
 	tab := runningExample(t)
-	expls, stats, err := Generate(sigkddQuestion(), tab, nil, Options{})
+	expls, stats, err := GenOpt(sigkddQuestion(), tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestTopKPrefixProperty(t *testing.T) {
 	pats := minePatterns(t, tab)
 	var prev []Explanation
 	for _, k := range []int{1, 2, 5, 10, 25} {
-		cur, _, err := Generate(sigkddQuestion(), tab, pats, Options{K: k, Metric: yearMetric()})
+		cur, _, err := GenOpt(sigkddQuestion(), tab, pats, Options{K: k, Metric: yearMetric()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,7 +260,7 @@ func TestIndexedGenerationByteIdentical(t *testing.T) {
 }
 
 // TestExplainerUsesIndex: the warm Explainer path answers through its
-// prebuilt index and must match a fresh linear-scan Generate call.
+// prebuilt index and must match a fresh linear-scan GenOpt call.
 func TestExplainerUsesIndex(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)

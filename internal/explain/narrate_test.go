@@ -11,7 +11,7 @@ func TestNarrateLowQuestion(t *testing.T) {
 	tab := runningExample(t)
 	pats := minePatterns(t, tab)
 	q := sigkddQuestion()
-	expls, _, err := Generate(q, tab, pats, Options{K: 1, Metric: yearMetric()})
+	expls, _, err := GenOpt(q, tab, pats, Options{K: 1, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestNarrateHighQuestion(t *testing.T) {
 	q.Dir = High
 	q.Values[1] = value.NewString("ICDE")
 	q.AggValue = value.NewInt(7)
-	expls, _, err := Generate(q, tab, pats, Options{K: 1, Metric: yearMetric()})
+	expls, _, err := GenOpt(q, tab, pats, Options{K: 1, Metric: yearMetric()})
 	if err != nil {
 		t.Fatal(err)
 	}

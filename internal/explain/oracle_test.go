@@ -97,7 +97,9 @@ func requireOracle(t *testing.T, label string, want []oracle.Explanation, got []
 // the oracle's literal top k of Definitions 5–7 and 10 — explanation by
 // explanation, field by field — across randomized inputs and both
 // directions. GenNaive is Algorithm 1, so it examines exactly the
-// oracle's candidates; GenOpt's bound may only skip some.
+// oracle's candidates; GenOpt's bound may only skip some. GenOpt and
+// GenerateBatch also run at Parallelism 4, where the pool fans the
+// pairs (and the batch's questions) across workers.
 func TestExplainMatchesOracle(t *testing.T) {
 	metric := distance.NewMetric().SetFunc("year", distance.Numeric{Scale: 4})
 	tables := []*engine.Table{
@@ -113,24 +115,41 @@ func TestExplainMatchesOracle(t *testing.T) {
 		qs := sampleQuestions(t, tab, []string{"author", "venue", "year"}, 4)
 		qs = append(qs, sampleQuestions(t, tab, []string{"author", "year"}, 2)...)
 		opt := Options{K: 8, Metric: metric, Epsilon: 1e-9, Parallelism: 1}
+		par := opt
+		par.Parallelism = 4
 		rels := []struct {
 			name string
 			rel  engine.Relation
 		}{{"table", tab}, {"segtable", segTableOf(t, tab, 3, 37)}}
+		batches := make([][]BatchItem, len(rels))
+		for ri, r := range rels {
+			batches[ri] = GenerateBatch(qs, r.rel, pats, par)
+		}
 		for qi, q := range qs {
 			want, candidates := oracleExplain(tab, q, pats, opt)
 			found += len(want)
-			for _, r := range rels {
+			for ri, r := range rels {
 				label := fmt.Sprintf("table %d question %d %s", ti, qi, r.name)
-				got, stats, err := GenOpt(q, r.rel, pats, opt)
-				if err != nil {
-					t.Fatal(err)
+				requireOptOracle := func(name string, got []Explanation, stats *Stats) {
+					t.Helper()
+					requireOracle(t, label+" "+name, want, got)
+					if stats.Candidates > candidates {
+						t.Errorf("%s %s: %d candidates, Algorithm 1 examines %d", label, name, stats.Candidates, candidates)
+					}
 				}
-				requireOracle(t, label+" GenOpt", want, got)
-				if stats.Candidates > candidates {
-					t.Errorf("%s GenOpt: %d candidates, Algorithm 1 examines %d", label, stats.Candidates, candidates)
+				for _, o := range []Options{opt, par} {
+					got, stats, err := GenOpt(q, r.rel, pats, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireOptOracle(fmt.Sprintf("GenOpt par %d", o.Parallelism), got, stats)
 				}
-				got, stats, err = GenNaive(q, r.rel, pats, opt)
+				it := batches[ri][qi]
+				if it.Err != nil {
+					t.Fatal(it.Err)
+				}
+				requireOptOracle("GenerateBatch par 4", it.Explanations, it.Stats)
+				got, stats, err := GenNaive(q, r.rel, pats, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

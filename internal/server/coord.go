@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -314,6 +315,57 @@ func shardErrf(w http.ResponseWriter, shard int, url string, status int, body []
 	httpError(w, http.StatusBadGateway, "shard %d (%s) returned %d: %s", shard, url, status, msg)
 }
 
+// shardReply is one shard's part of a scattered call; sent is false for
+// the shards the call skipped.
+type shardReply struct {
+	status int
+	body   []byte
+	err    error
+	sent   bool
+}
+
+// failed reports whether the shard was called and did not answer want.
+func (re shardReply) failed(want int) bool {
+	return re.sent && (re.err != nil || re.status != want)
+}
+
+// scatter runs call concurrently for every shard i with send(i) (every
+// shard when send is nil), waits for all of them, and returns the
+// replies indexed like cfg.Shards.
+func (c *Coordinator) scatter(send func(i int) bool, call func(i int) (int, []byte, error)) []shardReply {
+	replies := make([]shardReply, len(c.cfg.Shards))
+	var wg sync.WaitGroup
+	for i := range c.cfg.Shards {
+		if send != nil && !send(i) {
+			continue
+		}
+		replies[i].sent = true
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			re := &replies[i]
+			re.status, re.body, re.err = call(i)
+		}(i)
+	}
+	wg.Wait()
+	return replies
+}
+
+// firstFailed is the lowest-index shard whose reply failed(want), or -1.
+func firstFailed(replies []shardReply, want int) int {
+	for i, re := range replies {
+		if re.failed(want) {
+			return i
+		}
+	}
+	return -1
+}
+
+// shardErr writes shard i's failed reply as a gateway error.
+func (c *Coordinator) shardErr(w http.ResponseWriter, i int, re shardReply) {
+	shardErrf(w, i, c.cfg.Shards[i], re.status, re.body, re.err)
+}
+
 // ---- tables ----
 
 func (c *Coordinator) handleLoadTable(w http.ResponseWriter, r *http.Request) {
@@ -338,33 +390,16 @@ func (c *Coordinator) handleLoadTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	type res struct {
-		shard  int
-		status int
-		body   []byte
-		err    error
-	}
-	results := make([]res, len(parts))
-	var wg sync.WaitGroup
-	for i, pt := range parts {
-		wg.Add(1)
-		go func(i int, pt *engine.Table) {
-			defer wg.Done()
-			var buf bytes.Buffer
-			if err := pt.WriteCSV(&buf); err != nil {
-				results[i] = res{shard: i, err: err}
-				return
-			}
-			status, body, err := c.shardCall(r.Context(), i, http.MethodPost, "/v1/tables?name="+name, "text/csv", buf.Bytes())
-			results[i] = res{shard: i, status: status, body: body, err: err}
-		}(i, pt)
-	}
-	wg.Wait()
-	for _, re := range results {
-		if re.err != nil || re.status != http.StatusCreated {
-			shardErrf(w, re.shard, c.cfg.Shards[re.shard], re.status, re.body, re.err)
-			return
+	replies := c.scatter(nil, func(i int) (int, []byte, error) {
+		var buf bytes.Buffer
+		if err := parts[i].WriteCSV(&buf); err != nil {
+			return 0, nil, err
 		}
+		return c.shardCall(r.Context(), i, http.MethodPost, "/v1/tables?name="+url.QueryEscape(name), "text/csv", buf.Bytes())
+	})
+	if i := firstFailed(replies, http.StatusCreated); i >= 0 {
+		c.shardErr(w, i, replies[i])
+		return
 	}
 	shardRows := make([]int, len(parts))
 	for i, pt := range parts {
@@ -453,24 +488,14 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 		ID        string            `json:"id"`
 		CandStats []mining.CandStat `json:"candStats"`
 	}
-	type res struct {
-		resp   mineResp
-		status int
-		body   []byte
-		err    error
+	mined := make([]mineResp, len(c.cfg.Shards))
+	replies := c.scatter(nil, func(i int) (int, []byte, error) {
+		return c.shardJSON(r.Context(), i, http.MethodPost, "/v1/mine", shardReq, &mined[i])
+	})
+	if i := firstFailed(replies, http.StatusCreated); i >= 0 {
+		c.shardErr(w, i, replies[i])
+		return
 	}
-	results := make([]res, len(c.cfg.Shards))
-	var wg sync.WaitGroup
-	for i := range c.cfg.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var mr mineResp
-			status, body, err := c.shardJSON(r.Context(), i, http.MethodPost, "/v1/mine", shardReq, &mr)
-			results[i] = res{resp: mr, status: status, body: body, err: err}
-		}(i)
-	}
-	wg.Wait()
 	cs := &coordSet{
 		table:   req.Table,
 		shardPS: make([]string, len(c.cfg.Shards)),
@@ -481,13 +506,9 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.AnswerCacheSize >= 0 {
 		cs.anscache = newAnswerCache(c.cfg.AnswerCacheSize)
 	}
-	for i, re := range results {
-		if re.err != nil || re.status != http.StatusCreated {
-			shardErrf(w, i, c.cfg.Shards[i], re.status, re.body, re.err)
-			return
-		}
-		cs.shardPS[i] = re.resp.ID
-		cs.stats[i] = re.resp.CandStats
+	for i, mr := range mined {
+		cs.shardPS[i] = mr.ID
+		cs.stats[i] = mr.CandStats
 	}
 	cs.admitted = admittedKeys(cs.stats, cs.th, c.cfg.Key)
 	if !c.pushAdmission(w, r.Context(), cs, cs.admitted) {
@@ -571,28 +592,13 @@ func keyInPatternF(patternKey string, key []string) bool {
 // pushAdmission sends admitted keys for the set to every shard.
 // Returns false after writing an error response.
 func (c *Coordinator) pushAdmission(w http.ResponseWriter, ctx context.Context, cs *coordSet, admitted []string) bool {
-	type res struct {
-		status int
-		body   []byte
-		err    error
-	}
-	results := make([]res, len(c.cfg.Shards))
-	var wg sync.WaitGroup
-	for i := range c.cfg.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			status, body, err := c.shardJSON(ctx, i, http.MethodPost,
-				"/v1/patterns/"+cs.shardPS[i]+"/admit", AdmitRequest{Keys: admitted}, nil)
-			results[i] = res{status: status, body: body, err: err}
-		}(i)
-	}
-	wg.Wait()
-	for i, re := range results {
-		if re.err != nil || re.status != http.StatusOK {
-			shardErrf(w, i, c.cfg.Shards[i], re.status, re.body, re.err)
-			return false
-		}
+	replies := c.scatter(nil, func(i int) (int, []byte, error) {
+		return c.shardJSON(ctx, i, http.MethodPost,
+			"/v1/patterns/"+cs.shardPS[i]+"/admit", AdmitRequest{Keys: admitted}, nil)
+	})
+	if i := firstFailed(replies, http.StatusOK); i >= 0 {
+		c.shardErr(w, i, replies[i])
+		return false
 	}
 	return true
 }
@@ -699,36 +705,21 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		Durable     bool              `json:"durable"`
 		Table       string            `json:"table"`
 	}
-	type res struct {
-		resp   appendResp
-		status int
-		body   []byte
-		err    error
-		sent   bool
-	}
-	results := make([]res, len(c.cfg.Shards))
-	var wg sync.WaitGroup
-	for i := range c.cfg.Shards {
-		if len(perShard[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var ar appendResp
-			status, body, err := c.shardJSON(r.Context(), i, http.MethodPost, "/v1/append",
-				AppendRequest{Table: req.Table, Rows: perShard[i]}, &ar)
-			results[i] = res{resp: ar, status: status, body: body, err: err, sent: true}
-		}(i)
-	}
-	wg.Wait()
-	for i, re := range results {
-		if re.sent && (re.err != nil || re.status != http.StatusOK) {
-			// Keyed routing means sibling shards may already have
-			// appended their pieces; surface which shard failed so the
-			// operator can reconcile rather than silently diverge.
-			shardErrf(w, i, c.cfg.Shards[i], re.status, re.body, re.err)
-			return
+	acks := make([]appendResp, len(c.cfg.Shards))
+	replies := c.scatter(func(i int) bool { return len(perShard[i]) > 0 }, func(i int) (int, []byte, error) {
+		return c.shardJSON(r.Context(), i, http.MethodPost, "/v1/append",
+			AppendRequest{Table: req.Table, Rows: perShard[i]}, &acks[i])
+	})
+	// Every shard that acknowledged its piece holds the new rows, even
+	// when a sibling failed: record its rows and epoch (the epoch keys
+	// the answer cache, so its cached answers go stale now) and fold its
+	// evidence into admission below, before any failure is reported.
+	acked := make([]bool, len(replies))
+	for i, re := range replies {
+		if re.sent && !re.failed(http.StatusOK) {
+			acked[i] = true
+			ct.shardRows[i] = acks[i].Rows
+			ct.epochs[i] = acks[i].Epoch
 		}
 	}
 
@@ -747,11 +738,11 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	for _, cs := range sets {
 		// Set ids are per shard (every shard calls its first set "ps-1"),
 		// so shard i's status is matched against shard i's own id.
-		for i, re := range results {
-			if !re.sent {
+		for i, ack := range acks {
+			if !acked[i] {
 				continue
 			}
-			for _, st := range re.resp.PatternSets {
+			for _, st := range ack.PatternSets {
 				if st.ID == cs.shardPS[i] && st.CandStats != nil {
 					cs.stats[i] = st.CandStats
 				}
@@ -773,25 +764,30 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 			"id": cs.id, "status": "maintained", "patterns": len(cs.admitted),
 		})
 	}
+	if i := firstFailed(replies, http.StatusOK); i >= 0 {
+		// Keyed routing means sibling shards may already have appended
+		// their pieces; surface which shard failed so the operator can
+		// reconcile rather than silently diverge.
+		c.shardErr(w, i, replies[i])
+		return
+	}
 
 	appended := 0
 	var minWal uint64
 	durable := true
-	shardAcks := make([]map[string]interface{}, 0, len(results))
-	for i, re := range results {
-		if !re.sent {
+	shardAcks := make([]map[string]interface{}, 0, len(acks))
+	for i, a := range acks {
+		if !acked[i] {
 			continue
 		}
-		appended += re.resp.Appended
-		ct.shardRows[i] = re.resp.Rows
-		ct.epochs[i] = re.resp.Epoch
+		appended += a.Appended
 		ack := map[string]interface{}{
-			"shard": i, "appended": re.resp.Appended, "rows": re.resp.Rows, "epoch": re.resp.Epoch,
+			"shard": i, "appended": a.Appended, "rows": a.Rows, "epoch": a.Epoch,
 		}
-		if re.resp.Durable {
-			ack["walSeq"] = re.resp.WalSeq
-			if minWal == 0 || re.resp.WalSeq < minWal {
-				minWal = re.resp.WalSeq
+		if a.Durable {
+			ack["walSeq"] = a.WalSeq
+			if minWal == 0 || a.WalSeq < minWal {
+				minWal = a.WalSeq
 			}
 		} else {
 			durable = false
@@ -978,49 +974,32 @@ func (c *Coordinator) handleExplainBatch(w http.ResponseWriter, r *http.Request)
 	type batchResp struct {
 		Items []batchItemDTO `json:"items"`
 	}
-	type res struct {
-		resp   batchResp
-		status int
-		body   []byte
-		err    error
-		sent   bool
-	}
-	results := make([]res, len(c.cfg.Shards))
-	var wg sync.WaitGroup
-	for s := range c.cfg.Shards {
-		if len(subQs[s]) == 0 {
-			continue
+	subResps := make([]batchResp, len(c.cfg.Shards))
+	replies := c.scatter(func(s int) bool { return len(subQs[s]) > 0 }, func(s int) (int, []byte, error) {
+		sub := ExplainBatchRequest{
+			Patterns: cs.shardPS[s], Questions: subQs[s],
+			K: req.K, Parallelism: req.Parallelism,
+			Numeric: req.Numeric, Weights: req.Weights,
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sub := ExplainBatchRequest{
-				Patterns: cs.shardPS[s], Questions: subQs[s],
-				K: req.K, Parallelism: req.Parallelism,
-				Numeric: req.Numeric, Weights: req.Weights,
-			}
-			var br batchResp
-			status, body, err := c.shardJSON(r.Context(), s, http.MethodPost, "/v1/explain/batch", sub, &br)
-			results[s] = res{resp: br, status: status, body: body, err: err, sent: true}
-		}(s)
-	}
-	wg.Wait()
-	for s, re := range results {
+		return c.shardJSON(r.Context(), s, http.MethodPost, "/v1/explain/batch", sub, &subResps[s])
+	})
+	for s, re := range replies {
 		if !re.sent {
 			continue
 		}
-		if re.err != nil || re.status != http.StatusOK {
-			shardErrf(w, s, c.cfg.Shards[s], re.status, re.body, re.err)
+		if re.failed(http.StatusOK) {
+			c.shardErr(w, s, re)
 			return
 		}
-		if len(re.resp.Items) != len(subIdx[s]) {
-			httpError(w, http.StatusBadGateway, "shard %d answered %d of %d batch items", s, len(re.resp.Items), len(subIdx[s]))
+		br := subResps[s]
+		if len(br.Items) != len(subIdx[s]) {
+			httpError(w, http.StatusBadGateway, "shard %d answered %d of %d batch items", s, len(br.Items), len(subIdx[s]))
 			return
 		}
 		// Gather: items come back in sub-batch order; restore the
 		// caller's indices. Deterministic items (200/400) are cached at
 		// index 0 for future batches.
-		for j, it := range re.resp.Items {
+		for j, it := range br.Items {
 			orig := subIdx[s][j]
 			it.Index = orig
 			items[orig] = it
@@ -1071,32 +1050,27 @@ type coordShardStatus struct {
 // diverged list — any shard that is unreachable, write-disabled, or
 // reports a diverged pattern set.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
+	bodies := make([]struct {
+		Tables      json.RawMessage `json:"tables"`
+		PatternSets json.RawMessage `json:"patternSets"`
+	}, len(c.cfg.Shards))
+	replies := c.scatter(nil, func(i int) (int, []byte, error) {
+		return c.shardJSON(r.Context(), i, http.MethodGet, "/v1", nil, &bodies[i])
+	})
 	shards := make([]coordShardStatus, len(c.cfg.Shards))
-	var wg sync.WaitGroup
-	for i := range c.cfg.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			shards[i].URL = c.cfg.Shards[i]
-			var body struct {
-				Tables      json.RawMessage `json:"tables"`
-				PatternSets json.RawMessage `json:"patternSets"`
-			}
-			status, raw, err := c.shardJSON(r.Context(), i, http.MethodGet, "/v1", nil, &body)
-			if err != nil {
-				shards[i].Error = err.Error()
-				return
-			}
-			if status != http.StatusOK {
-				shards[i].Error = fmt.Sprintf("status %d: %s", status, strings.TrimSpace(string(raw)))
-				return
-			}
-			_ = json.Unmarshal(body.Tables, &shards[i].Tables)
-			_ = json.Unmarshal(body.PatternSets, &shards[i].PatternSets)
+	for i, re := range replies {
+		shards[i].URL = c.cfg.Shards[i]
+		switch {
+		case re.err != nil:
+			shards[i].Error = re.err.Error()
+		case re.status != http.StatusOK:
+			shards[i].Error = fmt.Sprintf("status %d: %s", re.status, strings.TrimSpace(string(re.body)))
+		default:
+			_ = json.Unmarshal(bodies[i].Tables, &shards[i].Tables)
+			_ = json.Unmarshal(bodies[i].PatternSets, &shards[i].PatternSets)
 			shards[i].OK = true
-		}(i)
+		}
 	}
-	wg.Wait()
 
 	type tableAgg struct {
 		Name          string `json:"name"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -402,6 +403,165 @@ func TestCoordinatorAppendRefreshesNonLastShard(t *testing.T) {
 	}
 	if unchanged == 0 {
 		t.Fatal("every append changed admission; the no-push check is vacuous")
+	}
+}
+
+// TestCoordinatorLoadEscapesTableName: the coordinator forwards a
+// loaded table's name to every shard as a query parameter, so a name
+// holding '&' or '=' must arrive whole rather than be cut at the first
+// separator.
+func TestCoordinatorLoadEscapesTableName(t *testing.T) {
+	const name = "crime&x=1"
+	shards := make([]string, 2)
+	for i := range shards {
+		ts := httptest.NewServer(New())
+		t.Cleanup(ts.Close)
+		shards[i] = ts.URL
+	}
+	coord, err := NewCoordinator(CoordConfig{Shards: shards, Key: []string{"author"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	var csv bytes.Buffer
+	if err := dataset.RunningExample().WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(cts.URL+"/v1/tables?name="+url.QueryEscape(name), "text/csv", &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("load: %d", resp.StatusCode)
+	}
+	for i, u := range shards {
+		resp, err := http.Get(u + "/v1/tables")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tables []struct {
+			Name string `json:"name"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&tables)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tables) != 1 || tables[0].Name != name {
+			t.Errorf("shard %d holds tables %+v, want one named %q", i, tables, name)
+		}
+	}
+}
+
+// TestCoordinatorPartialAppendFailure: when one shard fails its piece
+// of a keyed append, the shards that acknowledged theirs hold the new
+// rows. The coordinator must still answer 502, but it must record the
+// acked shards' epochs first, so a cached answer about a group that
+// grew is not replayed: the next explain must equal the owner shard's
+// own fresh answer byte for byte.
+func TestCoordinatorPartialAppendFailure(t *testing.T) {
+	part := engine.Partitioner{Key: []string{"author"}, N: 2}
+	owner := part.ShardOf(value.Tuple{value.NewString("AX")})
+	failing := 1 - owner
+	var failAppends atomic.Bool
+	shards := make([]string, 2)
+	for i := range shards {
+		shard := New()
+		fail := i == failing
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if fail && failAppends.Load() && r.URL.Path == "/v1/append" {
+				httpError(w, http.StatusInternalServerError, "injected append failure")
+				return
+			}
+			shard.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		shards[i] = ts.URL
+	}
+	coord, err := NewCoordinator(CoordConfig{Shards: shards, Key: part.Key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	loadRunningExample(t, cts)
+	resp, out := doJSON(t, "POST", cts.URL+"/v1/mine", MineRequest{
+		Table: "pub", MaxPatternSize: 3,
+		Theta: 0.5, LocalSupport: 3, Lambda: 0.3, GlobalSupport: 2,
+		Aggregates: []string{"count"},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("mine: %d %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	coord.mu.Lock()
+	ownerSet := coord.sets[id].shardPS[owner]
+	coord.mu.Unlock()
+
+	// A fresh author owned by the failing shard.
+	other := ""
+	for n := 0; other == ""; n++ {
+		if a := "b" + strconv.Itoa(n); part.ShardOf(value.Tuple{value.NewString(a)}) == failing {
+			other = a
+		}
+	}
+	explainBody := func(ps string) []byte {
+		t.Helper()
+		body, err := json.Marshal(ExplainRequest{
+			Patterns: ps, GroupBy: []string{"author", "venue", "year"},
+			Tuple: []string{"AX", "SIGKDD", "2007"}, Dir: "low", K: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	ask := func(base, ps string) string {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/explain", "application/json", bytes.NewReader(explainBody(ps)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain on %s: %d %s", base, resp.StatusCode, buf.String())
+		}
+		return buf.String()
+	}
+	before := ask(cts.URL, id) // warms the coordinator's answer cache
+	if !strings.Contains(before, "count(*) = 1 low") {
+		t.Fatalf("question before the append: %s", before)
+	}
+
+	failAppends.Store(true)
+	row := func(author, venue string, year int) []json.RawMessage {
+		return []json.RawMessage{
+			json.RawMessage(strconv.Quote(author)), json.RawMessage(strconv.Quote(venue)),
+			json.RawMessage(strconv.Itoa(year)),
+		}
+	}
+	resp, out = doJSON(t, "POST", cts.URL+"/v1/append", AppendRequest{
+		Table: "pub", Rows: [][]json.RawMessage{row("AX", "SIGKDD", 2007), row(other, "VLDB", 2007)},
+	})
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("append with a failing shard: %d %v, want 502", resp.StatusCode, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "shard "+strconv.Itoa(failing)) {
+		t.Errorf("append error %q does not name shard %d", msg, failing)
+	}
+
+	got, want := ask(cts.URL, id), ask(shards[owner], ownerSet)
+	if !strings.Contains(want, "count(*) = 2 low") {
+		t.Fatalf("owner shard did not take the acked row: %s", want)
+	}
+	if got != want {
+		t.Fatalf("coordinator answer after a partly failed append:\n got: %s\nwant: %s", got, want)
 	}
 }
 
