@@ -9,21 +9,19 @@ import (
 	"cape/internal/value"
 )
 
-// accumIdentical compares two accumulators field by field, float sums
-// by their bits: a state that merely yields the same Result today can
-// still diverge once a later row lands.
-func accumIdentical(a, b AggAccum) bool {
-	x, y := a.st, b.st
-	return a.fn == b.fn && a.star == b.star &&
-		x.count == y.count && x.sumI == y.sumI && x.anyFloat == y.anyFloat && x.seen == y.seen &&
+// stateIdentical compares two aggregate states field by field, float
+// sums by their bits: a state that merely yields the same result today
+// can still diverge once a later row lands.
+func stateIdentical(x, y aggState) bool {
+	return x.count == y.count && x.sumI == y.sumI && x.anyFloat == y.anyFloat && x.seen == y.seen &&
 		math.Float64bits(x.sumF) == math.Float64bits(y.sumF) &&
 		(!x.seen || valueIdentical(x.ext, y.ext))
 }
 
 // TestGroupByAccumsMatchesRowFold pins GroupByAccums on every kernel
 // target to its contract: the key table is GroupBy's key columns, and
-// each group's accumulators equal a row-order AggAccum.Add fold of the
-// group's rows, bit for bit — including the float mirror of Int-only
+// each group's aggregate states equal a row-order fold of the group's
+// rows, bit for bit — including the float mirror of Int-only
 // sums whose partial sums pass 2⁵³ (column "big"), which GroupBy itself
 // may leave unfilled.
 func TestGroupByAccumsMatchesRowFold(t *testing.T) {
@@ -46,10 +44,11 @@ func TestGroupByAccumsMatchesRowFold(t *testing.T) {
 			}
 			for _, kt := range kernelTargets(t, tab) {
 				label := fmt.Sprintf("seed %d %s GroupByAccums(%v, %v)", seed, kt.label, cols, aggs)
-				keys, accs, err := GroupByAccums(kt.rel, cols, aggs)
+				rg, err := kt.rel.(MutableRelation).GroupByAccums(cols, aggs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				keys := rg.Keys()
 				grouped, err := kt.rel.GroupBy(cols, aggs)
 				if err != nil {
 					t.Fatal(err)
@@ -62,7 +61,7 @@ func TestGroupByAccumsMatchesRowFold(t *testing.T) {
 
 				// The reference: fold the logical rows one by one.
 				gIdx, _ := sch.Indices(cols)
-				var want []AggAccum
+				var want []aggState
 				ids := map[string]int{}
 				for _, row := range kt.ref.rows {
 					var key []byte
@@ -73,27 +72,25 @@ func TestGroupByAccumsMatchesRowFold(t *testing.T) {
 					if !ok {
 						g = len(ids)
 						ids[string(key)] = g
-						for _, a := range aggs {
-							want = append(want, NewAggAccum(a))
-						}
+						want = append(want, make([]aggState, len(aggs))...)
 					}
 					for ai, a := range aggs {
 						var arg value.V
 						if !a.IsStar() {
 							arg = row[sch.Index(a.Arg)]
 						}
-						want[g*len(aggs)+ai].Add(arg)
+						want[g*len(aggs)+ai].add(arg, a.Func, a.IsStar())
 					}
 				}
-				if len(accs) != len(want) {
-					t.Fatalf("%s: %d accumulators, want %d", label, len(accs), len(want))
+				if got := rg.keys.NumRows() * len(aggs); got != len(want) {
+					t.Fatalf("%s: %d states, want %d", label, got, len(want))
 				}
 				for i := range want {
-					if !accumIdentical(accs[i], want[i]) {
+					if st := rg.states.state(i/len(aggs), i%len(aggs)); !stateIdentical(st, want[i]) {
 						t.Fatalf("%s: group %d %s: state %+v, want %+v",
-							label, i/len(aggs), aggs[i%len(aggs)], accs[i].st, want[i].st)
+							label, i/len(aggs), aggs[i%len(aggs)], st, want[i])
 					}
-					if got, w := accs[i].Result(), grouped.Row(i / len(aggs))[len(cols)+i%len(aggs)]; !valueIdentical(got, w) {
+					if got, w := rg.Result(i/len(aggs), i%len(aggs)), grouped.Row(i / len(aggs))[len(cols)+i%len(aggs)]; !valueIdentical(got, w) {
 						t.Fatalf("%s: group %d %s: Result %s, GroupBy cell %s", label, i/len(aggs), aggs[i%len(aggs)], got, w)
 					}
 				}

@@ -175,74 +175,6 @@ func (s *aggState) result(f AggFunc) value.V {
 	}
 }
 
-// AggAccum is the exported face of one aggregate accumulator: the exact
-// fold GroupBy runs per group, resumable across appends. Feeding it the
-// argument values of a group's rows in row order and calling Result
-// yields a value bitwise identical to GroupBy over those rows — the
-// float sum is accumulated in the same order, the Int-vs-Float result
-// kind follows the same anyFloat rule — which is what lets incremental
-// pattern maintenance extend retained group aggregates instead of
-// recomputing them (appended rows always land at the table tail, so the
-// fold order of old rows never changes).
-//
-// Callers retain one per group per aggregate, so it carries the two
-// facts of the AggSpec the fold reads, not the spec.
-type AggAccum struct {
-	st   aggState
-	fn   AggFunc
-	star bool
-}
-
-// NewAggAccum returns an empty accumulator for the given aggregate.
-func NewAggAccum(spec AggSpec) AggAccum {
-	return AggAccum{fn: spec.Func, star: spec.IsStar()}
-}
-
-// Add folds one row's argument value. For count(*) pass any value
-// (including NULL); it is counted regardless.
-func (a *AggAccum) Add(v value.V) {
-	a.st.add(v, a.fn, a.star)
-}
-
-// Result returns the aggregate over everything folded so far.
-func (a *AggAccum) Result() value.V {
-	return a.st.result(a.fn)
-}
-
-// GroupByAccums is GroupBy for callers that keep aggregating its groups
-// as rows arrive. It returns the grouped table's key columns — GroupBy's
-// output without the aggregate columns, groups in first-appearance
-// order — and each group's accumulators, group-major: accs[g*len(aggs)+i]
-// holds aggregate i of group g, and its Result is GroupBy's cell. Every
-// state equals a row-order AggAccum.Add fold of the group's rows bit for
-// bit, so appended rows fold on exactly: Sum mirrors its total in the
-// float sum even over Int-only columns (a later Float row makes the
-// result read it), and no morsel merge reassociates that sum. r must be
-// a Table or a SegTable.
-func GroupByAccums(r Relation, groupCols []string, aggs []AggSpec) (*Table, []AggAccum, error) {
-	pr, ok := r.(interface {
-		parts(gIdx []int, aCols []aggCol) []*compPart
-		queryPool() *Pool
-	})
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: GroupByAccums needs a Table or SegTable, not %T", r)
-	}
-	gIdx, aCols, sch, err := groupPlan(r.Schema(), groupCols, aggs)
-	if err != nil {
-		return nil, nil, err
-	}
-	nK := len(gIdx)
-	parts := pr.parts(gIdx, aCols)
-	firsts, gs := groupPartsPool(pr.queryPool(), parts, nK, aCols, true)
-	accs := make([]AggAccum, len(firsts)*len(aggs))
-	for g := range firsts {
-		for ai, a := range aggs {
-			accs[g*len(aggs)+ai] = AggAccum{st: gs.state(g, ai), fn: a.Func, star: a.IsStar()}
-		}
-	}
-	return materializeGroups(parts, firsts, nil, nK, nil, sch[:nK]), accs, nil
-}
-
 // aggCol is one planned aggregate: the spec plus the resolved column
 // index of its argument (-1 for count(*)).
 type aggCol struct {

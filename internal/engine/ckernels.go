@@ -800,15 +800,22 @@ func materializeGroups(parts []*compPart, firsts []partRef, gs *groupStates,
 			c.pushCode(v, *code-1)
 		}
 	}
+	fillAggCols(out, gs, nK, aCols)
+	return out
+}
+
+// fillAggCols writes every group's aggregate results, in group order,
+// into out's columns nK onwards.
+func fillAggCols(out *Table, gs *groupStates, nK int, aCols []aggCol) {
+	var key []byte
 	for ai, ac := range aCols {
 		c := out.cols[nK+ai]
-		c.grow(nG)
-		for g := 0; g < nG; g++ {
+		c.grow(out.n)
+		for g := 0; g < out.n; g++ {
 			st := gs.state(g, ai)
 			key = c.push(st.result(ac.spec.Func), key)
 		}
 	}
-	return out
 }
 
 // foldCompressedRun folds one equal-code run of an aggregate argument

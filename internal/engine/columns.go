@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -192,6 +193,22 @@ func (c *Col) CodeOf(v value.V) (int32, bool) {
 	key := v.AppendKey(buf[:0])
 	code, ok := c.lookup[string(key)]
 	return code, ok
+}
+
+// canonical reports whether every row holds its class's dictionary
+// representative exactly — what a sealed segment reads the row back as.
+// Classes join values of one kind only when those are equal integers or
+// strings, so a row differs from its representative only in kind or in
+// float bits.
+func (c *Col) canonical() bool {
+	for i, code := range c.Codes {
+		d := c.Dict[code]
+		if c.Kinds[i] != d.Kind() ||
+			c.Kinds[i] == value.Float && math.Float64bits(c.F64[i]) != math.Float64bits(d.Float()) {
+			return false
+		}
+	}
+	return true
 }
 
 // Null reports whether row i is NULL, via the null bitmap.

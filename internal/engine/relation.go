@@ -34,12 +34,22 @@ type RowScanner interface {
 }
 
 // MutableRelation is a Relation that accepts appends and supports
-// streaming row access — what incremental maintenance (mining.Maintainer)
-// requires of its base table.
+// streaming row access — what incremental maintenance (mining.Maintainer,
+// the explanation cache's retained groupings) requires of its base table.
 type MutableRelation interface {
 	Relation
 	RowScanner
 	AppendRows(rows []value.Tuple) error
+	// GroupByAccums builds γ_{groupCols, aggs} over the current rows as a
+	// RetainedGroupBy, which later appends fold into.
+	GroupByAccums(groupCols []string, aggs []AggSpec) (*RetainedGroupBy, error)
+	// RewriteEpoch is the epoch of the last mutation that changed rows
+	// already present rather than appending — a Table's SortBy, a
+	// SegTable's Compact of values a segment reads back differently —
+	// or 0.
+	// State synced at epoch e still describes a prefix of the relation
+	// exactly when RewriteEpoch() <= e.
+	RewriteEpoch() uint64
 }
 
 var (

@@ -30,6 +30,9 @@ type SegTable struct {
 	tail   *Table
 	sealed int // rows across segs
 	epoch  uint64
+	// rewrite is the epoch of the last Compact that changed a value; see
+	// RewriteEpoch.
+	rewrite uint64
 	// pool, when set, lets the parts kernels fan morsels and parts
 	// across a shared worker pool (SetPool); see morsel.go.
 	pool atomic.Pointer[Pool]
@@ -113,6 +116,14 @@ func (st *SegTable) Epoch() uint64 { return st.epoch }
 // segments so the epoch sequence matches the one the original table went
 // through; see Table.RestoreEpoch.
 func (st *SegTable) RestoreEpoch(e uint64) { st.epoch = e }
+
+// RewriteEpoch returns the epoch of the last Compact that changed a
+// value, or 0. Sealed segments are immutable and Compact keeps row
+// order, but a segment reads each value back as its class's dictionary
+// representative (see the canonicalization note in segment.go), so
+// sealing a tail that holds, say, both 0.0 and −0.0 in one column
+// rewrites rows already present.
+func (st *SegTable) RewriteEpoch() uint64 { return st.rewrite }
 
 // SetPool attaches a worker pool for the query kernels to fan morsels
 // and parts across (nil restores sequential execution). Results are
@@ -246,6 +257,10 @@ func (st *SegTable) Compact() error {
 	if n == 0 {
 		return nil
 	}
+	exact := true
+	for _, c := range st.tail.cols {
+		exact = exact && c.canonical()
+	}
 	w := NewSegmentWriter(st.schema)
 	w.adopt(st.tail)
 	st.segs = append(st.segs, w.Segment())
@@ -253,6 +268,9 @@ func (st *SegTable) Compact() error {
 	st.tail = NewTable(st.schema)
 	st.invalidateUnify()
 	st.epoch++
+	if !exact {
+		st.rewrite = st.epoch
+	}
 	return nil
 }
 

@@ -25,6 +25,8 @@ type Table struct {
 	// pattern sets, persisted stores — record the epoch they saw and
 	// compare it later to detect staleness instead of guessing.
 	epoch uint64
+	// rewrite is the epoch SortBy last left; see RewriteEpoch.
+	rewrite uint64
 	// pool, when set, lets the compressed kernels fan morsels across a
 	// shared worker pool (SetPool). Stored atomically so queries running
 	// on pool workers can read it without racing a SetPool.
@@ -87,6 +89,11 @@ func (t *Table) Epoch() uint64 { return t.epoch }
 // through, so persisted pattern-store stamps keep comparing correctly
 // against the rebuilt table. It must not be used to mask mutations.
 func (t *Table) RestoreEpoch(e uint64) { t.epoch = e }
+
+// RewriteEpoch returns the epoch of the last SortBy — the one mutation
+// that reorders rows already present — or 0 if rows were only ever
+// appended.
+func (t *Table) RewriteEpoch() uint64 { return t.rewrite }
 
 // SetPool attaches a worker pool for the compressed query kernels to
 // fan morsels across (nil restores sequential execution). Results are
@@ -156,7 +163,7 @@ func (t *Table) MustAppend(row value.Tuple) {
 // cloning still line up.
 func (t *Table) Clone() *Table {
 	out := t.gather(t.allRows())
-	out.epoch = t.epoch
+	out.epoch, out.rewrite = t.epoch, t.rewrite
 	return out
 }
 
@@ -295,6 +302,7 @@ func (t *Table) SortBy(cols []string) error {
 	}
 	t.cols = t.gather(perm).cols
 	t.epoch++
+	t.rewrite = t.epoch
 	return nil
 }
 

@@ -11,17 +11,13 @@ import (
 	"cape/internal/value"
 )
 
-// BenchmarkExplainerWarm measures one question on a warm Explainer: a
-// 300K-row Crime table (10 communities), the pattern set the repository
-// benchmark mines from it, and questions over its four group-by shapes,
-// drawn from each shape's above-median groups. Every question is asked
-// once before the timer starts, so each grouping generation reads is
-// cached and an iteration is relevance, NORM, drill-down and top-k only.
-// Run with -benchmem: allocations per question are part of the result.
-//
-//	go test -run XXX -bench BenchmarkExplainerWarm -benchmem ./internal/explain
-func BenchmarkExplainerWarm(b *testing.B) {
-	tab := dataset.GenerateCrime(dataset.CrimeConfig{Rows: 300000, Seed: 1, NumAttrs: 6, NumCommunities: 10})
+// benchCrime is the setting of the Explainer benchmarks: a 300K-row
+// Crime table (10 communities), the pattern set the repository
+// benchmark mines from it, and 256 questions over its four group-by
+// shapes, drawn from each shape's above-median groups.
+func benchCrime(b *testing.B) (*engine.Table, []*pattern.Mined, []UserQuestion) {
+	cfg := dataset.CrimeConfig{Rows: 300000, Seed: 1, NumAttrs: 6, NumCommunities: 10}
+	tab := dataset.GenerateCrime(cfg)
 	res, err := mining.ARPMine(tab, mining.Options{
 		MaxPatternSize: 3,
 		Attributes:     []string{"type", "community", "year", "month", "district", "block"},
@@ -59,14 +55,56 @@ func BenchmarkExplainerWarm(b *testing.B) {
 			qs = append(qs, q)
 		}
 	}
-	ex := NewExplainer(tab, res.Patterns, Options{K: 10, Parallelism: 1})
+	return tab, res.Patterns, qs
+}
+
+// warmExplainer returns an Explainer over tab that has answered every
+// question once, so each grouping generation reads is cached.
+func warmExplainer(b *testing.B, tab *engine.Table, pats []*pattern.Mined, qs []UserQuestion) *Explainer {
+	ex := NewExplainer(tab, pats, Options{K: 10, Parallelism: 1})
 	for _, q := range qs {
 		if _, _, err := ex.Explain(q); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return ex
+}
+
+// BenchmarkExplainerWarm measures one question on a warm Explainer over
+// benchCrime: an iteration is relevance, NORM, drill-down and top-k
+// only. Run with -benchmem: allocations per question are part of the
+// result.
+//
+//	go test -run XXX -bench BenchmarkExplainerWarm -benchmem ./internal/explain
+func BenchmarkExplainerWarm(b *testing.B) {
+	tab, pats, qs := benchCrime(b)
+	ex := warmExplainer(b, tab, pats, qs)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
+		if _, _, err := ex.Explain(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExplainerAfterAppend measures what an append costs the next
+// question on a warm Explainer over benchCrime: an iteration appends a
+// 100-row Crime batch, then answers one question, whose groupings each
+// fold the rows appended since their last use. Batches repeat after the
+// first 64. The patterns stay those of the initial table, so the time is
+// generation's alone, not a re-mine's.
+//
+//	go test -run XXX -bench BenchmarkExplainerAfterAppend -benchmem ./internal/explain
+func BenchmarkExplainerAfterAppend(b *testing.B) {
+	tab, pats, qs := benchCrime(b)
+	more := dataset.GenerateCrime(dataset.CrimeConfig{Rows: 6400, Seed: 2, NumAttrs: 6, NumCommunities: 10}).Rows()
+	ex := warmExplainer(b, tab, pats, qs)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		batch := i % 64
+		if err := tab.AppendRows(more[batch*100 : (batch+1)*100]); err != nil {
+			b.Fatal(err)
+		}
 		if _, _, err := ex.Explain(qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}

@@ -7,16 +7,18 @@ import (
 
 // Explainer answers many questions over one relation and pattern set,
 // reusing the aggregate query results that candidate enumeration scans
-// and NORM reads. A fresh GenOpt call re-groups the relation for every
+// and NORM reads. A fresh GenOpt call groups the relation for every
 // pattern it visits; in an interactive session asking several questions,
 // those group-bys are identical across questions, so the Explainer
-// caches them. Results are stamped with the relation's epoch: after an
-// append, each grouping recomputes on its next use, while groupings the
-// questions never revisit cost nothing. The cache is sharded (concurrent
-// questions needing different groupings do not contend on one lock)
-// with singleflight duplicate suppression (N concurrent questions
-// needing the same grouping compute it once). It is safe for concurrent
-// use.
+// keeps each one as an engine.RetainedGroupBy. Results are stamped with
+// the relation's epoch: after an append, each grouping folds the
+// appended rows on its next use instead of regrouping the relation,
+// while groupings the questions never revisit cost nothing. The
+// relation must therefore be an engine.MutableRelation (a Table or a
+// SegTable). The cache is sharded (concurrent questions needing
+// different groupings do not contend on one lock) with singleflight
+// duplicate suppression (N concurrent questions needing the same
+// grouping compute it once). It is safe for concurrent use.
 type Explainer struct {
 	r        engine.Relation
 	patterns []*pattern.Mined
@@ -138,8 +140,8 @@ func (e *Explainer) CachedGroupings() int {
 
 // SetPatterns swaps the pattern set the explainer answers from — the
 // maintenance path after an append updates patterns without discarding
-// the group-by cache (entries invalidate themselves lazily, per
-// grouping, via the table epoch). The caller must exclude concurrent
+// the group-by cache (each grouping catches up lazily, on its next use,
+// via the table epoch). The caller must exclude concurrent
 // Explain calls while swapping, as the server's append path does.
 func (e *Explainer) SetPatterns(patterns []*pattern.Mined) {
 	e.patterns = patterns

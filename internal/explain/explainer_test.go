@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,27 +89,30 @@ func TestExplainerConcurrent(t *testing.T) {
 	}
 }
 
-// countingRelation wraps a relation and counts the SelectEq calls, and
-// the GroupBy calls per grouping (keyed like groupKey), made through it.
+// countingRelation wraps a relation and counts the SelectEq calls, the
+// full group-bys per grouping (GroupBy and GroupByAccums calls, keyed
+// like groupKey), and the row ranges read through ScanRows — the fold
+// path of a retained grouping — made through it.
 type countingRelation struct {
-	engine.Relation
+	engine.MutableRelation
 	mu       sync.Mutex
 	selects  int
 	groupBys map[string]int
+	scans    [][2]int
 }
 
-func newCountingRelation(r engine.Relation) *countingRelation {
-	return &countingRelation{Relation: r, groupBys: make(map[string]int)}
+func newCountingRelation(r engine.MutableRelation) *countingRelation {
+	return &countingRelation{MutableRelation: r, groupBys: make(map[string]int)}
 }
 
 func (c *countingRelation) SelectEq(cols []string, vals value.Tuple) (*engine.Table, error) {
 	c.mu.Lock()
 	c.selects++
 	c.mu.Unlock()
-	return c.Relation.SelectEq(cols, vals)
+	return c.MutableRelation.SelectEq(cols, vals)
 }
 
-func (c *countingRelation) GroupBy(cols []string, aggs []engine.AggSpec) (*engine.Table, error) {
+func (c *countingRelation) countGroupBy(cols []string, aggs []engine.AggSpec) {
 	key := strings.Join(cols, "\x1f")
 	for _, a := range aggs {
 		key += "\x1e" + a.String()
@@ -116,10 +120,26 @@ func (c *countingRelation) GroupBy(cols []string, aggs []engine.AggSpec) (*engin
 	c.mu.Lock()
 	c.groupBys[key]++
 	c.mu.Unlock()
-	return c.Relation.GroupBy(cols, aggs)
 }
 
-// counts returns the SelectEq calls and the GroupBy calls per grouping
+func (c *countingRelation) GroupBy(cols []string, aggs []engine.AggSpec) (*engine.Table, error) {
+	c.countGroupBy(cols, aggs)
+	return c.MutableRelation.GroupBy(cols, aggs)
+}
+
+func (c *countingRelation) GroupByAccums(cols []string, aggs []engine.AggSpec) (*engine.RetainedGroupBy, error) {
+	c.countGroupBy(cols, aggs)
+	return c.MutableRelation.GroupByAccums(cols, aggs)
+}
+
+func (c *countingRelation) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
+	c.mu.Lock()
+	c.scans = append(c.scans, [2]int{lo, hi})
+	c.mu.Unlock()
+	return c.MutableRelation.ScanRows(lo, hi, fn)
+}
+
+// counts returns the SelectEq calls and the full group-bys per grouping
 // since the last reset.
 func (c *countingRelation) counts() (int, map[string]int) {
 	c.mu.Lock()
@@ -127,11 +147,20 @@ func (c *countingRelation) counts() (int, map[string]int) {
 	return c.selects, maps.Clone(c.groupBys)
 }
 
+// scanned returns the row ranges read through ScanRows since the last
+// reset.
+func (c *countingRelation) scanned() [][2]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.scans)
+}
+
 func (c *countingRelation) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.selects = 0
 	clear(c.groupBys)
+	c.scans = nil
 }
 
 // TestExplainerWarmScansNothing is the exact work gate of the warm serve
@@ -141,8 +170,9 @@ func (c *countingRelation) reset() {
 // refinements of each structurally relevant pattern, which include the
 // pattern itself and so the grouping its NORM reads. A new question of
 // those shapes must then touch the relation not at all — no SelectEq, no
-// GroupBy — and after one append each grouping may be recomputed at most
-// once. The counts are exact on any machine and at any parallelism.
+// group-by, no row scan — and after one append no grouping runs a full
+// group-by: each one it reaches folds exactly the appended rows, once.
+// The counts are exact on any machine and at any parallelism.
 func TestExplainerWarmScansNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := randomBatchTable(rng, 300)
@@ -193,15 +223,23 @@ func TestExplainerWarmScansNothing(t *testing.T) {
 		}
 	}
 	ask("warm")
-	if selects, groupBys := rel.counts(); selects != 0 || len(groupBys) != 0 {
-		t.Errorf("warm: %d new questions made %d SelectEq and %d GroupBy calls, want 0 and 0",
-			len(fresh), selects, len(groupBys))
+	if selects, groupBys := rel.counts(); selects != 0 || len(groupBys) != 0 || len(rel.scanned()) != 0 {
+		t.Errorf("warm: %d new questions made %d SelectEq calls, %d group-bys and %d row scans, want none",
+			len(fresh), selects, len(groupBys), len(rel.scanned()))
+	}
+	var mu sync.Mutex
+	folded := make(map[string]int)
+	ex.cache.onCompute = func(key string) {
+		mu.Lock()
+		folded[key]++
+		mu.Unlock()
 	}
 
 	// As the server does after an append, re-derive the patterns: their
 	// local deviation extremes feed the score bound, which stale patterns
 	// would not bound the appended data by.
 	more := randomBatchTable(rand.New(rand.NewSource(4)), 60)
+	before := tab.NumRows()
 	if err := tab.AppendRows(more.Rows()); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +251,21 @@ func TestExplainerWarmScansNothing(t *testing.T) {
 		t.Errorf("appended: %d SelectEq calls, want 0", selects)
 	}
 	for key, n := range groupBys {
-		if n > 1 {
-			t.Errorf("appended: grouping %q computed %d times, want at most 1", key, n)
+		t.Errorf("appended: grouping %q ran %d full group-bys, want 0", key, n)
+	}
+	scans := rel.scanned()
+	if len(folded) == 0 || len(scans) != len(folded) {
+		t.Errorf("appended: %d row scans for %d groupings caught up, want one each", len(scans), len(folded))
+	}
+	for key, n := range folded {
+		if n != 1 {
+			t.Errorf("appended: grouping %q caught up %d times, want 1", key, n)
+		}
+	}
+	for _, sc := range scans {
+		if sc != [2]int{before, tab.NumRows()} {
+			t.Errorf("appended: a grouping read rows [%d, %d), want exactly the appended [%d, %d)",
+				sc[0], sc[1], before, tab.NumRows())
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // normTable builds a relation for the NORM differential: string and int
-// group columns with NULLs, a float column holding NaN, an int column
+// group columns with NULLs, a float column holding NaN and ±0, an int column
 // straddling 2^53 (2^53 and 2^53+1 round to one float64 but are
 // distinct values), and int and float measures, the float one with NULLs and
 // magnitudes that make its sums depend on fold order.
@@ -29,7 +29,7 @@ func normTable(rng *rand.Rand, rows int) *engine.Table {
 	})
 	const huge = 1 << 53
 	bigs := []int64{huge, huge + 1, 7, -huge - 1}
-	floats := []float64{0.5, 1.5, 2, math.NaN()}
+	floats := []float64{0.5, 1.5, 2, math.NaN(), 0, math.Copysign(0, -1)}
 	for i := 0; i < rows; i++ {
 		a := value.NewString(string(rune('p' + rng.Intn(4))))
 		if rng.Intn(10) == 0 {
@@ -81,8 +81,8 @@ func normPatterns(g []string, aggs []engine.AggSpec) []pattern.Pattern {
 	return out
 }
 
-// normEdge reports whether a NORM probe touches the NaN column or a
-// value at magnitude ≥ 2^53, where a float64 comparison would disagree
+// normEdge reports whether a NORM probe touches the NaN and ±0 column or
+// a value at magnitude ≥ 2^53, where a float64 comparison would disagree
 // with the dictionary codes.
 func normEdge(q UserQuestion, p pattern.Pattern) bool {
 	attrs := p.GroupAttrs()
@@ -103,7 +103,7 @@ func normEdge(q UserQuestion, p pattern.Pattern) bool {
 // an in-memory SegTable at Parallelism 1 and 4; under count, sum, avg,
 // min and max over int and float columns; with NULL group values, a
 // question value absent from the data, a Float probe of an Int column,
-// and NaN and 2^53 probes. No probe runs a selection: the dictionary
+// and NaN, ±0 and 2^53 probes. No probe runs a selection: the dictionary
 // codes answer them all.
 func TestNormFromGroupingMatchesSelection(t *testing.T) {
 	aggs := []engine.AggSpec{{Func: engine.Count}}
@@ -152,7 +152,7 @@ func TestNormFromGroupingMatchesSelection(t *testing.T) {
 
 		type variant struct {
 			name string
-			rel  engine.Relation
+			rel  engine.MutableRelation
 		}
 		variants := []variant{{"dense", tab}}
 		for _, par := range []int{1, 4} {

@@ -216,50 +216,57 @@ func TestExplainerSingleflight(t *testing.T) {
 }
 
 // TestGroupCacheErrorNotCached: a failed computation must propagate to
-// concurrent waiters but not poison the cache — the next caller retries.
+// the caller but not poison the cache — the next caller retries.
 func TestGroupCacheErrorNotCached(t *testing.T) {
 	c := newGroupCache()
-	boom := fmt.Errorf("boom")
-	if _, err := c.get("k", 1, func() (*engine.Table, error) { return nil, boom }); err != boom {
-		t.Fatalf("err = %v, want boom", err)
+	computes := 0
+	c.onCompute = func(string) { computes++ }
+	tab := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
+	tab.MustAppend(value.Tuple{value.NewInt(1)})
+	count := engine.AggSpec{Func: engine.Count}
+	if _, err := c.get(tab, "k", []string{"missing"}, count); err == nil {
+		t.Fatal("grouping by a missing column succeeded")
 	}
 	if n := c.len(); n != 0 {
 		t.Fatalf("failed computation cached (%d entries)", n)
 	}
-	want := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
-	got, err := c.get("k", 1, func() (*engine.Table, error) { return want, nil })
-	if err != nil || got != want {
-		t.Fatalf("retry after error failed: %v, %v", got, err)
+	want, err := c.get(tab, "k", []string{"a"}, count)
+	if err != nil || want.NumRows() != 1 {
+		t.Fatalf("retry after error failed: %v, %v", want, err)
 	}
-	// Now a hit: compute must not run again.
-	got, err = c.get("k", 1, func() (*engine.Table, error) { return nil, boom })
-	if err != nil || got != want {
-		t.Fatalf("cached hit failed: %v, %v", got, err)
+	// Now a hit: nothing is computed again.
+	got, err := c.get(tab, "k", []string{"missing"}, count)
+	if err != nil || got != want || computes != 2 {
+		t.Fatalf("cached hit failed: %v, %v after %d computations", got, err, computes)
 	}
 }
 
-// TestGroupCacheEpochStaleness: an entry computed at an older epoch is
-// recomputed on the next lookup at a newer epoch; matching epochs hit.
+// TestGroupCacheEpochStaleness: an entry published at an older epoch is
+// caught up on the next lookup at a newer epoch; matching epochs hit.
 func TestGroupCacheEpochStaleness(t *testing.T) {
 	c := newGroupCache()
-	old := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
-	fresh := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
-	got, err := c.get("k", 1, func() (*engine.Table, error) { return old, nil })
-	if err != nil || got != old {
-		t.Fatalf("initial compute: %v, %v", got, err)
+	computes := 0
+	c.onCompute = func(string) { computes++ }
+	tab := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
+	tab.MustAppend(value.Tuple{value.NewInt(1)})
+	count := engine.AggSpec{Func: engine.Count}
+	old, err := c.get(tab, "k", []string{"a"}, count)
+	if err != nil || computes != 1 {
+		t.Fatalf("initial compute: %v, %v", old, err)
 	}
-	// Same epoch: cached result, compute must not run.
-	got, err = c.get("k", 1, func() (*engine.Table, error) { t.Fatal("recomputed at same epoch"); return nil, nil })
-	if err != nil || got != old {
+	// Same epoch: cached result, nothing computed.
+	got, err := c.get(tab, "k", []string{"a"}, count)
+	if err != nil || got != old || computes != 1 {
 		t.Fatalf("same-epoch hit: %v, %v", got, err)
 	}
 	// Newer epoch: the stale entry is replaced.
-	got, err = c.get("k", 2, func() (*engine.Table, error) { return fresh, nil })
-	if err != nil || got != fresh {
-		t.Fatalf("stale entry not recomputed: %v, %v", got, err)
+	tab.MustAppend(value.Tuple{value.NewInt(2)})
+	fresh, err := c.get(tab, "k", []string{"a"}, count)
+	if err != nil || fresh == old || fresh.NumRows() != 2 || old.NumRows() != 1 || computes != 2 {
+		t.Fatalf("stale entry not recomputed: %v, %v", fresh, err)
 	}
-	got, err = c.get("k", 2, func() (*engine.Table, error) { t.Fatal("recomputed at same epoch"); return nil, nil })
-	if err != nil || got != fresh {
+	got, err = c.get(tab, "k", []string{"a"}, count)
+	if err != nil || got != fresh || computes != 2 {
 		t.Fatalf("post-refresh hit: %v, %v", got, err)
 	}
 	if n := c.len(); n != 1 {

@@ -140,7 +140,7 @@ func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(sp *mSplit, fr *mFrag
 			for _, row := range batch {
 				key = key[:0]
 				for _, p := range sp.fPos {
-					key = row[gs.colIdx[p]].AppendKey(key)
+					key = row[m.tab.Schema().Index(gs.attrs[p])].AppendKey(key)
 				}
 				if fr := sp.frags[sp.fragIdx[string(key)]]; !seen[fr] {
 					seen[fr] = true

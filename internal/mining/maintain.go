@@ -11,8 +11,8 @@ import (
 
 // Maintainer keeps a mined pattern set fresh under appends. It is built
 // from ARPMine's own stages and keeps their outputs: per grouping
-// attribute set, the grouped key table and each group's resumable
-// engine.AggAccum (engine.GroupByAccums, the same group-by kernels
+// attribute set, an engine.RetainedGroupBy (the grouped key table and
+// each group's aggregate state, built by the same group-by kernels
 // ARPMine runs), a decoded observation column per aggregate, and, for
 // every (F, V) split the shared enumeration yields, each fragment's
 // groups in observation order — a slice of the sorted permutation the
@@ -30,8 +30,8 @@ import (
 // The maintained set is pinned byte-identical to a cold ARPMine run
 // (without FD pruning) over the same rows:
 //
-//   - The retained accumulators equal a row-order fold of each group's
-//     rows, bit for bit (GroupByAccums' contract), and appended rows
+//   - The retained group-by equals a row-order fold of each group's
+//     rows, bit for bit (RetainedGroupBy's contract), and appended rows
 //     land at the table tail, so folding them on reproduces GroupBy's
 //     per-group fold order; new groups enter in first-appearance order —
 //     exactly where a re-run's grouped table would place them.
@@ -70,28 +70,22 @@ type Maintainer struct {
 }
 
 // gSet is the retained state of one grouping attribute set. Group gi
-// (first-appearance order == grouped-row index) is row gi of keys and
-// owns accs[gi*len(aggs):] and entry gi of every observation column.
+// (first-appearance order == grouped-row index) is group gi of grp —
+// row gi of its key columns — and entry gi of every observation column.
 type gSet struct {
-	attrs  []string
-	colIdx []int // table column per attr
-	aggs   []engine.AggSpec
-	aggIdx []int // table column per aggregate argument (-1 for star)
+	attrs []string
+	aggs  []engine.AggSpec
 
-	keys    *engine.Table     // the grouped key columns, as GroupBy emits them
-	accs    []engine.AggAccum // resumable aggregate state
-	state   []uint8           // gTouched | gFresh
-	y       []pattern.Obs     // per aggregate: Result() as of the last CatchUp
-	lookup  map[string]int32  // canonical key bytes → group
+	grp     *engine.RetainedGroupBy
+	state   []uint8       // gTouched | gFresh
+	y       []pattern.Obs // per aggregate: Result() as of the last CatchUp
 	splits  []*mSplit
 	touched []int32 // groups touched by the current batch
 
-	// Scratch reused across folds and fragment re-fits. Per grouping set
-	// (not per maintainer) so CatchUp can fan grouping sets across a
-	// pool.
+	// Scratch reused across fragment re-fits. Per grouping set (not per
+	// maintainer) so CatchUp can fan grouping sets across a pool.
 	fit    *pattern.FragFit
 	keyBuf []byte
-	row    value.Tuple
 }
 
 const (
@@ -183,47 +177,28 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 // newGSet builds one grouping set's retained state: ARPMine's group-by
 // (with resumable accumulators), its split enumeration, and one fit of
 // every fragment.
-func newGSet(tab engine.Relation, g []string, opt Options) (*gSet, error) {
-	sch := tab.Schema()
+func newGSet(tab engine.MutableRelation, g []string, opt Options) (*gSet, error) {
 	aggs := aggSpecsFor(tab, opt.AggFuncs, g)
-	keys, accs, err := engine.GroupByAccums(tab, g, aggs)
+	grp, err := tab.GroupByAccums(g, aggs)
 	if err != nil {
 		return nil, err
 	}
+	keys := grp.Keys()
 	nG, na := keys.NumRows(), len(aggs)
 	gs := &gSet{
-		attrs:  g,
-		aggs:   aggs,
-		aggIdx: make([]int, na),
-		keys:   keys,
-		accs:   accs,
-		state:  make([]uint8, nG),
-		y:      make([]pattern.Obs, na),
-		lookup: make(map[string]int32, nG),
-		fit:    pattern.NewFragFit(na, opt.Models, opt.Thresholds),
+		attrs: g,
+		aggs:  aggs,
+		grp:   grp,
+		state: make([]uint8, nG),
+		y:     make([]pattern.Obs, na),
+		fit:   pattern.NewFragFit(na, opt.Models, opt.Thresholds),
 	}
-	gs.colIdx, err = sch.Indices(g)
-	if err != nil {
-		return nil, err
-	}
-	for ai, a := range aggs {
-		gs.aggIdx[ai] = -1
-		if !a.IsStar() {
-			gs.aggIdx[ai] = sch.Index(a.Arg)
-		}
+	for ai := range aggs {
 		y := pattern.Obs{F: make([]float64, nG), OK: make([]bool, nG)}
 		for gi := range y.F {
-			y.F[gi], y.OK[gi] = accs[gi*na+ai].Result().AsFloat()
+			y.F[gi], y.OK[gi] = grp.Result(gi, ai).AsFloat()
 		}
 		gs.y[ai] = y
-	}
-	all := make([]int, len(g))
-	for i := range all {
-		all[i] = i
-	}
-	for gi := 0; gi < nG; gi++ {
-		gs.keyBuf = gs.appendKey(gs.keyBuf[:0], all, int32(gi))
-		gs.lookup[string(gs.keyBuf)] = int32(gi)
 	}
 
 	var tm pattern.Timers // the build reports no timings
@@ -279,7 +254,7 @@ func (gs *gSet) newSplit(f, v []string, opt Options) (*mSplit, error) {
 		fragIdx: make(map[string]int32),
 		numSupp: make([]int, len(gs.aggs)),
 	}
-	sch := gs.keys.Schema()
+	sch := gs.grp.Keys().Schema()
 	for _, a := range sp.f {
 		sp.fPos = append(sp.fPos, sch.Index(a))
 	}
@@ -308,7 +283,7 @@ func (gs *gSet) newSplit(f, v []string, opt Options) (*mSplit, error) {
 // key columns cols to dst.
 func (gs *gSet) appendKey(dst []byte, cols []int, gi int32) []byte {
 	for _, ci := range cols {
-		dst = gs.keys.Col(ci).Value(int(gi)).AppendKey(dst)
+		dst = gs.grp.Keys().Col(ci).Value(int(gi)).AppendKey(dst)
 	}
 	return dst
 }
@@ -371,9 +346,7 @@ func (m *Maintainer) CatchUp() error {
 		err := pool.ForEach("mine:maintain-fold", len(m.gsets), func(i int) error {
 			gs := m.gsets[i]
 			for _, row := range chunk {
-				if err := gs.foldRow(row); err != nil {
-					return err
-				}
+				gs.touch(gs.grp.Fold(row))
 			}
 			return nil
 		})
@@ -399,10 +372,9 @@ func (m *Maintainer) CatchUp() error {
 		gs := m.gsets[i]
 		// Decode each touched group's aggregates once per batch; every
 		// split's re-fit below reads only the flat columns.
-		na := len(gs.aggs)
 		for _, gi := range gs.touched {
 			for ai := range gs.y {
-				gs.y[ai].F[gi], gs.y[ai].OK[gi] = gs.accs[int(gi)*na+ai].Result().AsFloat()
+				gs.y[ai].F[gi], gs.y[ai].OK[gi] = gs.grp.Result(int(gi), ai).AsFloat()
 			}
 		}
 		for _, sp := range gs.splits {
@@ -431,46 +403,21 @@ func (m *Maintainer) CatchUp() error {
 // between parallel folds.
 var maintainChunkRows = 4096
 
-// foldRow routes one appended row to its group in gs (creating new
-// groups in first-appearance order) and folds it into the aggregate
-// accumulators. Values are copied into the key table, so the row may
-// live in a reused chunk slab.
-func (gs *gSet) foldRow(row value.Tuple) error {
-	gs.keyBuf = gs.keyBuf[:0]
-	for _, ci := range gs.colIdx {
-		gs.keyBuf = row[ci].AppendKey(gs.keyBuf)
-	}
-	gi, ok := gs.lookup[string(gs.keyBuf)]
-	if !ok {
-		gi = int32(len(gs.state))
-		gs.row = gs.row[:0]
-		for _, ci := range gs.colIdx {
-			gs.row = append(gs.row, row[ci])
-		}
-		if err := gs.keys.Append(gs.row); err != nil {
-			return err
-		}
-		for ai, a := range gs.aggs {
-			gs.accs = append(gs.accs, engine.NewAggAccum(a))
+// touch marks group gi, which an appended row was just folded into,
+// touched by the current batch, growing the per-group state first when
+// the row created the group (fresh).
+func (gs *gSet) touch(gi int32, fresh bool) {
+	if fresh {
+		for ai := range gs.y {
 			// Decoded once the batch is folded.
 			gs.y[ai].F, gs.y[ai].OK = append(gs.y[ai].F, 0), append(gs.y[ai].OK, false)
 		}
 		gs.state = append(gs.state, gFresh)
-		gs.lookup[string(gs.keyBuf)] = gi
 	}
 	if gs.state[gi]&gTouched == 0 {
 		gs.state[gi] |= gTouched
 		gs.touched = append(gs.touched, gi)
 	}
-	accs := gs.accs[int(gi)*len(gs.aggs):]
-	for ai, ci := range gs.aggIdx {
-		var arg value.V
-		if ci >= 0 {
-			arg = row[ci]
-		}
-		accs[ai].Add(arg)
-	}
-	return nil
 }
 
 // routeTouched maps every touched group to its fragment in sp, inserting
@@ -512,7 +459,7 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 // the miner's permutation sort visits them in.
 func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
 	for _, p := range sp.seqPos {
-		col := gs.keys.Col(p)
+		col := gs.grp.Keys().Col(p)
 		if c := value.Compare(col.Value(int(a)), col.Value(int(b))); c != 0 {
 			return c < 0
 		}
@@ -526,7 +473,7 @@ func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
 // and the local models — bitwise those of a cold re-mine.
 func (gs *gSet) refit(sp *mSplit, fr *mFrag) {
 	ff := gs.fit
-	ff.Fit(gs.keys, sp.fPos, sp.vPos, gs.y, fr.groups, nil)
+	ff.Fit(gs.grp.Keys(), sp.fPos, sp.vPos, gs.y, fr.groups, nil)
 	for ai, supp := range ff.Supported {
 		if supp != fr.supported[ai] {
 			fr.supported[ai] = supp

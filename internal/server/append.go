@@ -115,7 +115,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		rows[i] = t
 	}
 	// Validation happens before anything is written, so a bad row leaves
-	// the table, its WAL, its indexes, and its columnar view untouched.
+	// the table, its WAL and its indexes untouched.
 	// Store-backed tables route through the WAL: the batch is framed and
 	// fsynced per the store's policy before this handler replies, so an
 	// acknowledged append survives a crash. In-memory tables append
@@ -211,8 +211,9 @@ func (s *Server) maintainSet(ps *patternSet, tab *engine.Table) appendSetStatus 
 	ps.version++
 	ps.stamp = &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
 	if e, ok := s.explainers[ps.ID]; ok && e.table == tab {
-		// The warm explainer keeps its sharded group-by cache; entries
-		// recompute lazily when a request reads them at the new epoch.
+		// The warm explainer keeps its sharded group-by cache; each
+		// grouping folds the appended rows when a request next reads it
+		// at the new epoch.
 		// SetPatterns also rebuilds the structural relevance index — the
 		// admission/maintenance-time build that keeps questions from
 		// ever paying index construction.
