@@ -46,12 +46,13 @@ check-full: check
 # question and mining shapes of a 300K-row Crime table, drill-down point
 # lookups, offline-mining fast path, and, at the repository benchmark's
 # table size, one question on a warm Explainer, one question right after
-# a 100-row append, one maintained append, and the Maintainer's build
+# a 100-row append, one question resolved and explained as a server
+# does, one maintained append, and the Maintainer's build
 # next to a cold ARPMine of the same table),
 # then the repository benchmark — the one harness whose numbers
 # count (BENCHMARK.json, benchmark/README.md).
 bench:
-	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkExplainerWarm|BenchmarkExplainerAfterAppend|BenchmarkGroupBy$$|BenchmarkGroupByPaths|BenchmarkSelectEqDrilldown|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp|BenchmarkMaintainerBuild' -benchmem -run XXX ./...
+	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkExplainerWarm|BenchmarkExplainerAfterAppend|BenchmarkExplainerQuestion|BenchmarkGroupBy$$|BenchmarkGroupByPaths|BenchmarkSelectEqDrilldown|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp|BenchmarkMaintainerBuild' -benchmem -run XXX ./...
 	$(GO) run ./benchmark
 
 clean:

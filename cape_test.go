@@ -128,6 +128,47 @@ func TestSessionExplainsThroughWarmExplainer(t *testing.T) {
 	}
 }
 
+// TestSessionSetMetricKeepsGroupings: SetMetric and SetPatterns keep
+// the Session's Explainer, so the groupings it retained stay cached,
+// and answers under the new metric equal a fresh Session's field by
+// field.
+func TestSessionSetMetricKeepsGroupings(t *testing.T) {
+	ask := func(s *Session) []Explanation {
+		t.Helper()
+		expls, _, err := s.Ask([]string{"author", "venue", "year"}, Count(),
+			Tuple{String("AX"), String("SIGKDD"), Int(2007)}, Low, ExplainOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return expls
+	}
+	s := exampleSession(t)
+	before := ask(s)
+	cached := s.explainer.CachedGroupings()
+	if cached == 0 {
+		t.Fatal("the first question cached no grouping")
+	}
+	metric := NewMetric().SetFunc("year", NumericDistance{Scale: 1}).SetWeight("venue", 3)
+	s.SetMetric(metric)
+	s.SetPatterns(s.Patterns())
+	if n := s.explainer.CachedGroupings(); n != cached {
+		t.Errorf("SetMetric and SetPatterns changed the cached groupings from %d to %d", cached, n)
+	}
+	got := ask(s)
+	fresh := NewSession(RunningExample())
+	fresh.SetMetric(metric)
+	fresh.SetPatterns(s.Patterns())
+	if want := ask(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("after SetMetric the answer differs from a fresh Session's:\n got %v\nwant %v", got, want)
+	}
+	if reflect.DeepEqual(got, before) {
+		t.Error("the new metric changed no answer: the test shows nothing")
+	}
+	if n := s.explainer.CachedGroupings(); n != cached {
+		t.Errorf("asking again grew the grouping cache from %d to %d", cached, n)
+	}
+}
+
 func TestValueConstructors(t *testing.T) {
 	if Int(3).Int() != 3 || Float(1.5).Float() != 1.5 || String("x").Str() != "x" || !Null().IsNull() {
 		t.Error("value constructors broken")

@@ -110,3 +110,31 @@ func BenchmarkExplainerAfterAppend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExplainerQuestion measures a question as a server answers
+// it, on a warm Explainer over benchCrime: an iteration resolves the
+// question from its parts — the tuple looked up in the retained result
+// of its question query — and then explains it. The questions are the
+// warm-up's groups in the other direction, so none was asked before.
+//
+//	go test -run XXX -bench BenchmarkExplainerQuestion -benchmem ./internal/explain
+func BenchmarkExplainerQuestion(b *testing.B) {
+	tab, pats, qs := benchCrime(b)
+	ex := warmExplainer(b, tab, pats, qs)
+	for _, q := range qs {
+		if _, err := ex.Question(q.GroupBy, q.Agg, q.Values, q.Dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		q := qs[i%len(qs)]
+		q, err := ex.Question(q.GroupBy, q.Agg, q.Values, 1-q.Dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ex.Explain(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package explain
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -12,8 +13,23 @@ import (
 // groupKey canonically identifies the aggregate query γ_{F'∪V, agg}(R)
 // a refined pattern enumerates over.
 func groupKey(p pattern.Pattern) string {
-	return strings.Join(p.GroupAttrs(), "\x1f") + "\x1e" + p.Agg.String()
+	return groupingKey(p.GroupAttrs(), p.Agg)
 }
+
+// groupingKey identifies γ_{cols, agg}(R): a question grouping and a
+// pattern grouping with the same column order share one key.
+func groupingKey(cols []string, agg engine.AggSpec) string {
+	return strings.Join(cols, "\x1f") + "\x1e" + agg.String()
+}
+
+// questionGroupings is how many groupings the cache keeps for questions
+// alone: γ_{G, agg}(R) for a (G, agg) that no pattern of the set
+// enumerates. Clients choose G and agg, so without a bound these would
+// stay resident for ever. Sixteen holds the handful of shapes an
+// interactive session or a serving workload asks about, while capping
+// what questions can pin at sixteen groupings of at most |R| groups
+// each. Pattern groupings are never evicted.
+const questionGroupings = 16
 
 // cacheShards is the number of lock stripes in a groupCache. Sixteen
 // keeps contention negligible at any worker count this package spawns
@@ -37,6 +53,8 @@ const cacheShards = 16
 // while the grouping catches up. Every question enumerating the same
 // grouping — in this run or, through the Explainer's shared cache, any
 // later one — reads the same table.
+// Question groupings no pattern enumerates are bounded; see
+// questionGroupings.
 type groupCache struct {
 	shards [cacheShards]cacheShard
 
@@ -44,6 +62,14 @@ type groupCache struct {
 	// a build or a catch-up, not per lookup — before it runs: a test hook
 	// for the computed-exactly-once guarantee.
 	onCompute func(key string)
+
+	// mu guards patternKeys and recent; it is taken before a shard's.
+	mu sync.Mutex
+	// patternKeys are the groupings the pattern set enumerates.
+	patternKeys map[string]bool
+	// recent holds every other cached grouping, least recently asked
+	// first; trim keeps at most questionGroupings of them.
+	recent []string
 }
 
 type cacheShard struct {
@@ -141,10 +167,86 @@ func (c *groupCache) lookup(r engine.Relation) func(pattern.Pattern) (*engine.Ta
 	mr, ok := r.(engine.MutableRelation)
 	return func(p pattern.Pattern) (*engine.Table, error) {
 		if !ok {
-			return nil, fmt.Errorf("explain: relation %T keeps no retained groupings; use a Table or SegTable", r)
+			return nil, errNotRetained(r)
 		}
 		return c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
 	}
+}
+
+// errNotRetained is the error of a grouping read over a relation that
+// cannot fold appended rows.
+func errNotRetained(r engine.Relation) error {
+	return fmt.Errorf("explain: relation %T keeps no retained groupings; use a Table or SegTable", r)
+}
+
+// question returns γ_{groupCols, agg}(r) for a user question: get, then
+// the grouping counts as the most recently asked one unless a pattern
+// enumerates it.
+func (c *groupCache) question(r engine.MutableRelation, groupCols []string, agg engine.AggSpec) (*engine.Table, error) {
+	key := groupingKey(groupCols, agg)
+	tab, err := c.get(r, key, groupCols, agg)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.patternKeys[key] {
+		if i := slices.Index(c.recent, key); i >= 0 {
+			c.recent = slices.Delete(c.recent, i, i+1)
+		}
+		c.recent = append(c.recent, key)
+		c.trim()
+	}
+	return tab, nil
+}
+
+// setPatterns makes the groupings of patterns the ones never evicted.
+// Cached groupings the previous set enumerated and this one does not
+// become question groupings, older than any question's, and the bound
+// applies to them too.
+func (c *groupCache) setPatterns(patterns []*pattern.Mined) {
+	keys := make(map[string]bool, len(patterns))
+	for _, m := range patterns {
+		keys[groupKey(m.Pattern)] = true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var recent []string
+	for key := range c.patternKeys {
+		if !keys[key] && c.holds(key) {
+			recent = append(recent, key)
+		}
+	}
+	slices.Sort(recent)
+	for _, key := range c.recent {
+		if !keys[key] {
+			recent = append(recent, key)
+		}
+	}
+	c.patternKeys, c.recent = keys, recent
+	c.trim()
+}
+
+// trim drops the least recently asked question groupings past the
+// bound. A reader already holding a dropped grouping's table keeps it.
+// Caller holds c.mu.
+func (c *groupCache) trim() {
+	for len(c.recent) > questionGroupings {
+		key := c.recent[0]
+		c.recent = slices.Delete(c.recent, 0, 1)
+		sh := c.shardFor(key)
+		sh.mu.Lock()
+		delete(sh.entries, key)
+		sh.mu.Unlock()
+	}
+}
+
+// holds reports whether key is cached (or in flight).
+func (c *groupCache) holds(key string) bool {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.entries[key] != nil
 }
 
 // len reports the number of cached (or in-flight) groupings.

@@ -1,8 +1,11 @@
 package explain
 
 import (
+	"fmt"
+
 	"cape/internal/engine"
 	"cape/internal/pattern"
+	"cape/internal/value"
 )
 
 // Explainer answers many questions over one relation and pattern set,
@@ -54,6 +57,35 @@ func (e *Explainer) Explain(q UserQuestion) ([]Explanation, *Stats, error) {
 // The question's pairs run on a pool of the merged Parallelism's width.
 func (e *Explainer) ExplainOpts(q UserQuestion, opt Options) ([]Explanation, *Stats, error) {
 	return e.answer(q, opt, engine.NewPool(e.merged(opt).workers()))
+}
+
+// Question resolves a user question from its parts (Definition 1): it
+// finds the tuple values in the result of the question query
+// γ_{groupBy, agg}(R) and takes AggValue from it. That result is read
+// from the explainer's cache at the relation's current epoch, like every
+// grouping generation reads, so after an append it folds only the
+// appended rows. The tuple matches as SelectEq matches (Int and Float
+// by numeric value, −0 = +0, NaN = NaN).
+func (e *Explainer) Question(groupBy []string, agg engine.AggSpec, values value.Tuple, dir Direction) (UserQuestion, error) {
+	mr, ok := e.r.(engine.MutableRelation)
+	if !ok {
+		return UserQuestion{}, errNotRetained(e.r)
+	}
+	grouped, err := e.cache.question(mr, groupBy, agg)
+	if err != nil {
+		return UserQuestion{}, err
+	}
+	sel, err := grouped.SelectEq(groupBy, values)
+	if err != nil {
+		return UserQuestion{}, err
+	}
+	if sel.NumRows() == 0 {
+		return UserQuestion{}, fmt.Errorf("tuple %v is not a result of the question query", []value.V(values))
+	}
+	return UserQuestion{
+		GroupBy: groupBy, Agg: agg, Values: values,
+		AggValue: sel.Col(len(groupBy)).Value(0), Dir: dir,
+	}, nil
 }
 
 // answer runs the bound-pruned generation for one question on pool.
@@ -133,7 +165,9 @@ func (e *Explainer) merged(opt Options) Options {
 	return out
 }
 
-// CachedGroupings reports how many distinct aggregate results are held.
+// CachedGroupings reports how many distinct aggregate results are held:
+// the pattern set's groupings read so far plus at most
+// questionGroupings question groupings.
 func (e *Explainer) CachedGroupings() int {
 	return e.cache.len()
 }
@@ -141,10 +175,12 @@ func (e *Explainer) CachedGroupings() int {
 // SetPatterns swaps the pattern set the explainer answers from — the
 // maintenance path after an append updates patterns without discarding
 // the group-by cache (each grouping catches up lazily, on its next use,
-// via the table epoch). The caller must exclude concurrent
+// via the table epoch); groupings only the old set enumerated join the
+// bounded question groupings. The caller must exclude concurrent
 // Explain calls while swapping, as the server's append path does.
 func (e *Explainer) SetPatterns(patterns []*pattern.Mined) {
 	e.patterns = patterns
+	e.cache.setPatterns(patterns)
 	e.idx = nil
 	if !e.opt.LinearScan {
 		e.idx = NewIndex(patterns)

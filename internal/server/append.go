@@ -266,6 +266,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		// Index reports the relevance-index shape backing this set's
 		// warm explainer; absent until the explainer is built.
 		Index *explain.IndexStats `json:"index,omitempty"`
+		// CachedGroupings counts the groupings that explainer retains:
+		// the pattern set's plus a bounded number kept for questions.
+		CachedGroupings int `json:"cachedGroupings,omitempty"`
 	}
 	s.mu.RLock()
 	tables := make([]tableStatus, 0, len(s.tables))
@@ -294,6 +297,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		if e, ok := s.explainers[ps.ID]; ok {
 			is := e.ex.IndexStats()
 			st.Index = &is
+			st.CachedGroupings = e.ex.CachedGroupings()
 		}
 		tab, ok := s.tables[ps.Table]
 		if !ok {

@@ -63,6 +63,9 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d questions exceeds the limit of %d", len(req.Questions), maxBatchQuestions)
 		return
 	}
+	if !explainLimits(w, req.K, &req.Parallelism) {
+		return
+	}
 	s.mu.RLock()
 	ps, ok := s.patterns[req.Patterns]
 	s.mu.RUnlock()
@@ -90,7 +93,7 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	epoch := tab.Epoch()
 	items := make([]batchItemDTO, len(req.Questions))
 	keys := make([]string, len(req.Questions))
-	builder := newQuestionBuilder(tab)
+	ex := s.explainerFor(ps, tab)
 	var qs []explain.UserQuestion
 	var qIdx []int // qs[j] answers items[qIdx[j]]
 	for i, spec := range req.Questions {
@@ -104,7 +107,7 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		q, err := builder.build(spec)
+		q, err := spec.question(ex)
 		if err != nil {
 			items[i].Status = http.StatusBadRequest
 			items[i].Error = err.Error()
@@ -119,7 +122,7 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opt := explain.Options{K: req.K, Metric: metric, Parallelism: req.Parallelism}
-	for j, it := range s.explainerFor(ps, tab).ExplainBatchOpts(qs, opt) {
+	for j, it := range ex.ExplainBatchOpts(qs, opt) {
 		i := qIdx[j]
 		if it.Err != nil {
 			items[i].Status = http.StatusBadRequest

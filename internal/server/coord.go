@@ -847,6 +847,9 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if !explainLimits(w, req.K, &req.Parallelism) {
+		return
+	}
 	c.mu.Lock()
 	cs, ok := c.sets[req.Patterns]
 	var ct *coordTable
@@ -891,8 +894,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		_, v, _ := compute()
 		ans = v.(*coordAnswer)
 	} else {
-		key := ansKey('e', cs.version, ct.gen, ct.epochs[owner],
-			QuestionSpec{GroupBy: req.GroupBy, Aggregate: req.Aggregate, Tuple: req.Tuple, Dir: req.Dir},
+		key := ansKey('e', cs.version, ct.gen, ct.epochs[owner], req.spec(),
 			req.K, req.Parallelism, req.Numeric, req.Weights)
 		_, v, _ := cs.anscache.do(key, compute)
 		ans = v.(*coordAnswer)
@@ -927,6 +929,9 @@ func (c *Coordinator) handleExplainBatch(w http.ResponseWriter, r *http.Request)
 		httpError(w, http.StatusBadRequest, "batch of %d questions exceeds the limit of %d", len(req.Questions), maxBatchQuestions)
 		return
 	}
+	if !explainLimits(w, req.K, &req.Parallelism) {
+		return
+	}
 	c.mu.Lock()
 	cs, ok := c.sets[req.Patterns]
 	var ct *coordTable
@@ -945,7 +950,7 @@ func (c *Coordinator) handleExplainBatch(w http.ResponseWriter, r *http.Request)
 
 	// Scatter: each question goes to its owning shard's sub-batch; the
 	// per-shard batches keep their relative question order so the
-	// shard-side builder memo and batch cache behave as on one node.
+	// shard-side question resolution and batch cache behave as on one node.
 	// Items with a cached answer never enter a sub-batch — a fully
 	// cached batch performs zero shard calls.
 	items := make([]batchItemDTO, len(req.Questions))

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"cape/internal/distance"
 	"cape/internal/engine"
@@ -25,9 +24,11 @@ type ExplainRequest struct {
 	Aggregate string   `json:"aggregate,omitempty"` // e.g. "count(*)", "sum(x)"; default count(*)
 	Tuple     []string `json:"tuple"`
 	Dir       string   `json:"dir"`
-	K         int      `json:"k,omitempty"`
+	// K is the number of explanations, at most maxExplainK.
+	K int `json:"k,omitempty"`
 	// Parallelism overrides the server's default explanation worker
-	// count for this request; 0 keeps the default, 1 forces sequential.
+	// count for this request; 0 keeps the default, 1 forces sequential,
+	// and values above GOMAXPROCS are clamped to it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Numeric maps attribute names to numeric-distance scales.
 	Numeric map[string]float64 `json:"numeric,omitempty"`
@@ -38,12 +39,10 @@ type ExplainRequest struct {
 	Expected float64 `json:"expected,omitempty"`
 }
 
-// build validates the request against the table and produces the
-// question plus explanation options.
-func (r ExplainRequest) build(tab *engine.Table) (explain.UserQuestion, explain.Options, error) {
-	q, err := newQuestionBuilder(tab).build(QuestionSpec{
-		GroupBy: r.GroupBy, Aggregate: r.Aggregate, Tuple: r.Tuple, Dir: r.Dir,
-	})
+// build validates the request, resolves its question with ex and
+// produces the question plus explanation options.
+func (r ExplainRequest) build(ex *explain.Explainer) (explain.UserQuestion, explain.Options, error) {
+	q, err := r.spec().question(ex)
 	if err != nil {
 		return q, explain.Options{}, err
 	}
@@ -52,6 +51,11 @@ func (r ExplainRequest) build(tab *engine.Table) (explain.UserQuestion, explain.
 		return q, explain.Options{}, err
 	}
 	return q, explain.Options{K: r.K, Metric: metric, Parallelism: r.Parallelism}, nil
+}
+
+// spec is the request's inline question.
+func (r ExplainRequest) spec() QuestionSpec {
+	return QuestionSpec{GroupBy: r.GroupBy, Aggregate: r.Aggregate, Tuple: r.Tuple, Dir: r.Dir}
 }
 
 // QuestionSpec is the wire form of one user question: the shape shared
@@ -63,60 +67,32 @@ type QuestionSpec struct {
 	Dir       string   `json:"dir"`
 }
 
-// questionBuilder resolves question specs against one table. The
-// aggregate query results used to verify that each tuple is an actual
-// answer are memoized, so a batch of questions over the same group-by
-// runs that query once, not once per item.
-type questionBuilder struct {
-	tab  *engine.Table
-	memo map[string]*engine.Table
+// oneOffExplainer resolves questions over tab with groupings built for
+// the one request. /v1/intervene and /v1/baseline name a table, not a
+// pattern set, so no warm Explainer serves them.
+func oneOffExplainer(tab *engine.Table) *explain.Explainer {
+	return explain.NewExplainer(tab, nil, explain.Options{})
 }
 
-func newQuestionBuilder(tab *engine.Table) *questionBuilder {
-	return &questionBuilder{tab: tab, memo: make(map[string]*engine.Table)}
-}
-
-// build validates one spec and resolves its aggregate value from the
-// question query's result.
-func (b *questionBuilder) build(spec QuestionSpec) (explain.UserQuestion, error) {
-	var q explain.UserQuestion
+// question validates the spec and resolves it with ex, which finds the
+// tuple in the result of the question query.
+func (spec QuestionSpec) question(ex *explain.Explainer) (explain.UserQuestion, error) {
 	if len(spec.GroupBy) == 0 || len(spec.Tuple) != len(spec.GroupBy) {
-		return q, fmt.Errorf("groupBy and tuple must be non-empty and the same length")
+		return explain.UserQuestion{}, fmt.Errorf("groupBy and tuple must be non-empty and the same length")
 	}
 	dir, err := explain.ParseDirection(spec.Dir)
 	if err != nil {
-		return q, err
+		return explain.UserQuestion{}, err
 	}
 	agg, err := engine.ParseAggSpec(spec.Aggregate)
 	if err != nil {
-		return q, err
+		return explain.UserQuestion{}, err
 	}
-
-	memoKey := strings.Join(spec.GroupBy, "\x1f") + "\x1e" + agg.String()
-	grouped, ok := b.memo[memoKey]
-	if !ok {
-		grouped, err = b.tab.GroupBy(spec.GroupBy, []engine.AggSpec{agg})
-		if err != nil {
-			return q, err
-		}
-		b.memo[memoKey] = grouped
-	}
-
 	vals := make(value.Tuple, len(spec.Tuple))
 	for i, raw := range spec.Tuple {
 		vals[i] = value.Parse(raw)
 	}
-	sel, err := grouped.SelectEq(spec.GroupBy, vals)
-	if err != nil {
-		return q, err
-	}
-	if sel.NumRows() == 0 {
-		return q, fmt.Errorf("tuple %v is not a result of the question query", spec.Tuple)
-	}
-	return explain.UserQuestion{
-		GroupBy: spec.GroupBy, Agg: agg, Values: vals,
-		AggValue: sel.Col(len(spec.GroupBy)).Value(0), Dir: dir,
-	}, nil
+	return ex.Question(spec.GroupBy, agg, vals, dir)
 }
 
 // buildMetric turns the request's numeric-scale and weight maps into a

@@ -430,9 +430,34 @@ func (s *Server) handleGetPatterns(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxExplainK caps a request's k. The generator's score bound prunes
+// only once the top-k heap is full, so a k beyond the candidate count
+// silently turns pruning off; a thousand explanations is already far
+// more than anyone reads.
+const maxExplainK = 1000
+
+// explainLimits applies the request limits shared by the explain
+// endpoints of the server and the coordinator: a k above maxExplainK is
+// refused with a 400, and *parallelism is clamped to GOMAXPROCS — more
+// workers than the machine runs at once only add scheduling. It runs
+// before the answer-cache key is built, so widths past the clamp share
+// one entry; Options.workers applies the lower clamp. It reports
+// whether the request may go on.
+func explainLimits(w http.ResponseWriter, k int, parallelism *int) bool {
+	if k > maxExplainK {
+		httpError(w, http.StatusBadRequest, "k %d exceeds the limit of %d", k, maxExplainK)
+		return false
+	}
+	*parallelism = min(*parallelism, runtime.GOMAXPROCS(0))
+	return true
+}
+
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
 	if !readJSON(w, r, &req) {
+		return
+	}
+	if !explainLimits(w, req.K, &req.Parallelism) {
 		return
 	}
 	s.mu.RLock()
@@ -452,11 +477,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// cache key: a question that fails validation keeps failing until
 	// the data changes, so negative answers cache like positive ones.
 	compute := func() (int, interface{}, bool) {
-		q, opt, err := req.build(tab)
+		ex := s.explainerFor(ps, tab)
+		q, opt, err := req.build(ex)
 		if err != nil {
 			return http.StatusBadRequest, errorBody(err), true
 		}
-		expls, stats, err := s.explainerFor(ps, tab).ExplainOpts(q, opt)
+		expls, stats, err := ex.ExplainOpts(q, opt)
 		if err != nil {
 			return http.StatusBadRequest, errorBody(err), true
 		}
@@ -476,8 +502,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, v)
 		return
 	}
-	key := ansKey('e', ps.version, gen, tab.Epoch(),
-		QuestionSpec{GroupBy: req.GroupBy, Aggregate: req.Aggregate, Tuple: req.Tuple, Dir: req.Dir},
+	key := ansKey('e', ps.version, gen, tab.Epoch(), req.spec(),
 		req.K, req.Parallelism, req.Numeric, req.Weights)
 	status, v, _ := cache.do(key, compute)
 	writeJSON(w, status, v)
@@ -530,7 +555,7 @@ func (s *Server) handleGeneralize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
 		return
 	}
-	q, opt, err := req.build(tab)
+	q, opt, err := req.build(s.explainerFor(ps, tab))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -564,7 +589,7 @@ func (s *Server) handleIntervene(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
 		return
 	}
-	q, opt, err := req.build(tab)
+	q, opt, err := req.build(oneOffExplainer(tab))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -598,7 +623,7 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
 		return
 	}
-	q, opt, err := req.build(tab)
+	q, opt, err := req.build(oneOffExplainer(tab))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -617,8 +642,9 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 // explainerFor returns the pattern set's shared Explainer, building it
 // on first use and rebuilding it when the backing table was replaced.
 // Reusing one Explainer per pattern set is what makes the sharded
-// group-by cache warm across requests: N concurrent identical questions
-// run one GroupBy per distinct grouping instead of N.
+// group-by cache warm across requests: question resolution and
+// generation read retained groupings, and N concurrent identical
+// questions compute each distinct grouping once instead of N times.
 func (s *Server) explainerFor(ps *patternSet, tab *engine.Table) *explain.Explainer {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -332,7 +332,7 @@ func TestInterveneExpected(t *testing.T) {
 	loadRunningExample(t, ts)
 	tab, _ := s.Table("pub")
 	spec := QuestionSpec{GroupBy: []string{"author", "venue"}, Tuple: []string{"AX", "ICDE"}, Dir: "high"}
-	q, err := newQuestionBuilder(tab).build(spec)
+	q, err := spec.question(oneOffExplainer(tab))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cape
 
 import (
 	"errors"
-	"fmt"
 
 	"cape/internal/pattern"
 )
@@ -32,9 +31,10 @@ func NewSession(t *Table) *Session {
 func (s *Session) Table() *Table { return s.table }
 
 // SetMetric installs the distance metric used for scoring explanations.
+// It reaches the Explainer as a per-call option, so its retained
+// groupings stay warm.
 func (s *Session) SetMetric(m *Metric) *Session {
 	s.metric = m
-	s.SetPatterns(s.patterns)
 	return s
 }
 
@@ -73,23 +73,30 @@ func (s *Session) Patterns() []*MinedPattern { return s.patterns }
 func (s *Session) MiningResult() *MiningResult { return s.mining }
 
 // SetPatterns installs externally mined or filtered patterns, e.g. to
-// replay explanation generation over a pattern subset, and rebuilds the
-// Explainer that answers every question over them.
+// replay explanation generation over a pattern subset. The session's
+// one Explainer answers from them: it keeps the groupings it retained,
+// which depend on neither the patterns nor the metric.
 func (s *Session) SetPatterns(ps []*MinedPattern) {
 	s.patterns = ps
-	s.explainer = nil
-	if ps != nil {
-		s.explainer = NewExplainer(s.table, ps, ExplainOptions{Metric: s.metric})
+	switch {
+	case ps == nil:
+	case s.explainer == nil:
+		s.explainer = NewExplainer(s.table, ps, ExplainOptions{})
+	default:
+		s.explainer.SetPatterns(ps)
 	}
 }
+
+// errNoPatterns is the error of a question asked before Mine.
+var errNoPatterns = errors.New("cape: Mine must run before explaining (or install patterns with SetPatterns)")
 
 // Explain answers a user question with the top-k counterbalancing
 // explanations; set fields of opt override the session's defaults.
 func (s *Session) Explain(q Question, opt ExplainOptions) ([]Explanation, *ExplainStats, error) {
-	if s.explainer == nil {
-		return nil, nil, errors.New("cape: Mine must run before Explain (or install patterns with SetPatterns)")
+	if s.patterns == nil {
+		return nil, nil, errNoPatterns
 	}
-	return s.explainer.ExplainOpts(q, opt)
+	return s.explainer.ExplainOpts(q, s.withMetric(opt))
 }
 
 // ExplainBatch answers a batch of questions in one pass, sharing the
@@ -98,29 +105,32 @@ func (s *Session) Explain(q Question, opt ExplainOptions) ([]Explanation, *Expla
 // results align positionally with qs and per-question failures are
 // wrapped with their index in the joined error.
 func (s *Session) ExplainBatch(qs []Question, opt ExplainOptions) ([][]Explanation, []*ExplainStats, error) {
-	if s.explainer == nil {
-		return nil, nil, errors.New("cape: Mine must run before ExplainBatch (or install patterns with SetPatterns)")
+	if s.patterns == nil {
+		return nil, nil, errNoPatterns
 	}
-	return batchResults(s.explainer.ExplainBatchOpts(qs, opt))
+	return batchResults(s.explainer.ExplainBatchOpts(qs, s.withMetric(opt)))
 }
 
-// Ask is a convenience wrapper that builds the question from its parts,
-// verifies the tuple is an actual result of the aggregate query, and
-// explains it.
+// withMetric fills in the session's metric unless opt sets its own.
+func (s *Session) withMetric(opt ExplainOptions) ExplainOptions {
+	if opt.Metric == nil {
+		opt.Metric = s.metric
+	}
+	return opt
+}
+
+// Ask is a convenience wrapper that builds the question from its parts
+// and explains it. The Explainer resolves the question: it finds the
+// tuple in the aggregate query's result, read from the groupings it
+// retains, so asking again after an append folds only the new rows.
 func (s *Session) Ask(groupBy []string, agg AggSpec, values Tuple, dir Direction, opt ExplainOptions) ([]Explanation, *ExplainStats, error) {
-	grouped, err := s.table.GroupBy(groupBy, []AggSpec{agg})
+	if s.patterns == nil {
+		return nil, nil, errNoPatterns
+	}
+	q, err := s.explainer.Question(groupBy, agg, values, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, err := grouped.SelectEq(groupBy, values)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sel.NumRows() == 0 {
-		return nil, nil, fmt.Errorf("cape: tuple %v is not a result of grouping by %v", values, groupBy)
-	}
-	aggValue := sel.Col(len(groupBy)).Value(0)
-	q := Question{GroupBy: groupBy, Agg: agg, Values: values, AggValue: aggValue, Dir: dir}
 
 	// The widest relevant pattern uses all of G; if mining stopped at a
 	// smaller ψ, optionally re-mine so those patterns exist (Section 4.1).
