@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check check-full bench clean
+.PHONY: all build test check check-full bench loc clean
 
 all: build
 
@@ -54,6 +54,17 @@ check-full: check
 bench:
 	$(GO) test -bench 'BenchmarkGenOptParallel|BenchmarkExplainerWarm|BenchmarkExplainerAfterAppend|BenchmarkExplainerQuestion|BenchmarkGroupBy$$|BenchmarkGroupByPaths|BenchmarkSelectEqDrilldown|BenchmarkARPMine|BenchmarkFitShared|BenchmarkMaintainerCatchUp|BenchmarkMaintainerBuild' -benchmem -run XXX ./...
 	$(GO) run ./benchmark
+
+# Size: non-test Go lines per package directory (every .go file not
+# named *_test.go, whatever its build tags), then their total. The
+# test-support package internal/oracle is listed apart and left out of
+# the total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -exec wc -l {} + | awk '$$2 != "total"' | \
+		awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d] += $$1 } \
+			END { for (d in n) print n[d], d }' | sort -k2 | \
+		awk '$$2 == "internal/oracle" { o = $$1; next } { t += $$1; printf "%7d  %s\n", $$1, $$2 } \
+			END { printf "%7d  total\n%7d  internal/oracle (test support, not in the total)\n", t, o }'
 
 clean:
 	$(GO) clean ./...

@@ -56,12 +56,11 @@ func mineFlags(fs *flag.FlagSet) (func() server.MineRequest, *int) {
 	globalSupp := fs.Int("globalsupp", 5, "global support threshold Δ")
 	attrs := fs.String("attrs", "", "comma-separated attributes to mine over (default: all)")
 	aggs := fs.String("aggs", "count", "comma-separated aggregate functions (count,sum,min,max,avg)")
-	useFDs := fs.Bool("fd", false, "enable functional-dependency pruning")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines per request, for mining and explanation generation")
 	return func() server.MineRequest {
 		return server.MineRequest{
 			Attributes: splitList(*attrs), Aggregates: splitList(*aggs),
-			MaxPatternSize: *psi, UseFDs: *useFDs, Parallelism: *parallel,
+			MaxPatternSize: *psi, Parallelism: *parallel,
 			Theta: *theta, LocalSupport: *localSupp, Lambda: *lambda, GlobalSupport: *globalSupp,
 		}
 	}, parallel
@@ -117,9 +116,6 @@ func mineVerb(fs *flag.FlagSet) func() error {
 		}
 		// The store keeps the set's stamp, so loaders detect staleness, and
 		// its mining spec, so appends can rebuild a maintainer for it.
-		if entry.Spec == nil {
-			fmt.Fprintln(os.Stderr, "note: store will not be append-maintainable (FD-pruned runs record no mining spec)")
-		}
 		path, err := pattern.SaveStoreStamped(*outDir, req.Table, entry.Patterns, entry.Stamp, entry.Spec)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "saved pattern store for table %q to %s\n", req.Table, path)

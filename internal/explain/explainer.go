@@ -75,17 +75,26 @@ func (e *Explainer) Question(groupBy []string, agg engine.AggSpec, values value.
 	if err != nil {
 		return UserQuestion{}, err
 	}
-	sel, err := grouped.SelectEq(groupBy, values)
+	aggValue, ok, err := groupAggregate(grouped, groupBy, values)
 	if err != nil {
 		return UserQuestion{}, err
 	}
-	if sel.NumRows() == 0 {
+	if !ok {
 		return UserQuestion{}, fmt.Errorf("tuple %v is not a result of the question query", []value.V(values))
 	}
-	return UserQuestion{
-		GroupBy: groupBy, Agg: agg, Values: values,
-		AggValue: sel.Col(len(groupBy)).Value(0), Dir: dir,
-	}, nil
+	return UserQuestion{GroupBy: groupBy, Agg: agg, Values: values, AggValue: aggValue, Dir: dir}, nil
+}
+
+// groupAggregate finds the group of grouped — a retained γ_{cols, agg}(R)
+// — whose key matches values as SelectEq matches, and returns its
+// aggregate; ok is false when no group matches. Key equality is
+// value.Equal, so at most one group does.
+func groupAggregate(grouped *engine.Table, cols []string, values value.Tuple) (agg value.V, ok bool, err error) {
+	sel, err := grouped.SelectEq(cols, values)
+	if err != nil || sel.NumRows() == 0 {
+		return value.V{}, false, err
+	}
+	return sel.Col(len(cols)).Value(0), true, nil
 }
 
 // answer runs the bound-pruned generation for one question on pool.

@@ -64,14 +64,25 @@ func (g Generalization) String() string {
 // subset of the question's group-by (and whose aggregate matches), it
 // compares the question's coarser aggregate against the pattern's local
 // model and reports deviations in the question's direction, strongest
-// relative deviation first.
+// relative deviation first. It is NewExplainer(r, patterns,
+// opt).Generalize(q, opt).
 func Generalize(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, opt Options) ([]Generalization, error) {
+	return NewExplainer(r, patterns, opt).Generalize(q, opt)
+}
+
+// Generalize is the package-level Generalize over the explainer's
+// pattern set, with per-call options as in ExplainOpts. A pattern's
+// coarser aggregate is the question's row of γ_{F∪V, agg}(R) — the
+// grouping the pattern enumerates — so it is read from the explainer's
+// retained groupings, never from a scan of the relation.
+func (e *Explainer) Generalize(q UserQuestion, opt Options) ([]Generalization, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt = e.merged(opt)
+	lookup := e.cache.lookup(e.r)
 	var out []Generalization
-	for _, m := range patterns {
+	for _, m := range e.patterns {
 		p := m.Pattern
 		if p.Agg != q.Agg {
 			continue
@@ -89,19 +100,17 @@ func Generalize(q UserQuestion, r engine.Relation, patterns []*pattern.Mined, op
 		if !ok {
 			continue
 		}
-		// The coarser group's actual aggregate over the full relation.
-		sel, err := r.SelectEq(attrs, tuple)
+		grouped, err := lookup(p)
 		if err != nil {
 			return nil, err
 		}
-		agged, err := sel.GroupBy(nil, []engine.AggSpec{p.Agg})
+		actualV, ok, err := groupAggregate(grouped, attrs, tuple)
 		if err != nil {
 			return nil, err
 		}
-		if agged.NumRows() == 0 {
+		if !ok {
 			continue
 		}
-		actualV := agged.Row(0)[0]
 		actual, numeric := actualV.AsFloat()
 		if !numeric {
 			continue

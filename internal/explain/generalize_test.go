@@ -1,10 +1,16 @@
 package explain
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"cape/internal/engine"
+	"cape/internal/oracle"
+	"cape/internal/pattern"
 	"cape/internal/value"
 )
 
@@ -149,5 +155,160 @@ func TestGeneralizeKLimit(t *testing.T) {
 	}
 	if len(gens) > 1 {
 		t.Errorf("K=1 returned %d generalizations", len(gens))
+	}
+}
+
+// literalGeneralize is Generalize with each coarser aggregate computed
+// as internal/oracle's GroupBy over SelectEq — σ_{F∪V = t[F∪V]}(R), then
+// one aggregate over the selection — on rows whose schema is sch.
+func literalGeneralize(sch engine.Schema, rows []value.Tuple, q UserQuestion, pats []*pattern.Mined, eps float64) []Generalization {
+	var out []Generalization
+	for _, m := range pats {
+		p := m.Pattern
+		attrs := p.GroupAttrs()
+		tuple, ok := q.Project(attrs)
+		if p.Agg != q.Agg || len(attrs) >= len(q.GroupBy) || !ok {
+			continue
+		}
+		frag, _ := q.Project(p.F)
+		lm, ok := m.Local(frag)
+		if !ok {
+			continue
+		}
+		idx := make([]int, len(attrs))
+		for i, a := range attrs {
+			idx[i] = sch.Index(a)
+		}
+		agged := oracle.GroupBy(oracle.SelectEq(rows, idx, tuple), nil, []oracle.Agg{oracleAgg(sch, p.Agg)})
+		if len(agged) == 0 {
+			continue
+		}
+		actual, numeric := agged[0][0].AsFloat()
+		if !numeric {
+			continue
+		}
+		vVals, _ := q.Project(p.V)
+		x, _ := pattern.EncodePredictors(vVals)
+		pred := lm.Model.Predict(x)
+		dev := actual - pred
+		if (q.Dir == Low && dev >= 0) || (q.Dir == High && dev <= 0) {
+			continue
+		}
+		out = append(out, Generalization{Pattern: p, Attrs: attrs, Tuple: tuple, AggValue: agged[0][0],
+			Predicted: pred, Deviation: dev, Score: math.Abs(dev) / (math.Abs(pred) + eps)})
+	}
+	slices.SortStableFunc(out, func(a, b Generalization) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.Pattern.Key(), b.Pattern.Key())
+	})
+	return out
+}
+
+// TestGeneralizeReadsRetainedGroupings is the differential test of
+// Explainer.Generalize, which reads each coarser aggregate from the
+// explainer's retained grouping γ_{F∪V, agg}(R). The seeded append
+// sequence of TestRetainedGroupingsAcrossEpochs — new groups, a Float
+// landing in the Int-only measure x, ±0 and NaN keys, a Compact — runs
+// over a Table and a SegTable, each served by one long-lived Explainer.
+// At every epoch each answer equals internal/oracle's SelectEq+GroupBy
+// field by field, floats to the bit and values with their kinds.
+func TestGeneralizeReadsRetainedGroupings(t *testing.T) {
+	found, floatSums, zeroKeys := 0, 0, 0
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := engine.NewTable(epochSchema)
+		if err := tab.AppendRows(epochRows(rng, 150+rng.Intn(100), 4, false)); err != nil {
+			t.Fatal(err)
+		}
+		rels := []engine.MutableRelation{tab, segTableOf(t, tab, 2, 30)}
+		batches := [][]value.Tuple{
+			epochRows(rng, 20, 6, false),
+			epochRows(rng, 25, 6, true), // a Float x: sum(x) turns Float
+			nil,                         // Compact first, then nothing
+			epochRows(rng, 15, 7, false),
+		}
+		opt := Options{K: 1000, Epsilon: 1e-9}
+		count := engine.AggSpec{Func: engine.Count}
+		sumX := engine.AggSpec{Func: engine.Sum, Arg: "x"}
+		exs := make([]*Explainer, len(rels))
+		for epoch := 0; epoch <= len(batches); epoch++ {
+			if epoch > 0 {
+				for _, rel := range rels {
+					if st, ok := rel.(*engine.SegTable); ok && epoch == 3 {
+						if err := st.Compact(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := rel.AppendRows(batches[epoch-1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pats := mineEpoch(t, tab)
+			qs := questionsFor(t, tab, [][]string{{"a", "b", "f"}}, []engine.AggSpec{count, sumX}, 6)
+			for ri, rel := range rels {
+				if exs[ri] == nil {
+					exs[ri] = NewExplainer(rel, pats, opt)
+				}
+				exs[ri].SetPatterns(pats)
+				rows := scanRows(t, rel)
+				for qi, q := range qs {
+					for _, dir := range []Direction{Low, High} {
+						q.Dir = dir
+						label := fmt.Sprintf("seed %d epoch %d %T q%d %s", seed, epoch, rel, qi, dir)
+						got, err := exs[ri].Generalize(q, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := literalGeneralize(rel.Schema(), rows, q, pats, opt.Epsilon)
+						requireSameGeneralizations(t, label, want, got)
+						for _, g := range got {
+							found++
+							if g.AggValue.Kind() == value.Float {
+								floatSums++
+							}
+							if v, ok := q.ValueOf("f"); ok && slices.Contains(g.Attrs, "f") && v.Kind() == value.Float && v.Float() == 0 {
+								zeroKeys++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if found == 0 || floatSums == 0 || zeroKeys == 0 {
+		t.Fatalf("%d generalizations, %d with a Float sum, %d keyed on a ±0: the sequence exercises nothing", found, floatSums, zeroKeys)
+	}
+}
+
+// requireSameGeneralizations asserts two generalization lists agree
+// field by field, floats to the bit and values with their kinds.
+func requireSameGeneralizations(t *testing.T, label string, want, got []Generalization) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d generalizations, want %d", label, len(got), len(want))
+	}
+	same := func(a, b value.V) bool {
+		return a.Kind() == b.Kind() && value.Equal(a, b) &&
+			(a.Kind() != value.Float || math.Float64bits(a.Float()) == math.Float64bits(b.Float()))
+	}
+	bits := math.Float64bits
+	for i, w := range want {
+		g := got[i]
+		ok := g.Pattern.Key() == w.Pattern.Key() && slices.Equal(g.Attrs, w.Attrs) &&
+			len(g.Tuple) == len(w.Tuple) && same(g.AggValue, w.AggValue) &&
+			bits(g.Predicted) == bits(w.Predicted) && bits(g.Deviation) == bits(w.Deviation) &&
+			bits(g.Score) == bits(w.Score)
+		for j := range w.Tuple {
+			ok = ok && same(g.Tuple[j], w.Tuple[j])
+		}
+		if !ok {
+			t.Errorf("%s rank %d:\n  got %s\n want %s", label, i, g, w)
+		}
 	}
 }

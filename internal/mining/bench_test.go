@@ -142,7 +142,7 @@ func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(sp *mSplit, fr *mFrag
 				for _, p := range sp.fPos {
 					key = row[m.tab.Schema().Index(gs.attrs[p])].AppendKey(key)
 				}
-				if fr := sp.frags[sp.fragIdx[string(key)]]; !seen[fr] {
+				if fr := sp.frags[gs.fragIndex(sp)[string(key)]]; !seen[fr] {
 					seen[fr] = true
 					fn(sp, fr)
 				}

@@ -103,7 +103,7 @@ type mSplit struct {
 	// split, exactly as the miner's permutation sort left them.
 	seqPos  []int
 	frags   []*mFrag
-	fragIdx map[string]int32 // F-key → index into frags
+	fragIdx map[string]int32 // F-key → index into frags; built on first use (fragIndex)
 	fragOf  []int32          // per group: index of its fragment, so only fresh groups build a key
 	dirty   []*mFrag
 	cands   []*mCand
@@ -114,7 +114,7 @@ type mSplit struct {
 // observation order, plus the per-aggregate support flag that feeds the
 // λ denominator.
 type mFrag struct {
-	key       string
+	key       string // "" until fragKey names it
 	groups    []int32
 	supported []bool // per aggregate: numeric and |groups| ≥ δ
 	dirty     bool
@@ -226,10 +226,7 @@ func newGSet(tab engine.MutableRelation, g []string, opt Options) (*gSet, error)
 			fr := &frags[fi]
 			fr.groups = order[lo:hi:hi]
 			fr.supported = supported[fi*na : (fi+1)*na : (fi+1)*na]
-			gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, fr.groups[0])
-			fr.key = string(gs.keyBuf)
 			sp.frags[fi] = fr
-			sp.fragIdx[fr.key] = int32(fi)
 			for _, gi := range fr.groups {
 				sp.fragOf[gi] = int32(fi)
 			}
@@ -251,7 +248,6 @@ func (gs *gSet) newSplit(f, v []string, opt Options) (*mSplit, error) {
 	sp := &mSplit{
 		f:       pattern.SortedCopy(f),
 		v:       pattern.SortedCopy(v),
-		fragIdx: make(map[string]int32),
 		numSupp: make([]int, len(gs.aggs)),
 	}
 	sch := gs.grp.Keys().Schema()
@@ -428,12 +424,13 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 		// Fresh groups sit in touched in creation order, so the append
 		// below lands at fragOf[gi].
 		if gs.state[gi]&gFresh != 0 {
+			idx := gs.fragIndex(sp)
 			gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, gi)
-			fi, ok := sp.fragIdx[string(gs.keyBuf)]
+			fi, ok := idx[string(gs.keyBuf)]
 			if !ok {
 				fi = int32(len(sp.frags))
 				sp.frags = append(sp.frags, &mFrag{key: string(gs.keyBuf), supported: make([]bool, len(gs.aggs))})
-				sp.fragIdx[sp.frags[fi].key] = fi
+				idx[sp.frags[fi].key] = fi
 			}
 			sp.fragOf = append(sp.fragOf, fi)
 			fr := sp.frags[fi]
@@ -486,11 +483,34 @@ func (gs *gSet) refit(sp *mSplit, fr *mFrag) {
 	}
 	for i, cs := range sp.cands {
 		if lm := ff.Locals[i]; lm != nil {
-			cs.locals[fr.key] = lm
-		} else {
+			cs.locals[gs.fragKey(sp, fr)] = lm
+		} else if fr.key != "" {
 			delete(cs.locals, fr.key)
 		}
 	}
+}
+
+// fragKey returns fr's key, the canonical key bytes of its F values,
+// naming it on first use: the build names only the fragments a candidate
+// holds on, as ARPMine does. A key is never empty.
+func (gs *gSet) fragKey(sp *mSplit, fr *mFrag) string {
+	if fr.key == "" {
+		gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, fr.groups[0])
+		fr.key = string(gs.keyBuf)
+	}
+	return fr.key
+}
+
+// fragIndex returns sp's key → fragment lookup, built when the first
+// fresh group reaches the split.
+func (gs *gSet) fragIndex(sp *mSplit) map[string]int32 {
+	if sp.fragIdx == nil {
+		sp.fragIdx = make(map[string]int32, len(sp.frags))
+		for fi, fr := range sp.frags {
+			sp.fragIdx[gs.fragKey(sp, fr)] = int32(fi)
+		}
+	}
+	return sp.fragIdx
 }
 
 // Patterns assembles the globally-holding pattern set from the retained

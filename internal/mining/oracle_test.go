@@ -1,11 +1,16 @@
 package mining
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"cape/internal/dataset"
 	"cape/internal/engine"
 	"cape/internal/oracle"
 	"cape/internal/pattern"
+	"cape/internal/regress"
 	"cape/internal/value"
 )
 
@@ -207,5 +212,146 @@ func TestMiningStatsDeterministicSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireResultsIdentical(t, "repeat run", first, again)
+	}
+}
+
+// fitOrder is the order the miners fit a split's points in: the
+// predictor sequence of the sort order of the grouping's cover whose
+// prefix is F. Every subset of g is a prefix of exactly one order of
+// the cover, so each split is fitted under exactly that one.
+func fitOrder(g, f, v []string) []string {
+	for _, s := range sortOrderCover(g) {
+		if len(pattern.SortedSet(s[:len(f)], f)) == len(f) {
+			return s[len(f):]
+		}
+	}
+	panic("split outside its grouping's sort-order cover")
+}
+
+// literalMine runs oracle.Mine over tab under opt.
+func literalMine(t *testing.T, tab *engine.Table, opt Options) []oracle.MinedPattern {
+	t.Helper()
+	opt, err := opt.withDefaults(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := tab.Schema()
+	numeric := make([]bool, len(sch))
+	for i, c := range sch {
+		numeric[i] = c.Kind == value.Int || c.Kind == value.Float || c.Kind == value.Null
+	}
+	lit := oracle.MineOptions{
+		Attrs: opt.Attributes, Psi: opt.MaxPatternSize, Models: opt.Models,
+		Theta: opt.Thresholds.Theta, LocalSupport: opt.Thresholds.LocalSupport,
+		Lambda: opt.Thresholds.Lambda, GlobalSupport: opt.Thresholds.GlobalSupport,
+		Order: fitOrder,
+	}
+	for _, f := range opt.AggFuncs {
+		lit.Funcs = append(lit.Funcs, oracleFuncs[f])
+	}
+	return oracle.Mine(sch.Names(), numeric, tab.Rows(), lit)
+}
+
+// sameBits reports whether two floats are the same bits.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// requireMatchesLiteral compares a miner's patterns with the literal
+// oracle's, field by field and float by float to the bit.
+func requireMatchesLiteral(t *testing.T, label string, cols []string, want []oracle.MinedPattern, got []*pattern.Mined) {
+	t.Helper()
+	engineFunc := map[oracle.Func]engine.AggFunc{}
+	for ef, of := range oracleFuncs {
+		engineFunc[of] = ef
+	}
+	byKey := map[string]oracle.MinedPattern{}
+	for _, w := range want {
+		agg := engine.AggSpec{Func: engineFunc[w.Agg.Func]}
+		if w.Agg.Arg >= 0 {
+			agg.Arg = cols[w.Agg.Arg]
+		}
+		byKey[pattern.Pattern{F: w.F, V: w.V, Agg: agg, Model: w.Model}.Key()] = w
+	}
+	if len(got) != len(byKey) {
+		t.Fatalf("%s: %d patterns, the literal definitions give %d", label, len(got), len(byKey))
+	}
+	for _, g := range got {
+		key := g.Pattern.Key()
+		w, ok := byKey[key]
+		if !ok {
+			t.Fatalf("%s: pattern %s does not hold by the literal definitions", label, key)
+		}
+		if !slices.Equal(g.Pattern.F, w.F) || !slices.Equal(g.Pattern.V, w.V) ||
+			g.NumFragments != w.Fragments || g.NumSupported != w.Supported ||
+			!sameBits(g.Confidence, w.Confidence) ||
+			!sameBits(g.MaxPosDev, w.MaxPosDev) || !sameBits(g.MaxNegDev, w.MaxNegDev) {
+			t.Fatalf("%s: pattern %s: F %v V %v fragments %d supported %d conf %v dev [%v, %v]; literal F %v V %v %d %d %v [%v, %v]",
+				label, key, g.Pattern.F, g.Pattern.V, g.NumFragments, g.NumSupported, g.Confidence, g.MaxNegDev, g.MaxPosDev,
+				w.F, w.V, w.Fragments, w.Supported, w.Confidence, w.MaxNegDev, w.MaxPosDev)
+		}
+		if len(g.Locals) != len(w.Locals) {
+			t.Fatalf("%s: pattern %s holds locally on %d fragments, literally on %d", label, key, len(g.Locals), len(w.Locals))
+		}
+		for fk, gl := range g.Locals {
+			wl, ok := w.Locals[fk]
+			if !ok {
+				t.Fatalf("%s: pattern %s: fragment %q holds only in the miner", label, key, fk)
+			}
+			gp, wp := gl.Model.Params(), wl.Model.Params()
+			same := gl.Frag.Key() == wl.Frag.Key() && gl.Support == wl.Support &&
+				gl.Model.Type() == wl.Model.Type() && sameBits(gl.Model.GoF(), wl.Model.GoF()) &&
+				sameBits(gl.MaxPosDev, wl.MaxPosDev) && sameBits(gl.MaxNegDev, wl.MaxNegDev) &&
+				len(gp) == len(wp)
+			for i := 0; same && i < len(gp); i++ {
+				same = sameBits(gp[i], wp[i])
+			}
+			if !same {
+				t.Fatalf("%s: pattern %s fragment %q: local model %v support %d dev [%v, %v]; literal %v %d [%v, %v]",
+					label, key, fk, gl.Model, gl.Support, gl.MaxNegDev, gl.MaxPosDev,
+					wl.Model, wl.Support, wl.MaxNegDev, wl.MaxPosDev)
+			}
+		}
+	}
+}
+
+// TestMinersMatchLiteralDefinitions holds both production miners — a
+// cold ARPMine and a Maintainer build — to oracle.Mine, the literal
+// reading of Definitions 2–4, on generated Crime and DBLP tables under
+// several threshold settings, the λ = 1 and small-Δ ones putting
+// candidates exactly on the global gates.
+func TestMinersMatchLiteralDefinitions(t *testing.T) {
+	tables := []struct {
+		name  string
+		tab   *engine.Table
+		attrs []string
+	}{
+		{"crime", dataset.GenerateCrime(dataset.CrimeConfig{Rows: 300, Seed: 7, NumAttrs: 5}), nil},
+		{"dblp", dataset.GenerateDBLP(dataset.DBLPConfig{Rows: 300, Seed: 7}), []string{"author", "venue", "year"}},
+	}
+	thresholds := []pattern.Thresholds{
+		{Theta: 0.1, LocalSupport: 2, Lambda: 0.3, GlobalSupport: 1},
+		pattern.DefaultThresholds(),
+		{Theta: 0.2, LocalSupport: 2, Lambda: 1, GlobalSupport: 2},
+		{Theta: 0, LocalSupport: 3, Lambda: 0.5, GlobalSupport: 3},
+	}
+	for _, tc := range tables {
+		for _, th := range thresholds {
+			opt := Options{
+				MaxPatternSize: 3, Thresholds: th, Attributes: tc.attrs,
+				AggFuncs: []engine.AggFunc{engine.Count, engine.Sum},
+				Models:   []regress.ModelType{regress.Const, regress.Lin},
+			}
+			want := literalMine(t, tc.tab, opt)
+			label := fmt.Sprintf("%s %+v", tc.name, th)
+			res, err := ARPMine(tc.tab, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMatchesLiteral(t, label+" ARPMine", tc.tab.Schema().Names(), want, res.Patterns)
+			m, err := NewMaintainer(tc.tab, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMatchesLiteral(t, label+" Maintainer", tc.tab.Schema().Names(), want, m.Patterns())
+		}
 	}
 }

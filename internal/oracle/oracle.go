@@ -1,17 +1,19 @@
 // Package oracle is the reference model the differential tests hold the
-// engine, the miners' inputs and the explanation generators to. It
-// writes the paper's relational operators — grouping γ, selection σ,
-// projection π and CUBE — and its explanation definitions (Definitions
-// 5–7 and 10, NORM as σ-then-aggregate) literally, one row at a time
-// over []value.Tuple, with plain maps and no index, bound or cache.
+// engine, the miners and the explanation generators to. It writes the
+// paper's relational operators — grouping γ, selection σ, projection π
+// and CUBE — its pattern definitions (Definitions 2–4, the ARP-mining
+// problem) and its explanation definitions (Definitions 5–7 and 10,
+// NORM as σ-then-aggregate) literally, one row at a time over
+// []value.Tuple, with plain maps and no index, bound or cache.
 //
 // Speed does not matter here; only the answers do. Every answer is
 // deterministic: groups come in first-appearance order, aggregates fold
 // in row order, and nothing depends on map iteration order.
 //
 // The package is test support. No production package imports it (make
-// check fails if one does), and from this module it imports only value
-// and distance, so any package's tests — engine's included — can use it.
+// check fails if one does), and from this module it imports only value,
+// distance and regress (for a fit and its goodness of fit), so any
+// package's tests — engine's included — can use it.
 package oracle
 
 import (

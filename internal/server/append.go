@@ -169,59 +169,36 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// maintainSet folds the table's current rows into one pattern set,
-// building its maintainer on first use (or after the table was replaced)
-// and swapping the maintained patterns into the set and its warm
-// explainer. Caller holds s.mu and the appendMu write lock.
+// maintainSet folds the table's current rows into one pattern set and
+// serves the maintained patterns. A set restored from a store (or whose
+// table was replaced) builds its Maintainer here instead. A shard set
+// keeps serving only the keys its coordinator admitted; the coordinator
+// re-admits from the refreshed CandStats before any explanation can
+// observe the new rows (its write lock spans append + admit). Caller
+// holds s.mu and the appendMu write lock.
 func (s *Server) maintainSet(ps *patternSet, tab *engine.Table) appendSetStatus {
 	st := appendSetStatus{ID: ps.ID, Status: "stale", Patterns: ps.Count}
 	if ps.spec == nil {
-		st.Reason = "no mining spec recorded (legacy or FD-pruned store); re-mine to refresh"
+		st.Reason = "no mining spec recorded (legacy store); re-mine to refresh"
 		return st
 	}
+	var err error
 	if ps.maintainer == nil || ps.maintainer.Table() != tab {
-		opt, err := mining.OptionsFromSpec(ps.spec)
-		if err != nil {
-			st.Reason = err.Error()
-			return st
+		var opt mining.Options
+		if opt, err = mining.OptionsFromSpec(ps.spec); err == nil {
+			opt.Parallelism = ps.Options.Parallelism
+			err = ps.build(tab, opt)
 		}
-		// NewMaintainer runs over the table as it stands now — including
-		// the batch just appended — so a set whose store was already
-		// stale at load is healed here, not perpetuated.
-		m, err := mining.NewMaintainer(tab, opt)
-		if err != nil {
-			st.Reason = err.Error()
-			return st
-		}
-		ps.maintainer = m
-	} else if err := ps.maintainer.CatchUp(); err != nil {
+	} else if err = ps.maintainer.CatchUp(); err == nil {
+		ps.refresh(tab)
+	}
+	if err != nil {
 		st.Reason = err.Error()
 		return st
 	}
-
-	// A coordinator-admitted shard set keeps serving only admitted keys
-	// across maintenance; the coordinator re-admits from the refreshed
-	// CandStats before any explanation can observe the new rows (its
-	// write lock spans append + admit).
-	maintained := filterAdmitted(ps.maintainer.Patterns(), ps.admitted)
-	ps.serve(maintained)
-	// The version bump reopens the answer-cache keyspace: cached answers
-	// computed over the pre-maintenance pattern list stop matching even
-	// if this maintenance pass left the table epoch unchanged.
-	ps.version++
-	ps.stamp = &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
-	if e, ok := s.explainers[ps.ID]; ok && e.table == tab {
-		// The warm explainer keeps its sharded group-by cache; each
-		// grouping folds the appended rows when a request next reads it
-		// at the new epoch.
-		// SetPatterns also rebuilds the structural relevance index — the
-		// admission/maintenance-time build that keeps questions from
-		// ever paying index construction.
-		e.ex.SetPatterns(maintained)
-	}
 	st.Status = "maintained"
 	st.Patterns = ps.Count
-	if ps.withStats {
+	if ps.Options.WithStats {
 		st.CandStats = ps.maintainer.CandStats()
 	}
 	return st
@@ -294,10 +271,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			cs := ps.anscache.stats()
 			st.Cache = &cs
 		}
-		if e, ok := s.explainers[ps.ID]; ok {
-			is := e.ex.IndexStats()
+		if ps.ex != nil {
+			is := ps.ex.IndexStats()
 			st.Index = &is
-			st.CachedGroupings = e.ex.CachedGroupings()
+			st.CachedGroupings = ps.ex.CachedGroupings()
 		}
 		tab, ok := s.tables[ps.Table]
 		if !ok {

@@ -66,16 +66,8 @@ func (s *Server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	if !explainLimits(w, req.K, &req.Parallelism) {
 		return
 	}
-	s.mu.RLock()
-	ps, ok := s.patterns[req.Patterns]
-	s.mu.RUnlock()
+	ps, tab, gen, ok := s.setState(w, req.Patterns)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown pattern set %q", req.Patterns)
-		return
-	}
-	tab, gen, ok := s.tableState(ps.Table)
-	if !ok {
-		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
 		return
 	}
 	metric, err := buildMetric(req.Numeric, req.Weights)

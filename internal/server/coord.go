@@ -464,10 +464,6 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
 		return
 	}
-	if req.UseFDs {
-		httpError(w, http.StatusBadRequest, "sharded mining is incompatible with useFDs")
-		return
-	}
 	opt, err := req.options()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

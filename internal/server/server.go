@@ -66,11 +66,7 @@ type Server struct {
 	// only after the batch is framed into the WAL (fsynced per the
 	// store's policy).
 	stores map[string]*store.Store
-	// explainers holds one warm Explainer per pattern set, so the
-	// group-by cache survives across /v1/explain requests instead of
-	// being rebuilt per call.
-	explainers map[string]*explainerEntry
-	nextID     int
+	nextID int
 
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64
@@ -97,45 +93,44 @@ type Server struct {
 	StoreOptions store.Options
 }
 
-// explainerEntry pins the Explainer to the table snapshot it was built
-// over, so reloading a table invalidates the cached aggregates.
-type explainerEntry struct {
-	table *engine.Table
-	ex    *explain.Explainer
-}
-
-// patternSet is a stored mining result.
+// patternSet is a mined pattern set. A set /v1/mine creates is its
+// Maintainer from the start: the mine builds it, the set serves its
+// Patterns, and every append folds rows into it. A set restored from a
+// pattern store (AddPatternSetEntry) builds its Maintainer on its first
+// append instead.
 type patternSet struct {
-	ID       string      `json:"id"`
-	Table    string      `json:"table"`
-	Count    int         `json:"patterns"`
-	Locals   int         `json:"localModels"`
-	Options  MineRequest `json:"options"`
+	ID      string      `json:"id"`
+	Table   string      `json:"table"`
+	Count   int         `json:"patterns"`
+	Locals  int         `json:"localModels"`
+	Options MineRequest `json:"options"`
+	// patterns is the served list; serve is the only place it changes.
 	patterns []*pattern.Mined
 	// stamp records the source table's epoch/rows when the set was mined
 	// or last maintained; nil for legacy (unstamped) stores, where
 	// staleness is undetectable.
 	stamp *pattern.StoreStamp
-	// spec records the mining parameters when they are reconstructible
-	// (non-FD runs); a set with a spec is append-maintainable.
+	// spec records the mining parameters; a set with a spec is
+	// append-maintainable. Legacy stores carry none.
 	spec *pattern.StoreSpec
-	// maintainer folds appended rows into the set; built lazily on the
-	// first append that touches the set's table (or eagerly by a
-	// withStats mine).
+	// maintainer holds the retained mining state and folds appended rows
+	// into it; nil for a restored set until its first append.
 	maintainer *mining.Maintainer
-	// withStats marks a set mined with MineRequest.WithStats: its
-	// append statuses carry refreshed candidate stats for the
-	// coordinator's global admission.
-	withStats bool
+	// ex answers the set's questions over exTab, keeping its retained
+	// groupings warm across requests; built on first use, and again when
+	// the table was replaced. Guarded by Server.mu.
+	ex    *explain.Explainer
+	exTab *engine.Table
 	// admitted, when non-nil, restricts the served patterns to the keys
 	// a coordinator admitted (POST /v1/patterns/{id}/admit); patterns
 	// holds the filtered list, the maintainer retains the full state.
 	admitted map[string]bool
-	// version counts swaps of the served pattern list (maintenance and
-	// admission). Answer-cache keys include it, so any swap — even one
-	// that does not move the table epoch — invalidates cached answers.
-	// Written only under the appendMu write lock; read under its read
-	// side, like the patterns slice itself.
+	// version counts swaps of the served pattern list (mining,
+	// maintenance and admission). Answer-cache keys include it, so any
+	// swap — even one that does not move the table epoch — invalidates
+	// cached answers. Written only under the appendMu write lock, or
+	// before the set is registered; read under its read side, like the
+	// patterns slice itself.
 	version uint64
 	// anscache is the set's answer cache, built lazily on first use
 	// (nil until then, and permanently nil when caching is disabled).
@@ -149,7 +144,6 @@ func New() *Server {
 		tables:             make(map[string]*engine.Table),
 		patterns:           make(map[string]*patternSet),
 		tableGen:           make(map[string]uint64),
-		explainers:         make(map[string]*explainerEntry),
 		stores:             make(map[string]*store.Store),
 		MaxBodyBytes:       64 << 20,
 		ExplainParallelism: runtime.NumCPU(),
@@ -301,15 +295,13 @@ type MineRequest struct {
 	Lambda         float64  `json:"lambda,omitempty"`
 	GlobalSupport  int      `json:"globalSupport,omitempty"`
 	Aggregates     []string `json:"aggregates,omitempty"`
-	UseFDs         bool     `json:"useFDs,omitempty"`
 	Parallelism    int      `json:"parallelism,omitempty"`
-	// WithStats mines via the maintainer (byte-identical patterns) and
-	// additionally returns the raw per-candidate evidence counters
-	// (mining.CandStat) in the response, keeping them fresh across
-	// appends. This is the shard role of a sharded deployment: shards
-	// mine with loosened global thresholds, the coordinator sums the
-	// counters and applies the real λ/Δ gates via
-	// POST /v1/patterns/{id}/admit. Incompatible with useFDs.
+	// WithStats additionally returns the raw per-candidate evidence
+	// counters (mining.CandStat) in the response, and in every later
+	// append status. This is the shard role of a sharded deployment:
+	// shards mine with loosened global thresholds, the coordinator sums
+	// the counters and applies the real λ/Δ gates via
+	// POST /v1/patterns/{id}/admit.
 	WithStats bool `json:"withStats,omitempty"`
 }
 
@@ -328,34 +320,13 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The set is stamped with the table shape it was mined at, and keeps
-	// the mining spec when reconstructible (non-FD), so /v1/append can
-	// build a maintainer and fold future rows into it.
 	ps := &patternSet{Table: req.Table, Options: req}
-	if req.WithStats {
-		// The shard role (shardapi.go): mine through the maintainer so
-		// the retained state can report candidate evidence now and
-		// after every future append.
-		if req.UseFDs {
-			httpError(w, http.StatusBadRequest, "withStats mining is incompatible with useFDs")
-			return
-		}
-		ps.maintainer, err = mining.NewMaintainer(tab, opt)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ps.withStats = true
-		ps.serve(ps.maintainer.Patterns())
-	} else {
-		res, err := mining.ARPMine(tab, opt)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ps.serve(res.Patterns)
+	if err := ps.build(tab, opt); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	ps.stamp = &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
+	// The spec lets a set restored from a pattern store build its
+	// Maintainer again; SpecFor accepts every opt the build accepted.
 	ps.spec, _ = mining.SpecFor(tab, opt)
 	s.mu.Lock()
 	s.nextID++
@@ -373,11 +344,54 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, ps)
 }
 
-// serve makes mined the set's served pattern list, with its counts.
+// build mines tab under opt into a new Maintainer and serves its
+// patterns. It is the one place a set's Maintainer is built: by
+// /v1/mine, and by the first append to a set restored from a store or
+// whose table was replaced — which heals a store that was already stale,
+// because the build reads the table as it stands now.
+func (ps *patternSet) build(tab *engine.Table, opt mining.Options) error {
+	m, err := mining.NewMaintainer(tab, opt)
+	if err != nil {
+		return err
+	}
+	ps.maintainer = m
+	ps.refresh(tab)
+	return nil
+}
+
+// refresh serves the Maintainer's patterns and stamps the set with the
+// table shape they reflect.
+func (ps *patternSet) refresh(tab *engine.Table) {
+	ps.stamp = &pattern.StoreStamp{Epoch: tab.Epoch(), Rows: tab.NumRows()}
+	ps.serve(ps.maintainer.Patterns())
+}
+
+// serve makes mined, less any pattern a coordinator did not admit, the
+// set's served list. It is the only place that list changes: it sets
+// the counts, bumps the version — which reopens the answer-cache
+// keyspace even when the table epoch did not move — and swaps the list
+// into the set's Explainer, which also rebuilds its relevance index, so
+// questions never pay that build. mined is sorted by key (Patterns()
+// output), and filtering keeps that order, which explain iterates in.
+// Callers hold Server.mu and the appendMu write lock, or own the set
+// before it is registered.
 func (ps *patternSet) serve(mined []*pattern.Mined) {
+	if ps.admitted != nil {
+		kept := make([]*pattern.Mined, 0, len(mined))
+		for _, m := range mined {
+			if ps.admitted[m.Pattern.Key()] {
+				kept = append(kept, m)
+			}
+		}
+		mined = kept
+	}
 	ps.patterns, ps.Count, ps.Locals = mined, len(mined), 0
 	for _, m := range mined {
 		ps.Locals += len(m.Locals)
+	}
+	ps.version++
+	if ps.ex != nil {
+		ps.ex.SetPatterns(mined)
 	}
 }
 
@@ -386,7 +400,6 @@ func (r MineRequest) options() (mining.Options, error) {
 	opt := mining.Options{
 		MaxPatternSize: r.MaxPatternSize,
 		Attributes:     r.Attributes,
-		UseFDs:         r.UseFDs,
 		Parallelism:    r.Parallelism,
 		Thresholds: pattern.Thresholds{
 			Theta:         r.Theta,
@@ -460,16 +473,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !explainLimits(w, req.K, &req.Parallelism) {
 		return
 	}
-	s.mu.RLock()
-	ps, ok := s.patterns[req.Patterns]
-	s.mu.RUnlock()
+	ps, tab, gen, ok := s.setState(w, req.Patterns)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown pattern set %q", req.Patterns)
-		return
-	}
-	tab, gen, ok := s.tableState(ps.Table)
-	if !ok {
-		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
 		return
 	}
 	// Both outcomes below are deterministic functions of the request and
@@ -528,14 +533,26 @@ func (s *Server) answerCacheFor(ps *patternSet) *answerCache {
 	return ps.anscache
 }
 
-// tableState returns a table with its replacement generation, read
-// atomically so cache keys never pair a new table with an old
-// generation.
-func (s *Server) tableState(name string) (*engine.Table, uint64, bool) {
+// setState looks up a pattern set with its table and the table's
+// replacement generation, read atomically so cache keys never pair a
+// new table with an old generation. When either is missing it answers
+// the 404 itself and reports false.
+func (s *Server) setState(w http.ResponseWriter, id string) (*patternSet, *engine.Table, uint64, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
-	return t, s.tableGen[name], ok
+	ps, ok := s.patterns[id]
+	var tab *engine.Table
+	var gen uint64
+	if ok {
+		tab, gen = s.tables[ps.Table], s.tableGen[ps.Table]
+	}
+	s.mu.RUnlock()
+	switch {
+	case !ok:
+		httpError(w, http.StatusNotFound, "unknown pattern set %q", id)
+	case tab == nil:
+		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
+	}
+	return ps, tab, gen, ok && tab != nil
 }
 
 func (s *Server) handleGeneralize(w http.ResponseWriter, r *http.Request) {
@@ -543,24 +560,17 @@ func (s *Server) handleGeneralize(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	s.mu.RLock()
-	ps, ok := s.patterns[req.Patterns]
-	s.mu.RUnlock()
+	ps, tab, _, ok := s.setState(w, req.Patterns)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown pattern set %q", req.Patterns)
 		return
 	}
-	tab, ok := s.table(ps.Table)
-	if !ok {
-		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
-		return
-	}
-	q, opt, err := req.build(s.explainerFor(ps, tab))
+	ex := s.explainerFor(ps, tab)
+	q, opt, err := req.build(ex)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	gens, err := explain.Generalize(q, tab, ps.patterns, opt)
+	gens, err := ex.Generalize(q, opt)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -639,21 +649,20 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// explainerFor returns the pattern set's shared Explainer, building it
-// on first use and rebuilding it when the backing table was replaced.
-// Reusing one Explainer per pattern set is what makes the sharded
-// group-by cache warm across requests: question resolution and
-// generation read retained groupings, and N concurrent identical
-// questions compute each distinct grouping once instead of N times.
+// explainerFor returns the pattern set's Explainer over tab, building
+// it on first use and again when tab replaced the table it was built
+// over. Reusing one Explainer per pattern set is what keeps its
+// retained groupings warm across requests: question resolution and
+// generation read them, and N concurrent identical questions compute
+// each distinct grouping once instead of N times.
 func (s *Server) explainerFor(ps *patternSet, tab *engine.Table) *explain.Explainer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.explainers[ps.ID]; ok && e.table == tab {
-		return e.ex
+	if ps.ex == nil || ps.exTab != tab {
+		ps.ex = explain.NewExplainer(tab, ps.patterns, explain.Options{Parallelism: s.ExplainParallelism})
+		ps.exTab = tab
 	}
-	ex := explain.NewExplainer(tab, ps.patterns, explain.Options{Parallelism: s.ExplainParallelism})
-	s.explainers[ps.ID] = &explainerEntry{table: tab, ex: ex}
-	return ex
+	return ps.ex
 }
 
 // Table looks up a loaded table by name.

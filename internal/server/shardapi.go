@@ -1,17 +1,13 @@
 package server
 
-import (
-	"net/http"
-
-	"cape/internal/pattern"
-)
+import "net/http"
 
 // Shard role of the sharded deployment (DESIGN.md §15). A capeshard
 // coordinator runs each shard as a plain capeserver holding one hash
 // partition of every table, and drives it through two extensions:
 //
-//   - POST /v1/mine with "withStats": the shard mines through the
-//     maintainer (byte-identical to ARPMine) and reports the raw
+//   - POST /v1/mine with "withStats": the shard mines as every set is
+//     mined, through the Maintainer, and also reports the raw
 //     per-candidate evidence — good / supported / total fragments —
 //     including candidates with zero good locals. Shards are mined
 //     with loosened global thresholds (λ=0, Δ=1); the real gates are
@@ -45,44 +41,22 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown pattern set %q", id)
 		return
 	}
-	if ps.maintainer == nil {
+	if !ps.Options.WithStats {
 		s.mu.Unlock()
-		httpError(w, http.StatusConflict, "pattern set %q was not mined withStats; admission needs the retained mining state", id)
+		httpError(w, http.StatusConflict, "pattern set %q was not mined withStats; admission needs the candidate evidence", id)
 		return
 	}
-	admitted := make(map[string]bool, len(req.Keys))
+	ps.admitted = make(map[string]bool, len(req.Keys))
 	for _, k := range req.Keys {
-		admitted[k] = true
+		ps.admitted[k] = true
 	}
-	ps.admitted = admitted
-	served := filterAdmitted(ps.maintainer.Patterns(), admitted)
-	ps.serve(served)
 	// Admission swaps the served list without touching the table, so the
-	// version bump is what invalidates this set's cached answers.
-	ps.version++
-	if e, ok := s.explainers[ps.ID]; ok {
-		if tab, tok := s.tables[ps.Table]; tok && e.table == tab {
-			e.ex.SetPatterns(served)
-		}
-	}
+	// version bump in serve is what invalidates this set's cached
+	// answers.
+	ps.serve(ps.maintainer.Patterns())
+	count, locals := ps.Count, ps.Locals
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"id": id, "admitted": len(req.Keys), "patterns": len(served), "localModels": ps.Locals,
+		"id": id, "admitted": len(req.Keys), "patterns": count, "localModels": locals,
 	})
-}
-
-// filterAdmitted keeps the patterns whose key the coordinator admitted.
-// The input is Patterns() output (sorted by key), so the filtered list
-// stays sorted — explain iterates it in this order.
-func filterAdmitted(mined []*pattern.Mined, admitted map[string]bool) []*pattern.Mined {
-	if admitted == nil {
-		return mined
-	}
-	out := make([]*pattern.Mined, 0, len(mined))
-	for _, m := range mined {
-		if admitted[m.Pattern.Key()] {
-			out = append(out, m)
-		}
-	}
-	return out
 }
