@@ -47,8 +47,9 @@ check-full: check
 # lookups, offline-mining fast path, and, at the repository benchmark's
 # table size, one question on a warm Explainer, one question right after
 # a 100-row append, one question resolved and explained as a server
-# does, one maintained append, and the Maintainer's build
-# next to a cold ARPMine of the same table),
+# does, and — each at mining width 1 and at the default width, for the
+# ratio — one maintained append and the Maintainer's build next to a
+# cold ARPMine of the same table),
 # then the repository benchmark — the one harness whose numbers
 # count (BENCHMARK.json, benchmark/README.md).
 bench:

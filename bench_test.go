@@ -175,24 +175,6 @@ func BenchmarkGenOptParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelMining compares sequential mining with a
-// 4-worker fan-out over attribute sets. On multi-core hosts the parallel
-// run should approach a proportional speedup; on a single vCPU it mostly
-// measures coordination overhead.
-func BenchmarkAblation_ParallelMining(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		tab, opt := exp.CrimeMining(5000, 7, 3)
-		opt.Parallelism = workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MinePatterns(tab, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_ExplainerCache compares cold per-question generation
 // (GenOpt re-groups the relation for every refined pattern) against the
 // warm-cache Explainer answering the same questions repeatedly.

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"runtime"
 	"strings"
 	"text/tabwriter"
 
@@ -56,7 +55,7 @@ func mineFlags(fs *flag.FlagSet) (func() server.MineRequest, *int) {
 	globalSupp := fs.Int("globalsupp", 5, "global support threshold Δ")
 	attrs := fs.String("attrs", "", "comma-separated attributes to mine over (default: all)")
 	aggs := fs.String("aggs", "count", "comma-separated aggregate functions (count,sum,min,max,avg)")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines per request, for mining and explanation generation")
+	parallel := fs.Int("parallel", 0, "worker goroutines per request, for mining and explanation generation (0: the server's default, which mines at its GOMAXPROCS)")
 	return func() server.MineRequest {
 		return server.MineRequest{
 			Attributes: splitList(*attrs), Aggregates: splitList(*aggs),

@@ -143,9 +143,9 @@ func kernelTargets(t *testing.T, tab genTable) []kernelTarget {
 	var out []kernelTarget
 	for _, width := range []int{1, 4} {
 		dense := tab.Clone()
-		dense.SetPool(NewPool(width))
+		dense.AttachPool(NewPool(width))
 		st, logical := segTableOf(t, tab, 2)
-		st.SetPool(NewPool(width))
+		st.AttachPool(NewPool(width))
 		out = append(out,
 			kernelTarget{fmt.Sprintf("table/w%d", width), dense, tab.oracle()},
 			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, logical.oracle()})
@@ -299,9 +299,9 @@ func TestSelectEqSelectsEachGroup(t *testing.T) {
 	tab := newGenTable(Schema{{Name: "k", Kind: value.Null}, {Name: "s", Kind: value.String}, {Name: "v", Kind: value.Int}}, rows)
 	for _, width := range []int{1, 4} {
 		dense := tab.Clone()
-		dense.SetPool(NewPool(width))
+		dense.AttachPool(NewPool(width))
 		st, _ := segTableOf(t, tab, 3)
-		st.SetPool(NewPool(width))
+		st.AttachPool(NewPool(width))
 		for _, rel := range []Relation{dense, st} {
 			for _, cols := range [][]string{{"k"}, {"k", "s"}, {"s", "k"}} {
 				label := fmt.Sprintf("%T width %d %v", rel, width, cols)

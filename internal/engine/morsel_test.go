@@ -55,7 +55,6 @@ func TestMorselGroupByDeterminism(t *testing.T) {
 				aggs := randomAggs(rng, tab)
 				label := fmt.Sprintf("seed %d segs %d GroupBy(%v, %v)", seed, nSegs, cols, aggs)
 
-				st.SetPool(nil)
 				seq, err := st.GroupBy(cols, aggs)
 				if err != nil {
 					t.Fatal(err)
@@ -67,14 +66,14 @@ func TestMorselGroupByDeterminism(t *testing.T) {
 				tablesIdentical(t, seq, want, label+" [sequential]")
 
 				for _, workers := range []int{2, 3, 8} {
-					st.SetPool(NewPool(workers))
+					detach := st.AttachPool(NewPool(workers))
 					got, err := st.GroupBy(cols, aggs)
+					detach()
 					if err != nil {
 						t.Fatal(err)
 					}
 					tablesIdentical(t, got, want, fmt.Sprintf("%s [workers %d]", label, workers))
 				}
-				st.SetPool(nil)
 			}
 		}
 	}
@@ -92,7 +91,7 @@ func TestSegTablePoolDifferential(t *testing.T) {
 		tab := typedRandomTable(rng, rng.Intn(250), 2+rng.Intn(3))
 		for _, workers := range []int{2, 8} {
 			st, logical := segTableOf(t, tab, 3)
-			st.SetPool(NewPool(workers))
+			st.AttachPool(NewPool(workers))
 			checkSegTable(t, rng, st, logical, fmt.Sprintf("seed %d workers %d", seed, workers))
 		}
 	}
@@ -389,6 +388,44 @@ func TestIntersectSpans(t *testing.T) {
 			if got[i] != c.want[i] {
 				t.Fatalf("%s: %v, want %v", c.name, got, c.want)
 			}
+		}
+	}
+}
+
+// TestAttachPoolOverlappingRuns: runs over one relation attach and
+// detach their pools independently, so one run ending leaves the
+// kernels a pool while another run still holds one, and only the last
+// detach leaves the relation without.
+func TestAttachPoolOverlappingRuns(t *testing.T) {
+	for _, rel := range []interface {
+		AttachPool(*Pool) (detach func())
+		queryPool() *Pool
+	}{NewTable(Schema{{Name: "a", Kind: value.Int}}), &SegTable{}} {
+		a, b := NewPool(2), NewPool(3)
+		detachA := rel.AttachPool(a)
+		detachB := rel.AttachPool(b)
+		detachA()
+		if got := rel.queryPool(); got != b {
+			t.Fatalf("%T: after detaching A the kernels use %p, want B's pool %p", rel, got, b)
+		}
+		detachA() // idempotent: does not take B's attachment
+		if got := rel.queryPool(); got != b {
+			t.Fatalf("%T: a second detach of A left %p, want B's pool %p", rel, got, b)
+		}
+		detachB()
+		if got := rel.queryPool(); got != nil {
+			t.Fatalf("%T: every run detached, yet the relation carries %p", rel, got)
+		}
+
+		detachA = rel.AttachPool(a)
+		detachB = rel.AttachPool(b)
+		detachB()
+		if got := rel.queryPool(); got != a {
+			t.Fatalf("%T: after detaching B the kernels use %p, want A's pool %p", rel, got, a)
+		}
+		detachA()
+		if got := rel.queryPool(); got != nil {
+			t.Fatalf("%T: every run detached, yet the relation carries %p", rel, got)
 		}
 	}
 }

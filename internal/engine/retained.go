@@ -37,7 +37,8 @@ type RetainedGroupBy struct {
 	keys   *Table // the grouped key columns, as GroupBy emits them
 	states *groupStates
 	// lookup maps a group's canonical key bytes to the group. It is built
-	// on the first Fold: a state that never folds never pays for it.
+	// on the first Fold or Find: a state that is never folded or probed
+	// never pays for it.
 	lookup map[string]int32
 	synced int    // relation rows folded
 	epoch  uint64 // relation epoch at the build or the last CatchUp
@@ -142,6 +143,22 @@ func (g *RetainedGroupBy) Fold(row value.Tuple) (gi int32, fresh bool) {
 	g.synced++
 	g.snap = nil
 	return gi, !ok
+}
+
+// Find returns the group whose key equals key — one value per group
+// column, in groupCols order — as GroupBy groups rows: Int and Float by
+// numeric value, −0 = +0, NaN = NaN. It probes the canonical-key lookup
+// Fold uses; ok is false when no group has the key.
+func (g *RetainedGroupBy) Find(key value.Tuple) (gi int, ok bool) {
+	if g.lookup == nil {
+		g.buildLookup()
+	}
+	g.keyBuf = g.keyBuf[:0]
+	for _, v := range key {
+		g.keyBuf = v.AppendKey(g.keyBuf)
+	}
+	i, ok := g.lookup[string(g.keyBuf)]
+	return int(i), ok
 }
 
 // buildLookup keys every existing group by its canonical key bytes.

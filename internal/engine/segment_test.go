@@ -560,9 +560,9 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 	}
 	for _, width := range []int{1, 4} {
 		st, _ := segTableOf(t, tab, 1)
-		st.SetPool(NewPool(width))
+		st.AttachPool(NewPool(width))
 		dense := tab.Clone()
-		dense.SetPool(NewPool(width))
+		dense.AttachPool(NewPool(width))
 		for _, rel := range []Relation{st, dense} {
 			got, err := rel.GroupBy([]string{"g"}, aggs)
 			if err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cape/internal/value"
 )
@@ -33,9 +32,9 @@ type SegTable struct {
 	// rewrite is the epoch of the last Compact that changed a value; see
 	// RewriteEpoch.
 	rewrite uint64
-	// pool, when set, lets the parts kernels fan morsels and parts
-	// across a shared worker pool (SetPool); see morsel.go.
-	pool atomic.Pointer[Pool]
+	// pool, while a run has one attached, lets the parts kernels fan
+	// morsels and parts across a shared worker pool (AttachPool).
+	pool poolSlot
 
 	// unify caches, per column index, the cross-segment dictionary
 	// unification the compressed group-by keys on (see colUnify).
@@ -125,12 +124,11 @@ func (st *SegTable) RestoreEpoch(e uint64) { st.epoch = e }
 // rewrites rows already present.
 func (st *SegTable) RewriteEpoch() uint64 { return st.rewrite }
 
-// SetPool attaches a worker pool for the query kernels to fan morsels
-// and parts across (nil restores sequential execution). Results are
-// byte-identical at any pool width; see morsel.go.
-func (st *SegTable) SetPool(p *Pool) { st.pool.Store(p) }
+// AttachPool is Table.AttachPool: the query kernels fan morsels and
+// parts across p until detach is called.
+func (st *SegTable) AttachPool(p *Pool) (detach func()) { return st.pool.attach(p) }
 
-func (st *SegTable) queryPool() *Pool { return st.pool.Load() }
+func (st *SegTable) queryPool() *Pool { return st.pool.load() }
 
 // AddSegment appends a sealed segment. To preserve row order it is only
 // legal while the tail is empty (segments always precede tail rows);

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"cape/internal/value"
 )
@@ -27,10 +26,9 @@ type Table struct {
 	epoch uint64
 	// rewrite is the epoch SortBy last left; see RewriteEpoch.
 	rewrite uint64
-	// pool, when set, lets the compressed kernels fan morsels across a
-	// shared worker pool (SetPool). Stored atomically so queries running
-	// on pool workers can read it without racing a SetPool.
-	pool atomic.Pointer[Pool]
+	// pool, while a run has one attached, lets the compressed kernels
+	// fan morsels across a shared worker pool (AttachPool).
+	pool poolSlot
 }
 
 // NewTable creates an empty table with the given schema.
@@ -95,12 +93,13 @@ func (t *Table) RestoreEpoch(e uint64) { t.epoch = e }
 // appended.
 func (t *Table) RewriteEpoch() uint64 { return t.rewrite }
 
-// SetPool attaches a worker pool for the compressed query kernels to
-// fan morsels across (nil restores sequential execution). Results are
-// byte-identical at any pool width; see morsel.go.
-func (t *Table) SetPool(p *Pool) { t.pool.Store(p) }
+// AttachPool attaches a worker pool for the compressed query kernels to
+// fan morsels across until detach is called; with none attached they
+// run sequentially. Results are byte-identical at any pool width; see
+// morsel.go and poolSlot.
+func (t *Table) AttachPool(p *Pool) (detach func()) { return t.pool.attach(p) }
 
-func (t *Table) queryPool() *Pool { return t.pool.Load() }
+func (t *Table) queryPool() *Pool { return t.pool.load() }
 
 // Append adds a row, copying its values into the columns. The arity
 // must match the schema, and each value must match the column kind

@@ -4,6 +4,12 @@
 // machinery behind them: ground-truth outlier injection with site
 // selection, the precision measurement of Section 5.3, and random
 // user-question generation for the explanation-performance experiments.
+//
+// Every experiment mines at Parallelism 1, not the library's default of
+// the machine's width: Figures 3–5 compare the miners on one core, as
+// the paper does, and Figure 4's query/regression split stays
+// wall-clock time (above width 1, mining.Result.Timers sum the time of
+// every worker).
 package exp
 
 import (

@@ -59,6 +59,7 @@ func (s explainSetup) pool() ([]*pattern.Mined, error) {
 		Attributes:     s.attrs,
 		Thresholds:     pattern.Thresholds{Theta: 0.1, LocalSupport: 3, Lambda: 0.1, GlobalSupport: 2},
 		AggFuncs:       []engine.AggFunc{engine.Count},
+		Parallelism:    1,
 	})
 	if err != nil {
 		return nil, err
@@ -263,6 +264,7 @@ func studyMining(th pattern.Thresholds) mining.Options {
 		Attributes:     studySpec.QuestionAttrs(),
 		Thresholds:     th,
 		AggFuncs:       []engine.AggFunc{engine.Count},
+		Parallelism:    1,
 	}
 }
 

@@ -24,6 +24,7 @@ func miningOpts(attrs []string, psi int) mining.Options {
 		Attributes:     attrs,
 		Thresholds:     paperThresholds(),
 		AggFuncs:       []engine.AggFunc{engine.Count, engine.Sum},
+		Parallelism:    1,
 	}
 }
 

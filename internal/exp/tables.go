@@ -32,6 +32,7 @@ func table3(w io.Writer, timer Timer) error {
 		MaxPatternSize: 3,
 		Thresholds:     pattern.Thresholds{Theta: 0.5, LocalSupport: 3, Lambda: 0.3, GlobalSupport: 2},
 		AggFuncs:       []engine.AggFunc{engine.Count},
+		Parallelism:    1,
 	})
 	if err != nil {
 		return err
@@ -122,6 +123,7 @@ func naturalScenario(tab *engine.Table, qAttrs, fragAttrs []string, dir explain.
 		Attributes:     qAttrs,
 		Thresholds:     scenarioThresholds,
 		AggFuncs:       []engine.AggFunc{engine.Count},
+		Parallelism:    1,
 	})
 	if err != nil {
 		return scenario{}, err

@@ -8,6 +8,7 @@ import (
 
 	"cape/internal/engine"
 	"cape/internal/pattern"
+	"cape/internal/value"
 )
 
 // groupKey canonically identifies the aggregate query γ_{F'∪V, agg}(R)
@@ -88,7 +89,17 @@ type cacheEntry struct {
 	epoch uint64
 	tab   *engine.Table
 	err   error
-	grp   *engine.RetainedGroupBy // nil when the computation failed
+	grp   *retained // nil when the computation failed
+}
+
+// retained is one key's grouping state, handed from entry to entry as
+// the epoch advances. mu serializes its catch-ups with the key probes
+// of find, which may come from readers of an older entry; epoch is the
+// table epoch of the last successful computation.
+type retained struct {
+	mu    sync.Mutex
+	g     *engine.RetainedGroupBy
+	epoch uint64
 }
 
 func newGroupCache() *groupCache {
@@ -110,16 +121,17 @@ func (c *groupCache) shardFor(key string) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// get returns γ_{groupCols, agg}(r), cached under key, at r's current
-// epoch. The first request builds the grouping; a request at a newer
-// epoch catches the previous entry's grouping up to r. Concurrent
-// callers of the same key block until that single computation finishes
-// and share its result. A failed computation is not cached: in-flight
-// waiters observe the error, later callers rebuild. Readers that raced
-// onto an entry before the epoch advanced still get its table, which is
-// correct for the data they were reading. (The server excludes appends
-// from in-flight reads, so mixed epochs never overlap there.)
-func (c *groupCache) get(r engine.MutableRelation, key string, groupCols []string, agg engine.AggSpec) (*engine.Table, error) {
+// get returns the entry of γ_{groupCols, agg}(r), cached under key, at
+// r's current epoch, its computation done. The first request builds the
+// grouping; a request at a newer epoch catches the previous entry's
+// grouping up to r. Concurrent callers of the same key block until that
+// single computation finishes and share its result. A failed
+// computation is not cached: in-flight waiters observe the error, later
+// callers rebuild. Readers that raced onto an entry before the epoch
+// advanced still get its table, which is correct for the data they were
+// reading. (The server excludes appends from in-flight reads, so mixed
+// epochs never overlap there.)
+func (c *groupCache) get(r engine.MutableRelation, key string, groupCols []string, agg engine.AggSpec) (*cacheEntry, error) {
 	epoch := r.Epoch()
 	sh := c.shardFor(key)
 	sh.mu.Lock()
@@ -127,7 +139,7 @@ func (c *groupCache) get(r engine.MutableRelation, key string, groupCols []strin
 	if prev != nil && prev.epoch == epoch {
 		sh.mu.Unlock()
 		<-prev.ready
-		return prev.tab, prev.err
+		return prev, prev.err
 	}
 	e := &cacheEntry{ready: make(chan struct{}), epoch: epoch}
 	sh.entries[key] = e
@@ -142,13 +154,18 @@ func (c *groupCache) get(r engine.MutableRelation, key string, groupCols []strin
 		e.grp = prev.grp
 	}
 	if e.grp != nil {
-		e.err = e.grp.CatchUp(r)
+		e.grp.mu.Lock()
+		if e.err = e.grp.g.CatchUp(r); e.err == nil {
+			e.tab, e.grp.epoch = e.grp.g.Table(), epoch
+		}
+		e.grp.mu.Unlock()
 	} else {
-		e.grp, e.err = r.GroupByAccums(groupCols, []engine.AggSpec{agg})
+		var g *engine.RetainedGroupBy
+		if g, e.err = r.GroupByAccums(groupCols, []engine.AggSpec{agg}); e.err == nil {
+			e.tab, e.grp = g.Table(), &retained{g: g, epoch: epoch}
+		}
 	}
-	if e.err == nil {
-		e.tab = e.grp.Table()
-	} else {
+	if e.err != nil {
 		e.grp = nil
 		sh.mu.Lock()
 		if sh.entries[key] == e {
@@ -157,19 +174,61 @@ func (c *groupCache) get(r engine.MutableRelation, key string, groupCols []strin
 		sh.mu.Unlock()
 	}
 	close(e.ready)
-	return e.tab, e.err
+	return e, e.err
+}
+
+// find returns the aggregate of the group of e's table whose key matches
+// values, one per grouping column, as SelectEq matches (Int and Float by
+// numeric value, −0 = +0, NaN = NaN); ok is false when no group does.
+// It probes the grouping's canonical-key lookup. Only when that cannot
+// answer for e's table — the arity is wrong, which SelectEq reports, or
+// a later epoch has already moved the grouping past it — does it scan
+// the table with SelectEq.
+func (e *cacheEntry) find(cols []string, values value.Tuple) (agg value.V, ok bool, err error) {
+	if len(values) == len(cols) {
+		e.grp.mu.Lock()
+		current := e.grp.epoch == e.epoch
+		var gi int
+		if current {
+			gi, ok = e.grp.g.Find(values)
+		}
+		e.grp.mu.Unlock()
+		if current {
+			// A group past the table's rows was folded by a catch-up that
+			// failed and published nothing.
+			if !ok || gi >= e.tab.NumRows() {
+				return value.V{}, false, nil
+			}
+			return e.tab.Col(len(cols)).Value(gi), true, nil
+		}
+	}
+	sel, err := e.tab.SelectEq(cols, values)
+	if err != nil || sel.NumRows() == 0 {
+		return value.V{}, false, err
+	}
+	return sel.Col(len(cols)).Value(0), true, nil
+}
+
+// entry returns the cache entry of γ_{F∪V, agg}(r), the grouping pattern
+// p enumerates, computed at most once per (grouping, epoch). Safe for
+// concurrent calls.
+func (c *groupCache) entry(r engine.Relation, p pattern.Pattern) (*cacheEntry, error) {
+	mr, ok := r.(engine.MutableRelation)
+	if !ok {
+		return nil, errNotRetained(r)
+	}
+	return c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
 }
 
 // lookup returns the generator's grouping resolver over r backed by this
-// cache: γ_{F∪V, agg}(r) for a pattern, computed at most once per
-// (grouping, epoch). Safe for concurrent calls.
+// cache: the table of entry(r, p).
 func (c *groupCache) lookup(r engine.Relation) func(pattern.Pattern) (*engine.Table, error) {
-	mr, ok := r.(engine.MutableRelation)
 	return func(p pattern.Pattern) (*engine.Table, error) {
-		if !ok {
-			return nil, errNotRetained(r)
+		e, err := c.entry(r, p)
+		if err != nil {
+			return nil, err
 		}
-		return c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
+		return e.tab, nil
 	}
 }
 
@@ -179,12 +238,12 @@ func errNotRetained(r engine.Relation) error {
 	return fmt.Errorf("explain: relation %T keeps no retained groupings; use a Table or SegTable", r)
 }
 
-// question returns γ_{groupCols, agg}(r) for a user question: get, then
-// the grouping counts as the most recently asked one unless a pattern
-// enumerates it.
-func (c *groupCache) question(r engine.MutableRelation, groupCols []string, agg engine.AggSpec) (*engine.Table, error) {
+// question returns the entry of γ_{groupCols, agg}(r) for a user
+// question: get, then the grouping counts as the most recently asked one
+// unless a pattern enumerates it.
+func (c *groupCache) question(r engine.MutableRelation, groupCols []string, agg engine.AggSpec) (*cacheEntry, error) {
 	key := groupingKey(groupCols, agg)
-	tab, err := c.get(r, key, groupCols, agg)
+	e, err := c.get(r, key, groupCols, agg)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +256,7 @@ func (c *groupCache) question(r engine.MutableRelation, groupCols []string, agg 
 		c.recent = append(c.recent, key)
 		c.trim()
 	}
-	return tab, nil
+	return e, nil
 }
 
 // setPatterns makes the groupings of patterns the ones never evicted.

@@ -64,8 +64,9 @@ func (e *Explainer) ExplainOpts(q UserQuestion, opt Options) ([]Explanation, *St
 // γ_{groupBy, agg}(R) and takes AggValue from it. That result is read
 // from the explainer's cache at the relation's current epoch, like every
 // grouping generation reads, so after an append it folds only the
-// appended rows. The tuple matches as SelectEq matches (Int and Float
-// by numeric value, −0 = +0, NaN = NaN).
+// appended rows. The tuple is found by one probe of the grouping's key
+// lookup and matches as SelectEq matches (Int and Float by numeric
+// value, −0 = +0, NaN = NaN).
 func (e *Explainer) Question(groupBy []string, agg engine.AggSpec, values value.Tuple, dir Direction) (UserQuestion, error) {
 	mr, ok := e.r.(engine.MutableRelation)
 	if !ok {
@@ -75,7 +76,7 @@ func (e *Explainer) Question(groupBy []string, agg engine.AggSpec, values value.
 	if err != nil {
 		return UserQuestion{}, err
 	}
-	aggValue, ok, err := groupAggregate(grouped, groupBy, values)
+	aggValue, ok, err := grouped.find(groupBy, values)
 	if err != nil {
 		return UserQuestion{}, err
 	}
@@ -83,18 +84,6 @@ func (e *Explainer) Question(groupBy []string, agg engine.AggSpec, values value.
 		return UserQuestion{}, fmt.Errorf("tuple %v is not a result of the question query", []value.V(values))
 	}
 	return UserQuestion{GroupBy: groupBy, Agg: agg, Values: values, AggValue: aggValue, Dir: dir}, nil
-}
-
-// groupAggregate finds the group of grouped — a retained γ_{cols, agg}(R)
-// — whose key matches values as SelectEq matches, and returns its
-// aggregate; ok is false when no group matches. Key equality is
-// value.Equal, so at most one group does.
-func groupAggregate(grouped *engine.Table, cols []string, values value.Tuple) (agg value.V, ok bool, err error) {
-	sel, err := grouped.SelectEq(cols, values)
-	if err != nil || sel.NumRows() == 0 {
-		return value.V{}, false, err
-	}
-	return sel.Col(len(cols)).Value(0), true, nil
 }
 
 // answer runs the bound-pruned generation for one question on pool.

@@ -80,7 +80,6 @@ func (e *Explainer) Generalize(q UserQuestion, opt Options) ([]Generalization, e
 		return nil, err
 	}
 	opt = e.merged(opt)
-	lookup := e.cache.lookup(e.r)
 	var out []Generalization
 	for _, m := range e.patterns {
 		p := m.Pattern
@@ -100,11 +99,11 @@ func (e *Explainer) Generalize(q UserQuestion, opt Options) ([]Generalization, e
 		if !ok {
 			continue
 		}
-		grouped, err := lookup(p)
+		grouped, err := e.cache.entry(e.r, p)
 		if err != nil {
 			return nil, err
 		}
-		actualV, ok, err := groupAggregate(grouped, attrs, tuple)
+		actualV, ok, err := grouped.find(attrs, tuple)
 		if err != nil {
 			return nil, err
 		}

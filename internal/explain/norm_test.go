@@ -157,7 +157,7 @@ func TestNormFromGroupingMatchesSelection(t *testing.T) {
 		variants := []variant{{"dense", tab}}
 		for _, par := range []int{1, 4} {
 			st := segTableOf(t, tab, 3, 37)
-			st.SetPool(engine.NewPool(par))
+			st.AttachPool(engine.NewPool(par))
 			variants = append(variants, variant{fmt.Sprintf("segtable/par=%d", par), st})
 		}
 		for _, vt := range variants {

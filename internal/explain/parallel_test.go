@@ -231,7 +231,7 @@ func TestGroupCacheErrorNotCached(t *testing.T) {
 		t.Fatalf("failed computation cached (%d entries)", n)
 	}
 	want, err := c.get(tab, "k", []string{"a"}, count)
-	if err != nil || want.NumRows() != 1 {
+	if err != nil || want.tab.NumRows() != 1 {
 		t.Fatalf("retry after error failed: %v, %v", want, err)
 	}
 	// Now a hit: nothing is computed again.
@@ -262,7 +262,7 @@ func TestGroupCacheEpochStaleness(t *testing.T) {
 	// Newer epoch: the stale entry is replaced.
 	tab.MustAppend(value.Tuple{value.NewInt(2)})
 	fresh, err := c.get(tab, "k", []string{"a"}, count)
-	if err != nil || fresh == old || fresh.NumRows() != 2 || old.NumRows() != 1 || computes != 2 {
+	if err != nil || fresh == old || fresh.tab.NumRows() != 2 || old.tab.NumRows() != 1 || computes != 2 {
 		t.Fatalf("stale entry not recomputed: %v, %v", fresh, err)
 	}
 	got, err = c.get(tab, "k", []string{"a"}, count)

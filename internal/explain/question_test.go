@@ -427,3 +427,143 @@ func TestQuestionConcurrent(t *testing.T) {
 		t.Errorf("%d cached groupings, want at most %d pattern groupings + %d", n, len(patternGroupings), questionGroupings)
 	}
 }
+
+// TestWarmQuestionProbesByKey: a warm question finds its tuple through
+// the retained grouping's canonical-key lookup, never by a SelectEq
+// scan of the grouped table. A SelectEq over the grouping allocates the
+// selection it returns; a warm resolution allocates only its grouping
+// key — for a pattern grouping, for a question-only one (a column order
+// no pattern enumerates), and once the grouping has folded an append.
+func TestWarmQuestionProbesByKey(t *testing.T) {
+	tab := randomBatchTable(rand.New(rand.NewSource(3)), 300)
+	pats := mineLenient(t, tab, []string{"author", "venue", "year"})
+	ex := NewExplainer(tab, pats, Options{Parallelism: 1})
+	count := engine.AggSpec{Func: engine.Count}
+	shapes := [][]string{{"author", "venue", "year"}, {"year", "venue", "author"}}
+	if !ex.cache.patternKeys[groupingKey(shapes[0], count)] || ex.cache.patternKeys[groupingKey(shapes[1], count)] {
+		t.Fatalf("shapes %v: the test needs one pattern grouping and one question-only grouping", shapes)
+	}
+	check := func(label string) {
+		t.Helper()
+		for _, g := range shapes {
+			grouped, err := tab.GroupBy(g, []engine.AggSpec{count})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := sampleQuestions(t, tab, g, 1)[0]
+			want, wantErr := selectEqQuestion(tab, g, count, q.Values, q.Dir)
+			got, err := ex.Question(g, count, q.Values, q.Dir) // warms the grouping
+			requireSameQuestion(t, fmt.Sprintf("%s %v", label, g), got, err, want, wantErr)
+			scan := testing.AllocsPerRun(20, func() {
+				if _, err := grouped.SelectEq(g, q.Values); err != nil {
+					t.Fatal(err)
+				}
+			})
+			probe := testing.AllocsPerRun(20, func() {
+				if _, err := ex.Question(g, count, q.Values, q.Dir); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if probe > 3 || probe >= scan {
+				t.Errorf("%s %v: a warm question allocates %v times, a SelectEq over its %d groups %v: the question scans",
+					label, g, probe, grouped.NumRows(), scan)
+			}
+		}
+	}
+	check("built")
+	if err := tab.AppendRows(randomBatchTable(rand.New(rand.NewSource(4)), 40).Rows()); err != nil {
+		t.Fatal(err)
+	}
+	check("appended")
+}
+
+// TestSupersededEntryFinds: a reader still holding a grouping's entry of
+// an older epoch, after a later epoch moved the grouping on, resolves
+// tuples against the older table: a group the append created is not
+// there, a grown group keeps its older aggregate, and a rebuild that
+// renumbered the groups (SortBy rewrote the rows) changes neither.
+func TestSupersededEntryFinds(t *testing.T) {
+	c := newGroupCache()
+	tab := engine.NewTable(engine.Schema{{Name: "a", Kind: value.Int}})
+	for _, v := range []int64{2, 2, 1} {
+		tab.MustAppend(value.Tuple{value.NewInt(v)})
+	}
+	count := engine.AggSpec{Func: engine.Count}
+	cols := []string{"a"}
+	get := func() *cacheEntry {
+		t.Helper()
+		e, err := c.get(tab, "k", cols, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	type probe struct {
+		key  int64
+		ok   bool
+		want int64
+	}
+	check := func(label string, e *cacheEntry, probes ...probe) {
+		t.Helper()
+		for _, p := range probes {
+			got, ok, err := e.find(cols, value.Tuple{value.NewFloat(float64(p.key))})
+			if err != nil || ok != p.ok || (ok && got.Int() != p.want) {
+				t.Errorf("%s, key %d: %v %v %v, want %v %d", label, p.key, got, ok, err, p.ok, p.want)
+			}
+		}
+	}
+	first := get()
+	tab.MustAppend(value.Tuple{value.NewInt(1)})
+	tab.MustAppend(value.Tuple{value.NewInt(3)})
+	// Readers of the first entry probe while the next lookup folds the
+	// appended rows into the grouping they share (run it under -race).
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got, ok, err := first.find(cols, value.Tuple{value.NewInt(1)}); err != nil || !ok || got.Int() != 1 {
+					t.Errorf("first, probed during the catch-up: %v %v %v, want true 1", got, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	folded := get()
+	wg.Wait()
+	if err := tab.SortBy(cols); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := get()
+	if first == folded || folded == rebuilt {
+		t.Fatal("the appends and the sort did not supersede the entry")
+	}
+	check("first", first, probe{2, true, 2}, probe{1, true, 1}, probe{3, false, 0})
+	check("folded", folded, probe{2, true, 2}, probe{1, true, 2}, probe{3, true, 1})
+	check("rebuilt", rebuilt, probe{2, true, 2}, probe{1, true, 2}, probe{3, true, 1})
+	if _, _, err := first.find(cols, nil); err == nil {
+		t.Error("a tuple of the wrong arity resolved")
+	}
+
+	// A catch-up that fails after folding a new group publishes nothing;
+	// the entry before it still answers for its own table.
+	tab.MustAppend(value.Tuple{value.NewInt(4)})
+	tab.MustAppend(value.Tuple{value.NewInt(4)})
+	if _, err := c.get(failAfterOneRow{tab}, "k", cols, count); err == nil {
+		t.Fatal("the failing catch-up succeeded")
+	}
+	check("before the failed catch-up", rebuilt, probe{4, false, 0}, probe{1, true, 2})
+}
+
+// failAfterOneRow fails every row scan after its first row.
+type failAfterOneRow struct{ engine.MutableRelation }
+
+func (f failAfterOneRow) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {
+	return f.MutableRelation.ScanRows(lo, lo+1, func(row value.Tuple) error {
+		if err := fn(row); err != nil {
+			return err
+		}
+		return fmt.Errorf("scan of rows [%d, %d) failed", lo, hi)
+	})
+}

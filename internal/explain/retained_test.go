@@ -174,7 +174,7 @@ func requireGroupingsCold(t *testing.T, label string, ex *Explainer, rel engine.
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTable(t, fmt.Sprintf("%s grouping %q", label, key), got, want)
+		requireSameTable(t, fmt.Sprintf("%s grouping %q", label, key), got.tab, want)
 	}
 }
 

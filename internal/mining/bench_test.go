@@ -91,9 +91,18 @@ func benchCrime(tb testing.TB, rows int) (*engine.Table, Options, [][]value.Tupl
 	return tab, opt, batches
 }
 
-// benchCrimeMaintainer builds a Maintainer over benchCrime's table.
-func benchCrimeMaintainer(tb testing.TB, rows int) (*Maintainer, [][]value.Tuple) {
+// benchWidths are the mining widths the Crime benchmarks time side by
+// side: sequential, and the default, the machine's width.
+var benchWidths = []struct {
+	name string
+	par  int
+}{{"w=1", 1}, {"w=default", 0}}
+
+// benchCrimeMaintainer builds a Maintainer of width par over benchCrime's
+// table.
+func benchCrimeMaintainer(tb testing.TB, rows, par int) (*Maintainer, [][]value.Tuple) {
 	tab, opt, batches := benchCrime(tb, rows)
+	opt.Parallelism = par
 	m, err := NewMaintainer(tab, opt)
 	if err != nil {
 		tb.Fatal(err)
@@ -104,15 +113,19 @@ func benchCrimeMaintainer(tb testing.TB, rows int) (*Maintainer, [][]value.Tuple
 // BenchmarkMaintainerBuild times NewMaintainer over benchCrime's
 // 300K-row table: ARPMine's group-by, split enumeration and fits, plus
 // keeping their outputs. BenchmarkARPMineCrime is the same mine without
-// the retention, for the ratio.
+// the retention, for the ratio; both run at each of benchWidths.
 func BenchmarkMaintainerBuild(b *testing.B) {
 	tab, opt, _ := benchCrime(b, 300000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewMaintainer(tab, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range benchWidths {
+		opt.Parallelism = w.par
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewMaintainer(tab, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -120,12 +133,16 @@ func BenchmarkMaintainerBuild(b *testing.B) {
 // BenchmarkMaintainerBuild builds from.
 func BenchmarkARPMineCrime(b *testing.B) {
 	tab, opt, _ := benchCrime(b, 300000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ARPMine(tab, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range benchWidths {
+		opt.Parallelism = w.par
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ARPMine(tab, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -153,38 +170,43 @@ func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(sp *mSplit, fr *mFrag
 
 // BenchmarkMaintainerCatchUp times one acknowledged append's
 // maintenance at the repository benchmark's table size: CatchUp over a
-// 100-row batch already in a 300K-row table. Batches repeat after the
-// first 64, so long runs measure the steady state in which a batch
-// creates no group.
+// 100-row batch already in a 300K-row table, at each of benchWidths.
+// Batches repeat after the first 64, so long runs measure the steady
+// state in which a batch creates no group.
 func BenchmarkMaintainerCatchUp(b *testing.B) {
-	m, batches := benchCrimeMaintainer(b, 300000)
-	walked := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		batch := batches[i%len(batches)]
-		if err := m.Table().AppendRows(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := m.CatchUp(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		dirtiedBy(m, batch, func(_ *mSplit, fr *mFrag) { walked += len(fr.groups) })
-		b.StartTimer()
+	for _, w := range benchWidths {
+		b.Run(w.name, func(b *testing.B) {
+			m, batches := benchCrimeMaintainer(b, 300000, w.par)
+			walked := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch := batches[i%len(batches)]
+				if err := m.Table().AppendRows(batch); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := m.CatchUp(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				dirtiedBy(m, batch, func(_ *mSplit, fr *mFrag) { walked += len(fr.groups) })
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(walked)/float64(b.N), "fraggroups-walked/op")
+		})
 	}
-	b.ReportMetric(float64(walked)/float64(b.N), "fraggroups-walked/op")
 }
 
 // TestMaintainerCatchUpAllocs fences the steady-state append: a CatchUp
 // that creates no group allocates the local models of the fragments it
 // re-fits — one Frag tuple per fragment that holds any, a LocalModel
 // and its model per holding candidate, the coefficient vector of a Lin
-// model — and nothing per group it touches or walks.
+// model — and nothing per group it touches or walks. It runs at width 1,
+// where no pool goroutine adds its own allocations.
 func TestMaintainerCatchUpAllocs(t *testing.T) {
-	m, batches := benchCrimeMaintainer(t, 30000)
+	m, batches := benchCrimeMaintainer(t, 30000, 1)
 	batch := batches[0]
 	if err := m.Apply(batch); err != nil { // creates the batch's groups
 		t.Fatal(err)

@@ -147,6 +147,7 @@ func TestMaintainerParallelDeterminism(t *testing.T) {
 
 	tab := testTable(t, 300)
 	opt := lenientOpts()
+	opt.Parallelism = 1
 	popt := opt
 	popt.Parallelism = 4
 

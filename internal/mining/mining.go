@@ -46,14 +46,16 @@ type Options struct {
 	// InitialFDs seeds the FD set (e.g. from known keys); may be nil.
 	InitialFDs *fd.Set
 	// Parallelism is the width of the bounded worker pool one run shares
-	// across every parallel stage: all four miners (and the Maintainer)
-	// fan per-attribute-set work across it, and the same pool is attached
-	// to the relation so the engine's compressed kernels fan morsels and
-	// parts across it too — nested fan-out never oversubscribes the
-	// width. 0 or 1 runs sequentially. Parallel runs produce identical
-	// pattern sets (the engine's merge-order contract keeps even float
-	// summation order fixed); Result.Timers then aggregate CPU time
-	// across workers instead of wall-clock time.
+	// across every parallel stage: all four miners (and the Maintainer,
+	// at its build and at every CatchUp) fan per-attribute-set work
+	// across it, and the same pool is attached to the relation so the
+	// engine's compressed kernels fan morsels and parts across it too —
+	// nested fan-out never oversubscribes the width. 0 (or less) is the
+	// machine's width, runtime.GOMAXPROCS(0); 1 runs sequentially, on the
+	// same code. Every width produces the identical pattern set (the
+	// engine's merge-order contract keeps even float summation order
+	// fixed); above width 1, Result.Timers sum the time of every worker,
+	// so query + regression can exceed the run's wall-clock time.
 	Parallelism int
 }
 

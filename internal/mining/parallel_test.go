@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,11 +128,12 @@ func mmapSegTableFrom(t *testing.T, tab *engine.Table, nSegs, tailRows int) *eng
 	return st
 }
 
-// TestParallelMiningEquivalence: every miner, at Parallelism 1 and 4,
-// over a plain Table, an in-memory SegTable and a SegTable of mmap'd
-// segment files (where the engine's morsel kernels add a second level
-// of fan-out), must serialize exactly the bytes and count exactly the
-// candidates of that miner's sequential run over the dense Table.
+// TestParallelMiningEquivalence: every miner, at the default width
+// (GOMAXPROCS) and at Parallelism 1 and 4, over a plain Table, an
+// in-memory SegTable and a SegTable of mmap'd segment files (where the
+// engine's morsel kernels add a second level of fan-out), must
+// serialize exactly the bytes and count exactly the candidates of that
+// miner's sequential run over the dense Table.
 func TestParallelMiningEquivalence(t *testing.T) {
 	tab := testTable(t, 400)
 	seg := segTableFrom(t, tab, 3, 40)
@@ -156,8 +158,10 @@ func TestParallelMiningEquivalence(t *testing.T) {
 		{"SegTable", seg},
 		{"mmap SegTable", mm},
 	}
+	seqOpts := lenientOpts()
+	seqOpts.Parallelism = 1
 	for _, m := range miners {
-		want, err := m.run(tab, lenientOpts())
+		want, err := m.run(tab, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +170,7 @@ func TestParallelMiningEquivalence(t *testing.T) {
 		}
 		wantJSON := patternsJSON(t, want.Patterns)
 		for _, rel := range rels {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{0, 1, 4} {
 				opt := lenientOpts()
 				opt.Parallelism = workers
 				got, err := m.run(rel.r, opt)
@@ -187,7 +191,7 @@ func TestParallelMiningEquivalence(t *testing.T) {
 
 	// FD pruning composes with parallelism: counters must agree too.
 	for _, useFDs := range []bool{false, true} {
-		opt := lenientOpts()
+		opt := seqOpts
 		opt.UseFDs = useFDs
 		seqA, err := ARPMine(tab, opt)
 		if err != nil {
@@ -205,6 +209,48 @@ func TestParallelMiningEquivalence(t *testing.T) {
 				useFDs,
 				len(seqA.Patterns), seqA.Candidates, seqA.SkippedByFD,
 				len(parA.Patterns), parA.Candidates, parA.SkippedByFD)
+		}
+	}
+}
+
+// TestConcurrentMinesKeepTheirPools: mines over one SegTable may
+// overlap, as a server's mines of one table do. Two at the default
+// width and one at width 1, run at once, must each equal the sequential
+// run while their pools attach to and detach from the shared relation
+// around each other (run it under -race).
+func TestConcurrentMinesKeepTheirPools(t *testing.T) {
+	tab := testTable(t, 400)
+	seqOpts := lenientOpts()
+	seqOpts.Parallelism = 1
+	want, err := ARPMine(tab, seqOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := patternsJSON(t, want.Patterns)
+	st := segTableFrom(t, tab, 3, 40)
+	defer st.Close()
+	widths := []int{0, 0, 1}
+	for round := 0; round < 3; round++ {
+		got := make([]*Result, len(widths))
+		errs := make([]error, len(widths))
+		var wg sync.WaitGroup
+		for i, w := range widths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opt := lenientOpts()
+				opt.Parallelism = w
+				got[i], errs[i] = ARPMine(st, opt)
+			}()
+		}
+		wg.Wait()
+		for i, res := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if res.Candidates != want.Candidates || !bytes.Equal(patternsJSON(t, res.Patterns), wantJSON) {
+				t.Errorf("round %d, mine %d at width %d: differs from the sequential run", round, i, widths[i])
+			}
 		}
 	}
 }

@@ -457,16 +457,16 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	opt, err := req.options()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	c.mu.Lock()
 	_, ok := c.tables[req.Table]
 	c.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
-		return
-	}
-	opt, err := req.options()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Shards mine with the real per-fragment gates (θ, local support)

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,5 +100,76 @@ func TestAdmitRefusesOrdinarySet(t *testing.T) {
 	defer s.mu.RUnlock()
 	if got := s.patterns[id].Count; got != before || s.patterns[id].admitted != nil {
 		t.Errorf("refused admission changed the set: %d patterns, was %d", got, before)
+	}
+}
+
+// TestMineLimitsParallelism pins /v1/mine's width limits, shared by
+// server and coordinator: a width above GOMAXPROCS clamps to it (checked
+// on the width the request computes, so no pool of the requested width
+// ever starts), 0 stays the miner's default, a negative width is a 400
+// naming the field, and a mined set echoes — and keeps maintaining at —
+// the clamped width.
+func TestMineLimitsParallelism(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ asked, want int }{{0, 0}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs}} {
+		req := MineRequest{Parallelism: tc.asked}
+		opt, err := req.options()
+		if err != nil || opt.Parallelism != tc.want || req.Parallelism != tc.want {
+			t.Errorf("parallelism %d: options width %d, request echoes %d (err %v), want %d",
+				tc.asked, opt.Parallelism, req.Parallelism, err, tc.want)
+		}
+	}
+
+	s, ts := newTestServer(t)
+	loadRunningExample(t, ts)
+	bad := MineRequest{Table: "pub", Parallelism: -1}
+	if status, reply := doRaw(t, "POST", ts.URL+"/v1/mine", bad); status != http.StatusBadRequest || !strings.Contains(string(reply), "parallelism") {
+		t.Errorf("server: negative width mine = %d %s, want a 400 naming parallelism", status, reply)
+	}
+	wide := MineRequest{Table: "pub", MaxPatternSize: 3, Aggregates: []string{"count"},
+		Theta: 0.5, LocalSupport: 3, Lambda: 0.3, GlobalSupport: 2, Parallelism: procs + 1}
+	resp, out := doJSON(t, "POST", ts.URL+"/v1/mine", wide)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("server: mine = %d %v", resp.StatusCode, out)
+	}
+	if got := out["options"].(map[string]interface{})["parallelism"]; got != float64(procs) {
+		t.Errorf("server: the set echoes parallelism %v, want the clamped %d", got, procs)
+	}
+	s.mu.RLock()
+	kept := s.patterns[out["id"].(string)].Options.Parallelism
+	s.mu.RUnlock()
+	if kept != procs {
+		t.Errorf("server: appends would maintain the set at width %d, want %d", kept, procs)
+	}
+
+	shard := httptest.NewServer(New())
+	t.Cleanup(shard.Close)
+	c, err := NewCoordinator(CoordConfig{Shards: []string{shard.URL}, Key: []string{"author"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(c)
+	t.Cleanup(cts.Close)
+	var csv bytes.Buffer
+	if err := dataset.RunningExample().WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	load, err := http.Post(cts.URL+"/v1/tables?name=pub", "text/csv", &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load.Body.Close()
+	if load.StatusCode != http.StatusCreated {
+		t.Fatalf("coordinator: load status = %d", load.StatusCode)
+	}
+	if status, reply := doRaw(t, "POST", cts.URL+"/v1/mine", bad); status != http.StatusBadRequest || !strings.Contains(string(reply), "parallelism") {
+		t.Errorf("coordinator: negative width mine = %d %s, want a 400 naming parallelism", status, reply)
+	}
+	resp, out = doJSON(t, "POST", cts.URL+"/v1/mine", wide)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("coordinator: mine = %d %v", resp.StatusCode, out)
+	}
+	if got := out["options"].(map[string]interface{})["parallelism"]; got != float64(procs) {
+		t.Errorf("coordinator: the set echoes parallelism %v, want the clamped %d", got, procs)
 	}
 }

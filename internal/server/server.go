@@ -295,7 +295,10 @@ type MineRequest struct {
 	Lambda         float64  `json:"lambda,omitempty"`
 	GlobalSupport  int      `json:"globalSupport,omitempty"`
 	Aggregates     []string `json:"aggregates,omitempty"`
-	Parallelism    int      `json:"parallelism,omitempty"`
+	// Parallelism is the width the set is mined and maintained at: 0 (or
+	// omitted) is the server's GOMAXPROCS, 1 sequential. Wider requests
+	// are clamped to GOMAXPROCS; a negative one is a 400.
+	Parallelism int `json:"parallelism,omitempty"`
 	// WithStats additionally returns the raw per-candidate evidence
 	// counters (mining.CandStat) in the response, and in every later
 	// append status. This is the shard role of a sharded deployment:
@@ -395,8 +398,17 @@ func (ps *patternSet) serve(mined []*pattern.Mined) {
 	}
 }
 
-// options converts a MineRequest to mining.Options.
-func (r MineRequest) options() (mining.Options, error) {
+// options applies the request limits of /v1/mine, which the server and
+// the coordinator share as explainLimits is shared for explain, and
+// converts the request to mining.Options. A negative parallelism is
+// refused; one above GOMAXPROCS is clamped to it in r itself, so the
+// options a set echoes carry the width it mines and maintains at. 0
+// stays 0, the miner's default: the machine's width.
+func (r *MineRequest) options() (mining.Options, error) {
+	if r.Parallelism < 0 {
+		return mining.Options{}, fmt.Errorf("parallelism %d is negative; omit it (or send 0) to mine at the server's width", r.Parallelism)
+	}
+	r.Parallelism = min(r.Parallelism, runtime.GOMAXPROCS(0))
 	opt := mining.Options{
 		MaxPatternSize: r.MaxPatternSize,
 		Attributes:     r.Attributes,
