@@ -13,8 +13,11 @@ test:
 # The gate every PR must pass: vet, staticcheck (when installed — CI
 # always has it; locally it is skipped rather than failing on a missing
 # binary), build, a guard that no non-test code depends on the
-# test-support package internal/oracle, and the full suite under the
-# race detector, once. That one run holds every identity gate: the kernel
+# test-support package internal/oracle, a guard that the server binaries
+# (capeserver, capeshard) pull in none of the packages outside the
+# paper's mine-then-explain pipeline (the comparison baseline, the
+# question-query parser, the experiments, the oracle), and the full
+# suite under the race detector, once. That one run holds every identity gate: the kernel
 # differentials (each operator on a dense Table and on a SegTable of
 # sealed segments plus a tail, at pool width 1 and 4, against the
 # literal definitions of internal/oracle), the segment, mmap,
@@ -32,6 +35,8 @@ check:
 	$(GO) build ./...
 	@leak=$$($(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./... | grep -v '^cape/internal/oracle ' | grep -w 'cape/internal/oracle' | cut -d' ' -f1); \
 	if [ -n "$$leak" ]; then echo "internal/oracle is test support, but non-test code imports it: $$leak" >&2; exit 1; fi
+	@extra=$$($(GO) list -deps ./cmd/capeserver ./cmd/capeshard | grep -xE 'cape/internal/(baseline|sql|exp|oracle)'); \
+	if [ -n "$$extra" ]; then echo "the server binaries serve only the paper's pipeline, but depend on:" $$extra >&2; exit 1; fi
 	$(GO) test -race ./...
 
 # check plus the exhaustive crash matrix: every syscall boundary of the

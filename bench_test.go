@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cape/internal/exp"
+	"cape/internal/mining"
 )
 
 func BenchmarkFig3a(b *testing.B)     { benchExperiment(b, "fig3a") }
@@ -64,7 +65,7 @@ func BenchmarkAblation_SortOrderReuse(b *testing.B) {
 	tab, opt := exp.CrimeMining(5000, 6, 4)
 	b.Run("per-split-sort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MinePatternsShareGrp(tab, opt); err != nil {
+			if _, err := mining.ShareGrp(tab, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,7 +42,6 @@ import (
 	"cape/internal/exp"
 	"cape/internal/explain"
 	"cape/internal/fd"
-	"cape/internal/intervention"
 	"cape/internal/mining"
 	"cape/internal/pattern"
 	"cape/internal/regress"
@@ -165,21 +164,6 @@ func MinePatterns(t *Table, opt MiningOptions) (*MiningResult, error) {
 	return mining.ARPMine(t, opt)
 }
 
-// MinePatternsNaive runs the brute-force miner (baseline of Figure 3a).
-func MinePatternsNaive(t *Table, opt MiningOptions) (*MiningResult, error) {
-	return mining.Naive(t, opt)
-}
-
-// MinePatternsShareGrp runs the shared-group-by miner.
-func MinePatternsShareGrp(t *Table, opt MiningOptions) (*MiningResult, error) {
-	return mining.ShareGrp(t, opt)
-}
-
-// MinePatternsCube runs the CUBE-based miner.
-func MinePatternsCube(t *Table, opt MiningOptions) (*MiningResult, error) {
-	return mining.CubeMine(t, opt)
-}
-
 // ---- Questions and explanations ----
 
 // Question is a user question (Definition 1): an aggregate query, one of
@@ -275,39 +259,6 @@ func NewExplainer(t *Table, patterns []*MinedPattern, opt ExplainOptions) *Expla
 	return explain.NewExplainer(t, patterns, opt)
 }
 
-// ---- Generalization explanations (the paper's future-work extension) ----
-
-// Generalization is an explanation by drill-up: a coarser aggregate
-// deviating in the question's own direction.
-type Generalization = explain.Generalization
-
-// Generalize finds the question's same-direction deviations at coarser
-// granularities (strict subsets of the group-by), strongest relative
-// deviation first.
-func Generalize(q Question, t *Table, patterns []*MinedPattern, opt ExplainOptions) ([]Generalization, error) {
-	return explain.Generalize(q, t, patterns, opt)
-}
-
-// ---- Intervention explainer (provenance-restricted comparison) ----
-
-// InterventionExplanation is a predicate over the question tuple's
-// provenance whose removal moves the aggregate toward the expected value.
-type InterventionExplanation = intervention.Explanation
-
-// InterventionOptions configures the intervention explainer.
-type InterventionOptions = intervention.Options
-
-// ErrInterventionLowQuestion is returned for "why low?" questions:
-// removing provenance tuples cannot raise a count — the limitation CAPE's
-// counterbalances exist to overcome.
-var ErrInterventionLowQuestion = intervention.ErrLowQuestion
-
-// ExplainIntervention runs the simplified Scorpion-style explainer. It
-// only handles "why high?" questions and only sees the provenance.
-func ExplainIntervention(q Question, t *Table, opt InterventionOptions) ([]InterventionExplanation, error) {
-	return intervention.Explain(q, t, opt)
-}
-
 // ---- Baseline explainer (Appendix A.2) ----
 
 // BaselineExplanation is a counterbalance from the question's own query
@@ -347,9 +298,8 @@ func NewMetric() *Metric { return distance.NewMetric() }
 
 // ---- HTTP service ----
 
-// NewHTTPHandler returns the CAPE HTTP API (tables / query / mine /
-// explain / generalize / intervene / baseline) as an http.Handler, ready
-// to mount in any server. See cmd/capeserver for a standalone binary.
+// NewHTTPHandler returns the CAPE HTTP API (tables / mine / explain /
+// append) as an http.Handler, ready to mount in any server. See cmd/capeserver for a standalone binary.
 func NewHTTPHandler() *server.Server { return server.New() }
 
 // HTTPServer is the CAPE HTTP API handler type.
@@ -384,28 +334,14 @@ func InjectCounterbalance(t *Table, attrs []string, outlier, counter Tuple, delt
 	return dataset.InjectCounterbalance(t, attrs, outlier, counter, delta, dir)
 }
 
-// ---- SQL ----
-
-// SQLCatalog resolves table names for SQL execution.
-type SQLCatalog = sql.Catalog
-
-// RunSQL parses and executes a query of the supported dialect
-// (single-table SELECT with WHERE / GROUP BY / ORDER BY / LIMIT) against
-// the catalog.
-func RunSQL(query string, cat SQLCatalog) (*Table, error) {
-	return sql.Run(query, cat)
-}
+// ---- Question queries ----
 
 // ParseAggregateQuery extracts the (group-by attributes, aggregate) pair
 // from a query of the shape a user question requires, e.g.
 // "SELECT author, year, venue, count(*) FROM pub GROUP BY author, year,
 // venue".
 func ParseAggregateQuery(query string) (groupBy []string, agg AggSpec, err error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, AggSpec{}, err
-	}
-	return sql.AggregateQuery(stmt)
+	return sql.Parse(query)
 }
 
 // ---- Ground-truth precision experiments (Section 5.3) ----

@@ -1,6 +1,8 @@
 package cape
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -228,26 +230,16 @@ func TestInjectFacade(t *testing.T) {
 }
 
 func TestMinerVariantsFacade(t *testing.T) {
-	tab := RunningExample()
-	opt := MiningOptions{
+	res, err := MinePatterns(RunningExample(), MiningOptions{
 		MaxPatternSize: 2,
 		Thresholds:     Thresholds{Theta: 0.3, LocalSupport: 2, Lambda: 0.3, GlobalSupport: 2},
 		AggFuncs:       []AggFunc{AggCount},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mine := range map[string]func(*Table, MiningOptions) (*MiningResult, error){
-		"naive":    MinePatternsNaive,
-		"sharegrp": MinePatternsShareGrp,
-		"cube":     MinePatternsCube,
-		"arpmine":  MinePatterns,
-	} {
-		res, err := mine(tab, opt)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if len(res.Patterns) == 0 {
-			t.Errorf("%s found no patterns", name)
-		}
+	if len(res.Patterns) == 0 {
+		t.Error("MinePatterns found no patterns")
 	}
 }
 
@@ -313,56 +305,16 @@ func TestSessionNoAutoWidenByDefault(t *testing.T) {
 	}
 }
 
-func TestGeneralizeFacade(t *testing.T) {
-	s := exampleSession(t)
-	q := Question{
-		GroupBy:  []string{"author", "venue", "year"},
-		Agg:      Count(),
-		Values:   Tuple{String("AX"), String("SIGKDD"), Int(2007)},
-		AggValue: Int(1),
-		Dir:      Low,
-	}
-	gens, err := Generalize(q, s.Table(), s.Patterns(), ExplainOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range gens {
-		if g.Deviation >= 0 {
-			t.Errorf("low question generalization must deviate negatively: %s", g)
-		}
-	}
-}
-
-func TestInterventionFacade(t *testing.T) {
-	tab := RunningExample()
-	low := Question{
-		GroupBy:  []string{"author", "venue", "year"},
-		Agg:      Count(),
-		Values:   Tuple{String("AX"), String("SIGKDD"), Int(2007)},
-		AggValue: Int(1),
-		Dir:      Low,
-	}
-	if _, err := ExplainIntervention(low, tab, InterventionOptions{}); err != ErrInterventionLowQuestion {
-		t.Errorf("low question error = %v, want ErrInterventionLowQuestion", err)
-	}
-	high := low
-	high.Values = Tuple{String("AX"), String("ICDE"), Int(2007)}
-	high.AggValue = Int(7)
-	high.Dir = High
-	if _, err := ExplainIntervention(high, tab, InterventionOptions{}); err != nil {
-		t.Errorf("high question: %v", err)
-	}
-}
-
 func TestHTTPHandlerFacade(t *testing.T) {
 	h := NewHTTPHandler()
 	if h == nil {
 		t.Fatal("nil handler")
 	}
 	h.AddTable("t", RunningExample())
-	out, err := RunSQL("SELECT count(*) FROM t", SQLCatalog{"t": RunningExample()})
-	if err != nil || out.Row(0)[0].Int() != 150 {
-		t.Errorf("RunSQL = %v, %v", out, err)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tables", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"rows": 150`) {
+		t.Errorf("GET /v1/tables = %d %s", rec.Code, rec.Body)
 	}
 	if _, _, err := ParseAggregateQuery("SELECT a, count(*) FROM t GROUP BY a"); err != nil {
 		t.Errorf("ParseAggregateQuery: %v", err)

@@ -167,72 +167,6 @@ func TestCmdExplainErrors(t *testing.T) {
 	}
 }
 
-func TestCmdBaseline(t *testing.T) {
-	csv := writeExampleCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run("baseline", []string{
-			"-data", csv, "-groupby", "author,venue,year",
-			"-tuple", "AX,SIGKDD,2007", "-dir", "low", "-k", "5",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "question:") {
-		t.Errorf("baseline output:\n%s", out)
-	}
-}
-
-func TestCmdQuery(t *testing.T) {
-	csv := writeExampleCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run("query", []string{
-			"-data", csv,
-			"-q", "SELECT venue, count(*) AS n FROM pub GROUP BY venue ORDER BY venue",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"venue", "n", "ICDE", "SIGKDD", "VLDB", "(3 rows)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("query output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCmdQueryCSVOutput(t *testing.T) {
-	csv := writeExampleCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run("query", []string{
-			"-data", csv, "-csv",
-			"-q", "SELECT DISTINCT author FROM pub ORDER BY author",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != "author\nAX\nAY\nAZ\n" {
-		t.Errorf("csv output = %q", out)
-	}
-}
-
-func TestCmdQueryErrors(t *testing.T) {
-	csv := writeExampleCSV(t)
-	cases := [][]string{
-		{},
-		{"-data", csv},
-		{"-data", csv, "-q", "SELECT nope FROM pub"},
-		{"-data", csv, "-q", "SELECT * FROM wrongtable"},
-		{"-data", "/nonexistent.csv", "-q", "SELECT * FROM t"},
-	}
-	for i, args := range cases {
-		if _, err := captureStdout(t, func() error { return run("query", args) }); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
-
 func TestCmdMineErrors(t *testing.T) {
 	if _, err := captureStdout(t, func() error { return run("mine", nil) }); err == nil {
 		t.Error("missing -data should error")
@@ -296,60 +230,6 @@ func TestCmdExplainJSONOutput(t *testing.T) {
 	}
 	if len(parsed.Explanations) != 2 || parsed.Explanations[0].Score <= 0 || parsed.Explanations[0].Narration == "" {
 		t.Errorf("parsed = %+v", parsed)
-	}
-}
-
-func TestCmdGeneralize(t *testing.T) {
-	csv := writeExampleCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run("generalize", []string{
-			"-data", csv,
-			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007",
-			"-dir", "low", "-k", "3",
-			"-theta", "0.5", "-localsupp", "3", "-lambda", "0.3", "-globalsupp", "2",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "question:") {
-		t.Errorf("generalize output:\n%s", out)
-	}
-	if _, err := captureStdout(t, func() error { return run("generalize", nil) }); err == nil {
-		t.Error("missing -data should error")
-	}
-}
-
-func TestCmdIntervene(t *testing.T) {
-	csv := writeExampleCSV(t)
-	// Low question: prints the refusal, exits cleanly.
-	out, err := captureStdout(t, func() error {
-		return run("intervene", []string{
-			"-data", csv,
-			"-groupby", "author,venue,year", "-tuple", "AX,SIGKDD,2007", "-dir", "low",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cannot explain a LOW outcome") {
-		t.Errorf("intervene low output:\n%s", out)
-	}
-	// High question: produces predicates or the nothing-to-explain note.
-	out, err = captureStdout(t, func() error {
-		return run("intervene", []string{
-			"-data", csv,
-			"-groupby", "author,venue,year", "-tuple", "AX,ICDE,2007", "-dir", "high",
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "question:") {
-		t.Errorf("intervene high output:\n%s", out)
-	}
-	if _, err := captureStdout(t, func() error { return run("intervene", nil) }); err == nil {
-		t.Error("missing -data should error")
 	}
 }
 

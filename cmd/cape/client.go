@@ -74,14 +74,6 @@ func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// statusError is a non-2xx answer and the server's message.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("server returned %d: %s", e.code, e.msg) }
-
 // send issues one request and returns the response body, which a
 // non-2xx answer returns too, beside its error. A 429 is retried per
 // retryDelay up to remoteMaxRetries times.
@@ -118,7 +110,7 @@ func (c *client) send(method, path, contentType string, body []byte) ([]byte, er
 			return raw, fmt.Errorf("server shed the request (429, Retry-After %s) %d times: %s",
 				resp.Header.Get("Retry-After"), attempt+1, msg)
 		}
-		return raw, &statusError{code: resp.StatusCode, msg: msg}
+		return raw, fmt.Errorf("server returned %d: %s", resp.StatusCode, msg)
 	}
 }
 

@@ -1,15 +1,12 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"net/url"
 	"os"
-	"strings"
-	"text/tabwriter"
 
 	"cape/internal/dataset"
 	"cape/internal/engine"
@@ -120,36 +117,6 @@ func mineVerb(fs *flag.FlagSet) func() error {
 			fmt.Fprintf(os.Stderr, "saved pattern store for table %q to %s\n", req.Table, path)
 		}
 		return err
-	}
-}
-
-// queryVerb runs a SQL query and prints the result.
-func queryVerb(fs *flag.FlagSet) func() error {
-	t := targetFlags(fs)
-	q := fs.String("q", "", "SQL query")
-	csvOut := fs.Bool("csv", false, "emit CSV instead of the aligned text grid")
-	return func() error {
-		c, err := t.open(fs, false)
-		if err != nil {
-			return err
-		}
-		var out struct {
-			Columns []string
-			Rows    [][]string
-		}
-		body, err := c.call("/v1/query", server.QueryRequest{SQL: *q}, &out)
-		return t.emit(body, err, func() error {
-			grid := append([][]string{out.Columns}, out.Rows...)
-			if *csvOut {
-				return csv.NewWriter(os.Stdout).WriteAll(grid)
-			}
-			w := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', tabwriter.Debug)
-			for _, cells := range grid {
-				fmt.Fprintln(w, strings.Join(cells, "\t"))
-			}
-			fmt.Fprintf(w, "(%d rows)\n", len(out.Rows))
-			return w.Flush()
-		})
 	}
 }
 

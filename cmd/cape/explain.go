@@ -3,10 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 
@@ -15,53 +13,6 @@ import (
 	"cape/internal/sql"
 	"cape/internal/value"
 )
-
-// ask holds the flags of a one-question command: where it runs, the
-// question, and — for the pattern-based commands — the pattern set.
-type ask struct {
-	*target
-	groupBy, aggregate, tuple, dir *string
-	k                              *int
-	ps                             *patternSet // nil: the question runs against -table
-}
-
-func askFlags(fs *flag.FlagSet, withSet bool) *ask {
-	a := &ask{
-		target:    targetFlags(fs),
-		groupBy:   fs.String("groupby", "", "comma-separated group-by attributes (required)"),
-		aggregate: fs.String("aggregate", "", `aggregate, e.g. "sum(x)" (default count(*))`),
-		tuple:     fs.String("tuple", "", "comma-separated group-by values of the question tuple (required)"),
-		dir:       fs.String("dir", "low", "direction: low or high"),
-		k:         fs.Int("k", 10, "number of explanations to return"),
-	}
-	if withSet {
-		a.ps = patternSetFlags(fs)
-	}
-	return a
-}
-
-// run completes req with the question and the pattern set or table,
-// sends it to path and decodes a successful answer into out; the body
-// comes back either way.
-func (a *ask) run(fs *flag.FlagSet, path string, req server.ExplainRequest, out interface{}) ([]byte, error) {
-	req.GroupBy, req.Aggregate, req.Tuple, req.Dir, req.K =
-		splitList(*a.groupBy), *a.aggregate, splitList(*a.tuple), *a.dir, *a.k
-	if len(req.GroupBy) == 0 || len(req.Tuple) == 0 {
-		return nil, fmt.Errorf("-groupby and -tuple are required")
-	}
-	c, err := a.open(fs, a.ps == nil, "patterns")
-	if err != nil {
-		return nil, err
-	}
-	if a.ps == nil {
-		req.Table = *a.table
-	} else if req.Patterns, err = a.ps.resolve(c, a.target, req.GroupBy); err != nil {
-		return nil, err
-	} else {
-		req.Parallelism = *a.ps.parallel
-	}
-	return c.call(path, req, out)
-}
 
 // patternSet holds the flags that pick a command's pattern set.
 type patternSet struct {
@@ -150,17 +101,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// printList prints an answer's question and its ranked list, or none
-// when the list is empty.
-func printList[T fmt.Stringer](question string, list []T, none string) error {
-	fmt.Printf("question: %s\n\n", question)
-	if len(list) == 0 && none != "" {
-		fmt.Println(none)
-	}
-	printLines(list)
-	return nil
-}
-
 // printLines prints a ranked list, one numbered line per entry.
 func printLines[T fmt.Stringer](list []T) {
 	for i, e := range list {
@@ -168,44 +108,54 @@ func printLines[T fmt.Stringer](list []T) {
 	}
 }
 
-// rowLabel renders a result row as "(a=1, b=x, agg=7)".
-func rowLabel[V any](attrs []string, tuple []V, agg any) string {
-	var sb strings.Builder
-	sb.WriteByte('(')
-	for i, a := range attrs {
-		fmt.Fprintf(&sb, "%s=%v, ", a, tuple[i])
-	}
-	fmt.Fprintf(&sb, "agg=%v)", agg)
-	return sb.String()
-}
-
 // explainVerb answers one question with a pattern set.
 func explainVerb(fs *flag.FlagSet) func() error {
-	a := askFlags(fs, true)
+	t := targetFlags(fs)
+	ps := patternSetFlags(fs)
+	groupBy := fs.String("groupby", "", "comma-separated group-by attributes (required, unless -query gives them)")
+	aggregate := fs.String("aggregate", "", `aggregate, e.g. "sum(x)" (default count(*))`)
 	query := fs.String("query", "", "aggregate SQL query defining the question, e.g. \"SELECT a, b, count(*) FROM t GROUP BY a, b\" (alternative to -groupby and -aggregate)")
+	tuple := fs.String("tuple", "", "comma-separated group-by values of the question tuple (required)")
+	dir := fs.String("dir", "low", "direction: low or high")
+	k := fs.Int("k", 10, "number of explanations to return")
 	numeric := numericFlag(fs)
 	return func() error {
 		if *query != "" {
-			stmt, err := sql.Parse(*query)
+			g, agg, err := sql.Parse(*query)
 			if err != nil {
 				return err
 			}
-			groupBy, agg, err := sql.AggregateQuery(stmt)
-			if err != nil {
-				return err
-			}
-			*a.groupBy, *a.aggregate = strings.Join(groupBy, ","), agg.String()
+			*groupBy, *aggregate = strings.Join(g, ","), agg.String()
+		}
+		req := server.ExplainRequest{
+			GroupBy: splitList(*groupBy), Aggregate: *aggregate, Tuple: splitList(*tuple), Dir: *dir,
+			K: *k, Parallelism: *ps.parallel, Numeric: *numeric,
+		}
+		if len(req.GroupBy) == 0 || len(req.Tuple) == 0 {
+			return fmt.Errorf("-groupby and -tuple are required")
+		}
+		c, err := t.open(fs, false, "patterns")
+		if err != nil {
+			return err
+		}
+		if req.Patterns, err = ps.resolve(c, t, req.GroupBy); err != nil {
+			return err
 		}
 		var out struct {
 			Question     string
 			Stats        struct{ RelevantPatterns, Candidates, PrunedRefinements int }
 			Explanations []explanation
 		}
-		body, err := a.run(fs, "/v1/explain", server.ExplainRequest{Numeric: *numeric}, &out)
-		return a.emit(body, err, func() error {
+		body, err := c.call("/v1/explain", req, &out)
+		return t.emit(body, err, func() error {
 			fmt.Printf("%d relevant patterns, %d candidates, %d refinements pruned\n",
 				out.Stats.RelevantPatterns, out.Stats.Candidates, out.Stats.PrunedRefinements)
-			return printList(out.Question, out.Explanations, "no explanations")
+			fmt.Printf("question: %s\n\n", out.Question)
+			if len(out.Explanations) == 0 {
+				fmt.Println("no explanations")
+			}
+			printLines(out.Explanations)
+			return nil
 		})
 	}
 }
@@ -217,32 +167,6 @@ type explanation struct {
 }
 
 func (e explanation) String() string { return fmt.Sprintf("[%.2f] %s", e.Score, e.Narration) }
-
-// baselineVerb runs the Appendix-A.2 baseline for comparison.
-func baselineVerb(fs *flag.FlagSet) func() error {
-	a := askFlags(fs, false)
-	numeric := numericFlag(fs)
-	return func() error {
-		var out struct {
-			Question     string
-			Explanations []baselineRow
-		}
-		body, err := a.run(fs, "/v1/baseline", server.ExplainRequest{Numeric: *numeric}, &out)
-		return a.emit(body, err, func() error { return printList(out.Question, out.Explanations, "") })
-	}
-}
-
-// baselineRow decodes one baseline explanation.
-type baselineRow struct {
-	Attrs            []string
-	Tuple            value.Tuple
-	AggValue         value.V
-	Deviation, Score float64
-}
-
-func (e baselineRow) String() string {
-	return fmt.Sprintf("%s score=%.2f dev=%+.2f", rowLabel(e.Attrs, e.Tuple, e.AggValue), e.Score, e.Deviation)
-}
 
 // explainBatchVerb answers a JSONL file of questions in one
 // /v1/explain/batch request. Unanswerable questions are per-item errors;
@@ -317,68 +241,4 @@ func readQuestionJSONL(path string) (specs []server.QuestionSpec, errs []error, 
 		return nil
 	})
 	return specs, errs, err
-}
-
-// generalizeVerb prints drill-up explanations: coarser aggregates
-// deviating in the question's own direction.
-func generalizeVerb(fs *flag.FlagSet) func() error {
-	a := askFlags(fs, true)
-	return func() error {
-		var out struct {
-			Question        string
-			Generalizations []generalization
-		}
-		body, err := a.run(fs, "/v1/generalize", server.ExplainRequest{}, &out)
-		return a.emit(body, err, func() error {
-			return printList(out.Question, out.Generalizations, "no coarser-granularity deviation in the question's direction")
-		})
-	}
-}
-
-// generalization decodes one drill-up explanation.
-type generalization struct {
-	Attrs, Tuple         []string
-	AggValue, Pattern    string
-	Predicted, Deviation float64
-}
-
-func (g generalization) String() string {
-	return fmt.Sprintf("%s dev=%+.2f from its trend (%.2f) via %s",
-		rowLabel(g.Attrs, g.Tuple, g.AggValue), g.Deviation, g.Predicted, g.Pattern)
-}
-
-// interveneVerb runs the provenance-restricted intervention explainer.
-func interveneVerb(fs *flag.FlagSet) func() error {
-	a := askFlags(fs, false)
-	expected := fs.Float64("expected", 0, "target aggregate value (default: average of the other groups)")
-	return func() error {
-		var out struct {
-			Question      string
-			Interventions []intervention
-		}
-		body, err := a.run(fs, "/v1/intervene", server.ExplainRequest{Expected: *expected}, &out)
-		if se := (*statusError)(nil); errors.As(err, &se) && se.code == http.StatusUnprocessableEntity {
-			// A low question: interventions only explain away high outcomes.
-			return a.emit(body, nil, func() error {
-				fmt.Printf("%s\n(try 'cape explain' — counterbalance explanations handle low outcomes)\n", se.msg)
-				return nil
-			})
-		}
-		return a.emit(body, err, func() error {
-			return printList(out.Question, out.Interventions, "the value is not above the expected level; nothing to explain away")
-		})
-	}
-}
-
-// intervention decodes one provenance predicate.
-type intervention struct {
-	Attr                string
-	Val                 value.V
-	Removed             int
-	NewValue, Influence float64
-}
-
-func (e intervention) String() string {
-	return fmt.Sprintf("%s=%s: removing %d tuples lowers the aggregate to %.2f (influence %.2f)",
-		e.Attr, e.Val, e.Removed, e.NewValue, e.Influence)
 }

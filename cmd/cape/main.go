@@ -1,14 +1,12 @@
 // Command cape is the command-line interface to the CAPE explanation
-// system. Its serving commands — query, mine, explain, explain-batch,
-// generalize, intervene, baseline and append — are clients of the /v1
-// HTTP API of internal/server: without -server they run against an
+// system. Its serving commands — mine, explain, explain-batch and
+// append — are clients of the /v1 HTTP API of internal/server: without -server they run against an
 // in-process server loaded with -data as table -table; with -server URL,
 // against a running capeserver or capeshard coordinator, whose state
 // they name with -table and -set. Under -json they print the response
 // body verbatim, the same bytes in both modes. Examples:
 //
 //	cape generate -dataset dblp -rows 10000 -seed 1 -o pubs.csv
-//	cape query -data pubs.csv -q "SELECT venue, count(*) AS n FROM pubs GROUP BY venue"
 //	cape mine -data pubs.csv -attrs author,venue,year -theta 0.1 -localsupp 3 -lambda 0.1 -globalsupp 2 -o patterns.json
 //	cape explain -data pubs.csv -patterns patterns.json -groupby author,venue,year -tuple A0095,VLDB,2015 -dir low -k 10
 //	cape explain-batch -data pubs.csv -patterns patterns.json -questions questions.jsonl -json
@@ -35,13 +33,9 @@ var verbs = []struct {
 }{
 	{"generate", "produce a synthetic DBLP or Crime CSV dataset", generateVerb},
 	{"convert", "stream a CSV dataset into a compressed columnar segment file", convertVerb},
-	{"query", "run a SQL query", queryVerb},
 	{"mine", "mine a pattern set of aggregate regression patterns", mineVerb},
 	{"explain", "explain a surprising aggregate result with counterbalances", explainVerb},
 	{"explain-batch", "answer a JSONL file of questions in one batch", explainBatchVerb},
-	{"generalize", "explanations by drill-up (same-direction coarser deviations)", generalizeVerb},
-	{"intervene", "squash a high outlier with provenance predicates (Scorpion-style)", interveneVerb},
-	{"baseline", "run the pattern-blind baseline explainer for comparison", baselineVerb},
 	{"append", "append JSONL rows to a table and maintain its pattern sets", appendVerb},
 	{"load", "upload a CSV as a table of a running server (-server)", loadVerb},
 	{"status", "print a running server's status (-server)", statusVerb},
@@ -92,6 +86,6 @@ func usage() {
 	for _, v := range verbs {
 		fmt.Fprintf(os.Stderr, "  %-14s %s\n", v.name, v.summary)
 	}
-	fmt.Fprint(os.Stderr, "\nquery … append run in-process on -data, or against a running server with -server URL.\n"+
+	fmt.Fprint(os.Stderr, "\nmine … append run in-process on -data, or against a running server with -server URL.\n"+
 		"run \"cape <command> -h\" for the command's flags\n")
 }

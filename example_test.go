@@ -46,25 +46,6 @@ func Example() {
 	// top counterbalance: ICDE 2007 with count(*) = 7 (3.67 above prediction)
 }
 
-// ExampleRunSQL shows the SQL dialect the CLI exposes.
-func ExampleRunSQL() {
-	tab := cape.RunningExample()
-	out, err := cape.RunSQL(
-		"SELECT venue, count(*) AS n FROM pub WHERE author = 'AX' GROUP BY venue ORDER BY n DESC, venue",
-		cape.SQLCatalog{"pub": tab},
-	)
-	if err != nil {
-		panic(err)
-	}
-	for _, row := range out.Rows() {
-		fmt.Printf("%s: %d\n", row[0], row[1].Int())
-	}
-	// Output:
-	// ICDE: 23
-	// VLDB: 20
-	// SIGKDD: 17
-}
-
 // ExampleMinePatterns demonstrates direct miner use and the mined
 // pattern's local models.
 func ExampleMinePatterns() {

@@ -72,26 +72,4 @@ func main() {
 	for i, e := range base {
 		fmt.Printf("  %d. %s\n", i+1, e)
 	}
-
-	// 4. The provenance-restricted intervention explainer cannot answer
-	// this question at all — the paper's motivation in one error message.
-	if _, err := cape.ExplainIntervention(q, tab, cape.InterventionOptions{}); err != nil {
-		fmt.Printf("\nIntervention explainer (provenance-only): %v\n", err)
-	}
-
-	// 5. Explanations by generalization: does the low SIGKDD count
-	// reflect a broader dip? (Here it does not — the totals are exactly
-	// counterbalanced, which is itself informative.)
-	gens, err := cape.Generalize(q, tab, s.Patterns(), cape.ExplainOptions{K: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(gens) == 0 {
-		fmt.Println("\nNo coarser-granularity dip: the missing SIGKDD papers were fully counterbalanced.")
-	} else {
-		fmt.Println("\nGeneralizations (same-direction coarser deviations):")
-		for i, g := range gens {
-			fmt.Printf("  %d. %s\n", i+1, g)
-		}
-	}
 }

@@ -32,11 +32,8 @@ func main() {
 	post(ts.URL+"/v1/tables?name=pub", "text/csv", csv.Bytes())
 	fmt.Println("loaded table 'pub'")
 
-	// 2. Explore with SQL.
-	out := postJSON(ts.URL+"/v1/query", map[string]interface{}{
-		"sql": "SELECT venue, count(*) AS n FROM pub GROUP BY venue ORDER BY n DESC",
-	})
-	fmt.Printf("\npublications per venue: %s\n", compact(out))
+	// 2. List the loaded tables.
+	fmt.Printf("\ntables: %s\n", compact(get(ts.URL+"/v1/tables")))
 
 	// 3. Mine patterns offline.
 	mineResp := postJSON(ts.URL+"/v1/mine", map[string]interface{}{
@@ -79,18 +76,31 @@ func main() {
 	}
 }
 
+func get(url string) []byte {
+	resp, err := http.Get(url)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return readOK(url, resp)
+}
+
 func post(url, contentType string, body []byte) []byte {
 	resp, err := http.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
 	}
+	return readOK(url, resp)
+}
+
+// readOK returns the response body, exiting on a non-2xx status.
+func readOK(url string, resp *http.Response) []byte {
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if resp.StatusCode >= 300 {
-		log.Fatalf("POST %s: %d %s", url, resp.StatusCode, out)
+		log.Fatalf("%s %s: %d %s", resp.Request.Method, url, resp.StatusCode, out)
 	}
 	return out
 }

@@ -184,20 +184,6 @@ func (t *Table) gather(idx []int32) *Table {
 	return out
 }
 
-// Select returns the rows satisfying pred. pred sees a scratch tuple
-// that is reused between calls.
-func (t *Table) Select(pred func(value.Tuple) bool) *Table {
-	out := NewTable(t.schema)
-	row := make(value.Tuple, 0, len(t.cols))
-	for i := 0; i < t.n; i++ {
-		row = t.appendRow(row[:0], i)
-		if pred(row) {
-			out.push(row)
-		}
-	}
-	return out
-}
-
 // SelectEq returns the rows whose values in cols equal vals positionally
 // under value.Equal. The parts kernel scans dictionary codes; no
 // columns select every row.

@@ -105,18 +105,6 @@ func TestAppendArityAndTypeChecks(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	tab := pubTable(t)
-	ax := tab.Select(func(r value.Tuple) bool { return r[0].Str() == "AX" })
-	if ax.NumRows() != 5 {
-		t.Errorf("AX rows = %d, want 5", ax.NumRows())
-	}
-	none := tab.Select(func(r value.Tuple) bool { return false })
-	if none.NumRows() != 0 {
-		t.Error("empty selection should have no rows")
-	}
-}
-
 func TestSelectEq(t *testing.T) {
 	tab := pubTable(t)
 	got, err := tab.SelectEq([]string{"author", "year"}, value.Tuple{value.NewString("AY"), value.NewInt(2004)})

@@ -114,8 +114,10 @@ func BenchmarkExplainerAfterAppend(b *testing.B) {
 // BenchmarkExplainerQuestion measures a question as a server answers
 // it, on a warm Explainer over benchCrime: an iteration resolves the
 // question from its parts — the tuple looked up in the retained result
-// of its question query — and then explains it. The questions are the
-// warm-up's groups in the other direction, so none was asked before.
+// of its question query — and then explains it. It asks
+// BenchmarkExplainerWarm's questions in the same order and direction,
+// with the question queries' results already retained, so its time less
+// Warm's is Explainer.Question's alone.
 //
 //	go test -run XXX -bench BenchmarkExplainerQuestion -benchmem ./internal/explain
 func BenchmarkExplainerQuestion(b *testing.B) {
@@ -129,7 +131,7 @@ func BenchmarkExplainerQuestion(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		q := qs[i%len(qs)]
-		q, err := ex.Question(q.GroupBy, q.Agg, q.Values, 1-q.Dir)
+		q, err := ex.Question(q.GroupBy, q.Agg, q.Values, q.Dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -209,22 +209,17 @@ func (e *cacheEntry) find(cols []string, values value.Tuple) (agg value.V, ok bo
 	return sel.Col(len(cols)).Value(0), true, nil
 }
 
-// entry returns the cache entry of γ_{F∪V, agg}(r), the grouping pattern
-// p enumerates, computed at most once per (grouping, epoch). Safe for
-// concurrent calls.
-func (c *groupCache) entry(r engine.Relation, p pattern.Pattern) (*cacheEntry, error) {
-	mr, ok := r.(engine.MutableRelation)
-	if !ok {
-		return nil, errNotRetained(r)
-	}
-	return c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
-}
-
 // lookup returns the generator's grouping resolver over r backed by this
-// cache: the table of entry(r, p).
+// cache: the table of γ_{F∪V, agg}(r), the grouping pattern p
+// enumerates, computed at most once per (grouping, epoch). Safe for
+// concurrent calls.
 func (c *groupCache) lookup(r engine.Relation) func(pattern.Pattern) (*engine.Table, error) {
 	return func(p pattern.Pattern) (*engine.Table, error) {
-		e, err := c.entry(r, p)
+		mr, ok := r.(engine.MutableRelation)
+		if !ok {
+			return nil, errNotRetained(r)
+		}
+		e, err := c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
 		if err != nil {
 			return nil, err
 		}

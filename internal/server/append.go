@@ -91,7 +91,7 @@ type appendSetStatus struct {
 
 // handleAppend applies a batch of rows and catches up every pattern set
 // mined over the table. ServeHTTP already holds the appendMu write lock,
-// so no explanation, query, or mine is in flight: tables and explainer
+// so no explanation or mine is in flight: tables and explainer
 // pattern sets mutate in place safely, and the lazily epoch-checked
 // group-by caches invalidate only the groupings a later request actually
 // revisits.

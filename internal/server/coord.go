@@ -202,12 +202,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	mux.HandleFunc("GET /v1/patterns/{id}", c.handleGetPatterns)
 	mux.HandleFunc("POST /v1/explain", c.handleExplain)
 	mux.HandleFunc("POST /v1/explain/batch", c.handleExplainBatch)
-	for _, p := range []string{"/v1/query", "/v1/generalize", "/v1/intervene", "/v1/baseline"} {
-		path := p
-		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, _ *http.Request) {
-			httpError(w, http.StatusNotImplemented, "%s is not available on a shard coordinator; run it against a single capeserver", path)
-		})
-	}
 	c.mux = mux
 	return c, nil
 }

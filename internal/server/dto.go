@@ -10,14 +10,11 @@ import (
 	"cape/internal/value"
 )
 
-// ExplainRequest is the body of POST /v1/explain (with Patterns set) and
-// POST /v1/baseline (with Table set).
+// ExplainRequest is the body of POST /v1/explain.
 type ExplainRequest struct {
-	// Patterns names a pattern set from /v1/mine (explain only).
+	// Patterns names a pattern set from /v1/mine; the question runs
+	// over that set's table.
 	Patterns string `json:"patterns,omitempty"`
-	// Table names a loaded table (baseline only; explain takes the table
-	// from the pattern set).
-	Table string `json:"table,omitempty"`
 	// GroupBy + Aggregate + Tuple + Dir define the user question. Tuple
 	// values are rendered strings, parsed with the CSV value rules.
 	GroupBy   []string `json:"groupBy"`
@@ -34,9 +31,6 @@ type ExplainRequest struct {
 	Numeric map[string]float64 `json:"numeric,omitempty"`
 	// Weights maps attribute names to metric weights.
 	Weights map[string]float64 `json:"weights,omitempty"`
-	// Expected is the target aggregate value for /v1/intervene (ignored
-	// elsewhere); 0 keeps the default, the average of the other groups.
-	Expected float64 `json:"expected,omitempty"`
 }
 
 // build validates the request, resolves its question with ex and
@@ -65,13 +59,6 @@ type QuestionSpec struct {
 	Aggregate string   `json:"aggregate,omitempty"` // e.g. "count(*)", "sum(x)"; default count(*)
 	Tuple     []string `json:"tuple"`
 	Dir       string   `json:"dir"`
-}
-
-// oneOffExplainer resolves questions over tab with groupings built for
-// the one request. /v1/intervene and /v1/baseline name a table, not a
-// pattern set, so no warm Explainer serves them.
-func oneOffExplainer(tab *engine.Table) *explain.Explainer {
-	return explain.NewExplainer(tab, nil, explain.Options{})
 }
 
 // question validates the spec and resolves it with ex, which finds the
@@ -112,24 +99,6 @@ func buildMetric(numeric, weights map[string]float64) (*distance.Metric, error) 
 		metric.SetWeight(attr, weight)
 	}
 	return metric, nil
-}
-
-// tableDTO renders a relation as column names plus stringified rows.
-func tableDTO(t *engine.Table) map[string]interface{} {
-	cols := t.Schema().Names()
-	rows := make([][]string, t.NumRows())
-	for i, r := range t.Rows() {
-		cells := make([]string, len(r))
-		for j, v := range r {
-			if v.IsNull() {
-				cells[j] = ""
-			} else {
-				cells[j] = v.String()
-			}
-		}
-		rows[i] = cells
-	}
-	return map[string]interface{}{"columns": cols, "rows": rows}
 }
 
 // patternDTO is the wire form of a mined pattern summary. Key is the
@@ -191,28 +160,5 @@ func newExplanationDTO(e explain.Explanation, q explain.UserQuestion) explanatio
 		Refined:   e.Refined.String(),
 		SortKey:   e.Refined.Key() + "\x1e" + e.Tuple.Key(),
 		Narration: e.Narrate(q),
-	}
-}
-
-// generalizationDTO is the wire form of one drill-up explanation.
-type generalizationDTO struct {
-	Attrs     []string `json:"attrs"`
-	Tuple     []string `json:"tuple"`
-	AggValue  string   `json:"aggValue"`
-	Predicted float64  `json:"predicted"`
-	Deviation float64  `json:"deviation"`
-	Score     float64  `json:"score"`
-	Pattern   string   `json:"pattern"`
-}
-
-func newGeneralizationDTO(g explain.Generalization) generalizationDTO {
-	tuple := make([]string, len(g.Tuple))
-	for i, v := range g.Tuple {
-		tuple[i] = v.String()
-	}
-	return generalizationDTO{
-		Attrs: g.Attrs, Tuple: tuple, AggValue: g.AggValue.String(),
-		Predicted: g.Predicted, Deviation: g.Deviation, Score: g.Score,
-		Pattern: g.Pattern.String(),
 	}
 }

@@ -8,16 +8,15 @@
 //	GET  /v1/tables                  list loaded tables
 //	POST /v1/tables?name=pub         load a CSV body as a table
 //	POST /v1/append                  append rows to a table, maintain its pattern sets
-//	POST /v1/query                   run a SQL query
 //	POST /v1/mine                    mine a pattern set, returns its id
 //	GET  /v1/patterns/{id}           inspect a mined pattern set
 //	POST /v1/explain                 top-k counterbalances for a question
 //	POST /v1/explain/batch           many questions in one pass, per-item status
-//	POST /v1/generalize              same-direction coarser deviations
-//	POST /v1/intervene               provenance-restricted intervention baseline
-//	POST /v1/baseline                the pattern-blind comparison method
+//	POST /v1/patterns/{id}/admit     shard role: restrict a set to the coordinator's admitted patterns
 //
-// The server holds everything in memory and is safe for concurrent use.
+// These are the paper's two stages and nothing else; the Coordinator
+// serves the same routes, all but admission. The server holds everything
+// in memory and is safe for concurrent use.
 package server
 
 import (
@@ -31,13 +30,10 @@ import (
 	"strings"
 	"sync"
 
-	"cape/internal/baseline"
 	"cape/internal/engine"
 	"cape/internal/explain"
-	"cape/internal/intervention"
 	"cape/internal/mining"
 	"cape/internal/pattern"
-	"cape/internal/sql"
 	"cape/internal/store"
 )
 
@@ -49,8 +45,8 @@ type Server struct {
 	// /v1/append takes the write side for its whole run (append rows,
 	// catch maintainers up, swap pattern sets), all other requests take
 	// the read side. This is what lets appends mutate tables and
-	// explainer pattern sets in place — no explanation, query, or mine
-	// is ever in flight across an epoch change.
+	// explainer pattern sets in place — no explanation or mine is ever
+	// in flight across an epoch change.
 	appendMu sync.RWMutex
 
 	mu       sync.RWMutex
@@ -157,15 +153,11 @@ func New() *Server {
 	mux.HandleFunc("GET /v1/tables", s.handleListTables)
 	mux.HandleFunc("POST /v1/tables", s.handleLoadTable)
 	mux.HandleFunc("POST /v1/append", s.handleAppend)
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/mine", s.handleMine)
 	mux.HandleFunc("GET /v1/patterns/{id}", s.handleGetPatterns)
 	mux.HandleFunc("POST /v1/patterns/{id}/admit", s.handleAdmit)
 	mux.HandleFunc("POST /v1/explain", s.handleExplain)
 	mux.HandleFunc("POST /v1/explain/batch", s.handleExplainBatch)
-	mux.HandleFunc("POST /v1/generalize", s.handleGeneralize)
-	mux.HandleFunc("POST /v1/intervene", s.handleIntervene)
-	mux.HandleFunc("POST /v1/baseline", s.handleBaseline)
 	s.mux = mux
 	return s
 }
@@ -259,30 +251,6 @@ func (s *Server) handleLoadTable(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusCreated, resp)
-}
-
-// QueryRequest is the body of POST /v1/query.
-type QueryRequest struct {
-	SQL string `json:"sql"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	s.mu.RLock()
-	cat := make(sql.Catalog, len(s.tables))
-	for n, t := range s.tables {
-		cat[n] = t
-	}
-	s.mu.RUnlock()
-	out, err := sql.Run(req.SQL, cat)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tableDTO(out))
 }
 
 // MineRequest is the body of POST /v1/mine.
@@ -565,100 +533,6 @@ func (s *Server) setState(w http.ResponseWriter, id string) (*patternSet, *engin
 		httpError(w, http.StatusNotFound, "table %q for pattern set is gone", ps.Table)
 	}
 	return ps, tab, gen, ok && tab != nil
-}
-
-func (s *Server) handleGeneralize(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	ps, tab, _, ok := s.setState(w, req.Patterns)
-	if !ok {
-		return
-	}
-	ex := s.explainerFor(ps, tab)
-	q, opt, err := req.build(ex)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	gens, err := ex.Generalize(q, opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := make([]generalizationDTO, 0, len(gens))
-	for _, g := range gens {
-		out = append(out, newGeneralizationDTO(g))
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"question":        q.String(),
-		"generalizations": out,
-	})
-}
-
-func (s *Server) handleIntervene(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Table == "" {
-		httpError(w, http.StatusBadRequest, "intervention requests need 'table'")
-		return
-	}
-	tab, ok := s.table(req.Table)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
-		return
-	}
-	q, opt, err := req.build(oneOffExplainer(tab))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	expls, err := intervention.Explain(q, tab, intervention.Options{K: opt.K, Expected: req.Expected})
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, intervention.ErrLowQuestion) {
-			status = http.StatusUnprocessableEntity
-		}
-		httpError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"question":      q.String(),
-		"interventions": expls,
-	})
-}
-
-func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Table == "" {
-		httpError(w, http.StatusBadRequest, "baseline requests need 'table'")
-		return
-	}
-	tab, ok := s.table(req.Table)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown table %q", req.Table)
-		return
-	}
-	q, opt, err := req.build(oneOffExplainer(tab))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	expls, err := baseline.Explain(q, tab, baseline.Options{K: opt.K, Metric: opt.Metric})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"question":     q.String(),
-		"explanations": expls,
-	})
 }
 
 // explainerFor returns the pattern set's Explainer over tab, building

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cape/internal/dataset"
-	"cape/internal/intervention"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -89,7 +88,7 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestLoadListAndQuery(t *testing.T) {
+func TestLoadAndList(t *testing.T) {
 	_, ts := newTestServer(t)
 	loadRunningExample(t, ts)
 
@@ -104,21 +103,6 @@ func TestLoadListAndQuery(t *testing.T) {
 	}
 	if len(tables) != 1 || tables[0]["name"] != "pub" || tables[0]["rows"].(float64) != 150 {
 		t.Fatalf("tables = %v", tables)
-	}
-
-	qresp, out := doJSON(t, "POST", ts.URL+"/v1/query", QueryRequest{
-		SQL: "SELECT author, count(*) AS n FROM pub GROUP BY author ORDER BY author",
-	})
-	if qresp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d: %v", qresp.StatusCode, out)
-	}
-	rows := out["rows"].([]interface{})
-	if len(rows) != 3 {
-		t.Fatalf("query rows = %v", rows)
-	}
-	first := rows[0].([]interface{})
-	if first[0] != "AX" || first[1] != "60" {
-		t.Errorf("first row = %v", first)
 	}
 }
 
@@ -165,24 +149,6 @@ func TestMineAndExplainFlow(t *testing.T) {
 	}
 }
 
-func TestBaselineEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	loadRunningExample(t, ts)
-	resp, out := doJSON(t, "POST", ts.URL+"/v1/baseline", ExplainRequest{
-		Table:   "pub",
-		GroupBy: []string{"author", "venue", "year"},
-		Tuple:   []string{"AX", "SIGKDD", "2007"},
-		Dir:     "low",
-		K:       5,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("baseline status = %d: %v", resp.StatusCode, out)
-	}
-	if len(out["explanations"].([]interface{})) == 0 {
-		t.Error("baseline returned nothing")
-	}
-}
-
 func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t)
 	loadRunningExample(t, ts)
@@ -196,7 +162,6 @@ func TestErrorStatuses(t *testing.T) {
 		want   int
 	}{
 		{"load without name", "POST", "/v1/tables", nil, http.StatusBadRequest},
-		{"bad sql", "POST", "/v1/query", QueryRequest{SQL: "SELECT nope FROM pub"}, http.StatusBadRequest},
 		{"mine unknown table", "POST", "/v1/mine", MineRequest{Table: "ghost"}, http.StatusNotFound},
 		{"mine bad aggregate", "POST", "/v1/mine", MineRequest{Table: "pub", Aggregates: []string{"median"}}, http.StatusBadRequest},
 		{"patterns unknown id", "GET", "/v1/patterns/ps-999", nil, http.StatusNotFound},
@@ -205,8 +170,6 @@ func TestErrorStatuses(t *testing.T) {
 		{"explain arity", "POST", "/v1/explain", ExplainRequest{Patterns: id, GroupBy: []string{"author"}, Tuple: []string{"AX", "extra"}, Dir: "low"}, http.StatusBadRequest},
 		{"explain non-result", "POST", "/v1/explain", ExplainRequest{Patterns: id, GroupBy: []string{"author"}, Tuple: []string{"NOBODY"}, Dir: "low"}, http.StatusBadRequest},
 		{"explain bad scale", "POST", "/v1/explain", ExplainRequest{Patterns: id, GroupBy: []string{"author", "venue", "year"}, Tuple: []string{"AX", "SIGKDD", "2007"}, Dir: "low", Numeric: map[string]float64{"year": -1}}, http.StatusBadRequest},
-		{"baseline no table", "POST", "/v1/baseline", ExplainRequest{GroupBy: []string{"a"}, Tuple: []string{"x"}, Dir: "low"}, http.StatusBadRequest},
-		{"baseline unknown table", "POST", "/v1/baseline", ExplainRequest{Table: "ghost", GroupBy: []string{"a"}, Tuple: []string{"x"}, Dir: "low"}, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		resp, _ := doJSON(t, c.method, ts.URL+c.path, c.body)
@@ -216,25 +179,25 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownFieldsAndGarbage: request bodies decode strictly.
+// An unknown field is a 400 — among them "table" and "expected", which
+// /v1/explain no longer takes — and so is data after the JSON object.
 func TestRejectsUnknownFieldsAndGarbage(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"sql":"SELECT 1","bogus":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: %d", resp.StatusCode)
-	}
-	resp2, err := http.Post(ts.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"sql":"x"} trailing`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("trailing garbage accepted: %d", resp2.StatusCode)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/mine", `{"table":"pub","bogus":true}`},
+		{"/v1/mine", `{"table":"pub"} trailing`},
+		{"/v1/explain", `{"patterns":"ps-1","table":"pub","groupBy":["author"],"tuple":["AX"],"dir":"low"}`},
+		{"/v1/explain", `{"patterns":"ps-1","expected":3,"groupBy":["author"],"tuple":["AX"],"dir":"high"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+		}
 	}
 }
 
@@ -269,117 +232,8 @@ func TestAggregateSpecInExplain(t *testing.T) {
 func TestAddTableProgrammatic(t *testing.T) {
 	s, ts := newTestServer(t)
 	s.AddTable("direct", dataset.RunningExample())
-	resp, out := doJSON(t, "POST", ts.URL+"/v1/query", QueryRequest{
-		SQL: "SELECT count(*) FROM direct",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query on AddTable'd table: %d %v", resp.StatusCode, out)
-	}
-}
-
-func TestGeneralizeAndInterveneEndpoints(t *testing.T) {
-	_, ts := newTestServer(t)
-	loadRunningExample(t, ts)
-	id := mineExample(t, ts)
-
-	resp, out := doJSON(t, "POST", ts.URL+"/v1/generalize", ExplainRequest{
-		Patterns: id,
-		GroupBy:  []string{"author", "venue", "year"},
-		Tuple:    []string{"AX", "SIGKDD", "2007"},
-		Dir:      "low",
-		K:        3,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generalize status = %d: %v", resp.StatusCode, out)
-	}
-	if _, ok := out["generalizations"]; !ok {
-		t.Error("generalizations field missing")
-	}
-
-	// Intervention refuses low questions with 422.
-	resp, out = doJSON(t, "POST", ts.URL+"/v1/intervene", ExplainRequest{
-		Table:   "pub",
-		GroupBy: []string{"author", "venue", "year"},
-		Tuple:   []string{"AX", "SIGKDD", "2007"},
-		Dir:     "low",
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("intervene low status = %d: %v", resp.StatusCode, out)
-	}
-
-	// A high question succeeds.
-	resp, out = doJSON(t, "POST", ts.URL+"/v1/intervene", ExplainRequest{
-		Table:   "pub",
-		GroupBy: []string{"author", "venue", "year"},
-		Tuple:   []string{"AX", "ICDE", "2007"},
-		Dir:     "high",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("intervene high status = %d: %v", resp.StatusCode, out)
-	}
-	if _, ok := out["interventions"]; !ok {
-		t.Error("interventions field missing")
-	}
-}
-
-// TestInterveneExpected: the request's "expected" target reaches the
-// intervention explainer — the answer equals intervention.Explain with
-// that Expected, and differs from the default (the other groups'
-// average) on this question — while omitting it keeps the default and a
-// low question is still refused with 422.
-func TestInterveneExpected(t *testing.T) {
-	s, ts := newTestServer(t)
-	loadRunningExample(t, ts)
-	tab, _ := s.Table("pub")
-	spec := QuestionSpec{GroupBy: []string{"author", "venue"}, Tuple: []string{"AX", "ICDE"}, Dir: "high"}
-	q, err := spec.question(oneOffExplainer(tab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	interventions := func(expected float64) string {
-		t.Helper()
-		body, _ := json.Marshal(ExplainRequest{
-			Table: "pub", GroupBy: spec.GroupBy, Tuple: spec.Tuple, Dir: spec.Dir, Expected: expected,
-		})
-		resp, err := http.Post(ts.URL+"/v1/intervene", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out struct{ Interventions json.RawMessage }
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("expected=%v: status %d, %v", expected, resp.StatusCode, err)
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, out.Interventions); err != nil {
-			t.Fatal(err)
-		}
-		return compact.String()
-	}
-	library := func(expected float64) string {
-		t.Helper()
-		expls, err := intervention.Explain(q, tab, intervention.Options{Expected: expected})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := json.Marshal(expls)
-		return string(b)
-	}
-	if got, want := interventions(17), library(17); got != want {
-		t.Errorf("expected=17: server %s, library %s", got, want)
-	}
-	if got, want := interventions(0), library(0); got != want {
-		t.Errorf("default target: server %s, library %s", got, want)
-	}
-	if interventions(17) == interventions(0) {
-		t.Error("expected=17 should change the answer on this question")
-	}
-
-	resp, out := doJSON(t, "POST", ts.URL+"/v1/intervene", ExplainRequest{
-		Table: "pub", GroupBy: []string{"author", "venue", "year"},
-		Tuple: []string{"AX", "SIGKDD", "2007"}, Dir: "low", Expected: 3,
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("low question with expected: status %d: %v", resp.StatusCode, out)
+	resp, out := doJSON(t, "POST", ts.URL+"/v1/mine", MineRequest{Table: "direct", Aggregates: []string{"count"}})
+	if resp.StatusCode != http.StatusCreated || out["table"] != "direct" {
+		t.Fatalf("mine on AddTable'd table: %d %v", resp.StatusCode, out)
 	}
 }

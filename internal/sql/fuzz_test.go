@@ -1,112 +1,99 @@
 package sql
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"cape/internal/engine"
-	"cape/internal/value"
 )
 
-// FuzzParse asserts the parser never panics and that accepted statements
-// execute (or fail cleanly) against a small catalog.
+// FuzzParse asserts that Parse never panics, and that a query it
+// accepts has a non-empty group-by, exactly one aggregate call in its
+// SELECT list and every group-by column among that list's columns —
+// counted from the token stream, not from Parse's own bookkeeping — and
+// that the canonical query built from its answer parses to the same
+// answer.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM t",
-		"SELECT a, count(*) FROM t GROUP BY a",
-		"SELECT a AS x, sum(b) FROM t WHERE b > 1 AND a != 'q' GROUP BY a ORDER BY x DESC LIMIT 3",
-		"SELECT DISTINCT a FROM t WHERE a IS NOT NULL",
-		"SELECT * FROM t WHERE NOT (a = 1 OR b < -2.5)",
-		"select a from t where a = 'it''s';",
-		"SELECT min(b), max(b), avg(b) FROM t",
-		"SELECT * FROM t WHERE a = NULL",
-		"SELECT",
-		"SELECT * FROM t WHERE 'unterminated",
-		"SELECT * FROM t LIMIT 99999999999999999999",
-		"SELECT (((((((((( FROM t",
+	for _, c := range rejectedQuestionQueries {
+		f.Add(c.query)
 	}
-	for _, s := range seeds {
+	for _, s := range []string{
+		havingQuery,
+		"SELECT author, year, venue, count(*) AS pubcnt FROM pub GROUP BY author, year, venue",
+		"select region, SUM(amount) from sales group by region;",
+		"SELECT count(*), b AS x, a FROM t GROUP BY a, b",
+		"SELECT a, count(*) FROM t GROUP BY a ; ;",
+		"SELECT (((((((((( FROM t",
+	} {
 		f.Add(s)
 	}
-
-	tab := engine.NewTable(engine.Schema{
-		{Name: "a", Kind: value.Null},
-		{Name: "b", Kind: value.Null},
-	})
-	tab.MustAppend(value.Tuple{value.NewString("x"), value.NewInt(1)})
-	tab.MustAppend(value.Tuple{value.NewInt(3), value.NewNull()})
-	cat := Catalog{"t": tab}
-
 	f.Fuzz(func(t *testing.T, query string) {
 		if len(query) > 4096 {
 			return
 		}
-		stmt, err := Parse(query)
+		groupBy, agg, err := Parse(query)
 		if err != nil {
 			return
 		}
-		// Parsed statements must execute or fail with an error, never
-		// panic; output, if any, must respect LIMIT.
-		out, err := Exec(stmt, cat)
-		if err != nil {
-			return
+		if len(groupBy) == 0 {
+			t.Fatalf("%q: accepted with an empty group-by", query)
 		}
-		if stmt.Limit >= 0 && out.NumRows() > stmt.Limit {
-			t.Errorf("LIMIT %d violated: %d rows", stmt.Limit, out.NumRows())
+		cols, aggs := selectList(lex(query))
+		if aggs != 1 {
+			t.Fatalf("%q: accepted with %d aggregates", query, aggs)
 		}
-		// Re-rendering the WHERE clause must itself parse.
-		if stmt.Where != nil {
-			requery := "SELECT * FROM t WHERE " + stmt.Where.String()
-			if _, err := Parse(requery); err != nil {
-				t.Errorf("Where.String() produced unparsable SQL %q: %v", requery, err)
+		for _, g := range groupBy {
+			if !slices.Contains(cols, g) {
+				t.Fatalf("%q: group-by column %q is not selected", query, g)
 			}
+		}
+		canonical := "SELECT " + strings.Join(groupBy, ", ") + ", " + agg.String() +
+			" FROM t GROUP BY " + strings.Join(groupBy, ", ")
+		g2, agg2, err := Parse(canonical)
+		if err != nil || !slices.Equal(g2, groupBy) || agg2.Func != agg.Func || agg2.IsStar() != agg.IsStar() ||
+			(!agg.IsStar() && agg2.Arg != agg.Arg) {
+			t.Fatalf("%q: canonical form %q parses to %v, %v, %v", query, canonical, g2, agg2, err)
 		}
 	})
 }
 
+// selectList reads the items between SELECT and FROM: the columns (an
+// identifier not followed by '(') and the number of aggregate calls (an
+// identifier followed by '('), each item ending at a comma.
+func selectList(toks []token) (cols []string, aggs int) {
+	start := true
+	for i := 1; i+1 < len(toks) && toks[i].text != "FROM"; i++ {
+		switch {
+		case start && toks[i].kind == tokIdent && toks[i+1].text == "(":
+			aggs++
+		case start && toks[i].kind == tokIdent:
+			cols = append(cols, toks[i].text)
+		}
+		start = toks[i].text == ","
+	}
+	return cols, aggs
+}
+
 // FuzzLex asserts the lexer terminates without panicking on arbitrary
-// input and that token positions are monotonically non-decreasing.
+// input, that token positions never decrease, and that the stream ends
+// with exactly one EOF.
 func FuzzLex(f *testing.F) {
-	for _, s := range []string{"", "'", "a'b", "<=>=!=", "1.2.3e++4", "--5", "\x00\xff"} {
+	for _, s := range []string{"", "'", "a'b", "<=>=!=", "1.2.3e++4", "--5", "\x00\xff", "SELECT é_1, count(*)"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 4096 {
 			return
 		}
-		toks, err := lex(input)
-		if err != nil {
-			return
-		}
+		toks := lex(input)
 		prev := -1
-		for _, tok := range toks {
-			if tok.pos < prev {
-				t.Errorf("token positions regressed: %d after %d", tok.pos, prev)
+		for i, tok := range toks {
+			if tok.pos < prev || tok.pos > len(input) {
+				t.Errorf("token %d at offset %d after %d (input length %d)", i, tok.pos, prev, len(input))
 			}
 			prev = tok.pos
+			if (tok.kind == tokEOF) != (i == len(toks)-1) {
+				t.Fatalf("EOF at token %d of %d", i, len(toks))
+			}
 		}
-		if len(toks) == 0 || toks[len(toks)-1].kind != tokEOF {
-			t.Error("token stream must end with EOF")
-		}
-	})
-}
-
-// FuzzParseIdempotent: strings.ToUpper of keywords must not change parse
-// outcomes for a fixed-shape query template.
-func FuzzParseIdempotent(f *testing.F) {
-	f.Add("select a from t where a = 1")
-	f.Fuzz(func(t *testing.T, q string) {
-		if len(q) > 1024 {
-			return
-		}
-		s1, err1 := Parse(q)
-		s2, err2 := Parse(q)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatal("parse not deterministic")
-		}
-		if err1 == nil && s1.From != s2.From {
-			t.Fatal("parse not deterministic: FROM differs")
-		}
-		_ = strings.ToUpper
 	})
 }
