@@ -53,8 +53,9 @@ check-full: check
 # table size, one question on a warm Explainer, one question right after
 # a 100-row append, one question resolved and explained as a server
 # does, and — each at mining width 1 and at the default width, for the
-# ratio — one maintained append and the Maintainer's build next to a
-# cold ARPMine of the same table),
+# ratio — one maintained append, the Maintainer's build next to a
+# cold ARPMine of the same table, and mine_scale's mine, a cold ARPMine
+# of 400K rows in sealed segments),
 # then the repository benchmark — the one harness whose numbers
 # count (BENCHMARK.json, benchmark/README.md).
 bench:

@@ -53,10 +53,7 @@ func TestGroupByAccumsMatchesRowFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				keyCols, err := grouped.Project(cols)
-				if err != nil {
-					t.Fatal(err)
-				}
+				keyCols := &Table{schema: grouped.schema[:len(cols)], cols: grouped.cols[:len(cols)], n: grouped.n}
 				tablesIdentical(t, keys, keyCols, label)
 
 				// The reference: fold the logical rows one by one.

@@ -203,15 +203,21 @@ func groupPlan(s Schema, groupCols []string, aggs []AggSpec) (gIdx []int, aCols 
 		}
 		aCols[i] = ac
 	}
-	sch = make(Schema, 0, len(gIdx)+len(aggs))
+	return gIdx, aCols, groupSchema(s, gIdx, aggs), nil
+}
+
+// groupSchema is GroupBy's output schema: the key columns gIdx of s,
+// then one column per aggregate, named by AggSpec.String() and untyped
+// (a result's kind varies: Int, Float or the argument's).
+func groupSchema(s Schema, gIdx []int, aggs []AggSpec) Schema {
+	sch := make(Schema, 0, len(gIdx)+len(aggs))
 	for _, ci := range gIdx {
 		sch = append(sch, s[ci])
 	}
 	for _, a := range aggs {
-		kind := value.Null // result kind varies (Int/Float/arg kind)
-		sch = append(sch, Column{Name: a.String(), Kind: kind})
+		sch = append(sch, Column{Name: a.String(), Kind: value.Null})
 	}
-	return gIdx, aCols, sch, nil
+	return sch
 }
 
 // GroupBy evaluates SELECT groupCols, aggs... FROM t GROUP BY groupCols.

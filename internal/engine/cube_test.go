@@ -50,8 +50,7 @@ func TestCubeSliceMatchesGroupBy(t *testing.T) {
 			t.Fatalf("slice %v: %d rows, group-by has %d", subset, slice.NumRows(), direct.NumRows())
 		}
 		// Compare as multisets via sorted string rendering.
-		s1, _ := slice.Sorted(subset)
-		s2, _ := direct.Sorted(subset)
+		s1, s2 := sortedClone(t, slice, subset), sortedClone(t, direct, subset)
 		for i := range s1.Rows() {
 			if !s1.Row(i).Equal(s2.Row(i)) {
 				t.Errorf("slice %v row %d: %v vs %v", subset, i, s1.Row(i), s2.Row(i))
@@ -154,8 +153,7 @@ func TestCubeSliceMatchesGroupByAllAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1, _ := slice.Sorted(subset)
-		s2, _ := direct.Sorted(subset)
+		s1, s2 := sortedClone(t, slice, subset), sortedClone(t, direct, subset)
 		if s1.NumRows() != s2.NumRows() {
 			t.Fatalf("subset %v: %d vs %d rows", subset, s1.NumRows(), s2.NumRows())
 		}

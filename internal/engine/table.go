@@ -224,25 +224,6 @@ func (t *Table) parts(gIdx []int, aCols []aggCol) []*compPart {
 	return []*compPart{p}
 }
 
-// Project returns a table with only the named columns, preserving
-// duplicates and row order.
-func (t *Table) Project(cols []string) (*Table, error) {
-	idx, err := t.schema.Indices(cols)
-	if err != nil {
-		return nil, err
-	}
-	sch := make(Schema, len(idx))
-	for i, ci := range idx {
-		sch[i] = t.schema[ci]
-	}
-	out := &Table{schema: sch, cols: make([]*Col, len(idx)), n: t.n}
-	all := t.allRows()
-	for i, ci := range idx {
-		out.cols[i] = t.cols[ci].gather(all)
-	}
-	return out, nil
-}
-
 // DistinctProject returns the distinct combinations of the named columns,
 // in first-appearance order. No columns give one empty tuple for a
 // non-empty table.
@@ -289,15 +270,6 @@ func (t *Table) SortBy(cols []string) error {
 	t.epoch++
 	t.rewrite = t.epoch
 	return nil
-}
-
-// Sorted returns a copy of the table sorted by the given columns.
-func (t *Table) Sorted(cols []string) (*Table, error) {
-	perm, err := t.sortPerm(cols)
-	if err != nil {
-		return nil, err
-	}
-	return t.gather(perm), nil
 }
 
 // sortPerm returns the row order that stably sorts t by cols. The

@@ -122,26 +122,6 @@ func TestSelectEq(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tab := pubTable(t)
-	p, err := tab.Project([]string{"venue", "year"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumRows() != tab.NumRows() {
-		t.Error("Project should preserve row count")
-	}
-	if p.Schema()[0].Name != "venue" || p.Schema()[1].Name != "year" {
-		t.Errorf("projected schema = %v", p.Schema())
-	}
-	if p.Row(0)[0].Str() != "SIGKDD" || p.Row(0)[1].Int() != 2004 {
-		t.Errorf("projected row = %v", p.Row(0))
-	}
-	if _, err := tab.Project([]string{"missing"}); err == nil {
-		t.Error("unknown column should error")
-	}
-}
-
 func TestDistinctProject(t *testing.T) {
 	tab := pubTable(t)
 	d, err := tab.DistinctProject([]string{"author"})
@@ -171,12 +151,9 @@ func TestCountDistinct(t *testing.T) {
 	}
 }
 
-func TestSortByAndSorted(t *testing.T) {
+func TestSortBy(t *testing.T) {
 	tab := pubTable(t)
-	sorted, err := tab.Sorted([]string{"year", "author"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sorted := sortedClone(t, tab, []string{"year", "author"})
 	prevYear, prevAuthor := int64(-1), ""
 	for _, r := range sorted.Rows() {
 		y, a := r[2].Int(), r[0].Str()
@@ -187,7 +164,7 @@ func TestSortByAndSorted(t *testing.T) {
 	}
 	// Original table untouched.
 	if tab.Row(0)[1].Str() != "P1" {
-		t.Error("Sorted mutated the source table")
+		t.Error("sorting a clone mutated the source table")
 	}
 	if err := tab.SortBy([]string{"missing"}); err == nil {
 		t.Error("unknown sort column should error")

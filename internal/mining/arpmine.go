@@ -16,11 +16,15 @@ import (
 // are skipped (Appendix D). FDs are detected for free from the group
 // counts the miner computes anyway.
 //
-// With Options.Parallelism > 1, the independent per-attribute-set work
-// (group-by evaluation and sort-order exploration) fans out across
-// goroutines level by level; FD detection stays sequential between
-// phases, preserving the invariant that an FD is known before any
-// pattern that could use it is considered. Results are identical to the
+// The group-by phase is groupAll: the size-ψ groupings scan the
+// relation, every smaller one rolls up from a superset's result. FD
+// detection and exploration then run in ascending level order, so
+// pruning sees exactly the FDs a level-by-level run would. With
+// Options.Parallelism > 1, the independent per-attribute-set work
+// (group-bys and sort-order exploration) fans out across goroutines
+// level by level; FD detection stays sequential between levels,
+// preserving the invariant that an FD is known before any pattern that
+// could use it is considered. Results are identical to the
 // sequential run; Timers then aggregate CPU time across workers rather
 // than wall-clock time.
 func ARPMine(r engine.Relation, opt Options) (*Result, error) {
@@ -52,60 +56,37 @@ func ARPMine(r engine.Relation, opt Options) (*Result, error) {
 		res.Timers.Query += time.Since(t0)
 	}
 
-	for size := 2; size <= opt.MaxPatternSize && size <= len(opt.Attributes); size++ {
-		gs := combinations(opt.Attributes, size)
-
-		// Phase 1 (parallel): one multi-aggregate group-by per G.
-		type gState struct {
-			aggs    []engine.AggSpec
-			grouped *engine.Table
-			timers  pattern.Timers
-			out     Result
-		}
-		states := make([]gState, len(gs))
-		err := pool.ForEach("mine:arpmine-group", len(gs), func(i int) error {
-			st := &states[i]
-			st.aggs = aggSpecsFor(r, opt.AggFuncs, gs[i])
-			t0 := time.Now()
-			grouped, err := r.GroupBy(gs[i], st.aggs)
-			if err != nil {
-				return err
-			}
-			st.timers.Query += time.Since(t0)
-			st.grouped = grouped
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Phase 2 (sequential): record group counts, detect FDs. Every FD
-		// usable at this level has a left-hand side of size ≤ size−1 and
-		// was detected at an earlier level, so detection order within the
-		// level does not affect pruning decisions.
-		for i, g := range gs {
-			groupSizes[fd.Key(g)] = states[i].grouped.NumRows()
+	levels, err := groupAll(r, opt, pool, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, level := range levels {
+		// Record group counts and detect FDs, in ascending level order.
+		// A level's exploration starts only after its own and every lower
+		// level's FDs are detected, so an FD is known before any candidate
+		// that could use it, whatever the detection order within a level.
+		for _, gr := range level {
+			groupSizes[fd.Key(gr.attrs)] = gr.table.NumRows()
 			if opt.UseFDs {
-				fds.Detect(groupSizes, g)
+				fds.Detect(groupSizes, gr.attrs)
 			}
+			res.Timers.Query += gr.query
 		}
 
-		// Phase 3 (parallel): explore sort orders per G.
-		err = pool.ForEach("mine:arpmine-sort", len(gs), func(i int) error {
-			st := &states[i]
-			return exploreSortOrders(gs[i], st.grouped, st.aggs, opt, fds, &st.out)
+		// Explore sort orders per G, in parallel.
+		outs := make([]Result, len(level))
+		err = pool.ForEach("mine:arpmine-sort", len(level), func(i int) error {
+			gr := level[i]
+			return exploreSortOrders(gr.attrs, gr.table, gr.aggs, opt, fds, &outs[i])
 		})
 		if err != nil {
 			return nil, err
 		}
-
-		for i := range states {
-			st := &states[i]
-			res.Patterns = append(res.Patterns, st.out.Patterns...)
-			res.Candidates += st.out.Candidates
-			res.SkippedByFD += st.out.SkippedByFD
-			res.Timers.Add(st.timers)
-			res.Timers.Add(st.out.Timers)
+		for i := range outs {
+			res.Patterns = append(res.Patterns, outs[i].Patterns...)
+			res.Candidates += outs[i].Candidates
+			res.SkippedByFD += outs[i].SkippedByFD
+			res.Timers.Add(outs[i].Timers)
 		}
 	}
 	res.sortPatterns()

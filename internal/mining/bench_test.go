@@ -54,14 +54,23 @@ func BenchmarkFitShared(b *testing.B) {
 		b.Fatal(err)
 	}
 	f, v := []string{"author", "venue"}, []string{"year"}
-	sorted, err := grouped.Sorted(append(append([]string{}, f...), v...))
+	codes, err := engine.BuildSortCodes(grouped, g)
 	if err != nil {
 		b.Fatal(err)
 	}
+	perm := codes.NewPerm()
+	if err := codes.SortPerm(perm, append(append([]string{}, f...), v...), 0); err != nil {
+		b.Fatal(err)
+	}
+	fitter, err := pattern.NewSharedFitter(grouped, aggs, opt.Models, opt.Thresholds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tm pattern.Timers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pattern.FitShared(f, v, aggs, opt.Models, sorted, opt.Thresholds, nil); err != nil {
+		if _, err := fitter.Fit(f, v, perm, &tm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,6 +148,37 @@ func BenchmarkARPMineCrime(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ARPMine(tab, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkARPMineSeg is the repository benchmark's mine_scale job in
+// process: a cold ARPMine of 400K Crime rows (10 communities) held as a
+// SegTable of 128 Ki-row sealed segments, count(*) at ψ=3, at each of
+// benchWidths.
+func BenchmarkARPMineSeg(b *testing.B) {
+	const rows, segRows = 400000, 131072
+	cfg := dataset.CrimeConfig{Rows: rows, Seed: 1, NumAttrs: 6, NumCommunities: 10}
+	all := dataset.GenerateCrime(cfg).Rows()
+	st := engine.NewSegTable(dataset.CrimeSchema(cfg))
+	for lo := 0; lo < rows; lo += segRows {
+		if err := st.AppendRows(all[lo:min(lo+segRows, rows)]); err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_, opt, _ := benchCrime(b, 0)
+	for _, w := range benchWidths {
+		opt.Parallelism = w.par
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ARPMine(st, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

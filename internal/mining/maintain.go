@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cape/internal/engine"
@@ -12,9 +13,10 @@ import (
 // Maintainer keeps a mined pattern set fresh under appends. It is built
 // from ARPMine's own stages and keeps their outputs: per grouping
 // attribute set, an engine.RetainedGroupBy (the grouped key table and
-// each group's aggregate state, built by the same group-by kernels
-// ARPMine runs), a decoded observation column per aggregate, and, for
-// every (F, V) split the shared enumeration yields, each fragment's
+// each group's aggregate state, from ARPMine's group-by phase groupAll,
+// where count-only groupings below ψ roll up from a superset's retained
+// state), a decoded observation column per aggregate, and, for every
+// (F, V) split the shared enumeration yields, each fragment's
 // groups in observation order — a slice of the sorted permutation the
 // split was fitted over, through the same pattern.FragFit. An appended
 // batch then costs
@@ -150,15 +152,16 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 		return nil, fmt.Errorf("mining: FD pruning is not supported by the incremental maintainer")
 	}
 	m := &Maintainer{tab: tab, opt: opt, synced: tab.NumRows(), epoch: tab.Epoch()}
-	var groupings [][]string
-	for size := 2; size <= opt.MaxPatternSize && size <= len(opt.Attributes); size++ {
-		groupings = append(groupings, combinations(opt.Attributes, size)...)
-	}
-	m.gsets = make([]*gSet, len(groupings))
 	pool, detach := runPool(tab, opt.Parallelism)
 	defer detach()
+	levels, err := groupAll(tab, opt, pool, true)
+	if err != nil {
+		return nil, err
+	}
+	groupings := slices.Concat(levels...)
+	m.gsets = make([]*gSet, len(groupings))
 	err = pool.ForEach("mine:maintain-build", len(groupings), func(i int) error {
-		gs, err := newGSet(tab, groupings[i], opt)
+		gs, err := newGSet(groupings[i], opt)
 		m.gsets[i] = gs
 		return err
 	})
@@ -174,15 +177,10 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 	return m, nil
 }
 
-// newGSet builds one grouping set's retained state: ARPMine's group-by
-// (with resumable accumulators), its split enumeration, and one fit of
-// every fragment.
-func newGSet(tab engine.MutableRelation, g []string, opt Options) (*gSet, error) {
-	aggs := aggSpecsFor(tab, opt.AggFuncs, g)
-	grp, err := tab.GroupByAccums(g, aggs)
-	if err != nil {
-		return nil, err
-	}
+// newGSet builds one grouping set's retained state from its retained
+// group-by: the split enumeration and one fit of every fragment.
+func newGSet(gr *grouping, opt Options) (*gSet, error) {
+	g, aggs, grp := gr.attrs, gr.aggs, gr.grp
 	keys := grp.Keys()
 	nG, na := keys.NumRows(), len(aggs)
 	gs := &gSet{
@@ -203,7 +201,7 @@ func newGSet(tab engine.MutableRelation, g []string, opt Options) (*gSet, error)
 
 	var tm pattern.Timers // the build reports no timings
 	var ends []int32
-	err = eachSplit(keys, g, &tm, func(f, v []string, perm []int32) error {
+	err := eachSplit(keys, g, &tm, func(f, v []string, perm []int32) error {
 		sp, err := gs.newSplit(f, v, opt)
 		if err != nil {
 			return err

@@ -228,8 +228,13 @@ func fitOrder(g, f, v []string) []string {
 	panic("split outside its grouping's sort-order cover")
 }
 
-// literalMine runs oracle.Mine over tab under opt.
-func literalMine(t *testing.T, tab *engine.Table, opt Options) []oracle.MinedPattern {
+// shareGrpOrder is the order ShareGrp fits a split's points in: it
+// sorts each split by F then V, both in the grouping's attribute order.
+func shareGrpOrder(g, f, v []string) []string { return v }
+
+// literalMine runs oracle.Mine over tab under opt, fitting each split's
+// points in the order order names.
+func literalMine(t *testing.T, tab *engine.Table, opt Options, order func(g, f, v []string) []string) []oracle.MinedPattern {
 	t.Helper()
 	opt, err := opt.withDefaults(tab)
 	if err != nil {
@@ -244,7 +249,7 @@ func literalMine(t *testing.T, tab *engine.Table, opt Options) []oracle.MinedPat
 		Attrs: opt.Attributes, Psi: opt.MaxPatternSize, Models: opt.Models,
 		Theta: opt.Thresholds.Theta, LocalSupport: opt.Thresholds.LocalSupport,
 		Lambda: opt.Thresholds.Lambda, GlobalSupport: opt.Thresholds.GlobalSupport,
-		Order: fitOrder,
+		Order: order,
 	}
 	for _, f := range opt.AggFuncs {
 		lit.Funcs = append(lit.Funcs, oracleFuncs[f])
@@ -313,11 +318,14 @@ func requireMatchesLiteral(t *testing.T, label string, cols []string, want []ora
 	}
 }
 
-// TestMinersMatchLiteralDefinitions holds both production miners — a
-// cold ARPMine and a Maintainer build — to oracle.Mine, the literal
-// reading of Definitions 2–4, on generated Crime and DBLP tables under
-// several threshold settings, the λ = 1 and small-Δ ones putting
-// candidates exactly on the global gates.
+// TestMinersMatchLiteralDefinitions holds the production miners — a
+// cold ARPMine, ShareGrp (fitting in its own point order) and a
+// Maintainer build — to oracle.Mine, the literal reading of
+// Definitions 2–4, on generated Crime and DBLP tables
+// under several threshold settings, the λ = 1 and small-Δ ones putting
+// candidates exactly on the global gates. Count+Sum mines roll up only
+// the groupings whose Sums a superset carries (and the Maintainer none);
+// count-only mines roll up every grouping below ψ in all three.
 func TestMinersMatchLiteralDefinitions(t *testing.T) {
 	tables := []struct {
 		name  string
@@ -333,25 +341,35 @@ func TestMinersMatchLiteralDefinitions(t *testing.T) {
 		{Theta: 0.2, LocalSupport: 2, Lambda: 1, GlobalSupport: 2},
 		{Theta: 0, LocalSupport: 3, Lambda: 0.5, GlobalSupport: 3},
 	}
+	funcs := [][]engine.AggFunc{{engine.Count, engine.Sum}, {engine.Count}}
 	for _, tc := range tables {
-		for _, th := range thresholds {
-			opt := Options{
-				MaxPatternSize: 3, Thresholds: th, Attributes: tc.attrs,
-				AggFuncs: []engine.AggFunc{engine.Count, engine.Sum},
-				Models:   []regress.ModelType{regress.Const, regress.Lin},
+		for ti, th := range thresholds {
+			for _, fs := range funcs {
+				opt := Options{
+					MaxPatternSize: 3, Thresholds: th, Attributes: tc.attrs, AggFuncs: fs,
+					Models: []regress.ModelType{regress.Const, regress.Lin},
+				}
+				want := literalMine(t, tc.tab, opt, fitOrder)
+				label := fmt.Sprintf("%s %+v %v", tc.name, th, fs)
+				res, err := ARPMine(tc.tab, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMatchesLiteral(t, label+" ARPMine", tc.tab.Schema().Names(), want, res.Patterns)
+				if ti == 0 { // its own point order costs a second literal mine
+					res, err = ShareGrp(tc.tab, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMatchesLiteral(t, label+" ShareGrp", tc.tab.Schema().Names(),
+						literalMine(t, tc.tab, opt, shareGrpOrder), res.Patterns)
+				}
+				m, err := NewMaintainer(tc.tab, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMatchesLiteral(t, label+" Maintainer", tc.tab.Schema().Names(), want, m.Patterns())
 			}
-			want := literalMine(t, tc.tab, opt)
-			label := fmt.Sprintf("%s %+v", tc.name, th)
-			res, err := ARPMine(tc.tab, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMatchesLiteral(t, label+" ARPMine", tc.tab.Schema().Names(), want, res.Patterns)
-			m, err := NewMaintainer(tc.tab, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireMatchesLiteral(t, label+" Maintainer", tc.tab.Schema().Names(), want, m.Patterns())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"slices"
 	"time"
 
 	"cape/internal/engine"
@@ -11,42 +12,38 @@ import (
 // attribute set F ∪ V ("one query per F ∪ V" + "one query for all
 // patterns sharing F and V" from Section 4.1): the aggregation over G is
 // computed once with all aggregate expressions, then re-sorted once per
-// (F, V) split. With Options.Parallelism > 1 the per-attribute-set work
-// fans out across goroutines; results are identical to the sequential
-// run.
+// (F, V) split. Its group-by phase is ARPMine's (groupAll), so the two
+// differ only in ARPMine's sort-order reuse and optional FD pruning.
+// With Options.Parallelism > 1 the per-attribute-set work fans out
+// across goroutines; results are identical to the sequential run.
 func ShareGrp(r engine.Relation, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults(r)
 	if err != nil {
 		return nil, err
 	}
-	var gs [][]string
-	for size := 2; size <= opt.MaxPatternSize && size <= len(opt.Attributes); size++ {
-		gs = append(gs, combinations(opt.Attributes, size)...)
-	}
-
 	pool, detach := runPool(r, opt.Parallelism)
 	defer detach()
+	levels, err := groupAll(r, opt, pool, false)
+	if err != nil {
+		return nil, err
+	}
+	gs := slices.Concat(levels...)
 	outs := make([]Result, len(gs))
 	err = pool.ForEach("mine:sharegrp", len(gs), func(i int) error {
-		g := gs[i]
-		out := &outs[i]
-		aggs := aggSpecsFor(r, opt.AggFuncs, g)
+		gr, out := gs[i], &outs[i]
+		out.Timers.Query += gr.query
 		t0 := time.Now()
-		grouped, err := r.GroupBy(g, aggs)
-		if err != nil {
-			return err
-		}
-		codes, err := engine.BuildSortCodes(grouped, g)
+		codes, err := engine.BuildSortCodes(gr.table, gr.attrs)
 		if err != nil {
 			return err
 		}
 		perm := codes.NewPerm()
 		out.Timers.Query += time.Since(t0)
-		fitter, err := pattern.NewSharedFitter(grouped, aggs, opt.Models, opt.Thresholds)
+		fitter, err := pattern.NewSharedFitter(gr.table, gr.aggs, opt.Models, opt.Thresholds)
 		if err != nil {
 			return err
 		}
-		for _, sp := range splits(g) {
+		for _, sp := range splits(gr.attrs) {
 			f, v := sp[0], sp[1]
 			// One full index sort per split: ShareGrp deliberately skips
 			// ARPMine's sort-order reuse, keeping its historical cost shape.
@@ -55,7 +52,7 @@ func ShareGrp(r engine.Relation, opt Options) (*Result, error) {
 				return err
 			}
 			out.Timers.Query += time.Since(t0)
-			out.Candidates += len(aggs) * len(opt.Models)
+			out.Candidates += len(gr.aggs) * len(opt.Models)
 			mined, err := fitter.Fit(f, v, perm, &out.Timers)
 			if err != nil {
 				return err
