@@ -282,8 +282,9 @@ func (ga *groupAssign) assignGlobal(gc []int32, row int32) int32 {
 }
 
 // newGroup appends a group first seen at part-local row with global
-// codes gc. Canonical key bytes, when kept, are re-read through the
-// local codes — once per group, not per row.
+// codes gc (nil in flat mode, where the remap slot holds the group).
+// Canonical key bytes, when kept, are re-read through the local codes —
+// once per group, not per row.
 func (ga *groupAssign) newGroup(gc []int32, row int32) int32 {
 	g := int32(len(ga.firsts))
 	ga.firsts = append(ga.firsts, partRef{part: ga.partIdx, row: row})
@@ -292,7 +293,7 @@ func (ga *groupAssign) newGroup(gc []int32, row int32) int32 {
 	}
 	if ga.keepKeys {
 		key := ga.keyBuf[:0]
-		for k := range gc {
+		for k := 0; k < ga.nK; k++ {
 			kc := ga.part.keys[k]
 			key = kc.dict[kc.CodeAt(int(row))].AppendKey(key)
 		}
@@ -438,9 +439,11 @@ type gbScan struct {
 	acur  []runCur
 	codes []int32
 
-	// Two-pass scratch (scanFlat): per-row group ids, key code vectors,
-	// and one decoded aggregate code vector.
+	// Two-pass scratch (scanFlat): per-row group ids, the flat mode's
+	// per-column key tables, the hash mode's key code vectors, and one
+	// decoded aggregate code vector.
 	gids       []int32
+	keyTbls    [][]int32
 	keyVecs    [][]int32
 	keyScratch [][]int32
 	aggScratch []int32
@@ -453,6 +456,7 @@ func newGbScan(nK int, aCols []aggCol, keepKeys bool) *gbScan {
 		kcur:       make([]runCur, nK),
 		acur:       make([]runCur, len(aCols)),
 		codes:      make([]int32, nK),
+		keyTbls:    make([][]int32, nK),
 		keyVecs:    make([][]int32, nK),
 		keyScratch: make([][]int32, nK),
 	}
@@ -511,54 +515,46 @@ func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNe
 }
 
 // scanFlat is the two-pass kernel. Pass one assigns every row of the
-// range its group id in one tight loop over the key code vectors — a
-// flat remap lookup by the combined global code, or a hash probe when
-// the key space is too large to flatten. Pass two folds each aggregate
-// in its own loop over the group ids.
+// range its group id; pass two folds each aggregate in its own loop over
+// the group ids. In flat mode pass one builds each row's flattened key
+// column at a time, a chunk of rows at a time: every key column adds its
+// codes' stride-scaled global codes (keyTables) straight from its
+// encoding into the chunk's keys, which then probe the flat remap once
+// per row. When the key space is too large to flatten, the key columns
+// are decoded into code vectors and each row's tuple is hash-probed.
 func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
 	nK := len(sc.kcur)
 	ga := sc.ga
 	ga.beginPart(p, pi)
-	keys := sc.keyCodes(p, lo, hi)
 	gids := growI32(sc.gids, int(hi-lo))
 	sc.gids = gids
-	gc := sc.codes
 	switch {
 	case nK == 0:
 		g := ga.assignGlobal(nil, lo)
 		for r := range gids {
 			gids[r] = g
 		}
-	case ga.flatDims != nil && nK == 1:
-		remap := ga.flatRemap
-		for r, c := range keys[0] {
-			g := remap[c]
-			if g < 0 {
-				gc[0] = c
-				g = ga.newGroup(gc, lo+int32(r))
-				remap[c] = g
-			}
-			gids[r] = g
-		}
 	case ga.flatDims != nil:
-		remap, dims := ga.flatRemap, ga.flatDims
-		k0 := keys[0]
-		for r := range gids {
-			key := int(k0[r])
-			for k := 1; k < nK; k++ {
-				key = key*int(dims[k]) + int(keys[k][r])
+		tbls := sc.keyTables(p)
+		remap := ga.flatRemap
+		for c0 := 0; c0 < len(gids); c0 += flatChunkRows {
+			keys := gids[c0:min(c0+flatChunkRows, len(gids))]
+			clear(keys)
+			for k, kc := range p.keys {
+				kc.addKeys(lo+int32(c0), tbls[k], keys)
 			}
-			g := remap[key]
-			if g < 0 {
-				for k := range gc {
-					gc[k] = keys[k][r]
+			for r, key := range keys {
+				g := remap[key]
+				if g < 0 {
+					g = ga.newGroup(nil, lo+int32(c0+r))
+					remap[key] = g
 				}
-				g = ga.newGroup(gc, lo+int32(r))
-				remap[key] = g
+				keys[r] = g
 			}
-			gids[r] = g
 		}
 	default:
+		keys := sc.keyCodes(p, lo, hi)
+		gc := sc.codes
 		ga.reserve(len(gids))
 		for r := range gids {
 			for k := range gc {
@@ -586,9 +582,39 @@ func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 	}
 }
 
-// keyCodes returns, per key column, the global codes of rows [lo, hi):
-// a dense part's codes are read in place when they need no translation,
-// everything else is decoded (and translated) into scratch.
+// flatChunkRows is how many rows the flat kernel keys at a time: the
+// chunk's keys stay in L1 across the key columns' passes.
+const flatChunkRows = 1024
+
+// keyTables returns, per key column of the current part, what each local
+// code adds to a row's flattened key: its global code (through the
+// part's translation) times the column's stride, the product of the
+// later columns' dims. Summed over the columns, that is the Horner key
+// assignGlobal computes, so every part and kernel shares one flat remap.
+func (sc *gbScan) keyTables(p *compPart) [][]int32 {
+	ga := sc.ga
+	stride := int32(1)
+	for k := ga.nK - 1; k >= 0; k-- {
+		tbl := growI32(sc.keyTbls[k], len(p.keys[k].dict))
+		if xl := ga.xlat[k]; xl != nil {
+			for c, g := range xl {
+				tbl[c] = g * stride
+			}
+		} else {
+			for c := range tbl {
+				tbl[c] = int32(c) * stride
+			}
+		}
+		sc.keyTbls[k] = tbl
+		stride *= ga.flatDims[k]
+	}
+	return sc.keyTbls
+}
+
+// keyCodes returns, per key column, the global codes of rows [lo, hi)
+// for the hash-mode probe: a dense part's codes are read in place when
+// they need no translation, everything else is decoded (and translated)
+// into scratch.
 func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
 	for k, kc := range p.keys {
 		xl := sc.ga.xlat[k]
@@ -811,10 +837,41 @@ func fillAggCols(out *Table, gs *groupStates, nK int, aCols []aggCol) {
 	for ai, ac := range aCols {
 		c := out.cols[nK+ai]
 		c.grow(out.n)
+		if ac.spec.Func == Count {
+			fillCounts(c, gs, ai, out.n)
+			continue
+		}
 		for g := 0; g < out.n; g++ {
 			st := gs.state(g, ai)
 			key = c.push(st.result(ac.spec.Func), key)
 		}
+	}
+}
+
+// fillCounts writes aggregate ai's counts of groups [0, nG) into c.
+// Counts are non-negative Ints, so a count → code slice replaces push's
+// dictionary probe: a count is keyed only where its class first occurs,
+// which builds the dictionary push builds. The slice spans the counts
+// below nG+64; the rare larger counts are pushed.
+func fillCounts(c *Col, gs *groupStates, ai, nG int) {
+	maxCount := int64(0)
+	for g := 0; g < nG; g++ {
+		maxCount = max(maxCount, gs.state(g, ai).count)
+	}
+	codes := make([]int32, min(maxCount, int64(nG)+64)+1) // count → code + 1; 0: unseen
+	var key []byte
+	for g := 0; g < nG; g++ {
+		n := gs.state(g, ai).count
+		v := value.NewInt(n)
+		if n >= int64(len(codes)) {
+			key = c.push(v, key)
+			continue
+		}
+		if codes[n] == 0 {
+			key = v.AppendKey(key[:0])
+			codes[n] = c.addClass(v, key) + 1
+		}
+		c.pushCode(v, codes[n]-1)
 	}
 }
 

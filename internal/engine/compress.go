@@ -205,20 +205,42 @@ func (cc *CompressedCol) unpack(i int) int32 {
 	return int32(lo & (1<<bw - 1))
 }
 
-// unpackBlock decodes the codes of decode block b — rows
-// [b·1024, min(n, (b+1)·1024)) — into dst, which must be exactly the
-// block's length. Unlike per-row unpack, the packed words stream
-// through one running register: about one 64-bit load per word plus
-// two shifts per code, instead of recomputing a byte offset and
-// reloading (possibly twice) for every row.
-func (cc *CompressedCol) unpackBlock(b int, dst []int32) {
+// unpackCodes decodes the packed codes of rows [start, start+len(dst))
+// into dst, streaming the words through a register instead of
+// recomputing a byte offset and reloading for every row. Widths that
+// divide 64 (1, 2, 4, 8, 16, 32) never straddle a word: each word is
+// loaded once and shifted out code by code. Other widths carry a code
+// that straddles two words into the next one.
+func (cc *CompressedCol) unpackCodes(start int, dst []int32) {
+	if len(dst) == 0 {
+		return
+	}
 	bw := uint(cc.bitWidth)
 	mask := uint64(1)<<bw - 1
-	bitPos := uint64(b<<decodeBlockShift) * uint64(bw)
+	bitPos := uint64(start) * uint64(bw)
 	w := int(bitPos>>6) << 3
 	off := uint(bitPos & 63)
 	packed := cc.packed
 	cur := binary.LittleEndian.Uint64(packed[w:])
+	if 64%bw == 0 {
+		per := int(64 / bw)
+		cur >>= off
+		i := min(len(dst), per-int(off/bw))
+		for j := range dst[:i] {
+			dst[j] = int32(cur & mask)
+			cur >>= bw & 63
+		}
+		for ; i < len(dst); i += per {
+			w += 8
+			cur = binary.LittleEndian.Uint64(packed[w:])
+			d := dst[i:min(i+per, len(dst))]
+			for j := range d {
+				d[j] = int32(cur & mask)
+				cur >>= bw & 63
+			}
+		}
+		return
+	}
 	for i := range dst {
 		v := cur >> off
 		off += bw
@@ -235,6 +257,39 @@ func (cc *CompressedCol) unpackBlock(b int, dst []int32) {
 			}
 		}
 		dst[i] = int32(v & mask)
+	}
+}
+
+// addKeys adds tbl[code] to keys[i] for the code of every row
+// lo+i: dense codes are read in place, an RLE run adds one constant to
+// its rows, and packed codes unpack a cache-resident chunk at a time.
+// It is the flat group-by kernel's per-column pass (see gbScan.scanFlat).
+func (cc *CompressedCol) addKeys(lo int32, tbl, keys []int32) {
+	switch {
+	case cc.dense != nil:
+		for i, c := range cc.dense[lo : int(lo)+len(keys)] {
+			keys[i] += tbl[c]
+		}
+	case cc.packed != nil:
+		var buf [256]int32
+		for i := 0; i < len(keys); i += len(buf) {
+			codes := buf[:min(len(buf), len(keys)-i)]
+			cc.unpackCodes(int(lo)+i, codes)
+			d := keys[i : i+len(codes)]
+			for j, c := range codes {
+				d[j] += tbl[c]
+			}
+		}
+	default:
+		hi := lo + int32(len(keys))
+		for ri, pos := runIdx(cc.runEnds, lo), lo; pos < hi; ri++ {
+			end := min(cc.runEnds[ri], hi)
+			v, run := tbl[cc.runCodes[ri]], keys[pos-lo:end-lo]
+			for j := range run {
+				run[j] += v
+			}
+			pos = end
+		}
 	}
 }
 
@@ -267,23 +322,10 @@ func (cc *CompressedCol) runsInRange(lo, hi int32) int {
 }
 
 // decodeRange materializes the codes of rows [lo, hi) of a sealed
-// (RLE/PACK) column into dst (length hi-lo). PACK blocks fully inside
-// the range unpack straight into dst (no lock, no cache churn); edge
-// blocks go through the decoded-block cache.
+// (RLE/PACK) column into dst (length hi-lo).
 func (cc *CompressedCol) decodeRange(lo, hi int32, dst []int32) {
 	if cc.packed != nil {
-		for pos := lo; pos < hi; {
-			b := int(pos) >> decodeBlockShift
-			bStart := int32(b << decodeBlockShift)
-			bLen := int32(cc.blockLen(b))
-			if pos == bStart && bStart+bLen <= hi {
-				cc.unpackBlock(b, dst[pos-lo:pos-lo+bLen])
-				pos += bLen
-				continue
-			}
-			codes := cc.decodedBlockAt(b)
-			pos += int32(copy(dst[pos-lo:], codes[pos-bStart:]))
-		}
+		cc.unpackCodes(int(lo), dst[:hi-lo])
 		return
 	}
 	i := runIdx(cc.runEnds, lo) // RLE
@@ -327,7 +369,7 @@ func (cc *CompressedCol) decodedBlockAt(b int) []int32 {
 	cc.blockMu.Unlock()
 
 	codes := make([]int32, cc.blockLen(b))
-	cc.unpackBlock(b, codes)
+	cc.unpackCodes(b<<decodeBlockShift, codes)
 
 	cc.blockMu.Lock()
 	if db, ok := cc.blockMap[key]; ok {

@@ -201,7 +201,7 @@ func TestUnpackBlockMatchesCodeAt(t *testing.T) {
 			buf := make([]int32, decodeBlockLen)
 			for b := 0; b<<decodeBlockShift < n; b++ {
 				blk := buf[:cc.blockLen(b)]
-				cc.unpackBlock(b, blk)
+				cc.unpackCodes(b<<decodeBlockShift, blk)
 				base := b << decodeBlockShift
 				for i, got := range blk {
 					if want := codes[base+i]; got != want {

@@ -168,3 +168,89 @@ func TestSealedKernelDifferential(t *testing.T) {
 		detachDense()
 	}
 }
+
+// packedKeyCol packs n random codes at the given width: codes below
+// 2^width (2^31 at width 32, as codes are int32), drawn from seed.
+func packedKeyCol(seed int64, width uint32, n int) (*CompressedCol, []int32) {
+	rng := rand.New(rand.NewSource(seed))
+	limit := int64(1)<<min(width, 31) - 1
+	codes := make([]int32, n)
+	for i := range codes {
+		codes[i] = int32(rng.Int63() & limit)
+	}
+	return &CompressedCol{n: n, bitWidth: width, packed: packCodes(codes, width)}, codes
+}
+
+// checkPackedKeys checks rows [lo, lo+n) of cc, packed from codes, two
+// ways. decodeRange must return the codes. At widths up to 16, where a
+// dictionary-sized key table fits, the flat kernel's per-column pass —
+// cc, then a dense column of 5 codes, adding into one key per row — must
+// give the Horner key of the two columns' global codes: the packed
+// codes are translated through a permutation xl, as a segment's
+// dictionary is.
+func checkPackedKeys(t *testing.T, cc *CompressedCol, codes []int32, lo, n int) {
+	t.Helper()
+	label := fmt.Sprintf("width %d rows [%d, %d)", cc.bitWidth, lo, lo+n)
+	got := make([]int32, n)
+	cc.decodeRange(int32(lo), int32(lo+n), got)
+	for i, c := range got {
+		if want := codes[lo+i]; c != want {
+			t.Fatalf("%s: decodeRange row %d = %d, want %d", label, lo+i, c, want)
+		}
+	}
+	if cc.bitWidth > 16 {
+		return
+	}
+	const dimB = 5
+	d := 1 << cc.bitWidth
+	xl := rand.New(rand.NewSource(int64(d))).Perm(d)
+	tblA := make([]int32, d)
+	for c, g := range xl {
+		tblA[c] = int32(g) * dimB
+	}
+	colB := make([]int32, len(codes))
+	for i := range colB {
+		colB[i] = int32(i * 7 % dimB)
+	}
+	tblB := []int32{0, 1, 2, 3, 4}
+	keys := got // any garbage: the kernel clears a chunk's keys first
+	clear(keys)
+	cc.addKeys(int32(lo), tblA, keys)
+	(&CompressedCol{n: len(colB), dense: colB}).addKeys(int32(lo), tblB, keys)
+	for i, key := range keys {
+		if want := int32(xl[codes[lo+i]])*dimB + colB[lo+i]; key != want {
+			t.Fatalf("%s: key of row %d = %d, want %d", label, lo+i, key, want)
+		}
+	}
+}
+
+// TestPackedKeysExact runs checkPackedKeys at every width 1–32 and every
+// start offset mod 64, over ranges from one code to ones that cross
+// several words and 1024-code decode blocks.
+func TestPackedKeysExact(t *testing.T) {
+	for width := uint32(1); width <= 32; width++ {
+		cc, codes := packedKeyCol(int64(width), width, 5000)
+		for off := 0; off < 64; off++ {
+			for i, n := range []int{1, 2, 63, 64, 65, 700, 2100} {
+				lo := off + 64*((int(width)+off+i)%20)
+				checkPackedKeys(t, cc, codes, lo, n)
+			}
+		}
+		checkPackedKeys(t, cc, codes, 0, len(codes))
+		checkPackedKeys(t, cc, codes, len(codes)-1, 1)
+	}
+}
+
+// FuzzPackedKeys runs checkPackedKeys on fuzzer-chosen columns: seed
+// draws the codes, width picks 1–32, lo and n the range.
+func FuzzPackedKeys(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint16(1000), uint16(100))
+	f.Add(int64(2), uint8(4), uint16(60), uint16(2000))
+	f.Add(int64(3), uint8(31), uint16(1023), uint16(3))
+	f.Add(int64(4), uint8(8), uint16(0), uint16(4096))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, lo, n uint16) {
+		w := uint32(width%32) + 1
+		cc, codes := packedKeyCol(seed, w, int(lo)+int(n)+int(seed&63))
+		checkPackedKeys(t, cc, codes, int(lo), int(n))
+	})
+}

@@ -58,7 +58,7 @@ func (cc *CompressedCol) forEachRun(fn func(code, lo, hi int32)) {
 		first := true
 		for b := 0; b<<decodeBlockShift < n; b++ {
 			blk := buf[:cc.blockLen(b)]
-			cc.unpackBlock(b, blk)
+			cc.unpackCodes(b<<decodeBlockShift, blk)
 			base := int32(b << decodeBlockShift)
 			for i, c := range blk {
 				if first {

@@ -59,8 +59,11 @@ func (sc *SortCodes) NewPerm() []int32 {
 // column set, so no two rows tie.
 //
 // Because the codes are dense ranks, a full sort is an LSD counting sort
-// — one stable O(n + ranks) pass per column, minor to major — and a
-// prefix re-sort insertion-sorts each (typically short) run.
+// — one stable O(n + ranks) pass per column, minor to major. A prefix
+// re-sort insertion-sorts each short run, and counting-sorts a run
+// longer than sortRunCutoff the same way as a full sort: a
+// low-cardinality prefix leaves runs of thousands of rows, where the
+// insertion sort's quadratic cost would dominate mining.
 func (sc *SortCodes) SortPerm(perm []int32, order []string, keepPrefix int) error {
 	cols := make([][]int32, len(order))
 	nRanks := make([]int32, len(order))
@@ -91,13 +94,24 @@ func (sc *SortCodes) SortPerm(perm []int32, order []string, keepPrefix int) erro
 		for hi < len(perm) && equalOn(prefix, perm[lo], perm[hi]) {
 			hi++
 		}
-		if hi-lo > 1 {
+		switch {
+		case hi-lo > sortRunCutoff:
+			for i := len(rest) - 1; i >= 0; i-- {
+				sc.countingSort(perm[lo:hi], rest[i], nRanks[keepPrefix+i])
+			}
+		case hi-lo > 1:
 			insertionSort(perm[lo:hi], rest)
 		}
 		lo = hi
 	}
 	return nil
 }
+
+// sortRunCutoff is the longest prefix-equal run SortPerm re-sorts by
+// insertion; longer runs take the counting sort, whose O(run + ranks)
+// per column beats the insertion sort's O(run²) from a few hundred rows
+// on.
+const sortRunCutoff = 256
 
 // countingSort stably reorders perm by codes (a dense-rank column with
 // ranks in [0, nRanks)), reusing the receiver's histogram and output

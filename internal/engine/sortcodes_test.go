@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cape/internal/value"
@@ -205,5 +207,47 @@ func TestBuildSortCodesOrdersLikeCompare(t *testing.T) {
 				t.Errorf("%v > %v but codes %d ≤ %d", a, b, c[i], c[j])
 			}
 		}
+	}
+}
+
+// TestSortPermLongPrefixRuns: a prefix re-sort whose prefix has two
+// ranks leaves runs of over 10K rows, which SortPerm counting-sorts; the
+// result must equal a full sort's.
+func TestSortPermLongPrefixRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const rows = 25000
+	tab := NewTable(Schema{{Name: "p", Kind: value.Int}, {Name: "a", Kind: value.Int}, {Name: "b", Kind: value.String}})
+	for _, combo := range rng.Perm(2 * 200 * 200)[:rows] {
+		err := tab.Append(value.Tuple{value.NewInt(int64(combo % 2)), value.NewInt(int64(combo / 2 % 200)),
+			value.NewString(fmt.Sprintf("b%03d", combo/400))})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	codes, err := BuildSortCodes(tab, []string{"p", "a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := []string{"p", "b", "a"}, []string{"p", "a", "b"}
+	reused := codes.NewPerm()
+	if err := codes.SortPerm(reused, first, 0); err != nil {
+		t.Fatal(err)
+	}
+	zeros := 0
+	for _, r := range codes.codes["p"] {
+		zeros += int(1 - r)
+	}
+	if zeros < 10_000 || rows-zeros < 10_000 {
+		t.Fatalf("prefix runs of %d and %d rows, want both at least 10K", zeros, rows-zeros)
+	}
+	if err := codes.SortPerm(reused, second, 1); err != nil {
+		t.Fatal(err)
+	}
+	fresh := codes.NewPerm()
+	if err := codes.SortPerm(fresh, second, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(reused, fresh) {
+		t.Fatal("prefix re-sort of long runs differs from a full sort")
 	}
 }
