@@ -440,8 +440,8 @@ type gbScan struct {
 	codes []int32
 
 	// Two-pass scratch (scanFlat): per-row group ids, the flat mode's
-	// per-column key tables, the hash mode's key code vectors, and one
-	// decoded aggregate code vector.
+	// per-column key tables, the hash mode's translated key codes, and
+	// one decoded aggregate code vector.
 	gids       []int32
 	keyTbls    [][]int32
 	keyVecs    [][]int32
@@ -490,7 +490,7 @@ func globalKeyDims(parts []*compPart, nK int) []int32 {
 }
 
 // flatScanMinRows is the smallest sealed range worth the two-pass
-// kernel's decode into scratch.
+// kernel's per-row passes over the key columns.
 const flatScanMinRows = 4096
 
 // scanRange folds rows [lo, hi) of part pi into the scan's group table
@@ -520,8 +520,8 @@ func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNe
 // column at a time, a chunk of rows at a time: every key column adds its
 // codes' stride-scaled global codes (keyTables) straight from its
 // encoding into the chunk's keys, which then probe the flat remap once
-// per row. When the key space is too large to flatten, the key columns
-// are decoded into code vectors and each row's tuple is hash-probed.
+// per row. When the key space is too large to flatten — only dense
+// parts get here then — each row's tuple of global codes is hash-probed.
 func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
 	nK := len(sc.kcur)
 	ga := sc.ga
@@ -612,31 +612,21 @@ func (sc *gbScan) keyTables(p *compPart) [][]int32 {
 }
 
 // keyCodes returns, per key column, the global codes of rows [lo, hi)
-// for the hash-mode probe: a dense part's codes are read in place when
-// they need no translation, everything else is decoded (and translated)
-// into scratch.
+// of a dense part for the hash-mode probe: read in place when they need
+// no translation, translated into scratch otherwise. Sealed ranges take
+// the two-pass kernel only in flat mode (scanRange).
 func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
 	for k, kc := range p.keys {
-		xl := sc.ga.xlat[k]
-		if kc.dense != nil && xl == nil {
-			sc.keyVecs[k] = kc.dense[lo:hi]
-			continue
-		}
-		s := growI32(sc.keyScratch[k], int(hi-lo))
-		sc.keyScratch[k] = s
-		if kc.dense != nil {
-			for i, c := range kc.dense[lo:hi] {
+		codes := kc.dense[lo:hi]
+		if xl := sc.ga.xlat[k]; xl != nil {
+			s := growI32(sc.keyScratch[k], len(codes))
+			for i, c := range codes {
 				s[i] = xl[c]
 			}
-		} else {
-			kc.decodeRange(lo, hi, s)
-			if xl != nil {
-				for i, c := range s {
-					s[i] = xl[c]
-				}
-			}
+			sc.keyScratch[k] = s
+			codes = s
 		}
-		sc.keyVecs[k] = s
+		sc.keyVecs[k] = codes
 	}
 	return sc.keyVecs
 }

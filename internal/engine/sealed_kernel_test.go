@@ -24,8 +24,8 @@ var sealedKeyCols = []struct {
 
 // sealedKernelTable builds two sealed segments of segRows rows and a
 // tail of tailRows: the key columns of sealedKeyCols, an Int column v
-// and a Float column f (each with NULLs). Each segment draws its values
-// in its own random order, so the segments number their dictionaries
+// and a Float column f (each with NULLs). The two segments start their
+// packed columns on different values, so they number their dictionaries
 // differently; the tail adds one value per key column that no segment
 // holds. It returns the table and the logical rows for the oracle.
 func sealedKernelTable(t *testing.T, rng *rand.Rand, segRows, tailRows int) (*SegTable, genTable) {
@@ -127,14 +127,17 @@ func TestSealedKernelDifferential(t *testing.T) {
 	var keySets [][]string
 	for i, a := range sealedKeyCols {
 		keySets = append(keySets, []string{a.name})
-		for _, b := range sealedKeyCols[i+1:] {
-			keySets = append(keySets, []string{a.name, b.name})
+		for _, j := range []int{i + 1, i + 3} {
+			if j < len(sealedKeyCols) {
+				keySets = append(keySets, []string{a.name, sealedKeyCols[j].name})
+			}
 		}
 	}
 	keySets = append(keySets,
 		[]string{"w1", "w2", "w4"}, []string{"w3", "w5", "r"}, []string{"w1", "w3", "w8"},
 		[]string{"w9", "w2", "w1"}, []string{"w4", "w2", "w1", "w3"},
-		[]string{"r", "w1", "w2", "w3"}, []string{"w5", "w4", "w3", "w2", "w1"})
+		[]string{"r", "w1", "w2", "w3"}, []string{"w5", "w4", "w3", "w2", "w1"},
+		[]string{"w9", "w8", "w5"}) // too many combinations to flatten: hash mode
 	aggSets := [][]AggSpec{
 		{{Func: Count}},
 		{{Func: Count}, {Func: Sum, Arg: "v"}, {Func: Min, Arg: "v"}, {Func: Max, Arg: "f"}},
