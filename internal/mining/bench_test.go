@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"slices"
 	"testing"
 
 	"cape/internal/dataset"
@@ -189,19 +190,19 @@ func BenchmarkARPMineSeg(b *testing.B) {
 // dirtiedBy calls fn for every fragment a CatchUp over batch re-fits:
 // the fragments the batch's rows fall into, over every split. Call it
 // after the CatchUp, so fragments the batch created exist.
-func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(sp *mSplit, fr *mFrag)) {
+func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(gs *gSet, sp *mSplit, fi int32)) {
 	var key []byte
 	for _, gs := range m.gsets {
 		for _, sp := range gs.splits {
-			seen := make(map[*mFrag]bool)
+			seen := make(map[int32]bool)
 			for _, row := range batch {
 				key = key[:0]
 				for _, p := range sp.fPos {
 					key = row[m.tab.Schema().Index(gs.attrs[p])].AppendKey(key)
 				}
-				if fr := sp.frags[gs.fragIndex(sp)[string(key)]]; !seen[fr] {
-					seen[fr] = true
-					fn(sp, fr)
+				if fi := gs.fragIndex(sp)[string(key)]; !seen[fi] {
+					seen[fi] = true
+					fn(gs, sp, fi)
 				}
 			}
 		}
@@ -212,12 +213,14 @@ func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(sp *mSplit, fr *mFrag
 // maintenance at the repository benchmark's table size: CatchUp over a
 // 100-row batch already in a 300K-row table, at each of benchWidths.
 // Batches repeat after the first 64, so long runs measure the steady
-// state in which a batch creates no group.
+// state in which a batch creates no group. It reports the fragment
+// memberships the re-fits visited and the fragments re-fit from kept
+// count statistics, per append.
 func BenchmarkMaintainerCatchUp(b *testing.B) {
 	for _, w := range benchWidths {
 		b.Run(w.name, func(b *testing.B) {
 			m, batches := benchCrimeMaintainer(b, 300000, w.par)
-			walked := 0
+			start := m.work()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -230,21 +233,21 @@ func BenchmarkMaintainerCatchUp(b *testing.B) {
 				if err := m.CatchUp(); err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				dirtiedBy(m, batch, func(_ *mSplit, fr *mFrag) { walked += len(fr.groups) })
-				b.StartTimer()
 			}
-			b.ReportMetric(float64(walked)/float64(b.N), "fraggroups-walked/op")
+			end := m.work()
+			b.ReportMetric(float64(end.walked-start.walked)/float64(b.N), "fraggroups-walked/op")
+			b.ReportMetric(float64(end.fromStats-start.fromStats)/float64(b.N), "frags-from-stats/op")
 		})
 	}
 }
 
 // TestMaintainerCatchUpAllocs fences the steady-state append: a CatchUp
 // that creates no group allocates the local models of the fragments it
-// re-fits — one Frag tuple per fragment that holds any, a LocalModel
-// and its model per holding candidate, the coefficient vector of a Lin
-// model — and nothing per group it touches or walks. It runs at width 1,
-// where no pool goroutine adds its own allocations.
+// re-fits — a LocalModel and its model per holding candidate, the
+// coefficient vector of a Lin model; the Frag tuple carries over from
+// the fragment's previous local models — and nothing per group it
+// touches or walks. It runs at width 1, where no pool goroutine adds
+// its own allocations.
 func TestMaintainerCatchUpAllocs(t *testing.T) {
 	m, batches := benchCrimeMaintainer(t, 30000, 1)
 	batch := batches[0]
@@ -252,35 +255,132 @@ func TestMaintainerCatchUpAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One warm-up and one measured append: the state afterwards is what
-	// the measured CatchUp left, so its local models can be counted.
+	// the measured CatchUp left, so its local models can be counted. The
+	// warm-up, unmeasured, notes which fragments held a local model: one
+	// that held none has no Frag tuple to carry over.
+	held := make(map[*mSplit]map[int32]bool)
+	warm := true
 	got := int(testing.AllocsPerRun(1, func() {
 		if err := m.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
+		if warm {
+			dirtiedBy(m, batch, func(_ *gSet, sp *mSplit, fi int32) {
+				if held[sp] == nil {
+					held[sp] = make(map[int32]bool)
+				}
+				held[sp][fi] = sp.heldFrag(fi) != nil
+			})
+			warm = false
+		}
 	}))
-	want, walked := 0, 0
-	dirtiedBy(m, batch, func(sp *mSplit, fr *mFrag) {
-		walked += len(fr.groups)
-		held := 0
+	want, dirtied := 0, 0
+	dirtiedBy(m, batch, func(_ *gSet, sp *mSplit, fi int32) {
+		dirtied += len(sp.frags[fi].groups)
+		if sp.heldFrag(fi) != nil && !held[sp][fi] {
+			want++
+		}
 		for _, cs := range sp.cands {
-			if _, ok := cs.locals[fr.key]; ok {
-				held += 2
+			if int(fi) < len(cs.locals) && cs.locals[fi] != nil {
+				want += 2
 				if cs.p.Model == regress.Lin {
-					held++
+					want++
 				}
 			}
-		}
-		if held > 0 {
-			want += held + 1
 		}
 	})
 	// The slack covers the per-call fixed cost: the row chunk, the pool
 	// closures, the table's own append.
 	if slack := 32; got > want+slack {
-		t.Errorf("steady-state append allocates %d times; the local models it re-fit account for %d (+%d fixed) over %d walked fragment memberships",
-			got, want, slack, walked)
+		t.Errorf("steady-state append allocates %d times; the local models it re-fit account for %d (+%d fixed) over %d dirtied fragment memberships",
+			got, want, slack, dirtied)
 	}
-	if want == 0 || walked < 100*len(batch) {
-		t.Fatalf("fixture re-fits %d model allocations over %d memberships; the fence is vacuous", want, walked)
+	if want == 0 || dirtied < 100*len(batch) {
+		t.Fatalf("fixture re-fits %d model allocations over %d memberships; the fence is vacuous", want, dirtied)
+	}
+}
+
+// TestMaintainerCatchUpWork counts a steady-state append's re-fit work
+// exactly: every dirtied fragment that keeps count statistics re-fits
+// from them, and only those whose minimum rose — a grown group held it,
+// and the kept tie count shows no other holder — pay a pass over their
+// groups; every other dirtied fragment walks. So no membership of a
+// kept fragment whose extremes stayed current is visited. Afterwards
+// every kept fragment's statistics equal its groups' counts.
+func TestMaintainerCatchUpWork(t *testing.T) {
+	m, batches := benchCrimeMaintainer(t, 30000, 1)
+	batch := batches[0]
+	if err := m.Apply(batch); err != nil { // creates the batch's groups
+		t.Fatal(err)
+	}
+	yBefore := make(map[*gSet][]float64)
+	stBefore := make(map[*mSplit][]countStats)
+	for _, gs := range m.gsets {
+		yBefore[gs] = slices.Clone(gs.y[0].F)
+		for _, sp := range gs.splits {
+			stBefore[sp] = slices.Clone(sp.st)
+		}
+	}
+	before := m.work()
+	if err := m.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	var want refitWork
+	dirtied, current := 0, 0
+	dirtiedBy(m, batch, func(gs *gSet, sp *mSplit, fi int32) {
+		groups := sp.frags[fi].groups
+		dirtied += len(groups)
+		st := stBefore[sp]
+		if int(fi) >= len(st) || st[fi].n == 0 {
+			want.walked += len(groups)
+			return
+		}
+		want.fromStats++
+		grown := int32(0) // groups that held the minimum and grew
+		for _, gi := range groups {
+			if old := yBefore[gs][gi]; gs.y[0].F[gi] != old && old == st[fi].minimum {
+				grown++
+			}
+		}
+		if grown > 0 && grown >= st[fi].atMin {
+			want.walked += len(groups)
+			want.extremes++
+		} else {
+			current++
+		}
+	})
+	after := m.work()
+	got := refitWork{after.walked - before.walked, after.fromStats - before.fromStats, after.extremes - before.extremes}
+	if got != want {
+		t.Errorf("append re-fit work %+v, want %+v", got, want)
+	}
+	if current == 0 || want.extremes == 0 || want.walked >= dirtied {
+		t.Fatalf("fixture dirties %d memberships, walks %d, re-fits %d kept fragments with current extremes and %d with stale ones; the count is vacuous",
+			dirtied, want.walked, current, want.extremes)
+	}
+
+	for _, gs := range m.gsets {
+		for _, sp := range gs.splits {
+			for fi := range sp.st {
+				if !sp.kept(int32(fi)) {
+					continue
+				}
+				var s regress.ConstStats
+				atMin := int32(0)
+				for _, gi := range sp.frags[fi].groups {
+					s.Add(gs.y[0].F[gi])
+				}
+				for _, gi := range sp.frags[fi].groups {
+					if gs.y[0].F[gi] == s.Min {
+						atMin++
+					}
+				}
+				st := sp.st[fi]
+				exact := countStats{int32(s.N), st.atMin, s.Sum, s.SumSq, s.Min, s.Max}
+				if st != exact || st.atMin != 0 && st.atMin != atMin {
+					t.Fatalf("%v/%v fragment %d keeps %+v; its groups give %+v with %d at the minimum", sp.f, sp.v, fi, st, exact, atMin)
+				}
+			}
+		}
 	}
 }

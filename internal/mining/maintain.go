@@ -7,6 +7,7 @@ import (
 
 	"cape/internal/engine"
 	"cape/internal/pattern"
+	"cape/internal/regress"
 	"cape/internal/value"
 )
 
@@ -18,16 +19,22 @@ import (
 // state), a decoded observation column per aggregate, and, for every
 // (F, V) split the shared enumeration yields, each fragment's
 // groups in observation order — a slice of the sorted permutation the
-// split was fitted over, through the same pattern.FragFit. An appended
-// batch then costs
+// split was fitted over, through the same pattern.FragFit. A fragment
+// on which no Lin candidate can hold, of a grouping set whose every
+// aggregate is count(*), also keeps its count statistics (n, Σy, Σy²,
+// min, max): a stat-kept fragment. An appended batch then costs
 //
-//	O(batch × groupings)             fold rows, refresh touched groups' y
-//	+ O(Σ |fragment| over dirtied)   re-fit: stream the flat columns
+//	O(batch × groupings)                 fold rows, refresh touched groups' y
+//	+ O(touched groups × splits)         route them, update kept statistics
+//	+ O(Σ |fragment| over dirtied walks) re-fit the others: stream the flat columns
 //
-// instead of the full group-sort-fit pipeline over the whole table. The
-// second term is the larger one: a split on a low-cardinality F (year,
-// type) has few, large fragments, so a 100-row batch dirties all of
-// them and the re-fit walks that split's whole grouped table.
+// instead of the full group-sort-fit pipeline over the whole table. A
+// stat-kept fragment re-fits from its statistics without visiting its
+// groups, unless the group that alone held its minimum grew: one pass
+// over its y values then finds the new extremes. The walked fragments
+// are those on which a Lin candidate may still hold, those of grouping
+// sets with a Sum, Avg, Min or Max, whose float sums are order-sensitive
+// (below), and every fragment once |R| reaches 2²⁶.
 //
 // The maintained set is pinned byte-identical to a cold ARPMine run
 // (without FD pruning) over the same rows:
@@ -45,10 +52,13 @@ import (
 //     the same FragFit over the same order, so float arithmetic agrees
 //     exactly.
 //
-// Float sums are order-sensitive, which is why touched fragments are
-// re-fit from their (retained, ordered) group aggregates rather than
-// stat-merged; the mergeable regress.ConstStats.Merge / LinStats exist
-// for callers that can accept reassociated sums. See DESIGN.md §11.
+// Float sums are order-sensitive, which is why a walked fragment is
+// re-fit from its (retained, ordered) group aggregates rather than
+// stat-merged. Counts are the exception: every count is an integer of
+// at most |R|, so while |R| < 2²⁶ (countStatsExact) every partial Σy
+// and Σy², in any order, is an integer below 2⁵² that float64 holds
+// exactly, and updating a kept fragment's sums by each touched group's
+// new − old reproduces the cold fold's bits. See DESIGN.md §11.
 //
 // Grouping keys carry no precondition: value.Compare equality is
 // canonical-key equality for every value, NaN, ±0.0 and integers past
@@ -82,12 +92,43 @@ type gSet struct {
 	state   []uint8       // gTouched | gFresh
 	y       []pattern.Obs // per aggregate: Result() as of the last CatchUp
 	splits  []*mSplit
-	touched []int32 // groups touched by the current batch
+	touched []int32   // groups touched by the current batch
+	oldY    []float64 // per touched group: its count before the batch, when counts are kept
 
 	// Scratch reused across fragment re-fits. Per grouping set (not per
 	// maintainer) so CatchUp can fan grouping sets across a pool.
 	fit    *pattern.FragFit
 	keyBuf []byte
+	work   refitWork
+}
+
+// refitWork counts what re-fits did since the build, the build
+// included.
+type refitWork struct {
+	walked    int // fragment memberships visited, by a walked fit or an extremes pass
+	fromStats int // fragments re-fit from kept count statistics
+	extremes  int // extremes passes over a kept fragment whose minimum grew
+}
+
+// maxStatRows bounds the relation size under which count statistics are
+// kept: a count is at most |R|, so Σy ≤ |R| and Σy² ≤ |R|² < 2⁵², and
+// every partial sum is an integer float64 holds exactly.
+const maxStatRows = 1 << 26
+
+// countStatsExact reports whether a grouping set with aggregates aggs
+// over a relation of rows rows may keep count statistics: every
+// aggregate is count(*) — so all observe the same counts — and rows is
+// below maxStatRows.
+func countStatsExact(aggs []engine.AggSpec, rows int) bool {
+	if len(aggs) == 0 || rows >= maxStatRows {
+		return false
+	}
+	for _, a := range aggs {
+		if a.Func != engine.Count {
+			return false
+		}
+	}
+	return true
 }
 
 const (
@@ -107,9 +148,24 @@ type mSplit struct {
 	frags   []*mFrag
 	fragIdx map[string]int32 // F-key → index into frags; built on first use (fragIndex)
 	fragOf  []int32          // per group: index of its fragment, so only fresh groups build a key
-	dirty   []*mFrag
+	dirty   []int32          // indices of the fragments the current batch dirtied
 	cands   []*mCand
 	numSupp []int // per aggregate: fragments with supported[ai] set
+	// st holds, per fragment, the count statistics of a stat-kept
+	// fragment (n > 0) and zero for one that walks; nil until a fragment
+	// of the split is kept, and shorter than frags when the fragments
+	// past its end walk.
+	st []countStats
+}
+
+// countStats are a kept fragment's count statistics, 40 bytes: those
+// of a regress.ConstStats over its groups' counts, plus how many groups
+// hold the minimum (0: not known), so a grown minimum group forces a
+// pass over the fragment only when it held the minimum alone.
+type countStats struct {
+	n, atMin         int32 // a count, like n, is below maxStatRows
+	sum, sumSq       float64
+	minimum, maximum float64
 }
 
 // mFrag is one fragment of a split: the groups it contains, in
@@ -120,6 +176,8 @@ type mFrag struct {
 	groups    []int32
 	supported []bool // per aggregate: numeric and |groups| ≥ δ
 	dirty     bool
+	newFirst  bool // the current batch put a fresh group first: Frag is rebuilt
+	staleExt  bool // the current batch grew a group holding the kept minimum
 }
 
 // mCand is one (aggregate, model) candidate of a split.
@@ -129,10 +187,16 @@ type mCand struct {
 	// order by and admission pushes match on. Candidates are fixed for
 	// the maintainer's lifetime, so it is derived (two sorts plus string
 	// joins) and sorted on once, at construction.
-	key    string
-	sp     *mSplit
-	agg    int
-	locals map[string]*pattern.LocalModel
+	key string
+	sp  *mSplit
+	agg int
+	// locals holds, by fragment index, the candidate's local model on
+	// each fragment it holds on, nil elsewhere; held counts them. It is
+	// nil until a fragment holds, and shorter than sp.frags when those
+	// past its end hold none: a candidate that never holds (Lin beside a
+	// string predictor) costs no slots.
+	locals []*pattern.LocalModel
+	held   int
 }
 
 // NewMaintainer builds the retained mining state for tab under opt and
@@ -161,7 +225,7 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 	groupings := slices.Concat(levels...)
 	m.gsets = make([]*gSet, len(groupings))
 	err = pool.ForEach("mine:maintain-build", len(groupings), func(i int) error {
-		gs, err := newGSet(groupings[i], opt)
+		gs, err := newGSet(groupings[i], opt, tab.NumRows())
 		m.gsets[i] = gs
 		return err
 	})
@@ -178,8 +242,9 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 }
 
 // newGSet builds one grouping set's retained state from its retained
-// group-by: the split enumeration and one fit of every fragment.
-func newGSet(gr *grouping, opt Options) (*gSet, error) {
+// group-by over a relation of rows rows: the split enumeration and one
+// fit of every fragment.
+func newGSet(gr *grouping, opt Options, rows int) (*gSet, error) {
 	g, aggs, grp := gr.attrs, gr.aggs, gr.grp
 	keys := grp.Keys()
 	nG, na := keys.NumRows(), len(aggs)
@@ -201,6 +266,7 @@ func newGSet(gr *grouping, opt Options) (*gSet, error) {
 
 	var tm pattern.Timers // the build reports no timings
 	var ends []int32
+	exact := countStatsExact(aggs, rows)
 	err := eachSplit(keys, g, &tm, func(f, v []string, perm []int32) error {
 		sp, err := gs.newSplit(f, v, opt)
 		if err != nil {
@@ -228,7 +294,7 @@ func newGSet(gr *grouping, opt Options) (*gSet, error) {
 			for _, gi := range fr.groups {
 				sp.fragOf[gi] = int32(fi)
 			}
-			gs.refit(sp, fr)
+			gs.refit(sp, int32(fi), exact)
 			lo = hi
 		}
 		gs.splits = append(gs.splits, sp)
@@ -264,10 +330,7 @@ func (gs *gSet) newSplit(f, v []string, opt Options) (*mSplit, error) {
 			if err := p.Validate(); err != nil {
 				return nil, err
 			}
-			sp.cands = append(sp.cands, &mCand{
-				p: p, key: p.Key(), sp: sp, agg: ai,
-				locals: make(map[string]*pattern.LocalModel),
-			})
+			sp.cands = append(sp.cands, &mCand{p: p, key: p.Key(), sp: sp, agg: ai})
 		}
 	}
 	return sp, nil
@@ -364,18 +427,29 @@ func (m *Maintainer) CatchUp() error {
 
 	err = pool.ForEach("mine:maintain-refit", len(m.gsets), func(i int) error {
 		gs := m.gsets[i]
+		exact := countStatsExact(gs.aggs, n)
+		if !exact {
+			for _, sp := range gs.splits {
+				sp.st = nil // past the guard, or never kept: every fragment walks
+			}
+		}
 		// Decode each touched group's aggregates once per batch; every
-		// split's re-fit below reads only the flat columns.
+		// split's re-fit below reads only the flat columns. Kept
+		// statistics need each touched group's count before the batch.
+		gs.oldY = gs.oldY[:0]
 		for _, gi := range gs.touched {
+			if exact {
+				gs.oldY = append(gs.oldY, gs.y[0].F[gi])
+			}
 			for ai := range gs.y {
 				gs.y[ai].F[gi], gs.y[ai].OK[gi] = gs.grp.Result(int(gi), ai).AsFloat()
 			}
 		}
 		for _, sp := range gs.splits {
 			gs.routeTouched(sp)
-			for _, fr := range sp.dirty {
-				gs.refit(sp, fr)
-				fr.dirty = false
+			for _, fi := range sp.dirty {
+				gs.refit(sp, fi, exact)
+				sp.frags[fi].dirty = false
 			}
 			sp.dirty = sp.dirty[:0]
 		}
@@ -415,13 +489,15 @@ func (gs *gSet) touch(gi int32, fresh bool) {
 }
 
 // routeTouched maps every touched group to its fragment in sp, inserting
-// fresh groups at their observation-order position, and collects the
+// fresh groups at their observation-order position, folds it into the
+// fragment's count statistics when they are kept, and collects the
 // dirty fragments.
 func (gs *gSet) routeTouched(sp *mSplit) {
-	for _, gi := range gs.touched {
+	for ti, gi := range gs.touched {
+		fresh := gs.state[gi]&gFresh != 0
 		// Fresh groups sit in touched in creation order, so the append
 		// below lands at fragOf[gi].
-		if gs.state[gi]&gFresh != 0 {
+		if fresh {
 			idx := gs.fragIndex(sp)
 			gs.keyBuf = gs.appendKey(gs.keyBuf[:0], sp.fPos, gi)
 			fi, ok := idx[string(gs.keyBuf)]
@@ -441,12 +517,51 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 			fr.groups = append(fr.groups, 0)
 			copy(fr.groups[pos+1:], fr.groups[pos:])
 			fr.groups[pos] = gi
+			fr.newFirst = fr.newFirst || pos == 0
 		}
-		if fr := sp.frags[sp.fragOf[gi]]; !fr.dirty {
+		fi := sp.fragOf[gi]
+		if sp.kept(fi) {
+			sp.foldCount(fi, gs.oldY[ti], gs.y[0].F[gi], fresh)
+		}
+		if fr := sp.frags[fi]; !fr.dirty {
 			fr.dirty = true
-			sp.dirty = append(sp.dirty, fr)
+			sp.dirty = append(sp.dirty, fi)
 		}
 	}
+}
+
+// kept reports whether fragment fi keeps count statistics.
+func (sp *mSplit) kept(fi int32) bool { return int(fi) < len(sp.st) && sp.st[fi].n > 0 }
+
+// foldCount folds one touched group of kept fragment fi into its
+// statistics: a group whose count went from old to y, or a fresh group
+// of count y. Counts only grow, so a grown group that held the minimum
+// alone (or among an unknown number) has raised it: the extremes go
+// stale until the re-fit.
+func (sp *mSplit) foldCount(fi int32, old, y float64, fresh bool) {
+	s := &sp.st[fi]
+	switch {
+	case fresh:
+		s.n++
+		s.sum += y
+		s.sumSq += y * y
+		if y < s.minimum {
+			s.minimum, s.atMin = y, 1
+		} else if y == s.minimum && s.atMin > 0 {
+			s.atMin++
+		}
+	default:
+		s.sum += y - old
+		s.sumSq += y*y - old*old
+		if old == s.minimum {
+			if s.atMin > 1 {
+				s.atMin--
+			} else {
+				sp.frags[fi].staleExt = true
+			}
+		}
+	}
+	s.maximum = max(s.maximum, y)
 }
 
 // obsLess orders groups within a fragment: by the split's predictor
@@ -462,13 +577,39 @@ func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
 	return a < b
 }
 
-// refit re-evaluates every candidate of sp on fragment fr through the
-// miner's own FragFit, over the fragment's groups in observation order,
-// and records the outcome: the support flags feeding the λ denominator
-// and the local models — bitwise those of a cold re-mine.
-func (gs *gSet) refit(sp *mSplit, fr *mFrag) {
-	ff := gs.fit
-	ff.Fit(gs.grp.Keys(), sp.fPos, sp.vPos, gs.y, fr.groups, nil)
+// refit re-evaluates every candidate of sp on fragment fi through the
+// miner's own FragFit — from its count statistics when they are kept,
+// else over the fragment's groups in observation order — and records the
+// outcome: the support flags feeding the λ denominator and the local
+// models, bitwise those of a cold re-mine. exact reports whether the
+// grouping set may keep count statistics; a walked fragment that turns
+// out Lin-free then starts keeping them.
+func (gs *gSet) refit(sp *mSplit, fi int32, exact bool) {
+	ff, fr := gs.fit, sp.frags[fi]
+	// A fragment's F values never change, so its Frag tuple carries over
+	// — unless a fresh group now comes first, whose value may be another
+	// member of the same class (Int(1) for Float(1), −0 for +0).
+	var frag value.Tuple
+	if !fr.newFirst {
+		frag = sp.heldFrag(fi)
+	}
+	fr.newFirst = false
+	if sp.kept(fi) {
+		st := &sp.st[fi]
+		if fr.staleExt {
+			gs.recountExtremes(st, fr.groups)
+			fr.staleExt = false
+		}
+		cs := regress.ConstStats{N: int(st.n), Sum: st.sum, SumSq: st.sumSq, Min: st.minimum, Max: st.maximum}
+		ff.FitCounts(gs.grp.Keys(), sp.fPos, cs, fr.groups[0], frag)
+		gs.work.fromStats++
+	} else {
+		ff.Fit(gs.grp.Keys(), sp.fPos, sp.vPos, gs.y, fr.groups, frag, nil)
+		gs.work.walked += len(fr.groups)
+		if exact && ff.LinFree {
+			sp.keep(fi, ff.Stats())
+		}
+	}
 	for ai, supp := range ff.Supported {
 		if supp != fr.supported[ai] {
 			fr.supported[ai] = supp
@@ -480,12 +621,82 @@ func (gs *gSet) refit(sp *mSplit, fr *mFrag) {
 		}
 	}
 	for i, cs := range sp.cands {
-		if lm := ff.Locals[i]; lm != nil {
-			cs.locals[gs.fragKey(sp, fr)] = lm
-		} else if fr.key != "" {
-			delete(cs.locals, fr.key)
+		lm := ff.Locals[i]
+		if lm != nil {
+			gs.fragKey(sp, fr) // Patterns keys the local by it
+		}
+		cs.setLocal(fi, lm)
+	}
+}
+
+// recountExtremes recomputes a kept fragment's min and max count, and
+// the groups at the min, from its groups' y values: one pass, no
+// gather, no fit.
+func (gs *gSet) recountExtremes(st *countStats, groups []int32) {
+	y := gs.y[0].F
+	lo, hi, atMin := y[groups[0]], y[groups[0]], int32(0)
+	for _, gi := range groups {
+		switch v := y[gi]; {
+		case v < lo:
+			lo, atMin = v, 1
+		case v == lo:
+			atMin++
+		case v > hi:
+			hi = v
 		}
 	}
+	st.minimum, st.maximum, st.atMin = lo, hi, atMin
+	gs.work.walked += len(groups)
+	gs.work.extremes++
+}
+
+// keep starts keeping fragment fi's count statistics, seeded with the
+// walk's s; the groups at its minimum are counted when first needed.
+func (sp *mSplit) keep(fi int32, s regress.ConstStats) {
+	if n := len(sp.frags); len(sp.st) < n {
+		sp.st = append(sp.st, make([]countStats, n-len(sp.st))...)
+	}
+	sp.st[fi] = countStats{n: int32(s.N), sum: s.Sum, sumSq: s.SumSq, minimum: s.Min, maximum: s.Max}
+}
+
+// heldFrag returns the Frag tuple of a local model some candidate of sp
+// holds on fragment fi, or nil when none holds.
+func (sp *mSplit) heldFrag(fi int32) value.Tuple {
+	for _, cs := range sp.cands {
+		if int(fi) < len(cs.locals) && cs.locals[fi] != nil {
+			return cs.locals[fi].Frag
+		}
+	}
+	return nil
+}
+
+// setLocal records lm (nil: no hold) as the candidate's local model on
+// fragment fi.
+func (cs *mCand) setLocal(fi int32, lm *pattern.LocalModel) {
+	if int(fi) >= len(cs.locals) {
+		if lm == nil {
+			return
+		}
+		cs.locals = append(cs.locals, make([]*pattern.LocalModel, len(cs.sp.frags)-len(cs.locals))...)
+	}
+	switch old := cs.locals[fi]; {
+	case old == nil && lm != nil:
+		cs.held++
+	case old != nil && lm == nil:
+		cs.held--
+	}
+	cs.locals[fi] = lm
+}
+
+// work sums the grouping sets' re-fit counters.
+func (m *Maintainer) work() refitWork {
+	var w refitWork
+	for _, gs := range m.gsets {
+		w.walked += gs.work.walked
+		w.fromStats += gs.work.fromStats
+		w.extremes += gs.work.extremes
+	}
+	return w
 }
 
 // fragKey returns fr's key, the canonical key bytes of its F values,
@@ -514,25 +725,27 @@ func (gs *gSet) fragIndex(sp *mSplit) map[string]int32 {
 // Patterns assembles the globally-holding pattern set from the retained
 // state: the same Definition-4 gates, counters, and deviation extremes
 // a cold ARPMine run computes, sorted by pattern key. The returned
-// Mined values are fresh (maps copied); the LocalModels are shared but
-// immutable — re-fits replace them, never mutate.
+// Mined values are fresh (maps built from the slots); the LocalModels
+// are shared but immutable — re-fits replace them, never mutate.
 func (m *Maintainer) Patterns() []*pattern.Mined {
 	var out []*pattern.Mined
 	for _, cs := range m.cands {
 		supp := cs.sp.numSupp[cs.agg]
-		conf, ok := m.opt.Thresholds.HoldsGlobally(len(cs.locals), supp)
+		conf, ok := m.opt.Thresholds.HoldsGlobally(cs.held, supp)
 		if !ok {
 			continue
 		}
 		mined := &pattern.Mined{
 			Pattern:      cs.p,
-			Locals:       make(map[string]*pattern.LocalModel, len(cs.locals)),
+			Locals:       make(map[string]*pattern.LocalModel, cs.held),
 			NumFragments: len(cs.sp.frags),
 			NumSupported: supp,
 			Confidence:   conf,
 		}
-		for k, lm := range cs.locals {
-			mined.AddLocal(k, lm)
+		for fi, lm := range cs.locals {
+			if lm != nil {
+				mined.AddLocal(cs.sp.frags[fi].key, lm)
+			}
 		}
 		out = append(out, mined)
 	}
@@ -569,7 +782,7 @@ func (m *Maintainer) CandStats() []CandStat {
 	for i, cs := range m.cands {
 		out[i] = CandStat{
 			Key:       cs.key,
-			Good:      len(cs.locals),
+			Good:      cs.held,
 			Supported: cs.sp.numSupp[cs.agg],
 			Fragments: len(cs.sp.frags),
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cape/internal/engine"
@@ -232,4 +233,113 @@ func FuzzMaintainerCounts(f *testing.F) {
 		}
 		runCountStream(t, seed, seed%2 == 0, countOpts(models, par), nb, nr, nb/2)
 	})
+}
+
+// TestCountStatsGuard: count statistics are kept only for grouping sets
+// whose every aggregate is count(*), over relations below 2²⁶ rows; a
+// Maintainer over count(*) and sum keeps none on the sum's sets.
+func TestCountStatsGuard(t *testing.T) {
+	count, sum := engine.AggSpec{Func: engine.Count}, engine.AggSpec{Func: engine.Sum, Arg: "x"}
+	for _, tc := range []struct {
+		aggs []engine.AggSpec
+		rows int
+		want bool
+	}{
+		{[]engine.AggSpec{count}, 0, true},
+		{[]engine.AggSpec{count}, maxStatRows - 1, true},
+		{[]engine.AggSpec{count}, maxStatRows, false},
+		{[]engine.AggSpec{count}, 1 << 40, false},
+		{[]engine.AggSpec{count, count}, 100, true},
+		{[]engine.AggSpec{count, sum}, 100, false},
+		{[]engine.AggSpec{{Func: engine.Avg, Arg: "x"}}, 100, false},
+		{[]engine.AggSpec{{Func: engine.Min, Arg: "x"}}, 100, false},
+		{nil, 100, false},
+	} {
+		if got := countStatsExact(tc.aggs, tc.rows); got != tc.want {
+			t.Errorf("countStatsExact(%v, %d) = %v, want %v", tc.aggs, tc.rows, got, tc.want)
+		}
+	}
+	if maxStatRows != 1<<26 {
+		t.Fatalf("maxStatRows = %d, want 2²⁶", maxStatRows)
+	}
+
+	opt := countOpts([]regress.ModelType{regress.Const}, 1)
+	opt.AggFuncs = []engine.AggFunc{engine.Count, engine.Sum}
+	s := newCountStream(1)
+	tab := engine.NewTable(countSchema)
+	if err := tab.AppendRows(s.initial(100)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Apply(s.batch(20, false)); err != nil {
+		t.Fatal(err)
+	}
+	withSum := 0
+	for _, gs := range m.gsets {
+		if countStatsExact(gs.aggs, tab.NumRows()) {
+			continue
+		}
+		withSum++
+		for _, sp := range gs.splits {
+			if sp.st != nil {
+				t.Fatalf("grouping %v over %v keeps count statistics", gs.attrs, gs.aggs)
+			}
+		}
+		if gs.work.fromStats != 0 {
+			t.Fatalf("grouping %v over %v re-fit %d fragments from count statistics", gs.attrs, gs.aggs, gs.work.fromStats)
+		}
+	}
+	if withSum == 0 {
+		t.Fatal("no grouping carries a sum; the check is vacuous")
+	}
+}
+
+// TestCountStreamsReachKeptStates: the count streams the differential
+// runs reach the states it is aimed at — fragments re-fit from kept
+// statistics, a grown minimum forcing an extremes pass, and a fragment
+// of a split over x that starts keeping statistics once a string
+// arrives in x.
+func TestCountStreamsReachKeptStates(t *testing.T) {
+	opt := countOpts([]regress.ModelType{regress.Const, regress.Lin}, 1)
+	s := newCountStream(1)
+	tab := engine.NewTable(countSchema)
+	if err := tab.AppendRows(s.initial(200)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptOverX := func() int {
+		n := 0
+		for _, gs := range m.gsets {
+			for _, sp := range gs.splits {
+				if slices.Equal(sp.v, []string{"x"}) {
+					for fi := range sp.st {
+						if sp.kept(int32(fi)) {
+							n++
+						}
+					}
+				}
+			}
+		}
+		return n
+	}
+	if n := keptOverX(); n != 0 {
+		t.Fatalf("%d fragments over a numeric x keep statistics before any string", n)
+	}
+	built := m.work()
+	for b := 0; b < 4; b++ {
+		if err := m.Apply(s.batch(15, b == 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := m.work()
+	if w.fromStats == built.fromStats || w.extremes == built.extremes || keptOverX() == 0 {
+		t.Fatalf("stream re-fit %d fragments from statistics, ran %d extremes passes, keeps %d fragments over x",
+			w.fromStats-built.fromStats, w.extremes-built.extremes, keptOverX())
+	}
 }

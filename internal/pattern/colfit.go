@@ -125,7 +125,7 @@ func (sf *SharedFitter) Fit(f, v []string, perm []int32, tm *Timers) ([]*Mined, 
 	ff := sf.fit
 	start := int32(0)
 	for _, end := range sf.fragEnds {
-		ff.Fit(sf.grouped, fIdx, vIdx, sf.ys, perm[start:end], tm)
+		ff.Fit(sf.grouped, fIdx, vIdx, sf.ys, perm[start:end], nil, tm)
 		start = end
 		var fragKey string
 		for i := range cands {
@@ -205,7 +205,9 @@ type Obs struct {
 // ConstStats and FitLinInto, so any two callers that present a fragment
 // in the same order get bitwise the same local models. SharedFitter
 // calls it per fragment of a sorted permutation; mining.Maintainer calls
-// it on the fragments it builds and on those an append dirties.
+// it on the fragments it builds and on those an append dirties, and
+// calls FitCounts on the dirty fragments whose count statistics it
+// keeps itself.
 //
 // A FragFit is not safe for concurrent use.
 type FragFit struct {
@@ -223,13 +225,18 @@ type FragFit struct {
 	// Frag is the last fragment's F values (the order of fIdx), shared
 	// by its Locals; nil when none holds.
 	Frag value.Tuple
+	// LinFree reports whether no Lin candidate could hold on the last
+	// fragment, whatever its observations: there is no Lin model, or a
+	// predictor value is not numeric.
+	LinFree bool
 
 	// Scratch reused across fragments.
-	ys    []float64
-	xs    []float64
-	xc    []*engine.Col
-	stats regress.ConstStats
-	lin   regress.LinScratch
+	prevFrag value.Tuple // the caller's Frag for the fragment, or nil
+	ys       []float64
+	xs       []float64
+	xc       []*engine.Col
+	stats    regress.ConstStats
+	lin      regress.LinScratch
 }
 
 // NewFragFit returns a fitter for nAggs aggregates under the given
@@ -252,11 +259,14 @@ func NewFragFit(nAggs int, models []regress.ModelType, th Thresholds) *FragFit {
 // Fit evaluates every candidate on the fragment whose groups are rows of
 // keys, in observation order: fIdx and vIdx are keys' partition and
 // predictor columns, ys[ai] is aggregate ai's observation column over
-// the same rows. Results land in Supported, Locals and Frag. tm, when
-// non-nil, accrues the model-fitting time.
-func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []int32, tm *Timers) {
+// the same rows. Results land in Supported, Locals, Frag and LinFree,
+// and Stats holds the last aggregate's statistics. frag, when non-nil,
+// is the Frag an earlier fit of the same fragment with the same first
+// row returned; holding models share it instead of a new tuple. tm,
+// when non-nil, accrues the model-fitting time.
+func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []int32, frag value.Tuple, tm *Timers) {
 	n, d := len(rows), len(vIdx)
-	ff.Frag = nil
+	ff.Frag, ff.prevFrag = nil, frag
 
 	// Gather the fragment's predictor matrix once (flat, stride d) when
 	// any Lin candidate will need it.
@@ -280,6 +290,7 @@ func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []in
 		}
 		ff.xs = xs
 	}
+	ff.LinFree = !ff.hasLin || !numericX
 
 	nm := len(ff.models)
 	for ai, y := range ys {
@@ -309,9 +320,40 @@ func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []in
 	}
 }
 
+// FitCounts evaluates every candidate on a fragment from the statistics
+// s of its observations instead of its rows, for a caller that keeps
+// them itself: every aggregate is count(*), so each observes s, and no
+// Lin candidate can hold (LinFree). first is the fragment's first row
+// and frag is as for Fit. The gates and the Const fit are Fit's, so
+// when s equals the statistics Fit would accumulate — exact integer
+// sums are, in any order — the results are bitwise Fit's.
+func (ff *FragFit) FitCounts(keys *engine.Table, fIdx []int, s regress.ConstStats, first int32, frag value.Tuple) {
+	ff.Frag, ff.prevFrag, ff.LinFree = nil, frag, true
+	ff.stats = s
+	supp := s.N >= ff.th.LocalSupport
+	nm := len(ff.models)
+	for ai := range ff.Supported {
+		ff.Supported[ai] = supp
+		for mi, m := range ff.models {
+			var lm *LocalModel
+			if supp && m != regress.Lin {
+				lm = ff.fitOne(m, keys, fIdx, nil, 0, nil, first, nil)
+			}
+			ff.Locals[ai*nm+mi] = lm
+		}
+	}
+}
+
+// Stats returns the statistics the last Fit accumulated for its last
+// aggregate (complete when that aggregate was numeric on every row), or
+// those the last FitCounts was given.
+func (ff *FragFit) Stats() regress.ConstStats { return ff.stats }
+
 // fitOne fits one model on the gathered observations and returns its
-// local model, or nil when the fit fails or falls below θ. first is the
-// fragment's first row, whose F values become Frag.
+// local model, or nil when the fit fails or falls below θ. ff.stats
+// holds the observations' statistics; ys is needed only by Lin. first is
+// the fragment's first row, whose F values become Frag unless the
+// caller passed its own.
 func (ff *FragFit) fitOne(m regress.ModelType, keys *engine.Table, fIdx []int,
 	xs []float64, d int, ys []float64, first int32, tm *Timers) *LocalModel {
 
@@ -342,12 +384,15 @@ func (ff *FragFit) fitOne(m regress.ModelType, keys *engine.Table, fIdx []int,
 		model = regress.NewConst(cmean, gof)
 	}
 	if ff.Frag == nil {
+		ff.Frag = ff.prevFrag
+	}
+	if ff.Frag == nil {
 		ff.Frag = make(value.Tuple, len(fIdx))
 		for i, ci := range fIdx {
 			ff.Frag[i] = keys.Col(ci).Value(int(first))
 		}
 	}
-	lm := &LocalModel{Frag: ff.Frag, Model: model, Support: len(ys)}
+	lm := &LocalModel{Frag: ff.Frag, Model: model, Support: ff.stats.N}
 	if isLin {
 		for i, y := range ys {
 			lm.widen(y - model.Predict(xs[i*d:(i+1)*d]))
