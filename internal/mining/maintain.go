@@ -177,7 +177,7 @@ type mFrag struct {
 	supported []bool // per aggregate: numeric and |groups| ≥ δ
 	dirty     bool
 	newFirst  bool // the current batch put a fresh group first: Frag is rebuilt
-	staleExt  bool // the current batch grew a group holding the kept minimum
+	staleExt  bool // the current batch grew the last group known to hold the kept minimum
 }
 
 // mCand is one (aggregate, model) candidate of a split.
