@@ -21,7 +21,7 @@ test:
 # differentials (each operator on a dense Table and on a SegTable of
 # sealed segments plus a tail, at pool width 1 and 4, against the
 # literal definitions of internal/oracle), the segment, mmap,
-# morsel-parallel, maintained-vs-remined, sharded and cache differentials,
+# pool-attached, maintained-vs-remined, sharded and cache differentials,
 # the fuzz seed corpora, the WAL crash matrix at every syscall boundary
 # of its workload, and the repository benchmark's four lifecycles at
 # -tiny size with their oracle checks.

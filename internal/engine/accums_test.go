@@ -25,7 +25,6 @@ func stateIdentical(x, y aggState) bool {
 // sums whose partial sums pass 2⁵³ (column "big"), which GroupBy itself
 // may leave unfilled.
 func TestGroupByAccumsMatchesRowFold(t *testing.T) {
-	setMorselTarget(t, 16)
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := kernelTable(rng, rng.Intn(400), 2+rng.Intn(3))
@@ -40,7 +39,7 @@ func TestGroupByAccumsMatchesRowFold(t *testing.T) {
 			cols := randomCols(rng, tab, 1+rng.Intn(2))
 			aggs := append(randomAggs(rng, tab), AggSpec{Func: Sum, Arg: "big"}, AggSpec{Func: Max, Arg: names[0]})
 			if trial == 0 {
-				aggs = []AggSpec{{Func: Count}, {Func: Sum, Arg: "big"}} // morsel-eligible under GroupBy
+				aggs = []AggSpec{{Func: Count}, {Func: Sum, Arg: "big"}} // no float mirror under GroupBy
 			}
 			for _, kt := range kernelTargets(t, tab) {
 				label := fmt.Sprintf("seed %d %s GroupByAccums(%v, %v)", seed, kt.label, cols, aggs)

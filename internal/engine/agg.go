@@ -232,5 +232,5 @@ func (t *Table) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return groupByPartsPool(t.queryPool(), t.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
+	return groupByParts(t.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
 }

@@ -133,19 +133,12 @@ type groupAssign struct {
 	firsts []partRef
 	keyBuf []byte
 
-	// keepKeys retains each group's canonical key bytes in keys, in
-	// group-id order — morsel workers need them to merge their local
-	// group tables into the global one (see morsel.go).
-	keepKeys bool
-	keys     [][]byte
-
 	flatDims  []int32 // per key column global dictionary size; nil: hash mode
 	flatRemap []int32 // flattened global key → gid, or -1
 	gslots    []int32 // hash mode: open table over global code tuples, gid or -1
 	gkeys     []int32 // hash mode: group g's global codes at [g*nK, (g+1)*nK)
 
-	part    *compPart // current part (beginPart)
-	partIdx int32
+	partIdx int32     // current part (beginPart)
 	xlat    [][]int32 // current part: per key column, local → global code (nil: identity)
 	gcBuf   []int32
 }
@@ -207,7 +200,7 @@ func (ga *groupAssign) translate(k int, dict []value.V) []int32 {
 }
 
 func (ga *groupAssign) beginPart(p *compPart, idx int32) {
-	ga.part, ga.partIdx = p, idx
+	ga.partIdx = idx
 	ga.xlat = ga.xlat[:0]
 	for k := 0; k < ga.nK; k++ {
 		var xl []int32
@@ -283,22 +276,11 @@ func (ga *groupAssign) assignGlobal(gc []int32, row int32) int32 {
 
 // newGroup appends a group first seen at part-local row with global
 // codes gc (nil in flat mode, where the remap slot holds the group).
-// Canonical key bytes, when kept, are re-read through the local codes —
-// once per group, not per row.
 func (ga *groupAssign) newGroup(gc []int32, row int32) int32 {
 	g := int32(len(ga.firsts))
 	ga.firsts = append(ga.firsts, partRef{part: ga.partIdx, row: row})
 	if ga.flatDims == nil {
 		ga.gkeys = append(ga.gkeys, gc...)
-	}
-	if ga.keepKeys {
-		key := ga.keyBuf[:0]
-		for k := 0; k < ga.nK; k++ {
-			kc := ga.part.keys[k]
-			key = kc.dict[kc.CodeAt(int(row))].AppendKey(key)
-		}
-		ga.keyBuf = key
-		ga.keys = append(ga.keys, append([]byte(nil), key...))
 	}
 	return g
 }
@@ -426,10 +408,8 @@ func growSlice[T any](s []T, n int) []T {
 	return grown
 }
 
-// gbScan is the reusable state of one grouping walk: the group table,
-// aggregate states, and scratch. The sequential kernel runs one gbScan
-// over every part in order; morsel workers each run a private gbScan
-// over their row range and merge afterwards.
+// gbScan is the state of one grouping walk over every part in order:
+// the group table, aggregate states, and scratch.
 type gbScan struct {
 	ga *groupAssign
 	gs *groupStates
@@ -449,8 +429,8 @@ type gbScan struct {
 	aggScratch []int32
 }
 
-func newGbScan(nK int, aCols []aggCol, keepKeys bool) *gbScan {
-	sc := &gbScan{
+func newGbScan(nK int, aCols []aggCol) *gbScan {
+	return &gbScan{
 		ga:         newGroupAssign(nK),
 		gs:         newGroupStates(aCols),
 		kcur:       make([]runCur, nK),
@@ -460,8 +440,6 @@ func newGbScan(nK int, aCols []aggCol, keepKeys bool) *gbScan {
 		keyVecs:    make([][]int32, nK),
 		keyScratch: make([][]int32, nK),
 	}
-	sc.ga.keepKeys = keepKeys
-	return sc
 }
 
 // globalKeyDims computes, per key column, the size of the global code
@@ -489,48 +467,48 @@ func globalKeyDims(parts []*compPart, nK int) []int32 {
 	return dims
 }
 
-// flatScanMinRows is the smallest sealed range worth the two-pass
+// flatScanMinRows is the smallest sealed part worth the two-pass
 // kernel's per-row passes over the key columns.
 const flatScanMinRows = 4096
 
-// scanRange folds rows [lo, hi) of part pi into the scan's group table
-// and aggregate states. Dense parts always take the two-pass kernel
+// scanPart folds every row of part pi into the scan's group table and
+// aggregate states. Dense parts always take the two-pass kernel
 // (scanFlat), reading their codes in place. Sealed parts take it when
-// the range is large, the key space flat, and runs short (unsorted
+// the part is large, the key space flat, and runs short (unsorted
 // payloads decode to run length ~1); long runs are cheaper to walk
 // wholesale (scanRuns).
-func (sc *gbScan) scanRange(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
+func (sc *gbScan) scanPart(p *compPart, pi int32, aCols []aggCol, sumNeedsF []bool) {
 	if p.seg != nil {
-		nK, rows := len(sc.kcur), int(hi-lo)
+		nK := len(sc.kcur)
 		runs := 0
 		for k := 0; k < nK; k++ {
-			runs += p.keys[k].runsInRange(lo, hi)
+			runs += p.keys[k].runs()
 		}
-		if nK == 0 || sc.ga.flatDims == nil || rows < flatScanMinRows || runs*2 < nK*rows {
-			sc.scanRuns(p, pi, lo, hi, aCols, sumNeedsF)
+		if nK == 0 || sc.ga.flatDims == nil || p.n < flatScanMinRows || runs*2 < nK*p.n {
+			sc.scanRuns(p, pi, aCols, sumNeedsF)
 			return
 		}
 	}
-	sc.scanFlat(p, pi, lo, hi, aCols, sumNeedsF)
+	sc.scanFlat(p, pi, aCols, sumNeedsF)
 }
 
 // scanFlat is the two-pass kernel. Pass one assigns every row of the
-// range its group id; pass two folds each aggregate in its own loop over
+// part its group id; pass two folds each aggregate in its own loop over
 // the group ids. In flat mode pass one builds each row's flattened key
 // column at a time, a chunk of rows at a time: every key column adds its
 // codes' stride-scaled global codes (keyTables) straight from its
 // encoding into the chunk's keys, which then probe the flat remap once
 // per row. When the key space is too large to flatten — only dense
 // parts get here then — each row's tuple of global codes is hash-probed.
-func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
+func (sc *gbScan) scanFlat(p *compPart, pi int32, aCols []aggCol, sumNeedsF []bool) {
 	nK := len(sc.kcur)
 	ga := sc.ga
 	ga.beginPart(p, pi)
-	gids := growI32(sc.gids, int(hi-lo))
+	gids := growI32(sc.gids, p.n)
 	sc.gids = gids
 	switch {
 	case nK == 0:
-		g := ga.assignGlobal(nil, lo)
+		g := ga.assignGlobal(nil, 0)
 		for r := range gids {
 			gids[r] = g
 		}
@@ -541,26 +519,26 @@ func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 			keys := gids[c0:min(c0+flatChunkRows, len(gids))]
 			clear(keys)
 			for k, kc := range p.keys {
-				kc.addKeys(lo+int32(c0), tbls[k], keys)
+				kc.addKeys(int32(c0), tbls[k], keys)
 			}
 			for r, key := range keys {
 				g := remap[key]
 				if g < 0 {
-					g = ga.newGroup(nil, lo+int32(c0+r))
+					g = ga.newGroup(nil, int32(c0+r))
 					remap[key] = g
 				}
 				keys[r] = g
 			}
 		}
 	default:
-		keys := sc.keyCodes(p, lo, hi)
+		keys := sc.keyCodes(p)
 		gc := sc.codes
 		ga.reserve(len(gids))
 		for r := range gids {
 			for k := range gc {
 				gc[k] = keys[k][r]
 			}
-			gids[r] = ga.assignGlobal(gc, lo+int32(r))
+			gids[r] = ga.assignGlobal(gc, int32(r))
 		}
 	}
 
@@ -575,9 +553,9 @@ func (sc *gbScan) scanFlat(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 	for ai, ac := range aCols {
 		st := sc.gs.aggs[ai]
 		if p.seg == nil {
-			sc.foldFlat(p, ai, st, ac.spec.Func, lo)
+			sc.foldFlat(p, ai, st, ac.spec.Func)
 		} else {
-			sc.foldCodes(p, ai, st, ac.spec.Func, lo, sumNeedsF[ai])
+			sc.foldCodes(p, ai, st, ac.spec.Func, sumNeedsF[ai])
 		}
 	}
 }
@@ -611,13 +589,13 @@ func (sc *gbScan) keyTables(p *compPart) [][]int32 {
 	return sc.keyTbls
 }
 
-// keyCodes returns, per key column, the global codes of rows [lo, hi)
-// of a dense part for the hash-mode probe: read in place when they need
-// no translation, translated into scratch otherwise. Sealed ranges take
-// the two-pass kernel only in flat mode (scanRange).
-func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
+// keyCodes returns, per key column, the global codes of a dense part's
+// rows for the hash-mode probe: read in place when they need no
+// translation, translated into scratch otherwise. Sealed parts take the
+// two-pass kernel only in flat mode (scanPart).
+func (sc *gbScan) keyCodes(p *compPart) [][]int32 {
 	for k, kc := range p.keys {
-		codes := kc.dense[lo:hi]
+		codes := kc.dense[:p.n]
 		if xl := sc.ga.xlat[k]; xl != nil {
 			s := growI32(sc.keyScratch[k], len(codes))
 			for i, c := range codes {
@@ -631,12 +609,11 @@ func (sc *gbScan) keyCodes(p *compPart, lo, hi int32) [][]int32 {
 	return sc.keyVecs
 }
 
-// foldFlat folds aggregate ai of a dense part into st over the range
-// starting at part-local row lo whose group ids are sc.gids, per row
-// from the flat buffers — the reference fold, row by row: each row's
-// own kind decides Int vs Float, and Min/Max compare the rows' exact
-// values.
-func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int32) {
+// foldFlat folds aggregate ai of a dense part, whose rows' group ids
+// are sc.gids, into st, per row from the flat buffers — the reference
+// fold, row by row: each row's own kind decides Int vs Float, and
+// Min/Max compare the rows' exact values.
+func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc) {
 	gids := sc.gids
 	col := p.dense[len(p.keys)+ai]
 	if col == nil { // count(*)
@@ -645,8 +622,8 @@ func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int
 		}
 		return
 	}
-	hi := int(lo) + len(gids)
-	kinds := col.Kinds[lo:hi]
+	n := len(gids)
+	kinds := col.Kinds[:n]
 	switch f {
 	case Count:
 		for r, g := range gids {
@@ -655,10 +632,10 @@ func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int
 			}
 		}
 	case Sum, Avg:
-		f64 := col.F64[lo:hi]
+		f64 := col.F64[:n]
 		var i64 []int64
 		if col.I64 != nil {
-			i64 = col.I64[lo:hi]
+			i64 = col.I64[:n]
 		}
 		for r, g := range gids {
 			switch kinds[r] {
@@ -677,16 +654,16 @@ func (sc *gbScan) foldFlat(p *compPart, ai int, st []aggState, f AggFunc, lo int
 	case Min, Max:
 		for r, g := range gids {
 			if kinds[r] != value.Null {
-				st[g].extend(col.Value(int(lo)+r), f)
+				st[g].extend(col.Value(r), f)
 			}
 		}
 	}
 }
 
-// foldCodes folds aggregate ai of a sealed part into st over the range
-// starting at part-local row lo whose group ids are sc.gids, decoding
-// the argument's codes once and folding each row as a run of one.
-func (sc *gbScan) foldCodes(p *compPart, ai int, st []aggState, f AggFunc, lo int32, needF bool) {
+// foldCodes folds aggregate ai of a sealed part, whose rows' group ids
+// are sc.gids, into st, decoding the argument's codes once and folding
+// each row as a run of one.
+func (sc *gbScan) foldCodes(p *compPart, ai int, st []aggState, f AggFunc, needF bool) {
 	gids := sc.gids
 	cc := p.aggs[ai]
 	if cc == nil { // count(*)
@@ -697,10 +674,10 @@ func (sc *gbScan) foldCodes(p *compPart, ai int, st []aggState, f AggFunc, lo in
 	}
 	codes := growI32(sc.aggScratch, len(gids))
 	sc.aggScratch = codes
-	cc.decodeRange(lo, lo+int32(len(gids)), codes)
+	cc.decodeRange(0, int32(len(gids)), codes)
 	slot := len(p.keys) + ai
 	for r, g := range gids {
-		foldCompressedRun(&st[g], f, cc, codes[r], 1, p, int(lo)+r, slot, needF)
+		foldCompressedRun(&st[g], f, cc, codes[r], 1, p, r, slot, needF)
 	}
 }
 
@@ -712,23 +689,22 @@ func growI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// scanRuns walks the merged key runs of rows [lo, hi) of a sealed part
-// (runs straddling the range are clamped; clamping only splits a fold
-// the per-row reference performs row-wise anyway), resolving one group
-// and folding every aggregate once per merged run.
-func (sc *gbScan) scanRuns(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNeedsF []bool) {
+// scanRuns walks the merged key runs of a sealed part, resolving one
+// group and folding every aggregate once per merged run.
+func (sc *gbScan) scanRuns(p *compPart, pi int32, aCols []aggCol, sumNeedsF []bool) {
 	nK, nA := len(sc.kcur), len(aCols)
 	sc.ga.beginPart(p, pi)
 	for k := 0; k < nK; k++ {
-		sc.kcur[k].initAt(p.keys[k], lo)
+		sc.kcur[k].init(p.keys[k])
 	}
 	for ai := 0; ai < nA; ai++ {
 		if p.aggs[ai] != nil {
-			sc.acur[ai].initAt(p.aggs[ai], lo)
+			sc.acur[ai].init(p.aggs[ai])
 		}
 	}
-	for pos := lo; pos < hi; {
-		segEnd := hi
+	n := int32(p.n)
+	for pos := int32(0); pos < n; {
+		segEnd := n
 		for k := 0; k < nK; k++ {
 			sc.kcur[k].seek(pos)
 			if sc.kcur[k].end < segEnd {
@@ -771,7 +747,7 @@ func (sc *gbScan) scanRuns(p *compPart, pi, lo, hi int32, aCols []aggCol, sumNee
 // order: nK key columns resolved to groups, aCols folded into states
 // (sumNeedsF as sumNeedsFFor computes it; nil without aggregates).
 func groupParts(parts []*compPart, nK int, aCols []aggCol, sumNeedsF []bool) *gbScan {
-	sc := newGbScan(nK, aCols, false)
+	sc := newGbScan(nK, aCols)
 	rows := 0
 	for _, p := range parts {
 		rows += p.n
@@ -779,10 +755,17 @@ func groupParts(parts []*compPart, nK int, aCols []aggCol, sumNeedsF []bool) *gb
 	sc.ga.setFlat(globalKeyDims(parts, nK), rows)
 	for pi, p := range parts {
 		if p.n > 0 {
-			sc.scanRange(p, int32(pi), 0, int32(p.n), aCols, sumNeedsF)
+			sc.scanPart(p, int32(pi), aCols, sumNeedsF)
 		}
 	}
 	return sc
+}
+
+// groupByParts evaluates GroupBy over parts: one groupParts scan,
+// materialized.
+func groupByParts(parts []*compPart, nK int, aCols []aggCol, sch Schema) *Table {
+	sc := groupParts(parts, nK, aCols, sumNeedsFFor(parts, aCols, false))
+	return materializeGroups(parts, sc.ga.firsts, sc.gs, nK, aCols, sch)
 }
 
 // materializeGroups builds the grouped output table from the final

@@ -181,7 +181,6 @@ func kernelTable(rng *rand.Rand, n, width int) genTable {
 // Min/Max/Sum/Avg over every column (NaN with Min/Max, high-cardinality
 // float sums) on each table.
 func TestGroupByColumnarDifferential(t *testing.T) {
-	setMorselTarget(t, 16)
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := kernelTable(rng, rng.Intn(400), 2+rng.Intn(3))

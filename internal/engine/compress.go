@@ -81,9 +81,9 @@ type decodedBlock struct {
 }
 
 // Decode blocks are 1024 codes; the per-column cache keeps the 64 most
-// recently used (256 KiB of codes), enough to cover a morsel's working
-// set many times over while staying irrelevant next to the mmap'd
-// payload it fronts.
+// recently used (256 KiB of codes), enough to cover the run cursors of
+// the scans a pool runs over one column at once many times over while
+// staying irrelevant next to the mmap'd payload it fronts.
 const (
 	decodeBlockShift  = 10
 	decodeBlockLen    = 1 << decodeBlockShift
@@ -307,18 +307,15 @@ func runIdx(runEnds []int32, i int32) int {
 	return lo
 }
 
-// runsInRange reports how many maximal equal-code runs cover rows
-// [lo, hi): exact for RLE, hi-lo for PACK (the worst case —
-// unsorted payloads decode to run length ~1, which is when the decode
-// pass beats the run walk). Group-by uses it to pick between the two.
-func (cc *CompressedCol) runsInRange(lo, hi int32) int {
-	if hi <= lo {
-		return 0
-	}
+// runs reports how many maximal equal-code runs the column holds: exact
+// for RLE, its row count for PACK (the worst case — unsorted payloads
+// decode to run length ~1, which is when the decode pass beats the run
+// walk). Group-by uses it to pick between the two.
+func (cc *CompressedCol) runs() int {
 	if cc.runEnds == nil {
-		return int(hi - lo)
+		return cc.n
 	}
-	return runIdx(cc.runEnds, hi-1) - runIdx(cc.runEnds, lo) + 1
+	return len(cc.runEnds)
 }
 
 // decodeRange materializes the codes of rows [lo, hi) of a sealed
@@ -504,26 +501,6 @@ func (c *runCur) init(cc *CompressedCol) {
 	c.code = -1
 	c.buf = nil
 	c.bufLo = 0
-}
-
-// initAt binds the cursor and positions its internal state so the first
-// seek lands on row pos in O(log runs) — morsel workers enter a part
-// mid-way, where the RLE path's sequential run scan from 0 would cost
-// O(runs before pos).
-func (c *runCur) initAt(cc *CompressedCol, pos int32) {
-	c.init(cc)
-	if ends := cc.runEnds; ends != nil {
-		lo, hi := 0, len(ends)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ends[mid] <= pos {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		c.idx = lo
-	}
 }
 
 // loadBlock points buf at the decoded block containing row pos.

@@ -8,15 +8,6 @@ import (
 	"cape/internal/value"
 )
 
-// setMorselTarget shrinks the morsel size so small test tables split
-// into many morsels, restoring it afterwards.
-func setMorselTarget(t *testing.T, target int32) {
-	t.Helper()
-	orig := morselTargetRows
-	morselTargetRows = target
-	t.Cleanup(func() { morselTargetRows = orig })
-}
-
 // packedCol builds a deliberately bit-packed column (never RLE), the
 // encoding whose block-decode paths these tests pin.
 func packedCol(codes []int32, dict []value.V) *CompressedCol {
@@ -35,57 +26,12 @@ func intDict(n int) []value.V {
 	return dict
 }
 
-// TestMorselGroupByDeterminism is the merge-order property test: over
-// random segment splits, worker counts, and mixed int/float columns,
-// the morsel-parallel GroupBy must be byte-identical to the sequential
-// kernel and to the oracle — group order, key values,
-// aggregate results, and float summation order included. Aggregates
-// whose partials do not merge exactly (Avg, float Sum) must transparently
-// take the sequential kernel and still agree.
-func TestMorselGroupByDeterminism(t *testing.T) {
-	setMorselTarget(t, 16)
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tab := typedRandomTable(rng, 50+rng.Intn(250), 2+rng.Intn(3))
-		for _, nSegs := range []int{1, 3} {
-			st, logical := segTableOf(t, tab, nSegs)
-			ref := logical.oracle()
-			for trial := 0; trial < 3; trial++ {
-				cols := randomCols(rng, tab, 1+rng.Intn(2))
-				aggs := randomAggs(rng, tab)
-				label := fmt.Sprintf("seed %d segs %d GroupBy(%v, %v)", seed, nSegs, cols, aggs)
-
-				seq, err := st.GroupBy(cols, aggs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.GroupBy(cols, aggs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesIdentical(t, seq, want, label+" [sequential]")
-
-				for _, workers := range []int{2, 3, 8} {
-					detach := st.AttachPool(NewPool(workers))
-					got, err := st.GroupBy(cols, aggs)
-					detach()
-					if err != nil {
-						t.Fatal(err)
-					}
-					tablesIdentical(t, got, want, fmt.Sprintf("%s [workers %d]", label, workers))
-				}
-			}
-		}
-	}
-}
-
 // TestSegTablePoolDifferential runs the full operator surface (GroupBy,
 // SelectEq, CountDistinct, DistinctProject, Cube) of a pool-attached
 // SegTable against the oracle — the same reference the
-// sequential differential test uses, now with morsel, per-part, and
+// sequential differential test uses, now with per-part and
 // per-cube-mask fan-out active.
 func TestSegTablePoolDifferential(t *testing.T) {
-	setMorselTarget(t, 16)
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
 		tab := typedRandomTable(rng, rng.Intn(250), 2+rng.Intn(3))
@@ -93,95 +39,6 @@ func TestSegTablePoolDifferential(t *testing.T) {
 			st, logical := segTableOf(t, tab, 3)
 			st.AttachPool(NewPool(workers))
 			checkSegTable(t, rng, st, logical, fmt.Sprintf("seed %d workers %d", seed, workers))
-		}
-	}
-}
-
-// TestSplitMorsels: morsels must partition the parts exactly — in
-// order, contiguous, non-empty — and RLE split points must land on run
-// ends of the leading key column.
-func TestSplitMorsels(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Long runs (~50 rows each, alternating codes) so the encoder picks RLE.
-	runVals := make([]int32, 40)
-	for i := range runVals {
-		runVals[i] = int32(rng.Intn(2))
-		if i > 0 && runVals[i] == runVals[i-1] {
-			runVals[i] = runVals[i-1] + 1
-		}
-	}
-	codes := make([]int32, 2000)
-	for i := range codes {
-		codes[i] = runVals[i/50]
-	}
-	cc := compressCodes(codes, intDict(3))
-	if cc.encoding() != encRLE {
-		t.Fatalf("expected RLE, got %s", cc.EncodingName())
-	}
-	parts := []*compPart{
-		{n: 2000, keys: []*CompressedCol{cc}},
-		{n: 10, keys: []*CompressedCol{compressCodes(make([]int32, 10), intDict(1))}},
-		{n: 0, keys: []*CompressedCol{compressCodes(nil, nil)}},
-	}
-	morsels := splitMorsels(parts, 64)
-
-	next := map[int32]int32{0: 0, 1: 0}
-	for _, m := range morsels {
-		if m.lo >= m.hi {
-			t.Fatalf("empty morsel %+v", m)
-		}
-		if m.lo != next[m.part] {
-			t.Fatalf("morsel %+v does not continue part coverage (want lo %d)", m, next[m.part])
-		}
-		next[m.part] = m.hi
-		if m.part == 0 && m.hi != 2000 {
-			// Interior split of the RLE part: must sit on a run end.
-			found := false
-			for _, e := range cc.runEnds {
-				if e == m.hi {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("split at %d is not an RLE run end", m.hi)
-			}
-		}
-	}
-	if next[0] != 2000 || next[1] != 10 {
-		t.Fatalf("parts not fully covered: %v", next)
-	}
-	if len(morsels) < 10 {
-		t.Fatalf("expected many morsels over 2000 rows at target 64, got %d", len(morsels))
-	}
-}
-
-// TestMorselMergeable: Avg always declines; Sum declines exactly when a
-// part's argument column holds floats; Count/Min/Max merge.
-func TestMorselMergeable(t *testing.T) {
-	intCol := compressCodes([]int32{0, 1, 0}, intDict(2))
-	fltCol := compressCodes([]int32{0, 1, 0}, []value.V{value.NewFloat(0.5), value.NewFloat(1.5)})
-	mk := func(f AggFunc, cc *CompressedCol) ([]*compPart, []aggCol) {
-		return []*compPart{{n: 3, seg: &Segment{}, aggs: []*CompressedCol{cc}}},
-			[]aggCol{{spec: AggSpec{Func: f, Arg: "a"}}}
-	}
-	cases := []struct {
-		name string
-		f    AggFunc
-		cc   *CompressedCol
-		want bool
-	}{
-		{"count", Count, nil, true},
-		{"sum-int", Sum, intCol, true},
-		{"sum-float", Sum, fltCol, false},
-		{"avg-int", Avg, intCol, false},
-		{"min-float", Min, fltCol, true},
-		{"max-int", Max, intCol, true},
-	}
-	for _, c := range cases {
-		parts, aCols := mk(c.f, c.cc)
-		if got := morselMergeable(sumNeedsFFor(parts, aCols, false)); got != c.want {
-			t.Errorf("%s: morselMergeable = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -54,7 +54,6 @@ type RetainedGroupBy struct {
 type kernelRelation interface {
 	Relation
 	parts(gIdx []int, aCols []aggCol) []*compPart
-	queryPool() *Pool
 }
 
 // retainGroupBy is GroupByAccums over either kernel relation.
@@ -65,15 +64,15 @@ func retainGroupBy(r kernelRelation, groupCols []string, aggs []AggSpec) (*Retai
 	}
 	nK := len(gIdx)
 	ps := r.parts(gIdx, aCols)
-	firsts, states := groupPartsPool(r.queryPool(), ps, nK, aCols, true)
+	sc := groupParts(ps, nK, aCols, sumNeedsFFor(ps, aCols, true))
 	return &RetainedGroupBy{
 		groupCols: slices.Clone(groupCols),
 		aggs:      slices.Clone(aggs),
 		gIdx:      gIdx,
 		aCols:     aCols,
 		sch:       sch,
-		keys:      materializeGroups(ps, firsts, nil, nK, nil, sch[:nK]),
-		states:    states,
+		keys:      materializeGroups(ps, sc.ga.firsts, nil, nK, nil, sch[:nK]),
+		states:    sc.gs,
 		synced:    r.NumRows(),
 		epoch:     r.Epoch(),
 	}, nil

@@ -98,7 +98,6 @@ func edgeRow(rng *rand.Rand, width int) value.Tuple {
 // A table published earlier stays byte-unchanged, and readers may keep
 // reading it while the state folds (run under -race).
 func TestRetainedGroupByFoldsAppends(t *testing.T) {
-	setMorselTarget(t, 16)
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := kernelTable(rng, 40+rng.Intn(200), 2+rng.Intn(3))

@@ -23,17 +23,23 @@ import (
 
 // rollUpMergeable reports whether folding parent states reproduces the
 // scan's states of aCols bit for bit, given sumNeedsF (see sumNeedsFFor):
-// Count and Sum under morselMergeable's rule — integer adds, no float
-// mirror. Min and Max merge exactly across morsels, which are row ranges
-// in row order, but not across a parent's groups, whose order is not the
-// order of the rows that win a tie: they scan, as Avg does.
+// Count always, and Sum when its float mirror is never needed — the
+// result is then the associative integer sumI. A Sum whose sumF must be
+// filled depends on float summation order, as Avg does. Min and Max do
+// not merge across a parent's groups, whose order is not the order of
+// the rows that win a tie. Declining aggregates leave the caller to scan.
 func rollUpMergeable(aCols []aggCol, sumNeedsF []bool) bool {
 	for _, ac := range aCols {
 		if f := ac.spec.Func; f != Count && f != Sum {
 			return false
 		}
 	}
-	return morselMergeable(sumNeedsF)
+	for _, needF := range sumNeedsF {
+		if needF {
+			return false
+		}
+	}
+	return true
 }
 
 // rollUp groups the rows of parent, an already-grouped result, by its
@@ -60,6 +66,16 @@ func rollUp(parent *Table, kIdx []int, aCols []aggCol,
 		}
 	}
 	return parts, sc.ga.firsts, gs
+}
+
+// mergeAggState folds a parent group's state into its coarse group's.
+// Only called for aggregates rollUpMergeable admits, so sumF and
+// anyFloat are never populated.
+func mergeAggState(dst, src *aggState, f AggFunc) {
+	dst.count += src.count
+	if f == Sum {
+		dst.sumI += src.sumI
+	}
 }
 
 // RollUp groups t — GroupBy's result over some relation R — by

@@ -52,7 +52,6 @@ func rollUpTargets(t *testing.T, rows []value.Tuple) []kernelTarget {
 // decline, leaving the caller to scan. Rolled-up retained states then
 // fold appended rows exactly as a fresh GroupByAccums does.
 func TestRollUpMatchesScan(t *testing.T) {
-	setMorselTarget(t, 16)
 	keys := []string{"c0", "c1", "c2"}
 	var parents [][]string
 	for mask := 1; mask < 8; mask++ {
@@ -153,6 +152,34 @@ func TestRollUpMatchesScan(t *testing.T) {
 
 // requireRetainedEqual asserts got holds what a fresh GroupByAccums of
 // rel does: the same key table, states and published table.
+// TestRollUpMergeable: counts and integer sums roll up; a Sum over a
+// part whose argument holds floats, Avg, Min and Max decline.
+func TestRollUpMergeable(t *testing.T) {
+	intCol := compressCodes([]int32{0, 1, 0}, intDict(2))
+	fltCol := compressCodes([]int32{0, 1, 0}, []value.V{value.NewFloat(0.5), value.NewFloat(1.5)})
+	cases := []struct {
+		name string
+		f    AggFunc
+		cc   *CompressedCol
+		want bool
+	}{
+		{"count-star", Count, nil, true},
+		{"count-float", Count, fltCol, true},
+		{"sum-int", Sum, intCol, true},
+		{"sum-float", Sum, fltCol, false},
+		{"avg-int", Avg, intCol, false},
+		{"min-int", Min, intCol, false},
+		{"max-float", Max, fltCol, false},
+	}
+	for _, c := range cases {
+		parts := []*compPart{{n: 3, seg: &Segment{}, aggs: []*CompressedCol{c.cc}}}
+		aCols := []aggCol{{spec: AggSpec{Func: c.f, Arg: "a"}}}
+		if got := rollUpMergeable(aCols, sumNeedsFFor(parts, aCols, false)); got != c.want {
+			t.Errorf("%s: rollUpMergeable = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func requireRetainedEqual(t *testing.T, label string, rel MutableRelation, cols []string, aggs []AggSpec, got *RetainedGroupBy) {
 	t.Helper()
 	want, err := rel.GroupByAccums(cols, aggs)

@@ -114,11 +114,9 @@ func sealedKernelTable(t *testing.T, rng *rand.Rand, segRows, tailRows int) (*Se
 // flat-mode ranges — segments of at least flatScanMinRows rows whose
 // packed and RLE key columns translate through cross-segment
 // dictionaries — to the oracle: count-only groupings, and groupings
-// with Sum/Avg/Min/Max so the sealed aggregate folds run too. At pool
-// width 4 the morsel target, not a multiple of 64, starts morsels
-// mid-word.
+// with Sum/Avg/Min/Max so the sealed aggregate folds run too, at pool
+// widths 1 and 4.
 func TestSealedKernelDifferential(t *testing.T) {
-	setMorselTarget(t, 4100)
 	rng := rand.New(rand.NewSource(49))
 	st, logical := sealedKernelTable(t, rng, 9000, 700)
 	ref := logical.oracle()

@@ -523,14 +523,13 @@ func TestSegmentCraftedOffsetsRejected(t *testing.T) {
 }
 
 // TestSegTableMinMaxNaN: Min/Max over a NaN-containing column must match
-// the oracle sequentially and with a pool attached, where the morsel
-// partial states merge: NaN is the largest number, so every group's Max
-// is NaN and its Min the smallest non-NaN value.
+// the oracle sequentially and with a pool attached: NaN is the largest
+// number, so every group's Max is NaN and its Min the smallest non-NaN
+// value.
 func TestSegTableMinMaxNaN(t *testing.T) {
-	setMorselTarget(t, 2)
 	sch := Schema{{Name: "g", Kind: value.Null}, {Name: "v", Kind: value.Null}}
-	// In two-row morsels, [5.5 4.5] then [NaN 0.5]: the merged minimum
-	// must be 0.5 and the merged maximum NaN, as in the row-order fold.
+	// Group a holds 5.5, 4.5, NaN, 0.5: its minimum must be 0.5 and its
+	// maximum NaN, as in the row-order fold.
 	rows := []value.Tuple{
 		{value.NewString("a"), value.NewFloat(5.5)},
 		{value.NewString("a"), value.NewFloat(4.5)},
@@ -542,7 +541,7 @@ func TestSegTableMinMaxNaN(t *testing.T) {
 		{value.NewString("b"), value.NewFloat(9.5)},
 	}
 	var all []value.Tuple
-	for rep := 0; rep < 4; rep++ { // enough rows per group for morsels
+	for rep := 0; rep < 4; rep++ {
 		all = append(all, rows...)
 	}
 	tab := newGenTable(sch, all)

@@ -32,8 +32,8 @@ type SegTable struct {
 	// rewrite is the epoch of the last Compact that changed a value; see
 	// RewriteEpoch.
 	rewrite uint64
-	// pool, while a run has one attached, lets the parts kernels fan
-	// morsels and parts across a shared worker pool (AttachPool).
+	// pool, while a run has one attached, lets SelectEq fan parts and
+	// Cube fan masks across a shared worker pool (AttachPool).
 	pool poolSlot
 
 	// unify caches, per column index, the cross-segment dictionary
@@ -124,8 +124,8 @@ func (st *SegTable) RestoreEpoch(e uint64) { st.epoch = e }
 // rewrites rows already present.
 func (st *SegTable) RewriteEpoch() uint64 { return st.rewrite }
 
-// AttachPool is Table.AttachPool: the query kernels fan morsels and
-// parts across p until detach is called.
+// AttachPool is Table.AttachPool; SelectEq also fans parts across p
+// until detach is called.
 func (st *SegTable) AttachPool(p *Pool) (detach func()) { return st.pool.attach(p) }
 
 func (st *SegTable) queryPool() *Pool { return st.pool.load() }
@@ -384,7 +384,7 @@ func (st *SegTable) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) 
 	if err != nil {
 		return nil, err
 	}
-	return groupByPartsPool(st.queryPool(), st.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
+	return groupByParts(st.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
 }
 
 // SelectEq returns the rows whose values in cols equal vals, in row

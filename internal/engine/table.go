@@ -26,8 +26,8 @@ type Table struct {
 	epoch uint64
 	// rewrite is the epoch SortBy last left; see RewriteEpoch.
 	rewrite uint64
-	// pool, while a run has one attached, lets the compressed kernels
-	// fan morsels across a shared worker pool (AttachPool).
+	// pool, while a run has one attached, lets Cube fan masks across a
+	// shared worker pool (AttachPool).
 	pool poolSlot
 }
 
@@ -93,10 +93,10 @@ func (t *Table) RestoreEpoch(e uint64) { t.epoch = e }
 // appended.
 func (t *Table) RewriteEpoch() uint64 { return t.rewrite }
 
-// AttachPool attaches a worker pool for the compressed query kernels to
-// fan morsels across until detach is called; with none attached they
-// run sequentially. Results are byte-identical at any pool width; see
-// morsel.go and poolSlot.
+// AttachPool attaches a worker pool for Cube to fan its masks across
+// until detach is called; with none attached it runs sequentially.
+// GroupBy runs one sequential scan at every width. Results are
+// byte-identical at any pool width; see poolSlot.
 func (t *Table) AttachPool(p *Pool) (detach func()) { return t.pool.attach(p) }
 
 func (t *Table) queryPool() *Pool { return t.pool.load() }

@@ -300,6 +300,43 @@ func TestMaintainerCatchUpAllocs(t *testing.T) {
 	}
 }
 
+// TestWidthAllocs fences what parallelism costs in allocations: a
+// NewMaintainer build and a cold ARPMine of benchCrime's 300K-row table
+// allocate at width 2 within 5% of what they allocate at width 1. Width
+// fans independent group-bys across the pool and adds only the pool's
+// own fixed cost; a group-by that splits its rows into per-worker
+// partial group tables to merge breaks the fence (2.4×). The race
+// detector's instrumentation allocates on its own, so the fence runs
+// without it.
+func TestWidthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation fence; race instrumentation allocates on its own")
+	}
+	tab, opt, _ := benchCrime(t, 300000)
+	runs := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"NewMaintainer", func(o Options) error { _, err := NewMaintainer(tab, o); return err }},
+		{"ARPMine", func(o Options) error { _, err := ARPMine(tab, o); return err }},
+	}
+	for _, r := range runs {
+		allocs := func(width int) float64 {
+			o := opt
+			o.Parallelism = width
+			return testing.AllocsPerRun(1, func() {
+				if err := r.run(o); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		w1, w2 := allocs(1), allocs(2)
+		if w2 > 1.05*w1 {
+			t.Errorf("%s allocates %.0f times at width 2, %.2f× its %.0f at width 1 (bound 1.05×)", r.name, w2, w2/w1, w1)
+		}
+	}
+}
+
 // TestMaintainerCatchUpWork counts a steady-state append's re-fit work
 // exactly: every dirtied fragment that keeps count statistics re-fits
 // from them, and only those whose minimum rose — a grown group held it,

@@ -49,13 +49,14 @@ type Options struct {
 	// across every parallel stage: all four miners (and the Maintainer,
 	// at its build and at every CatchUp) fan per-attribute-set work
 	// across it, and the same pool is attached to the relation so the
-	// engine's compressed kernels fan morsels and parts across it too —
-	// nested fan-out never oversubscribes the width. 0 (or less) is the
+	// engine fans a cube's masks and a SegTable selection's parts across
+	// it too — nested fan-out never oversubscribes the width. Each
+	// group-by is one sequential scan at every width. 0 (or less) is the
 	// machine's width, runtime.GOMAXPROCS(0); 1 runs sequentially, on the
-	// same code. Every width produces the identical pattern set (the
-	// engine's merge-order contract keeps even float summation order
-	// fixed); above width 1, Result.Timers sum the time of every worker,
-	// so query + regression can exceed the run's wall-clock time.
+	// same code. Every width produces the identical pattern set, float
+	// summation order included; above width 1, Result.Timers sum the
+	// time of every worker, so query + regression can exceed the run's
+	// wall-clock time.
 	Parallelism int
 }
 

@@ -8,10 +8,11 @@ import (
 
 // runPool creates the bounded worker pool one mining run shares across
 // every parallel stage — the per-attribute-set fan-out in the miners
-// here, and the per-morsel / per-part fan-out inside the engine's
-// compressed kernels — and attaches it to the relation when it supports
-// pools (engine.Table, engine.SegTable). A width of 0 or less is the
-// machine's, runtime.GOMAXPROCS(0); 1 runs sequentially. engine.Pool's
+// here, and the engine's per-mask cube and per-part SegTable.SelectEq
+// fan-out — and attaches it to the relation when it supports pools
+// (engine.Table, engine.SegTable). Each group-by itself is one
+// sequential scan. A width of 0 or less is the machine's,
+// runtime.GOMAXPROCS(0); 1 runs sequentially. engine.Pool's
 // caller-runs, non-blocking token acquisition makes the two levels
 // compose without oversubscription: a saturated nested ForEach simply
 // runs inline on the miner worker that issued the query. detach ends

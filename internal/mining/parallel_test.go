@@ -130,10 +130,10 @@ func mmapSegTableFrom(t *testing.T, tab *engine.Table, nSegs, tailRows int) *eng
 
 // TestParallelMiningEquivalence: every miner, at the default width
 // (GOMAXPROCS) and at Parallelism 1 and 4, over a plain Table, an
-// in-memory SegTable and a SegTable of mmap'd segment files (where the
-// engine's morsel kernels add a second level of fan-out), must
-// serialize exactly the bytes and count exactly the candidates of that
-// miner's sequential run over the dense Table.
+// in-memory SegTable and a SegTable of mmap'd segment files (where
+// CubeMine's cube masks and Naive's selection parts add a second level
+// of fan-out), must serialize exactly the bytes and count exactly the
+// candidates of that miner's sequential run over the dense Table.
 func TestParallelMiningEquivalence(t *testing.T) {
 	tab := testTable(t, 400)
 	seg := segTableFrom(t, tab, 3, 40)
