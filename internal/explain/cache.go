@@ -55,9 +55,14 @@ const cacheShards = 16
 // grouping — in this run or, through the Explainer's shared cache, any
 // later one — reads the same table.
 // Question groupings no pattern enumerates are bounded; see
-// questionGroupings.
+// questionGroupings. When a source is set, pattern lookups ask it first
+// and the cache answers only what it declines.
 type groupCache struct {
 	shards [cacheShards]cacheShard
+
+	// source, when non-nil, supplies pattern groupings; see
+	// Explainer.SetGroupingSource.
+	source GroupingSource
 
 	// onCompute, when non-nil, is invoked once per actual computation —
 	// a build or a catch-up, not per lookup — before it runs: a test hook
@@ -209,17 +214,23 @@ func (e *cacheEntry) find(cols []string, values value.Tuple) (agg value.V, ok bo
 	return sel.Col(len(cols)).Value(0), true, nil
 }
 
-// lookup returns the generator's grouping resolver over r backed by this
-// cache: the table of γ_{F∪V, agg}(r), the grouping pattern p
-// enumerates, computed at most once per (grouping, epoch). Safe for
-// concurrent calls.
+// lookup returns the generator's grouping resolver over r: the table of
+// γ_{F∪V, agg}(r), the grouping pattern p enumerates, from the source
+// when it has one, else from this cache, computed at most once per
+// (grouping, epoch). Safe for concurrent calls.
 func (c *groupCache) lookup(r engine.Relation) func(pattern.Pattern) (*engine.Table, error) {
 	return func(p pattern.Pattern) (*engine.Table, error) {
+		cols := p.GroupAttrs()
+		if c.source != nil {
+			if t, ok := c.source.Grouping(cols, p.Agg); ok {
+				return t, nil
+			}
+		}
 		mr, ok := r.(engine.MutableRelation)
 		if !ok {
 			return nil, errNotRetained(r)
 		}
-		e, err := c.get(mr, groupKey(p), p.GroupAttrs(), p.Agg)
+		e, err := c.get(mr, groupingKey(cols, p.Agg), cols, p.Agg)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,9 @@ import (
 // SegTable). The cache is sharded (concurrent questions needing
 // different groupings do not contend on one lock) with singleflight
 // duplicate suppression (N concurrent questions needing the same
-// grouping compute it once). It is safe for concurrent use.
+// grouping compute it once). It is safe for concurrent use. An
+// Explainer given a GroupingSource reads pattern groupings from it and
+// caches only what the source declines.
 type Explainer struct {
 	r        engine.Relation
 	patterns []*pattern.Mined
@@ -163,11 +165,32 @@ func (e *Explainer) merged(opt Options) Options {
 	return out
 }
 
-// CachedGroupings reports how many distinct aggregate results are held:
-// the pattern set's groupings read so far plus at most
-// questionGroupings question groupings.
+// CachedGroupings reports how many distinct aggregate results the
+// explainer holds itself: every question grouping still cached (at most
+// questionGroupings of them no pattern enumerates) plus the pattern
+// groupings read so far that its GroupingSource, if any, declined.
 func (e *Explainer) CachedGroupings() int {
 	return e.cache.len()
+}
+
+// GroupingSource supplies the groupings an Explainer's patterns
+// enumerate from retained state the Explainer does not own, such as a
+// mining.Maintainer's. Grouping returns GroupBy's table of
+// γ_{cols, aggs}(R) over the relation as it stands now, for aggregates
+// aggs that include agg, with any column order; or false, and the
+// Explainer computes the grouping itself. It is called concurrently.
+type GroupingSource interface {
+	Grouping(cols []string, agg engine.AggSpec) (*engine.Table, bool)
+}
+
+// SetGroupingSource makes src the first place the explainer reads
+// pattern groupings from — NORM, drill-downs and batches alike — so it
+// keeps only the question groupings and the pattern groupings src
+// declines. Question queries stay on the explainer's own cache. Set it
+// before the first question; nil restores the default, where the
+// explainer computes and retains every grouping.
+func (e *Explainer) SetGroupingSource(src GroupingSource) {
+	e.cache.source = src
 }
 
 // SetPatterns swaps the pattern set the explainer answers from — the

@@ -1,9 +1,11 @@
 package mining
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"cape/internal/engine"
 	"cape/internal/pattern"
@@ -71,14 +73,18 @@ import (
 // still folds the appended rows in row order, so the maintained set is
 // identical to the sequential maintainer's at any width.
 //
-// A Maintainer is not safe for concurrent use.
+// A Maintainer is not safe for concurrent use, except that Grouping
+// may be called concurrently with itself.
 type Maintainer struct {
 	tab    engine.MutableRelation
 	opt    Options
 	synced int    // rows folded so far
 	epoch  uint64 // table epoch at last CatchUp
+	built  uint64 // table epoch at the build
 	gsets  []*gSet
-	cands  []*mCand // every candidate, sorted by key
+	// byAttrs indexes gsets by attrKey of their attributes.
+	byAttrs map[string]*gSet
+	cands   []*mCand // every candidate, sorted by key
 }
 
 // gSet is the retained state of one grouping attribute set. Group gi
@@ -88,7 +94,9 @@ type gSet struct {
 	attrs []string
 	aggs  []engine.AggSpec
 
-	grp     *engine.RetainedGroupBy
+	grp *engine.RetainedGroupBy
+	// pub serializes Grouping's publications of grp's table.
+	pub     sync.Mutex
 	state   []uint8       // gTouched | gFresh
 	y       []pattern.Obs // per aggregate: Result() as of the last CatchUp
 	splits  []*mSplit
@@ -215,7 +223,7 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 	if opt.UseFDs {
 		return nil, fmt.Errorf("mining: FD pruning is not supported by the incremental maintainer")
 	}
-	m := &Maintainer{tab: tab, opt: opt, synced: tab.NumRows(), epoch: tab.Epoch()}
+	m := &Maintainer{tab: tab, opt: opt, synced: tab.NumRows(), epoch: tab.Epoch(), built: tab.Epoch()}
 	pool, detach := runPool(tab, opt.Parallelism)
 	defer detach()
 	levels, err := groupAll(tab, opt, pool, true)
@@ -232,7 +240,10 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 	if err != nil {
 		return nil, err
 	}
+	m.byAttrs = make(map[string]*gSet, len(m.gsets))
 	for _, gs := range m.gsets {
+		key, _ := m.attrKey(nil, gs.attrs)
+		m.byAttrs[string(key)] = gs
 		for _, sp := range gs.splits {
 			m.cands = append(m.cands, sp.cands...)
 		}
@@ -348,6 +359,45 @@ func (gs *gSet) appendKey(dst []byte, cols []int, gi int32) []byte {
 // Table returns the relation the maintainer tracks.
 func (m *Maintainer) Table() engine.MutableRelation { return m.tab }
 
+// Grouping returns GroupBy's table of γ_{cols, aggs}(R) over the rows
+// folded so far, for the grouping set whose attributes are cols in any
+// order and whose aggregates aggs include agg; the table has the set's
+// column order. ok is false when no set matches, or when the table
+// would not be GroupBy's over the relation as it stands: rows or the
+// epoch moved since the last CatchUp, or folded rows were rewritten
+// since the build. The table is published lazily, on the first call
+// after a fold, under a per-set lock; CatchUp publishes nothing.
+// Grouping may run concurrently with itself, never with CatchUp.
+func (m *Maintainer) Grouping(cols []string, agg engine.AggSpec) (*engine.Table, bool) {
+	if m.tab.NumRows() != m.synced || m.tab.Epoch() != m.epoch || m.tab.RewriteEpoch() > m.built {
+		return nil, false
+	}
+	var buf [16]byte
+	key, ok := m.attrKey(buf[:0], cols)
+	gs := m.byAttrs[string(key)]
+	if !ok || gs == nil || !slices.Contains(gs.aggs, agg) {
+		return nil, false
+	}
+	gs.pub.Lock()
+	defer gs.pub.Unlock()
+	return gs.grp.Table(), true
+}
+
+// attrKey appends to dst the canonical key of the attribute set cols:
+// the positions of its members in opt.Attributes, in that order, so
+// every order of cols gives one key. ok is false when cols holds an
+// attribute not mined over, or one twice.
+func (m *Maintainer) attrKey(dst []byte, cols []string) (key []byte, ok bool) {
+	n := 0
+	for i, a := range m.opt.Attributes {
+		if slices.Contains(cols, a) {
+			dst = binary.AppendUvarint(dst, uint64(i))
+			n++
+		}
+	}
+	return dst, n == len(cols)
+}
+
 // Synced returns the number of table rows folded into the retained
 // state, and the table epoch observed at that point.
 func (m *Maintainer) Synced() (rows int, epoch uint64) { return m.synced, m.epoch }
@@ -355,10 +405,6 @@ func (m *Maintainer) Synced() (rows int, epoch uint64) { return m.synced, m.epoc
 // Candidates reports the ARPMine-equivalent candidate count: every
 // (F, V, aggregate, model) combination the enumeration examines.
 func (m *Maintainer) Candidates() int { return len(m.cands) }
-
-// Options returns the normalized mining options the maintainer runs
-// with.
-func (m *Maintainer) Options() Options { return m.opt }
 
 // Apply appends rows to the table and folds them into the pattern set.
 func (m *Maintainer) Apply(rows []value.Tuple) error {

@@ -13,9 +13,9 @@ import (
 // shape (epoch and row count) at mine time and the mining spec the set
 // was produced with, so loaders can detect staleness instead of serving
 // silently outdated patterns, and can rebuild an incremental maintainer
-// able to fold future appends. Both fields are optional — files written
-// by earlier builds (or by SaveStore) load exactly as before, with a
-// nil stamp/spec.
+// able to fold future appends. Both fields are optional: SaveStoreStamped
+// omits a nil stamp or spec, and files written without them (by earlier
+// builds) load with nil fields.
 
 // StoreStamp records the source table's shape when the set was mined.
 type StoreStamp struct {
@@ -46,8 +46,8 @@ type StoreEntry struct {
 	Spec     *StoreSpec
 }
 
-// stampedStoreFile is the envelope with the optional stamping fields.
-// It decodes legacy files too (absent fields stay nil).
+// stampedStoreFile is the on-disk envelope with the optional stamping
+// fields. It decodes legacy files too (absent fields stay nil).
 type stampedStoreFile struct {
 	Version  int         `json:"version"`
 	Table    string      `json:"table"`
@@ -57,7 +57,10 @@ type stampedStoreFile struct {
 }
 
 // SaveStoreStamped writes the pattern set of one table with a source
-// stamp and mining spec into dir, atomically like SaveStore.
+// stamp and mining spec into dir (creating it if needed) and returns the
+// file path. An existing store file for the same table is replaced
+// atomically (write to a temp file, then rename), so a concurrent reader
+// never observes a partial file.
 func SaveStoreStamped(dir, table string, patterns []*Mined, stamp *StoreStamp, spec *StoreSpec) (string, error) {
 	name, err := storeFileName(table)
 	if err != nil {
@@ -71,7 +74,7 @@ func SaveStoreStamped(dir, table string, patterns []*Mined, stamp *StoreStamp, s
 	if err != nil {
 		return "", err
 	}
-	defer os.Remove(tmp.Name())
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	enc := json.NewEncoder(tmp)
 	enc.SetIndent("", " ")
 	err = enc.Encode(stampedStoreFile{
@@ -117,8 +120,8 @@ func LoadStoreEntry(path string) (*StoreEntry, error) {
 }
 
 // LoadStoreEntries reads every store file in dir, returning entries in
-// sorted table order. Non-store files are ignored; duplicate table
-// names are an error, as in LoadStore.
+// sorted file-name order. Non-store files are ignored; two files naming
+// one table, and a missing directory, are errors.
 func LoadStoreEntries(dir string) ([]*StoreEntry, error) {
 	dirents, err := os.ReadDir(dir)
 	if err != nil {

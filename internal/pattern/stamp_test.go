@@ -1,10 +1,10 @@
 package pattern
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -49,24 +49,89 @@ func TestStampedStoreRoundTrip(t *testing.T) {
 		t.Fatalf("LoadStoreEntries = %+v", entries)
 	}
 
-	// The stamped file still loads through the legacy reader (unknown
-	// fields are ignored), so older builds can read new stores.
-	table, back, err := LoadStoreFile(path)
+	// The stamped file decodes through the envelope earlier builds read
+	// (unknown fields are ignored), so older builds can read new stores.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table != "pub" {
-		t.Fatalf("legacy reader table = %q", table)
+	var legacy struct {
+		Version  int         `json:"version"`
+		Table    string      `json:"table"`
+		Patterns []jsonMined `json:"patterns"`
+	}
+	if err := json.Unmarshal(data, &legacy); err != nil || legacy.Table != "pub" {
+		t.Fatalf("legacy envelope: table %q, err %v", legacy.Table, err)
+	}
+	back, err := fromJSON(legacy.Patterns)
+	if err != nil {
+		t.Fatal(err)
 	}
 	requireSamePatterns(t, patterns, back)
 }
 
-// TestStampedStoreLoadsLegacyFiles: a store written by SaveStore (no
-// stamp, no spec) loads through the stamped reader with nil fields.
+// legacyStore is minedForJSON's set as builds before stamping wrote it:
+// the version, the table and the patterns, with no stamp and no spec.
+const legacyStore = `{
+ "version": 1,
+ "table": "pub",
+ "patterns": [
+  {
+   "f": [
+    "author"
+   ],
+   "v": [
+    "year"
+   ],
+   "agg": "count",
+   "model": "Const",
+   "numFragments": 3,
+   "numSupported": 2,
+   "confidence": 1,
+   "maxPosDev": 1,
+   "maxNegDev": -1,
+   "locals": [
+    {
+     "frag": [
+      {
+       "k": "string",
+       "s": "AX"
+      }
+     ],
+     "params": [
+      2.5
+     ],
+     "gof": 0.6547208460185769,
+     "support": 2,
+     "maxPosDev": 0.5,
+     "maxNegDev": -0.5
+    },
+    {
+     "frag": [
+      {
+       "k": "string",
+       "s": "AY"
+      }
+     ],
+     "params": [
+      2
+     ],
+     "gof": 0.31731050786291415,
+     "support": 2,
+     "maxPosDev": 1,
+     "maxNegDev": -1
+    }
+   ]
+  }
+ ]
+}
+`
+
+// TestStampedStoreLoadsLegacyFiles: a store file written before stamping
+// (no stamp, no spec) loads through the stamped reader with nil fields.
 func TestStampedStoreLoadsLegacyFiles(t *testing.T) {
-	patterns := minedForJSON(t)
 	dir := t.TempDir()
-	if _, err := SaveStore(dir, "pub", patterns); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "pub.patterns.json"), []byte(legacyStore), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := LoadStoreEntries(dir)
@@ -77,33 +142,24 @@ func TestStampedStoreLoadsLegacyFiles(t *testing.T) {
 		t.Fatalf("%d entries", len(entries))
 	}
 	e := entries[0]
-	if e.Stamp != nil || e.Spec != nil {
-		t.Fatalf("legacy store produced stamp %+v spec %+v", e.Stamp, e.Spec)
+	if e.Table != "pub" || e.Stamp != nil || e.Spec != nil {
+		t.Fatalf("legacy store produced table %q stamp %+v spec %+v", e.Table, e.Stamp, e.Spec)
 	}
-	requireSamePatterns(t, patterns, e.Patterns)
+	requireSamePatterns(t, minedForJSON(t), e.Patterns)
 }
 
 // TestStampedStoreNilStamp: saving with nil stamp/spec omits the fields
-// entirely — byte-compatible with the legacy writer.
+// entirely — byte-identical to the legacy file of the same set.
 func TestStampedStoreNilStamp(t *testing.T) {
-	patterns := minedForJSON(t)
-	dir := t.TempDir()
-	if _, err := SaveStoreStamped(dir, "a", patterns, nil, nil); err != nil {
+	path, err := SaveStoreStamped(t.TempDir(), "pub", minedForJSON(t), nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveStore(dir, "b", patterns); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(name string) string {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	a := strings.Replace(read("a.patterns.json"), `"table": "a"`, `"table": "b"`, 1)
-	if b := read("b.patterns.json"); a != b {
-		t.Fatalf("nil-stamped file differs from legacy writer:\n%s\nvs\n%s", a, b)
+	if string(data) != legacyStore {
+		t.Fatalf("nil-stamped file differs from the legacy file:\n%s\nvs\n%s", data, legacyStore)
 	}
 }

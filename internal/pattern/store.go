@@ -1,11 +1,8 @@
 package pattern
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -25,13 +22,6 @@ const StoreVersion = 1
 // storeExt is the filename suffix of a store file: <table>.patterns.json.
 const storeExt = ".patterns.json"
 
-// storeFile is the on-disk envelope.
-type storeFile struct {
-	Version  int         `json:"version"`
-	Table    string      `json:"table"`
-	Patterns []jsonMined `json:"patterns"`
-}
-
 // storeFileName maps a table name to its file inside a store directory,
 // rejecting names that would escape the directory or hide the file.
 func storeFileName(table string) (string, error) {
@@ -40,93 +30,4 @@ func storeFileName(table string) (string, error) {
 		return "", fmt.Errorf("pattern: table name %q not usable as a store filename", table)
 	}
 	return table + storeExt, nil
-}
-
-// SaveStore writes the mined pattern set of one table into dir
-// (creating it if needed) and returns the file path. An existing store
-// file for the same table is replaced atomically (write to a temp file,
-// then rename), so a concurrent reader never observes a partial file.
-func SaveStore(dir, table string, patterns []*Mined) (string, error) {
-	name, err := storeFileName(table)
-	if err != nil {
-		return "", err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", " ")
-	err = enc.Encode(storeFile{Version: StoreVersion, Table: table, Patterns: toJSON(patterns)})
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// LoadStoreFile reads one store file, returning the table name it was
-// mined from and the patterns.
-func LoadStoreFile(path string) (string, []*Mined, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, err
-	}
-	var sf storeFile
-	if err := json.Unmarshal(data, &sf); err != nil {
-		return "", nil, fmt.Errorf("pattern: decoding store %s: %w", path, err)
-	}
-	if sf.Version != StoreVersion {
-		return "", nil, fmt.Errorf("pattern: store %s has version %d, this build reads version %d",
-			path, sf.Version, StoreVersion)
-	}
-	if sf.Table == "" {
-		return "", nil, fmt.Errorf("pattern: store %s has no table name", path)
-	}
-	pats, err := fromJSON(sf.Patterns)
-	if err != nil {
-		return "", nil, fmt.Errorf("pattern: store %s: %w", path, err)
-	}
-	return sf.Table, pats, nil
-}
-
-// LoadStore reads every store file in dir, returning table name →
-// patterns in sorted table order (the iteration order of the returned
-// map is Go's usual random order; sort the keys for determinism).
-// Non-store files in the directory are ignored; a missing directory is
-// an error.
-func LoadStore(dir string) (map[string][]*Mined, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]*Mined)
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), storeExt) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		table, pats, err := LoadStoreFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := out[table]; dup {
-			return nil, fmt.Errorf("pattern: store %s duplicates table %q", name, table)
-		}
-		out[table] = pats
-	}
-	return out, nil
 }

@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// TestStoreRoundTrip: SaveStore → LoadStore must reproduce the pattern
-// set exactly, per table, and the directory listing form must agree
-// with loading the file directly.
+// TestStoreRoundTrip: SaveStoreStamped without a stamp or spec →
+// LoadStoreEntry must reproduce the pattern set exactly, with nil
+// stamp and spec, and the directory listing form must agree with
+// loading the file directly.
 func TestStoreRoundTrip(t *testing.T) {
 	patterns := minedForJSON(t)
 	dir := t.TempDir()
-	path, err := SaveStore(dir, "pub", patterns)
+	path, err := SaveStoreStamped(dir, "pub", patterns, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,23 +23,23 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("store path = %q", path)
 	}
 
-	table, back, err := LoadStoreFile(path)
+	entry, err := LoadStoreEntry(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table != "pub" {
-		t.Fatalf("table = %q", table)
+	if entry.Table != "pub" || entry.Stamp != nil || entry.Spec != nil {
+		t.Fatalf("entry = table %q stamp %+v spec %+v", entry.Table, entry.Stamp, entry.Spec)
 	}
-	requireSamePatterns(t, patterns, back)
+	requireSamePatterns(t, patterns, entry.Patterns)
 
-	all, err := LoadStore(dir)
+	all, err := LoadStoreEntries(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 1 {
-		t.Fatalf("LoadStore returned %d tables", len(all))
+	if len(all) != 1 || all[0].Table != "pub" {
+		t.Fatalf("LoadStoreEntries returned %+v", all)
 	}
-	requireSamePatterns(t, patterns, all["pub"])
+	requireSamePatterns(t, patterns, all[0].Patterns)
 }
 
 // requireSamePatterns compares pattern sets the same way the JSON
@@ -77,12 +78,14 @@ func requireSamePatterns(t *testing.T, want, got []*Mined) {
 // byte-identical files (sorted local models), so stores diff cleanly.
 func TestStoreDeterministicBytes(t *testing.T) {
 	patterns := minedForJSON(t)
+	stamp := &StoreStamp{Epoch: 3, Rows: 12}
+	spec := &StoreSpec{MaxPatternSize: 2, Attributes: []string{"author", "year"}, Aggregates: []string{"count"}}
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pathA, err := SaveStore(dirA, "pub", patterns)
+	pathA, err := SaveStoreStamped(dirA, "pub", patterns, stamp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathB, err := SaveStore(dirB, "pub", patterns)
+	pathB, err := SaveStoreStamped(dirB, "pub", patterns, stamp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,32 +103,43 @@ func TestStoreDeterministicBytes(t *testing.T) {
 }
 
 // TestStoreOverwriteAndMultipleTables: a re-save replaces the table's
-// file, and unrelated tables coexist in one directory.
+// file, leaving no temporary file behind, and unrelated tables coexist
+// in one directory.
 func TestStoreOverwriteAndMultipleTables(t *testing.T) {
 	patterns := minedForJSON(t)
 	dir := t.TempDir()
-	if _, err := SaveStore(dir, "pub", patterns); err != nil {
+	if _, err := SaveStoreStamped(dir, "pub", patterns, &StoreStamp{Epoch: 1, Rows: 10}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveStore(dir, "pub", patterns); err != nil {
+	if _, err := SaveStoreStamped(dir, "pub", patterns, &StoreStamp{Epoch: 2, Rows: 11}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveStore(dir, "crime", nil); err != nil {
+	if _, err := SaveStoreStamped(dir, "crime", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A stray non-store file must be ignored.
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	all, err := LoadStore(dir)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2 {
-		t.Fatalf("LoadStore returned %d tables, want 2", len(all))
+	if len(files) != 3 {
+		t.Fatalf("%d files in the store directory, want 3 (a temporary file left behind?)", len(files))
 	}
-	if len(all["pub"]) != len(patterns) || len(all["crime"]) != 0 {
-		t.Fatalf("tables = pub:%d crime:%d", len(all["pub"]), len(all["crime"]))
+	all, err := LoadStoreEntries(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || all[0].Table != "crime" || all[1].Table != "pub" {
+		t.Fatalf("LoadStoreEntries returned %+v, want crime and pub", all)
+	}
+	if len(all[1].Patterns) != len(patterns) || len(all[0].Patterns) != 0 {
+		t.Fatalf("tables = pub:%d crime:%d", len(all[1].Patterns), len(all[0].Patterns))
+	}
+	if s := all[1].Stamp; s == nil || s.Epoch != 2 || s.Rows != 11 {
+		t.Fatalf("pub stamp = %+v, want the second save's", s)
 	}
 }
 
@@ -134,27 +148,27 @@ func TestStoreOverwriteAndMultipleTables(t *testing.T) {
 func TestStoreRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	for _, bad := range []string{"", ".", "..", "a/b", `a\b`, ".hidden"} {
-		if _, err := SaveStore(dir, bad, nil); err == nil {
+		if _, err := SaveStoreStamped(dir, bad, nil, nil, nil); err == nil {
 			t.Errorf("table name %q accepted", bad)
 		}
 	}
 
-	future := storeFile{Version: StoreVersion + 1, Table: "pub"}
+	future := stampedStoreFile{Version: StoreVersion + 1, Table: "pub"}
 	data, _ := json.Marshal(future)
 	path := filepath.Join(dir, "pub.patterns.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadStoreFile(path); err == nil ||
+	if _, err := LoadStoreEntry(path); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("future version load: err = %v", err)
 	}
-	if _, err := LoadStore(dir); err == nil {
-		t.Error("LoadStore accepted a future-version file")
+	if _, err := LoadStoreEntries(dir); err == nil {
+		t.Error("LoadStoreEntries accepted a future-version file")
 	}
 
-	// Two files claiming one table: detectable only via LoadStore.
-	okFile := storeFile{Version: StoreVersion, Table: "pub"}
+	// Two files claiming one table: detectable only via LoadStoreEntries.
+	okFile := stampedStoreFile{Version: StoreVersion, Table: "pub"}
 	data, _ = json.Marshal(okFile)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -162,11 +176,11 @@ func TestStoreRejectsBadInput(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "alias.patterns.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadStore(dir); err == nil || !strings.Contains(err.Error(), "duplicates") {
+	if _, err := LoadStoreEntries(dir); err == nil || !strings.Contains(err.Error(), "duplicates") {
 		t.Errorf("duplicate table load: err = %v", err)
 	}
 
-	if _, err := LoadStore(filepath.Join(dir, "missing")); err == nil {
+	if _, err := LoadStoreEntries(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing directory accepted")
 	}
 }

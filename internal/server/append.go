@@ -243,8 +243,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		// Index reports the relevance-index shape backing this set's
 		// warm explainer; absent until the explainer is built.
 		Index *explain.IndexStats `json:"index,omitempty"`
-		// CachedGroupings counts the groupings that explainer retains:
-		// the pattern set's plus a bounded number kept for questions.
+		// CachedGroupings counts the groupings that explainer retains
+		// itself: its question groupings, plus the pattern groupings it
+		// computed while the set had no Maintainer over its table.
 		CachedGroupings int `json:"cachedGroupings,omitempty"`
 	}
 	s.mu.RLock()

@@ -112,9 +112,11 @@ type patternSet struct {
 	// maintainer holds the retained mining state and folds appended rows
 	// into it; nil for a restored set until its first append.
 	maintainer *mining.Maintainer
-	// ex answers the set's questions over exTab, keeping its retained
-	// groupings warm across requests; built on first use, and again when
-	// the table was replaced. Guarded by Server.mu.
+	// ex answers the set's questions over exTab, keeping its question
+	// groupings warm across requests and reading pattern groupings from
+	// maintainer while it tracks exTab (explainerFor); built on first
+	// use, again when the table was replaced, and after build. Guarded
+	// by Server.mu.
 	ex    *explain.Explainer
 	exTab *engine.Table
 	// admitted, when non-nil, restricts the served patterns to the keys
@@ -319,13 +321,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // patterns. It is the one place a set's Maintainer is built: by
 // /v1/mine, and by the first append to a set restored from a store or
 // whose table was replaced — which heals a store that was already stale,
-// because the build reads the table as it stands now.
+// because the build reads the table as it stands now. It drops the
+// set's Explainer, whose cache holds the pattern groupings it computed
+// without a Maintainer; the next one reads them from this Maintainer.
 func (ps *patternSet) build(tab *engine.Table, opt mining.Options) error {
 	m, err := mining.NewMaintainer(tab, opt)
 	if err != nil {
 		return err
 	}
-	ps.maintainer = m
+	ps.maintainer, ps.ex = m, nil
 	ps.refresh(tab)
 	return nil
 }
@@ -541,12 +545,18 @@ func (s *Server) setState(w http.ResponseWriter, id string) (*patternSet, *engin
 // retained groupings warm across requests: question resolution and
 // generation read them, and N concurrent identical questions compute
 // each distinct grouping once instead of N times.
+// While the set's Maintainer tracks tab, the Explainer reads pattern
+// groupings from it and keeps only question groupings; a Maintainer
+// built later (ps.build) drops the Explainer, so the next one does too.
 func (s *Server) explainerFor(ps *patternSet, tab *engine.Table) *explain.Explainer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ps.ex == nil || ps.exTab != tab {
 		ps.ex = explain.NewExplainer(tab, ps.patterns, explain.Options{Parallelism: s.ExplainParallelism})
 		ps.exTab = tab
+		if m := ps.maintainer; m != nil && m.Table() == tab {
+			ps.ex.SetGroupingSource(m)
+		}
 	}
 	return ps.ex
 }

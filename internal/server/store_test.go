@@ -10,7 +10,7 @@ import (
 
 // TestPatternStoreSurvivesRestart is the persistence round trip at the
 // server level: patterns mined by one server instance, saved with
-// pattern.SaveStore, and loaded into a fresh instance (the
+// pattern.SaveStoreStamped, and loaded into a fresh instance (the
 // -patterns-dir startup path) must answer an explain request with
 // exactly the same explanations as the original in-memory set.
 func TestPatternStoreSurvivesRestart(t *testing.T) {
@@ -22,17 +22,20 @@ func TestPatternStoreSurvivesRestart(t *testing.T) {
 	mined := sA.patterns[id].patterns
 	sA.mu.RUnlock()
 	dir := t.TempDir()
-	if _, err := pattern.SaveStore(dir, "pub", mined); err != nil {
+	if _, err := pattern.SaveStoreStamped(dir, "pub", mined, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	sB, tsB := newTestServer(t)
 	loadRunningExample(t, tsB)
-	stores, err := pattern.LoadStore(dir)
+	entries, err := pattern.LoadStoreEntries(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadedID, _ := sB.AddPatternSetEntry(&pattern.StoreEntry{Table: "pub", Patterns: stores["pub"]})
+	if len(entries) != 1 || entries[0].Table != "pub" {
+		t.Fatalf("store holds %+v, want one entry for pub", entries)
+	}
+	loadedID, _ := sB.AddPatternSetEntry(entries[0])
 	if loadedID == "" {
 		t.Fatal("AddPatternSetEntry returned empty id")
 	}
