@@ -214,8 +214,9 @@ func dirtiedBy(m *Maintainer, batch []value.Tuple, fn func(gs *gSet, sp *mSplit,
 // 100-row batch already in a 300K-row table, at each of benchWidths.
 // Batches repeat after the first 64, so long runs measure the steady
 // state in which a batch creates no group. It reports the fragment
-// memberships the re-fits visited and the fragments re-fit from kept
-// count statistics, per append.
+// memberships the re-fits visited, the Lin-free fragments re-fit from
+// kept count statistics and the fragments whose kept Lin moments ruled
+// Lin out, per append.
 func BenchmarkMaintainerCatchUp(b *testing.B) {
 	for _, w := range benchWidths {
 		b.Run(w.name, func(b *testing.B) {
@@ -237,6 +238,7 @@ func BenchmarkMaintainerCatchUp(b *testing.B) {
 			end := m.work()
 			b.ReportMetric(float64(end.walked-start.walked)/float64(b.N), "fraggroups-walked/op")
 			b.ReportMetric(float64(end.fromStats-start.fromStats)/float64(b.N), "frags-from-stats/op")
+			b.ReportMetric(float64(end.fromMoments-start.fromMoments)/float64(b.N), "frags-from-moments/op")
 		})
 	}
 }
@@ -338,12 +340,14 @@ func TestWidthAllocs(t *testing.T) {
 }
 
 // TestMaintainerCatchUpWork counts a steady-state append's re-fit work
-// exactly: every dirtied fragment that keeps count statistics re-fits
-// from them, and only those whose minimum rose — a grown group held it,
+// exactly: every dirtied fragment that keeps count statistics and no
+// Lin moments re-fits from them; one that keeps Lin moments re-fits
+// from them when they rule Lin out (pattern.FragFit.LinImpossible over
+// its groups' moments) and walks otherwise; of those that re-fit from
+// statistics, only those whose minimum rose — a grown group held it,
 // and the kept tie count shows no other holder — pay a pass over their
-// groups; every other dirtied fragment walks. So no membership of a
-// kept fragment whose extremes stayed current is visited. Afterwards
-// every kept fragment's statistics equal its groups' counts.
+// groups; every other dirtied fragment walks. Afterwards every kept
+// statistic and moment equals its groups' (requireKeptExact).
 func TestMaintainerCatchUpWork(t *testing.T) {
 	m, batches := benchCrimeMaintainer(t, 30000, 1)
 	batch := batches[0]
@@ -363,61 +367,57 @@ func TestMaintainerCatchUpWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want refitWork
-	dirtied, current := 0, 0
+	dirtied, current, screenedIn := 0, 0, 0
+	ff := pattern.NewFragFit(1, m.opt.Models, m.opt.Thresholds)
 	dirtiedBy(m, batch, func(gs *gSet, sp *mSplit, fi int32) {
-		groups := sp.frags[fi].groups
-		dirtied += len(groups)
+		fr := sp.frags[fi]
+		dirtied += len(fr.groups)
 		st := stBefore[sp]
 		if int(fi) >= len(st) || st[fi].n == 0 {
-			want.walked += len(groups)
+			want.walked += len(fr.groups)
 			return
 		}
-		want.fromStats++
+		if fr.moments {
+			if mo := groupMoments(gs, sp, fr); !ff.LinImpossible(&mo) {
+				want.walked += len(fr.groups)
+				screenedIn++
+				return
+			}
+			want.fromMoments++
+		} else {
+			want.fromStats++
+		}
 		grown := int32(0) // groups that held the minimum and grew
-		for _, gi := range groups {
+		for _, gi := range fr.groups {
 			if old := yBefore[gs][gi]; gs.y[0].F[gi] != old && old == st[fi].minimum {
 				grown++
 			}
 		}
 		if grown > 0 && grown >= st[fi].atMin {
-			want.walked += len(groups)
+			want.walked += len(fr.groups)
 			want.extremes++
 		} else {
 			current++
 		}
 	})
 	after := m.work()
-	got := refitWork{after.walked - before.walked, after.fromStats - before.fromStats, after.extremes - before.extremes}
+	got := refitWork{
+		walked:      after.walked - before.walked,
+		fromStats:   after.fromStats - before.fromStats,
+		fromMoments: after.fromMoments - before.fromMoments,
+		extremes:    after.extremes - before.extremes,
+	}
 	if got != want {
 		t.Errorf("append re-fit work %+v, want %+v", got, want)
 	}
-	if current == 0 || want.extremes == 0 || want.walked >= dirtied {
-		t.Fatalf("fixture dirties %d memberships, walks %d, re-fits %d kept fragments with current extremes and %d with stale ones; the count is vacuous",
-			dirtied, want.walked, current, want.extremes)
+	// The fixture's counts, pinned: 415 of the Lin-capable fragments it
+	// dirties walk, the rest re-fit from moments.
+	if pinned := (refitWork{walked: 32452, fromStats: 1901, fromMoments: 3397, extremes: 1882}); want != pinned || screenedIn != 415 {
+		t.Errorf("fixture's append work %+v with %d fragments the screen let through, pinned %+v and 415", want, screenedIn, pinned)
 	}
-
-	for _, gs := range m.gsets {
-		for _, sp := range gs.splits {
-			for fi := range sp.st {
-				if !sp.kept(int32(fi)) {
-					continue
-				}
-				var s regress.ConstStats
-				atMin := int32(0)
-				for _, gi := range sp.frags[fi].groups {
-					s.Add(gs.y[0].F[gi])
-				}
-				for _, gi := range sp.frags[fi].groups {
-					if gs.y[0].F[gi] == s.Min {
-						atMin++
-					}
-				}
-				st := sp.st[fi]
-				exact := countStats{int32(s.N), st.atMin, s.Sum, s.SumSq, s.Min, s.Max}
-				if st != exact || st.atMin != 0 && st.atMin != atMin {
-					t.Fatalf("%v/%v fragment %d keeps %+v; its groups give %+v with %d at the minimum", sp.f, sp.v, fi, st, exact, atMin)
-				}
-			}
-		}
+	if current == 0 || want.extremes == 0 || want.fromMoments == 0 || screenedIn == 0 || want.walked >= dirtied {
+		t.Fatalf("fixture dirties %d memberships, walks %d (%d fragments the screen let through), re-fits %d kept fragments with current extremes, %d with stale ones and %d from moments; the count is vacuous",
+			dirtied, want.walked, screenedIn, current, want.extremes, want.fromMoments)
 	}
+	requireKeptExact(t, m)
 }

@@ -46,7 +46,7 @@ func requireGroupBy(t *testing.T, label string, rel engine.Relation, got *engine
 // the asked columns — publishes it once per fold and declines what it
 // cannot serve: attribute sets it holds no grouping of, aggregates the
 // set lacks, a relation that moved since the last CatchUp, and one that
-// rewrote folded rows since the build.
+// rewrote folded rows since the last CatchUp rebuilt.
 func TestMaintainerGrouping(t *testing.T) {
 	tab := testTable(t, 300)
 	m, err := NewMaintainer(tab, lenientOpts())
@@ -108,7 +108,8 @@ func TestMaintainerGrouping(t *testing.T) {
 
 	// A Compact that seals +0 and −0 as one dictionary class rewrites a
 	// folded row: the retained state keeps the row as it was folded, so
-	// Grouping declines from then on.
+	// Grouping declines until CatchUp rebuilds it, and serves GroupBy's
+	// table again afterwards.
 	st := engine.NewSegTable(engine.Schema{{Name: "k", Kind: value.Float}, {Name: "g", Kind: value.String}, {Name: "y", Kind: value.Int}})
 	for i := 0; i < 40; i++ {
 		k := value.NewFloat(float64(i % 3))
@@ -129,13 +130,18 @@ func TestMaintainerGrouping(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sm.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
 	if st.RewriteEpoch() == 0 {
 		t.Fatal("the Compact rewrote no row; the case is vacuous")
 	}
 	if _, ok := sm.Grouping([]string{"g", "k"}, count); ok {
 		t.Error("Grouping served a table after the relation rewrote folded rows")
 	}
+	if err := sm.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := sm.Grouping([]string{"g", "k"}, count)
+	if !ok {
+		t.Fatal("Grouping declines after CatchUp rebuilt the rewritten state")
+	}
+	requireGroupBy(t, "after the rebuild", st, got, 2)
 }

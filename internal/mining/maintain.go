@@ -3,6 +3,7 @@ package mining
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -21,22 +22,30 @@ import (
 // state), a decoded observation column per aggregate, and, for every
 // (F, V) split the shared enumeration yields, each fragment's
 // groups in observation order — a slice of the sorted permutation the
-// split was fitted over, through the same pattern.FragFit. A fragment
-// on which no Lin candidate can hold, of a grouping set whose every
-// aggregate is count(*), also keeps its count statistics (n, Σy, Σy²,
-// min, max): a stat-kept fragment. An appended batch then costs
+// split was fitted over, through the same pattern.FragFit. Every
+// fragment of a grouping set whose every aggregate is count(*) also
+// keeps its count statistics (n, Σy, Σy², min, max) — a stat-kept
+// fragment — when no Lin candidate can hold on it, or when its
+// predictor values are integers within ±2¹³ (maxMomentX): then it keeps
+// its Lin moments (Σx_j, Σx_j·x_k, Σx_j·y) too. An appended batch then
+// costs
 //
 //	O(batch × groupings)                 fold rows, refresh touched groups' y
-//	+ O(touched groups × splits)         route them, update kept statistics
+//	+ O(touched groups × splits)         route them, update kept statistics and moments
+//	+ O(dirtied kept fragments)          re-fit from them: a Const fit, a 3×3 solve and a screen
 //	+ O(Σ |fragment| over dirtied walks) re-fit the others: stream the flat columns
 //
 // instead of the full group-sort-fit pipeline over the whole table. A
 // stat-kept fragment re-fits from its statistics without visiting its
 // groups, unless the group that alone held its minimum grew: one pass
-// over its y values then finds the new extremes. The walked fragments
-// are those on which a Lin candidate may still hold, those of grouping
-// sets with a Sum, Avg, Min or Max, whose float sums are order-sensitive
-// (below), and every fragment once |R| reaches 2²⁶.
+// over its y values then finds the new extremes. One that keeps
+// moments does so only when they rule Lin out — its normal equations
+// are singular, or R² from the moments plus an error bound is below θ
+// (regress.LinMoments.BelowTheta). The walked fragments are those on
+// which a Lin model holds or comes within that bound of θ, those whose
+// predictors break the moment guard, those of grouping sets with a
+// Sum, Avg, Min or Max, whose float sums are order-sensitive (below),
+// and every fragment once |R| reaches 2²⁶.
 //
 // The maintained set is pinned byte-identical to a cold ARPMine run
 // (without FD pruning) over the same rows:
@@ -60,7 +69,10 @@ import (
 // at most |R|, so while |R| < 2²⁶ (countStatsExact) every partial Σy
 // and Σy², in any order, is an integer below 2⁵² that float64 holds
 // exactly, and updating a kept fragment's sums by each touched group's
-// new − old reproduces the cold fold's bits. See DESIGN.md §11.
+// new − old reproduces the cold fold's bits. Under the moment guard the
+// same holds for every entry of XᵀX and Xᵀy, so β from kept moments is
+// the walk's β bit for bit; R² is not exact, which is why the moments
+// only rule a hold out and a possible hold walks. See DESIGN.md §11.
 //
 // Grouping keys carry no precondition: value.Compare equality is
 // canonical-key equality for every value, NaN, ±0.0 and integers past
@@ -106,6 +118,7 @@ type gSet struct {
 	// Scratch reused across fragment re-fits. Per grouping set (not per
 	// maintainer) so CatchUp can fan grouping sets across a pool.
 	fit    *pattern.FragFit
+	lin    regress.LinMoments
 	keyBuf []byte
 	work   refitWork
 }
@@ -113,15 +126,23 @@ type gSet struct {
 // refitWork counts what re-fits did since the build, the build
 // included.
 type refitWork struct {
-	walked    int // fragment memberships visited, by a walked fit or an extremes pass
-	fromStats int // fragments re-fit from kept count statistics
-	extremes  int // extremes passes over a kept fragment whose minimum grew
+	walked      int // fragment memberships visited, by a walked fit or an extremes pass
+	fromStats   int // Lin-free fragments re-fit from kept count statistics
+	fromMoments int // fragments re-fit from kept count statistics, their Lin moments ruling Lin out
+	extremes    int // extremes passes over a kept fragment whose minimum grew
 }
 
 // maxStatRows bounds the relation size under which count statistics are
 // kept: a count is at most |R|, so Σy ≤ |R| and Σy² ≤ |R|² < 2⁵², and
 // every partial sum is an integer float64 holds exactly.
 const maxStatRows = 1 << 26
+
+// maxMomentX bounds the predictor values under which a fragment keeps
+// Lin moments: with every x an integer of magnitude at most 2¹³ and
+// every count below maxStatRows, Σx < 2³⁹, Σx_j·x_k < 2⁵² and
+// |Σx_j·y| ≤ 2¹³·Σy < 2³⁹, so every partial sum is an integer float64
+// holds exactly.
+const maxMomentX = 1 << 13
 
 // countStatsExact reports whether a grouping set with aggregates aggs
 // over a relation of rows rows may keep count statistics: every
@@ -164,7 +185,19 @@ type mSplit struct {
 	// of the split is kept, and shorter than frags when the fragments
 	// past its end walk.
 	st []countStats
+	// mo holds, per fragment, the Lin moments of a stat-kept fragment
+	// on which a Lin candidate may hold (mFrag.moments), beside st and
+	// like it grown on first use: momentStride(d) float64s at fi·stride,
+	// for the split's d ≤ 2 predictors in sorted-V order Σx_j, then
+	// Σx_j·y, then Σx_j·x_k for j ≤ k at 2d+j+k (countStats carry n, Σy
+	// and Σy²).
+	mo []float64
 }
+
+// momentStride is how many float64s a fragment's Lin moments over d
+// predictors take: Σx_j and Σx_j·y per predictor, Σx_j·x_k per pair
+// j ≤ k — 3 for one predictor, 7 for two.
+func momentStride(d int) int { return 2*d + d*(d+1)/2 }
 
 // countStats are a kept fragment's count statistics, 40 bytes: those
 // of a regress.ConstStats over its groups' counts, plus how many groups
@@ -186,6 +219,7 @@ type mFrag struct {
 	dirty     bool
 	newFirst  bool // the current batch put a fresh group first: Frag is rebuilt
 	staleExt  bool // the current batch grew the last group known to hold the kept minimum
+	moments   bool // kept statistics carry Lin moments (mSplit.mo): a Lin candidate may hold
 }
 
 // mCand is one (aggregate, model) candidate of a split.
@@ -416,12 +450,23 @@ func (m *Maintainer) Apply(rows []value.Tuple) error {
 
 // CatchUp folds any table rows appended since the last sync (by this
 // maintainer or by other appenders) and re-fits the touched fragments.
-// Rows already folded must not have been reordered or rewritten; only
-// appends are maintainable.
+// When rows already folded were rewritten since the build (RewriteEpoch:
+// a Compact that stores equal values as one representative), a fold
+// would keep the old values, so the state is rebuilt in place instead,
+// as RetainedGroupBy.CatchUp rebuilds its own. A table that shrank is an
+// error.
 func (m *Maintainer) CatchUp() error {
 	n := m.tab.NumRows()
 	if n < m.synced {
 		return fmt.Errorf("mining: table shrank from %d to %d rows; maintainer state is stale", m.synced, n)
+	}
+	if m.tab.RewriteEpoch() > m.built {
+		fresh, err := NewMaintainer(m.tab, m.opt)
+		if err != nil {
+			return err
+		}
+		*m = *fresh
+		return nil
 	}
 	if n == m.synced {
 		m.epoch = m.tab.Epoch()
@@ -476,7 +521,7 @@ func (m *Maintainer) CatchUp() error {
 		exact := countStatsExact(gs.aggs, n)
 		if !exact {
 			for _, sp := range gs.splits {
-				sp.st = nil // past the guard, or never kept: every fragment walks
+				sp.st, sp.mo = nil, nil // past the guard, or never kept: every fragment walks
 			}
 		}
 		// Decode each touched group's aggregates once per batch; every
@@ -539,6 +584,12 @@ func (gs *gSet) touch(gi int32, fresh bool) {
 // fragment's count statistics when they are kept, and collects the
 // dirty fragments.
 func (gs *gSet) routeTouched(sp *mSplit) {
+	var xc [regress.MaxMomentD]*engine.Col // the predictor columns, when moments are kept
+	if sp.mo != nil {
+		for j, ci := range sp.vPos {
+			xc[j] = gs.grp.Keys().Col(ci)
+		}
+	}
 	for ti, gi := range gs.touched {
 		fresh := gs.state[gi]&gFresh != 0
 		// Fresh groups sit in touched in creation order, so the append
@@ -566,6 +617,9 @@ func (gs *gSet) routeTouched(sp *mSplit) {
 			fr.newFirst = fr.newFirst || pos == 0
 		}
 		fi := sp.fragOf[gi]
+		if sp.kept(fi) && sp.frags[fi].moments {
+			sp.foldMoments(xc[:len(sp.vPos)], fi, gi, gs.oldY[ti], gs.y[0].F[gi], fresh)
+		}
 		if sp.kept(fi) {
 			sp.foldCount(fi, gs.oldY[ti], gs.y[0].F[gi], fresh)
 		}
@@ -610,6 +664,46 @@ func (sp *mSplit) foldCount(fi int32, old, y float64, fresh bool) {
 	s.maximum = max(s.maximum, y)
 }
 
+// foldMoments folds one touched group gi of kept fragment fi into its
+// Lin moments, xc being the split's predictor columns: Σx_j·y moves by
+// x_j·(y − old) for a grown group, and a fresh group of count y adds to
+// every moment. A fresh group with a predictor value that is not
+// numeric makes the fragment Lin-free, its count statistics still kept;
+// one with a value past the moment guard (not an integer, or |x| >
+// maxMomentX) drops the fragment to walking.
+func (sp *mSplit) foldMoments(xc []*engine.Col, fi, gi int32, old, y float64, fresh bool) {
+	d, fr := len(xc), sp.frags[fi]
+	w := momentStride(d)
+	k := sp.mo[int(fi)*w : int(fi)*w+w]
+	if !fresh {
+		for j, c := range xc {
+			k[d+j] += c.F64[gi] * (y - old)
+		}
+		return
+	}
+	var x [regress.MaxMomentD]float64
+	for j, c := range xc {
+		if !c.Num[gi] {
+			fr.moments = false
+			return
+		}
+		x[j] = c.F64[gi]
+	}
+	for _, v := range x[:d] {
+		if v != math.Trunc(v) || math.Abs(v) > maxMomentX {
+			sp.st[fi], fr.moments = countStats{}, false
+			return
+		}
+	}
+	for j := 0; j < d; j++ {
+		k[j] += x[j]
+		k[d+j] += x[j] * y
+		for l := j; l < d; l++ {
+			k[2*d+j+l] += x[j] * x[l]
+		}
+	}
+}
+
 // obsLess orders groups within a fragment: by the split's predictor
 // sequence under value.Compare, then by grouped-row index — the order
 // the miner's permutation sort visits them in.
@@ -624,12 +718,14 @@ func (gs *gSet) obsLess(sp *mSplit, a, b int32) bool {
 }
 
 // refit re-evaluates every candidate of sp on fragment fi through the
-// miner's own FragFit — from its count statistics when they are kept,
-// else over the fragment's groups in observation order — and records the
-// outcome: the support flags feeding the λ denominator and the local
-// models, bitwise those of a cold re-mine. exact reports whether the
-// grouping set may keep count statistics; a walked fragment that turns
-// out Lin-free then starts keeping them.
+// miner's own FragFit — from its count statistics when they are kept
+// and no Lin candidate can hold (Lin-free, or ruled out by its kept Lin
+// moments), else over the fragment's groups in observation order — and
+// records the outcome: the support flags feeding the λ denominator and
+// the local models, bitwise those of a cold re-mine. exact reports
+// whether the grouping set may keep count statistics; a walked fragment
+// that turns out Lin-free, or whose predictors pass the moment guard,
+// then starts keeping them.
 func (gs *gSet) refit(sp *mSplit, fi int32, exact bool) {
 	ff, fr := gs.fit, sp.frags[fi]
 	// A fragment's F values never change, so its Frag tuple carries over
@@ -640,7 +736,7 @@ func (gs *gSet) refit(sp *mSplit, fi int32, exact bool) {
 		frag = sp.heldFrag(fi)
 	}
 	fr.newFirst = false
-	if sp.kept(fi) {
+	if sp.kept(fi) && (!fr.moments || ff.LinImpossible(sp.moments(fi, &gs.lin))) {
 		st := &sp.st[fi]
 		if fr.staleExt {
 			gs.recountExtremes(st, fr.groups)
@@ -648,12 +744,23 @@ func (gs *gSet) refit(sp *mSplit, fi int32, exact bool) {
 		}
 		cs := regress.ConstStats{N: int(st.n), Sum: st.sum, SumSq: st.sumSq, Min: st.minimum, Max: st.maximum}
 		ff.FitCounts(gs.grp.Keys(), sp.fPos, cs, fr.groups[0], frag)
-		gs.work.fromStats++
+		if fr.moments {
+			gs.work.fromMoments++
+		} else {
+			gs.work.fromStats++
+		}
 	} else {
 		ff.Fit(gs.grp.Keys(), sp.fPos, sp.vPos, gs.y, fr.groups, frag, nil)
 		gs.work.walked += len(fr.groups)
-		if exact && ff.LinFree {
-			sp.keep(fi, ff.Stats())
+		fr.staleExt = false // the walk found the extremes
+		switch {
+		case sp.kept(fi): // a Lin model may hold
+			s, st := ff.Stats(), &sp.st[fi]
+			st.minimum, st.maximum, st.atMin = s.Min, s.Max, 0
+		case exact && ff.LinFree:
+			sp.keep(fi, ff.Stats(), nil)
+		case exact && ff.Moments(&gs.lin, maxMomentX):
+			sp.keep(fi, ff.Stats(), &gs.lin)
 		}
 	}
 	for ai, supp := range ff.Supported {
@@ -697,12 +804,48 @@ func (gs *gSet) recountExtremes(st *countStats, groups []int32) {
 }
 
 // keep starts keeping fragment fi's count statistics, seeded with the
-// walk's s; the groups at its minimum are counted when first needed.
-func (sp *mSplit) keep(fi int32, s regress.ConstStats) {
-	if n := len(sp.frags); len(sp.st) < n {
+// walk's s, and its Lin moments when mo is non-nil (from the same
+// walk); the groups at its minimum are counted when first needed.
+func (sp *mSplit) keep(fi int32, s regress.ConstStats, mo *regress.LinMoments) {
+	n := len(sp.frags)
+	if len(sp.st) < n {
 		sp.st = append(sp.st, make([]countStats, n-len(sp.st))...)
 	}
 	sp.st[fi] = countStats{n: int32(s.N), sum: s.Sum, sumSq: s.SumSq, minimum: s.Min, maximum: s.Max}
+	sp.frags[fi].moments = mo != nil
+	if mo == nil {
+		return
+	}
+	d := mo.D
+	p, w := d+1, momentStride(d)
+	if len(sp.mo) < n*w {
+		sp.mo = append(sp.mo, make([]float64, n*w-len(sp.mo))...)
+	}
+	k := sp.mo[int(fi)*w : int(fi)*w+w]
+	for j := 0; j < d; j++ {
+		k[j], k[d+j] = mo.XtX[j+1], mo.XtY[j+1]
+		for l := j; l < d; l++ {
+			k[2*d+j+l] = mo.XtX[(j+1)*p+l+1]
+		}
+	}
+}
+
+// moments sets mo to kept fragment fi's Lin moments, the normal
+// equations FitLinInto would accumulate over its groups, and returns it.
+func (sp *mSplit) moments(fi int32, mo *regress.LinMoments) *regress.LinMoments {
+	st, d := &sp.st[fi], len(sp.vPos)
+	p, w := d+1, momentStride(d)
+	k := sp.mo[int(fi)*w : int(fi)*w+w]
+	*mo = regress.LinMoments{D: d, SumSq: st.sumSq}
+	mo.XtX[0], mo.XtY[0] = float64(st.n), st.sum
+	for j := 0; j < d; j++ {
+		mo.XtX[j+1], mo.XtX[(j+1)*p], mo.XtY[j+1] = k[j], k[j], k[d+j]
+		for l := j; l < d; l++ {
+			v := k[2*d+j+l]
+			mo.XtX[(j+1)*p+l+1], mo.XtX[(l+1)*p+j+1] = v, v
+		}
+	}
+	return mo
 }
 
 // heldFrag returns the Frag tuple of a local model some candidate of sp
@@ -740,6 +883,7 @@ func (m *Maintainer) work() refitWork {
 	for _, gs := range m.gsets {
 		w.walked += gs.work.walked
 		w.fromStats += gs.work.fromStats
+		w.fromMoments += gs.work.fromMoments
 		w.extremes += gs.work.extremes
 	}
 	return w

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -23,12 +24,15 @@ var countSchema = engine.Schema{
 }
 
 // countStream generates a count-only append stream over countSchema,
-// aimed at the states a fragment's running count statistics can get
-// wrong: rows of the rarest full groups (a unique-minimum group grows,
-// or one of several tied at the minimum), fresh groups whose predictor
-// falls between existing ones (inserted mid-fragment), new g values (a
-// batch creates fragments), and, when asked, a string in x (a fragment
-// that could fit Lin turns Lin-free).
+// aimed at the states a fragment's running count statistics and Lin
+// moments can get wrong: rows of the rarest full groups (a unique-minimum
+// group grows, or one of several tied at the minimum), fresh groups whose
+// predictor falls between existing ones (inserted mid-fragment), new g
+// values (a batch creates fragments), negative x, x at the moment guard
+// (±2¹³) and just past it, a non-integer Float x and a Float x of an Int
+// value's class, a block of rows whose counts rise with x (a fragment's
+// R² crosses θ), and, when asked, a string in x (a fragment that could
+// fit Lin turns Lin-free).
 type countStream struct {
 	rng    *rand.Rand
 	counts map[string]int // full-row key → rows so far
@@ -95,20 +99,41 @@ func (s *countStream) batch(n int, withString bool) []value.Tuple {
 	rows := make([]value.Tuple, 0, n+2)
 	for len(rows) < n {
 		var row value.Tuple
-		switch k := r.Intn(10); {
-		case k < 4 && len(s.rows) > 0:
+		switch k := r.Intn(40); {
+		case k < 16 && len(s.rows) > 0:
 			row = s.rarest()
-		case k < 7:
+		case k < 28:
 			row = s.row()
-		case k < 9:
+		case k < 34:
 			row = s.row()
 			row[1] = value.NewInt(int64(1 + 2*r.Intn(5))) // between the even x values
-		default:
+		case k < 36:
 			row = s.row()
 			row[0] = value.NewString(fmt.Sprintf("n%d", s.newG))
 			s.newG++
+		case k < 37:
+			row = s.row()
+			row[1] = value.NewInt(int64(-1 - r.Intn(6)))
+		case k < 38:
+			row = s.row()
+			row[1] = value.NewFloat(float64(2 * r.Intn(6))) // the class of an Int x
+		case k < 39:
+			row = s.row()
+			row[1] = value.NewInt([]int64{1 << 13, -1 << 13, 1<<13 + 1, -1<<13 - 1}[r.Intn(4)])
+		default:
+			row = s.row()
+			row[1] = value.NewFloat(float64(r.Intn(10)) + 0.5)
 		}
 		rows = append(rows, row)
+	}
+	if r.Intn(3) == 0 {
+		// Counts rising with x in one (g, h, yr): x rows at each even x.
+		base := s.row()
+		for x := int64(2); x <= 10; x += 2 {
+			for i := int64(0); i < x; i++ {
+				rows = append(rows, value.Tuple{base[0], value.NewInt(x), base[2], base[3]})
+			}
+		}
 	}
 	if withString {
 		g := value.NewString(fmt.Sprintf("g%d", r.Intn(4)))
@@ -136,6 +161,7 @@ func countOpts(models []regress.ModelType, par int) Options {
 func requireCountsSameAsCold(t *testing.T, label string, m *Maintainer, opt Options) {
 	t.Helper()
 	requireSameAsRemine(t, label, m, opt)
+	requireKeptExact(t, m)
 	fresh, err := NewMaintainer(m.Table(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +174,8 @@ func requireCountsSameAsCold(t *testing.T, label string, m *Maintainer, opt Opti
 // runCountStream builds a Maintainer over the stream's initial rows —
 // a dense Table, or a SegTable of two sealed segments plus a tail that
 // is compacted after the second batch — appends the stream batch by
-// batch, and pins it to the cold pipeline after each. The string lands
+// batch, and pins it to the cold pipeline, and every kept statistic and
+// moment to its groups, after each. The string lands
 // in x in batch stringAt (never when negative). It returns how many
 // patterns the final set holds.
 func runCountStream(t *testing.T, seed int64, seg bool, opt Options, batches, batchRows, stringAt int) int {
@@ -235,9 +262,10 @@ func FuzzMaintainerCounts(f *testing.F) {
 	})
 }
 
-// TestCountStatsGuard: count statistics are kept only for grouping sets
-// whose every aggregate is count(*), over relations below 2²⁶ rows; a
-// Maintainer over count(*) and sum keeps none on the sum's sets.
+// TestCountStatsGuard: count statistics and Lin moments are kept only
+// for grouping sets whose every aggregate is count(*), over relations
+// below 2²⁶ rows; a Maintainer over count(*) and sum keeps none on the
+// sum's sets.
 func TestCountStatsGuard(t *testing.T) {
 	count, sum := engine.AggSpec{Func: engine.Count}, engine.AggSpec{Func: engine.Sum, Arg: "x"}
 	for _, tc := range []struct {
@@ -284,12 +312,13 @@ func TestCountStatsGuard(t *testing.T) {
 		}
 		withSum++
 		for _, sp := range gs.splits {
-			if sp.st != nil {
-				t.Fatalf("grouping %v over %v keeps count statistics", gs.attrs, gs.aggs)
+			if sp.st != nil || sp.mo != nil {
+				t.Fatalf("grouping %v over %v keeps count statistics or Lin moments", gs.attrs, gs.aggs)
 			}
 		}
-		if gs.work.fromStats != 0 {
-			t.Fatalf("grouping %v over %v re-fit %d fragments from count statistics", gs.attrs, gs.aggs, gs.work.fromStats)
+		if gs.work.fromStats != 0 || gs.work.fromMoments != 0 {
+			t.Fatalf("grouping %v over %v re-fit %d fragments from count statistics and %d from moments",
+				gs.attrs, gs.aggs, gs.work.fromStats, gs.work.fromMoments)
 		}
 	}
 	if withSum == 0 {
@@ -299,9 +328,13 @@ func TestCountStatsGuard(t *testing.T) {
 
 // TestCountStreamsReachKeptStates: the count streams the differential
 // runs reach the states it is aimed at — fragments re-fit from kept
-// statistics, a grown minimum forcing an extremes pass, and a fragment
-// of a split over x that starts keeping statistics once a string
-// arrives in x.
+// statistics, a grown minimum forcing an extremes pass, a fragment of a
+// split over x that starts keeping statistics without moments once a
+// string arrives in x, fragments re-fit from kept Lin moments, a Lin
+// model holding on one that keeps them, a fragment whose Lin hold
+// appears or disappears while it keeps them (its R² crossed θ), and
+// fragments over a numeric x that walk because a value broke the
+// moment guard.
 func TestCountStreamsReachKeptStates(t *testing.T) {
 	opt := countOpts([]regress.ModelType{regress.Const, regress.Lin}, 1)
 	s := newCountStream(1)
@@ -313,33 +346,149 @@ func TestCountStreamsReachKeptStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keptOverX := func() int {
-		n := 0
+	type frag struct {
+		sp *mSplit
+		fi int
+	}
+	// linHeld notes, per fragment keeping Lin moments, whether a Lin
+	// candidate holds on it.
+	linHeld := func() map[frag]bool {
+		held := make(map[frag]bool)
 		for _, gs := range m.gsets {
 			for _, sp := range gs.splits {
-				if slices.Equal(sp.v, []string{"x"}) {
-					for fi := range sp.st {
-						if sp.kept(int32(fi)) {
-							n++
+				for fi := range sp.st {
+					if !sp.kept(int32(fi)) || !sp.frags[fi].moments {
+						continue
+					}
+					held[frag{sp, fi}] = false
+					for _, cs := range sp.cands {
+						if cs.p.Model == regress.Lin && fi < len(cs.locals) && cs.locals[fi] != nil {
+							held[frag{sp, fi}] = true
 						}
 					}
 				}
 			}
 		}
-		return n
+		return held
 	}
-	if n := keptOverX(); n != 0 {
-		t.Fatalf("%d fragments over a numeric x keep statistics before any string", n)
+	// overX counts the fragments of splits over x that keep statistics
+	// without moments, and those that walk.
+	overX := func() (linFree, walking int) {
+		for _, gs := range m.gsets {
+			for _, sp := range gs.splits {
+				if !slices.Equal(sp.v, []string{"x"}) {
+					continue
+				}
+				for fi := range sp.frags {
+					switch {
+					case !sp.kept(int32(fi)):
+						walking++
+					case !sp.frags[fi].moments:
+						linFree++
+					}
+				}
+			}
+		}
+		return linFree, walking
 	}
-	built := m.work()
-	for b := 0; b < 4; b++ {
+	if n, _ := overX(); n != 0 {
+		t.Fatalf("%d fragments over a numeric x keep statistics without Lin moments before any string", n)
+	}
+	built, prev := m.work(), linHeld()
+	flips, holds := 0, 0
+	for b := 0; b < 6; b++ {
 		if err := m.Apply(s.batch(15, b == 2)); err != nil {
 			t.Fatal(err)
 		}
+		cur := linHeld()
+		for f, h := range cur {
+			if was, ok := prev[f]; ok && was != h {
+				flips++
+			}
+			if h {
+				holds++
+			}
+		}
+		prev = cur
 	}
 	w := m.work()
-	if w.fromStats == built.fromStats || w.extremes == built.extremes || keptOverX() == 0 {
-		t.Fatalf("stream re-fit %d fragments from statistics, ran %d extremes passes, keeps %d fragments over x",
-			w.fromStats-built.fromStats, w.extremes-built.extremes, keptOverX())
+	linFree, walking := overX()
+	if w.fromStats == built.fromStats || w.extremes == built.extremes || w.fromMoments == built.fromMoments ||
+		linFree == 0 || walking == 0 || holds == 0 || flips == 0 {
+		t.Fatalf("stream re-fit %d fragments from statistics and %d from moments, ran %d extremes passes; over x %d fragments keep statistics without moments and %d walk; Lin held %d times on fragments keeping moments, flipping %d times",
+			w.fromStats-built.fromStats, w.fromMoments-built.fromMoments, w.extremes-built.extremes, linFree, walking, holds, flips)
+	}
+}
+
+// groupMoments recomputes fragment fr's Lin moments over its groups'
+// predictor values and counts, in observation order.
+func groupMoments(gs *gSet, sp *mSplit, fr *mFrag) regress.LinMoments {
+	keys := gs.grp.Keys()
+	var xs, ys []float64
+	for _, gi := range fr.groups {
+		for _, ci := range sp.vPos {
+			xs = append(xs, keys.Col(ci).F64[gi])
+		}
+		ys = append(ys, gs.y[0].F[gi])
+	}
+	var mo regress.LinMoments
+	mo.Accumulate(xs, len(sp.vPos), ys)
+	return mo
+}
+
+// requireKeptExact checks every fragment's kept state against its
+// groups. A grouping set that may keep count statistics keeps them on
+// exactly the fragments that are Lin-free (no Lin model, or a predictor
+// value that is not numeric) or whose predictor values pass the moment
+// guard, and Lin moments on exactly the latter; every kept statistic and
+// moment equals a recomputation over the fragment's groups.
+func requireKeptExact(t testing.TB, m *Maintainer) {
+	t.Helper()
+	hasLin := slices.Contains(m.opt.Models, regress.Lin)
+	for _, gs := range m.gsets {
+		exact := countStatsExact(gs.aggs, m.tab.NumRows())
+		keys := gs.grp.Keys()
+		for _, sp := range gs.splits {
+			for fi, fr := range sp.frags {
+				numeric, guarded := true, len(sp.vPos) <= regress.MaxMomentD
+				for _, gi := range fr.groups {
+					for _, ci := range sp.vPos {
+						v := keys.Col(ci).F64[gi]
+						numeric = numeric && keys.Col(ci).Num[gi]
+						guarded = guarded && v == math.Trunc(v) && math.Abs(v) <= maxMomentX
+					}
+				}
+				linFree := !hasLin || !numeric
+				kept := sp.kept(int32(fi))
+				if kept != (exact && (linFree || guarded)) || kept && fr.moments == linFree {
+					t.Fatalf("%v/%v fragment %d: kept %v, moments %v; exact %v, Lin-free %v, guarded %v",
+						sp.f, sp.v, fi, kept, fr.moments, exact, linFree, guarded)
+				}
+				if !kept {
+					continue
+				}
+				var s regress.ConstStats
+				for _, gi := range fr.groups {
+					s.Add(gs.y[0].F[gi])
+				}
+				atMin := int32(0)
+				for _, gi := range fr.groups {
+					if gs.y[0].F[gi] == s.Min {
+						atMin++
+					}
+				}
+				st := sp.st[fi]
+				exact := countStats{int32(s.N), st.atMin, s.Sum, s.SumSq, s.Min, s.Max}
+				if st != exact || st.atMin != 0 && st.atMin != atMin {
+					t.Fatalf("%v/%v fragment %d keeps %+v; its groups give %+v with %d at the minimum", sp.f, sp.v, fi, st, exact, atMin)
+				}
+				if fr.moments {
+					var got regress.LinMoments
+					if want := groupMoments(gs, sp, fr); *sp.moments(int32(fi), &got) != want {
+						t.Fatalf("%v/%v fragment %d keeps moments %+v; its groups give %+v", sp.f, sp.v, fi, got, want)
+					}
+				}
+			}
+		}
 	}
 }

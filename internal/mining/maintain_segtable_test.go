@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cape/internal/engine"
+	"cape/internal/regress"
 	"cape/internal/value"
 )
 
@@ -216,4 +217,50 @@ func TestMaintainerParallelDeterminism(t *testing.T) {
 			check("post-compact")
 		}
 	}
+}
+
+// TestMaintainerRebuildsAfterRewrite: a Compact that rewrites rows
+// already folded — the tail holds Float(3) and Int(3) in the untyped x,
+// which the sealed segment stores as one dictionary representative —
+// makes CatchUp rebuild, so the maintained set equals a cold ARPMine
+// after the next append, and Grouping serves again.
+func TestMaintainerRebuildsAfterRewrite(t *testing.T) {
+	s := newCountStream(5)
+	tab := engine.NewTable(countSchema)
+	if err := tab.AppendRows(s.initial(200)); err != nil {
+		t.Fatal(err)
+	}
+	tail := []value.Tuple{
+		{value.NewString("g1"), value.NewFloat(3), value.NewString("p"), value.NewInt(2001)},
+		{value.NewString("g1"), value.NewInt(3), value.NewString("q"), value.NewInt(2001)},
+		{value.NewString("g2"), value.NewInt(3), value.NewString("p"), value.NewInt(2002)},
+		{value.NewString("g2"), value.NewFloat(3), value.NewString("r"), value.NewInt(2002)},
+	}
+	if err := tab.AppendRows(tail); err != nil {
+		t.Fatal(err)
+	}
+	st := segTableFrom(t, tab, 2, 30)
+	defer st.Close()
+	opt := countOpts([]regress.ModelType{regress.Const, regress.Lin}, 1)
+	m, err := NewMaintainer(st, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAsRemine(t, "initial", m, opt)
+	before := st.RewriteEpoch()
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st.RewriteEpoch() == before {
+		t.Fatal("Compact rewrote no row; the fixture is vacuous")
+	}
+	if err := m.Apply([]value.Tuple{{value.NewString("g1"), value.NewInt(3), value.NewString("r"), value.NewInt(2003)}}); err != nil {
+		t.Fatal(err)
+	}
+	requireCountsSameAsCold(t, "after rewrite", m, opt)
+	got, ok := m.Grouping([]string{"g", "x"}, engine.AggSpec{Func: engine.Count})
+	if !ok {
+		t.Fatal("Grouping declines after the rebuild")
+	}
+	requireGroupBy(t, "after the rebuild", st, got, 2)
 }

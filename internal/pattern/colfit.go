@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"cape/internal/engine"
@@ -202,7 +203,8 @@ type Obs struct {
 // applying the local gates of Definition 3 (local support δ over a
 // numeric aggregate, numeric predictors for Lin, goodness of fit θ).
 // Observations are folded in the order of the fragment's rows, through
-// ConstStats and FitLinInto, so any two callers that present a fragment
+// ConstStats and FitLinMoments (FitLinInto past regress.MaxMomentD
+// predictors), so any two callers that present a fragment
 // in the same order get bitwise the same local models. SharedFitter
 // calls it per fragment of a sorted permutation; mining.Maintainer calls
 // it on the fragments it builds and on those an append dirties, and
@@ -213,6 +215,7 @@ type Obs struct {
 type FragFit struct {
 	models []regress.ModelType
 	th     Thresholds
+	chi    regress.ChiGate // θ's χ² verdict
 	hasLin bool
 
 	// Supported reports, per aggregate, whether the last fragment met
@@ -231,12 +234,15 @@ type FragFit struct {
 	LinFree bool
 
 	// Scratch reused across fragments.
+	n, d     int         // the last Fit's rows and predictors
 	prevFrag value.Tuple // the caller's Frag for the fragment, or nil
 	ys       []float64
 	xs       []float64
 	xc       []*engine.Col
 	stats    regress.ConstStats
 	lin      regress.LinScratch
+	mo       regress.LinMoments // the last Lin fit's moments
+	moOK     bool               // mo is the last aggregate's fit's
 }
 
 // NewFragFit returns a fitter for nAggs aggregates under the given
@@ -245,6 +251,7 @@ func NewFragFit(nAggs int, models []regress.ModelType, th Thresholds) *FragFit {
 	ff := &FragFit{
 		models:    models,
 		th:        th,
+		chi:       regress.NewChiGate(th.Theta),
 		Supported: make([]bool, nAggs),
 		Locals:    make([]*LocalModel, nAggs*len(models)),
 	}
@@ -266,7 +273,7 @@ func NewFragFit(nAggs int, models []regress.ModelType, th Thresholds) *FragFit {
 // when non-nil, accrues the model-fitting time.
 func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []int32, frag value.Tuple, tm *Timers) {
 	n, d := len(rows), len(vIdx)
-	ff.Frag, ff.prevFrag = nil, frag
+	ff.Frag, ff.prevFrag, ff.n, ff.d = nil, frag, n, d
 
 	// Gather the fragment's predictor matrix once (flat, stride d) when
 	// any Lin candidate will need it.
@@ -307,7 +314,7 @@ func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []in
 			ff.stats.Add(y.F[r])
 			obs = append(obs, y.F[r])
 		}
-		ff.ys = obs
+		ff.ys, ff.moOK = obs, false
 		supp := numericY && n >= ff.th.LocalSupport
 		ff.Supported[ai] = supp
 		for mi, m := range ff.models {
@@ -323,7 +330,8 @@ func (ff *FragFit) Fit(keys *engine.Table, fIdx, vIdx []int, ys []Obs, rows []in
 // FitCounts evaluates every candidate on a fragment from the statistics
 // s of its observations instead of its rows, for a caller that keeps
 // them itself: every aggregate is count(*), so each observes s, and no
-// Lin candidate can hold (LinFree). first is the fragment's first row
+// Lin candidate can hold (LinFree, or LinImpossible from the fragment's
+// kept moments). first is the fragment's first row
 // and frag is as for Fit. The gates and the Const fit are Fit's, so
 // when s equals the statistics Fit would accumulate — exact integer
 // sums are, in any order — the results are bitwise Fit's.
@@ -342,6 +350,47 @@ func (ff *FragFit) FitCounts(keys *engine.Table, fIdx []int, s regress.ConstStat
 			ff.Locals[ai*nm+mi] = lm
 		}
 	}
+}
+
+// LinImpossible reports, from the Lin moments mo of a fragment whose
+// observations are counts (integers, every sum exact: regress.LinMoments),
+// whether no Lin candidate can hold on it: it is below local support,
+// its normal equations are singular, or the screen proves its R² below
+// θ (regress.LinMoments.BelowTheta). β is solved as Fit's Lin fit
+// solves it, so singular means exactly what it means there. When it
+// answers false, a Lin model may hold and the caller walks (Fit).
+func (ff *FragFit) LinImpossible(mo *regress.LinMoments) bool {
+	if !ff.hasLin || int(mo.XtX[0]) < ff.th.LocalSupport {
+		return true
+	}
+	if ff.lin.SolveMoments(mo) != nil {
+		return true
+	}
+	return mo.BelowTheta(ff.lin.Beta(), ff.th.Theta)
+}
+
+// Moments sets mo to the Lin moments of the last Fit's fragment over
+// its last aggregate — those its Lin fit accumulated, else from the
+// observations Fit gathered — and reports whether they are exact: a
+// Lin candidate could hold (not LinFree), the fragment has at most
+// regress.MaxMomentD predictors, and every predictor value is an
+// integer of magnitude at most maxAbsX.
+func (ff *FragFit) Moments(mo *regress.LinMoments, maxAbsX float64) bool {
+	n, d := len(ff.ys), ff.d
+	if ff.LinFree || n != ff.n || d > regress.MaxMomentD {
+		return false
+	}
+	for _, x := range ff.xs {
+		if x != math.Trunc(x) || math.Abs(x) > maxAbsX {
+			return false
+		}
+	}
+	if ff.moOK {
+		*mo = ff.mo
+	} else {
+		mo.Accumulate(ff.xs, d, ff.ys)
+	}
+	return true
 }
 
 // Stats returns the statistics the last Fit accumulated for its last
@@ -367,9 +416,14 @@ func (ff *FragFit) fitOne(m regress.ModelType, keys *engine.Table, fIdx []int,
 	var gof, cmean float64
 	var err error
 	if isLin {
-		gof, err = regress.FitLinInto(xs[:len(ys)*d], d, ys, &ff.lin)
+		if d <= regress.MaxMomentD {
+			gof, err = regress.FitLinMoments(xs[:len(ys)*d], d, ys, &ff.mo, &ff.lin)
+			ff.moOK = true
+		} else {
+			gof, err = regress.FitLinInto(xs[:len(ys)*d], d, ys, &ff.lin)
+		}
 	} else {
-		cmean, gof, err = ff.stats.FitParams()
+		cmean, gof, err = ff.stats.FitParamsGate(ff.chi)
 	}
 	if tm != nil {
 		tm.Regression += time.Since(t0)

@@ -48,6 +48,14 @@ func (s *ConstStats) Reset() { *s = ConstStats{} }
 // converted to a p-value with n−1 degrees of freedom, as in the
 // slice-based fit.
 func (s *ConstStats) FitParams() (mean, gof float64, err error) {
+	return s.FitParamsGate(ChiGate{})
+}
+
+// FitParamsGate is FitParams for a caller that keeps only fits whose
+// GoF reaches the gate's θ: a statistic the gate finds past θ's critical
+// value returns GoF 0 without computing its p-value. Every other fit,
+// and so every kept one, returns FitParams's GoF bit for bit.
+func (s *ConstStats) FitParamsGate(g ChiGate) (mean, gof float64, err error) {
 	if s.N == 0 {
 		return 0, 0, ErrEmpty
 	}
@@ -66,11 +74,49 @@ func (s *ConstStats) FitParams() (mean, gof float64, err error) {
 	if dof < 1 {
 		dof = 1
 	}
+	if g.Below(chi2, dof) {
+		return mean, 0, nil
+	}
 	p, err := stats.ChiSquareSF(chi2, dof)
 	if err != nil {
 		return 0, 0, err
 	}
 	return mean, stats.Clamp01(p), nil
+}
+
+// ChiGate is the χ² verdict of a caller that keeps only Const fits whose
+// GoF, the p-value, reaches θ. The zero gate skips nothing.
+type ChiGate struct {
+	lnBound float64 // ln(2/θ)
+	on      bool
+}
+
+// NewChiGate returns the gate of theta; it skips nothing when theta ≤ 0.
+func NewChiGate(theta float64) ChiGate {
+	if !(theta > 0) {
+		return ChiGate{}
+	}
+	return ChiGate{lnBound: math.Log(2 / theta), on: true}
+}
+
+// Below reports whether a χ² statistic chi2 with dof degrees of freedom
+// is past θ's critical value by the margin: its Chernoff bound
+// Pr[X ≥ x] ≤ exp(−(k/2)(r − 1 − ln r)), r = x/k > 1, is below θ/2.
+// ChiSquareSF's relative error is far below the factor 2, so its
+// p-value is then below θ. The exponent crosses ln(2/θ) at a per-(dof,
+// θ) critical value; TestChiVerdict pins the verdict against
+// ChiSquareSF around it. Since ln(1+d) ≤ d(2+d)/(2(1+d)) for d ≥ 0, the
+// exponent is at least (k/2)·d²/(2(1+d)) with d = r − 1: a statistic far
+// past the critical value is found so without a logarithm.
+func (g ChiGate) Below(chi2, dof float64) bool {
+	if !g.on || !(chi2 > dof) {
+		return false
+	}
+	d, half := chi2/dof-1, dof/2
+	if half*d*d/(2*(1+d)) > g.lnBound {
+		return true
+	}
+	return half*(d-math.Log1p(d)) > g.lnBound
 }
 
 // Fit builds the Const model from the accumulated statistics (see
@@ -124,7 +170,8 @@ func (s *LinScratch) grow(p int) (xtx, xty []float64) {
 // callers that reject most fits pay for a Model (scr.Model) only on the
 // fits they keep. The arithmetic (accumulation order, pivoting, R²
 // residual pass) is identical to the historical slice-of-slices
-// implementation, so fits agree bit for bit.
+// implementation, so fits agree bit for bit. The solve is
+// SolveMoments's: handed the same XᵀX and Xᵀy, both leave the same β.
 func FitLinInto(x []float64, d int, ys []float64, scr *LinScratch) (gof float64, err error) {
 	n := len(ys)
 	if n == 0 {
@@ -136,7 +183,61 @@ func FitLinInto(x []float64, d int, ys []float64, scr *LinScratch) (gof float64,
 	p := d + 1 // intercept + predictors
 
 	xtx, xty := scr.grow(p)
-	for r := 0; r < n; r++ {
+	accumulate(xtx, xty, x, d, ys)
+	beta, err := scr.solve(xtx, xty, p)
+	if err != nil {
+		return 0, err
+	}
+	return linGoF(x, d, ys, beta), nil
+}
+
+// FitLinMoments is FitLinInto over at most MaxMomentD predictors that
+// accumulates the normal equations in mo, which keeps them: the same
+// accumulation, solve and residual pass, so the GoF, β and error are
+// FitLinInto's bit for bit.
+func FitLinMoments(x []float64, d int, ys []float64, mo *LinMoments, scr *LinScratch) (gof float64, err error) {
+	if len(ys) == 0 {
+		return 0, ErrEmpty
+	}
+	if d < 0 || d > MaxMomentD || len(x) != len(ys)*d {
+		return 0, ErrShape
+	}
+	mo.Accumulate(x, d, ys)
+	if err := scr.SolveMoments(mo); err != nil {
+		return 0, err
+	}
+	return linGoF(x, d, ys, scr.Beta()), nil
+}
+
+// linGoF returns R² of the fit beta over the observations (x, ys): a
+// residual pass over the float β and stats.SumSquaredDev. The residual
+// pass evaluates predictions through the same method the materialized
+// model will use, so GoF and Predict agree bit for bit.
+func linGoF(x []float64, d int, ys []float64, beta []float64) float64 {
+	m := linearModel{beta: beta}
+	var ssRes float64
+	for r := range ys {
+		e := ys[r] - m.Predict(x[r*d:r*d+d])
+		ssRes += e * e
+	}
+	ssTot := stats.SumSquaredDev(ys)
+	switch {
+	case ssTot == 0 && ssRes <= 1e-18:
+		return 1
+	case ssTot == 0:
+		return 0
+	default:
+		return stats.Clamp01(1 - ssRes/ssTot)
+	}
+}
+
+// accumulate adds the observations (x, ys), x row-major with stride d,
+// into the zeroed normal equations: the p×p matrix XᵀX (row-major, p =
+// d+1, the intercept first) and the vector Xᵀy. It fills the upper
+// triangle and mirrors it, so xtx is symmetric.
+func accumulate(xtx, xty, x []float64, d int, ys []float64) {
+	p := d + 1
+	for r := range ys {
 		row := x[r*d : r*d+d]
 		y := ys[r]
 		// Intercept row: xi[0] = 1, so products reduce to the raw values.
@@ -159,34 +260,18 @@ func FitLinInto(x []float64, d int, ys []float64, scr *LinScratch) (gof float64,
 			xtx[i*p+j] = xtx[j*p+i]
 		}
 	}
+}
 
-	if cap(scr.beta) < p {
-		scr.beta = make([]float64, p)
+// solve solves the normal equations xtx·β = xty (p coefficients; both
+// are scratch and are overwritten) into the scratch's β, which it
+// returns.
+func (s *LinScratch) solve(xtx, xty []float64, p int) ([]float64, error) {
+	if cap(s.beta) < p {
+		s.beta = make([]float64, p)
 	}
-	beta := scr.beta[:p]
-	scr.betaN = p
-	if err := solveFlat(xtx, xty, p, beta); err != nil {
-		return 0, err
-	}
-
-	// The residual pass evaluates predictions through the same method the
-	// materialized model will use, so GoF and Predict agree bit for bit.
-	m := linearModel{beta: beta}
-	var ssRes float64
-	for r := 0; r < n; r++ {
-		e := ys[r] - m.Predict(x[r*d:r*d+d])
-		ssRes += e * e
-	}
-	ssTot := stats.SumSquaredDev(ys)
-	switch {
-	case ssTot == 0 && ssRes <= 1e-18:
-		gof = 1
-	case ssTot == 0:
-		gof = 0
-	default:
-		gof = stats.Clamp01(1 - ssRes/ssTot)
-	}
-	return gof, nil
+	beta := s.beta[:p]
+	s.betaN = p
+	return beta, solveFlat(xtx, xty, p, beta)
 }
 
 // Model materializes the solution of the most recent successful
