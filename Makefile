@@ -10,22 +10,26 @@ build:
 test:
 	$(GO) test ./...
 
-# The gate every PR must pass: vet, staticcheck (when installed — CI
-# always has it; locally it is skipped rather than failing on a missing
-# binary), build, a guard that no non-test code depends on the
+# The gate every PR must pass: gofmt (any file it would reformat fails
+# the gate, as CI's own gofmt step does), vet, staticcheck (when
+# installed — CI always has it; locally it is skipped rather than
+# failing on a missing binary), build, a guard that no non-test code depends on the
 # test-support package internal/oracle, a guard that the server binaries
 # (capeserver, capeshard) pull in none of the packages outside the
 # paper's mine-then-explain pipeline (the comparison baseline, the
 # question-query parser, the experiments, the oracle), and the full
 # suite under the race detector, once. That one run holds every identity gate: the kernel
-# differentials (each operator on a dense Table and on a SegTable of
-# sealed segments plus a tail, at pool width 1 and 4, against the
-# literal definitions of internal/oracle), the segment, mmap,
-# pool-attached, maintained-vs-remined, sharded and cache differentials,
+# differentials (GroupBy with and without aggregates, CountDistinct and
+# Cube on a dense Table and on a SegTable of sealed segments plus a
+# tail, Cube at pool width 1 and 4, and the dense Table's SelectEq,
+# against the literal definitions of internal/oracle), the segment,
+# mmap, maintained-vs-remined, sharded and cache differentials,
 # the fuzz seed corpora, the WAL crash matrix at every syscall boundary
 # of its workload, and the repository benchmark's four lifecycles at
 # -tiny size with their oracle checks.
 check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "files need gofmt:" $$unformatted >&2; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \

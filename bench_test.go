@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cape/internal/engine"
 	"cape/internal/exp"
 	"cape/internal/mining"
 )
@@ -130,7 +131,7 @@ func BenchmarkEngine_Cube(b *testing.B) {
 	aggs := []AggSpec{Count()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.Cube(tab.Schema().Names(), 2, 4, aggs); err != nil {
+		if _, err := engine.Cube(tab, nil, tab.Schema().Names(), 2, 4, aggs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,15 +4,15 @@ import (
 	"cape/internal/value"
 )
 
-// The parts kernels: GroupBy, SelectEq, CountDistinct and
-// DistinctProject evaluated over a sequence of parts, where a part is
-// one physically contiguous slab of rows — a sealed segment (RLE or
-// bit-packed dictionary codes, possibly mmap'd) or a dense slab (a
-// Table's columns, or a SegTable's append tail). A Table is one solo dense
-// part; a SegTable is its segments plus the tail. Group identity, group
-// order, aggregate fold order and result values are byte-identical to
-// the literal row-at-a-time definitions in internal/oracle, which the
-// differential tests hold every kernel to:
+// The parts kernels: GroupBy and CountDistinct evaluated over a
+// sequence of parts, where a part is one physically contiguous slab of
+// rows — a sealed segment (RLE or bit-packed dictionary codes, possibly
+// mmap'd) or a dense slab (a Table's columns, or a SegTable's append
+// tail). A Table is one solo dense part; a SegTable is its segments
+// plus the tail. Group identity, group order, aggregate fold order and
+// result values are byte-identical to the literal row-at-a-time
+// definitions in internal/oracle, which the differential tests hold
+// every kernel to:
 //
 //   - Group ids are assigned in global first-appearance row order.
 //     Cross-part identity goes through the canonical AppendKey bytes of
@@ -28,9 +28,6 @@ import (
 //     class keep their kinds.
 //   - Min/Max keep the value of the first row that wins under strict
 //     Compare, like the reference.
-//
-// Equality probes compare codes: dictionary codes are AppendKey classes,
-// which are exactly value.Equal classes.
 
 // compPart is one contiguous slab of rows presented to the kernels: a
 // sealed segment (seg non-nil) or a dense part, a Table's own columns.
@@ -918,67 +915,4 @@ func countDistinctParts(parts []*compPart, nK int) int {
 		}
 	}
 	return len(seen)
-}
-
-// distinctParts returns the distinct key combinations across parts, in
-// first-appearance order, as a table of schema sch.
-func distinctParts(parts []*compPart, sch Schema) *Table {
-	firsts := groupParts(parts, len(sch), nil, nil).ga.firsts
-	return materializeGroups(parts, firsts, nil, len(sch), nil, sch)
-}
-
-// selectEqPlanParts resolves an equality probe against every part's
-// dictionaries. It returns, per part, the wanted code of each probed
-// column; parts whose entry is nil cannot contain a match.
-func selectEqPlanParts(parts []*compPart, vals value.Tuple) [][]int32 {
-	want := make([][]int32, len(parts))
-	for pi, p := range parts {
-		w := make([]int32, len(vals))
-		miss := false
-		for i, v := range vals {
-			code, ok := p.keys[i].CodeOf(v)
-			if !ok {
-				miss = true
-				break
-			}
-			w[i] = code
-		}
-		if !miss {
-			want[pi] = w
-		}
-	}
-	return want
-}
-
-// selectEqPart emits, in row order, the part-local row ranges where
-// every probed column carries its wanted code: sealed parts answer from
-// their code-span indexes, dense parts scan their codes in place.
-func selectEqPart(p *compPart, want []int32, emit func(lo, hi int32)) {
-	if p.seg != nil {
-		selectEqSpans(p, want, emit)
-		return
-	}
-	n := p.n
-	k0, w0, rest := p.keys[0].dense[:n], want[0], p.keys[1:]
-	matches := func(r int) bool {
-		if k0[r] != w0 {
-			return false
-		}
-		for k, kc := range rest {
-			if kc.dense[r] != want[k+1] {
-				return false
-			}
-		}
-		return true
-	}
-	for r := 0; r < n; r++ {
-		// Most rows fail the first key: keep that compare inline.
-		if k0[r] != w0 || !matches(r) {
-			continue
-		}
-		lo := r
-		for r++; r < n && matches(r); r++ {
-		}
-		emit(int32(lo), int32(r))
-	}
 }

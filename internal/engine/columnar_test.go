@@ -125,11 +125,13 @@ func randomAggs(rng *rand.Rand, t schemaHolder) []AggSpec {
 }
 
 // kernelTarget is one relation the kernel differentials evaluate, next
-// to the oracle over the same logical rows.
+// to the oracle over the same logical rows, and the pool a Cube over it
+// fans its masks across.
 type kernelTarget struct {
 	label string
 	rel   Relation
 	ref   *oracleRel
+	pool  *Pool
 }
 
 // kernelTargets presents tab to the differential suites four ways: as a
@@ -142,15 +144,27 @@ func kernelTargets(t *testing.T, tab genTable) []kernelTarget {
 	t.Helper()
 	var out []kernelTarget
 	for _, width := range []int{1, 4} {
-		dense := tab.Clone()
-		dense.AttachPool(NewPool(width))
 		st, logical := segTableOf(t, tab, 2)
-		st.AttachPool(NewPool(width))
 		out = append(out,
-			kernelTarget{fmt.Sprintf("table/w%d", width), dense, tab.oracle()},
-			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, logical.oracle()})
+			kernelTarget{fmt.Sprintf("table/w%d", width), tab.Clone(), tab.oracle(), NewPool(width)},
+			kernelTarget{fmt.Sprintf("segtable/w%d", width), st, logical.oracle(), NewPool(width)})
 	}
 	return out
+}
+
+// checkDistinct holds GroupBy(cols, nil), the engine's distinct
+// projection, to the literal δ over the reference rows.
+func checkDistinct(t *testing.T, rel Relation, ref *oracleRel, cols []string, label string) {
+	t.Helper()
+	got, err := rel.GroupBy(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DistinctProject(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesIdentical(t, got, want, fmt.Sprintf("%s GroupBy(%v, nil)", label, cols))
 }
 
 // kernelTable is randomTable plus a high-cardinality float column "hf"
@@ -233,11 +247,13 @@ var eqProbes = []value.V{
 	value.NewString("absent"),
 }
 
+// TestSelectEqColumnarDifferential pins SelectEq, a dense Table's
+// selection, to the oracle.
 func TestSelectEqColumnarDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(150), 2+rng.Intn(3))
-		targets := kernelTargets(t, tab)
+		ref := tab.oracle()
 		for trial := 0; trial < 8; trial++ {
 			cols := randomCols(rng, tab, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
@@ -250,18 +266,15 @@ func TestSelectEqColumnarDifferential(t *testing.T) {
 					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
 			}
-			for _, kt := range targets {
-				got, err := kt.rel.SelectEq(cols, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := kt.ref.SelectEq(cols, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesIdentical(t, got, want,
-					fmt.Sprintf("seed %d %s SelectEq(%v, %s)", seed, kt.label, cols, vals))
+			got, err := tab.SelectEq(cols, vals)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := ref.SelectEq(cols, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, fmt.Sprintf("seed %d SelectEq(%v, %s)", seed, cols, vals))
 		}
 		selectEqAfterMutation(t, rng, tab, fmt.Sprintf("seed %d", seed))
 	}
@@ -283,8 +296,8 @@ const edgeKeyClasses = 8
 
 // TestSelectEqSelectsEachGroup pins the one equality of grouping and
 // selection: for every group of GroupBy(cols), SelectEq(cols, key)
-// returns exactly that group's rows — on a dense Table and on a SegTable
-// of sealed segments plus a tail, at pool widths 1 and 4.
+// returns exactly that group's rows — on a dense Table, and on the one
+// a SegTable of sealed segments plus a tail materializes.
 func TestSelectEqSelectsEachGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := make([]value.Tuple, 3000)
@@ -296,36 +309,31 @@ func TestSelectEqSelectsEachGroup(t *testing.T) {
 		}
 	}
 	tab := newGenTable(Schema{{Name: "k", Kind: value.Null}, {Name: "s", Kind: value.String}, {Name: "v", Kind: value.Int}}, rows)
-	for _, width := range []int{1, 4} {
-		dense := tab.Clone()
-		dense.AttachPool(NewPool(width))
-		st, _ := segTableOf(t, tab, 3)
-		st.AttachPool(NewPool(width))
-		for _, rel := range []Relation{dense, st} {
-			for _, cols := range [][]string{{"k"}, {"k", "s"}, {"s", "k"}} {
-				label := fmt.Sprintf("%T width %d %v", rel, width, cols)
-				groups, err := rel.GroupBy(cols, []AggSpec{{Func: Count}})
+	st, _ := segTableOf(t, tab, 3)
+	for name, rel := range map[string]*Table{"table": tab.Clone(), "materialized segtable": st.Materialize()} {
+		for _, cols := range [][]string{{"k"}, {"k", "s"}, {"s", "k"}} {
+			label := fmt.Sprintf("%s %v", name, cols)
+			groups, err := rel.GroupBy(cols, []AggSpec{{Func: Count}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cols) == 1 && groups.NumRows() != edgeKeyClasses {
+				t.Fatalf("%s: %d groups, want %d:\n%s", label, groups.NumRows(), edgeKeyClasses, groups)
+			}
+			total := 0
+			for _, g := range groups.Rows() {
+				key, count := g[:len(cols)], g[len(cols)].Int()
+				sel, err := rel.SelectEq(cols, key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(cols) == 1 && groups.NumRows() != edgeKeyClasses {
-					t.Fatalf("%s: %d groups, want %d:\n%s", label, groups.NumRows(), edgeKeyClasses, groups)
+				if int64(sel.NumRows()) != count {
+					t.Errorf("%s: SelectEq(%v) = %d rows, group count %d", label, key, sel.NumRows(), count)
 				}
-				total := 0
-				for _, g := range groups.Rows() {
-					key, count := g[:len(cols)], g[len(cols)].Int()
-					sel, err := rel.SelectEq(cols, key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if int64(sel.NumRows()) != count {
-						t.Errorf("%s: SelectEq(%v) = %d rows, group count %d", label, key, sel.NumRows(), count)
-					}
-					total += sel.NumRows()
-				}
-				if total != tab.NumRows() {
-					t.Errorf("%s: selections cover %d rows, want %d", label, total, tab.NumRows())
-				}
+				total += sel.NumRows()
+			}
+			if total != tab.NumRows() {
+				t.Errorf("%s: selections cover %d rows, want %d", label, total, tab.NumRows())
 			}
 		}
 	}
@@ -428,15 +436,7 @@ func TestCountDistinctColumnarDifferential(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s CountDistinct(%v): got %d, want %d", label, cols, got, want)
 				}
-				gotP, err := kt.rel.DistinctProject(cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantP, err := kt.ref.DistinctProject(cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesIdentical(t, gotP, wantP, fmt.Sprintf("%s DistinctProject(%v)", label, cols))
+				checkDistinct(t, kt.rel, kt.ref, cols, label)
 			}
 		}
 	}
@@ -486,34 +486,39 @@ func TestAppendMixedKindSum(t *testing.T) {
 	}
 }
 
+// TestCubeColumnarDifferential pins Cube over every kernel target — a
+// Table and a SegTable, with its masks fanned across pools of width 1
+// and 4 — to the oracle, and each slice of it to the grouping over
+// exactly that subset.
 func TestCubeColumnarDifferential(t *testing.T) {
 	aggs := []AggSpec{{Func: Count}, {Func: Sum, Arg: "c0"}, {Func: Avg, Arg: "c1"}}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, rng.Intn(80), 3)
-		ref := tab.oracle()
 		cols := []string{"c0", "c1", "c2"}
-		got, err := tab.Cube(cols, 0, 3, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Cube(cols, 0, 3, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesIdentical(t, got, want, fmt.Sprintf("seed %d Cube", seed))
+		for _, kt := range kernelTargets(t, tab) {
+			label := fmt.Sprintf("seed %d %s", seed, kt.label)
+			got, err := Cube(kt.rel, kt.pool, cols, 0, 3, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := kt.ref.Cube(cols, 0, 3, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, label+" Cube")
 
-		// A slice of the cube is the grouping over exactly that subset.
-		for _, subset := range [][]string{{}, {"c1"}, {"c0", "c2"}, {"c0", "c1", "c2"}} {
-			gs, err := CubeSlice(got, cols, subset, aggs)
-			if err != nil {
-				t.Fatal(err)
+			for _, subset := range [][]string{{}, {"c1"}, {"c0", "c2"}, {"c0", "c1", "c2"}} {
+				gs, err := CubeSlice(got, cols, subset, aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws, err := kt.ref.GroupBy(subset, aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesIdentical(t, gs, ws, fmt.Sprintf("%s CubeSlice(%v)", label, subset))
 			}
-			ws, err := ref.GroupBy(subset, aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesIdentical(t, gs, ws, fmt.Sprintf("seed %d CubeSlice(%v)", seed, subset))
 		}
 	}
 }
@@ -676,8 +681,9 @@ func TestColumnarConcurrent(t *testing.T) {
 }
 
 // FuzzColumnarKernels drives GroupBy, SelectEq and CountDistinct on a
-// fuzz-shaped table through the kernels and the oracle and requires
-// identical output.
+// fuzz-shaped table, and GroupBy without aggregates (the distinct
+// projection) on every kernel target, through the kernels and the
+// oracle and requires identical output.
 func FuzzColumnarKernels(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2))
 	f.Add(int64(2), uint8(0), uint8(1))
@@ -724,6 +730,9 @@ func FuzzColumnarKernels(f *testing.F) {
 		}
 		if gn != wn {
 			t.Fatalf("fuzz CountDistinct: %d != %d", gn, wn)
+		}
+		for _, kt := range kernelTargets(t, tab) {
+			checkDistinct(t, kt.rel, kt.ref, cols, "fuzz "+kt.label)
 		}
 	})
 }
@@ -775,31 +784,25 @@ func TestDegenerateQueriesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	full := randomTable(rng, 30, 2)
 	for _, tab := range []genTable{full, newGenTable(full.Schema(), nil)} {
+		for _, cols := range [][]string{nil, {"c0"}} {
+			vals := make(value.Tuple, len(cols))
+			for i := range vals {
+				vals[i] = value.NewString("s1")
+			}
+			got, err := tab.SelectEq(cols, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tab.oracle().SelectEq(cols, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, got, want, fmt.Sprintf("%d rows SelectEq(%v)", tab.NumRows(), cols))
+		}
 		for _, kt := range kernelTargets(t, tab) {
 			label := fmt.Sprintf("%d rows %s", tab.NumRows(), kt.label)
 			for _, cols := range [][]string{nil, {"c0"}} {
-				vals := make(value.Tuple, len(cols))
-				for i := range vals {
-					vals[i] = value.NewString("s1")
-				}
-				got, err := kt.rel.SelectEq(cols, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := kt.ref.SelectEq(cols, vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesIdentical(t, got, want, fmt.Sprintf("%s SelectEq(%v)", label, cols))
-				gotP, err := kt.rel.DistinctProject(cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantP, err := kt.ref.DistinctProject(cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesIdentical(t, gotP, wantP, fmt.Sprintf("%s DistinctProject(%v)", label, cols))
+				checkDistinct(t, kt.rel, kt.ref, cols, label)
 				gotN, err := kt.rel.CountDistinct(cols)
 				if err != nil {
 					t.Fatal(err)

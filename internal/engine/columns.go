@@ -13,18 +13,17 @@ import (
 // the exact value of every row as its kind plus flat float64/int64
 // buffers and a null bitmap, and a dictionary encoding — int32 codes
 // over a dictionary of distinct values. The operator kernels (GroupBy,
-// SelectEq, CountDistinct, CUBE) and downstream consumers (pattern
-// fitting, explanation scoring) run tight loops over these machine-typed
-// buffers instead of boxed value.V dispatch.
+// SelectEq, CountDistinct) and downstream consumers (pattern fitting,
+// explanation scoring) run tight loops over these machine-typed buffers
+// instead of boxed value.V dispatch.
 //
 // Codes identify equality classes under value.V's canonical AppendKey
-// encoding — exactly the classes GroupBy, CountDistinct and
-// DistinctProject group by — so kernels compare int32s instead of
-// encoded byte strings. A class can hold values of different kinds or
-// bits (Int(1) and Float(1), −0.0 and +0.0, NaNs with different
-// payloads), so a row's exact value comes from Kinds/I64/F64 (Value),
-// never from its dictionary representative; only strings, whose class
-// is their bytes, read the dictionary.
+// encoding — exactly the classes GroupBy and CountDistinct group by —
+// so kernels compare int32s instead of encoded byte strings. A class
+// can hold values of different kinds or bits (Int(1) and Float(1), −0.0
+// and +0.0, NaNs with different payloads), so a row's exact value comes
+// from Kinds/I64/F64 (Value), never from its dictionary representative;
+// only strings, whose class is their bytes, read the dictionary.
 //
 // The exported buffers are views into the table's storage: callers must
 // not mutate them. Appends extend them in place, so a column is not safe

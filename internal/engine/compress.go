@@ -10,8 +10,8 @@ import (
 
 // CompressedCol is a compressed encoding of one dictionary-coded column:
 // the per-row int32 codes of a Col re-expressed as run-length runs or as
-// bit-packed words, next to the shared dictionary. Kernels that group,
-// filter, or aggregate consume it through a runCur — a cursor yielding
+// bit-packed words, next to the shared dictionary. Kernels that group
+// or aggregate consume it through a runCur — a cursor yielding
 // maximal equal-code runs in row order — so their cost scales with the
 // number of runs (RLE) or with a sequential unpack (bit-packed), never
 // with boxed per-row dispatch, and the code payload of an on-disk
@@ -48,14 +48,10 @@ type CompressedCol struct {
 	bitWidth uint32
 	dense    []int32
 
-	lookupOnce sync.Once
-	lookup     map[string]int32 // AppendKey bytes → code, built lazily
-
 	// Decoded-block cache for the PACK encoding: sequential cursors
-	// decode 1024-code blocks through here, so refinement scans that
-	// revisit the same rows (one group-by per attribute set, repeated
-	// selection probes) pay the bit-unpack once per block instead of
-	// once per row per scan. The cache is keyed by block index only —
+	// decode 1024-code blocks through here, so scans that revisit the
+	// same rows (one group-by per attribute set) pay the bit-unpack once
+	// per block instead of once per row per scan. The cache is keyed by block index only —
 	// the column is immutable, so there is no epoch to track: a column
 	// rebuilt after an append (or a segment re-opened after Compact) is
 	// a fresh CompressedCol with a fresh cache, and closing a segment
@@ -66,12 +62,6 @@ type CompressedCol struct {
 	blockMu   sync.Mutex
 	blockTick uint64
 	blockMap  map[int32]*decodedBlock
-
-	// Per-code row-span index (CSR layout), built lazily by spanIndex
-	// for the immutable RLE/PACK encodings; see selectindex.go.
-	spanOnce sync.Once
-	spanOff  []int32
-	spans    []int32
 }
 
 // decodedBlock is one cached decoded PACK block with its LRU recency.
@@ -146,25 +136,6 @@ func (cc *CompressedCol) buildDictMeta() {
 			cc.hasFloat = true
 		}
 	}
-}
-
-// CodeOf returns the dictionary code of v under AppendKey equality —
-// value.Equal — or ok=false when v does not occur in the column.
-func (cc *CompressedCol) CodeOf(v value.V) (int32, bool) {
-	cc.lookupOnce.Do(func() {
-		m := make(map[string]int32, len(cc.dict))
-		var buf []byte
-		for i, dv := range cc.dict {
-			buf = dv.AppendKey(buf[:0])
-			if _, dup := m[string(buf)]; !dup {
-				m[string(buf)] = int32(i)
-			}
-		}
-		cc.lookup = m
-	})
-	var buf [24]byte
-	code, ok := cc.lookup[string(v.AppendKey(buf[:0]))]
-	return code, ok
 }
 
 // CodeAt returns the code of row i: direct for DENSE and PACK, a binary
@@ -465,15 +436,13 @@ func compressCodes(codes []int32, dict []value.V) *CompressedCol {
 }
 
 // denseView presents a Col's dense codes as a key column of the parts
-// kernels in O(1): codes, dictionary and lookup map are the
-// Col's own, nothing is copied or scanned. Only key columns take this
+// kernels in O(1): codes and dictionary are the Col's own, nothing is
+// copied or scanned. Only key columns take this
 // view — a dense part reads its aggregate arguments from flat buffers
 // (see compPart) — so the dictionary metadata of aggregate folds is
 // never built for it.
 func denseView(col *Col) *CompressedCol {
-	cc := &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes}
-	cc.lookupOnce.Do(func() { cc.lookup = col.lookup })
-	return cc
+	return &CompressedCol{n: len(col.Codes), dict: col.Dict, dense: col.Codes}
 }
 
 // runCur is a cursor over the maximal equal-code runs of a CompressedCol

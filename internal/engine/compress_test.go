@@ -158,11 +158,15 @@ func TestGroupByCompressedDifferential(t *testing.T) {
 	}
 }
 
+// TestSelectEqCompressedDifferential: a SegTable of sealed segments
+// selects through the one dense table it materializes — NAIVE's path
+// over segments — and answers as the oracle does.
 func TestSelectEqCompressedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(150), 2+rng.Intn(3)))
 		ref := dense.oracle()
+		mat := st.Materialize()
 		for trial := 0; trial < 8; trial++ {
 			cols := randomCols(rng, dense, 1+rng.Intn(2))
 			vals := make(value.Tuple, len(cols))
@@ -174,7 +178,7 @@ func TestSelectEqCompressedDifferential(t *testing.T) {
 					vals[i] = eqProbes[rng.Intn(len(eqProbes))]
 				}
 			}
-			got, err := st.SelectEq(cols, vals)
+			got, err := mat.SelectEq(cols, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +221,7 @@ func TestCubeCompressedDifferential(t *testing.T) {
 		st, dense := sealedClone(t, rng, randomTable(rng, rng.Intn(80), 3))
 		ref := dense.oracle()
 		cols := []string{"c0", "c1", "c2"}
-		got, err := st.Cube(cols, 0, 3, aggs)
+		got, err := Cube(st, nil, cols, 0, 3, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +315,7 @@ func FuzzCompressedKernels(f *testing.F) {
 		if tab.NumRows() > 0 {
 			ci := tab.Schema().Index(cols[0])
 			val := tab.Row(rng.Intn(tab.NumRows()))[ci]
-			gotS, err := comp.SelectEq(cols[:1], value.Tuple{val})
+			gotS, err := comp.Materialize().SelectEq(cols[:1], value.Tuple{val})
 			if err != nil {
 				t.Fatal(err)
 			}

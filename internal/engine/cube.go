@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cape/internal/value"
 )
@@ -12,22 +13,16 @@ import (
 // filter invalid groups out of the cube result.
 const GroupingColumn = "grouping"
 
-// Cube evaluates the aggregation for every subset S of cols with
+// Cube evaluates the aggregation over r for every subset S of cols with
 // minSize <= |S| <= maxSize, returning the union of all those group-by
 // results in one table. Rolled-up columns hold NULL; the GroupingColumn
 // bitmask distinguishes a genuine NULL group value from a rolled-up
 // column. This mirrors the paper's "Using the CUBE BY operator"
 // optimization: one (expensive) query whose materialized result serves
-// every pattern candidate.
-func (t *Table) Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
-	return cubeOver(t, cols, minSize, maxSize, aggs)
-}
-
-// cubeOver is the shared CUBE loop: one GroupBy per subset, results
-// unioned with rolled-up columns as NULL plus the grouping bitmask. Any
-// Relation serves; each grouping routes through the source's own
-// GroupBy dispatch (columnar, compressed, or segment-backed).
-func cubeOver(r Relation, cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
+// every pattern candidate. Each grouping is one r.GroupBy; the
+// groupings fan across pool (nil runs them in turn) and are assembled
+// in mask order, so the result is byte-identical at any pool width.
+func Cube(r Relation, pool *Pool, cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
 	if minSize < 0 || maxSize > len(cols) || minSize > maxSize {
 		return nil, fmt.Errorf("engine: invalid cube size bounds [%d, %d] for %d columns", minSize, maxSize, len(cols))
 	}
@@ -51,22 +46,15 @@ func cubeOver(r Relation, cols []string, minSize, maxSize int, aggs []AggSpec) (
 	total := uint64(1) << uint(len(cols))
 	var masks []uint64
 	for mask := uint64(0); mask < total; mask++ {
-		if size := popcount(mask); size >= minSize && size <= maxSize {
+		if size := bits.OnesCount64(mask); size >= minSize && size <= maxSize {
 			masks = append(masks, mask)
 		}
 	}
 
-	// One GroupBy per subset. The groupings are independent, so they fan
-	// across the source's pool (when it has one) and are assembled in
-	// mask order — the same output row order the sequential loop builds.
-	var pool *Pool
-	if pr, ok := r.(pooledRelation); ok {
-		pool = pr.queryPool()
-	}
 	grouped := make([]*Table, len(masks))
 	err := pool.ForEach("engine:cube", len(masks), func(mi int) error {
 		mask := masks[mi]
-		subset := make([]string, 0, popcount(mask))
+		subset := make([]string, 0, bits.OnesCount64(mask))
 		for i, c := range cols {
 			if mask&(1<<uint(i)) != 0 {
 				subset = append(subset, c)
@@ -166,12 +154,4 @@ func CubeSlice(cube *Table, cols, subset []string, aggs []AggSpec) (*Table, erro
 		out.cols = append(out.cols, cube.cols[ci].gather(rows))
 	}
 	return out, nil
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -10,7 +10,7 @@ func TestCubeCoversAllSubsets(t *testing.T) {
 	tab := pubTable(t)
 	cols := []string{"author", "year", "venue"}
 	aggs := []AggSpec{{Func: Count}}
-	cube, err := tab.Cube(cols, 1, 3, aggs)
+	cube, err := Cube(tab, nil, cols, 1, 3, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCubeSliceMatchesGroupBy(t *testing.T) {
 	tab := pubTable(t)
 	cols := []string{"author", "year", "venue"}
 	aggs := []AggSpec{{Func: Count}}
-	cube, err := tab.Cube(cols, 1, 3, aggs)
+	cube, err := Cube(tab, nil, cols, 1, 3, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCubeSliceMatchesGroupBy(t *testing.T) {
 func TestCubeSizeBounds(t *testing.T) {
 	tab := pubTable(t)
 	cols := []string{"author", "year", "venue"}
-	cube, err := tab.Cube(cols, 2, 2, []AggSpec{{Func: Count}})
+	cube, err := Cube(tab, nil, cols, 2, 2, []AggSpec{{Func: Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,13 @@ func TestCubeSizeBounds(t *testing.T) {
 
 func TestCubeInvalidBounds(t *testing.T) {
 	tab := pubTable(t)
-	if _, err := tab.Cube([]string{"author"}, 2, 1, nil); err == nil {
+	if _, err := Cube(tab, nil, []string{"author"}, 2, 1, nil); err == nil {
 		t.Error("min>max should error")
 	}
-	if _, err := tab.Cube([]string{"author"}, 0, 5, nil); err == nil {
+	if _, err := Cube(tab, nil, []string{"author"}, 0, 5, nil); err == nil {
 		t.Error("max beyond column count should error")
 	}
-	if _, err := tab.Cube([]string{"ghost"}, 1, 1, nil); err == nil {
+	if _, err := Cube(tab, nil, []string{"ghost"}, 1, 1, nil); err == nil {
 		t.Error("unknown column should error")
 	}
 }
@@ -93,7 +93,7 @@ func TestCubeSliceErrors(t *testing.T) {
 	tab := pubTable(t)
 	cols := []string{"author", "year"}
 	aggs := []AggSpec{{Func: Count}}
-	cube, err := tab.Cube(cols, 1, 2, aggs)
+	cube, err := Cube(tab, nil, cols, 1, 2, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCubeNullGroupValueDistinctFromRollup(t *testing.T) {
 	tab.MustAppend(value.Tuple{value.NewNull(), value.NewInt(1)})
 	tab.MustAppend(value.Tuple{value.NewString("x"), value.NewInt(2)})
 	aggs := []AggSpec{{Func: Count}}
-	cube, err := tab.Cube([]string{"a", "b"}, 1, 2, aggs)
+	cube, err := Cube(tab, nil, []string{"a", "b"}, 1, 2, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCubeSliceMatchesGroupByAllAggregates(t *testing.T) {
 		{Func: Min, Arg: "year"},
 		{Func: Max, Arg: "year"},
 	}
-	cube, err := tab.Cube(cols, 1, 2, aggs)
+	cube, err := Cube(tab, nil, cols, 1, 2, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}

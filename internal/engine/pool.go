@@ -3,18 +3,17 @@ package engine
 import (
 	"context"
 	"runtime/pprof"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // Pool is a bounded worker pool shared by every layer of one mining or
-// explanation run: miners fan attribute sets across it, and the engine
-// fans a cube's masks (cubeOver) and a SegTable's parts (SelectEq)
-// across the same pool, so composing the two levels never
-// oversubscribes the configured width. A group-by itself runs one
-// sequential scan (groupParts) at every width. The zero of *Pool (nil)
-// runs everything inline.
+// explanation run: miners fan attribute sets across it, and Cube, which
+// a run hands the same pool, fans its masks across it, so composing the
+// two levels never oversubscribes the configured width. No relation
+// holds a pool: a run passes its own to whatever fans out. A group-by
+// itself runs one sequential scan (groupParts) at every width. The zero
+// of *Pool (nil) runs everything inline.
 //
 // ForEach uses caller-runs semantics: the calling goroutine always
 // participates, and up to workers−1 extra goroutines join only while
@@ -102,46 +101,3 @@ acquire:
 	wg.Wait()
 	return firstErr
 }
-
-// poolSlot holds the pool a relation's kernels fan across. Runs over
-// one relation may overlap — a server mines several sets of one table
-// at once — so each run's attachment lasts until its own detach, and
-// the kernels use the latest pool still attached: a run that ends never
-// takes the pool from under one still running. Results are
-// byte-identical at any pool width, so which attached pool the kernels
-// use changes only their speed.
-type poolSlot struct {
-	mu       sync.Mutex
-	attached []*Pool // in attach order
-	cur      atomic.Pointer[Pool]
-}
-
-// attach holds p until detach is called; detach is idempotent.
-func (s *poolSlot) attach(p *Pool) (detach func()) {
-	s.mu.Lock()
-	s.attached = append(s.attached, p)
-	s.cur.Store(p)
-	s.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			i := slices.Index(s.attached, p)
-			s.attached = slices.Delete(s.attached, i, i+1)
-			var latest *Pool
-			if n := len(s.attached); n > 0 {
-				latest = s.attached[n-1]
-			}
-			s.cur.Store(latest)
-		})
-	}
-}
-
-// load returns the pool the kernels fan across, nil for none. Queries
-// running on pool workers read it without taking the lock.
-func (s *poolSlot) load() *Pool { return s.cur.Load() }
-
-// pooledRelation lets generic operators (cubeOver) discover the pool a
-// relation carries without widening the Relation interface.
-type pooledRelation interface{ queryPool() *Pool }

@@ -26,19 +26,17 @@ func intDict(n int) []value.V {
 	return dict
 }
 
-// TestSegTablePoolDifferential runs the full operator surface (GroupBy,
-// SelectEq, CountDistinct, DistinctProject, Cube) of a pool-attached
-// SegTable against the oracle — the same reference the
-// sequential differential test uses, now with per-part and
-// per-cube-mask fan-out active.
+// TestSegTablePoolDifferential runs the operator surface (GroupBy,
+// CountDistinct, GroupBy without aggregates, Cube) of a SegTable
+// against the oracle — the same reference the sequential differential
+// test uses — with Cube's masks fanned across pools of width 1 and 4.
 func TestSegTablePoolDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
 		tab := typedRandomTable(rng, rng.Intn(250), 2+rng.Intn(3))
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{1, 4} {
 			st, logical := segTableOf(t, tab, 3)
-			st.AttachPool(NewPool(workers))
-			checkSegTable(t, rng, st, logical, fmt.Sprintf("seed %d workers %d", seed, workers))
+			checkSegTable(t, rng, st, logical, NewPool(workers), fmt.Sprintf("seed %d workers %d", seed, workers))
 		}
 	}
 }
@@ -136,153 +134,6 @@ func TestDecodedBlockCacheEviction(t *testing.T) {
 		}
 		if len(cc.blockMap) > decodeCacheBlocks {
 			t.Fatalf("cache holds %d blocks, cap %d", len(cc.blockMap), decodeCacheBlocks)
-		}
-	}
-}
-
-// selectEqRuns is the reference selectEqSpans is pinned to: walk the
-// merged key runs of one part and emit the half-open row ranges where
-// every probed column carries its wanted code.
-func selectEqRuns(p *compPart, want []int32, emit func(lo, hi int32)) {
-	kcur := make([]runCur, len(want))
-	for k := range kcur {
-		kcur[k].init(p.keys[k])
-	}
-	n := int32(p.n)
-	for pos := int32(0); pos < n; {
-		segEnd := n
-		match := true
-		for k := range kcur {
-			kcur[k].seek(pos)
-			if kcur[k].end < segEnd {
-				segEnd = kcur[k].end
-			}
-			if kcur[k].code != want[k] {
-				match = false
-			}
-		}
-		if match {
-			emit(pos, segEnd)
-		}
-		pos = segEnd
-	}
-}
-
-// TestSelectEqSpansDifferential: for every single code and code pair,
-// the span-index path must emit exactly the ranges the merged-run scan
-// emits, in the same order with the same boundaries.
-func TestSelectEqSpansDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 10; trial++ {
-		n := 200 + rng.Intn(2000)
-		d1, d2 := 2+rng.Intn(6), 2+rng.Intn(40)
-		// Runs of ~17 rows in c1 so RLE and PACK both occur across trials.
-		runs := make([]int32, n/17+1)
-		for i := range runs {
-			runs[i] = int32(rng.Intn(d1))
-		}
-		c1 := make([]int32, n)
-		c2 := make([]int32, n)
-		for i := range c1 {
-			c1[i] = runs[i/17]
-			c2[i] = int32(rng.Intn(d2))
-		}
-		p := &compPart{n: n, keys: []*CompressedCol{
-			compressCodes(c1, intDict(d1)),
-			compressCodes(c2, intDict(d2)),
-		}}
-		type span struct{ lo, hi int32 }
-		for w1 := int32(0); w1 < int32(d1); w1++ {
-			for w2 := int32(0); w2 < int32(d2); w2++ {
-				want := []span{}
-				selectEqRuns(p, []int32{w1, w2}, func(lo, hi int32) {
-					want = append(want, span{lo, hi})
-				})
-				got := []span{}
-				selectEqSpans(p, []int32{w1, w2}, func(lo, hi int32) {
-					got = append(got, span{lo, hi})
-				})
-				if len(got) != len(want) {
-					t.Fatalf("trial %d probe (%d,%d): %d ranges, want %d", trial, w1, w2, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d probe (%d,%d) range %d: %+v != %+v", trial, w1, w2, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestIntersectSpans covers the galloping intersection directly.
-func TestIntersectSpans(t *testing.T) {
-	type span struct{ lo, hi int32 }
-	collect := func(lists [][]int32) []span {
-		var out []span
-		intersectSpans(lists, func(lo, hi int32) { out = append(out, span{lo, hi}) })
-		return out
-	}
-	cases := []struct {
-		name  string
-		lists [][]int32
-		want  []span
-	}{
-		{"single", [][]int32{{0, 5, 9, 12}}, []span{{0, 5}, {9, 12}}},
-		{"disjoint", [][]int32{{0, 5}, {5, 9}}, nil},
-		{"nested", [][]int32{{0, 100}, {10, 20, 30, 40}}, []span{{10, 20}, {30, 40}}},
-		{"partial", [][]int32{{0, 15}, {10, 20}}, []span{{10, 15}}},
-		{"three", [][]int32{{0, 50}, {10, 40}, {20, 60}}, []span{{20, 40}}},
-		{"empty-list", [][]int32{{0, 50}, {}}, nil},
-		{"splinters", [][]int32{{0, 2, 4, 6, 8, 10}, {1, 9}}, []span{{1, 2}, {4, 6}, {8, 9}}},
-	}
-	for _, c := range cases {
-		got := collect(c.lists)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s: %v, want %v", c.name, got, c.want)
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("%s: %v, want %v", c.name, got, c.want)
-			}
-		}
-	}
-}
-
-// TestAttachPoolOverlappingRuns: runs over one relation attach and
-// detach their pools independently, so one run ending leaves the
-// kernels a pool while another run still holds one, and only the last
-// detach leaves the relation without.
-func TestAttachPoolOverlappingRuns(t *testing.T) {
-	for _, rel := range []interface {
-		AttachPool(*Pool) (detach func())
-		queryPool() *Pool
-	}{NewTable(Schema{{Name: "a", Kind: value.Int}}), &SegTable{}} {
-		a, b := NewPool(2), NewPool(3)
-		detachA := rel.AttachPool(a)
-		detachB := rel.AttachPool(b)
-		detachA()
-		if got := rel.queryPool(); got != b {
-			t.Fatalf("%T: after detaching A the kernels use %p, want B's pool %p", rel, got, b)
-		}
-		detachA() // idempotent: does not take B's attachment
-		if got := rel.queryPool(); got != b {
-			t.Fatalf("%T: a second detach of A left %p, want B's pool %p", rel, got, b)
-		}
-		detachB()
-		if got := rel.queryPool(); got != nil {
-			t.Fatalf("%T: every run detached, yet the relation carries %p", rel, got)
-		}
-
-		detachA = rel.AttachPool(a)
-		detachB = rel.AttachPool(b)
-		detachB()
-		if got := rel.queryPool(); got != a {
-			t.Fatalf("%T: after detaching B the kernels use %p, want A's pool %p", rel, got, a)
-		}
-		detachA()
-		if got := rel.queryPool(); got != nil {
-			t.Fatalf("%T: every run detached, yet the relation carries %p", rel, got)
 		}
 	}
 }

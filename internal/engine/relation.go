@@ -3,15 +3,18 @@ package engine
 import "cape/internal/value"
 
 // Relation is the query surface the mining and explanation layers need
-// from a base relation: the five operators the paper's algorithms are
-// built from, plus schema/size/staleness introspection. Both the
+// from a base relation: the grouped aggregation γ every part of the
+// paper's pipeline reads it through (ARP-MINE's shared group-bys, the
+// Maintainer's retained groupings, explanation's drill-downs and NORM),
+// distinct counts, and schema/size/staleness introspection. Both the
 // in-memory Table and the segment-backed SegTable implement it, so
 // miners and explainers run unchanged over tables larger than RAM.
 //
-// Operator results are always in-memory *Tables: grouped results,
-// selections and projections are bounded by attribute domains or
-// selectivity, not base-table size, which is what makes mining over a
-// mmap'd base relation practical.
+// GroupBy's result is always an in-memory *Table: grouped results are
+// bounded by attribute domains, not base-table size, which is what
+// makes mining over a mmap'd base relation practical. GroupBy with no
+// aggregates is the distinct projection δ; CUBE is the free function
+// Cube; selection σ is Table.SelectEq, over a dense table only.
 type Relation interface {
 	Schema() Schema
 	NumRows() int
@@ -19,10 +22,7 @@ type Relation interface {
 	// mutations, which caches use for staleness checks.
 	Epoch() uint64
 	GroupBy(groupCols []string, aggs []AggSpec) (*Table, error)
-	SelectEq(cols []string, vals value.Tuple) (*Table, error)
 	CountDistinct(cols []string) (int, error)
-	DistinctProject(cols []string) (*Table, error)
-	Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error)
 }
 
 // RowScanner streams rows of a half-open range in row order. The tuple

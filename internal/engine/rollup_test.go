@@ -27,20 +27,12 @@ var rollUpSchema = Schema{
 }
 
 // rollUpTargets presents rows as a dense Table and as a SegTable of
-// three sealed segments plus a tail, each at pool width 1 and 4.
+// three sealed segments plus a tail.
 func rollUpTargets(t *testing.T, rows []value.Tuple) []kernelTarget {
 	t.Helper()
-	var out []kernelTarget
-	for _, width := range []int{1, 4} {
-		tab := newGenTable(rollUpSchema, rows)
-		tab.AttachPool(NewPool(width))
-		st, _ := segTableOf(t, tab, 3)
-		st.AttachPool(NewPool(width))
-		out = append(out,
-			kernelTarget{label: fmt.Sprintf("table/w%d", width), rel: tab.Table},
-			kernelTarget{label: fmt.Sprintf("segtable/w%d", width), rel: st})
-	}
-	return out
+	tab := newGenTable(rollUpSchema, rows)
+	st, _ := segTableOf(t, tab, 3)
+	return []kernelTarget{{label: "table", rel: tab.Table}, {label: "segtable", rel: st}}
 }
 
 // TestRollUpMatchesScan is the roll-up's differential: for every parent

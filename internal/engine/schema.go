@@ -1,9 +1,11 @@
 // Package engine is an in-memory relational engine: typed schemas, row
 // tables, and the operators CAPE's mining and explanation algorithms are
-// built from — selection, projection, multi-aggregate grouping, multi-key
-// sorting, and a CUBE operator with group-size filtering. It stands in for
-// the PostgreSQL instance the paper ran on; the mining variants differ
-// only in which of these operators they invoke and how often.
+// built from — multi-aggregate grouping (which also serves as distinct
+// projection), distinct counting, equality selection over a dense table,
+// multi-key sort codes, and a CUBE operator with group-size filtering. It
+// stands in for the PostgreSQL instance the paper ran on; the mining
+// variants differ only in which of these operators they invoke and how
+// often.
 package engine
 
 import (

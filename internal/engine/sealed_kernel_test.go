@@ -114,8 +114,7 @@ func sealedKernelTable(t *testing.T, rng *rand.Rand, segRows, tailRows int) (*Se
 // flat-mode ranges — segments of at least flatScanMinRows rows whose
 // packed and RLE key columns translate through cross-segment
 // dictionaries — to the oracle: count-only groupings, and groupings
-// with Sum/Avg/Min/Max so the sealed aggregate folds run too, at pool
-// widths 1 and 4.
+// with Sum/Avg/Min/Max so the sealed aggregate folds run too.
 func TestSealedKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	st, logical := sealedKernelTable(t, rng, 9000, 700)
@@ -141,32 +140,21 @@ func TestSealedKernelDifferential(t *testing.T) {
 		{{Func: Count}, {Func: Sum, Arg: "v"}, {Func: Min, Arg: "v"}, {Func: Max, Arg: "f"}},
 		{{Func: Count, Arg: "v"}, {Func: Sum, Arg: "f"}, {Func: Avg, Arg: "v"}, {Func: Min, Arg: "w9"}},
 	}
-	wants := make(map[string]*refTable)
-	for _, width := range []int{1, 4} {
-		detachSeg := st.AttachPool(NewPool(width))
-		detachDense := dense.AttachPool(NewPool(width))
-		for _, keys := range keySets {
-			for _, aggs := range aggSets {
-				q := fmt.Sprintf("GroupBy(%s, %v)", strings.Join(keys, ","), aggs)
-				want := wants[q]
-				if want == nil {
-					var err error
-					if want, err = ref.GroupBy(keys, aggs); err != nil {
-						t.Fatal(err)
-					}
-					wants[q] = want
+	for _, keys := range keySets {
+		for _, aggs := range aggSets {
+			q := fmt.Sprintf("GroupBy(%s, %v)", strings.Join(keys, ","), aggs)
+			want, err := ref.GroupBy(keys, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rel := range []Relation{st, dense} {
+				got, err := rel.GroupBy(keys, aggs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, rel := range []Relation{st, dense} {
-					got, err := rel.GroupBy(keys, aggs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tablesIdentical(t, got, want, fmt.Sprintf("%T/w%d %s", rel, width, q))
-				}
+				tablesIdentical(t, got, want, fmt.Sprintf("%T %s", rel, q))
 			}
 		}
-		detachSeg()
-		detachDense()
 	}
 }
 

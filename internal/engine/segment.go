@@ -20,7 +20,7 @@ import (
 // A segment is an immutable, sealed slab of rows stored column-wise with
 // the same dictionary + compressed-code representation the in-memory
 // kernels consume (CompressedCol), so an opened segment's columns feed
-// GroupBy/SelectEq/CountDistinct directly — the bit-packed code payload
+// GroupBy/CountDistinct directly — the bit-packed code payload
 // is used in place from the mmap'd file and is never decoded into dense
 // heap slices. Layout (all integers little-endian):
 //

@@ -32,9 +32,6 @@ type SegTable struct {
 	// rewrite is the epoch of the last Compact that changed a value; see
 	// RewriteEpoch.
 	rewrite uint64
-	// pool, while a run has one attached, lets SelectEq fan parts and
-	// Cube fan masks across a shared worker pool (AttachPool).
-	pool poolSlot
 
 	// unify caches, per column index, the cross-segment dictionary
 	// unification the compressed group-by keys on (see colUnify).
@@ -123,12 +120,6 @@ func (st *SegTable) RestoreEpoch(e uint64) { st.epoch = e }
 // sealing a tail that holds, say, both 0.0 and −0.0 in one column
 // rewrites rows already present.
 func (st *SegTable) RewriteEpoch() uint64 { return st.rewrite }
-
-// AttachPool is Table.AttachPool; SelectEq also fans parts across p
-// until detach is called.
-func (st *SegTable) AttachPool(p *Pool) (detach func()) { return st.pool.attach(p) }
-
-func (st *SegTable) queryPool() *Pool { return st.pool.load() }
 
 // AddSegment appends a sealed segment. To preserve row order it is only
 // legal while the tail is empty (segments always precede tail rows);
@@ -361,10 +352,11 @@ func (st *SegTable) parts(gIdx []int, aCols []aggCol) []*compPart {
 	return out
 }
 
-// materialize decodes the whole table into an in-memory Table, for the
-// degenerate no-column and empty queries the parts kernels do not take.
-// It costs full decode + row memory.
-func (st *SegTable) materialize() *Table {
+// Materialize decodes the whole table into one in-memory Table: one
+// copy of every row, through ScanRows, for callers that need a dense
+// table's own operators (Table.SelectEq). It costs full decode + row
+// memory.
+func (st *SegTable) Materialize() *Table {
 	out := NewTable(st.schema)
 	// The range is the whole table and the callback never fails, so
 	// neither does the scan.
@@ -387,88 +379,16 @@ func (st *SegTable) GroupBy(groupCols []string, aggs []AggSpec) (*Table, error) 
 	return groupByParts(st.parts(gIdx, aCols), len(gIdx), aCols, sch), nil
 }
 
-// SelectEq returns the rows whose values in cols equal vals, in row
-// order, materialized into an in-memory Table.
-func (st *SegTable) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
-	idx, err := st.schema.Indices(cols)
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) != len(cols) {
-		return nil, fmt.Errorf("engine: SelectEq got %d values for %d columns", len(vals), len(cols))
-	}
-	if len(idx) == 0 || st.NumRows() == 0 {
-		return st.materialize().SelectEq(cols, vals)
-	}
-	parts := st.parts(idx, nil)
-	want := selectEqPlanParts(parts, vals)
-	// Each part's matches are independent: sealed segments answer from
-	// their code-span indexes, the tail scans its codes in place, and
-	// each materializes its matching rows into a private slab. Parts fan
-	// across the pool and concatenate in part order, so the output row
-	// order is the global row order either way.
-	width := len(st.schema)
-	slabs := make([]value.Tuple, len(parts))
-	_ = st.queryPool().ForEach("engine:selecteq", len(parts), func(pi int) error {
-		if want[pi] == nil {
-			return nil
-		}
-		p := parts[pi]
-		var slab value.Tuple
-		selectEqPart(p, want[pi], func(lo, hi int32) {
-			for r := int(lo); r < int(hi); r++ {
-				if p.seg != nil {
-					slab = p.seg.AppendRowAt(r, slab)
-				} else {
-					slab = st.tail.appendRow(slab, r)
-				}
-			}
-		})
-		slabs[pi] = slab
-		return nil
-	})
-	out := NewTable(st.schema)
-	for _, slab := range slabs {
-		for i := 0; i < len(slab); i += width {
-			out.push(slab[i : i+width])
-		}
-	}
-	return out, nil
-}
-
 // CountDistinct counts distinct combinations of the named columns under
-// AppendKey equality (see countDistinctParts).
+// AppendKey equality (see countDistinctParts). No columns count one
+// combination in a non-empty table.
 func (st *SegTable) CountDistinct(cols []string) (int, error) {
 	idx, err := st.schema.Indices(cols)
 	if err != nil {
 		return 0, err
 	}
 	if len(idx) == 0 || st.NumRows() == 0 {
-		return st.materialize().CountDistinct(cols)
+		return min(st.NumRows(), 1), nil
 	}
 	return countDistinctParts(st.parts(idx, nil), len(idx)), nil
-}
-
-// DistinctProject returns the distinct combinations of the named
-// columns in first-appearance order.
-func (st *SegTable) DistinctProject(cols []string) (*Table, error) {
-	idx, err := st.schema.Indices(cols)
-	if err != nil {
-		return nil, err
-	}
-	if len(idx) == 0 || st.NumRows() == 0 {
-		return st.materialize().DistinctProject(cols)
-	}
-	sch := make(Schema, len(idx))
-	for i, ci := range idx {
-		sch[i] = st.schema[ci]
-	}
-	return distinctParts(st.parts(idx, nil), sch), nil
-}
-
-// Cube evaluates the aggregation for every subset of cols within the
-// size bounds, exactly like Table.Cube, with each grouping served by
-// the parts kernels.
-func (st *SegTable) Cube(cols []string, minSize, maxSize int, aggs []AggSpec) (*Table, error) {
-	return cubeOver(st, cols, minSize, maxSize, aggs)
 }

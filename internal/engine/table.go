@@ -26,9 +26,6 @@ type Table struct {
 	epoch uint64
 	// rewrite is the epoch SortBy last left; see RewriteEpoch.
 	rewrite uint64
-	// pool, while a run has one attached, lets Cube fan masks across a
-	// shared worker pool (AttachPool).
-	pool poolSlot
 }
 
 // NewTable creates an empty table with the given schema.
@@ -92,14 +89,6 @@ func (t *Table) RestoreEpoch(e uint64) { t.epoch = e }
 // that reorders rows already present — or 0 if rows were only ever
 // appended.
 func (t *Table) RewriteEpoch() uint64 { return t.rewrite }
-
-// AttachPool attaches a worker pool for Cube to fan its masks across
-// until detach is called; with none attached it runs sequentially.
-// GroupBy runs one sequential scan at every width. Results are
-// byte-identical at any pool width; see poolSlot.
-func (t *Table) AttachPool(p *Pool) (detach func()) { return t.pool.attach(p) }
-
-func (t *Table) queryPool() *Pool { return t.pool.load() }
 
 // Append adds a row, copying its values into the columns. The arity
 // must match the schema, and each value must match the column kind
@@ -185,8 +174,8 @@ func (t *Table) gather(idx []int32) *Table {
 }
 
 // SelectEq returns the rows whose values in cols equal vals positionally
-// under value.Equal. The parts kernel scans dictionary codes; no
-// columns select every row.
+// under value.Equal. It compares dictionary codes, which are exactly the
+// value.Equal classes; no columns select every row.
 func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 	idx, err := t.schema.Indices(cols)
 	if err != nil {
@@ -200,15 +189,28 @@ func (t *Table) SelectEq(cols []string, vals value.Tuple) (*Table, error) {
 		out.epoch = 0
 		return out, nil
 	}
-	var rows []int32
-	if parts := t.parts(idx, nil); parts != nil {
-		if want := selectEqPlanParts(parts, vals)[0]; want != nil { // nil: some probed value is absent, no rows
-			selectEqPart(parts[0], want, func(lo, hi int32) {
-				for r := lo; r < hi; r++ {
-					rows = append(rows, r)
-				}
-			})
+	keys := make([][]int32, len(idx))
+	want := make([]int32, len(idx))
+	for i, ci := range idx {
+		code, ok := t.cols[ci].CodeOf(vals[i])
+		if !ok {
+			return t.gather(nil), nil // the value occurs in no row
 		}
+		keys[i], want[i] = t.cols[ci].Codes, code
+	}
+	var rows []int32
+rows:
+	for r, c := range keys[0] {
+		// Most rows fail the first key: keep that compare inline.
+		if c != want[0] {
+			continue
+		}
+		for k := 1; k < len(keys); k++ {
+			if keys[k][r] != want[k] {
+				continue rows
+			}
+		}
+		rows = append(rows, int32(r))
 	}
 	return t.gather(rows), nil
 }
@@ -222,24 +224,6 @@ func (t *Table) parts(gIdx []int, aCols []aggCol) []*compPart {
 	p := densePart(t, gIdx, aCols)
 	p.solo = true
 	return []*compPart{p}
-}
-
-// DistinctProject returns the distinct combinations of the named columns,
-// in first-appearance order. No columns give one empty tuple for a
-// non-empty table.
-func (t *Table) DistinctProject(cols []string) (*Table, error) {
-	idx, err := t.schema.Indices(cols)
-	if err != nil {
-		return nil, err
-	}
-	sch := make(Schema, len(idx))
-	for i, ci := range idx {
-		sch[i] = t.schema[ci]
-	}
-	if len(idx) > 0 && t.n > 0 {
-		return distinctParts(t.parts(idx, nil), sch), nil
-	}
-	return &Table{schema: sch, n: min(t.n, 1)}, nil
 }
 
 // CountDistinct counts the distinct combinations of the named columns.

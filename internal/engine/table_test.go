@@ -122,9 +122,11 @@ func TestSelectEq(t *testing.T) {
 	}
 }
 
+// TestDistinctProject: GroupBy without aggregates is the distinct
+// projection, in first-appearance order.
 func TestDistinctProject(t *testing.T) {
 	tab := pubTable(t)
-	d, err := tab.DistinctProject([]string{"author"})
+	d, err := tab.GroupBy([]string{"author"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,27 +89,19 @@ func TestExplainerConcurrent(t *testing.T) {
 	}
 }
 
-// countingRelation wraps a relation and counts the SelectEq calls, the
-// full group-bys per grouping (GroupBy and GroupByAccums calls, keyed
-// like groupKey), and the row ranges read through ScanRows — the fold
-// path of a retained grouping — made through it.
+// countingRelation wraps a relation and counts the full group-bys per
+// grouping (GroupBy and GroupByAccums calls, keyed like groupKey) and
+// the row ranges read through ScanRows — the fold path of a retained
+// grouping — made through it.
 type countingRelation struct {
 	engine.MutableRelation
 	mu       sync.Mutex
-	selects  int
 	groupBys map[string]int
 	scans    [][2]int
 }
 
 func newCountingRelation(r engine.MutableRelation) *countingRelation {
 	return &countingRelation{MutableRelation: r, groupBys: make(map[string]int)}
-}
-
-func (c *countingRelation) SelectEq(cols []string, vals value.Tuple) (*engine.Table, error) {
-	c.mu.Lock()
-	c.selects++
-	c.mu.Unlock()
-	return c.MutableRelation.SelectEq(cols, vals)
 }
 
 func (c *countingRelation) countGroupBy(cols []string, aggs []engine.AggSpec) {
@@ -139,12 +131,11 @@ func (c *countingRelation) ScanRows(lo, hi int, fn func(row value.Tuple) error) 
 	return c.MutableRelation.ScanRows(lo, hi, fn)
 }
 
-// counts returns the SelectEq calls and the full group-bys per grouping
-// since the last reset.
-func (c *countingRelation) counts() (int, map[string]int) {
+// counts returns the full group-bys per grouping since the last reset.
+func (c *countingRelation) counts() map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.selects, maps.Clone(c.groupBys)
+	return maps.Clone(c.groupBys)
 }
 
 // scanned returns the row ranges read through ScanRows since the last
@@ -158,7 +149,6 @@ func (c *countingRelation) scanned() [][2]int {
 func (c *countingRelation) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.selects = 0
 	clear(c.groupBys)
 	c.scans = nil
 }
@@ -169,8 +159,8 @@ func (c *countingRelation) reset() {
 // grouping a question of those shapes can reach is cached: the
 // refinements of each structurally relevant pattern, which include the
 // pattern itself and so the grouping its NORM reads. A new question of
-// those shapes must then touch the relation not at all — no SelectEq, no
-// group-by, no row scan — and after one append no grouping runs a full
+// those shapes must then touch the relation not at all — no group-by,
+// no row scan — and after one append no grouping runs a full
 // group-by: each one it reaches folds exactly the appended rows, once.
 // The counts are exact on any machine and at any parallelism.
 func TestExplainerWarmScansNothing(t *testing.T) {
@@ -197,7 +187,7 @@ func TestExplainerWarmScansNothing(t *testing.T) {
 			}
 			fresh = append(fresh, q)
 		}
-		_, computed := rel.counts()
+		computed := rel.counts()
 		for _, pi := range ex.idx.Relevant(g, count) {
 			for _, ref := range ex.idx.Refinements(pats[pi]) {
 				if computed[groupKey(ref.Pattern)] == 0 {
@@ -223,9 +213,9 @@ func TestExplainerWarmScansNothing(t *testing.T) {
 		}
 	}
 	ask("warm")
-	if selects, groupBys := rel.counts(); selects != 0 || len(groupBys) != 0 || len(rel.scanned()) != 0 {
-		t.Errorf("warm: %d new questions made %d SelectEq calls, %d group-bys and %d row scans, want none",
-			len(fresh), selects, len(groupBys), len(rel.scanned()))
+	if groupBys := rel.counts(); len(groupBys) != 0 || len(rel.scanned()) != 0 {
+		t.Errorf("warm: %d new questions made %d group-bys and %d row scans, want none",
+			len(fresh), len(groupBys), len(rel.scanned()))
 	}
 	var mu sync.Mutex
 	folded := make(map[string]int)
@@ -246,11 +236,7 @@ func TestExplainerWarmScansNothing(t *testing.T) {
 	pats = mineLenient(t, tab, []string{"author", "venue", "year"})
 	ex.SetPatterns(pats)
 	ask("appended")
-	selects, groupBys := rel.counts()
-	if selects != 0 {
-		t.Errorf("appended: %d SelectEq calls, want 0", selects)
-	}
-	for key, n := range groupBys {
+	for key, n := range rel.counts() {
 		t.Errorf("appended: grouping %q ran %d full group-bys, want 0", key, n)
 	}
 	scans := rel.scanned()

@@ -33,8 +33,7 @@ func ARPMine(r engine.Relation, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	pool, detach := runPool(r, opt.Parallelism)
-	defer detach()
+	pool := runPool(opt.Parallelism)
 	fds := opt.InitialFDs
 	if fds == nil {
 		fds = fd.NewSet()

@@ -30,14 +30,13 @@ func CubeMine(r engine.Relation, opt Options) (*Result, error) {
 	// One cube evaluates all aggregates over all attributes; aggregates
 	// whose argument falls inside a particular grouping are simply unused
 	// for that grouping (mirroring the GROUPING() filter in SQL). The
-	// cube's own groupings fan across the pool inside cubeOver; the
+	// cube's own groupings fan across the pool inside engine.Cube; the
 	// per-attribute-set slicing and fitting below fans across the same
 	// pool afterwards, with per-G results merged in enumeration order.
-	pool, detach := runPool(r, opt.Parallelism)
-	defer detach()
+	pool := runPool(opt.Parallelism)
 	allAggs := aggSpecsFor(r, opt.AggFuncs, nil)
 	t0 := time.Now()
-	cube, err := r.Cube(opt.Attributes, 2, maxSize, allAggs)
+	cube, err := engine.Cube(r, pool, opt.Attributes, 2, maxSize, allAggs)
 	if err != nil {
 		return nil, err
 	}

@@ -43,24 +43,9 @@ func (c *scanCounter) GroupByAccums(cols []string, aggs []engine.AggSpec) (*engi
 	return c.MutableRelation.GroupByAccums(cols, aggs)
 }
 
-func (c *scanCounter) SelectEq(cols []string, vals value.Tuple) (*engine.Table, error) {
-	c.count("SelectEq", cols)
-	return c.MutableRelation.SelectEq(cols, vals)
-}
-
 func (c *scanCounter) CountDistinct(cols []string) (int, error) {
 	c.count("CountDistinct", cols)
 	return c.MutableRelation.CountDistinct(cols)
-}
-
-func (c *scanCounter) DistinctProject(cols []string) (*engine.Table, error) {
-	c.count("DistinctProject", cols)
-	return c.MutableRelation.DistinctProject(cols)
-}
-
-func (c *scanCounter) Cube(cols []string, minSize, maxSize int, aggs []engine.AggSpec) (*engine.Table, error) {
-	c.count("Cube", cols)
-	return c.MutableRelation.Cube(cols, minSize, maxSize, aggs)
 }
 
 func (c *scanCounter) ScanRows(lo, hi int, fn func(row value.Tuple) error) error {

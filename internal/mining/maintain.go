@@ -258,8 +258,7 @@ func NewMaintainer(tab engine.MutableRelation, opt Options) (*Maintainer, error)
 		return nil, fmt.Errorf("mining: FD pruning is not supported by the incremental maintainer")
 	}
 	m := &Maintainer{tab: tab, opt: opt, synced: tab.NumRows(), epoch: tab.Epoch(), built: tab.Epoch()}
-	pool, detach := runPool(tab, opt.Parallelism)
-	defer detach()
+	pool := runPool(opt.Parallelism)
 	levels, err := groupAll(tab, opt, pool, true)
 	if err != nil {
 		return nil, err
@@ -472,8 +471,7 @@ func (m *Maintainer) CatchUp() error {
 		m.epoch = m.tab.Epoch()
 		return nil
 	}
-	pool, detach := runPool(m.tab, m.opt.Parallelism)
-	defer detach()
+	pool := runPool(m.opt.Parallelism)
 
 	// One streaming pass over the appended range folds every grouping
 	// set — segment-backed relations decode each new row once, not once

@@ -48,15 +48,15 @@ type Options struct {
 	// Parallelism is the width of the bounded worker pool one run shares
 	// across every parallel stage: all four miners (and the Maintainer,
 	// at its build and at every CatchUp) fan per-attribute-set work
-	// across it, and the same pool is attached to the relation so the
-	// engine fans a cube's masks and a SegTable selection's parts across
-	// it too — nested fan-out never oversubscribes the width. Each
-	// group-by is one sequential scan at every width. 0 (or less) is the
-	// machine's width, runtime.GOMAXPROCS(0); 1 runs sequentially, on the
-	// same code. Every width produces the identical pattern set, float
-	// summation order included; above width 1, Result.Timers sum the
-	// time of every worker, so query + regression can exceed the run's
-	// wall-clock time.
+	// across it, and CubeMine hands the same pool to engine.Cube, which
+	// fans the cube's masks across it too — nested fan-out never
+	// oversubscribes the width. The relation holds no pool: each run
+	// owns its own. Each group-by is one sequential scan at every width.
+	// 0 (or less) is the machine's width, runtime.GOMAXPROCS(0); 1 runs
+	// sequentially, on the same code. Every width produces the identical
+	// pattern set, float summation order included; above width 1,
+	// Result.Timers sum the time of every worker, so query + regression
+	// can exceed the run's wall-clock time.
 	Parallelism int
 }
 

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"time"
 
 	"cape/internal/engine"
@@ -13,11 +14,16 @@ import (
 // candidate (F, V, agg, A, M) independently and, for each, evaluates one
 // retrieval query per fragment — a full scan of the relation per
 // fragment. It shares nothing and exists as the experimental baseline for
-// Figure 3a. With Options.Parallelism > 1 the per-attribute-set work
-// fans out across a shared pool; the pattern set is identical to the
-// sequential run.
+// Figure 3a. Its selections run on a dense table: the *engine.Table it
+// is given, or one copy of a SegTable's rows (denseOf). With
+// Options.Parallelism > 1 the per-attribute-set work fans out across a
+// shared pool; the pattern set is identical to the sequential run.
 func Naive(r engine.Relation, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults(r)
+	if err != nil {
+		return nil, err
+	}
+	tab, err := denseOf(r)
 	if err != nil {
 		return nil, err
 	}
@@ -26,8 +32,7 @@ func Naive(r engine.Relation, opt Options) (*Result, error) {
 		gs = append(gs, combinations(opt.Attributes, size)...)
 	}
 
-	pool, detach := runPool(r, opt.Parallelism)
-	defer detach()
+	pool := runPool(opt.Parallelism)
 	outs := make([]Result, len(gs))
 	err = pool.ForEach("mine:naive", len(gs), func(i int) error {
 		g := gs[i]
@@ -38,7 +43,7 @@ func Naive(r engine.Relation, opt Options) (*Result, error) {
 				for _, m := range opt.Models {
 					p := pattern.Pattern{F: sp[0], V: sp[1], Agg: a, Model: m}
 					out.Candidates++
-					mined, err := naivePatternHolds(p, r, opt.Thresholds, &out.Timers)
+					mined, err := naivePatternHolds(p, tab, opt.Thresholds, &out.Timers)
 					if err != nil {
 						return err
 					}
@@ -64,10 +69,22 @@ func Naive(r engine.Relation, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// denseOf returns r as a dense table: r itself when it is one, or the
+// one copy of its rows a SegTable materializes.
+func denseOf(r engine.Relation) (*engine.Table, error) {
+	switch t := r.(type) {
+	case *engine.Table:
+		return t, nil
+	case *engine.SegTable:
+		return t.Materialize(), nil
+	}
+	return nil, fmt.Errorf("mining: NAIVE selects over a Table or a SegTable, got %T", r)
+}
+
 // naivePatternHolds mirrors Algorithm 4: enumerate the fragments of P,
-// run the retrieval query γ_{V,agg}(σ_{F=f}(R)) for each, fit a model,
-// and apply the global thresholds.
-func naivePatternHolds(p pattern.Pattern, r engine.Relation, th pattern.Thresholds, tm *pattern.Timers) (*pattern.Mined, error) {
+// δ_F(R) = γ_F(R), run the retrieval query γ_{V,agg}(σ_{F=f}(R)) for
+// each, fit a model, and apply the global thresholds.
+func naivePatternHolds(p pattern.Pattern, r *engine.Table, th pattern.Thresholds, tm *pattern.Timers) (*pattern.Mined, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +93,7 @@ func naivePatternHolds(p pattern.Pattern, r engine.Relation, th pattern.Threshol
 	p.F = pattern.SortedCopy(p.F)
 	p.V = pattern.SortedCopy(p.V)
 	t0 := time.Now()
-	frags, err := r.DistinctProject(p.F)
+	frags, err := r.GroupBy(p.F, nil)
 	if err != nil {
 		return nil, err
 	}

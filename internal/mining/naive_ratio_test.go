@@ -2,67 +2,12 @@ package mining
 
 import (
 	"testing"
-	"time"
 
 	"cape/internal/engine"
 )
 
-// naiveOver runs NAIVE on r and returns the best wall time of three
-// runs — min-of-N is the standard defense against scheduler noise on a
-// loaded machine.
-func naiveOver(t *testing.T, r engine.Relation, opt Options) (time.Duration, *Result) {
-	t.Helper()
-	best := time.Duration(1<<63 - 1)
-	var res *Result
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		out, err := Naive(r, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < best {
-			best, res = d, out
-		}
-	}
-	return best, res
-}
-
-// TestNaiveSegDenseRatio is the regression fence for the compressed-path
-// pathology this PR fixed: NAIVE over sealed segments used to re-unpack
-// bit-packed blocks per row inside its many small group-bys, costing
-// ~10x the dense path. With batch block decode the gap is near 1x; the
-// bound here is deliberately generous (8x) so the test only fires on a
-// real pathology, not on machine noise.
-func TestNaiveSegDenseRatio(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing ratio test; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing ratio test; race instrumentation skews the two paths unevenly")
-	}
-	tab, opt := benchDBLP(8000)
-	st := segTableFrom(t, tab, 4, 200)
-	defer st.Close()
-
-	denseT, denseRes := naiveOver(t, tab, opt)
-	segT, segRes := naiveOver(t, st, opt)
-
-	if len(denseRes.Patterns) == 0 {
-		t.Fatal("workload mined no patterns; the ratio is vacuous")
-	}
-	if len(denseRes.Patterns) != len(segRes.Patterns) {
-		t.Fatalf("segment path mined %d patterns, dense %d", len(segRes.Patterns), len(denseRes.Patterns))
-	}
-	ratio := float64(segT) / float64(denseT)
-	t.Logf("NAIVE dense %v, segments %v, ratio %.2fx", denseT, segT, ratio)
-	if ratio > 8 {
-		t.Errorf("NAIVE over segments is %.1fx dense (budget 8x): the compressed group-by path has regressed", ratio)
-	}
-}
-
-// BenchmarkNaiveDense and BenchmarkNaiveSegments expose the same
-// comparison as ordinary benchmarks for profiling work on the
-// compressed kernels.
+// BenchmarkNaiveDense and BenchmarkNaiveSegments time NAIVE over a
+// dense table and over sealed segments, which it materializes once.
 func BenchmarkNaiveDense(b *testing.B) {
 	tab, opt := benchDBLP(8000)
 	b.ReportAllocs()

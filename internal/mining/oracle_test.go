@@ -14,7 +14,7 @@ import (
 	"cape/internal/value"
 )
 
-// oracleRel is an engine.Relation whose five operators internal/oracle
+// oracleRel is an engine.Relation whose operators internal/oracle
 // answers literally over a fixed slice of rows, each result wrapped in
 // a Table with the engine's output schema.
 type oracleRel struct {
@@ -67,41 +67,12 @@ func (o *oracleRel) GroupBy(cols []string, aggs []engine.AggSpec) (*engine.Table
 	return tableOf(sch, aggs, oracle.GroupBy(o.rows, idx, oaggs))
 }
 
-func (o *oracleRel) SelectEq(cols []string, vals value.Tuple) (*engine.Table, error) {
-	idx, _, _, err := o.plan(cols, nil)
-	if err != nil {
-		return nil, err
-	}
-	return tableOf(o.schema, nil, oracle.SelectEq(o.rows, idx, vals))
-}
-
 func (o *oracleRel) CountDistinct(cols []string) (int, error) {
 	idx, _, _, err := o.plan(cols, nil)
 	if err != nil {
 		return 0, err
 	}
 	return oracle.CountDistinct(o.rows, idx), nil
-}
-
-func (o *oracleRel) DistinctProject(cols []string) (*engine.Table, error) {
-	idx, _, sch, err := o.plan(cols, nil)
-	if err != nil {
-		return nil, err
-	}
-	return tableOf(sch, nil, oracle.DistinctProject(o.rows, idx))
-}
-
-func (o *oracleRel) Cube(cols []string, minSize, maxSize int, aggs []engine.AggSpec) (*engine.Table, error) {
-	idx, oaggs, _, err := o.plan(cols, aggs)
-	if err != nil {
-		return nil, err
-	}
-	var sch engine.Schema
-	for _, c := range cols {
-		sch = append(sch, engine.Column{Name: c, Kind: value.Null})
-	}
-	sch = append(sch, engine.Column{Name: engine.GroupingColumn, Kind: value.Int})
-	return tableOf(sch, aggs, oracle.Cube(o.rows, idx, minSize, maxSize, oaggs))
 }
 
 // requireResultsIdentical deep-compares two mining results: counters,

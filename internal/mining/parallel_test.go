@@ -131,9 +131,10 @@ func mmapSegTableFrom(t *testing.T, tab *engine.Table, nSegs, tailRows int) *eng
 // TestParallelMiningEquivalence: every miner, at the default width
 // (GOMAXPROCS) and at Parallelism 1 and 4, over a plain Table, an
 // in-memory SegTable and a SegTable of mmap'd segment files (where
-// CubeMine's cube masks and Naive's selection parts add a second level
-// of fan-out), must serialize exactly the bytes and count exactly the
-// candidates of that miner's sequential run over the dense Table.
+// CubeMine's cube masks add a second level of fan-out and Naive selects
+// over one materialized copy), must serialize exactly the bytes and
+// count exactly the candidates of that miner's sequential run over the
+// dense Table.
 func TestParallelMiningEquivalence(t *testing.T) {
 	tab := testTable(t, 400)
 	seg := segTableFrom(t, tab, 3, 40)
@@ -215,9 +216,9 @@ func TestParallelMiningEquivalence(t *testing.T) {
 
 // TestConcurrentMinesKeepTheirPools: mines over one SegTable may
 // overlap, as a server's mines of one table do. Two at the default
-// width and one at width 1, run at once, must each equal the sequential
-// run while their pools attach to and detach from the shared relation
-// around each other (run it under -race).
+// width and one at width 1, run at once over the shared relation, each
+// on its own pool, must each equal the sequential run (run it under
+// -race).
 func TestConcurrentMinesKeepTheirPools(t *testing.T) {
 	tab := testTable(t, 400)
 	seqOpts := lenientOpts()

@@ -21,8 +21,7 @@ func ShareGrp(r engine.Relation, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, detach := runPool(r, opt.Parallelism)
-	defer detach()
+	pool := runPool(opt.Parallelism)
 	levels, err := groupAll(r, opt, pool, false)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -520,21 +521,8 @@ func (c *Coordinator) handleMine(w http.ResponseWriter, r *http.Request) {
 // partition attributes contain the shard key are servable (candidates
 // of any other pattern would straddle shards). Keys come out sorted.
 func admittedKeys(stats [][]mining.CandStat, th pattern.Thresholds, key []string) []string {
-	type evidence struct{ good, supp int }
-	sum := make(map[string]*evidence)
-	for _, shard := range stats {
-		for _, cs := range shard {
-			e, ok := sum[cs.Key]
-			if !ok {
-				e = &evidence{}
-				sum[cs.Key] = e
-			}
-			e.good += cs.Good
-			e.supp += cs.Supported
-		}
-	}
 	var out []string
-	for k, e := range sum {
+	for k, e := range sumEvidence(stats) {
 		if _, ok := th.HoldsGlobally(e.good, e.supp); ok && keyInPatternF(k, key) {
 			out = append(out, k)
 		}
@@ -543,36 +531,32 @@ func admittedKeys(stats [][]mining.CandStat, th pattern.Thresholds, key []string
 	return out
 }
 
-// equalSortedKeys reports whether two sorted key lists are identical.
-func equalSortedKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// evidence is one candidate's per-shard statistics summed: fragments
+// it holds on, fragments supported, and fragments in all.
+type evidence struct{ good, supp, frags int }
+
+// sumEvidence sums the per-shard candidate statistics by key.
+func sumEvidence(stats [][]mining.CandStat) map[string]evidence {
+	sum := make(map[string]evidence)
+	for _, shard := range stats {
+		for _, cs := range shard {
+			e := sum[cs.Key]
+			e.good += cs.Good
+			e.supp += cs.Supported
+			e.frags += cs.Fragments
+			sum[cs.Key] = e
 		}
 	}
-	return true
+	return sum
 }
 
 // keyInPatternF reports whether every shard-key attribute appears in
 // the F part of a canonical pattern key ("f1,f2|v|agg|model").
 func keyInPatternF(patternKey string, key []string) bool {
-	f := patternKey
-	if i := strings.IndexByte(f, '|'); i >= 0 {
-		f = f[:i]
-	}
+	f, _, _ := strings.Cut(patternKey, "|")
 	attrs := strings.Split(f, ",")
 	for _, k := range key {
-		found := false
-		for _, a := range attrs {
-			if a == k {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(attrs, k) {
 			return false
 		}
 	}
@@ -621,24 +605,11 @@ func (c *Coordinator) handleGetPatterns(w http.ResponseWriter, r *http.Request) 
 			}
 		}
 	}
-	type evidence struct{ good, supp, frags int }
-	sum := make(map[string]*evidence)
-	for _, shard := range cs.stats {
-		for _, st := range shard {
-			e, ok := sum[st.Key]
-			if !ok {
-				e = &evidence{}
-				sum[st.Key] = e
-			}
-			e.good += st.Good
-			e.supp += st.Supported
-			e.frags += st.Fragments
-		}
-	}
+	sum := sumEvidence(cs.stats)
 	out := make([]patternDTO, 0, len(cs.admitted))
 	for _, k := range cs.admitted {
-		e := sum[k]
-		if e == nil {
+		e, ok := sum[k]
+		if !ok {
 			continue
 		}
 		out = append(out, patternDTO{
@@ -743,7 +714,7 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// set is recorded, and the version that invalidates cached
 		// answers on untouched shards bumped, only once every shard has
 		// acknowledged it, so the next append retries a failed push.
-		if admitted := admittedKeys(cs.stats, cs.th, c.cfg.Key); !equalSortedKeys(admitted, cs.admitted) {
+		if admitted := admittedKeys(cs.stats, cs.th, c.cfg.Key); !slices.Equal(admitted, cs.admitted) {
 			if !c.pushAdmission(w, r.Context(), cs, admitted) {
 				return
 			}

@@ -26,6 +26,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -206,11 +207,7 @@ func (s *Server) handleListTables(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, info{Name: name, Rows: t.NumRows(), Columns: t.Schema().Names()})
 	}
 	// Deterministic order for clients and tests.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Name > out[j].Name; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b info) int { return strings.Compare(a.Name, b.Name) })
 	writeJSON(w, http.StatusOK, out)
 }
 
